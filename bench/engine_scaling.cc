@@ -65,7 +65,7 @@ runOnce(unsigned shards, unsigned threads, const std::string &codec,
     // Under per-shard window mode each shard keeps its own W-deep MSHR
     // pool and batches complete at a cross-shard barrier, so the win
     // column reports the N-GPU simulated makespan of the sweep; merged
-    // mode reschedules the submission-order stream through one window
+    // mode windows the submission-order stream once, through one window
     // group (the single-GPU equivalent, shard-count-invariant).
     cfg.shard.linkWindow = window;
     cfg.shard.windowMode = mode;
@@ -270,7 +270,7 @@ main(int argc, char **argv)
                     "shrinks as shards are added while the traffic totals "
                     "stay bit-identical\n");
     else
-        std::printf("merged-win-Mcycles reschedules the merged "
+        std::printf("merged-win-Mcycles windows the merged "
                     "submission-order stream through one W-deep window "
                     "group, so it is shard-count-invariant like the "
                     "traffic totals\n");

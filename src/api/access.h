@@ -12,8 +12,7 @@
  * operation plus a batch-level BatchSummary, reusing a single
  * CompressionScratch across the whole batch so the hot path performs
  * zero per-entry heap allocations. The legacy per-entry calls
- * (writeEntry/readEntry/probeEntry) remain as thin single-op wrappers
- * over the same execution path.
+ * (writeEntry/readEntry/probeEntry) remain and execute one-op batches.
  */
 
 #pragma once
@@ -80,10 +79,12 @@ struct AccessInfo
     /**
      * Device-link share of the batch's windowed (MSHR-style) timing
      * replay: the advance of the window's completion frontier this
-     * access caused (see timing/window.h). The charges of a batch
-     * telescope, so their sum is the windowed makespan of the batch's
-     * device-link stream. Under the engine's default
-     * WindowMode::Merged the replay is scheduled over the merged
+     * access caused (see timing/window.h). The four window fields are
+     * written by the batch's one timing pass (core/window_pass.h),
+     * after the functional pass has filled the fields above it. The
+     * charges of a batch telescope, so their sum is the windowed
+     * makespan of the batch's device-link stream. Under the engine's
+     * default WindowMode::Merged the engine windows the merged
      * submission-order traffic — a pure function of the plan — so the
      * charges are identical under any sharding, like the serial
      * fields; under WindowMode::PerShard each shard windows its own
@@ -105,8 +106,8 @@ struct AccessInfo
      * max(deviceWindowCycles, buddyWindowCycles) totals and their sum.
      * Like the other window fields, the per-op charges are
      * shard-invariant only under WindowMode::Merged (the engine
-     * reschedules the merged stream); under WindowMode::PerShard they
-     * are each shard's own sub-stream charges, which depend on the
+     * windows the merged stream); under WindowMode::PerShard they are
+     * each shard's own sub-stream charges, which depend on the
      * sharding by design (still reproducible run-to-run).
      */
     Cycles combinedWindowCycles = 0;
@@ -120,7 +121,8 @@ struct AccessInfo
      * nonzero. A pure function of the op and the codec configuration,
      * so it rides the engine's determinism contract like the serial
      * link charges. Never folded into deviceCycles/buddyCycles: link
-     * occupancy stays a pure function of the traffic.
+     * occupancy stays a pure function of the traffic. The timing pass
+     * reads codecCycles > 0 as "this op ran the unit".
      */
     Cycles codecCycles = 0;
 

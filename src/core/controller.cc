@@ -4,6 +4,7 @@
 
 #include "api/codec_registry.h"
 #include "common/check.h"
+#include "core/window_pass.h"
 
 namespace buddy {
 
@@ -180,6 +181,13 @@ void
 BuddyController::attachMetrics(obs::MetricRegistry &registry,
                                const std::string &prefix)
 {
+    attachProbes(registry, prefix, true);
+}
+
+void
+BuddyController::attachProbes(obs::MetricRegistry &registry,
+                              const std::string &prefix, bool timed)
+{
     probes_.active = true;
     probes_.batches = &registry.counter(prefix + "batches");
     probes_.reads = &registry.counter(prefix + "reads");
@@ -192,9 +200,11 @@ BuddyController::attachMetrics(obs::MetricRegistry &registry,
     probes_.metadataHits = &registry.counter(prefix + "metadata_hits");
     probes_.metadataMisses = &registry.counter(prefix + "metadata_misses");
     probes_.buddyAccesses = &registry.counter(prefix + "buddy_accesses");
+    probes_.storedBits = &registry.histogram(prefix + "stored_bits");
+    if (!timed)
+        return;
     probes_.batchMakespan =
         &registry.histogram(prefix + "batch_combined_makespan");
-    probes_.storedBits = &registry.histogram(prefix + "stored_bits");
     probes_.windowOccupancy =
         &registry.histogram(prefix + "window_occupancy");
     probes_.windowStall = &registry.histogram(prefix + "window_stall");
@@ -209,10 +219,8 @@ BuddyController::makeWindows() const
 }
 
 AccessInfo
-BuddyController::executeOp(const AccessRequest &op,
-                           CompressionScratch &scratch,
-                           timing::WindowGroup *windows,
-                           BatchSummary &summary)
+BuddyController::executeOp(const AccessRequest &op, BatchSummary &summary,
+                           std::vector<AccessEvent> *deferred)
 {
     const EntryLoc loc = locate(op.va);
     const bool meta_hit = metaCache_->access(loc.globalEntryIdx);
@@ -222,12 +230,12 @@ BuddyController::executeOp(const AccessRequest &op,
     bool is_zero = false;
     Cycles dev_cycles = 0; // link charges of this op's store traffic
     Cycles bud_cycles = 0;
-    // Which inline-unit pass this op runs (charged at codecTiming_):
+    // Whether this op runs the inline unit (charged at codecTiming_):
     // writes of non-zero entries compress (even when the result is
     // stored Raw — the unit still ran to discover that); reads and
     // probes of Compressed entries decompress. Zero entries and Raw
     // reads bypass the unit entirely.
-    timing::CodecWork codec_work = timing::CodecWork::None;
+    bool codec_pass = false;
 
     switch (op.kind) {
       case AccessKind::Write: {
@@ -240,8 +248,9 @@ BuddyController::executeOp(const AccessRequest &op,
             meta = EntryMeta::Zero;
             is_zero = true;
         } else {
-            codec_work = timing::CodecWork::Compress;
-            comp_bits = codec_->compressInto(data, scratch.encode, scratch);
+            codec_pass = true;
+            comp_bits =
+                codec_->compressInto(data, scratch_.encode, scratch_);
             if (comp_bits > kEntryBytes * 8) {
                 meta = EntryMeta::Raw;
             } else {
@@ -262,11 +271,11 @@ BuddyController::executeOp(const AccessRequest &op,
         } else if (meta != EntryMeta::Zero) {
             const u64 bytes = (comp_bits + 7) / 8;
             const u64 on_dev = std::min<u64>(bytes, loc.deviceSlotBytes);
-            dev_cycles = device_->write(loc.deviceAddr, scratch.encode,
+            dev_cycles = device_->write(loc.deviceAddr, scratch_.encode,
                                         on_dev);
             if (on_dev < bytes)
                 bud_cycles = buddy_.write(loc.buddyOffset,
-                                          scratch.encode + on_dev,
+                                          scratch_.encode + on_dev,
                                           bytes - on_dev);
             stored_bits = static_cast<u32>(comp_bits);
         }
@@ -326,17 +335,17 @@ BuddyController::executeOp(const AccessRequest &op,
                 bud_cycles = buddy_.read(loc.buddyOffset, out + on_dev,
                                          kEntryBytes - on_dev);
         } else {
-            // Reassemble the split payload into the batch scratch and
+            // Reassemble the split payload into the scratch and
             // decode in place: no per-entry allocation.
             const u64 bytes = (static_cast<u64>(bits) + 7) / 8;
             const u64 on_dev = std::min<u64>(bytes, loc.deviceSlotBytes);
-            dev_cycles = device_->read(loc.deviceAddr, scratch.io, on_dev);
+            dev_cycles = device_->read(loc.deviceAddr, scratch_.io, on_dev);
             if (on_dev < bytes)
                 bud_cycles = buddy_.read(loc.buddyOffset,
-                                         scratch.io + on_dev,
+                                         scratch_.io + on_dev,
                                          bytes - on_dev);
-            codec_->decompressFrom(scratch.io, bits, out);
-            codec_work = timing::CodecWork::Decompress;
+            codec_->decompressFrom(scratch_.io, bits, out);
+            codec_pass = true;
         }
 
         ++stats_.reads;
@@ -372,7 +381,7 @@ BuddyController::executeOp(const AccessRequest &op,
         // Probe mirrors the read's codec accounting too: a read of a
         // Compressed entry would run the decompressor.
         if (meta != EntryMeta::Zero && meta != EntryMeta::Raw)
-            codec_work = timing::CodecWork::Decompress;
+            codec_pass = true;
 
         // A probe models the traffic of a read: account it as one.
         ++stats_.reads;
@@ -387,59 +396,13 @@ BuddyController::executeOp(const AccessRequest &op,
     info.buddyCycles = bud_cycles;
     // Unloaded inline-unit latency: a pure function of the op and the
     // resolved codec timing, never folded into the link cycles.
-    info.codecCycles = codec_work != timing::CodecWork::None
-                           ? codecTiming_.latency()
-                           : 0;
-
-    // Windowed replay: schedule the same sector traffic (identical byte
-    // counts and directions to the serial charges above) through the
-    // batch's MSHR-style windows. At linkWindow == 1 the link charges
-    // equal the serial ones bit-for-bit. Single-op streams (null
-    // windows) take the serial charges directly — a lone request in a
-    // fresh window costs exactly latency + transfer.
-    if (windows != nullptr) {
-        const timing::LinkDir dir = op.kind == AccessKind::Write
-                                        ? timing::LinkDir::Write
-                                        : timing::LinkDir::Read;
-        const timing::GroupCharge charge = windows->issue(
-            dir, static_cast<u64>(info.deviceSectors) * kSectorBytes,
-            static_cast<u64>(info.buddySectors) * kSectorBytes,
-            codec_work);
-        info.deviceWindowCycles = charge.device;
-        info.buddyWindowCycles = charge.buddy;
-        info.combinedWindowCycles = charge.combined;
-        info.codecChargedWindowCycles = charge.codecCharged;
-    } else {
-        info.deviceWindowCycles = dev_cycles;
-        info.buddyWindowCycles = bud_cycles;
-        // A lone request in a fresh group: each link's frontier is its
-        // serial charge, so the combined frontier is their max.
-        const Cycles combined = std::max(dev_cycles, bud_cycles);
-        info.combinedWindowCycles = combined;
-        // The codec-charged frontier of the same lone request: a
-        // compression starts at 0 and overlaps the stores fully; a
-        // decompression waits for the loads, then decodes. Matches
-        // WindowGroup::issue() on a fresh group exactly (free timing
-        // collapses both to the combined frontier).
-        if (codec_work == timing::CodecWork::Compress)
-            info.codecChargedWindowCycles =
-                std::max(combined, codecTiming_.latency());
-        else if (codec_work == timing::CodecWork::Decompress)
-            info.codecChargedWindowCycles =
-                combined + codecTiming_.latency();
-        else
-            info.codecChargedWindowCycles = combined;
-    }
+    info.codecCycles = codec_pass ? codecTiming_.latency() : 0;
 
     stats_.deviceSectorTraffic += info.deviceSectors;
     stats_.buddySectorTraffic += info.buddySectors;
     stats_.deviceCycles += info.deviceCycles;
     stats_.buddyCycles += info.buddyCycles;
-    stats_.deviceWindowCycles += info.deviceWindowCycles;
-    stats_.buddyWindowCycles += info.buddyWindowCycles;
-    stats_.combinedWindowCycles += info.combinedWindowCycles;
     stats_.codecCycles += info.codecCycles;
-    stats_.codecChargedWindowCycles += info.codecChargedWindowCycles;
     if (info.usedBuddy())
         ++stats_.buddyAccesses;
 
@@ -447,11 +410,7 @@ BuddyController::executeOp(const AccessRequest &op,
     summary.buddySectors += info.buddySectors;
     summary.deviceCycles += info.deviceCycles;
     summary.buddyCycles += info.buddyCycles;
-    summary.deviceWindowCycles += info.deviceWindowCycles;
-    summary.buddyWindowCycles += info.buddyWindowCycles;
-    summary.combinedWindowCycles += info.combinedWindowCycles;
     summary.codecCycles += info.codecCycles;
-    summary.codecChargedWindowCycles += info.codecChargedWindowCycles;
     if (meta_hit)
         ++summary.metadataHits;
     else
@@ -463,16 +422,6 @@ BuddyController::executeOp(const AccessRequest &op,
         (meta_hit ? probes_.metadataHits : probes_.metadataMisses)->add();
         if (info.usedBuddy())
             probes_.buddyAccesses->add();
-        if (windows != nullptr) {
-            // Post-issue concurrency and the issue's window-constraint
-            // wait: the MSHR-pressure histograms. Pure functions of the
-            // window's own request stream, like the charges.
-            probes_.windowOccupancy->add(windows->device().outstanding() +
-                                         windows->buddy().outstanding());
-            probes_.windowStall->add(
-                std::max(windows->device().lastStall(),
-                         windows->buddy().lastStall()));
-        }
     }
 
     if (!hub_.empty()) {
@@ -484,7 +433,10 @@ BuddyController::executeOp(const AccessRequest &op,
         event.storedBits = stored_bits;
         event.isZero = is_zero;
         event.data = op.kind == AccessKind::Write ? op.src : nullptr;
-        hub_.emit(event);
+        if (deferred != nullptr)
+            deferred->push_back(event);
+        else
+            hub_.emit(event);
     }
     return info;
 }
@@ -492,68 +444,80 @@ BuddyController::executeOp(const AccessRequest &op,
 const BatchSummary &
 BuddyController::execute(AccessBatch &batch)
 {
+    return run(batch, true);
+}
+
+const BatchSummary &
+BuddyController::run(AccessBatch &batch, bool timed)
+{
     batch.results_.clear();
     batch.results_.reserve(batch.ops_.size());
     batch.summary_ = BatchSummary{};
+    BatchSummary &sum = batch.summary_;
 
-    // One scratch for the whole batch: the per-entry hot loop below is
-    // allocation-free (results_ was reserved up front). The windows are
-    // likewise per-batch: the batch is the latency-overlap scope.
-    CompressionScratch scratch;
-    timing::WindowGroup windows = makeWindows();
+    // The functional pass. With sinks attached, a timed batch holds its
+    // events back until the timing pass has filled their window fields.
+    std::vector<AccessEvent> deferred;
+    const bool defer = timed && !hub_.empty();
+    if (defer)
+        deferred.reserve(batch.ops_.size());
     for (const AccessRequest &op : batch.ops_)
         batch.results_.push_back(
-            executeOp(op, scratch, &windows, batch.summary_));
-
-    if (probes_.active) {
+            executeOp(op, sum, defer ? &deferred : nullptr));
+    if (probes_.active)
         probes_.batches->add();
-        probes_.batchMakespan->add(batch.summary_.combinedWindowCycles);
+
+    if (timed) {
+        // The timing pass: the batch is the latency-overlap scope, so
+        // it gets fresh windows.
+        timing::WindowGroup windows = makeWindows();
+        const bool sample =
+            probes_.active && probes_.windowOccupancy != nullptr;
+        windowBatch(batch.ops_, batch.results_, windows, sum,
+                    sample ? probes_.windowOccupancy : nullptr,
+                    sample ? probes_.windowStall : nullptr);
+        stats_.deviceWindowCycles += sum.deviceWindowCycles;
+        stats_.buddyWindowCycles += sum.buddyWindowCycles;
+        stats_.combinedWindowCycles += sum.combinedWindowCycles;
+        stats_.codecChargedWindowCycles += sum.codecChargedWindowCycles;
+        if (sample)
+            probes_.batchMakespan->add(sum.combinedWindowCycles);
     }
 
+    for (std::size_t i = 0; i < deferred.size(); ++i) {
+        deferred[i].info = batch.results_[i];
+        hub_.emit(deferred[i]);
+    }
     if (!hub_.empty())
-        hub_.emitBatch(batch.summary_);
-    return batch.summary_;
+        hub_.emitBatch(sum);
+    return sum;
 }
 
 AccessInfo
 BuddyController::writeEntry(Addr va, const u8 *data)
 {
-    AccessRequest op;
-    op.kind = AccessKind::Write;
-    op.va = va;
-    op.src = data;
-    BatchSummary summary;
-    const AccessInfo info = executeOp(op, soloScratch_, nullptr, summary);
-    if (!hub_.empty())
-        hub_.emitBatch(summary);
-    return info;
+    AccessBatch batch(1);
+    batch.write(va, data);
+    execute(batch);
+    return batch.result(0);
 }
 
 AccessInfo
 BuddyController::readEntry(Addr va, u8 *out)
 {
-    AccessRequest op;
-    op.kind = AccessKind::Read;
-    op.va = va;
-    op.dst = out;
-    BatchSummary summary;
-    const AccessInfo info = executeOp(op, soloScratch_, nullptr, summary);
-    if (!hub_.empty())
-        hub_.emitBatch(summary);
-    return info;
+    AccessBatch batch(1);
+    batch.read(va, out);
+    execute(batch);
+    return batch.result(0);
 }
 
 AccessInfo
 BuddyController::probeEntry(Addr va)
 {
-    AccessRequest op;
-    op.kind = AccessKind::Probe;
-    op.va = va;
-    BatchSummary summary;
-    const AccessInfo info = executeOp(op, soloScratch_, nullptr, summary);
-    if (!hub_.empty())
-        hub_.emitBatch(summary);
-    return info;
+    AccessBatch batch(1);
+    batch.probe(va);
+    execute(batch);
+    return batch.result(0);
 }
 
 } // namespace buddy

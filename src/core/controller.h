@@ -20,10 +20,12 @@
  *
  * The primary access surface is execute(AccessBatch&): submit a plan of
  * read/write/probe spans, get one AccessInfo per operation plus a
- * batch-level BatchSummary. The batch path reuses one CompressionScratch
- * for the whole batch, so it performs zero per-entry heap allocations.
- * The per-entry calls (writeEntry/readEntry/probeEntry) are thin
- * single-op wrappers over the same execution path.
+ * batch-level BatchSummary. execute() runs two passes: the functional
+ * pass (codec, metadata, stores, serial link charges) and then one
+ * windowed timing pass over the batch (core/window_pass.h). Every
+ * batch reuses the controller's CompressionScratch, so the path
+ * performs zero per-entry heap allocations. The per-entry calls
+ * (writeEntry/readEntry/probeEntry) execute one-op batches.
  *
  * All traffic is accounted per access so the experiments can report the
  * paper's metrics (buddy-access fraction, metadata hit rate, achieved
@@ -59,15 +61,15 @@ namespace buddy {
  * (read by ShardedEngine from its shard template; a standalone
  * controller is a single GPU either way, so it ignores the mode).
  *
- *   Merged    one merged GPU stream: the engine reschedules every
- *             batch's submission-order traffic through a single window
- *             pair — the single-GPU equivalent of the plan. The
- *             default, and the pre-existing semantics bit-for-bit.
+ *   Merged    one merged GPU stream: the shards run only the functional
+ *             pass and the engine windows every batch's submission-
+ *             order traffic once, through a single window pair — the
+ *             single-GPU equivalent of the plan. The default.
  *   PerShard  N GPUs: each shard owns its own MSHR pool over its own
- *             links (the windows its controller schedules during
- *             sub-plan execution), with a cross-shard barrier at batch
- *             completion — the batch's windowed totals are the max
- *             over the participating shards' makespans.
+ *             links (each shard's execute() windows its sub-plan),
+ *             with a cross-shard barrier at batch completion — the
+ *             batch's windowed totals are the max over the
+ *             participating shards' makespans.
  *
  * At one shard the two modes are bit-identical (tests pin this); both
  * are reproducible run-to-run.
@@ -111,8 +113,9 @@ struct BuddyConfig
      * Outstanding link round trips (W) of the windowed timing replay —
      * the MSHR pool the functional-timing path models (see
      * timing/window.h). Every executed batch is additionally scheduled
-     * through one RequestWindow per link in submission order, filling
-     * the *WindowCycles fields of AccessInfo/BatchSummary/BuddyStats.
+     * through one RequestWindow per link in submission order
+     * (core/window_pass.h), filling the *WindowCycles fields of
+     * AccessInfo/BatchSummary/BuddyStats.
      * The default of 1 reproduces the serial LinkModel totals
      * bit-for-bit; larger windows overlap round-trip latency and
      * approach the bandwidth bound. 0 — or a window > 1 over a
@@ -164,7 +167,9 @@ struct BuddyStats
     u64 buddyCycles = 0;    ///< simulated cycles charged to the buddy link
 
     /** Windowed-replay device-link makespans, summed over batches
-     *  (BuddyConfig::linkWindow; equals deviceCycles at window 1). */
+     *  (BuddyConfig::linkWindow; equals deviceCycles at window 1). All
+     *  four window totals stay 0 on an engine shard under
+     *  WindowMode::Merged, which windows nothing. */
     u64 deviceWindowCycles = 0;
 
     /** Windowed-replay buddy-link makespans, summed over batches. */
@@ -238,30 +243,32 @@ class BuddyController
      *
      * Fills batch.results() with one AccessInfo per planned operation
      * (in plan order) and batch.summary() with the batch-level traffic
-     * totals. One CompressionScratch is reused across the whole batch:
-     * the hot path performs no per-entry heap allocations.
+     * totals: the functional pass over every op, then one windowed
+     * timing pass over the batch. Sinks see the events after both. The
+     * hot path performs no per-entry heap allocations.
      *
      * @return the batch summary (also retained in the batch).
      */
     const BatchSummary &execute(AccessBatch &batch);
 
     /**
-     * Write one 128 B entry (single-op wrapper over the batch path).
+     * Write one 128 B entry: execute() of a one-op batch, so the result
+     * (window fields included) is exactly that batch's.
      * @param va   entry-aligned virtual address.
      * @param data kEntryBytes bytes of payload.
      */
     AccessInfo writeEntry(Addr va, const u8 *data);
 
     /**
-     * Read one 128 B entry back, decompressing (single-op wrapper).
+     * Read one 128 B entry back, decompressing (a one-op execute()).
      * @param va  entry-aligned virtual address.
      * @param out receives kEntryBytes bytes.
      */
     AccessInfo readEntry(Addr va, u8 *out);
 
     /**
-     * Traffic a read of @p va would generate, without performing it
-     * (single-op wrapper). Used by the performance simulator front end.
+     * Traffic a read of @p va would generate, without performing it (a
+     * one-op execute()).
      */
     AccessInfo probeEntry(Addr va);
 
@@ -330,9 +337,7 @@ class BuddyController
     /**
      * The resolved inline-unit timing the windowed replay charges
      * (de)compression at: BuddyConfig::codecTiming when set, else the
-     * configured codec's registry timing. The engine's merged-stream
-     * replay rebuilds its WindowGroup from this, so merged codec-
-     * charged totals are bit-identical to a single controller's.
+     * configured codec's registry timing.
      */
     const timing::CodecTiming &codecTiming() const { return codecTiming_; }
 
@@ -343,6 +348,10 @@ class BuddyController
     const BuddyCarveOut &carveOut() const { return buddy_; }
 
   private:
+    // Under WindowMode::Merged the engine runs its shards untimed and
+    // windows the merged batch itself.
+    friend class engine::ShardedEngine;
+
     struct EntryLoc
     {
         const Allocation *alloc;
@@ -363,12 +372,25 @@ class BuddyController
     /**
      * Build the per-batch windowed-replay state: one RequestWindow per
      * link, grouped so the combined (cross-link) frontier is tracked
-     * alongside the per-link ones. Created fresh for every executed
-     * stream so windowed totals stay additive across batches (a batch
+     * alongside the per-link ones. Created fresh for every windowed
+     * batch so windowed totals stay additive across batches (a batch
      * is the latency-overlap scope — the outstanding-miss stream of
      * one kernel).
      */
     timing::WindowGroup makeWindows() const;
+
+    /**
+     * execute(), whose timing pass runs only when @p timed. Untimed,
+     * the window fields of the results, the summary and stats_ stay 0,
+     * and events are emitted as the ops run.
+     */
+    const BatchSummary &run(AccessBatch &batch, bool timed);
+
+    /** attachMetrics(), whose window histograms (batch_combined_makespan,
+     *  window_occupancy, window_stall) are registered only when
+     *  @p timed, for a controller that only runs untimed. */
+    void attachProbes(obs::MetricRegistry &registry,
+                      const std::string &prefix, bool timed);
 
     EntryLoc locate(Addr va) const;
 
@@ -377,20 +399,14 @@ class BuddyController
                           u32 payload_bits) const;
 
     /**
-     * Execute one planned operation: the shared core of execute() and
-     * the per-entry wrappers. Updates stats_ and @p summary, and emits
-     * an AccessEvent when sinks are attached.
-     *
-     * @p windows is the batch's windowed-replay state; null for
-     * single-op streams, where the windowed charge provably equals the
-     * serial charge (a lone request in a fresh window issues at 0 and
-     * pays latency + transfer), so the per-entry wrappers stay
-     * allocation-free.
+     * Execute one planned operation's functional pass: codec, metadata,
+     * stores and the serial link and codec charges. Updates stats_ and
+     * @p summary (window fields excepted). When sinks are attached, its
+     * AccessEvent is emitted, or appended to @p deferred when a timing
+     * pass must complete it first.
      */
-    AccessInfo executeOp(const AccessRequest &op,
-                         CompressionScratch &scratch,
-                         timing::WindowGroup *windows,
-                         BatchSummary &summary);
+    AccessInfo executeOp(const AccessRequest &op, BatchSummary &summary,
+                         std::vector<AccessEvent> *deferred);
 
     /**
      * Stable-address metric objects resolved once by attachMetrics(),
@@ -436,8 +452,9 @@ class BuddyController
     u64 logicalUsed_ = 0;
     BuddyStats stats_;
 
-    /** Scratch reused by the single-op wrappers. */
-    CompressionScratch soloScratch_;
+    /** The codec scratch every batch reuses: the hot path performs no
+     *  per-entry heap allocation. */
+    CompressionScratch scratch_;
 
     MetricProbes probes_;
 

@@ -7,6 +7,7 @@
 
 #include "common/check.h"
 #include "common/table.h"
+#include "core/window_pass.h"
 
 namespace buddy {
 namespace engine {
@@ -221,10 +222,12 @@ ShardedEngine::attachMetrics(obs::MetricRegistry &registry)
     probes_.wallQueueDepth =
         &registry.histogram("wall/engine/queue_depth");
 
-    // Each shard controller's own view (sub-stream windows, codec
-    // outcomes, its cache's hits): reproducible, sharding-dependent.
+    // Each shard controller's own view (codec outcomes, its cache's
+    // hits and, under PerShard, its own windows): reproducible,
+    // sharding-dependent. Under Merged the shards window nothing.
     for (unsigned s = 0; s < shardCount(); ++s)
-        shards_[s]->attachMetrics(registry, strfmt("shard/s%u/", s));
+        shards_[s]->attachProbes(registry, strfmt("shard/s%u/", s),
+                                 !mergedMode);
 }
 
 std::future<BatchSummary>
@@ -355,7 +358,8 @@ ShardedEngine::runTask(const std::shared_ptr<BatchJob> &job, unsigned sub)
         cap.events.reserve(sp.plan.ops_.size());
         c.attachSink(&cap);
     }
-    c.execute(sp.plan);
+    // Under Merged the batch is windowed once, merged, in finish().
+    c.run(sp.plan, cfg_.shard.windowMode == WindowMode::PerShard);
     if (capture) {
         c.detachSink(&cap);
         sp.events = std::move(cap.events);
@@ -373,103 +377,53 @@ ShardedEngine::finish(BatchJob &job)
     // Scatter per-op results back into submission order and fold the
     // per-shard summaries (u64 sums, so the merge is order-independent
     // and bit-identical to a single-controller run of the same plan).
-    // The window fields are deliberately not summed here: their merge
-    // depends on BuddyConfig::windowMode and happens below.
     BatchSummary merged;
     for (const SubPlan &sp : job.subs) {
-        const BatchSummary &s = sp.plan.summary_;
-        merged.reads += s.reads;
-        merged.writes += s.writes;
-        merged.probes += s.probes;
-        merged.deviceSectors += s.deviceSectors;
-        merged.buddySectors += s.buddySectors;
-        merged.metadataHits += s.metadataHits;
-        merged.metadataMisses += s.metadataMisses;
-        merged.buddyAccesses += s.buddyAccesses;
-        merged.deviceCycles += s.deviceCycles;
-        merged.buddyCycles += s.buddyCycles;
-        // Unloaded codec latency is a pure per-op function (like the
-        // serial cycles), so its merge is the plain sum in either mode.
-        merged.codecCycles += s.codecCycles;
+        merged.accumulate(sp.plan.summary_);
         for (std::size_t j = 0; j < sp.origIdx.size(); ++j)
             batch.results_[sp.origIdx[j]] = sp.plan.results_[j];
     }
 
-    // Observability feeds of the merged replay: per-op occupancy/stall
-    // samples collected into stack-local histograms (folded into the
-    // registry under the accounting lock below — bucket sums are
-    // commutative, so accumulation is completion-order-independent)
-    // and the replay windows' peak concurrency for the BatchRecord.
+    // Observability feeds of the merged timing pass: occupancy/stall
+    // samples go to stack-local histograms, folded into the registry
+    // under the accounting lock below (bucket sums commute), and the
+    // windows' peak concurrency goes to the BatchRecord.
     obs::LatencyHistogram localOcc;
     obs::LatencyHistogram localStall;
     u64 maxDevOut = 0;
     u64 maxBudOut = 0;
-    const bool sampleWindows =
-        (probes_.active && probes_.windowOccupancy != nullptr) ||
-        observer_ != nullptr;
 
     if (cfg_.shard.windowMode == WindowMode::Merged) {
-        // Windowed replay of the merged plan: reschedule the
-        // submission-order traffic through one window group — the
-        // single-GPU equivalent of the batch. Per-op traffic is a pure
-        // function of the plan, so these totals are identical under any
-        // sharding and bit-identical to a single controller executing
-        // the same plan (every shard runs the same timing config;
-        // shard 0's stores supply it).
-        const BuddyController &c0 = *shards_[0];
-        const u64 w = cfg_.shard.linkWindow;
-        timing::WindowGroup group(
-            c0.deviceStore().makeWindow(w),
-            c0.carveOut().store().makeWindow(w),
-            c0.codecTiming());
-        for (std::size_t i = 0; i < batch.ops_.size(); ++i) {
-            AccessInfo &info = batch.results_[i];
-            const timing::LinkDir dir =
-                batch.ops_[i].kind == AccessKind::Write
-                    ? timing::LinkDir::Write
-                    : timing::LinkDir::Read;
-            // Whether the op ran the inline unit is a pure per-op fact
-            // the shards already computed (codecCycles > 0 exactly when
-            // a pass ran — any nonzero initiation interval has nonzero
-            // latency); the direction recovers which pass it was.
-            timing::CodecWork work = timing::CodecWork::None;
-            if (info.codecCycles > 0)
-                work = batch.ops_[i].kind == AccessKind::Write
-                           ? timing::CodecWork::Compress
-                           : timing::CodecWork::Decompress;
-            const timing::GroupCharge charge = group.issue(
-                dir, static_cast<u64>(info.deviceSectors) * kSectorBytes,
-                static_cast<u64>(info.buddySectors) * kSectorBytes, work);
-            info.deviceWindowCycles = charge.device;
-            info.buddyWindowCycles = charge.buddy;
-            info.combinedWindowCycles = charge.combined;
-            info.codecChargedWindowCycles = charge.codecCharged;
-            merged.deviceWindowCycles += charge.device;
-            merged.buddyWindowCycles += charge.buddy;
-            merged.combinedWindowCycles += charge.combined;
-            merged.codecChargedWindowCycles += charge.codecCharged;
-            if (sampleWindows) {
-                localOcc.add(group.device().outstanding() +
-                             group.buddy().outstanding());
-                localStall.add(std::max(group.device().lastStall(),
-                                        group.buddy().lastStall()));
-            }
-        }
+        // The shards ran only the functional pass (window fields 0), so
+        // this is the batch's one timing pass: the submission-order
+        // traffic through one window group — the single-GPU equivalent
+        // of the batch. Per-op traffic is a pure function of the plan,
+        // so the charges are identical under any sharding and bit-
+        // identical to a single controller executing the same plan
+        // (every shard runs the same timing config).
+        timing::WindowGroup group = shards_[0]->makeWindows();
+        const bool sample = probes_.windowOccupancy != nullptr;
+        windowBatch(batch.ops_, batch.results_, group, merged,
+                    sample ? &localOcc : nullptr,
+                    sample ? &localStall : nullptr);
         maxDevOut = group.device().maxOutstanding();
         maxBudOut = group.buddy().maxOutstanding();
     } else {
-        // Per-shard window mode: each shard kept its own MSHR pool over
-        // its own links — the per-op window charges the shards computed
-        // (already scattered above) stand. The batch completes at a
+        // Per-shard window mode: each shard windowed its own sub-plan
+        // over its own links (one MSHR pool per GPU) and the per-op
+        // charges scattered above stand. The batch completes at a
         // cross-shard barrier, so its windowed totals are the max over
-        // the participating shards' makespans: the N-GPU makespan.
-        // Per-shard sub-streams are executed in submission order by one
-        // worker each and max() is order-independent, so these totals
-        // are reproducible run-to-run; at one shard they are
-        // bit-identical to the merged replay (same stream, same
-        // timing), which tests pin.
+        // the participating shards' makespans, not the sum folded
+        // above: the N-GPU makespan. max() is order-independent, so
+        // these totals reproduce run-to-run; at one shard they are
+        // bit-identical to the merged pass (same stream, same timing),
+        // which tests pin.
+        const u64 sum_makespan = merged.combinedWindowCycles;
         u64 min_makespan = ~0ull;
-        u64 sum_makespan = 0;
+        merged.deviceWindowCycles = 0;
+        merged.buddyWindowCycles = 0;
+        merged.combinedWindowCycles = 0;
+        merged.codecChargedWindowCycles = 0;
         for (const SubPlan &sp : job.subs) {
             const BatchSummary &s = sp.plan.summary_;
             merged.deviceWindowCycles =
@@ -482,7 +436,6 @@ ShardedEngine::finish(BatchJob &job)
                 std::max(merged.codecChargedWindowCycles,
                          s.codecChargedWindowCycles);
             min_makespan = std::min(min_makespan, s.combinedWindowCycles);
-            sum_makespan += s.combinedWindowCycles;
         }
 
         // The spread between the shards' makespans is the per-batch GPU
@@ -508,14 +461,6 @@ ShardedEngine::finish(BatchJob &job)
             ++imbalance_.ratioHist[bucket];
         }
     }
-    deviceWindowCycles_.fetch_add(merged.deviceWindowCycles,
-                                  std::memory_order_relaxed);
-    buddyWindowCycles_.fetch_add(merged.buddyWindowCycles,
-                                 std::memory_order_relaxed);
-    combinedWindowCycles_.fetch_add(merged.combinedWindowCycles,
-                                    std::memory_order_relaxed);
-    codecChargedWindowCycles_.fetch_add(merged.codecChargedWindowCycles,
-                                        std::memory_order_relaxed);
     batch.summary_ = merged;
 
     // Per-tenant accounting: fold the batch's merged summary into the
@@ -572,7 +517,12 @@ ShardedEngine::finish(BatchJob &job)
                 obs::BatchRecord::ShardSpan span;
                 span.shard = sp.shard;
                 span.ops = sp.plan.ops_.size();
-                span.combinedCycles = sp.plan.summary_.combinedWindowCycles;
+                // Under Merged every span carries the batch's one
+                // (merged) makespan.
+                span.combinedCycles =
+                    cfg_.shard.windowMode == WindowMode::Merged
+                        ? merged.combinedWindowCycles
+                        : sp.plan.summary_.combinedWindowCycles;
                 rec.shards.push_back(span);
             }
             std::sort(rec.shards.begin(), rec.shards.end(),
@@ -622,18 +572,18 @@ ShardedEngine::stats() const
         total.buddyCycles += st.buddyCycles;
         total.codecCycles += st.codecCycles;
     }
-    // Windowed totals come from the engine's per-batch accumulation
-    // (merged-stream replay, or per-shard maxima under
-    // WindowMode::PerShard), not from summing the shards' sub-stream
-    // windows (see stats() docs).
-    total.deviceWindowCycles =
-        deviceWindowCycles_.load(std::memory_order_relaxed);
-    total.buddyWindowCycles =
-        buddyWindowCycles_.load(std::memory_order_relaxed);
-    total.combinedWindowCycles =
-        combinedWindowCycles_.load(std::memory_order_relaxed);
-    total.codecChargedWindowCycles =
-        codecChargedWindowCycles_.load(std::memory_order_relaxed);
+    // Windowed totals are the engine's own per-batch ones (the merged
+    // timing pass, or per-shard maxima under WindowMode::PerShard), not
+    // the shards' (see stats() docs). Every batch folds into exactly one
+    // tenant's totals, so their sum is the engine's.
+    std::lock_guard<std::mutex> lk(accountMutex_);
+    for (const auto &entry : tenantTotals_) {
+        const BatchSummary &t = entry.second.summary;
+        total.deviceWindowCycles += t.deviceWindowCycles;
+        total.buddyWindowCycles += t.buddyWindowCycles;
+        total.combinedWindowCycles += t.combinedWindowCycles;
+        total.codecChargedWindowCycles += t.codecChargedWindowCycles;
+    }
     return total;
 }
 
@@ -644,10 +594,6 @@ ShardedEngine::clearStats()
     // (tests/test_engine.cc pins reset -> resubmit equality).
     for (auto &s : shards_)
         s->clearStats();
-    deviceWindowCycles_.store(0, std::memory_order_relaxed);
-    buddyWindowCycles_.store(0, std::memory_order_relaxed);
-    combinedWindowCycles_.store(0, std::memory_order_relaxed);
-    codecChargedWindowCycles_.store(0, std::memory_order_relaxed);
     std::lock_guard<std::mutex> lk(accountMutex_);
     tenantTotals_.clear();
     imbalance_ = WindowImbalanceStats{};

@@ -15,7 +15,8 @@
  * shard, enqueues one sub-plan per participating shard, and returns a
  * std::future<BatchSummary>. Workers execute sub-plans in parallel; the
  * last one to finish merges the per-op AccessInfo back into submission
- * order and folds the per-shard summaries into one BatchSummary.
+ * order, folds the per-shard summaries into one BatchSummary and, under
+ * WindowMode::Merged, runs the batch's one windowed timing pass.
  *
  * Determinism: a shard is only ever touched by the one worker thread
  * that owns its queue, and each shard sees its sub-plan's operations in
@@ -232,15 +233,16 @@ class ShardedEngine
      * src/dst buffer it references must stay alive and untouched until
      * the future is ready.
      *
-     * Windowed timing (BuddyConfig::windowMode): under the default
-     * Merged mode, after the serial merge the batch's windowed replay
-     * (BuddyConfig::linkWindow) is rescheduled over the merged
-     * submission-order traffic through one WindowGroup — the single-GPU
-     * equivalent of the plan — so the per-op and summary *WindowCycles
-     * fields do not depend on the shard count or thread scheduling,
-     * exactly like the serial cycle totals (tests/test_engine.cc pins
-     * this). Under PerShard mode each shard's own windows stand (N GPUs,
-     * one MSHR pool each) and the summary window fields carry the max
+     * Windowed timing (BuddyConfig::windowMode) runs once per batch.
+     * Under the default Merged mode the shards run only the functional
+     * pass; after the merge the engine windows the merged submission-
+     * order traffic (BuddyConfig::linkWindow) through one WindowGroup —
+     * the single-GPU equivalent of the plan — so the per-op and summary
+     * *WindowCycles fields do not depend on the shard count or thread
+     * scheduling, exactly like the serial cycle totals
+     * (tests/test_engine.cc pins this). Under PerShard mode each shard
+     * windows its own sub-plan (N GPUs, one MSHR pool each), those
+     * per-op charges stand, and the summary window fields carry the max
      * over the participating shards — the N-GPU makespan behind a
      * cross-shard barrier; still reproducible run-to-run, and
      * bit-identical to Merged at one shard.
@@ -268,7 +270,10 @@ class ShardedEngine
      *                  each shard controller's own metrics under
      *                  shard/s<k>/ (including metadata hit/miss — per-
      *                  shard cache state) and, under PerShard mode,
-     *                  the engine's N-GPU window totals;
+     *                  the shards' own window histograms and the
+     *                  engine's N-GPU window totals (under Merged the
+     *                  shards window nothing, so shard/s<k>/ has no
+     *                  window metrics);
      *   wall/engine/   thread-timing-dependent (queue depth) —
      *                  excluded from every determinism check.
      *
@@ -327,9 +332,8 @@ class ShardedEngine
      * traffic/cycle fields are sums over the per-shard controllers; the
      * *WindowCycles fields are the engine's own per-batch windowed
      * totals — the merged submission-order stream's makespans under
-     * WindowMode::Merged, the max-over-shards (N-GPU) makespans under
-     * WindowMode::PerShard — NOT the sum of the shard controllers'
-     * sub-stream windows.
+     * WindowMode::Merged (where the shards' own window totals stay 0),
+     * the max-over-shards (N-GPU) makespans under WindowMode::PerShard.
      */
     BuddyStats stats() const;
 
@@ -441,17 +445,6 @@ class ShardedEngine
     std::vector<std::unique_ptr<Worker>> workers_;
     TrafficHub hub_;
     std::mutex emitMutex_; ///< serializes engine-level sink emission
-
-    /** Engine-level windowed-replay totals, accumulated per batch in
-     *  finish(): merged-stream makespans under WindowMode::Merged,
-     *  max-over-shards (N-GPU) makespans under WindowMode::PerShard.
-     *  Atomic because batches may finish concurrently — the sums are
-     *  order-independent. Reset by clearStats() symmetrically with the
-     *  stats() merge. */
-    std::atomic<u64> deviceWindowCycles_{0};
-    std::atomic<u64> buddyWindowCycles_{0};
-    std::atomic<u64> combinedWindowCycles_{0};
-    std::atomic<u64> codecChargedWindowCycles_{0};
 
     /** Guards tenantTotals_ and imbalance_ — finish() runs on worker
      *  threads, so concurrent batch completions race without it. The

@@ -191,8 +191,9 @@ ChromeTraceSink::toJson() const
             .endObject()
             .endObject();
 
-        // GPU-row spans: each participating shard's own makespan, so
-        // imbalance shows as ragged ends under a common start.
+        // GPU-row spans, one per participating shard: under PerShard
+        // each shard's own makespan, so imbalance shows as ragged ends
+        // under a common start; under Merged the batch's makespan.
         for (const auto &s : r->shards) {
             w.beginObject()
                 .key("name").value(strfmt("batch %llu",

@@ -50,11 +50,10 @@ struct BatchRecord
         u64 ops = 0;
 
         /**
-         * The shard's own combined windowed makespan for its sub-plan.
-         * Under WindowMode::PerShard the batch barrier waits for the
-         * max of these; under Merged they are the shards' sub-stream
-         * makespans (informational — the summary carries the merged
-         * single-stream makespan).
+         * Under WindowMode::PerShard: the shard's own combined windowed
+         * makespan for its sub-plan; the batch barrier waits for the
+         * max of these. Under Merged the shards window nothing, and
+         * every span carries the batch's merged makespan.
          */
         u64 combinedCycles = 0;
     };

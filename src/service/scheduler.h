@@ -224,9 +224,10 @@ struct ServiceReport
 
 /**
  * Compare two accumulated summaries on the isolation-contract subset:
- * the functional totals (traffic counters and serial LinkModel cycles)
- * that are pure per-batch functions of the plan, plus — when
- * @p windowed — the windowed-replay totals, which join the contract
+ * the functional totals (traffic counters, serial LinkModel cycles and
+ * unloaded codec cycles) that are pure per-batch functions of the plan,
+ * plus — when @p windowed — the windowed-replay totals, codec-charged
+ * makespan included, which join the contract
  * only under WindowMode::Merged (pass false under PerShard, where the
  * sub-stream split depends on co-tenant placement). metadataHits and
  * metadataMisses are deliberately never compared: they are shared
@@ -242,12 +243,14 @@ isolationEqual(const BatchSummary &a, const BatchSummary &b,
         a.probes == b.probes && a.deviceSectors == b.deviceSectors &&
         a.buddySectors == b.buddySectors &&
         a.buddyAccesses == b.buddyAccesses &&
-        a.deviceCycles == b.deviceCycles && a.buddyCycles == b.buddyCycles;
+        a.deviceCycles == b.deviceCycles && a.buddyCycles == b.buddyCycles &&
+        a.codecCycles == b.codecCycles;
     if (!functional || !windowed)
         return functional;
     return a.deviceWindowCycles == b.deviceWindowCycles &&
            a.buddyWindowCycles == b.buddyWindowCycles &&
-           a.combinedWindowCycles == b.combinedWindowCycles;
+           a.combinedWindowCycles == b.combinedWindowCycles &&
+           a.codecChargedWindowCycles == b.codecChargedWindowCycles;
 }
 
 /**

@@ -36,9 +36,11 @@
  * touches the store clocks, so serial per-operation charges — and every
  * determinism contract resting on their purity — are unchanged. The
  * windowed totals are themselves a pure function of the scheduled
- * request stream; schedulers that feed a window the submission-order
- * stream of a batch (BuddyController::execute, ShardedEngine merge) get
- * totals that are independent of sharding and thread scheduling.
+ * request stream. One scheduler feeds the windows: windowBatch()
+ * (core/window_pass.h), which issues a batch's submission-order stream
+ * once per GPU boundary — called by BuddyController::execute and, under
+ * WindowMode::Merged, by ShardedEngine over the merged batch — so the
+ * totals are independent of sharding and thread scheduling.
  *
  * WindowGroup (below) schedules one access stream over a *pair* of
  * windows — the device link and the buddy link run in parallel — and

@@ -12,10 +12,10 @@
 #include <memory>
 #include <vector>
 
+#include "api/codec_registry.h"
 #include "common/rng.h"
 #include "compress/bdi.h"
 #include "compress/bpc.h"
-#include "compress/factory.h"
 #include "compress/fpc.h"
 #include "compress/zero.h"
 
@@ -84,7 +84,10 @@ expectRoundTrip(const Compressor &c, const EntryBuf &e)
 class CodecTest : public ::testing::TestWithParam<const char *>
 {
   protected:
-    void SetUp() override { codec_ = makeCompressor(GetParam()); }
+    void SetUp() override
+    {
+        codec_ = api::CodecRegistry::instance().create(GetParam());
+    }
     std::unique_ptr<Compressor> codec_;
 };
 

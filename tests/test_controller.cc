@@ -43,6 +43,21 @@ fillRandom(Rng &rng, u8 *entry)
         entry[i] = static_cast<u8>(rng.below(256));
 }
 
+bool
+sameInfo(const AccessInfo &a, const AccessInfo &b)
+{
+    return a.deviceSectors == b.deviceSectors &&
+           a.buddySectors == b.buddySectors &&
+           a.metadataHit == b.metadataHit &&
+           a.deviceCycles == b.deviceCycles &&
+           a.buddyCycles == b.buddyCycles &&
+           a.deviceWindowCycles == b.deviceWindowCycles &&
+           a.buddyWindowCycles == b.buddyWindowCycles &&
+           a.combinedWindowCycles == b.combinedWindowCycles &&
+           a.codecCycles == b.codecCycles &&
+           a.codecChargedWindowCycles == b.codecChargedWindowCycles;
+}
+
 TEST(Controller, AllocateReservesDeviceByTargetRatio)
 {
     BuddyController c(smallConfig());
@@ -268,10 +283,22 @@ TEST(Controller, BulkRandomizedRoundTrip)
 
 TEST(Controller, ProbeMatchesReadTraffic)
 {
-    BuddyController c(smallConfig());
+    // The per-entry calls are one-op execute() batches: a twin driven
+    // through execute() sees the same AccessInfo, window and codec
+    // charges included (timed links, so those are nonzero).
+    BuddyConfig cfg = smallConfig();
+    cfg.buddyBackend = "remote";
+    cfg.linkWindow = 4;
+    BuddyController c(cfg);
+    BuddyController twin(cfg);
     const auto id = c.allocate("a", 64 * KiB, CompressionTarget::Ratio2);
     ASSERT_TRUE(id);
+    ASSERT_TRUE(twin.allocate("a", 64 * KiB, CompressionTarget::Ratio2));
     const Addr va = c.allocations().at(*id).va;
+    const auto oneOp = [&twin](AccessBatch &batch) {
+        twin.execute(batch);
+        return batch.result(0);
+    };
 
     Rng rng(6);
     u8 entry[kEntryBytes];
@@ -281,11 +308,21 @@ TEST(Controller, ProbeMatchesReadTraffic)
             fillCompressible(rng, entry);
         else
             fillRandom(rng, entry);
-        c.writeEntry(addr, entry);
+        AccessBatch w, r, p;
+        w.write(addr, entry);
+        const auto write_info = c.writeEntry(addr, entry);
+        EXPECT_TRUE(sameInfo(write_info, oneOp(w))) << "write " << i;
+        EXPECT_GT(write_info.combinedWindowCycles, 0u);
 
         u8 out[kEntryBytes];
+        u8 twin_out[kEntryBytes];
+        r.read(addr, twin_out);
         const auto read_info = c.readEntry(addr, out);
+        EXPECT_TRUE(sameInfo(read_info, oneOp(r))) << "read " << i;
+        EXPECT_EQ(std::memcmp(out, twin_out, kEntryBytes), 0);
+        p.probe(addr);
         const auto probe_info = c.probeEntry(addr);
+        EXPECT_TRUE(sameInfo(probe_info, oneOp(p))) << "probe " << i;
         EXPECT_EQ(read_info.deviceSectors, probe_info.deviceSectors);
         EXPECT_EQ(read_info.buddySectors, probe_info.buddySectors);
     }

@@ -16,6 +16,7 @@
 #include "core/controller.h"
 #include "engine/engine.h"
 #include "engine/trace.h"
+#include "obs/json.h"
 #include "workloads/patterns.h"
 
 namespace buddy {
@@ -89,7 +90,9 @@ sameInfo(const AccessInfo &a, const AccessInfo &b)
            a.buddyCycles == b.buddyCycles &&
            a.deviceWindowCycles == b.deviceWindowCycles &&
            a.buddyWindowCycles == b.buddyWindowCycles &&
-           a.combinedWindowCycles == b.combinedWindowCycles;
+           a.combinedWindowCycles == b.combinedWindowCycles &&
+           a.codecCycles == b.codecCycles &&
+           a.codecChargedWindowCycles == b.codecChargedWindowCycles;
 }
 
 bool
@@ -105,7 +108,9 @@ sameSummary(const BatchSummary &a, const BatchSummary &b)
            a.buddyCycles == b.buddyCycles &&
            a.deviceWindowCycles == b.deviceWindowCycles &&
            a.buddyWindowCycles == b.buddyWindowCycles &&
-           a.combinedWindowCycles == b.combinedWindowCycles;
+           a.combinedWindowCycles == b.combinedWindowCycles &&
+           a.codecCycles == b.codecCycles &&
+           a.codecChargedWindowCycles == b.codecChargedWindowCycles;
 }
 
 bool
@@ -120,7 +125,9 @@ sameStats(const BuddyStats &a, const BuddyStats &b)
            a.buddyCycles == b.buddyCycles &&
            a.deviceWindowCycles == b.deviceWindowCycles &&
            a.buddyWindowCycles == b.buddyWindowCycles &&
-           a.combinedWindowCycles == b.combinedWindowCycles;
+           a.combinedWindowCycles == b.combinedWindowCycles &&
+           a.codecCycles == b.codecCycles &&
+           a.codecChargedWindowCycles == b.codecChargedWindowCycles;
 }
 
 TEST(ShardedEngine, MergedResultsMatchSingleControllerBitForBit)
@@ -191,6 +198,99 @@ TEST(ShardedEngine, MergedResultsMatchSingleControllerBitForBit)
     EXPECT_EQ(eng.metadataAccesses(),
               single.metadataCache().accesses());
     EXPECT_EQ(eng.metadataMisses(), single.metadataCache().misses());
+}
+
+TEST(ShardedEngine, EachBatchIsWindowedOnce)
+{
+    // Under Merged the shards run only the functional pass and the
+    // engine windows the merged batch once: no shard holds window
+    // totals or window metrics, and the results still equal a
+    // standalone controller's. Under PerShard each shard windows its
+    // own sub-plan.
+    const auto entries = mixedEntries(kN, 77);
+    const auto configure = [](BuddyConfig &cfg, WindowMode mode) {
+        cfg.buddyBackend = "remote";
+        cfg.linkWindow = 4;
+        cfg.windowMode = mode;
+    };
+    const auto run = [&](auto &target, std::vector<Addr> &vas,
+                         std::vector<u8> &out) {
+        vas = allocateSet(target);
+        AccessBatch w;
+        for (std::size_t i = 0; i < kN; ++i)
+            w.write(vas[i], entries[i].data());
+        target.execute(w);
+        AccessBatch mixed;
+        for (std::size_t i = 0; i < kN; ++i) {
+            if (i % 3 == 0)
+                mixed.probe(vas[i]);
+            else if (i % 3 == 1)
+                mixed.read(vas[i], out.data() + i * kEntryBytes);
+            else
+                mixed.write(vas[i], entries[kN - 1 - i].data());
+        }
+        target.execute(mixed);
+        return mixed;
+    };
+
+    BuddyConfig scfg = singleConfig();
+    configure(scfg, WindowMode::Merged);
+    BuddyController single(scfg);
+    std::vector<Addr> vasS;
+    std::vector<u8> outS(kN * kEntryBytes);
+    const AccessBatch rs = run(single, vasS, outS);
+
+    for (const WindowMode mode : {WindowMode::Merged, WindowMode::PerShard}) {
+        EngineConfig ecfg = engineConfig(4, 2);
+        configure(ecfg.shard, mode);
+        ShardedEngine eng(ecfg);
+        obs::MetricRegistry registry;
+        eng.attachMetrics(registry);
+        std::vector<Addr> vasE;
+        std::vector<u8> outE(kN * kEntryBytes);
+        const AccessBatch re = run(eng, vasE, outE);
+        ASSERT_EQ(vasE, vasS);
+        EXPECT_EQ(outE, outS);
+
+        const std::string exported = obs::exportJson(registry, {});
+        u64 shardCombined = 0;
+        for (unsigned s = 0; s < eng.shardCount(); ++s) {
+            const BuddyStats &st = eng.shard(s).stats();
+            const std::string prefix = "shard/s" + std::to_string(s) + "/";
+            const bool windowKeys =
+                exported.find(prefix + "window_occupancy") !=
+                    std::string::npos ||
+                exported.find(prefix + "window_stall") !=
+                    std::string::npos ||
+                exported.find(prefix + "batch_combined_makespan") !=
+                    std::string::npos;
+            EXPECT_GT(st.writes, 0u) << "shard " << s;
+            if (mode == WindowMode::Merged) {
+                EXPECT_EQ(st.deviceWindowCycles, 0u) << "shard " << s;
+                EXPECT_EQ(st.buddyWindowCycles, 0u) << "shard " << s;
+                EXPECT_EQ(st.combinedWindowCycles, 0u) << "shard " << s;
+                EXPECT_EQ(st.codecChargedWindowCycles, 0u) << "shard " << s;
+                EXPECT_FALSE(windowKeys) << "shard " << s;
+            } else {
+                EXPECT_GT(st.combinedWindowCycles, 0u) << "shard " << s;
+                EXPECT_TRUE(windowKeys) << "shard " << s;
+            }
+            shardCombined += st.combinedWindowCycles;
+        }
+
+        if (mode == WindowMode::Merged) {
+            for (std::size_t i = 0; i < kN; ++i)
+                ASSERT_TRUE(sameInfo(re.result(i), rs.result(i)))
+                    << "op " << i;
+            EXPECT_TRUE(sameSummary(re.summary(), rs.summary()));
+            EXPECT_TRUE(sameStats(eng.stats(), single.stats()));
+            EXPECT_GT(eng.stats().combinedWindowCycles, 0u);
+        } else {
+            // The barrier makespan is at most the shards' summed ones.
+            EXPECT_GT(eng.stats().combinedWindowCycles, 0u);
+            EXPECT_LE(eng.stats().combinedWindowCycles, shardCombined);
+        }
+    }
 }
 
 TEST(ShardedEngine, MultiThreadedRunsAreReproducibleRunToRun)
@@ -483,8 +583,8 @@ TEST(ShardedEngine, CycleTotalsDeterministicAcrossShardingAndRuns)
 
 TEST(ShardedEngine, WindowedTotalsShardInvariantAndReproducible)
 {
-    // The windowed replay is rescheduled over the merged submission-
-    // order stream at batch completion, so windowed totals — like the
+    // The windowed replay runs once over the merged submission-order
+    // stream at batch completion, so windowed totals — like the
     // serial cycle totals — must be reproducible run-to-run and
     // identical across 1/2/4-shard engines driving the same trace.
     const auto entries = mixedEntries(kN, 47);

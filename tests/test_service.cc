@@ -51,7 +51,7 @@ tenantSeed(std::size_t i)
     return engine::splitmix64(0xabcdull + i);
 }
 
-/** Full 13-field equality (stricter than the isolation subset). */
+/** Full equality (stricter than the isolation subset). */
 bool
 sameSummary(const BatchSummary &a, const BatchSummary &b)
 {
@@ -109,8 +109,8 @@ soloTotals(const EngineConfig &cfg, std::size_t i, u64 batches = kBatches)
 
 // The isolation contract: per-tenant totals under 1, 4, and 16
 // contending tenants are bit-identical to each stream replayed alone —
-// including the windowed totals, since merged window mode reschedules
-// each batch's own submission-order stream.
+// including the windowed totals, since merged window mode windows each
+// batch's own submission-order stream.
 TEST(Service, TenantTotalsMatchSoloReplayUnderContention)
 {
     const EngineConfig cfg = engineConfig(4);
@@ -370,6 +370,33 @@ TEST(Service, TraceCursorNamespacesCoexist)
     while (b.next(plan, readbuf))
         tb.accumulate(eng.execute(plan));
     EXPECT_TRUE(isolationEqual(ta, tb, true));
+}
+
+TEST(Service, IsolationEqualComparesCodecTime)
+{
+    // A slow codec changes only the codec fields; two summaries that
+    // differ there are not isolation-equal.
+    BatchSummary a;
+    a.writes = 4;
+    a.deviceSectors = 8;
+    a.deviceCycles = 100;
+    a.deviceWindowCycles = 60;
+    a.combinedWindowCycles = 60;
+    a.codecCycles = 32;
+    a.codecChargedWindowCycles = 70;
+    ASSERT_TRUE(isolationEqual(a, a, true));
+
+    BatchSummary charged = a;
+    charged.codecChargedWindowCycles += 1;
+    EXPECT_FALSE(isolationEqual(a, charged, true));
+    // The windowed fields, codec-charged included, leave the contract
+    // under PerShard.
+    EXPECT_TRUE(isolationEqual(a, charged, false));
+
+    BatchSummary unloaded = a;
+    unloaded.codecCycles += 1;
+    EXPECT_FALSE(isolationEqual(a, unloaded, true));
+    EXPECT_FALSE(isolationEqual(a, unloaded, false));
 }
 
 // ---------------------------------------------------------------------

@@ -553,8 +553,8 @@ TEST(WindowedController, WindowOneReproducesSerialTotalsBitForBit)
 
 TEST(WindowedController, SingleOpWrappersReportCombinedAsLinkMax)
 {
-    // The per-entry wrappers window nothing (a lone request in a fresh
-    // group), so the combined charge is exactly the max of the two
+    // A per-entry call is a one-op batch: a lone request in a fresh
+    // group, so the combined charge is exactly the max of the two
     // serial link charges.
     BuddyController gpu(windowedConfig(1));
     const auto id =
@@ -588,64 +588,6 @@ TEST(WindowedController, SingleOpWrappersReportCombinedAsLinkMax)
     EXPECT_EQ(p.combinedWindowCycles,
               std::max(p.deviceCycles, p.buddyCycles));
     EXPECT_EQ(p.codecCycles, 0u);
-}
-
-TEST(WindowedController, SingleOpWrappersMatchOneOpBatchesExactly)
-{
-    // The wrappers' closed-form codec-charged fallback must agree with
-    // the real window-group path: the same op executed as a 1-op batch
-    // (fresh windows) yields bit-identical AccessInfo timing fields,
-    // compressible and incompressible entries alike, on two
-    // identically-configured controllers.
-    BuddyConfig cfg = windowedConfig(1);
-    BuddyController solo(cfg);
-    BuddyController batched(cfg);
-    const auto mk = [](BuddyController &gpu) {
-        const auto id = gpu.allocate("a", 64 * kEntryBytes,
-                                     CompressionTarget::Ratio2);
-        EXPECT_TRUE(id.has_value());
-        return gpu.allocations().at(*id).va;
-    };
-    const Addr va_s = mk(solo);
-    const Addr va_b = mk(batched);
-
-    Rng rng(41);
-    std::vector<u8> data(8 * kEntryBytes);
-    for (std::size_t e = 0; e < 8; ++e)
-        fillBucketEntry(rng, static_cast<unsigned>(e % kPatternBuckets),
-                        data.data() + e * kEntryBytes);
-    std::vector<u8> out(kEntryBytes);
-
-    const auto same = [](const AccessInfo &a, const AccessInfo &b) {
-        EXPECT_EQ(a.deviceCycles, b.deviceCycles);
-        EXPECT_EQ(a.buddyCycles, b.buddyCycles);
-        EXPECT_EQ(a.codecCycles, b.codecCycles);
-        EXPECT_EQ(a.deviceWindowCycles, b.deviceWindowCycles);
-        EXPECT_EQ(a.buddyWindowCycles, b.buddyWindowCycles);
-        EXPECT_EQ(a.combinedWindowCycles, b.combinedWindowCycles);
-        EXPECT_EQ(a.codecChargedWindowCycles,
-                  b.codecChargedWindowCycles);
-    };
-
-    for (std::size_t e = 0; e < 8; ++e) {
-        const Addr off = e * kEntryBytes;
-        const u8 *payload = data.data() + off;
-
-        AccessBatch wb;
-        wb.write(va_b + off, payload);
-        batched.execute(wb);
-        same(solo.writeEntry(va_s + off, payload), wb.results()[0]);
-
-        AccessBatch rb;
-        rb.read(va_b + off, out.data());
-        batched.execute(rb);
-        same(solo.readEntry(va_s + off, out.data()), rb.results()[0]);
-
-        AccessBatch pb;
-        pb.probe(va_b + off);
-        batched.execute(pb);
-        same(solo.probeEntry(va_s + off), pb.results()[0]);
-    }
 }
 
 TEST(WindowedController, WindowedTotalsFallBetweenBoundsAndShrink)
