@@ -1,16 +1,14 @@
 /**
  * @file
  * google-benchmark micro benchmarks of the compression substrate: codec
- * throughput per data class (legacy allocating API vs. the
- * allocation-free batch path), controller batch submission, sector
- * quantization, and the metadata cache — the ablation backing the
+ * throughput per data class, controller submission (one-op batches vs.
+ * one large batch), and the metadata cache — the ablation backing the
  * Section 2.4 algorithm choice and the buddy::api batching design.
  *
  * Before the google-benchmark suite runs, main() prints a headline
- * comparison: entries/s through the legacy per-entry compress() API
- * (one heap-allocated CompressionResult per entry, the seed's hot path)
- * vs. the batched access plan's compressInto() with one scratch reused
- * across the batch.
+ * comparison: entries/s through a frozen copy of the original per-entry
+ * BPC encoder (one heap-allocated result per entry) vs. compressInto()
+ * with one scratch reused across the working set.
  */
 
 #include <benchmark/benchmark.h>
@@ -46,21 +44,6 @@ fillClass(Rng &rng, int data_class, u8 *buf)
         fillBucketEntry(rng, 5, buf); // incompressible
         break;
     }
-}
-
-void
-BM_CompressLegacy(benchmark::State &state, const char *codec_name,
-                  int data_class)
-{
-    const auto codec = api::CodecRegistry::instance().create(codec_name);
-    Rng rng(1234);
-    u8 buf[kEntryBytes];
-    fillClass(rng, data_class, buf);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(codec->compress(buf).sizeBits);
-    }
-    state.SetBytesProcessed(
-        static_cast<i64>(state.iterations() * kEntryBytes));
 }
 
 void
@@ -126,9 +109,13 @@ BM_ControllerWritePerEntry(benchmark::State &state)
     const auto id = gpu.allocate("w", 4 * MiB, CompressionTarget::Ratio2);
     const Addr va = gpu.allocations().at(*id).va;
     const auto entries = mixedEntries(1024);
+    AccessBatch one(1);
     for (auto _ : state) {
-        for (std::size_t i = 0; i < entries.size(); ++i)
-            gpu.writeEntry(va + i * kEntryBytes, entries[i].data());
+        for (std::size_t i = 0; i < entries.size(); ++i) {
+            one.clear();
+            one.write(va + i * kEntryBytes, entries[i].data());
+            gpu.execute(one);
+        }
     }
     state.SetItemsProcessed(
         static_cast<i64>(state.iterations() * entries.size()));
@@ -167,7 +154,7 @@ BM_MetadataCache(benchmark::State &state)
 // --------------------------------------------------------------------
 // Frozen copy of the seed's per-entry BPC encoder (pre-batching
 // implementation): dynamic BitWriter, eager full-plane transpose,
-// per-bit emission, one heap-allocated CompressionResult per entry.
+// per-bit emission, one heap-allocated Encoded result per entry.
 // Kept verbatim as the baseline the batched access plan is measured
 // against; not part of the library.
 // --------------------------------------------------------------------
@@ -176,6 +163,13 @@ namespace seed_reference {
 constexpr u64 kPlaneMask = (1ull << BpcCompressor::kPlaneBits) - 1;
 constexpr u64 kDeltaMask = (1ull << BpcCompressor::kPlanes) - 1;
 constexpr std::size_t kRawBits = kEntryBytes * 8;
+
+/** One encoded entry, payload on the heap. */
+struct Encoded
+{
+    std::size_t sizeBits = 0;
+    std::vector<u8> payload;
+};
 
 void
 emitZeroPlanes(BitWriter &bw, unsigned run)
@@ -251,7 +245,7 @@ isTwoConsecutiveOnes(u64 plane, unsigned &pos)
            pos + 1 < BpcCompressor::kPlaneBits;
 }
 
-CompressionResult
+Encoded
 compress(const u8 *data)
 {
     u32 words[kWordsPerEntry];
@@ -305,13 +299,13 @@ compress(const u8 *data)
         raw.putBit(1);
         for (std::size_t i = 0; i < kEntryBytes; ++i)
             raw.put(data[i], 8);
-        CompressionResult r;
+        Encoded r;
         r.sizeBits = raw.sizeBits();
         r.payload = raw.bytes();
         return r;
     }
 
-    CompressionResult r;
+    Encoded r;
     r.sizeBits = bw.sizeBits();
     r.payload = bw.bytes();
     return r;
@@ -321,9 +315,8 @@ compress(const u8 *data)
 
 /**
  * Headline number for the batching redesign: entries/s through the
- * seed's per-entry API (frozen reference above), the current allocating
- * compress() wrapper, and the batched allocation-free path — same
- * codec, same mixed working set.
+ * seed's per-entry API (frozen reference above) and the batched
+ * allocation-free path — same codec, same mixed working set.
  */
 void
 reportBatchSpeedup()
@@ -353,12 +346,6 @@ reportBatchSpeedup()
         for (const auto &e : entries)
             sink += seed_reference::compress(e.data()).sizeBits;
     });
-    const double legacy = time_of([&] {
-        // The current per-entry wrapper: fast encoder, but still one
-        // CompressionResult heap allocation per entry.
-        for (const auto &e : entries)
-            sink += codec->compress(e.data()).sizeBits;
-    });
     const double batched = time_of([&] {
         // The batch path: one scratch for the whole span, zero per-entry
         // allocations.
@@ -374,21 +361,14 @@ reportBatchSpeedup()
                 entries.size());
     std::printf("seed per-entry API (pre-batching) : %10.0f entries/s\n",
                 n / seed);
-    std::printf("per-entry compress() wrapper      : %10.0f entries/s\n",
-                n / legacy);
     std::printf("batched compressInto()            : %10.0f entries/s\n",
                 n / batched);
-    std::printf("speedup vs seed per-entry API     : %10.2fx\n",
+    std::printf("speedup vs seed per-entry API     : %10.2fx\n\n",
                 seed / batched);
-    std::printf("speedup vs allocating wrapper     : %10.2fx\n\n",
-                legacy / batched);
 }
 
 } // namespace
 
-BENCHMARK_CAPTURE(BM_CompressLegacy, bpc_zero, "bpc", 0);
-BENCHMARK_CAPTURE(BM_CompressLegacy, bpc_smooth, "bpc", 1);
-BENCHMARK_CAPTURE(BM_CompressLegacy, bpc_random, "bpc", 2);
 BENCHMARK_CAPTURE(BM_CompressInto, bpc_zero, "bpc", 0);
 BENCHMARK_CAPTURE(BM_CompressInto, bpc_smooth, "bpc", 1);
 BENCHMARK_CAPTURE(BM_CompressInto, bpc_random, "bpc", 2);

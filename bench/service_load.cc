@@ -14,8 +14,8 @@
  * arrival process (--arrivals=poisson|bursty|closed), reporting
  * per-tenant queueing-delay and service-latency p50/p95/p99 in
  * simulated cycles — all bit-for-bit reproducible from --seed.
- * --admission=bulk selects the legacy bulk-synchronous round
- * scheduler (arrival flags are then rejected as meaningless).
+ * --admission=bulk selects the bulk-synchronous round scheduler
+ * (arrival flags are then rejected as meaningless).
  *
  * Correctness ride-along — the service isolation contract: after the
  * contended run, every tenant's stream is replayed alone on a private

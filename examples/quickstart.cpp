@@ -86,9 +86,11 @@ main()
                 static_cast<unsigned long long>(summary.deviceSectors),
                 static_cast<unsigned long long>(summary.buddySectors));
 
-    // Reads decompress and verify bit-exactly; the per-entry calls are
-    // one-op wrappers over the same batch path.
-    gpu.readEntry(alloc.va + kEntryBytes, out);
+    // Reads decompress and verify bit-exactly; a single access is a
+    // one-op batch.
+    AccessBatch read;
+    read.read(alloc.va + kEntryBytes, out);
+    gpu.execute(read);
     std::printf("incompressible read back %s\n",
                 std::memcmp(incompressible, out, kEntryBytes) == 0
                     ? "ok"

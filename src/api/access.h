@@ -11,8 +11,7 @@
  * BuddyController::execute(). The controller fills one AccessInfo per
  * operation plus a batch-level BatchSummary, reusing a single
  * CompressionScratch across the whole batch so the hot path performs
- * zero per-entry heap allocations. The legacy per-entry calls
- * (writeEntry/readEntry/probeEntry) remain and execute one-op batches.
+ * zero per-entry heap allocations. A single access is a one-op batch.
  */
 
 #pragma once

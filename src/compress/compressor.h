@@ -7,13 +7,12 @@
  * encoder/decoder pair: compression ratios reported by the experiments are
  * measured from actual encoded bit lengths, never estimated.
  *
- * The primary interface is allocation-free: codecs implement
- * compressInto() / decompressFrom(), which encode into (decode from) a
- * caller-provided buffer. A CompressionScratch bundles the buffers one
- * in-flight access needs; the batched access plan (buddy::api) reuses one
- * scratch across an entire AccessBatch, so the hot path performs zero
- * per-entry heap allocations. The legacy compress()/decompress() calls
- * remain as thin allocating wrappers for exploratory code and tests.
+ * The interface is allocation-free: codecs implement compressInto() /
+ * decompressFrom(), which encode into (decode from) a caller-provided
+ * buffer. A CompressionScratch bundles the buffers one in-flight access
+ * needs; the batched access plan (buddy::api) reuses one scratch across
+ * an entire AccessBatch, so the hot path performs zero per-entry heap
+ * allocations.
  */
 
 #pragma once
@@ -21,7 +20,6 @@
 #include <cstring>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/types.h"
 
@@ -48,19 +46,6 @@ struct CompressionScratch
 {
     alignas(8) u8 encode[kMaxEncodedBytes];
     alignas(8) u8 io[kMaxEncodedBytes];
-};
-
-/** Result of compressing one 128 B memory entry (allocating API). */
-struct CompressionResult
-{
-    /** Exact encoded length in bits (including any format tag bits). */
-    std::size_t sizeBits = 0;
-
-    /** Encoded payload, LSB-first packed (sizeBits bits are valid). */
-    std::vector<u8> payload;
-
-    /** Encoded length rounded up to bytes. */
-    std::size_t sizeBytes() const { return (sizeBits + 7) / 8; }
 };
 
 /** Interface implemented by every memory-entry codec. */
@@ -92,32 +77,6 @@ class Compressor
      */
     virtual void decompressFrom(const u8 *payload, std::size_t size_bits,
                                 u8 *out) const = 0;
-
-    /** Legacy allocating wrapper around compressInto(). */
-    CompressionResult
-    compress(const u8 *data) const
-    {
-        CompressionScratch scratch;
-        CompressionResult r;
-        r.sizeBits = compressInto(data, scratch.encode, scratch);
-        r.payload.assign(scratch.encode, scratch.encode + r.sizeBytes());
-        return r;
-    }
-
-    /** Legacy wrapper around decompressFrom(). */
-    void
-    decompress(const CompressionResult &result, u8 *out) const
-    {
-        decompressFrom(result.payload.data(), result.sizeBits, out);
-    }
-
-    /** Convenience: compressed size in bits without keeping the payload. */
-    std::size_t
-    compressedBits(const u8 *data) const
-    {
-        CompressionScratch scratch;
-        return compressInto(data, scratch.encode, scratch);
-    }
 };
 
 /** True if all kEntryBytes bytes of @p data are zero. */

@@ -493,31 +493,4 @@ BuddyController::run(AccessBatch &batch, bool timed)
     return sum;
 }
 
-AccessInfo
-BuddyController::writeEntry(Addr va, const u8 *data)
-{
-    AccessBatch batch(1);
-    batch.write(va, data);
-    execute(batch);
-    return batch.result(0);
-}
-
-AccessInfo
-BuddyController::readEntry(Addr va, u8 *out)
-{
-    AccessBatch batch(1);
-    batch.read(va, out);
-    execute(batch);
-    return batch.result(0);
-}
-
-AccessInfo
-BuddyController::probeEntry(Addr va)
-{
-    AccessBatch batch(1);
-    batch.probe(va);
-    execute(batch);
-    return batch.result(0);
-}
-
 } // namespace buddy

@@ -18,14 +18,13 @@
  * distinguishes Buddy Compression from CPU main-memory compression
  * schemes (Section 3.3).
  *
- * The primary access surface is execute(AccessBatch&): submit a plan of
+ * The access surface is execute(AccessBatch&): submit a plan of
  * read/write/probe spans, get one AccessInfo per operation plus a
  * batch-level BatchSummary. execute() runs two passes: the functional
  * pass (codec, metadata, stores, serial link charges) and then one
  * windowed timing pass over the batch (core/window_pass.h). Every
  * batch reuses the controller's CompressionScratch, so the path
- * performs zero per-entry heap allocations. The per-entry calls
- * (writeEntry/readEntry/probeEntry) execute one-op batches.
+ * performs zero per-entry heap allocations.
  *
  * All traffic is accounted per access so the experiments can report the
  * paper's metrics (buddy-access fraction, metadata hit rate, achieved
@@ -239,7 +238,7 @@ class BuddyController
     void free(AllocId id);
 
     /**
-     * Execute a batched access plan (the primary access surface).
+     * Execute a batched access plan (the access surface).
      *
      * Fills batch.results() with one AccessInfo per planned operation
      * (in plan order) and batch.summary() with the batch-level traffic
@@ -250,27 +249,6 @@ class BuddyController
      * @return the batch summary (also retained in the batch).
      */
     const BatchSummary &execute(AccessBatch &batch);
-
-    /**
-     * Write one 128 B entry: execute() of a one-op batch, so the result
-     * (window fields included) is exactly that batch's.
-     * @param va   entry-aligned virtual address.
-     * @param data kEntryBytes bytes of payload.
-     */
-    AccessInfo writeEntry(Addr va, const u8 *data);
-
-    /**
-     * Read one 128 B entry back, decompressing (a one-op execute()).
-     * @param va  entry-aligned virtual address.
-     * @param out receives kEntryBytes bytes.
-     */
-    AccessInfo readEntry(Addr va, u8 *out);
-
-    /**
-     * Traffic a read of @p va would generate, without performing it (a
-     * one-op execute()).
-     */
-    AccessInfo probeEntry(Addr va);
 
     /** Subscribe @p sink to the traffic event stream. */
     void attachSink(TrafficSink *sink) { hub_.attach(sink); }

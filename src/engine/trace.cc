@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 
 #include "common/check.h"
 #include "common/log.h"
@@ -15,18 +16,8 @@ namespace engine {
 namespace {
 
 constexpr u8 kMagic[4] = {'B', 'D', 'Y', 'T'};
-// v2: the footer carries the deviceCycles/buddyCycles link-charge
-// totals after the traffic counters.
-// v3: the footer additionally carries the windowed-replay totals
-// (deviceWindowCycles/buddyWindowCycles).
-// v4: the footer additionally carries the combined (cross-link)
-// windowed makespan total (combinedWindowCycles).
-// v5: the footer additionally carries the inline-unit totals
-// (codecCycles/codecChargedWindowCycles). Older images remain
-// readable: the fields their footers predate load as 0
-// (TraceReplayer::loadedVersion() distinguishes absent from zero).
-constexpr u8 kVersion = kTraceFormatVersion;
-constexpr u8 kOldestReadableVersion = 2;
+// The only format written; loadImage() rejects every other version.
+constexpr u8 kTraceFormatVersion = 5;
 constexpr u8 kTagZeroWrite = 0x10;
 constexpr u8 kTagBatch = 0xFE;
 constexpr u8 kTagFooter = 0xFF;
@@ -110,7 +101,7 @@ struct Reader
 };
 
 void
-putTotals(std::vector<u8> &out, const TraceTotals &t, u8 version)
+putTotals(std::vector<u8> &out, const TraceTotals &t)
 {
     putVarint(out, t.summary.reads);
     putVarint(out, t.summary.writes);
@@ -122,21 +113,16 @@ putTotals(std::vector<u8> &out, const TraceTotals &t, u8 version)
     putVarint(out, t.summary.buddyAccesses);
     putVarint(out, t.summary.deviceCycles);
     putVarint(out, t.summary.buddyCycles);
-    if (version >= 3) {
-        putVarint(out, t.summary.deviceWindowCycles);
-        putVarint(out, t.summary.buddyWindowCycles);
-    }
-    if (version >= 4)
-        putVarint(out, t.summary.combinedWindowCycles);
-    if (version >= 5) {
-        putVarint(out, t.summary.codecCycles);
-        putVarint(out, t.summary.codecChargedWindowCycles);
-    }
+    putVarint(out, t.summary.deviceWindowCycles);
+    putVarint(out, t.summary.buddyWindowCycles);
+    putVarint(out, t.summary.combinedWindowCycles);
+    putVarint(out, t.summary.codecCycles);
+    putVarint(out, t.summary.codecChargedWindowCycles);
     putVarint(out, t.batches);
 }
 
 TraceTotals
-readTotals(Reader &r, u8 version)
+readTotals(Reader &r)
 {
     TraceTotals t;
     t.summary.reads = r.varint();
@@ -149,16 +135,11 @@ readTotals(Reader &r, u8 version)
     t.summary.buddyAccesses = r.varint();
     t.summary.deviceCycles = r.varint();
     t.summary.buddyCycles = r.varint();
-    if (version >= 3) {
-        t.summary.deviceWindowCycles = r.varint();
-        t.summary.buddyWindowCycles = r.varint();
-    }
-    if (version >= 4)
-        t.summary.combinedWindowCycles = r.varint();
-    if (version >= 5) {
-        t.summary.codecCycles = r.varint();
-        t.summary.codecChargedWindowCycles = r.varint();
-    }
+    t.summary.deviceWindowCycles = r.varint();
+    t.summary.buddyWindowCycles = r.varint();
+    t.summary.combinedWindowCycles = r.varint();
+    t.summary.codecCycles = r.varint();
+    t.summary.codecChargedWindowCycles = r.varint();
     t.batches = r.varint();
     return t;
 }
@@ -221,25 +202,11 @@ TraceRecorderSink::onBatch(const BatchSummary &summary)
 }
 
 std::vector<u8>
-TraceRecorderSink::serialize(unsigned version, bool allowLossyDowngrade) const
+TraceRecorderSink::serialize() const
 {
-    BUDDY_CHECK(version >= kOldestReadableVersion && version <= kVersion,
-                "unsupported trace serialization version");
-    // A pre-v5 footer has nowhere to put the codec totals. Dropping
-    // them is loss-free exactly when the capture charged no codec time:
-    // codecCycles is 0 and the charged makespan collapsed onto the
-    // combined one (a free unit leaves it equal, so it reconstructs
-    // from the surviving v4 field). Anything else silently corrupts
-    // the capture's accounting, so the caller must opt in explicitly.
-    BUDDY_CHECK(version >= 5 || allowLossyDowngrade ||
-                    (totals_.summary.codecCycles == 0 &&
-                     totals_.summary.codecChargedWindowCycles ==
-                         totals_.summary.combinedWindowCycles),
-                "serializing nonzero codec totals to a pre-v5 trace "
-                "drops them; pass allowLossyDowngrade to accept the loss");
     std::vector<u8> out;
     out.insert(out.end(), kMagic, kMagic + 4);
-    out.push_back(static_cast<u8>(version));
+    out.push_back(kTraceFormatVersion);
     putVarint(out, allocs_.size());
     for (const TraceAllocation &a : allocs_) {
         putVarint(out, a.name.size());
@@ -250,7 +217,7 @@ TraceRecorderSink::serialize(unsigned version, bool allowLossyDowngrade) const
     }
     out.insert(out.end(), stream_.begin(), stream_.end());
     out.push_back(kTagFooter);
-    putTotals(out, totals_, static_cast<u8>(version));
+    putTotals(out, totals_);
     return out;
 }
 
@@ -274,15 +241,21 @@ TraceRecorderSink::save(const std::string &path) const
 void
 TraceReplayer::load(const std::string &path)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot open trace \"%s\"\n", path.c_str());
+    // Only a regular file has a meaningful size: on a directory stream
+    // ftell() reports a huge bogus length instead of failing.
+    std::error_code ec;
+    std::FILE *f = std::filesystem::is_regular_file(path, ec)
+                       ? std::fopen(path.c_str(), "rb")
+                       : nullptr;
+    long size = -1;
+    if (f != nullptr && std::fseek(f, 0, SEEK_END) == 0)
+        size = std::ftell(f);
+    if (size < 0 || std::fseek(f, 0, SEEK_SET) != 0) {
+        std::fprintf(stderr, "cannot read trace \"%s\" as a regular file\n",
+                     path.c_str());
         BUDDY_FATAL("trace load failed");
     }
-    std::fseek(f, 0, SEEK_END);
-    const long size = std::ftell(f);
-    std::fseek(f, 0, SEEK_SET);
-    std::vector<u8> image(size > 0 ? static_cast<std::size_t>(size) : 0);
+    std::vector<u8> image(static_cast<std::size_t>(size));
     const std::size_t n = std::fread(image.data(), 1, image.size(), f);
     std::fclose(f);
     BUDDY_CHECK(n == image.size(), "short trace read");
@@ -297,15 +270,12 @@ TraceReplayer::loadImage(std::vector<u8> image)
     batches_.clear();
     ops_ = 0;
     recorded_ = TraceTotals{};
-    loadedVersion_ = 0;
 
     Reader r{image_};
     BUDDY_CHECK(std::memcmp(r.raw(4), kMagic, 4) == 0,
                 "not a buddy trace (bad magic)");
     const u8 version = r.byte();
-    BUDDY_CHECK(version >= kOldestReadableVersion && version <= kVersion,
-                "unsupported trace version");
-    loadedVersion_ = version;
+    BUDDY_CHECK(version == kTraceFormatVersion, "unsupported trace version");
 
     const u64 alloc_count = r.varint();
     // Each allocation record occupies at least 4 bytes (empty name:
@@ -330,7 +300,7 @@ TraceReplayer::loadImage(std::vector<u8> image)
     for (;;) {
         const u8 tag = r.byte();
         if (tag == kTagFooter) {
-            recorded_ = readTotals(r, version);
+            recorded_ = readTotals(r);
             BUDDY_CHECK(r.atEnd(), "trailing bytes after trace footer");
             BUDDY_CHECK(batch.empty(),
                         "trace ends inside an unterminated batch");

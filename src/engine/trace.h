@@ -22,7 +22,7 @@
  *
  * Format (all multi-byte integers are LEB128 varints unless noted):
  *
- *   magic "BDYT" (4 raw bytes), version u8 (5; v2..v4 remain readable)
+ *   magic "BDYT" (4 raw bytes), version u8 (5; no other version loads)
  *   allocCount; per allocation:
  *     nameLen, name bytes, baseVa/128, bytes, target (u8)
  *   record stream, one tag byte each:
@@ -31,17 +31,14 @@
  *                 non-zero writes append 128 raw payload bytes
  *     0xFE        batch end: opCount (redundant, checked on load)
  *     0xFF        footer: the accumulated totals — eight traffic
- *                 counters, the v2 deviceCycles/buddyCycles link
- *                 charges, the v3 deviceWindowCycles/buddyWindowCycles
- *                 windowed-replay totals, the v4 combinedWindowCycles
- *                 cross-link makespan total, the v5 codecCycles /
- *                 codecChargedWindowCycles inline-unit totals (fields
- *                 absent in older images load as 0 — use
- *                 TraceReplayer::loadedVersion() and the has*()
- *                 accessors to tell "absent" from "recorded zero"),
- *                 and the batch count — then EOF
+ *                 counters, the deviceCycles/buddyCycles link charges,
+ *                 the deviceWindowCycles/buddyWindowCycles windowed-
+ *                 replay totals, the combinedWindowCycles cross-link
+ *                 makespan total, the codecCycles /
+ *                 codecChargedWindowCycles inline-unit totals, and the
+ *                 batch count — then EOF
  *
- * Windowed timing and traces: the op stream is version-independent, so
+ * Windowed timing and traces: the op stream carries no timing, so
  * a capture recorded at any BuddyConfig::linkWindow and either
  * BuddyConfig::windowMode replays under any other window or mode — the
  * replay target recomputes its own windowed totals from the
@@ -67,9 +64,6 @@ class BuddyController;
 namespace engine {
 
 class ShardedEngine;
-
-/** The trace format version serialize() emits by default. */
-constexpr unsigned kTraceFormatVersion = 5;
 
 /** One allocation-table entry of a trace. */
 struct TraceAllocation
@@ -117,21 +111,8 @@ class TraceRecorderSink : public api::TrafficSink
      */
     u64 skippedOps() const { return skipped_; }
 
-    /**
-     * Serialize header + allocation table + stream + footer.
-     * @param version trace format version to emit — the current format
-     *        by default; 4 writes a pre-codec footer, 3 a pre-combined
-     *        footer and 2 a pre-window footer (the downgrade escape
-     *        hatches the backward-compat tests exercise).
-     * @param allowLossyDowngrade a pre-v5 @p version drops the codec
-     *        totals; that is data loss — fatal unless the caller opts
-     *        in here — except when the capture charged no codec time
-     *        (codecCycles is 0 and the charged makespan equals the
-     *        combined one, so the dropped fields reconstruct from the
-     *        surviving v4 footer and no opt-in is needed).
-     */
-    std::vector<u8> serialize(unsigned version = kTraceFormatVersion,
-                              bool allowLossyDowngrade = false) const;
+    /** Serialize header + allocation table + stream + footer. */
+    std::vector<u8> serialize() const;
 
     /** Serialize to @p path (fatal on I/O failure). */
     void save(const std::string &path) const;
@@ -158,7 +139,8 @@ class TraceCursor;
 class TraceReplayer
 {
   public:
-    /** Parse @p path (fatal on malformed input or I/O failure). */
+    /** Parse the regular file @p path (fatal on malformed input, I/O
+     *  failure, or a path that is not a regular file). */
     void load(const std::string &path);
 
     /** Parse an in-memory image (fatal on malformed input). */
@@ -171,24 +153,6 @@ class TraceReplayer
 
     /** Totals recorded in the trace footer. */
     const TraceTotals &recordedTotals() const { return recorded_; }
-
-    /**
-     * Format version of the loaded image (0 before any load). Fields
-     * newer than that version read back as 0 in recordedTotals(); the
-     * has*() accessors below say which fields the footer actually
-     * carried, so consumers can tell "absent" from "recorded zero"
-     * instead of silently comparing dropped data.
-     */
-    unsigned loadedVersion() const { return loadedVersion_; }
-
-    /** Footer carried deviceWindowCycles/buddyWindowCycles (v3+). */
-    bool hasWindowTotals() const { return loadedVersion_ >= 3; }
-
-    /** Footer carried combinedWindowCycles (v4+). */
-    bool hasCombinedTotal() const { return loadedVersion_ >= 4; }
-
-    /** Footer carried codecCycles/codecChargedWindowCycles (v5+). */
-    bool hasCodecTotals() const { return loadedVersion_ >= 5; }
 
     u64 batchCount() const { return batches_.size(); }
     u64 opCount() const { return ops_; }
@@ -220,7 +184,6 @@ class TraceReplayer
     std::vector<std::vector<Op>> batches_;
     u64 ops_ = 0;
     TraceTotals recorded_;
-    unsigned loadedVersion_ = 0;
 };
 
 /**

@@ -37,6 +37,14 @@
  *                    clock advances from completion to completion (or
  *                    jumps to the next arrival when the fleet idles).
  *
+ * Why both modes stay: neither is a configuration of the other.
+ * BulkSynchronous (the default) admits batches up to the caps, then
+ * waits on every admitted future before the next admission pass
+ * (runBulk); Continuous refills a slot at each completion event, so the
+ * two admit batches in a different order. queue_wait_rounds and
+ * maxRounds have no continuous counterpart, and expressing rounds as a
+ * continuous configuration would add a barrier path, not remove one.
+ *
  * Sessions generate plans lazily (TenantSession::next) in both modes,
  * so a tenant denied admission is backpressured into its stream rather
  * than queueing unbounded work.

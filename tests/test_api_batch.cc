@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests of the buddy::api facade: batched-vs-single-entry equivalence
- * (execute() must yield exactly the AccessInfo and stats of N
- * individual per-entry calls), the BatchSummary accounting, the
+ * Tests of the buddy::api facade: batched-vs-single-op equivalence
+ * (one N-op execute() must yield exactly the AccessInfo and stats of N
+ * one-op batches), the BatchSummary accounting, the
  * TrafficSink event stream (stats, online profiling, memsys replay),
  * the codec registry, and the pluggable backing stores.
  */
@@ -65,10 +65,10 @@ sameStats(const BuddyStats &a, const BuddyStats &b)
            a.buddyCycles == b.buddyCycles;
 }
 
-TEST(AccessBatch, BatchedWritesReadsProbesMatchSingleEntryCalls)
+TEST(AccessBatch, BatchedWritesReadsProbesMatchOneOpBatches)
 {
-    // Two identical controllers: one driven through execute(), one
-    // through N per-entry calls. Every AccessInfo and the final stats
+    // Two identical controllers: one driven through one N-op batch, one
+    // through N one-op batches. Every AccessInfo and the final stats
     // must be identical.
     BuddyController batched(smallConfig());
     BuddyController single(smallConfig());
@@ -90,10 +90,13 @@ TEST(AccessBatch, BatchedWritesReadsProbesMatchSingleEntryCalls)
         wbatch.write(vaB + i * kEntryBytes, entries[i].data());
     batched.execute(wbatch);
 
+    AccessBatch one(1);
     for (std::size_t i = 0; i < n; ++i) {
-        const AccessInfo info =
-            single.writeEntry(vaS + i * kEntryBytes, entries[i].data());
-        ASSERT_TRUE(sameInfo(wbatch.result(i), info)) << "write " << i;
+        one.clear();
+        one.write(vaS + i * kEntryBytes, entries[i].data());
+        single.execute(one);
+        ASSERT_TRUE(sameInfo(wbatch.result(i), one.result(0)))
+            << "write " << i;
     }
     EXPECT_TRUE(sameStats(batched.stats(), single.stats()));
 
@@ -111,11 +114,14 @@ TEST(AccessBatch, BatchedWritesReadsProbesMatchSingleEntryCalls)
     batched.execute(rbatch);
 
     for (std::size_t i = 0; i < n; ++i) {
-        const AccessInfo info =
-            i % 3 == 0
-                ? single.probeEntry(vaS + i * kEntryBytes)
-                : single.readEntry(vaS + i * kEntryBytes, outS[i].data());
-        ASSERT_TRUE(sameInfo(rbatch.result(i), info)) << "read " << i;
+        one.clear();
+        if (i % 3 == 0)
+            one.probe(vaS + i * kEntryBytes);
+        else
+            one.read(vaS + i * kEntryBytes, outS[i].data());
+        single.execute(one);
+        ASSERT_TRUE(sameInfo(rbatch.result(i), one.result(0)))
+            << "read " << i;
         if (i % 3 != 0) {
             ASSERT_EQ(std::memcmp(outB[i].data(), entries[i].data(),
                                   kEntryBytes),
@@ -220,7 +226,9 @@ TEST(TrafficSink, SinkSeesTheSameTrafficAsBuddyStats)
     // Detached sinks see nothing further.
     gpu.detachSink(&sink);
     u8 out[kEntryBytes];
-    gpu.readEntry(va, out);
+    AccessBatch read;
+    read.read(va, out);
+    gpu.execute(read);
     EXPECT_EQ(sink.events, entries.size());
 }
 
@@ -314,7 +322,10 @@ TEST(TrafficSink, MemsysReplayOptionallyHonoursStoreCycleCharges)
     Rng rng(6);
     for (auto &b : entry)
         b = static_cast<u8>(rng.below(256)); // incompressible: spills
-    const AccessInfo info = gpu.writeEntry(va, entry);
+    AccessBatch write;
+    write.write(va, entry);
+    gpu.execute(write);
+    const AccessInfo info = write.result(0);
     gpu.detachSink(&plain);
     gpu.detachSink(&honoring);
 
@@ -394,8 +405,10 @@ TEST(BackingStore, ControllerHonoursConfiguredBackends)
     Rng rng(2);
     for (std::size_t i = 0; i < kEntryBytes; ++i)
         entry[i] = static_cast<u8>(rng.below(256));
-    gpu.writeEntry(va, entry);
-    gpu.readEntry(va, out);
+    AccessBatch batch;
+    batch.write(va, entry);
+    batch.read(va, out);
+    gpu.execute(batch);
     EXPECT_EQ(std::memcmp(entry, out, kEntryBytes), 0);
     EXPECT_GT(gpu.carveOut().store().bytesWritten(), 0u);
 }

@@ -2,8 +2,7 @@
  * @file
  * Randomized round-trip fuzz over every registered codec: 10k random +
  * patterned entries per codec must encode/decode bit-exactly through
- * the allocation-free path (compressInto/decompressFrom), and the
- * legacy allocating wrappers must agree with it bit for bit.
+ * compressInto/decompressFrom.
  */
 
 #include <gtest/gtest.h>
@@ -71,29 +70,6 @@ TEST_P(CodecFuzzTest, ScratchPathRoundTripsBitExactly)
         ASSERT_LE((bits + 7) / 8, kMaxEncodedBytes);
         std::memset(out, 0xAA, sizeof(out));
         codec->decompressFrom(scratch.encode, bits, out);
-        ASSERT_EQ(std::memcmp(buf, out, kEntryBytes), 0)
-            << GetParam() << " entry " << i;
-    }
-}
-
-TEST_P(CodecFuzzTest, AllocatingWrapperAgreesWithScratchPath)
-{
-    const auto codec = api::CodecRegistry::instance().create(GetParam());
-    Rng rng(77);
-    u8 buf[kEntryBytes], out[kEntryBytes];
-    CompressionScratch scratch;
-
-    for (int i = 0; i < 1000; ++i) {
-        fuzzEntry(rng, i, buf);
-        const CompressionResult r = codec->compress(buf);
-        const std::size_t bits =
-            codec->compressInto(buf, scratch.encode, scratch);
-        ASSERT_EQ(r.sizeBits, bits) << GetParam() << " entry " << i;
-        ASSERT_EQ(std::memcmp(r.payload.data(), scratch.encode,
-                              r.sizeBytes()),
-                  0)
-            << GetParam() << " entry " << i;
-        codec->decompress(r, out);
         ASSERT_EQ(std::memcmp(buf, out, kEntryBytes), 0)
             << GetParam() << " entry " << i;
     }

@@ -66,13 +66,29 @@ struct EntryBuf
     }
 };
 
+/** Exact encoded length of @p data under @p c, in bits. */
+std::size_t
+encodedBits(const Compressor &c, const u8 *data)
+{
+    CompressionScratch scratch;
+    return c.compressInto(data, scratch.encode, scratch);
+}
+
+/** Encoded length rounded up to whole bytes. */
+std::size_t
+encodedBytes(const Compressor &c, const u8 *data)
+{
+    return (encodedBits(c, data) + 7) / 8;
+}
+
 void
 expectRoundTrip(const Compressor &c, const EntryBuf &e)
 {
-    const CompressionResult r = c.compress(e.data);
+    CompressionScratch scratch;
+    const std::size_t bits = c.compressInto(e.data, scratch.encode, scratch);
     u8 out[kEntryBytes];
     std::memset(out, 0xAA, sizeof(out));
-    c.decompress(r, out);
+    c.decompressFrom(scratch.encode, bits, out);
     ASSERT_EQ(std::memcmp(e.data, out, kEntryBytes), 0)
         << "codec " << c.name() << " round trip failed";
 }
@@ -104,8 +120,8 @@ TEST_P(CodecTest, ZeroEntryRoundTrips)
 
 TEST_P(CodecTest, ZeroEntryCompressesBelowOneSector)
 {
-    const auto r = codec_->compress(EntryBuf::zeros().data);
-    EXPECT_LE(r.sizeBytes(), kSectorBytes);
+    const std::size_t bytes = encodedBytes(*codec_, EntryBuf::zeros().data);
+    EXPECT_LE(bytes, kSectorBytes);
 }
 
 TEST_P(CodecTest, RampRoundTrips)
@@ -127,9 +143,9 @@ TEST_P(CodecTest, RandomEntryNeverExpandsPastTaggedRaw)
     Rng rng(11);
     for (int i = 0; i < 100; ++i) {
         const auto e = EntryBuf::random(rng);
-        const auto r = codec_->compress(e.data);
+        const std::size_t bits = encodedBits(*codec_, e.data);
         // Worst case: raw payload plus a small format tag.
-        EXPECT_LE(r.sizeBits, kEntryBytes * 8 + 8);
+        EXPECT_LE(bits, kEntryBytes * 8 + 8);
     }
 }
 
@@ -187,26 +203,26 @@ INSTANTIATE_TEST_SUITE_P(AllCodecs, CodecTest,
 TEST(Bpc, ZeroEntryIsTiny)
 {
     BpcCompressor bpc;
-    const auto r = bpc.compress(EntryBuf::zeros().data);
+    const std::size_t bits = encodedBits(bpc, EntryBuf::zeros().data);
     // Tag (1) + zero base (2) + one 33-plane zero run (8).
-    EXPECT_LE(r.sizeBits, 16u);
+    EXPECT_LE(bits, 16u);
 }
 
 TEST(Bpc, ConstantWordsCompressNearZeroEntry)
 {
     BpcCompressor bpc;
     const auto e = EntryBuf::fromWords({0x12345678u});
-    const auto r = bpc.compress(e.data);
+    const std::size_t bits = encodedBits(bpc, e.data);
     // All deltas zero; only the base costs real bits.
-    EXPECT_LE(r.sizeBits, 64u);
+    EXPECT_LE(bits, 64u);
 }
 
 TEST(Bpc, LinearRampCompressesExtremelyWell)
 {
     BpcCompressor bpc;
     // Constant delta: one nonzero DBX event independent of ramp length.
-    const auto r = bpc.compress(EntryBuf::ramp(100, 4).data);
-    EXPECT_LE(r.sizeBytes(), 16u);
+    const std::size_t bytes = encodedBytes(bpc, EntryBuf::ramp(100, 4).data);
+    EXPECT_LE(bytes, 16u);
 }
 
 TEST(Bpc, SmallMixedDeltasStayUnderHalfEntry)
@@ -220,8 +236,8 @@ TEST(Bpc, SmallMixedDeltasStayUnderHalfEntry)
             v += static_cast<u32>(rng.below(256)) - 128;
             std::memcpy(e.data + w * 4, &v, 4);
         }
-        const auto r = bpc.compress(e.data);
-        EXPECT_LE(r.sizeBytes(), kEntryBytes / 2)
+        const std::size_t bytes = encodedBytes(bpc, e.data);
+        EXPECT_LE(bytes, kEntryBytes / 2)
             << "small-delta entry should compress to >=2x";
         expectRoundTrip(bpc, e);
     }
@@ -234,10 +250,10 @@ TEST(Bpc, RandomDataFallsBackToTaggedRaw)
     int raw_count = 0;
     for (int i = 0; i < 50; ++i) {
         const auto e = EntryBuf::random(rng);
-        const auto r = bpc.compress(e.data);
-        if (r.sizeBits == kEntryBytes * 8 + 1)
+        const std::size_t bits = encodedBits(bpc, e.data);
+        if (bits == kEntryBytes * 8 + 1)
             ++raw_count;
-        EXPECT_LE(r.sizeBits, kEntryBytes * 8 + 1);
+        EXPECT_LE(bits, kEntryBytes * 8 + 1);
     }
     // Virtually all random entries should hit the raw fallback.
     EXPECT_GE(raw_count, 45);
@@ -252,8 +268,8 @@ TEST(Bpc, SignBitPlanesCollapseForNegativeDeltas)
         const u32 v = 1000000 - static_cast<u32>(w) * 17;
         std::memcpy(e.data + w * 4, &v, 4);
     }
-    const auto r = bpc.compress(e.data);
-    EXPECT_LE(r.sizeBytes(), 24u);
+    const std::size_t bytes = encodedBytes(bpc, e.data);
+    EXPECT_LE(bytes, 24u);
     expectRoundTrip(bpc, e);
 }
 
@@ -265,8 +281,8 @@ TEST(Bdi, RepeatedQwordUsesRepeatMode)
 {
     BdiCompressor bdi;
     const auto e = EntryBuf::fromWords({0xCAFEBABEu, 0xCAFEBABEu});
-    const auto r = bdi.compress(e.data);
-    EXPECT_LE(r.sizeBytes(), 10u); // 4-bit tag + 8 B value
+    const std::size_t bytes = encodedBytes(bdi, e.data);
+    EXPECT_LE(bytes, 10u); // 4-bit tag + 8 B value
     expectRoundTrip(bdi, e);
 }
 
@@ -279,8 +295,8 @@ TEST(Bdi, SmallIntegersUseNarrowDeltas)
         const u32 v = static_cast<u32>(rng.below(100));
         std::memcpy(e.data + w * 4, &v, 4);
     }
-    const auto r = bdi.compress(e.data);
-    EXPECT_LT(r.sizeBytes(), kEntryBytes / 2);
+    const std::size_t bytes = encodedBytes(bdi, e.data);
+    EXPECT_LT(bytes, kEntryBytes / 2);
     expectRoundTrip(bdi, e);
 }
 
@@ -294,8 +310,8 @@ TEST(Bdi, PointerLikeDataCompresses)
         const u64 v = 0x00007F8812340000ull + rng.below(0x8000);
         std::memcpy(e.data + q * 8, &v, 8);
     }
-    const auto r = bdi.compress(e.data);
-    EXPECT_LT(r.sizeBytes(), kEntryBytes / 2);
+    const std::size_t bytes = encodedBytes(bdi, e.data);
+    EXPECT_LT(bytes, kEntryBytes / 2);
     expectRoundTrip(bdi, e);
 }
 
@@ -306,17 +322,17 @@ TEST(Bdi, PointerLikeDataCompresses)
 TEST(Fpc, ZeroRunsAreCheap)
 {
     FpcCompressor fpc;
-    const auto r = fpc.compress(EntryBuf::zeros().data);
+    const std::size_t bits = encodedBits(fpc, EntryBuf::zeros().data);
     // 32 zero words = 4 runs of 8 words at 6 bits each.
-    EXPECT_LE(r.sizeBits, 25u);
+    EXPECT_LE(bits, 25u);
 }
 
 TEST(Fpc, SmallValuesGetNarrowCodes)
 {
     FpcCompressor fpc;
     const auto e = EntryBuf::fromWords({1, 2, 3, 4, 5, 6, 7, 0});
-    const auto r = fpc.compress(e.data);
-    EXPECT_LT(r.sizeBytes(), kEntryBytes / 3);
+    const std::size_t bytes = encodedBytes(fpc, e.data);
+    EXPECT_LT(bytes, kEntryBytes / 3);
     expectRoundTrip(fpc, e);
 }
 
@@ -324,8 +340,8 @@ TEST(Fpc, RepeatedByteWordPattern)
 {
     FpcCompressor fpc;
     const auto e = EntryBuf::fromWords({0x7E7E7E7Eu});
-    const auto r = fpc.compress(e.data);
-    EXPECT_LE(r.sizeBits, 32u * 11u + 1);
+    const std::size_t bits = encodedBits(fpc, e.data);
+    EXPECT_LE(bits, 32u * 11u + 1);
     expectRoundTrip(fpc, e);
 }
 
@@ -334,8 +350,8 @@ TEST(Fpc, HalfwordPaddedPattern)
     FpcCompressor fpc;
     const auto e = EntryBuf::fromWords({0xABCD0000u});
     expectRoundTrip(fpc, e);
-    const auto r = fpc.compress(e.data);
-    EXPECT_LE(r.sizeBits, 32u * 19u + 1);
+    const std::size_t bits = encodedBits(fpc, e.data);
+    EXPECT_LE(bits, 32u * 19u + 1);
 }
 
 // ---------------------------------------------------------------------
@@ -357,9 +373,9 @@ TEST(CodecComparison, BpcBeatsBdiAndFpcOnSmoothFp32)
             v += static_cast<float>(rng.uniform(-1e-4, 1e-4));
             std::memcpy(e.data + w * 4, &v, 4);
         }
-        bpc_bits += static_cast<double>(bpc.compressedBits(e.data));
-        bdi_bits += static_cast<double>(bdi.compressedBits(e.data));
-        fpc_bits += static_cast<double>(fpc.compressedBits(e.data));
+        bpc_bits += static_cast<double>(encodedBits(bpc, e.data));
+        bdi_bits += static_cast<double>(encodedBits(bdi, e.data));
+        fpc_bits += static_cast<double>(encodedBits(fpc, e.data));
     }
     // Homogeneous FP data is BPC's home turf (paper Section 3.1).
     EXPECT_LT(bpc_bits, bdi_bits);

@@ -80,15 +80,22 @@ runPipeline(const std::string &bench, u64 model_bytes)
         writes += s.writes;
     }
 
-    // Read a sample back and verify.
+    // Read a sample back, one batch per allocation, and verify.
     u8 buf[kEntryBytes];
-    u8 out[kEntryBytes];
     for (std::size_t a = 0; a < ids.size(); ++a) {
         const Allocation &alloc = gpu.allocations().at(ids[a]);
-        for (u64 e = 0; e < model.allocations()[a].entries; e += 30) {
+        const u64 entries = model.allocations()[a].entries;
+        std::vector<u8> out((entries / 30 + 1) * kEntryBytes);
+        AccessBatch batch;
+        for (u64 e = 0; e < entries; e += 30)
+            batch.read(alloc.va + e * kEntryBytes,
+                       out.data() + (e / 30) * kEntryBytes);
+        gpu.execute(batch);
+        for (u64 e = 0; e < entries; e += 30) {
             model.entryData(a, e, snapshot, buf);
-            gpu.readEntry(alloc.va + e * kEntryBytes, out);
-            EXPECT_EQ(std::memcmp(buf, out, kEntryBytes), 0)
+            EXPECT_EQ(std::memcmp(buf, out.data() + (e / 30) * kEntryBytes,
+                                  kEntryBytes),
+                      0)
                 << bench << " alloc " << a << " entry " << e;
         }
     }
@@ -142,18 +149,25 @@ TEST(Pipeline, SnapshotEvolutionKeepsFunctionalCorrectness)
     ASSERT_TRUE(id);
     const Allocation &alloc = gpu.allocations().at(*id);
 
-    u8 buf[kEntryBytes], out[kEntryBytes];
+    // Every other entry; slot k holds entry 2k.
+    const u64 slots = (model.allocations()[0].entries + 1) / 2;
+    std::vector<u8> data(slots * kEntryBytes), out(slots * kEntryBytes);
+    AccessBatch batch(slots);
     for (unsigned s : {0u, 9u}) {
-        for (u64 e = 0; e < model.allocations()[0].entries; e += 2) {
-            model.entryData(0, e, s, buf);
-            gpu.writeEntry(alloc.va + e * kEntryBytes, buf);
+        batch.clear();
+        for (u64 k = 0; k < slots; ++k) {
+            u8 *buf = data.data() + k * kEntryBytes;
+            model.entryData(0, 2 * k, s, buf);
+            batch.write(alloc.va + 2 * k * kEntryBytes, buf);
         }
+        gpu.execute(batch);
     }
-    for (u64 e = 0; e < model.allocations()[0].entries; e += 2) {
-        model.entryData(0, e, 9, buf);
-        gpu.readEntry(alloc.va + e * kEntryBytes, out);
-        ASSERT_EQ(std::memcmp(buf, out, kEntryBytes), 0);
-    }
+    batch.clear();
+    for (u64 k = 0; k < slots; ++k)
+        batch.read(alloc.va + 2 * k * kEntryBytes,
+                   out.data() + k * kEntryBytes);
+    gpu.execute(batch);
+    ASSERT_EQ(std::memcmp(data.data(), out.data(), data.size()), 0);
     // Zeros became data: the overflow population grew, but only inside
     // this allocation's own slots.
     EXPECT_GE(gpu.stats().overflowEntries, 0u);
@@ -177,13 +191,19 @@ TEST(Pipeline, AlternativeCodecStillRoundTrips)
     ASSERT_TRUE(id);
     const Allocation &alloc = gpu.allocations().at(*id);
 
-    u8 buf[kEntryBytes], out[kEntryBytes];
-    for (u64 e = 0; e < model.allocations()[0].entries; e += 4) {
-        model.entryData(0, e, 3, buf);
-        gpu.writeEntry(alloc.va + e * kEntryBytes, buf);
-        gpu.readEntry(alloc.va + e * kEntryBytes, out);
-        ASSERT_EQ(std::memcmp(buf, out, kEntryBytes), 0);
+    // Every fourth entry, each written then read back in one batch.
+    const u64 slots = (model.allocations()[0].entries + 3) / 4;
+    std::vector<u8> data(slots * kEntryBytes), out(slots * kEntryBytes);
+    AccessBatch batch(2 * slots);
+    for (u64 k = 0; k < slots; ++k) {
+        u8 *buf = data.data() + k * kEntryBytes;
+        model.entryData(0, 4 * k, 3, buf);
+        batch.write(alloc.va + 4 * k * kEntryBytes, buf);
+        batch.read(alloc.va + 4 * k * kEntryBytes,
+                   out.data() + k * kEntryBytes);
     }
+    gpu.execute(batch);
+    ASSERT_EQ(std::memcmp(data.data(), out.data(), data.size()), 0);
 }
 
 } // namespace

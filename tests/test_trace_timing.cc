@@ -7,15 +7,11 @@
  * linearly (the VA translation is hoisted out of the repeat loop), and
  * a fuzz loop with randomized batch shapes, link windows, and window
  * modes must round-trip traces through the replayer against timed
- * engines, logging the seed on any failure. Format compatibility is
- * pinned across versions: v2 images load with zero windowed totals,
- * serialize(3) drops only the v4 combined (cross-link) total,
- * serialize(4) drops only the v5 codec totals, downgrades that would
- * silently drop *nonzero* codec totals are fatal without the explicit
- * allowLossyDowngrade opt-in, and a capture replays under either window
- * mode and any W. Comparisons against downgraded footers go through the
- * version-aware sameSummary overload, which skips fields the footer
- * never carried instead of comparing dropped data against zero.
+ * engines, logging the seed on any failure. The footer round-trips
+ * every total, codec totals included, and a capture replays under
+ * either window mode and any W. Malformed images, version bytes other
+ * than the current one, and paths that are not regular files die with
+ * a diagnostic.
  */
 
 #include <gtest/gtest.h>
@@ -42,42 +38,29 @@ timedEngineConfig(unsigned shards, const std::string &buddy_backend)
     return cfg;
 }
 
-/**
- * Field-wise summary equality, honouring what a footer of @p version
- * actually carried: fields newer than the version are skipped
- * explicitly (they read back as 0 from such a footer, and comparing
- * dropped data against a live total would be a silent lie). The default
- * compares every field — two current-format summaries.
- */
+/** Field-wise summary equality. */
 bool
-sameSummary(const BatchSummary &a, const BatchSummary &b,
-            unsigned version = engine::kTraceFormatVersion)
+sameSummary(const BatchSummary &a, const BatchSummary &b)
 {
-    bool same = a.reads == b.reads && a.writes == b.writes &&
-                a.probes == b.probes &&
-                a.deviceSectors == b.deviceSectors &&
-                a.buddySectors == b.buddySectors &&
-                a.metadataHits == b.metadataHits &&
-                a.metadataMisses == b.metadataMisses &&
-                a.buddyAccesses == b.buddyAccesses &&
-                a.deviceCycles == b.deviceCycles &&
-                a.buddyCycles == b.buddyCycles;
-    if (version >= 3)
-        same = same && a.deviceWindowCycles == b.deviceWindowCycles &&
-               a.buddyWindowCycles == b.buddyWindowCycles;
-    if (version >= 4)
-        same = same && a.combinedWindowCycles == b.combinedWindowCycles;
-    if (version >= 5)
-        same = same && a.codecCycles == b.codecCycles &&
-               a.codecChargedWindowCycles == b.codecChargedWindowCycles;
-    return same;
+    return a.reads == b.reads && a.writes == b.writes &&
+           a.probes == b.probes && a.deviceSectors == b.deviceSectors &&
+           a.buddySectors == b.buddySectors &&
+           a.metadataHits == b.metadataHits &&
+           a.metadataMisses == b.metadataMisses &&
+           a.buddyAccesses == b.buddyAccesses &&
+           a.deviceCycles == b.deviceCycles &&
+           a.buddyCycles == b.buddyCycles &&
+           a.deviceWindowCycles == b.deviceWindowCycles &&
+           a.buddyWindowCycles == b.buddyWindowCycles &&
+           a.combinedWindowCycles == b.combinedWindowCycles &&
+           a.codecCycles == b.codecCycles &&
+           a.codecChargedWindowCycles == b.codecChargedWindowCycles;
 }
 
 /** Record a mixed write+read+probe workload; return the trace image. */
 std::vector<u8>
 recordWorkload(ShardedEngine &eng, std::size_t entries, u64 seed,
-               TraceTotals *totals_out = nullptr,
-               TraceRecorderSink *recorder_out = nullptr)
+               TraceTotals *totals_out = nullptr)
 {
     TraceRecorderSink recorder;
     eng.attachSink(&recorder);
@@ -118,8 +101,6 @@ recordWorkload(ShardedEngine &eng, std::size_t entries, u64 seed,
 
     if (totals_out != nullptr)
         *totals_out = recorder.totals();
-    if (recorder_out != nullptr)
-        *recorder_out = recorder;
     return recorder.serialize();
 }
 
@@ -200,7 +181,7 @@ TEST(TraceTiming, RepeatScalesTotalsExactlyLinearly)
 
 TEST(TraceTiming, WindowedReplayRoundTripsAtSeveralWindows)
 {
-    // Record under a windowed (W = 4) engine; the v3 footer carries the
+    // Record under a windowed (W = 4) engine; the footer carries the
     // windowed totals, an identically-configured target reproduces them
     // bit-for-bit, and the same capture replays under any other window:
     // W = 1 degenerates to the serial totals, larger windows monotonely
@@ -246,184 +227,10 @@ TEST(TraceTiming, WindowedReplayRoundTripsAtSeveralWindows)
               serial.summary.windowTotalCycles());
 }
 
-TEST(TraceTiming, V2ImagesRemainReadable)
-{
-    // A pre-window (v2) footer must still load: the windowed totals
-    // read as zero and the capture replays normally.
-    EngineConfig cfg = timedEngineConfig(2, "host-um");
-    cfg.shard.linkWindow = 8;
-    ShardedEngine rec(cfg);
-    TraceRecorderSink recorder;
-    rec.attachSink(&recorder);
-
-    const auto id = rec.allocate("a", 256 * kEntryBytes,
-                                 CompressionTarget::Ratio2);
-    ASSERT_TRUE(id.has_value());
-    const EngineAllocation &ea = rec.allocations().at(*id);
-    recorder.noteAllocation(ea.name, ea.va, ea.bytes, ea.target);
-
-    Rng rng(5);
-    std::vector<u8> data(256 * kEntryBytes);
-    for (std::size_t e = 0; e < 256; ++e)
-        fillBucketEntry(rng, static_cast<unsigned>(e % kPatternBuckets),
-                        data.data() + e * kEntryBytes);
-    AccessBatch w;
-    for (std::size_t e = 0; e < 256; ++e)
-        w.write(ea.va + e * kEntryBytes, data.data() + e * kEntryBytes);
-    rec.execute(w);
-    rec.detachSink(&recorder);
-    EXPECT_GT(recorder.totals().summary.deviceWindowCycles, 0u);
-
-    // The default bpc codec timing is nonzero, so the capture carries
-    // nonzero codec totals and the v2 downgrade needs the explicit
-    // data-loss opt-in.
-    EXPECT_GT(recorder.totals().summary.codecCycles, 0u);
-    TraceReplayer replayer;
-    replayer.loadImage(
-        recorder.serialize(2, /*allowLossyDowngrade=*/true));
-    EXPECT_EQ(replayer.opCount(), recorder.opCount());
-    EXPECT_EQ(replayer.loadedVersion(), 2u);
-    EXPECT_FALSE(replayer.hasWindowTotals());
-    EXPECT_FALSE(replayer.hasCombinedTotal());
-    EXPECT_FALSE(replayer.hasCodecTotals());
-
-    // v2 footers predate the windowed totals: they load as zero while
-    // the serial fields survive.
-    const BatchSummary &loaded = replayer.recordedTotals().summary;
-    EXPECT_EQ(loaded.deviceWindowCycles, 0u);
-    EXPECT_EQ(loaded.buddyWindowCycles, 0u);
-    EXPECT_EQ(loaded.combinedWindowCycles, 0u);
-    EXPECT_EQ(loaded.codecCycles, 0u);
-    EXPECT_EQ(loaded.codecChargedWindowCycles, 0u);
-    EXPECT_EQ(loaded.deviceCycles, recorder.totals().summary.deviceCycles);
-    EXPECT_EQ(loaded.buddyCycles, recorder.totals().summary.buddyCycles);
-    EXPECT_TRUE(sameSummary(loaded, recorder.totals().summary,
-                            replayer.loadedVersion()));
-
-    // The op stream is version-independent: the replay reproduces the
-    // full totals, windowed fields included.
-    ShardedEngine fresh(cfg);
-    const TraceTotals replayed = replayer.replay(fresh);
-    EXPECT_TRUE(
-        sameSummary(replayed.summary, recorder.totals().summary));
-}
-
-TEST(TraceTiming, V3DowngradeDropsOnlyTheCombinedTotal)
-{
-    // serialize(3) is the downgrade hook for pre-v4 consumers: the
-    // per-link windowed totals survive, the combined (cross-link)
-    // makespan loads as zero, and the op stream still replays to the
-    // full totals on a fresh target.
-    EngineConfig cfg = timedEngineConfig(2, "remote");
-    cfg.shard.linkWindow = 4;
-    ShardedEngine rec(cfg);
-    TraceTotals recorded;
-    TraceRecorderSink recorder;
-    recordWorkload(rec, 512, 29, &recorded, &recorder);
-    EXPECT_GT(recorded.summary.combinedWindowCycles, 0u);
-
-    TraceReplayer v3;
-    v3.loadImage(recorder.serialize(3, /*allowLossyDowngrade=*/true));
-    EXPECT_EQ(v3.opCount(), recorder.opCount());
-    EXPECT_EQ(v3.loadedVersion(), 3u);
-    EXPECT_TRUE(v3.hasWindowTotals());
-    EXPECT_FALSE(v3.hasCombinedTotal());
-    EXPECT_FALSE(v3.hasCodecTotals());
-    const BatchSummary &loaded = v3.recordedTotals().summary;
-    EXPECT_EQ(loaded.combinedWindowCycles, 0u);
-    EXPECT_EQ(loaded.deviceWindowCycles,
-              recorded.summary.deviceWindowCycles);
-    EXPECT_EQ(loaded.buddyWindowCycles,
-              recorded.summary.buddyWindowCycles);
-    EXPECT_EQ(loaded.deviceCycles, recorded.summary.deviceCycles);
-    EXPECT_TRUE(
-        sameSummary(loaded, recorded.summary, v3.loadedVersion()));
-
-    ShardedEngine fresh(cfg);
-    const TraceTotals replayed = v3.replay(fresh);
-    EXPECT_TRUE(sameSummary(replayed.summary, recorded.summary));
-}
-
-TEST(TraceTiming, V4DowngradeDropsOnlyTheCodecTotals)
-{
-    // serialize(4) is the downgrade hook for pre-v5 consumers: every
-    // link and window total survives, only the codec totals load as
-    // zero, and the op stream still replays to the full totals —
-    // including the codec ones, recomputed by the target.
-    EngineConfig cfg = timedEngineConfig(2, "remote");
-    cfg.shard.linkWindow = 4;
-    ShardedEngine rec(cfg);
-    TraceTotals recorded;
-    TraceRecorderSink recorder;
-    recordWorkload(rec, 512, 43, &recorded, &recorder);
-    EXPECT_GT(recorded.summary.codecCycles, 0u);
-    EXPECT_GT(recorded.summary.codecChargedWindowCycles, 0u);
-
-    TraceReplayer v4;
-    v4.loadImage(recorder.serialize(4, /*allowLossyDowngrade=*/true));
-    EXPECT_EQ(v4.opCount(), recorder.opCount());
-    EXPECT_EQ(v4.loadedVersion(), 4u);
-    EXPECT_TRUE(v4.hasWindowTotals());
-    EXPECT_TRUE(v4.hasCombinedTotal());
-    EXPECT_FALSE(v4.hasCodecTotals());
-    const BatchSummary &loaded = v4.recordedTotals().summary;
-    EXPECT_EQ(loaded.codecCycles, 0u);
-    EXPECT_EQ(loaded.codecChargedWindowCycles, 0u);
-    EXPECT_EQ(loaded.combinedWindowCycles,
-              recorded.summary.combinedWindowCycles);
-    EXPECT_TRUE(
-        sameSummary(loaded, recorded.summary, v4.loadedVersion()));
-
-    ShardedEngine fresh(cfg);
-    const TraceTotals replayed = v4.replay(fresh);
-    EXPECT_TRUE(sameSummary(replayed.summary, recorded.summary));
-    EXPECT_EQ(replayed.summary.codecCycles, recorded.summary.codecCycles);
-}
-
-TEST(TraceTiming, LossyCodecDowngradeWithoutOptInDies)
-{
-    // Serializing a capture with nonzero codec totals to any pre-v5
-    // version silently drops them — fatal unless the caller accepts the
-    // loss explicitly. The opt-in path is exercised by the downgrade
-    // tests above; here the guard itself is pinned.
-    ShardedEngine rec(timedEngineConfig(2, "remote"));
-    TraceTotals recorded;
-    TraceRecorderSink recorder;
-    recordWorkload(rec, 256, 47, &recorded, &recorder);
-    ASSERT_GT(recorded.summary.codecCycles, 0u);
-
-    EXPECT_DEATH({ recorder.serialize(4); }, "pre-v5");
-    EXPECT_DEATH({ recorder.serialize(2); }, "allowLossyDowngrade");
-}
-
-TEST(TraceTiming, FreeCodecCaptureDowngradesWithoutOptIn)
-{
-    // With an explicitly free codec unit the capture's codec totals are
-    // zero, so a pre-v5 footer drops nothing: the downgrade needs no
-    // opt-in and the loaded summary matches field-for-field at the
-    // downgraded version.
-    EngineConfig cfg = timedEngineConfig(2, "remote");
-    cfg.shard.codecTiming = timing::CodecTiming{};
-    ShardedEngine rec(cfg);
-    TraceTotals recorded;
-    TraceRecorderSink recorder;
-    recordWorkload(rec, 256, 53, &recorded, &recorder);
-    EXPECT_EQ(recorded.summary.codecCycles, 0u);
-    // The free unit's charged frontier tracks the combined one exactly.
-    EXPECT_EQ(recorded.summary.codecChargedWindowCycles,
-              recorded.summary.combinedWindowCycles);
-
-    TraceReplayer v4;
-    v4.loadImage(recorder.serialize(4)); // no opt-in needed
-    EXPECT_TRUE(sameSummary(v4.recordedTotals().summary, recorded.summary,
-                            v4.loadedVersion()));
-}
-
 TEST(TraceTiming, CodecTotalsRoundTripThroughV5Images)
 {
-    // The current format round-trips the codec totals: the footer
-    // carries them, the replayer reports them present, and an
-    // identically-configured replay reproduces them bit-for-bit.
+    // The footer round-trips the codec totals, and an identically-
+    // configured replay reproduces them bit-for-bit.
     EngineConfig cfg = timedEngineConfig(2, "remote");
     cfg.shard.linkWindow = 4;
     ShardedEngine rec(cfg);
@@ -435,8 +242,6 @@ TEST(TraceTiming, CodecTotalsRoundTripThroughV5Images)
 
     TraceReplayer replayer;
     replayer.loadImage(image);
-    EXPECT_EQ(replayer.loadedVersion(), engine::kTraceFormatVersion);
-    EXPECT_TRUE(replayer.hasCodecTotals());
     EXPECT_TRUE(sameSummary(replayer.recordedTotals().summary,
                             recorded.summary));
 
@@ -643,10 +448,20 @@ TEST(TraceCorruption, EmptyImageDies)
 TEST(TraceCorruption, UnsupportedVersionDies)
 {
     std::vector<u8> image = validImage();
-    image[4] = 99;
-    EXPECT_DEATH(loadBytes(image), "unsupported trace version");
-    image[4] = 1; // pre-oldest-readable
-    EXPECT_DEATH(loadBytes(image), "unsupported trace version");
+    // Only the current version (5) loads: the retired v2..v4 footers
+    // are shorter, so they must not be parsed as v5 ones.
+    for (u8 version : {u8{1}, u8{2}, u8{3}, u8{4}, u8{6}, u8{99}}) {
+        image[4] = version;
+        EXPECT_DEATH(loadBytes(image), "unsupported trace version")
+            << "version byte " << unsigned{version};
+    }
+}
+
+TEST(TraceCorruption, LoadingADirectoryDies)
+{
+    // A directory opens for reading, but its stream has no usable size.
+    TraceReplayer replayer;
+    EXPECT_DEATH(replayer.load(::testing::TempDir()), "trace load failed");
 }
 
 TEST(TraceCorruption, TruncatedFooterDies)

@@ -551,22 +551,30 @@ TEST(WindowedController, WindowOneReproducesSerialTotalsBitForBit)
     EXPECT_EQ(gpu.stats().combinedWindowCycles, combined_total);
 }
 
-TEST(WindowedController, SingleOpWrappersReportCombinedAsLinkMax)
+TEST(WindowedController, OneOpBatchesReportCombinedAsLinkMax)
 {
-    // A per-entry call is a one-op batch: a lone request in a fresh
-    // group, so the combined charge is exactly the max of the two
-    // serial link charges.
+    // A one-op batch is a lone request in a fresh group, so the
+    // combined charge is exactly the max of the two serial link
+    // charges.
     BuddyController gpu(windowedConfig(1));
     const auto id =
         gpu.allocate("a", 64 * kEntryBytes, CompressionTarget::Ratio4);
     ASSERT_TRUE(id.has_value());
     const Addr va = gpu.allocations().at(*id).va;
+    AccessBatch one(1);
+    const auto oneOp = [&]() {
+        gpu.execute(one);
+        const AccessInfo info = one.result(0);
+        one.clear();
+        return info;
+    };
 
     Rng rng(23);
     std::vector<u8> data(kEntryBytes);
     for (auto &b : data)
         b = static_cast<u8>(rng.below(256)); // incompressible: spills
-    const AccessInfo w = gpu.writeEntry(va, data.data());
+    one.write(va, data.data());
+    const AccessInfo w = oneOp();
     EXPECT_GT(w.buddyCycles, 0u);
     EXPECT_EQ(w.combinedWindowCycles,
               std::max(w.deviceCycles, w.buddyCycles));
@@ -578,13 +586,15 @@ TEST(WindowedController, SingleOpWrappersReportCombinedAsLinkMax)
               std::max(w.combinedWindowCycles, w.codecCycles));
 
     std::vector<u8> out(kEntryBytes);
-    const AccessInfo r = gpu.readEntry(va, out.data());
+    one.read(va, out.data());
+    const AccessInfo r = oneOp();
     EXPECT_EQ(r.combinedWindowCycles,
               std::max(r.deviceCycles, r.buddyCycles));
     // The entry is stored Raw, so the read bypasses the decompressor.
     EXPECT_EQ(r.codecCycles, 0u);
     EXPECT_EQ(r.codecChargedWindowCycles, r.combinedWindowCycles);
-    const AccessInfo p = gpu.probeEntry(va);
+    one.probe(va);
+    const AccessInfo p = oneOp();
     EXPECT_EQ(p.combinedWindowCycles,
               std::max(p.deviceCycles, p.buddyCycles));
     EXPECT_EQ(p.codecCycles, 0u);

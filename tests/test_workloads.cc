@@ -33,6 +33,7 @@ TEST_P(PatternBucketTest, GeneratedEntriesLandInBucket)
 {
     const unsigned bucket = GetParam();
     BpcCompressor bpc;
+    CompressionScratch scratch;
     Rng rng(bucket * 97 + 1);
     u8 buf[kEntryBytes];
 
@@ -41,7 +42,8 @@ TEST_P(PatternBucketTest, GeneratedEntriesLandInBucket)
     for (int i = 0; i < trials; ++i) {
         fillBucketEntry(rng, bucket, buf);
         const bool zero = entryIsZero(buf);
-        const std::size_t bits = zero ? 0 : bpc.compressedBits(buf);
+        const std::size_t bits =
+            zero ? 0 : bpc.compressInto(buf, scratch.encode, scratch);
         if (needBucket(bits, zero) == bucket)
             ++correct;
     }
@@ -55,14 +57,17 @@ INSTANTIATE_TEST_SUITE_P(AllBuckets, PatternBucketTest,
 TEST(Patterns, Fp32FieldCompressesWhenSmooth)
 {
     BpcCompressor bpc;
+    CompressionScratch scratch;
     Rng rng(3);
     u8 buf[kEntryBytes];
     double smooth_bits = 0, rough_bits = 0;
     for (int i = 0; i < 100; ++i) {
         fillFp32Field(rng, -14, buf);
-        smooth_bits += static_cast<double>(bpc.compressedBits(buf));
+        smooth_bits += static_cast<double>(
+            bpc.compressInto(buf, scratch.encode, scratch));
         fillFp32Field(rng, -2, buf);
-        rough_bits += static_cast<double>(bpc.compressedBits(buf));
+        rough_bits += static_cast<double>(
+            bpc.compressInto(buf, scratch.encode, scratch));
     }
     EXPECT_LT(smooth_bits, rough_bits);
     EXPECT_LT(smooth_bits / 100.0, kEntryBytes * 8 / 2.0);
@@ -77,12 +82,14 @@ TEST(Patterns, WordInterleavedStructsDefeatBpc)
     // the benchmark registry, and why its best-achievable ratio needs a
     // Buddy Threshold far above 30% to capture (Section 3.4).
     BpcCompressor bpc;
+    CompressionScratch scratch;
     Rng rng(4);
     u8 buf[kEntryBytes];
     double bits = 0;
     for (int i = 0; i < 100; ++i) {
         fillStructStripe(rng, 4, buf);
-        bits += static_cast<double>(bpc.compressedBits(buf));
+        bits += static_cast<double>(
+            bpc.compressInto(buf, scratch.encode, scratch));
     }
     bits /= 100.0;
     EXPECT_GT(bits, 600.0);
