@@ -1,7 +1,7 @@
 /**
  * @file
  * google-benchmark micro benchmarks of the compression substrate: codec
- * throughput per data class, controller submission (one-op batches vs.
+ * encode and decode throughput per data class, controller submission (one-op batches vs.
  * one large batch), and the metadata cache — the ablation backing the
  * Section 2.4 algorithm choice and the buddy::api batching design.
  *
@@ -58,6 +58,25 @@ BM_CompressInto(benchmark::State &state, const char *codec_name,
     for (auto _ : state) {
         benchmark::DoNotOptimize(
             codec->compressInto(buf, scratch.encode, scratch));
+    }
+    state.SetBytesProcessed(
+        static_cast<i64>(state.iterations() * kEntryBytes));
+}
+
+void
+BM_DecompressFrom(benchmark::State &state, const char *codec_name,
+                  int data_class)
+{
+    const auto codec = api::CodecRegistry::instance().create(codec_name);
+    Rng rng(1234);
+    u8 buf[kEntryBytes], out[kEntryBytes];
+    fillClass(rng, data_class, buf);
+    CompressionScratch scratch;
+    const std::size_t bits =
+        codec->compressInto(buf, scratch.encode, scratch);
+    for (auto _ : state) {
+        codec->decompressFrom(scratch.encode, bits, out);
+        benchmark::DoNotOptimize(out[0]);
     }
     state.SetBytesProcessed(
         static_cast<i64>(state.iterations() * kEntryBytes));
@@ -377,6 +396,15 @@ BENCHMARK_CAPTURE(BM_CompressInto, bdi_smooth, "bdi", 1);
 BENCHMARK_CAPTURE(BM_CompressInto, bdi_random, "bdi", 2);
 BENCHMARK_CAPTURE(BM_CompressInto, fpc_smooth, "fpc", 1);
 BENCHMARK_CAPTURE(BM_CompressInto, zero_zero, "zero", 0);
+BENCHMARK_CAPTURE(BM_DecompressFrom, bpc_zero, "bpc", 0);
+BENCHMARK_CAPTURE(BM_DecompressFrom, bpc_smooth, "bpc", 1);
+BENCHMARK_CAPTURE(BM_DecompressFrom, bpc_random, "bpc", 2);
+BENCHMARK_CAPTURE(BM_DecompressFrom, bdi_zero, "bdi", 0);
+BENCHMARK_CAPTURE(BM_DecompressFrom, bdi_smooth, "bdi", 1);
+BENCHMARK_CAPTURE(BM_DecompressFrom, bdi_random, "bdi", 2);
+BENCHMARK_CAPTURE(BM_DecompressFrom, fpc_zero, "fpc", 0);
+BENCHMARK_CAPTURE(BM_DecompressFrom, fpc_smooth, "fpc", 1);
+BENCHMARK_CAPTURE(BM_DecompressFrom, fpc_random, "fpc", 2);
 BENCHMARK_CAPTURE(BM_RoundTrip, bpc, "bpc");
 BENCHMARK_CAPTURE(BM_RoundTrip, bdi, "bdi");
 BENCHMARK_CAPTURE(BM_RoundTrip, fpc, "fpc");

@@ -9,8 +9,8 @@
 
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
+#include <cstring>
 #include <vector>
 
 #include "common/check.h"
@@ -67,8 +67,10 @@ class BitWriter
  * The allocation-free sibling of BitWriter, used on the hot batch path:
  * codecs encode into a CompressionScratch buffer that is reused across a
  * whole AccessBatch, so no heap traffic occurs per entry. Bytes are
- * zeroed lazily as the writer first touches them, which makes reuse of a
- * dirty scratch buffer safe. Overflowing the buffer is a checked panic.
+ * cleared lazily as the writer first touches them (the first byte of a
+ * put keeps only the bits already written; every later byte is
+ * overwritten whole), which makes reuse of a dirty scratch buffer safe.
+ * Overflowing the buffer is a checked panic.
  */
 class FixedBitWriter
 {
@@ -85,20 +87,18 @@ class FixedBitWriter
                     "FixedBitWriter::put supports at most 64 bits");
         BUDDY_CHECK(bitCount_ + nbits <= capBits_,
                     "FixedBitWriter overflow");
-        // Byte-chunked: up to 8 bits land per iteration, so a raw
-        // 32-bit plane costs four stores instead of 32 per-bit calls.
-        while (nbits > 0) {
-            const std::size_t byte = bitCount_ / 8;
-            const unsigned off = bitCount_ % 8;
-            if (off == 0)
-                buf_[byte] = 0; // lazily clear each byte on first touch
-            const unsigned chunk = std::min(8u - off, nbits);
-            const u8 mask = static_cast<u8>((1u << chunk) - 1u);
-            buf_[byte] |= static_cast<u8>((value & mask) << off);
-            value >>= chunk;
-            nbits -= chunk;
-            bitCount_ += chunk;
-        }
+        if (nbits == 0)
+            return;
+        if (nbits < 64)
+            value &= (1ull << nbits) - 1;
+        // Byte-at-a-time: a 64-bit field costs at most nine stores.
+        std::size_t byte = bitCount_ / 8;
+        const unsigned off = bitCount_ % 8;
+        const u8 kept = static_cast<u8>(buf_[byte] & ((1u << off) - 1u));
+        buf_[byte] = static_cast<u8>(kept | (value << off));
+        for (unsigned done = 8 - off; done < nbits; done += 8)
+            buf_[++byte] = static_cast<u8>(value >> done);
+        bitCount_ += nbits;
     }
 
     /** Append a single bit. */
@@ -133,7 +133,14 @@ class FixedBitWriter
     std::size_t bitCount_ = 0;
 };
 
-/** LSB-first bit unpacker over a byte buffer produced by BitWriter. */
+/**
+ * LSB-first bit unpacker over a byte buffer produced by BitWriter.
+ *
+ * Reads never touch a byte past (size_bits + 7) / 8: a field of at most
+ * 56 bits whose 8-byte window lies inside the buffer is one unaligned
+ * little-endian load, a shift and a mask; wider fields and fields near
+ * the end of the buffer are gathered bit by bit.
+ */
 class BitReader
 {
   public:
@@ -150,6 +157,15 @@ class BitReader
     get(unsigned nbits)
     {
         BUDDY_CHECK(nbits <= 64, "BitReader::get supports at most 64 bits");
+        BUDDY_CHECK(nbits <= sizeBits_ - pos_, "BitReader overrun");
+        const std::size_t byte = pos_ / 8;
+        if (nbits <= 56 && byte + 8 <= (sizeBits_ + 7) / 8) {
+            u64 window = 0;
+            std::memcpy(&window, data_ + byte, sizeof(window));
+            const u64 v = (window >> (pos_ % 8)) & ((1ull << nbits) - 1);
+            pos_ += nbits;
+            return v;
+        }
         u64 v = 0;
         for (unsigned i = 0; i < nbits; ++i) {
             v |= static_cast<u64>(getBit()) << i;

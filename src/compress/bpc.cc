@@ -1,6 +1,6 @@
 #include "compress/bpc.h"
 
-#include <array>
+#include <cstring>
 
 #include "common/bitstream.h"
 #include "common/check.h"
@@ -98,28 +98,34 @@ decodeBase(BitReader &br)
     return static_cast<u32>(br.get(32));
 }
 
-bool
-isSingleOne(u64 plane, unsigned &pos)
+/**
+ * In-place transpose of a 32x32 bit matrix, LSB-first: bit j of row i
+ * trades places with bit i of row j. Rows are paired into 64-bit words
+ * (row 2m in the low half of word m, row 2m+1 in the high half), so
+ * the 16-, 8-, 4- and 2-row masked block swaps move two rows per
+ * operation and the last 1-row swap happens inside each word.
+ */
+void
+transpose32(u32 *rows)
 {
-    if (plane == 0 || (plane & (plane - 1)) != 0)
-        return false;
-    pos = 0;
-    while (!((plane >> pos) & 1ull))
-        ++pos;
-    return true;
-}
-
-bool
-isTwoConsecutiveOnes(u64 plane, unsigned &pos)
-{
-    // plane == (0b11 << pos)
-    if (plane == 0)
-        return false;
-    pos = 0;
-    while (!((plane >> pos) & 1ull))
-        ++pos;
-    return plane == (0b11ull << pos) &&
-           pos + 1 < BpcCompressor::kPlaneBits;
+    u64 pair[16];
+    std::memcpy(pair, rows, sizeof(pair));
+    u64 mask = 0x0000FFFF0000FFFFull;
+    for (unsigned j = 16; j != 1; j >>= 1, mask ^= mask << j) {
+        const unsigned h = j / 2; // row distance j, in words
+        for (unsigned m = 0; m < 16; ++m) {
+            if (m & h)
+                continue;
+            const u64 t = ((pair[m] >> j) ^ pair[m + h]) & mask;
+            pair[m + h] ^= t;
+            pair[m] ^= t << j;
+        }
+    }
+    for (u64 &w : pair) {
+        const u64 t = ((w >> 1) ^ (w >> 32)) & 0x55555555ull;
+        w ^= (t << 32) | (t << 1);
+    }
+    std::memcpy(rows, pair, sizeof(pair));
 }
 
 } // namespace
@@ -131,44 +137,51 @@ BpcCompressor::compressInto(const u8 *data, u8 *out,
     u32 words[kWordsPerEntry];
     loadWords(data, words);
 
-    // Delta transform plus lazy bit-plane views. xd[i] holds the
-    // adjacent-plane XOR (DBX) bits contributed by delta i — bit b of
-    // xd[i] is d[b] ^ d[b+1] (and d[32] for the top plane) — so DBX
-    // plane b is the bit-b column across xd. The OR-reductions give
-    // constant-time nonzero-plane (or_x) and DBP-zero (or_d) tests:
-    // only planes that actually encode a symbol pay the 31-bit column
-    // gather, which is what makes zero and smooth entries cheap.
-    u64 xd[kPlaneBits];
+    // Delta transform. xd[i] holds the adjacent-plane XOR (DBX) bits
+    // contributed by delta i — bit b of xd[i] is d[b] ^ d[b+1] (and
+    // d[32] for the top plane) — so DBX plane b is the bit-b column
+    // across xd. One 32x32 bit-matrix transpose of the low 32 bits of
+    // xd[0..30] turns the columns into planes 0..31 at once; the top
+    // plane is gathered as the deltas are formed. The OR-reductions
+    // give a constant-time DBP-zero test per plane (or_d) and skip the
+    // transpose when planes 0..31 are all zero (or_x).
+    u32 planes[kPlanes];
+    u32 top = 0;
     u64 or_d = 0, or_x = 0;
     for (unsigned i = 0; i < kPlaneBits; ++i) {
         const i64 d = static_cast<i64>(words[i + 1]) -
                       static_cast<i64>(words[i]);
         const u64 du = static_cast<u64>(d) & kDeltaMask;
+        const u64 xd = du ^ (du >> 1);
         or_d |= du;
-        xd[i] = du ^ (du >> 1);
-        or_x |= xd[i];
+        or_x |= xd;
+        planes[i] = static_cast<u32>(xd);
+        top |= static_cast<u32>(xd >> 32) << i;
     }
+    planes[kPlaneBits] = 0;
+    if (static_cast<u32>(or_x) != 0)
+        transpose32(planes);
+    planes[kPlanes - 1] = top;
 
     FixedBitWriter bw(out, kMaxEncodedBytes);
     bw.putBit(0); // format tag: 0 = BPC, 1 = raw fallback
     encodeBase(bw, words[0]);
 
     // Emit planes MSB-first so that the sign-extension planes of smooth
-    // data coalesce into long zero runs.
+    // data coalesce into long zero runs. Once the stream reaches the
+    // raw size the fallback below is certain, so stop emitting.
     unsigned zero_run = 0;
-    for (int b = kPlanes - 1; b >= 0; --b) {
-        if (((or_x >> b) & 1ull) == 0) {
+    for (int b = kPlanes - 1; b >= 0 && bw.sizeBits() < kRawBits + 1;
+         --b) {
+        const u32 x = planes[b];
+        if (x == 0) {
             ++zero_run;
             continue;
         }
         emitZeroPlanes(bw, zero_run);
         zero_run = 0;
 
-        u64 x = 0;
-        for (unsigned i = 0; i < kPlaneBits; ++i)
-            x |= ((xd[i] >> b) & 1ull) << i;
-
-        unsigned pos = 0;
+        const unsigned pos = static_cast<unsigned>(__builtin_ctz(x));
         if (x == kPlaneMask) {
             bw.put(0b00000, 5);
         } else if (((or_d >> b) & 1ull) == 0) {
@@ -176,11 +189,11 @@ BpcCompressor::compressInto(const u8 *data, u8 *out,
             // decoder directly (5-bit shortcut instead of a raw plane).
             bw.putBit(0); bw.putBit(0); bw.putBit(0); bw.putBit(0);
             bw.putBit(1);
-        } else if (isTwoConsecutiveOnes(x, pos)) {
+        } else if (x == (0b11ull << pos) && pos + 1 < kPlaneBits) {
             bw.putBit(0); bw.putBit(0); bw.putBit(0); bw.putBit(1);
             bw.putBit(0);
             bw.put(pos, 5);
-        } else if (isSingleOne(x, pos)) {
+        } else if (x == (1ull << pos)) {
             bw.putBit(0); bw.putBit(0); bw.putBit(0); bw.putBit(1);
             bw.putBit(1);
             bw.put(pos, 5);
@@ -196,8 +209,11 @@ BpcCompressor::compressInto(const u8 *data, u8 *out,
         // overwriting the transformed stream from the start of `out`.
         bw.reset();
         bw.putBit(1);
-        for (std::size_t i = 0; i < kEntryBytes; ++i)
-            bw.put(data[i], 8);
+        for (std::size_t i = 0; i < kEntryBytes; i += sizeof(u64)) {
+            u64 chunk = 0;
+            std::memcpy(&chunk, data + i, sizeof(chunk));
+            bw.put(chunk, 64);
+        }
     }
     return bw.sizeBits();
 }
@@ -209,34 +225,37 @@ BpcCompressor::decompressFrom(const u8 *payload, std::size_t size_bits,
     BitReader br(payload, size_bits);
 
     if (br.getBit()) { // raw fallback
-        for (std::size_t i = 0; i < kEntryBytes; ++i)
-            out[i] = static_cast<u8>(br.get(8));
+        for (std::size_t i = 0; i < kEntryBytes; i += sizeof(u32)) {
+            const u32 word = static_cast<u32>(br.get(32));
+            std::memcpy(out + i, &word, sizeof(word));
+        }
         return;
     }
 
     const u32 base = decodeBase(br);
 
-    // Reconstruct per-plane DBX values (or direct DBP-zero markers),
-    // MSB-first to match the encoder.
-    std::array<u64, kPlanes> dbx{};
-    std::array<bool, kPlanes> dbp_zero{};
+    // Decode the DBX symbols MSB-first, as the encoder emitted them, and
+    // undo the XOR transform on the fly: DBP[b] = DBX[b] ^ DBP[b+1],
+    // unless the "DBP == 0" shortcut gives DBP[b] directly. Planes
+    // hold 31 delta bits, so u32 rows lose nothing the output reads.
+    u32 planes[kPlanes];
+    u32 above = 0; // DBP of the plane above plane b
     int b = kPlanes - 1;
     while (b >= 0) {
         if (br.getBit()) { // "1": raw plane
-            dbx[b] = br.get(kPlaneBits);
-            --b;
+            above ^= static_cast<u32>(br.get(kPlaneBits));
+            planes[b--] = above;
             continue;
         }
         if (br.getBit()) { // "01": single zero plane
-            dbx[b] = 0;
-            --b;
+            planes[b--] = above;
             continue;
         }
         if (br.getBit()) { // "001": zero run
             const unsigned run = static_cast<unsigned>(br.get(5)) + 2;
             for (unsigned i = 0; i < run; ++i) {
                 BUDDY_CHECK(b >= 0, "BPC zero run overruns planes");
-                dbx[b--] = 0;
+                planes[b--] = above;
             }
             continue;
         }
@@ -244,43 +263,28 @@ BpcCompressor::decompressFrom(const u8 *payload, std::size_t size_bits,
         const bool b3 = br.getBit();
         const bool b4 = br.getBit();
         if (!b3 && !b4) { // "00000": all ones
-            dbx[b] = kPlaneMask;
+            above ^= static_cast<u32>(kPlaneMask);
         } else if (!b3 && b4) { // "00001": DBP == 0 shortcut
-            dbp_zero[b] = true;
+            above = 0;
         } else if (b3 && !b4) { // "00010": two consecutive ones
             const unsigned pos = static_cast<unsigned>(br.get(5));
-            dbx[b] = 0b11ull << pos;
+            above ^= static_cast<u32>(0b11ull << pos);
         } else { // "00011": single one
             const unsigned pos = static_cast<unsigned>(br.get(5));
-            dbx[b] = 1ull << pos;
+            above ^= static_cast<u32>(1ull << pos);
         }
-        --b;
+        planes[b--] = above;
     }
 
-    // Invert the XOR transform top-down.
-    std::array<u64, kPlanes> dbp{};
-    dbp[kPlanes - 1] = dbx[kPlanes - 1];
-    for (int p = kPlanes - 2; p >= 0; --p)
-        dbp[p] = dbp_zero[p] ? 0 : (dbx[p] ^ dbp[p + 1]);
-
-    // Invert the bit-plane transform back into 33-bit deltas.
-    u64 deltas[kPlaneBits];
-    for (unsigned i = 0; i < kPlaneBits; ++i) {
-        u64 d = 0;
-        for (unsigned p = 0; p < kPlanes; ++p)
-            d |= ((dbp[p] >> i) & 1ull) << p;
-        deltas[i] = d;
-    }
-
-    // Invert the delta transform.
+    // Invert the bit-plane transform: the transpose turns planes 0..31
+    // into the low 32 bits of each delta. Words wrap modulo 2^32, so
+    // the delta's bit 32 (the top plane) never reaches the output, and
+    // the delta transform inverts as a running 32-bit sum.
+    transpose32(planes);
     u32 words[kWordsPerEntry];
     words[0] = base;
-    for (unsigned i = 0; i < kPlaneBits; ++i) {
-        // Sign-extend the 33-bit delta.
-        i64 d = static_cast<i64>(deltas[i] << (64 - kPlanes)) >>
-                (64 - kPlanes);
-        words[i + 1] = static_cast<u32>(static_cast<i64>(words[i]) + d);
-    }
+    for (unsigned i = 0; i < kPlaneBits; ++i)
+        words[i + 1] = words[i] + planes[i];
     storeWords(words, out);
 }
 

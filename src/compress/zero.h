@@ -29,8 +29,11 @@ class ZeroCompressor : public Compressor
             bw.putBit(0);
         } else {
             bw.putBit(1);
-            for (std::size_t i = 0; i < kEntryBytes; ++i)
-                bw.put(data[i], 8);
+            for (std::size_t i = 0; i < kEntryBytes; i += sizeof(u64)) {
+                u64 chunk = 0;
+                std::memcpy(&chunk, data + i, sizeof(chunk));
+                bw.put(chunk, 64);
+            }
         }
         return bw.sizeBits();
     }
@@ -44,8 +47,10 @@ class ZeroCompressor : public Compressor
             std::memset(out, 0, kEntryBytes);
             return;
         }
-        for (std::size_t i = 0; i < kEntryBytes; ++i)
-            out[i] = static_cast<u8>(br.get(8));
+        for (std::size_t i = 0; i < kEntryBytes; i += sizeof(u32)) {
+            const u32 word = static_cast<u32>(br.get(32));
+            std::memcpy(out + i, &word, sizeof(word));
+        }
     }
 };
 

@@ -2,12 +2,15 @@
  * @file
  * Randomized round-trip fuzz over every registered codec: 10k random +
  * patterned entries per codec must encode/decode bit-exactly through
- * compressInto/decompressFrom.
+ * compressInto/decompressFrom, and the encoded streams themselves must
+ * match a pinned digest (a codec that emits different bits that still
+ * round-trip fails here).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 
 #include "api/codec_registry.h"
 #include "common/rng.h"
@@ -52,6 +55,29 @@ fuzzEntry(Rng &rng, int i, u8 *buf)
     }
 }
 
+/** Fold @p n bytes into a 64-bit FNV-1a hash @p h. */
+u64
+fnv1a(u64 h, const u8 *p, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        h = (h ^ p[i]) * 0x100000001b3ull;
+    return h;
+}
+
+/**
+ * Digest of every encoded stream of the fuzz corpus, per codec: FNV-1a
+ * over (size_bits as 8 little-endian bytes, payload bytes
+ * [0, (size_bits + 7) / 8)) for each entry in order. Any change to a
+ * codec's bitstream changes its digest; update a value only together
+ * with an intended format change.
+ */
+const std::map<std::string, u64> kPinnedStreamDigest = {
+    {"bdi", 0x10d3e0b3f2e2f7b5ull},
+    {"bpc", 0xc3ea0e75d23b0db5ull},
+    {"fpc", 0x71dea77d897fa481ull},
+    {"zero", 0x8d0163dad6d16185ull},
+};
+
 class CodecFuzzTest : public ::testing::TestWithParam<std::string>
 {};
 
@@ -73,6 +99,30 @@ TEST_P(CodecFuzzTest, ScratchPathRoundTripsBitExactly)
         ASSERT_EQ(std::memcmp(buf, out, kEntryBytes), 0)
             << GetParam() << " entry " << i;
     }
+}
+
+TEST_P(CodecFuzzTest, EncodedStreamsMatchPinnedDigest)
+{
+    const auto pinned = kPinnedStreamDigest.find(GetParam());
+    ASSERT_NE(pinned, kPinnedStreamDigest.end())
+        << "no pinned stream digest for codec " << GetParam();
+    const auto codec = api::CodecRegistry::instance().create(GetParam());
+    Rng rng(2026);
+    u8 buf[kEntryBytes];
+    CompressionScratch scratch;
+
+    u64 digest = 0xcbf29ce484222325ull; // FNV-1a offset basis
+    for (int i = 0; i < kFuzzEntries; ++i) {
+        fuzzEntry(rng, i, buf);
+        const u64 bits = codec->compressInto(buf, scratch.encode, scratch);
+        u8 size_le[8];
+        for (unsigned k = 0; k < 8; ++k)
+            size_le[k] = static_cast<u8>(bits >> (8 * k));
+        digest = fnv1a(digest, size_le, sizeof(size_le));
+        digest = fnv1a(digest, scratch.encode, (bits + 7) / 8);
+    }
+    EXPECT_EQ(digest, pinned->second)
+        << GetParam() << " stream digest 0x" << std::hex << digest;
 }
 
 TEST_P(CodecFuzzTest, ScratchReuseNeedsNoClearing)
