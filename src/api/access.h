@@ -64,6 +64,14 @@ struct AccessInfo
     /** True if the metadata lookup hit in the metadata cache. */
     bool metadataHit = true;
 
+    /** True if the entry is all zeros (described by metadata alone). */
+    bool isZero = false;
+
+    /** Exact stored payload size in bits (0 for zero entries). This
+     *  field and isZero sit in the padding after metadataHit, so the
+     *  struct stays 72 bytes on LP64. */
+    u32 storedBits = 0;
+
     /**
      * Simulated cycles the device store's LinkModel charged this access
      * (see timing/link_model.h). A pure function of the traffic, so it
@@ -137,24 +145,6 @@ struct AccessInfo
      * WindowMode::Merged, per-shard by design under PerShard.
      */
     Cycles codecChargedWindowCycles = 0;
-
-    /**
-     * Total link cycles charged for this access. The device and buddy
-     * portions occupy different links, so this is link occupancy (the
-     * quantity that sums across a batch), not a parallel makespan.
-     */
-    Cycles
-    cycles() const
-    {
-        return deviceCycles + buddyCycles;
-    }
-
-    /** Total windowed-replay charge of this access (additive). */
-    Cycles
-    windowCycles() const
-    {
-        return deviceWindowCycles + buddyWindowCycles;
-    }
 
     /** True if any part of the entry lives in buddy memory. */
     bool
@@ -269,16 +259,6 @@ struct BatchSummary
         return total ? static_cast<double>(buddyAccesses) /
                            static_cast<double>(total)
                      : 0.0;
-    }
-
-    /** Metadata cache hit rate over the batch. */
-    double
-    metadataHitRate() const
-    {
-        const u64 total = metadataHits + metadataMisses;
-        return total ? static_cast<double>(metadataHits) /
-                           static_cast<double>(total)
-                     : 1.0;
     }
 };
 

@@ -3,8 +3,11 @@
  * The TrafficSink observer API: one event stream for every traffic
  * consumer.
  *
- * The controller emits an AccessEvent per executed operation and a
- * BatchSummary per batch. Every external traffic consumer — custom
+ * The controller and the sharded engine emit an AccessEvent per
+ * executed operation and a BatchSummary per batch. Both build every
+ * event with makeEvent() from the finished batch — the op and its
+ * AccessInfo after the batch's one timing pass — so an event is
+ * defined in one place. Every external traffic consumer — custom
  * BuddyStats-style counting sinks, the profiling pass
  * (OnlineProfileSink in core/profiler.h), the gpusim memory system
  * (MemsysReplaySink in gpusim/memsys.h), and the UM model's migration
@@ -40,20 +43,18 @@ struct AccessEvent
 
     /**
      * Tenant the submitting batch was tagged with (AccessBatch::
-     * setTenant); stamped by the sharded engine when it replays events
-     * to its sinks. 0 — the anonymous tenant — for untagged batches and
-     * for events emitted by a standalone controller.
+     * setTenant), as the sharded engine passes it to makeEvent(). 0 —
+     * the anonymous tenant — for untagged batches and for events
+     * emitted by a standalone controller.
      */
     u32 tenant = 0;
 
-    /** Traffic and metadata outcome of the access. */
+    /**
+     * Traffic and metadata outcome of the access, including the stored
+     * payload size (info.storedBits) and the all-zero flag
+     * (info.isZero).
+     */
     AccessInfo info;
-
-    /** Exact stored payload size in bits (0 for zero entries). */
-    u32 storedBits = 0;
-
-    /** True if the entry is all zeros (described by metadata alone). */
-    bool isZero = false;
 
     /**
      * Write payload (kEntryBytes bytes) for Write events, null otherwise.
@@ -62,6 +63,24 @@ struct AccessEvent
      */
     const u8 *data = nullptr;
 };
+
+/**
+ * The one event builder: the event of executed op @p op with result
+ * @p info, owned by allocation @p allocId and submitted by @p tenant.
+ */
+inline AccessEvent
+makeEvent(const AccessRequest &op, const AccessInfo &info, u32 allocId,
+          u32 tenant)
+{
+    AccessEvent event;
+    event.kind = op.kind;
+    event.va = op.va;
+    event.allocId = allocId;
+    event.tenant = tenant;
+    event.info = info;
+    event.data = op.kind == AccessKind::Write ? op.src : nullptr;
+    return event;
+}
 
 /** Observer of the controller's traffic event stream. */
 class TrafficSink

@@ -219,8 +219,7 @@ BuddyController::makeWindows() const
 }
 
 AccessInfo
-BuddyController::executeOp(const AccessRequest &op, BatchSummary &summary,
-                           std::vector<AccessEvent> *deferred)
+BuddyController::executeOp(const AccessRequest &op, BatchSummary &summary)
 {
     const EntryLoc loc = locate(op.va);
     const bool meta_hit = metaCache_->access(loc.globalEntryIdx);
@@ -392,6 +391,8 @@ BuddyController::executeOp(const AccessRequest &op, BatchSummary &summary,
       }
     }
 
+    info.isZero = is_zero;
+    info.storedBits = stored_bits;
     info.deviceCycles = dev_cycles;
     info.buddyCycles = bud_cycles;
     // Unloaded inline-unit latency: a pure function of the op and the
@@ -423,21 +424,6 @@ BuddyController::executeOp(const AccessRequest &op, BatchSummary &summary,
         if (info.usedBuddy())
             probes_.buddyAccesses->add();
     }
-
-    if (!hub_.empty()) {
-        AccessEvent event;
-        event.kind = op.kind;
-        event.va = op.va;
-        event.allocId = loc.alloc->id;
-        event.info = info;
-        event.storedBits = stored_bits;
-        event.isZero = is_zero;
-        event.data = op.kind == AccessKind::Write ? op.src : nullptr;
-        if (deferred != nullptr)
-            deferred->push_back(event);
-        else
-            hub_.emit(event);
-    }
     return info;
 }
 
@@ -455,15 +441,9 @@ BuddyController::run(AccessBatch &batch, bool timed)
     batch.summary_ = BatchSummary{};
     BatchSummary &sum = batch.summary_;
 
-    // The functional pass. With sinks attached, a timed batch holds its
-    // events back until the timing pass has filled their window fields.
-    std::vector<AccessEvent> deferred;
-    const bool defer = timed && !hub_.empty();
-    if (defer)
-        deferred.reserve(batch.ops_.size());
+    // The functional pass.
     for (const AccessRequest &op : batch.ops_)
-        batch.results_.push_back(
-            executeOp(op, sum, defer ? &deferred : nullptr));
+        batch.results_.push_back(executeOp(op, sum));
     if (probes_.active)
         probes_.batches->add();
 
@@ -484,12 +464,15 @@ BuddyController::run(AccessBatch &batch, bool timed)
             probes_.batchMakespan->add(sum.combinedWindowCycles);
     }
 
-    for (std::size_t i = 0; i < deferred.size(); ++i) {
-        deferred[i].info = batch.results_[i];
-        hub_.emit(deferred[i]);
-    }
-    if (!hub_.empty())
+    // Sinks see the finished batch, window charges included.
+    if (!hub_.empty()) {
+        for (std::size_t i = 0; i < batch.ops_.size(); ++i) {
+            const AccessRequest &op = batch.ops_[i];
+            hub_.emit(api::makeEvent(op, batch.results_[i],
+                                     allocationFor(op.va).id, 0));
+        }
         hub_.emitBatch(sum);
+    }
     return sum;
 }
 

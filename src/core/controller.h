@@ -243,8 +243,10 @@ class BuddyController
      * Fills batch.results() with one AccessInfo per planned operation
      * (in plan order) and batch.summary() with the batch-level traffic
      * totals: the functional pass over every op, then one windowed
-     * timing pass over the batch. Sinks see the events after both. The
-     * hot path performs no per-entry heap allocations.
+     * timing pass over the batch. Attached sinks then see one event per
+     * op, built from the op and its finished result (api::makeEvent),
+     * and the summary. The hot path performs no per-entry heap
+     * allocations.
      *
      * @return the batch summary (also retained in the batch).
      */
@@ -359,8 +361,9 @@ class BuddyController
 
     /**
      * execute(), whose timing pass runs only when @p timed. Untimed,
-     * the window fields of the results, the summary and stats_ stay 0,
-     * and events are emitted as the ops run.
+     * the window fields of the results, the summary and stats_ stay 0.
+     * Either way, attached sinks see the batch's events once it is
+     * finished.
      */
     const BatchSummary &run(AccessBatch &batch, bool timed);
 
@@ -379,12 +382,10 @@ class BuddyController
     /**
      * Execute one planned operation's functional pass: codec, metadata,
      * stores and the serial link and codec charges. Updates stats_ and
-     * @p summary (window fields excepted). When sinks are attached, its
-     * AccessEvent is emitted, or appended to @p deferred when a timing
-     * pass must complete it first.
+     * @p summary (window fields excepted) and returns the op's result;
+     * emission is run()'s.
      */
-    AccessInfo executeOp(const AccessRequest &op, BatchSummary &summary,
-                         std::vector<AccessEvent> *deferred);
+    AccessInfo executeOp(const AccessRequest &op, BatchSummary &summary);
 
     /**
      * Stable-address metric objects resolved once by attachMetrics(),

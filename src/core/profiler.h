@@ -152,7 +152,8 @@ class OnlineProfileSink : public api::TrafficSink
         const auto it = indexOf_.find(event.allocId);
         if (it == indexOf_.end())
             return;
-        profiles_[it->second].addEntry(event.storedBits, event.isZero);
+        profiles_[it->second].addEntry(event.info.storedBits,
+                                       event.info.isZero);
     }
 
     /** Profiles in track() order, one per tracked allocation. */

@@ -12,22 +12,6 @@
 namespace buddy {
 namespace engine {
 
-namespace {
-
-/** Capture sink: collects the events of one sub-plan execution. */
-struct CaptureSink : api::TrafficSink
-{
-    std::vector<AccessEvent> events;
-
-    void
-    onAccess(const AccessEvent &e) override
-    {
-        events.push_back(e);
-    }
-};
-
-} // namespace
-
 /**
  * One worker thread plus the queues of the shards it owns. A shard's
  * queue lives with its owning worker and is only ever popped by that
@@ -241,7 +225,6 @@ ShardedEngine::submit(AccessBatch &batch)
     const std::size_t n = batch.ops_.size();
     batch.results_.assign(n, AccessInfo{});
     batch.summary_ = BatchSummary{};
-    job->opSub.resize(n);
     job->opAlloc.resize(n);
 
     // Split the plan: one sub-plan per participating shard, ops kept in
@@ -261,7 +244,6 @@ ShardedEngine::submit(AccessBatch &batch)
         local.va = a.shardVa + (op.va - a.va);
         sp.plan.ops_.push_back(local);
         sp.origIdx.push_back(static_cast<u32>(i));
-        job->opSub[i] = static_cast<u32>(sub);
         job->opAlloc[i] = a.id;
     }
 
@@ -269,7 +251,7 @@ ShardedEngine::submit(AccessBatch &batch)
     if (job->subs.empty()) {
         // Empty plan: nothing to enqueue.
         if (!hub_.empty()) {
-            std::lock_guard<std::mutex> lk(emitMutex_);
+            std::lock_guard<std::mutex> lk(accountMutex_);
             hub_.emitBatch(batch.summary_);
         }
         job->done.set_value(batch.summary_);
@@ -348,22 +330,9 @@ void
 ShardedEngine::runTask(const std::shared_ptr<BatchJob> &job, unsigned sub)
 {
     SubPlan &sp = job->subs[sub];
-    BuddyController &c = *shards_[sp.shard];
-
-    // Only this worker ever touches this shard, so attaching a capture
-    // sink around the execution is race-free.
-    const bool capture = !hub_.empty();
-    CaptureSink cap;
-    if (capture) {
-        cap.events.reserve(sp.plan.ops_.size());
-        c.attachSink(&cap);
-    }
     // Under Merged the batch is windowed once, merged, in finish().
-    c.run(sp.plan, cfg_.shard.windowMode == WindowMode::PerShard);
-    if (capture) {
-        c.detachSink(&cap);
-        sp.events = std::move(cap.events);
-    }
+    shards_[sp.shard]->run(sp.plan,
+                           cfg_.shard.windowMode == WindowMode::PerShard);
 
     if (job->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
         finish(*job);
@@ -392,8 +361,12 @@ ShardedEngine::finish(BatchJob &job)
     obs::LatencyHistogram localStall;
     u64 maxDevOut = 0;
     u64 maxBudOut = 0;
+    // Per-shard mode's imbalance inputs: Σ and min of shard makespans.
+    u64 sum_makespan = 0;
+    u64 min_makespan = ~0ull;
 
-    if (cfg_.shard.windowMode == WindowMode::Merged) {
+    const bool perShard = cfg_.shard.windowMode == WindowMode::PerShard;
+    if (!perShard) {
         // The shards ran only the functional pass (window fields 0), so
         // this is the batch's one timing pass: the submission-order
         // traffic through one window group — the single-GPU equivalent
@@ -418,8 +391,7 @@ ShardedEngine::finish(BatchJob &job)
         // these totals reproduce run-to-run; at one shard they are
         // bit-identical to the merged pass (same stream, same timing),
         // which tests pin.
-        const u64 sum_makespan = merged.combinedWindowCycles;
-        u64 min_makespan = ~0ull;
+        sum_makespan = merged.combinedWindowCycles;
         merged.deviceWindowCycles = 0;
         merged.buddyWindowCycles = 0;
         merged.combinedWindowCycles = 0;
@@ -437,38 +409,44 @@ ShardedEngine::finish(BatchJob &job)
                          s.codecChargedWindowCycles);
             min_makespan = std::min(min_makespan, s.combinedWindowCycles);
         }
-
-        // The spread between the shards' makespans is the per-batch GPU
-        // load-imbalance signal (the barrier waits for the max). All
-        // sums are integers, so accumulation is completion-order-
-        // independent and the stats reproduce run-to-run.
-        const u64 max_makespan = merged.combinedWindowCycles;
-        std::lock_guard<std::mutex> lk(accountMutex_);
-        ++imbalance_.batches;
-        imbalance_.sumMin += min_makespan;
-        imbalance_.sumMax += max_makespan;
-        imbalance_.sumAll += sum_makespan;
-        imbalance_.sumShards += job.subs.size();
-        imbalance_.minMin = std::min(imbalance_.minMin, min_makespan);
-        imbalance_.maxMax = std::max(imbalance_.maxMax, max_makespan);
-        if (sum_makespan > 0) {
-            // Integer ratio bucket: max/mean in tenths, computed as
-            // max * 10 * shards / Σ so no floats enter the accumulator.
-            const u64 tenths =
-                max_makespan * 10 * job.subs.size() / sum_makespan;
-            const u64 bucket = std::min<u64>(
-                tenths - 10, WindowImbalanceStats::kRatioBuckets - 1);
-            ++imbalance_.ratioHist[bucket];
-        }
     }
     batch.summary_ = merged;
 
-    // Per-tenant accounting: fold the batch's merged summary into the
-    // submitting tenant's totals (untagged batches land under tenant
-    // 0). A tenant's totals thus sum exactly its own batches — the
-    // bookkeeping behind the service layer's isolation contract.
+    // Publish the finished batch in one critical section: accounting,
+    // BatchRecord, then sink events.
     {
         std::lock_guard<std::mutex> lk(accountMutex_);
+
+        if (perShard) {
+            // The spread between the shards' makespans is the per-batch
+            // GPU load-imbalance signal (the barrier waits for the max).
+            // All sums are integers, so accumulation is completion-
+            // order-independent and the stats reproduce run-to-run.
+            const u64 max_makespan = merged.combinedWindowCycles;
+            ++imbalance_.batches;
+            imbalance_.sumMin += min_makespan;
+            imbalance_.sumMax += max_makespan;
+            imbalance_.sumAll += sum_makespan;
+            imbalance_.sumShards += job.subs.size();
+            imbalance_.minMin = std::min(imbalance_.minMin, min_makespan);
+            imbalance_.maxMax = std::max(imbalance_.maxMax, max_makespan);
+            if (sum_makespan > 0) {
+                // Integer ratio bucket: max/mean in tenths, computed as
+                // max * 10 * shards / Σ so no floats enter the
+                // accumulator.
+                const u64 tenths =
+                    max_makespan * 10 * job.subs.size() / sum_makespan;
+                const u64 bucket = std::min<u64>(
+                    tenths - 10, WindowImbalanceStats::kRatioBuckets - 1);
+                ++imbalance_.ratioHist[bucket];
+            }
+        }
+
+        // Per-tenant accounting: fold the batch's merged summary into
+        // the submitting tenant's totals (untagged batches land under
+        // tenant 0). A tenant's totals thus sum exactly its own batches
+        // — the bookkeeping behind the service layer's isolation
+        // contract.
         TenantTotals &t = tenantTotals_[batch.tenant()];
         t.summary.accumulate(merged);
         ++t.batches;
@@ -520,9 +498,8 @@ ShardedEngine::finish(BatchJob &job)
                 // Under Merged every span carries the batch's one
                 // (merged) makespan.
                 span.combinedCycles =
-                    cfg_.shard.windowMode == WindowMode::Merged
-                        ? merged.combinedWindowCycles
-                        : sp.plan.summary_.combinedWindowCycles;
+                    perShard ? sp.plan.summary_.combinedWindowCycles
+                             : merged.combinedWindowCycles;
                 rec.shards.push_back(span);
             }
             std::sort(rec.shards.begin(), rec.shards.end(),
@@ -532,25 +509,17 @@ ShardedEngine::finish(BatchJob &job)
                       });
             observer_->onBatchComplete(rec);
         }
-    }
 
-    // Replay captured events to engine-level sinks in submission order:
-    // sinks observe exactly the stream a single controller would emit
-    // (with engine-global addresses, allocation ids, and the merged
-    // windowed charges).
-    if (!hub_.empty()) {
-        std::lock_guard<std::mutex> lk(emitMutex_);
-        std::vector<std::size_t> cursor(job.subs.size(), 0);
-        for (std::size_t i = 0; i < batch.ops_.size(); ++i) {
-            SubPlan &sp = job.subs[job.opSub[i]];
-            AccessEvent ev = sp.events[cursor[job.opSub[i]]++];
-            ev.va = batch.ops_[i].va;
-            ev.allocId = job.opAlloc[i]; // resolved during the split
-            ev.tenant = batch.tenant();  // submitting tenant's tag
-            ev.info = batch.results_[i]; // merged windowed charges
-            hub_.emit(ev);
+        // Sink events, built from the finished batch in submission
+        // order: exactly the stream a single controller emits for the
+        // plan, with engine-global addresses and allocation ids and the
+        // submitting tenant's tag.
+        if (!hub_.empty()) {
+            for (std::size_t i = 0; i < batch.ops_.size(); ++i)
+                hub_.emit(api::makeEvent(batch.ops_[i], batch.results_[i],
+                                         job.opAlloc[i], batch.tenant()));
+            hub_.emitBatch(merged);
         }
-        hub_.emitBatch(merged);
     }
 
     job.done.set_value(merged);

@@ -16,7 +16,11 @@
  * std::future<BatchSummary>. Workers execute sub-plans in parallel; the
  * last one to finish merges the per-op AccessInfo back into submission
  * order, folds the per-shard summaries into one BatchSummary and, under
- * WindowMode::Merged, runs the batch's one windowed timing pass.
+ * WindowMode::Merged, runs the batch's one windowed timing pass. It
+ * then publishes the finished batch in one critical section: the
+ * per-tenant and metric accounting, the BatchRecord, and the sink
+ * events, each built from an op and its merged result
+ * (api::makeEvent).
  *
  * Determinism: a shard is only ever touched by the one worker thread
  * that owns its queue, and each shard sees its sub-plan's operations in
@@ -37,8 +41,10 @@
  * (between submit() and future completion only workers touch shard
  * state). Multiple batches may be in flight at once; per-shard FIFO
  * order keeps same-entry dependencies correct across batches. Engine
- * sinks are invoked with an internal lock held, in submission order, so
- * they need no locking of their own.
+ * sinks and the batch observer are invoked under the one accounting
+ * lock, one batch at a time in completion order (a batch's events in
+ * submission order), so they need no locking of their own and see the
+ * batches in the same order. They must not call back into the engine.
  */
 
 #pragma once
@@ -252,7 +258,10 @@ class ShardedEngine
     /** Submit and wait: the synchronous convenience wrapper. */
     const BatchSummary &execute(AccessBatch &batch);
 
-    /** Subscribe @p sink to the engine-level traffic event stream. */
+    /**
+     * Subscribe @p sink to the engine-level traffic event stream (see
+     * the file header for when and under which lock it is called).
+     */
     void attachSink(TrafficSink *sink) { hub_.attach(sink); }
 
     /** Unsubscribe @p sink. */
@@ -386,7 +395,6 @@ class ShardedEngine
         unsigned shard = 0;
         AccessBatch plan;           ///< shard-local (translated) ops
         std::vector<u32> origIdx;   ///< submission index of each op
-        std::vector<AccessEvent> events; ///< captured when sinks attached
     };
 
     /** One in-flight batch: sub-plans plus completion bookkeeping. */
@@ -395,7 +403,6 @@ class ShardedEngine
         AccessBatch *batch = nullptr;
         u64 seq = 0; ///< submission sequence (obs::BatchRecord sort key)
         std::vector<SubPlan> subs;
-        std::vector<u32> opSub;     ///< sub index of each submission op
         std::vector<AllocId> opAlloc; ///< engine alloc id of each op
         std::atomic<unsigned> remaining{0};
         std::promise<BatchSummary> done;
@@ -444,12 +451,13 @@ class ShardedEngine
     std::vector<std::unique_ptr<BuddyController>> shards_;
     std::vector<std::unique_ptr<Worker>> workers_;
     TrafficHub hub_;
-    std::mutex emitMutex_; ///< serializes engine-level sink emission
 
-    /** Guards tenantTotals_ and imbalance_ — finish() runs on worker
-     *  threads, so concurrent batch completions race without it. The
-     *  accumulations are integer sums (and per-batch maxima folded with
-     *  max/min), so the result is completion-order-independent. */
+    /** Guards tenantTotals_, imbalance_ and the metric folds, and
+     *  serializes the batch observer and sink emission — finish() runs
+     *  on worker threads, so concurrent batch completions race without
+     *  it. The accumulations are integer sums (and per-batch maxima
+     *  folded with max/min), so the result is completion-order-
+     *  independent. */
     mutable std::mutex accountMutex_;
     std::map<u32, TenantTotals> tenantTotals_;
     WindowImbalanceStats imbalance_;

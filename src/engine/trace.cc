@@ -171,7 +171,7 @@ void
 TraceRecorderSink::onAccess(const api::AccessEvent &event)
 {
     const bool zero_write =
-        event.kind == AccessKind::Write && event.isZero;
+        event.kind == AccessKind::Write && event.info.isZero;
     if (event.kind == AccessKind::Write && !zero_write &&
         event.data == nullptr) {
         // Not a replayable entry write: emitters other than the

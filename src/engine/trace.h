@@ -10,9 +10,9 @@
  *
  * TraceRecorderSink records through the existing TrafficSink stream, so
  * it works unchanged on a plain BuddyController or on a ShardedEngine
- * (which replays events to its sinks in submission order — recorded
- * traces are deterministic byte-for-byte when batches are submitted
- * sequentially). TraceReplayer drives a fresh engine or controller from
+ * (which emits each finished batch's events in submission order —
+ * recorded traces are deterministic byte-for-byte when batches are
+ * submitted sequentially). TraceReplayer drives a fresh engine or controller from
  * the file: it re-creates the allocation table in recorded order,
  * translates recorded addresses into the new address space, and
  * re-executes the batches. Replaying onto an identically-configured

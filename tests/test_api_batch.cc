@@ -21,6 +21,14 @@
 namespace buddy {
 namespace {
 
+#if defined(__LP64__)
+// isZero and storedBits sit in the padding after metadataHit. Keep the
+// per-op result at 72 bytes: host set-up time has been seen to move
+// 16-22 % when a hot type changed size (the glibc heap-layout finding
+// in ROADMAP.md, "Recent").
+static_assert(sizeof(AccessInfo) == 72, "AccessInfo changed size");
+#endif
+
 BuddyConfig
 smallConfig()
 {
@@ -48,7 +56,8 @@ sameInfo(const AccessInfo &a, const AccessInfo &b)
 {
     return a.deviceSectors == b.deviceSectors &&
            a.buddySectors == b.buddySectors &&
-           a.metadataHit == b.metadataHit &&
+           a.metadataHit == b.metadataHit && a.isZero == b.isZero &&
+           a.storedBits == b.storedBits &&
            a.deviceCycles == b.deviceCycles &&
            a.buddyCycles == b.buddyCycles;
 }

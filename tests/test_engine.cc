@@ -85,7 +85,8 @@ sameInfo(const AccessInfo &a, const AccessInfo &b)
 {
     return a.deviceSectors == b.deviceSectors &&
            a.buddySectors == b.buddySectors &&
-           a.metadataHit == b.metadataHit &&
+           a.metadataHit == b.metadataHit && a.isZero == b.isZero &&
+           a.storedBits == b.storedBits &&
            a.deviceCycles == b.deviceCycles &&
            a.buddyCycles == b.buddyCycles &&
            a.deviceWindowCycles == b.deviceWindowCycles &&
@@ -198,6 +199,127 @@ TEST(ShardedEngine, MergedResultsMatchSingleControllerBitForBit)
     EXPECT_EQ(eng.metadataAccesses(),
               single.metadataCache().accesses());
     EXPECT_EQ(eng.metadataMisses(), single.metadataCache().misses());
+}
+
+/**
+ * Records the whole traffic event stream: every AccessEvent field, the
+ * write payload copied (the pointer dies with the callback), each
+ * event's batch ordinal, and every batch summary.
+ */
+struct EventLog : api::TrafficSink
+{
+    struct Event
+    {
+        AccessEvent ev;
+        std::vector<u8> payload;
+        std::size_t batch = 0;
+    };
+    std::vector<Event> events;
+    std::vector<BatchSummary> batches;
+
+    void
+    onAccess(const AccessEvent &e) override
+    {
+        Event x;
+        x.ev = e;
+        x.ev.data = nullptr;
+        if (e.data != nullptr)
+            x.payload.assign(e.data, e.data + kEntryBytes);
+        x.batch = batches.size();
+        events.push_back(std::move(x));
+    }
+
+    void onBatch(const BatchSummary &s) override { batches.push_back(s); }
+};
+
+/** Ordinal of logEventPlan()'s tenant-tagged batch, and its tag. */
+constexpr std::size_t kTaggedBatch = 3;
+constexpr u32 kTag = 7;
+
+/**
+ * Drive one plan through @p t with @p log attached: fill every entry,
+ * then a mixed read/write/probe batch, an empty batch, and a
+ * tenant-tagged read/probe batch.
+ */
+template <typename Target>
+void
+logEventPlan(Target &t, EventLog &log)
+{
+    const auto vas = allocateSet(t);
+    const auto entries = mixedEntries(kN, 99);
+    const auto rewrites = mixedEntries(kN, 100);
+    std::vector<u8> out(kN * kEntryBytes);
+    t.attachSink(&log);
+
+    AccessBatch fill;
+    for (std::size_t i = 0; i < kN; ++i)
+        fill.write(vas[i], entries[i].data());
+    t.execute(fill);
+
+    AccessBatch mixed;
+    for (std::size_t i = 0; i < kN; ++i) {
+        if (i % 5 == 0)
+            mixed.probe(vas[i]);
+        else if (i % 5 == 1)
+            mixed.write(vas[i], rewrites[i].data());
+        else
+            mixed.read(vas[i], &out[i * kEntryBytes]);
+    }
+    t.execute(mixed);
+
+    AccessBatch empty;
+    t.execute(empty);
+
+    AccessBatch tagged;
+    tagged.setTenant(kTag);
+    for (std::size_t i = 0; i < kN; i += 3) {
+        if (i % 2 == 0)
+            tagged.probe(vas[i]);
+        else
+            tagged.read(vas[i], &out[i * kEntryBytes]);
+    }
+    t.execute(tagged);
+    t.detachSink(&log);
+}
+
+TEST(ShardedEngine, EventStreamMatchesSingleController)
+{
+    // The engine's sinks must see exactly the stream a single
+    // controller emits for the same plan — engine-global addresses and
+    // allocation ids, merged window charges, submission order — plus
+    // the tenant tag. The working set fits the metadata cache, so even
+    // per-op hit/miss results match at any shard count.
+    EventLog want;
+    {
+        BuddyController single(singleConfig());
+        logEventPlan(single, want);
+    }
+    ASSERT_EQ(want.batches.size(), kTaggedBatch + 1);
+
+    for (const unsigned shards : {1u, 4u}) {
+        ShardedEngine eng(engineConfig(shards));
+        EventLog got;
+        logEventPlan(eng, got);
+        ASSERT_EQ(got.events.size(), want.events.size()) << shards;
+        for (std::size_t i = 0; i < want.events.size(); ++i) {
+            const EventLog::Event &w = want.events[i];
+            const EventLog::Event &g = got.events[i];
+            ASSERT_EQ(g.batch, w.batch) << shards << " event " << i;
+            ASSERT_EQ(w.ev.tenant, 0u); // a controller never stamps one
+            ASSERT_EQ(g.ev.tenant, g.batch == kTaggedBatch ? kTag : 0u)
+                << shards << " event " << i;
+            ASSERT_EQ(g.ev.kind, w.ev.kind) << shards << " event " << i;
+            ASSERT_EQ(g.ev.va, w.ev.va) << shards << " event " << i;
+            ASSERT_EQ(g.ev.allocId, w.ev.allocId) << shards << " event " << i;
+            ASSERT_TRUE(sameInfo(g.ev.info, w.ev.info))
+                << shards << " event " << i;
+            ASSERT_EQ(g.payload, w.payload) << shards << " event " << i;
+        }
+        ASSERT_EQ(got.batches.size(), want.batches.size()) << shards;
+        for (std::size_t b = 0; b < want.batches.size(); ++b)
+            EXPECT_TRUE(sameSummary(got.batches[b], want.batches[b]))
+                << shards << " batch " << b;
+    }
 }
 
 TEST(ShardedEngine, EachBatchIsWindowedOnce)
@@ -882,12 +1004,12 @@ TEST(Trace, PayloadlessWriteEventsAreSkippedNotFatal)
     ev.kind = AccessKind::Write;
     ev.va = 4 * kPageBytes;
     ev.info.buddySectors = 8;
-    recorder.onAccess(ev); // data == nullptr, isZero == false
+    recorder.onAccess(ev); // data == nullptr, info.isZero == false
     EXPECT_EQ(recorder.opCount(), 0u);
     EXPECT_EQ(recorder.skippedOps(), 1u);
 
     // Zero writes carry no payload by design and are still recorded.
-    ev.isZero = true;
+    ev.info.isZero = true;
     recorder.onAccess(ev);
     EXPECT_EQ(recorder.opCount(), 1u);
     EXPECT_EQ(recorder.skippedOps(), 1u);
