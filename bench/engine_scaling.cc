@@ -9,8 +9,8 @@
  * entries/s plus the speedup over the 1-shard configuration.
  *
  * Correctness ride-along: the cross-shard traffic totals (reads,
- * writes, device and buddy sectors, buddy accesses, and the simulated
- * cycle charges of the LinkModel-timed backing stores) of every sharded
+ * writes, device and buddy sectors, buddy accesses, and the serial
+ * link cycle charges, a pure function of that traffic) of every sharded
  * run are checked bit-identical to the 1-shard reference — the engine's
  * core invariant — so a scaling win can never come from doing different
  * work. The sim-Mcycles column reports that simulated time; the
@@ -260,7 +260,7 @@ main(int argc, char **argv)
         im.print();
     }
 
-    std::printf("\ncross-shard traffic totals (incl. LinkModel cycle "
+    std::printf("\ncross-shard traffic totals (incl. serial link cycle "
                 "charges) vs. 1-shard reference: %s\n",
                 totals_ok ? "bit-identical" : "MISMATCH");
     if (mode == WindowMode::PerShard)

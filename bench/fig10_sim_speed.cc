@@ -20,8 +20,10 @@
  *      written and read through dram/host-um, dram/remote, and a
  *      4-shard engine with NVLink-peer carve-outs under both window
  *      modes (merged single-GPU stream and per-shard N-GPU pools with
- *      a cross-shard barrier), reporting the serial LinkModel cycle
- *      totals, the windowed-replay makespans (--window outstanding
+ *      a cross-shard barrier), reporting the serial link cycle
+ *      totals (each op's unloaded latency + transfer, written by the
+ *      batch's one timing pass, core/window_pass.h), the
+ *      windowed-replay makespans (--window outstanding
  *      round trips, timing/window.h), the combined (cross-link)
  *      makespans, and the codec-charged makespans (combined plus the
  *      pipelined (de)compression unit, timing/window.h CodecStage),
@@ -252,7 +254,7 @@ timedBackendSection(std::size_t entries, const std::string &codec,
     std::printf("per-shard (N-GPU) makespan within the merged bound: "
                 "%s\n",
                 barrier_bounded ? "yes" : "VIOLATED");
-    std::printf("link cycles are LinkModel charges "
+    std::printf("link cycles are serial unloaded charges "
                 "(timing/link_model.h); win-total overlaps them with W "
                 "outstanding round trips (timing/window.h), comb-total "
                 "additionally overlaps the two links against each other "

@@ -10,13 +10,14 @@
  * under 1.67x even at 50% effective oversubscription.
  *
  * The "buddy W=<n>" row per benchmark reports simulated time from the
- * functional timing path: the oversubscribed fraction of a working set
- * is placed behind the buddy carve-out's LinkModel (host-um NVLink
- * timing) and the whole set is read once with --window outstanding
+ * controller's timing pass: the oversubscribed fraction of a working set
+ * is placed behind the buddy carve-out's link (host-um NVLink timing)
+ * and the whole set is read once with --window outstanding
  * round trips in flight (the MSHR-style windowed replay,
  * timing/window.h). At W = 1 that line equals the old "buddy serial"
  * latency-bound upper bound bit-for-bit; as W grows it approaches the
- * "buddy bw" bandwidth-bound lower bound — pass --bounds to print both
+ * "buddy bw" bandwidth-bound lower bound (the busiest link's summed
+ * per-op transfer cycles) — pass --bounds to print both
  * brackets, which the windowed line always falls between. A W-sweep
  * table shows the convergence.
  *
@@ -58,7 +59,7 @@ namespace {
 /** Timed results of one oversubscribed read pass. */
 struct TimedPass
 {
-    u64 serial = 0;     ///< serialized LinkModel charge (latency bound)
+    u64 serial = 0;     ///< serial link charges (latency bound)
     u64 bw = 0;         ///< bottleneck-pipe occupancy (bandwidth bound)
     u64 windowed = 0;   ///< per-link windowed makespans, summed
     u64 combined = 0;   ///< cross-link combined makespan (the honest line)
@@ -117,16 +118,20 @@ buildOversubSet(Target &target, std::size_t entries, double oversub)
     return vas;
 }
 
-/** Read the whole set back; @return the read pass's batch summary. */
+/**
+ * Read the whole set back. @return the executed read plan: its results
+ * and summary (the read destinations are gone).
+ */
 template <typename Target>
-BatchSummary
+AccessBatch
 readOversubSet(Target &target, const std::vector<Addr> &vas)
 {
     AccessBatch plan(vas.size());
     std::vector<u8> readback(vas.size() * kEntryBytes);
     for (std::size_t i = 0; i < vas.size(); ++i)
         plan.read(vas[i], readback.data() + i * kEntryBytes);
-    return target.execute(plan);
+    target.execute(plan);
+    return plan;
 }
 
 /**
@@ -144,12 +149,8 @@ timedReadCycles(std::size_t entries, double oversub, u64 window)
     const std::vector<Addr> vas =
         buildOversubSet(gpu, entries, oversub);
 
-    const u64 dev_busy0 =
-        gpu.deviceStore().link().reader().busyCycles();
-    const u64 bud_busy0 =
-        gpu.carveOut().store().link().reader().busyCycles();
-
-    const BatchSummary read_pass = readOversubSet(gpu, vas);
+    const AccessBatch read = readOversubSet(gpu, vas);
+    const BatchSummary &read_pass = read.summary();
 
     TimedPass t;
     t.serial = read_pass.totalCycles();
@@ -158,10 +159,19 @@ timedReadCycles(std::size_t entries, double oversub, u64 window)
     t.codec = read_pass.codecChargedWindowCycles;
     t.codecSerial = read_pass.codecCycles;
     // Perfectly overlapped, the read pass takes as long as its busiest
-    // pipe is occupied.
-    t.bw = std::max(
-        gpu.deviceStore().link().reader().busyCycles() - dev_busy0,
-        gpu.carveOut().store().link().reader().busyCycles() - bud_busy0);
+    // pipe is occupied: the summed transfer cycles of its reads.
+    const timing::LinkTiming &dt = gpu.deviceStore().timing();
+    const timing::LinkTiming &bt = gpu.carveOut().store().timing();
+    const timing::LatencyBandwidthServer dev(dt.latency,
+                                             dt.readBytesPerCycle);
+    const timing::LatencyBandwidthServer bud(bt.latency,
+                                             bt.readBytesPerCycle);
+    u64 dev_busy = 0, bud_busy = 0;
+    for (const AccessInfo &i : read.results()) {
+        dev_busy += dev.transferCycles(u64{i.deviceSectors} * kSectorBytes);
+        bud_busy += bud.transferCycles(u64{i.buddySectors} * kSectorBytes);
+    }
+    t.bw = std::max(dev_busy, bud_busy);
     return t;
 }
 
@@ -184,7 +194,7 @@ timedReadCyclesPerShard(std::size_t entries, double oversub, u64 window,
 
     const std::vector<Addr> vas =
         buildOversubSet(eng, entries, oversub);
-    return readOversubSet(eng, vas).combinedWindowCycles;
+    return readOversubSet(eng, vas).summary().combinedWindowCycles;
 }
 
 std::string
@@ -439,7 +449,7 @@ main(int argc, char **argv)
     std::printf("\npaper: migration runtime explodes with "
                 "oversubscription and often exceeds the pinned line. "
                 "The buddy rows charge the spilled fraction through "
-                "the LinkModel (host-um NVLink timing) with W "
+                "the link (host-um NVLink timing) with W "
                 "outstanding round trips (timing/window.h): W=1 is the "
                 "serialized upper bound, W->oo the pipe-occupancy lower "
                 "bound, and the windowed line lands between them — the "

@@ -20,7 +20,7 @@
  * Correctness ride-along — the service isolation contract: after the
  * contended run, every tenant's stream is replayed alone on a private
  * identically-configured engine and the accumulated functional totals
- * (traffic counters, serial LinkModel cycles, and the windowed totals
+ * (traffic counters, serial link cycles, and the windowed totals
  * under the default merged window mode) must match the contended run
  * bit-for-bit. The scheduler's accounting is also cross-checked
  * against the engine's own per-tenant totals. Either mismatch fails

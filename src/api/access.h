@@ -67,30 +67,39 @@ struct AccessInfo
     /** True if the entry is all zeros (described by metadata alone). */
     bool isZero = false;
 
+    /**
+     * True if the access ran the inline (de)compression unit:
+     * compression on non-zero writes (even when the result is stored
+     * Raw), decompression on reads/probes of compressed entries.
+     */
+    bool codecPass = false;
+
     /** Exact stored payload size in bits (0 for zero entries). This
-     *  field and isZero sit in the padding after metadataHit, so the
-     *  struct stays 72 bytes on LP64. */
+     *  field, isZero and codecPass sit in the padding after
+     *  metadataHit, so the struct stays 72 bytes on LP64. */
     u32 storedBits = 0;
 
     /**
-     * Simulated cycles the device store's LinkModel charged this access
-     * (see timing/link_model.h). A pure function of the traffic, so it
-     * is identical under any sharding — the engine's determinism
+     * Serial device-link charge of this access: the unloaded cost of
+     * its device sectors, latency + ceil(bytes / bytesPerCycle)
+     * (RequestWindow::cost, timing/window.h). Every Cycles field is
+     * written by the batch's one timing pass (core/window_pass.h) from
+     * the traffic fields above, which the functional pass fills; an
+     * untimed run leaves them all 0. A pure function of the traffic,
+     * so it is identical under any sharding — the engine's determinism
      * contract extends to these fields.
      */
     Cycles deviceCycles = 0;
 
-    /** Simulated cycles the buddy store's LinkModel charged. */
+    /** Serial buddy-link charge of the buddy sectors (see above). */
     Cycles buddyCycles = 0;
 
     /**
      * Device-link share of the batch's windowed (MSHR-style) timing
      * replay: the advance of the window's completion frontier this
-     * access caused (see timing/window.h). The four window fields are
-     * written by the batch's one timing pass (core/window_pass.h),
-     * after the functional pass has filled the fields above it. The
-     * charges of a batch telescope, so their sum is the windowed
-     * makespan of the batch's device-link stream. Under the engine's
+     * access caused (see timing/window.h). The charges of a batch
+     * telescope, so their sum is the windowed makespan of the batch's
+     * device-link stream. Under the engine's
      * default WindowMode::Merged the engine windows the merged
      * submission-order traffic — a pure function of the plan — so the
      * charges are identical under any sharding, like the serial
@@ -123,13 +132,11 @@ struct AccessInfo
      * Unloaded (de)compression latency of this access through the
      * configured codec's inline unit (CodecTiming::latency per
      * processed entry; see timing/link_model.h): nonzero exactly when
-     * the codec ran — compression on non-zero writes, decompression on
-     * reads/probes of compressed entries — and the codec timing is
-     * nonzero. A pure function of the op and the codec configuration,
-     * so it rides the engine's determinism contract like the serial
-     * link charges. Never folded into deviceCycles/buddyCycles: link
-     * occupancy stays a pure function of the traffic. The timing pass
-     * reads codecCycles > 0 as "this op ran the unit".
+     * codecPass is set and the codec timing is nonzero. A pure function
+     * of the op and the codec configuration, so it rides the engine's
+     * determinism contract like the serial link charges. Never folded
+     * into deviceCycles/buddyCycles: link occupancy stays a pure
+     * function of the traffic.
      */
     Cycles codecCycles = 0;
 
@@ -166,10 +173,12 @@ struct BatchSummary
     u64 metadataMisses = 0;
     u64 buddyAccesses = 0; ///< operations that touched buddy memory
 
-    /** Simulated cycles charged to the device link across the batch. */
+    /** Serial device-link charges of the batch (AccessInfo::
+     *  deviceCycles sums); like every cycle total here, written by
+     *  the timing pass and 0 after an untimed run. */
     u64 deviceCycles = 0;
 
-    /** Simulated cycles charged to the buddy/interconnect link. */
+    /** Serial buddy/interconnect-link charges of the batch. */
     u64 buddyCycles = 0;
 
     /**

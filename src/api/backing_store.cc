@@ -38,14 +38,6 @@ class FlatStore : public BackingStore
         std::memcpy(dst, data_.data() + addr, len);
     }
 
-    void
-    doFill(Addr addr, u8 value, std::size_t len) override
-    {
-        BUDDY_CHECK(addr + len <= data_.size(),
-                    "backing-store fill out of range");
-        std::memset(data_.data() + addr, value, len);
-    }
-
   private:
     std::vector<u8> data_;
 };

@@ -4,12 +4,14 @@
  * device memory and buddy carve-out.
  *
  * The functional model needs byte-addressable load/store with capacity
- * accounting; the timing model needs every access charged through a
- * latency/bandwidth server. The base class therefore owns both the
- * traffic counters and a timing::LinkModel: concrete stores implement
- * only the raw byte movement (doWrite/doRead/doFill) while the
- * non-virtual public calls account the operation, charge the link at
- * sector (32 B) granularity, and return the simulated cycles charged.
+ * and traffic accounting; the timing model needs the latency/bandwidth
+ * of the link in front of the store. The base class therefore owns the
+ * traffic counters and the store's timing::LinkTiming: concrete stores
+ * implement only the raw byte movement (doWrite/doRead) while the
+ * non-virtual public calls account the operation. A store keeps no
+ * clock: the batch's one timing pass (core/window_pass.h) charges an
+ * access's sectors through a window over the store's timing
+ * (makeWindow()), a pure function of the traffic.
  *
  * Four kinds ship in-tree, all flat in-process memory differing in what
  * they model and in their default link timing:
@@ -42,14 +44,14 @@ namespace buddy {
 namespace api {
 
 /**
- * Byte-addressable storage with capacity, traffic, and simulated-time
- * accounting (see file header).
+ * Byte-addressable storage with capacity and traffic accounting, and
+ * the timing of its link (see file header).
  */
 class BackingStore
 {
   public:
     BackingStore(const char *kind, const timing::LinkTiming &timing)
-        : kind_(kind), link_(timing)
+        : kind_(kind), timing_(timing)
     {}
 
     virtual ~BackingStore() = default;
@@ -65,64 +67,29 @@ class BackingStore
      */
     virtual int peerOrdinal() const { return -1; }
 
-    /**
-     * Store @p len bytes at @p addr.
-     * @return simulated cycles the link charged for the transfer.
-     */
-    Cycles
+    /** Store @p len bytes at @p addr. */
+    void
     write(Addr addr, const u8 *src, std::size_t len)
     {
         doWrite(addr, src, len);
         written_ += len;
         ++writeOps_;
-        return chargeWrite(len);
     }
 
-    /** Load @p len bytes from @p addr. @return cycles charged. */
-    Cycles
+    /** Load @p len bytes from @p addr. */
+    void
     read(Addr addr, u8 *dst, std::size_t len) const
     {
         doRead(addr, dst, len);
         read_ += len;
         ++readOps_;
-        return chargeRead(len);
-    }
-
-    /** Fill @p len bytes with @p value. @return cycles charged. */
-    Cycles
-    fill(Addr addr, u8 value, std::size_t len)
-    {
-        doFill(addr, value, len);
-        written_ += len;
-        ++writeOps_;
-        return chargeWrite(len);
-    }
-
-    /**
-     * Charge the link for a @p len-byte read without moving any data:
-     * the traffic a probe models. Advances the store's simulated clock
-     * exactly as a real read of @p len bytes would, so probe and read
-     * cycle accounting are bit-identical; the byte/op counters are not
-     * touched.
-     */
-    Cycles
-    chargeRead(std::size_t len) const
-    {
-        return link_.charge(timing::LinkDir::Read, sectorBytes(len));
-    }
-
-    /** Write-direction counterpart of chargeRead(). */
-    Cycles
-    chargeWrite(std::size_t len) const
-    {
-        return link_.charge(timing::LinkDir::Write, sectorBytes(len));
     }
 
     /** Total bytes written / read since construction. */
     u64 bytesWritten() const { return written_; }
     u64 bytesRead() const { return read_; }
 
-    /** Number of write()/fill() and read() calls since construction. */
+    /** Number of write() and read() calls since construction. */
     u64 writeOps() const { return writeOps_; }
     u64 readOps() const { return readOps_; }
 
@@ -133,43 +100,31 @@ class BackingStore
      */
     u64 roundTrips() const { return writeOps_ + readOps_; }
 
+    /** The latency/bandwidth of this store's link. */
+    const timing::LinkTiming &timing() const { return timing_; }
+
     /**
      * The store's windowed charging mode: an MSHR-style scheduler over
      * this store's link timing that keeps up to @p window round trips
      * in flight (timing/window.h). Windows are created per request
-     * stream (one per batch in the controller), own private servers,
-     * and never touch this store's serial clock — serial charges stay
-     * exact at any window. window == 1 reproduces the serial charges
-     * bit-for-bit; 0 or a zero-bandwidth non-free link fail fast.
+     * stream (one per batch in the controller) and own private
+     * servers. window == 1 reproduces the serial charges
+     * (RequestWindow::cost) bit-for-bit; 0 or a zero-bandwidth non-free
+     * link fail fast.
      */
     timing::RequestWindow
     makeWindow(u64 window) const
     {
-        return timing::RequestWindow(link_.timing(), window);
+        return timing::RequestWindow(timing_, window);
     }
-
-    /** The link this store charges its transfers through. */
-    const timing::LinkModel &link() const { return link_; }
-
-    /** Simulated cycles elapsed on this store's clock. */
-    Cycles cyclesElapsed() const { return link_.now(); }
 
   protected:
     virtual void doWrite(Addr addr, const u8 *src, std::size_t len) = 0;
     virtual void doRead(Addr addr, u8 *dst, std::size_t len) const = 0;
-    virtual void doFill(Addr addr, u8 value, std::size_t len) = 0;
 
   private:
-    /** Links transfer whole 32 B sectors (the DRAM access granule). */
-    static u64
-    sectorBytes(std::size_t len)
-    {
-        return (static_cast<u64>(len) + kSectorBytes - 1) / kSectorBytes *
-               kSectorBytes;
-    }
-
     const char *kind_;
-    mutable timing::LinkModel link_;
+    timing::LinkTiming timing_;
     u64 written_ = 0;
     mutable u64 read_ = 0;
     u64 writeOps_ = 0;

@@ -7,60 +7,20 @@
  * name through BuddyConfig (deviceBackend / buddyBackend). The buddy
  * carve-out is a physically contiguous region of the host/disaggregated
  * memory that is reserved at boot and addressed as GBBR + offset
- * (Section 3.2), which makes buddy translation a single add. FlatMemory
- * remains as a plain in-process byte array for code that does not need
- * pluggability.
+ * (Section 3.2), which makes buddy translation a single add.
  */
 
 #pragma once
 
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "api/backing_store.h"
-#include "common/check.h"
 #include "common/types.h"
 #include "timing/link_model.h"
 
 namespace buddy {
-
-/** Flat byte-addressable memory with bounds checking. */
-class FlatMemory
-{
-  public:
-    explicit FlatMemory(u64 capacity_bytes)
-        : data_(capacity_bytes, 0)
-    {}
-
-    u64 capacity() const { return data_.size(); }
-
-    void
-    write(Addr addr, const u8 *src, std::size_t len)
-    {
-        BUDDY_CHECK(addr + len <= data_.size(), "memory write out of range");
-        std::memcpy(data_.data() + addr, src, len);
-    }
-
-    void
-    read(Addr addr, u8 *dst, std::size_t len) const
-    {
-        BUDDY_CHECK(addr + len <= data_.size(), "memory read out of range");
-        std::memcpy(dst, data_.data() + addr, len);
-    }
-
-    void
-    fill(Addr addr, u8 value, std::size_t len)
-    {
-        BUDDY_CHECK(addr + len <= data_.size(), "memory fill out of range");
-        std::memset(data_.data() + addr, value, len);
-    }
-
-  private:
-    std::vector<u8> data_;
-};
 
 /**
  * The buddy-memory carve-out: a contiguous remote region sized as a
@@ -101,28 +61,19 @@ class BuddyCarveOut
     /** Translate a carve-out offset to the host-physical address. */
     Addr translate(Addr offset) const { return gbbr_ + offset; }
 
-    /** @return simulated cycles the carve-out's link charged. */
-    Cycles
+    void
     write(Addr offset, const u8 *src, std::size_t len)
     {
-        return mem_->write(offset, src, len);
+        mem_->write(offset, src, len);
     }
 
-    /** @return simulated cycles the carve-out's link charged. */
-    Cycles
+    void
     read(Addr offset, u8 *dst, std::size_t len) const
     {
-        return mem_->read(offset, dst, len);
+        mem_->read(offset, dst, len);
     }
 
-    /** Charge the traffic a @p len-byte read would generate (probes). */
-    Cycles
-    chargeRead(std::size_t len) const
-    {
-        return mem_->chargeRead(len);
-    }
-
-    /** The underlying store (kind, traffic, and cycle accounting). */
+    /** The underlying store (kind, traffic accounting, link timing). */
     const BackingStore &store() const { return *mem_; }
 
   private:

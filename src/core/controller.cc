@@ -44,10 +44,9 @@ BuddyController::BuddyController(const BuddyConfig &cfg)
     // Windowed-replay configuration errors (a 0 window, or a windowed
     // replay over a zero-bandwidth link) are caught here rather than at
     // the first executed batch.
-    timing::validateWindowedTiming(device_->link().timing(),
-                                   cfg.linkWindow,
+    timing::validateWindowedTiming(device_->timing(), cfg.linkWindow,
                                    "BuddyConfig deviceLink/linkWindow");
-    timing::validateWindowedTiming(buddy_.store().link().timing(),
+    timing::validateWindowedTiming(buddy_.store().timing(),
                                    cfg.linkWindow,
                                    "BuddyConfig buddyLink/linkWindow");
 
@@ -227,13 +226,10 @@ BuddyController::executeOp(const AccessRequest &op, BatchSummary &summary)
     AccessInfo info;
     u32 stored_bits = 0;
     bool is_zero = false;
-    Cycles dev_cycles = 0; // link charges of this op's store traffic
-    Cycles bud_cycles = 0;
-    // Whether this op runs the inline unit (charged at codecTiming_):
-    // writes of non-zero entries compress (even when the result is
-    // stored Raw — the unit still ran to discover that); reads and
-    // probes of Compressed entries decompress. Zero entries and Raw
-    // reads bypass the unit entirely.
+    // Whether this op runs the inline unit: writes of non-zero entries
+    // compress (even when the result is stored Raw — the unit still ran
+    // to discover that); reads and probes of Compressed entries
+    // decompress. Zero entries and Raw reads bypass the unit entirely.
     bool codec_pass = false;
 
     switch (op.kind) {
@@ -262,20 +258,18 @@ BuddyController::executeOp(const AccessRequest &op, BatchSummary &summary)
         if (meta == EntryMeta::Raw) {
             const u64 on_dev =
                 std::min<u64>(kEntryBytes, loc.deviceSlotBytes);
-            dev_cycles = device_->write(loc.deviceAddr, data, on_dev);
+            device_->write(loc.deviceAddr, data, on_dev);
             if (on_dev < kEntryBytes)
-                bud_cycles = buddy_.write(loc.buddyOffset, data + on_dev,
-                                          kEntryBytes - on_dev);
+                buddy_.write(loc.buddyOffset, data + on_dev,
+                             kEntryBytes - on_dev);
             stored_bits = kEntryBytes * 8;
         } else if (meta != EntryMeta::Zero) {
             const u64 bytes = (comp_bits + 7) / 8;
             const u64 on_dev = std::min<u64>(bytes, loc.deviceSlotBytes);
-            dev_cycles = device_->write(loc.deviceAddr, scratch_.encode,
-                                        on_dev);
+            device_->write(loc.deviceAddr, scratch_.encode, on_dev);
             if (on_dev < bytes)
-                bud_cycles = buddy_.write(loc.buddyOffset,
-                                          scratch_.encode + on_dev,
-                                          bytes - on_dev);
+                buddy_.write(loc.buddyOffset, scratch_.encode + on_dev,
+                             bytes - on_dev);
             stored_bits = static_cast<u32>(comp_bits);
         }
 
@@ -329,20 +323,19 @@ BuddyController::executeOp(const AccessRequest &op, BatchSummary &summary)
         } else if (meta == EntryMeta::Raw) {
             const u64 on_dev =
                 std::min<u64>(kEntryBytes, loc.deviceSlotBytes);
-            dev_cycles = device_->read(loc.deviceAddr, out, on_dev);
+            device_->read(loc.deviceAddr, out, on_dev);
             if (on_dev < kEntryBytes)
-                bud_cycles = buddy_.read(loc.buddyOffset, out + on_dev,
-                                         kEntryBytes - on_dev);
+                buddy_.read(loc.buddyOffset, out + on_dev,
+                            kEntryBytes - on_dev);
         } else {
             // Reassemble the split payload into the scratch and
             // decode in place: no per-entry allocation.
             const u64 bytes = (static_cast<u64>(bits) + 7) / 8;
             const u64 on_dev = std::min<u64>(bytes, loc.deviceSlotBytes);
-            dev_cycles = device_->read(loc.deviceAddr, scratch_.io, on_dev);
+            device_->read(loc.deviceAddr, scratch_.io, on_dev);
             if (on_dev < bytes)
-                bud_cycles = buddy_.read(loc.buddyOffset,
-                                         scratch_.io + on_dev,
-                                         bytes - on_dev);
+                buddy_.read(loc.buddyOffset, scratch_.io + on_dev,
+                            bytes - on_dev);
             codec_->decompressFrom(scratch_.io, bits, out);
             codec_pass = true;
         }
@@ -361,22 +354,11 @@ BuddyController::executeOp(const AccessRequest &op, BatchSummary &summary)
         stored_bits = bits;
         is_zero = meta == EntryMeta::Zero;
 
+        // The traffic a read would generate (the same sector split),
+        // so probe and read timing are bit-identical.
         info = trafficFor(loc, meta, bits);
         info.metadataHit = meta_hit;
 
-        // Charge the links for the traffic a read would generate (the
-        // same stored-byte split the read path moves), so probe and
-        // read cycle accounting are bit-identical.
-        u64 stored = 0;
-        if (meta == EntryMeta::Raw)
-            stored = kEntryBytes;
-        else if (meta != EntryMeta::Zero)
-            stored = (static_cast<u64>(bits) + 7) / 8;
-        const u64 on_dev = std::min<u64>(stored, loc.deviceSlotBytes);
-        if (on_dev > 0)
-            dev_cycles = device_->chargeRead(on_dev);
-        if (stored > on_dev)
-            bud_cycles = buddy_.chargeRead(stored - on_dev);
         // Probe mirrors the read's codec accounting too: a read of a
         // Compressed entry would run the decompressor.
         if (meta != EntryMeta::Zero && meta != EntryMeta::Raw)
@@ -392,26 +374,16 @@ BuddyController::executeOp(const AccessRequest &op, BatchSummary &summary)
     }
 
     info.isZero = is_zero;
+    info.codecPass = codec_pass;
     info.storedBits = stored_bits;
-    info.deviceCycles = dev_cycles;
-    info.buddyCycles = bud_cycles;
-    // Unloaded inline-unit latency: a pure function of the op and the
-    // resolved codec timing, never folded into the link cycles.
-    info.codecCycles = codec_pass ? codecTiming_.latency() : 0;
 
     stats_.deviceSectorTraffic += info.deviceSectors;
     stats_.buddySectorTraffic += info.buddySectors;
-    stats_.deviceCycles += info.deviceCycles;
-    stats_.buddyCycles += info.buddyCycles;
-    stats_.codecCycles += info.codecCycles;
     if (info.usedBuddy())
         ++stats_.buddyAccesses;
 
     summary.deviceSectors += info.deviceSectors;
     summary.buddySectors += info.buddySectors;
-    summary.deviceCycles += info.deviceCycles;
-    summary.buddyCycles += info.buddyCycles;
-    summary.codecCycles += info.codecCycles;
     if (meta_hit)
         ++summary.metadataHits;
     else
@@ -456,6 +428,9 @@ BuddyController::run(AccessBatch &batch, bool timed)
         windowBatch(batch.ops_, batch.results_, windows, sum,
                     sample ? probes_.windowOccupancy : nullptr,
                     sample ? probes_.windowStall : nullptr);
+        stats_.deviceCycles += sum.deviceCycles;
+        stats_.buddyCycles += sum.buddyCycles;
+        stats_.codecCycles += sum.codecCycles;
         stats_.deviceWindowCycles += sum.deviceWindowCycles;
         stats_.buddyWindowCycles += sum.buddyWindowCycles;
         stats_.combinedWindowCycles += sum.combinedWindowCycles;

@@ -21,8 +21,9 @@
  * The access surface is execute(AccessBatch&): submit a plan of
  * read/write/probe spans, get one AccessInfo per operation plus a
  * batch-level BatchSummary. execute() runs two passes: the functional
- * pass (codec, metadata, stores, serial link charges) and then one
- * windowed timing pass over the batch (core/window_pass.h). Every
+ * pass (codec, metadata, stores; it charges no time) and then one
+ * timing pass over the batch (core/window_pass.h), which writes every
+ * cycle field from the traffic the functional pass recorded. Every
  * batch reuses the controller's CompressionScratch, so the path
  * performs zero per-entry heap allocations.
  *
@@ -110,13 +111,14 @@ struct BuddyConfig
 
     /**
      * Outstanding link round trips (W) of the windowed timing replay —
-     * the MSHR pool the functional-timing path models (see
-     * timing/window.h). Every executed batch is additionally scheduled
-     * through one RequestWindow per link in submission order
-     * (core/window_pass.h), filling the *WindowCycles fields of
-     * AccessInfo/BatchSummary/BuddyStats.
-     * The default of 1 reproduces the serial LinkModel totals
-     * bit-for-bit; larger windows overlap round-trip latency and
+     * the MSHR pool the timing pass models (see timing/window.h). Every
+     * executed batch's traffic is scheduled through one RequestWindow
+     * per link in submission order (core/window_pass.h), filling the
+     * *WindowCycles fields of AccessInfo/BatchSummary/BuddyStats; the
+     * serial deviceCycles/buddyCycles fields are the same windows'
+     * unloaded cost() and do not depend on W.
+     * The default of 1 reproduces the serial deviceCycles/buddyCycles
+     * totals bit-for-bit; larger windows overlap round-trip latency and
      * approach the bandwidth bound. 0 — or a window > 1 over a
      * non-free link with zero bandwidth in either direction — is a
      * fail-fast configuration error (checked at construction).
@@ -148,9 +150,6 @@ struct BuddyConfig
      * (standalone controllers).
      */
     int buddyPeerOrdinal = -1;
-
-    /** Verify every read against the written data (debug aid). */
-    bool verifyReads = false;
 };
 
 /** Aggregated controller statistics. */
@@ -162,13 +161,16 @@ struct BuddyStats
     u64 buddySectorTraffic = 0;
     u64 buddyAccesses = 0;  ///< accesses that touched buddy memory
     u64 overflowEntries = 0; ///< current entries spilling to buddy
-    u64 deviceCycles = 0;   ///< simulated cycles charged to the device link
-    u64 buddyCycles = 0;    ///< simulated cycles charged to the buddy link
+
+    /** Serial device-link charges (AccessInfo::deviceCycles sums). All
+     *  seven cycle totals are written by timed batches only, so they
+     *  stay 0 on an engine shard under WindowMode::Merged, which times
+     *  nothing (ShardedEngine::stats() reports the engine's own). */
+    u64 deviceCycles = 0;
+    u64 buddyCycles = 0; ///< serial buddy-link charges
 
     /** Windowed-replay device-link makespans, summed over batches
-     *  (BuddyConfig::linkWindow; equals deviceCycles at window 1). All
-     *  four window totals stay 0 on an engine shard under
-     *  WindowMode::Merged, which windows nothing. */
+     *  (BuddyConfig::linkWindow; equals deviceCycles at window 1). */
     u64 deviceWindowCycles = 0;
 
     /** Windowed-replay buddy-link makespans, summed over batches. */
@@ -242,8 +244,8 @@ class BuddyController
      *
      * Fills batch.results() with one AccessInfo per planned operation
      * (in plan order) and batch.summary() with the batch-level traffic
-     * totals: the functional pass over every op, then one windowed
-     * timing pass over the batch. Attached sinks then see one event per
+     * totals: the functional pass over every op, then one timing pass
+     * over the batch. Attached sinks then see one event per
      * op, built from the op and its finished result (api::makeEvent),
      * and the summary. The hot path performs no per-entry heap
      * allocations.
@@ -251,6 +253,15 @@ class BuddyController
      * @return the batch summary (also retained in the batch).
      */
     const BatchSummary &execute(AccessBatch &batch);
+
+    /**
+     * execute(), whose timing pass runs only when @p timed. Untimed,
+     * every Cycles field of the results, the summary and stats_ stays
+     * 0, and windowBatch() (core/window_pass.h) over fresh windows
+     * times the results later, bit-identically to execute(). Either
+     * way, attached sinks see the batch's events once it is finished.
+     */
+    const BatchSummary &run(AccessBatch &batch, bool timed);
 
     /** Subscribe @p sink to the traffic event stream. */
     void attachSink(TrafficSink *sink) { hub_.attach(sink); }
@@ -359,14 +370,6 @@ class BuddyController
      */
     timing::WindowGroup makeWindows() const;
 
-    /**
-     * execute(), whose timing pass runs only when @p timed. Untimed,
-     * the window fields of the results, the summary and stats_ stay 0.
-     * Either way, attached sinks see the batch's events once it is
-     * finished.
-     */
-    const BatchSummary &run(AccessBatch &batch, bool timed);
-
     /** attachMetrics(), whose window histograms (batch_combined_makespan,
      *  window_occupancy, window_stall) are registered only when
      *  @p timed, for a controller that only runs untimed. */
@@ -380,10 +383,10 @@ class BuddyController
                           u32 payload_bits) const;
 
     /**
-     * Execute one planned operation's functional pass: codec, metadata,
-     * stores and the serial link and codec charges. Updates stats_ and
-     * @p summary (window fields excepted) and returns the op's result;
-     * emission is run()'s.
+     * Execute one planned operation's functional pass: codec, metadata
+     * and stores. Updates stats_ and @p summary (cycle fields excepted)
+     * and returns the op's result, codecPass included; timing and
+     * emission are run()'s.
      */
     AccessInfo executeOp(const AccessRequest &op, BatchSummary &summary);
 

@@ -17,17 +17,26 @@ windowBatch(const std::vector<AccessRequest> &ops,
     for (std::size_t i = 0; i < ops.size(); ++i) {
         AccessInfo &info = infos[i];
         const bool write = ops[i].kind == AccessKind::Write;
-        // codecCycles > 0 exactly when the op ran the inline unit with
-        // non-free timing; under free timing a pass is an exact no-op
-        // in the group, so leaving it out changes nothing.
+        const timing::LinkDir dir =
+            write ? timing::LinkDir::Write : timing::LinkDir::Read;
+        const u64 dev_bytes =
+            static_cast<u64>(info.deviceSectors) * kSectorBytes;
+        const u64 bud_bytes =
+            static_cast<u64>(info.buddySectors) * kSectorBytes;
         timing::CodecWork work = timing::CodecWork::None;
-        if (info.codecCycles > 0)
+        if (info.codecPass)
             work = write ? timing::CodecWork::Compress
                          : timing::CodecWork::Decompress;
-        const timing::GroupCharge charge = windows.issue(
-            write ? timing::LinkDir::Write : timing::LinkDir::Read,
-            static_cast<u64>(info.deviceSectors) * kSectorBytes,
-            static_cast<u64>(info.buddySectors) * kSectorBytes, work);
+        info.deviceCycles = windows.device().cost(dir, dev_bytes);
+        info.buddyCycles = windows.buddy().cost(dir, bud_bytes);
+        info.codecCycles =
+            info.codecPass ? windows.codec().timing().latency() : 0;
+        summary.deviceCycles += info.deviceCycles;
+        summary.buddyCycles += info.buddyCycles;
+        summary.codecCycles += info.codecCycles;
+
+        const timing::GroupCharge charge =
+            windows.issue(dir, dev_bytes, bud_bytes, work);
         info.deviceWindowCycles = charge.device;
         info.buddyWindowCycles = charge.buddy;
         info.combinedWindowCycles = charge.combined;

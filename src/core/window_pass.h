@@ -1,10 +1,11 @@
 /**
  * @file
- * The windowed timing pass: the one place a batch's traffic is
- * scheduled through MSHR-style link windows (timing/window.h).
+ * The timing pass: the one place a batch's traffic is turned into
+ * simulated time, serial charges and MSHR-style link windows
+ * (timing/window.h) alike.
  *
- * Windowed timing is a pure function of each op's direction, sectors
- * and codec pass, which the functional pass (BuddyController) fills in.
+ * Timing is a pure function of each op's direction, sectors and codec
+ * pass, which the functional pass (BuddyController) fills in.
  * The pass runs once per GPU boundary: BuddyController::execute()
  * windows its own batch, which under WindowMode::PerShard is one
  * shard's sub-plan; under WindowMode::Merged the shards run untimed and
@@ -22,11 +23,13 @@
 namespace buddy {
 
 /**
- * Window one batch through @p windows, a fresh group (the batch is the
+ * Time one batch through @p windows, a fresh group (the batch is the
  * latency-overlap scope). Reads each op's direction from @p ops and its
- * sectors and codec pass from @p infos (codecCycles > 0 marks a pass:
- * compression for writes, decompression otherwise); writes the four
- * *WindowCycles fields of every info and adds them to @p summary. When
+ * sectors and codec pass from @p infos (compression for writes,
+ * decompression otherwise); writes all seven cycle fields of every
+ * info — the serial deviceCycles/buddyCycles (RequestWindow::cost) and
+ * codecCycles, and the four *WindowCycles — and adds them to
+ * @p summary. When
  * given, @p occupancy and @p stall sample each op's post-issue window
  * occupancy (both links) and window-constraint wait.
  */

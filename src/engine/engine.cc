@@ -367,7 +367,7 @@ ShardedEngine::finish(BatchJob &job)
 
     const bool perShard = cfg_.shard.windowMode == WindowMode::PerShard;
     if (!perShard) {
-        // The shards ran only the functional pass (window fields 0), so
+        // The shards ran only the functional pass (cycle fields 0), so
         // this is the batch's one timing pass: the submission-order
         // traffic through one window group — the single-GPU equivalent
         // of the batch. Per-op traffic is a pure function of the plan,
@@ -537,17 +537,17 @@ ShardedEngine::stats() const
         total.buddySectorTraffic += st.buddySectorTraffic;
         total.buddyAccesses += st.buddyAccesses;
         total.overflowEntries += st.overflowEntries;
-        total.deviceCycles += st.deviceCycles;
-        total.buddyCycles += st.buddyCycles;
-        total.codecCycles += st.codecCycles;
     }
-    // Windowed totals are the engine's own per-batch ones (the merged
+    // Cycle totals are the engine's own per-batch ones (the merged
     // timing pass, or per-shard maxima under WindowMode::PerShard), not
     // the shards' (see stats() docs). Every batch folds into exactly one
     // tenant's totals, so their sum is the engine's.
     std::lock_guard<std::mutex> lk(accountMutex_);
     for (const auto &entry : tenantTotals_) {
         const BatchSummary &t = entry.second.summary;
+        total.deviceCycles += t.deviceCycles;
+        total.buddyCycles += t.buddyCycles;
+        total.codecCycles += t.codecCycles;
         total.deviceWindowCycles += t.deviceWindowCycles;
         total.buddyWindowCycles += t.buddyWindowCycles;
         total.combinedWindowCycles += t.combinedWindowCycles;

@@ -28,13 +28,12 @@
  * Shard assignment hashes the allocation ordinal with a fixed salt
  * (EngineConfig::shardSalt) and per-shard RNG seeds derive from
  * EngineConfig::seed, so multi-threaded runs are reproducible
- * run-to-run. Cross-shard traffic totals — including the simulated
- * cycle charges of every shard's LinkModel-timed backing stores, which
- * are pure per-operation functions of the traffic — are bit-identical
- * to a single BuddyController executing the same plan; per-op metadata
- * hit/miss
- * results also match whenever the metadata working set fits the cache
- * (no capacity evictions), which tests/test_engine.cc pins.
+ * run-to-run. Cross-shard traffic totals — including the serial link
+ * and codec cycle charges, which are pure per-operation functions of
+ * the traffic — are bit-identical to a single BuddyController
+ * executing the same plan; per-op metadata hit/miss results also
+ * match whenever the metadata working set fits the cache (no capacity
+ * evictions), which tests/test_engine.cc pins.
  *
  * Thread-safety contract: allocate()/free()/attachSink()/detachSink()
  * and the merged-stat accessors must be called with no batch in flight
@@ -337,12 +336,14 @@ class ShardedEngine
     const EngineAllocation &allocationFor(Addr va) const;
 
     /**
-     * Merged controller statistics across all shards. The serial
-     * traffic/cycle fields are sums over the per-shard controllers; the
-     * *WindowCycles fields are the engine's own per-batch windowed
-     * totals — the merged submission-order stream's makespans under
-     * WindowMode::Merged (where the shards' own window totals stay 0),
-     * the max-over-shards (N-GPU) makespans under WindowMode::PerShard.
+     * Merged controller statistics across all shards. The traffic
+     * fields are sums over the per-shard controllers; all seven cycle
+     * fields are the engine's own per-batch totals (summed over
+     * tenantTotals()). Under WindowMode::Merged they come from the
+     * merged submission-order stream's one timing pass (the shards'
+     * own cycle totals stay 0); under WindowMode::PerShard the serial
+     * fields are the shard sums and the *WindowCycles fields the
+     * max-over-shards (N-GPU) makespans.
      */
     BuddyStats stats() const;
 

@@ -4,10 +4,11 @@
  *
  * The latency/bandwidth servers themselves live in src/timing/
  * (timing/servers.h: fractional-rate SectorServer / DramModel /
- * SectorLink; timing/link_model.h: the integer-cycle LinkModel every
- * BackingStore charges through). This header re-exports the names the
- * simulator uses and provides MemsysReplaySink, the bridge that turns
- * the controller's functional traffic stream into simulated time.
+ * SectorLink; timing/link_model.h: the integer-cycle servers the
+ * controller's timing pass charges through). This header re-exports
+ * the names the simulator uses and provides MemsysReplaySink, the
+ * bridge that turns the controller's functional traffic stream into
+ * simulated time.
  */
 
 #pragma once
@@ -35,12 +36,13 @@ using timing::SimTime;
  * first-order time estimate of a functional run without standing up the
  * full GpuSimulator pipeline.
  *
- * Timed backing stores can participate in the same clock: with
- * honor_store_cycles set, an event carrying integer cycle charges from
- * the store-level LinkModel cannot complete before the slower of its
- * store charges — remote traffic advances the timeline the cache-side
- * servers use instead of living in a separate counter. The coupling is
- * opt-in because every store is timed by default: when this sink's own
+ * The stores' link timing can participate in the same clock: with
+ * honor_store_cycles set, an event cannot complete before the slower
+ * of its serial link charges (AccessInfo::deviceCycles/buddyCycles,
+ * written by the controller's timing pass from the stores' LinkTiming)
+ * — remote traffic advances the timeline the cache-side servers use
+ * instead of living in a separate counter. The coupling is opt-in
+ * because every store is timed by default: when this sink's own
  * SectorLink already models the buddy interconnect, folding the store
  * charge in as well would model the same link twice with different
  * calibrations.
@@ -54,8 +56,8 @@ class MemsysReplaySink : public api::TrafficSink
      * @param issue_interval cycles between successive issued accesses
      *        (models the front end's issue rate).
      * @param honor_store_cycles bound each access's completion by its
-     *        LinkModel store charges (remote/peer replays where the
-     *        store timing is the link model; see file header).
+     *        serial link charges (remote/peer replays where the store
+     *        timing is the link model; see file header).
      */
     MemsysReplaySink(DramModel &dram, SectorLink &link,
                      double issue_interval = 1.0,
@@ -80,9 +82,9 @@ class MemsysReplaySink : public api::TrafficSink
                     : link_.read(now_, event.info.buddySectors);
             done = std::max(done, link_done);
         }
-        // Store-level LinkModel charges ride the same clock: the device
-        // and buddy portions of one access transfer in parallel, so the
-        // slower charge bounds the completion.
+        // Serial link charges ride the same clock: the device and buddy
+        // portions of one access transfer in parallel, so the slower
+        // charge bounds the completion.
         if (honorStoreCycles_) {
             const Cycles store =
                 std::max(event.info.deviceCycles, event.info.buddyCycles);

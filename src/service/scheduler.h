@@ -232,7 +232,7 @@ struct ServiceReport
 
 /**
  * Compare two accumulated summaries on the isolation-contract subset:
- * the functional totals (traffic counters, serial LinkModel cycles and
+ * the functional totals (traffic counters, serial link cycles and
  * unloaded codec cycles) that are pure per-batch functions of the plan,
  * plus — when @p windowed — the windowed-replay totals, codec-charged
  * makespan included, which join the contract

@@ -1,28 +1,26 @@
 /**
  * @file
- * The LinkModel timing subsystem: integer-cycle latency/bandwidth
- * servers that turn BackingStore traffic into simulated time.
+ * Link and codec timing parameters, and the integer-cycle
+ * latency/bandwidth server the windowed timing pass schedules through.
  *
- * Every BackingStore owns one LinkModel (see api/backing_store.h) and
- * charges each read/write round trip through it: a request issued at
- * the store's current simulated time occupies the per-direction
- * bandwidth server for ceil(bytes / bytesPerCycle) cycles and completes
- * a fixed link latency later. Stores are driven synchronously (each
- * operation issues when the previous one completed), so the per-request
- * charge is exactly the unloaded cost
+ * Every BackingStore carries the LinkTiming of its link (see
+ * api/backing_store.h); the stores themselves keep no clock. An
+ * access's link charge is a pure function of its traffic: a lone round
+ * trip of b bytes costs the unloaded
  *
  *     cost(bytes) = latency + ceil(bytes / bytesPerCycle)
  *
- * — a pure function of the transferred bytes. That purity is the
- * property the engine's determinism contract rests on: per-operation
- * cycle charges are independent of shard placement and thread
- * scheduling, so cross-shard cycle totals merge by addition and are
- * bit-identical to a single-controller run (tests/test_link_model.cc,
- * tests/test_engine.cc).
+ * which the batch's one timing pass (core/window_pass.h) writes into
+ * AccessInfo::deviceCycles/buddyCycles through RequestWindow::cost
+ * (timing/window.h). That purity is the property the engine's
+ * determinism contract rests on: per-operation cycle charges are
+ * independent of shard placement and thread scheduling, so cross-shard
+ * cycle totals merge by addition and are bit-identical to a
+ * single-controller run (tests/test_link_model.cc, tests/test_engine.cc).
  *
  * The servers themselves are general FCFS queues over a simulated
- * clock: driven with overlapping arrival times (as a memory-system
- * front end would) they serialize on the pipe and accumulate queueing
+ * clock: driven with overlapping arrival times (as the MSHR-style
+ * windows do) they serialize on the pipe and accumulate queueing
  * delay. The gpusim memory system's fractional-rate servers live in
  * timing/servers.h; both layers share this directory so the repo has
  * one home for time.
@@ -35,12 +33,12 @@
  * (not even latency), advances no clock, occupies no pipe and no
  * window slot, and leaves all counters untouched. The three layers pin
  * this identically: LatencyBandwidthServer::cost(0) == 0 and
- * request(now, 0) == now with no state change, LinkModel::charge(dir,
- * 0) == 0 with no clock advance, SectorServer::request(now, 0) == now
- * (timing/servers.h), and RequestWindow::issue(dir, 0) == 0 without
- * consuming a slot (timing/window.h). One cross-layer test in
- * tests/test_link_model.cc asserts all of them against each other, so
- * the layers cannot drift apart silently.
+ * request(now, 0) == now with no state change,
+ * SectorServer::request(now, 0) == now (timing/servers.h), and
+ * RequestWindow::cost(dir, 0) == 0 and RequestWindow::issue(dir, 0)
+ * == 0 without consuming a slot (timing/window.h). One cross-layer
+ * test in tests/test_link_model.cc asserts all of them against each
+ * other, so the layers cannot drift apart silently.
  */
 
 #pragma once
@@ -48,7 +46,6 @@
 #include <algorithm>
 #include <string>
 
-#include "common/check.h"
 #include "common/types.h"
 
 namespace buddy {
@@ -63,8 +60,8 @@ enum class LinkDir : u8 {
 /**
  * Latency/bandwidth parameters of one link. A bytesPerCycle of 0 means
  * infinite bandwidth (no transfer cycles); latency 0 means none. The
- * default-constructed timing is free: charging through it costs nothing,
- * which keeps untimed uses of a store exact no-ops.
+ * default-constructed timing is free: every request through it costs
+ * nothing.
  */
 struct LinkTiming
 {
@@ -209,76 +206,6 @@ class LatencyBandwidthServer
     Cycles queued_ = 0;
     u64 bytes_ = 0;
     u64 requests_ = 0;
-};
-
-/**
- * A full-duplex link: one latency/bandwidth server per direction plus
- * the simulated clock of the component that owns it. charge() issues a
- * request at the current clock, advances the clock to its completion,
- * and returns the cycles charged — the synchronous (blocking-driver)
- * discipline every BackingStore uses, under which the charge equals the
- * unloaded cost() exactly.
- */
-class LinkModel
-{
-  public:
-    explicit LinkModel(const LinkTiming &timing)
-        : timing_(timing),
-          read_(timing.latency, timing.readBytesPerCycle),
-          write_(timing.latency, timing.writeBytesPerCycle)
-    {}
-
-    /** Charge a @p bytes transfer in direction @p dir at the current
-     *  clock; advances the clock. Zero bytes charges 0 and does not
-     *  advance the clock (the zero-size request contract).
-     *  @return cycles charged. */
-    Cycles
-    charge(LinkDir dir, u64 bytes)
-    {
-        if (bytes == 0)
-            return 0;
-        const Cycles done = server(dir).request(now_, bytes);
-        const Cycles charged = done - now_;
-        now_ = done;
-        return charged;
-    }
-
-    /** Unloaded cost of a @p bytes transfer (closed form). */
-    Cycles
-    cost(LinkDir dir, u64 bytes) const
-    {
-        return dir == LinkDir::Read ? read_.cost(bytes)
-                                    : write_.cost(bytes);
-    }
-
-    /** Current simulated time: completion of the last charged request. */
-    Cycles now() const { return now_; }
-
-    const LinkTiming &timing() const { return timing_; }
-
-    const LatencyBandwidthServer &
-    reader() const
-    {
-        return read_;
-    }
-
-    const LatencyBandwidthServer &
-    writer() const
-    {
-        return write_;
-    }
-
-  private:
-    LatencyBandwidthServer &
-    server(LinkDir dir)
-    {
-        return dir == LinkDir::Read ? read_ : write_;
-    }
-
-    LinkTiming timing_;
-    LatencyBandwidthServer read_;
-    LatencyBandwidthServer write_;
-    Cycles now_ = 0;
 };
 
 } // namespace timing

@@ -12,8 +12,9 @@
  * bandwidth saturation, and the ~6x rate gap between device memory and
  * the interconnect (Section 4.2).
  *
- * The integer-cycle servers that BackingStores charge their round trips
- * through live next door in timing/link_model.h; the two layers share
+ * The integer-cycle servers the controller's timing pass charges
+ * round trips through live next door in timing/link_model.h; the two
+ * layers share
  * this directory so the repo has a single home for simulated time.
  */
 

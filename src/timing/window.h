@@ -2,12 +2,13 @@
  * @file
  * RequestWindow: MSHR-style windowed scheduling of link round trips.
  *
- * The store-level LinkModel (link_model.h) is driven synchronously:
- * every round trip pays the full link latency, which makes its totals a
+ * An access's serial link charge is the unloaded cost() of its round
+ * trip: it pays the full link latency, which makes the serial totals a
  * latency-bound upper bound. A real GPU keeps a finite pool of misses
  * outstanding (the MSHRs modeled by gpusim's SimConfig::mshrsPerSm) and
  * hides most of the round-trip latency behind them. RequestWindow
- * reproduces that discipline over the same LatencyBandwidthServers:
+ * reproduces that discipline over LatencyBandwidthServers
+ * (link_model.h):
  *
  *   - at most W round trips are in flight at once; request i may issue
  *     no earlier than the completion of request i-W (and never before a
@@ -27,20 +28,22 @@
  *
  *   W = 1   every request issues at its predecessor's completion; the
  *           charge is exactly latency + transfer — bit-identical to the
- *           serial LinkModel totals.
+ *           serial cost() of every request.
  *   W -> oo the window never binds; the stream is limited only by the
  *           bandwidth pipes and the makespan converges to the transfer
  *           occupancy (one trailing latency remains exposed).
  *
- * A window is a *scheduling* layer: it owns private servers and never
- * touches the store clocks, so serial per-operation charges — and every
- * determinism contract resting on their purity — are unchanged. The
- * windowed totals are themselves a pure function of the scheduled
- * request stream. One scheduler feeds the windows: windowBatch()
- * (core/window_pass.h), which issues a batch's submission-order stream
- * once per GPU boundary — called by BuddyController::execute and, under
- * WindowMode::Merged, by ShardedEngine over the merged batch — so the
- * totals are independent of sharding and thread scheduling.
+ * A window is a *scheduling* layer: it owns private servers, and
+ * cost() reads only the link timing, so the serial per-operation
+ * charges — and every determinism contract resting on their purity —
+ * are independent of what the window has issued. The windowed totals
+ * are themselves a pure function of the scheduled request stream. One
+ * scheduler feeds the windows: windowBatch() (core/window_pass.h),
+ * which issues a batch's submission-order stream once per GPU boundary
+ * — called by BuddyController::execute and, under WindowMode::Merged,
+ * by ShardedEngine over the merged batch — and writes every cycle field
+ * of the batch, so the totals are independent of sharding and thread
+ * scheduling.
  *
  * WindowGroup (below) schedules one access stream over a *pair* of
  * windows — the device link and the buddy link run in parallel — and
@@ -62,10 +65,10 @@
  * and no pre-existing total changes — the property the
  * CodecTiming{0, *} bit-compatibility contract rests on.
  *
- * Zero-size requests: issue() with zero bytes is free and occupies no
- * window slot — the shared zero-size request contract documented in
- * timing/link_model.h and pinned across all three timing layers by
- * tests/test_link_model.cc.
+ * Zero-size requests: cost() and issue() of zero bytes are free, and
+ * issue() occupies no window slot — the shared zero-size request
+ * contract documented in timing/link_model.h and pinned across all
+ * three timing layers by tests/test_link_model.cc.
  */
 
 #pragma once
@@ -114,10 +117,18 @@ class RequestWindow
         validateWindowedTiming(timing, window, "RequestWindow");
     }
 
+    /** Serial (unloaded) cost of a lone @p bytes round trip:
+     *  latency + transfer, 0 for zero bytes. */
+    Cycles
+    cost(LinkDir dir, u64 bytes) const
+    {
+        return dir == LinkDir::Read ? read_.cost(bytes) : write_.cost(bytes);
+    }
+
     /**
      * Issue a @p bytes round trip in direction @p dir as soon as a
      * window slot is free. Zero-byte requests are free and do not
-     * occupy a slot (matching the serial model's no-op charge).
+     * occupy a slot (matching cost(dir, 0) == 0).
      *
      * @return the completion-frontier advance this request caused; the
      *         charges of a stream telescope to elapsed().

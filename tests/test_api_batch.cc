@@ -57,7 +57,7 @@ sameInfo(const AccessInfo &a, const AccessInfo &b)
     return a.deviceSectors == b.deviceSectors &&
            a.buddySectors == b.buddySectors &&
            a.metadataHit == b.metadataHit && a.isZero == b.isZero &&
-           a.storedBits == b.storedBits &&
+           a.codecPass == b.codecPass && a.storedBits == b.storedBits &&
            a.deviceCycles == b.deviceCycles &&
            a.buddyCycles == b.buddyCycles;
 }
@@ -310,7 +310,7 @@ TEST(TrafficSink, MemsysReplayChargesDeviceAndLinkTraffic)
 TEST(TrafficSink, MemsysReplayOptionallyHonoursStoreCycleCharges)
 {
     // With honor_store_cycles, an access's completion is bounded by the
-    // slower of its LinkModel store charges: replaying one remote-timed
+    // slower of its serial link charges: replaying one remote-timed
     // access must end no earlier than the store-charged cycles.
     BuddyConfig cfg = smallConfig();
     cfg.buddyBackend = "remote";

@@ -86,7 +86,7 @@ sameInfo(const AccessInfo &a, const AccessInfo &b)
     return a.deviceSectors == b.deviceSectors &&
            a.buddySectors == b.buddySectors &&
            a.metadataHit == b.metadataHit && a.isZero == b.isZero &&
-           a.storedBits == b.storedBits &&
+           a.codecPass == b.codecPass && a.storedBits == b.storedBits &&
            a.deviceCycles == b.deviceCycles &&
            a.buddyCycles == b.buddyCycles &&
            a.deviceWindowCycles == b.deviceWindowCycles &&

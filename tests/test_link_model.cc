@@ -1,20 +1,23 @@
 /**
  * @file
- * Closed-form tests of the LinkModel timing subsystem: N sequential
- * round trips at latency L / bandwidth B must cost exactly the
- * analytically expected cycle count — on the raw servers, on dram /
- * remote / peer backing stores driven directly, and through
- * BuddyController::execute, where every per-operation cycle charge must
- * be a pure function of the operation's traffic. Also pins the
- * zero-size request contract across all three timing layers (the
- * LatencyBandwidthServer/LinkModel cycle layer, the continuous-time
- * SectorServer, and the windowed RequestWindow/WindowGroup): zero size
- * means non-request — no cost, no clock advance, no slot, no counters.
+ * Closed-form tests of the link timing layer: N sequential round trips
+ * at latency L / bandwidth B must cost exactly the analytically
+ * expected cycle count — on the raw servers, through
+ * RequestWindow::cost, and through BuddyController::execute over dram /
+ * remote / peer backing stores, where every per-operation cycle charge
+ * must be a pure function of the operation's traffic (whole 32 B
+ * sectors). Also pins the zero-size request contract across all three
+ * timing layers (the LatencyBandwidthServer cycle layer, the
+ * continuous-time SectorServer, and the windowed
+ * RequestWindow/WindowGroup): zero size means non-request — no cost,
+ * no clock advance, no slot, no counters.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "api/backing_store.h"
 #include "core/controller.h"
@@ -107,18 +110,6 @@ TEST(LinkModel, ZeroSizeRequestContractHoldsAcrossAllTimingLayers)
     EXPECT_EQ(lbs.busyCycles(), busy_before);
     EXPECT_EQ(lbs.queuedCycles(), 0u);
 
-    // ... and the LinkModel clock wrapping it.
-    LinkTiming t;
-    t.latency = 9;
-    t.readBytesPerCycle = 32;
-    t.writeBytesPerCycle = 32;
-    timing::LinkModel link(t);
-    link.charge(LinkDir::Write, 128);
-    const Cycles clock = link.now();
-    EXPECT_EQ(link.charge(LinkDir::Read, 0), 0u);
-    EXPECT_EQ(link.charge(LinkDir::Write, 0), 0u);
-    EXPECT_EQ(link.now(), clock);
-
     // Layer 2: the continuous-time SectorServer.
     timing::SectorServer ss(2.0, 30.0);
     ss.request(0.0, 4); // prime
@@ -133,7 +124,13 @@ TEST(LinkModel, ZeroSizeRequestContractHoldsAcrossAllTimingLayers)
     // Layer 3: the MSHR-style RequestWindow (and its group). A window
     // of 1 makes slot occupancy observable: if a zero-byte issue took a
     // slot, the third real request below would stall behind it.
+    LinkTiming t;
+    t.latency = 9;
+    t.readBytesPerCycle = 32;
+    t.writeBytesPerCycle = 32;
     timing::RequestWindow win(t, 1);
+    EXPECT_EQ(win.cost(LinkDir::Read, 0), 0u); // the serial charge too
+    EXPECT_EQ(win.cost(LinkDir::Write, 0), 0u);
     EXPECT_EQ(win.issue(LinkDir::Read, 0), 0u);
     EXPECT_EQ(win.issued(), 0u);
     EXPECT_EQ(win.outstanding(), 0u);
@@ -160,23 +157,35 @@ TEST(LinkModel, ZeroSizeRequestContractHoldsAcrossAllTimingLayers)
     EXPECT_EQ(group.combinedElapsed(), combined);
 }
 
-TEST(LinkModel, ChargeAdvancesClockByUnloadedCost)
+TEST(LinkModel, WindowCostIsUnloadedLatencyPlusTransfer)
 {
+    // RequestWindow::cost is the serial charge the timing pass writes
+    // into deviceCycles/buddyCycles: latency + ceil(bytes / B) in the
+    // request's direction.
     LinkTiming t;
     t.latency = 7;
     t.readBytesPerCycle = 32;
     t.writeBytesPerCycle = 16;
-    timing::LinkModel link(t);
+    timing::RequestWindow win(t, 4);
 
-    EXPECT_EQ(link.charge(LinkDir::Write, 128), 7u + 8u);
-    EXPECT_EQ(link.charge(LinkDir::Read, 128), 7u + 4u);
-    EXPECT_EQ(link.now(), 26u);
-    EXPECT_EQ(link.charge(LinkDir::Read, 0), 0u);
-    EXPECT_EQ(link.now(), 26u);
+    EXPECT_EQ(win.cost(LinkDir::Write, 128), 7u + 8u);
+    EXPECT_EQ(win.cost(LinkDir::Read, 128), 7u + 4u);
+    EXPECT_EQ(win.cost(LinkDir::Write, 96), 7u + 6u);
+    EXPECT_EQ(win.cost(LinkDir::Read, 33), 7u + 2u); // ceil(33 / 32)
+    EXPECT_EQ(win.cost(LinkDir::Read, 0), 0u);
 
-    // The blocking-driver discipline never queues.
-    EXPECT_EQ(link.reader().queuedCycles(), 0u);
-    EXPECT_EQ(link.writer().queuedCycles(), 0u);
+    // A pure function of the timing: what the window has issued (here
+    // enough to queue on both pipes) does not change it.
+    for (unsigned i = 0; i < 4; ++i) {
+        win.issue(LinkDir::Write, 128);
+        win.issue(LinkDir::Read, 128);
+    }
+    EXPECT_EQ(win.cost(LinkDir::Write, 128), 7u + 8u);
+    EXPECT_EQ(win.cost(LinkDir::Read, 128), 7u + 4u);
+
+    // Infinite bandwidth (0 B/cycle) charges the latency alone.
+    const timing::RequestWindow latency_only(LinkTiming{50, 0, 0}, 1);
+    EXPECT_EQ(latency_only.cost(LinkDir::Read, 4096), 50u);
 }
 
 TEST(LinkModel, DefaultTimingsRankKindsSensibly)
@@ -201,76 +210,145 @@ TEST(LinkModel, DefaultTimingsRankKindsSensibly)
 
 TEST(BackingStoreTiming, StoresChargeClosedFormCycles)
 {
-    // dram, remote, and peer stores with explicit timing: N writes then
-    // N reads of one entry each must cost exactly
-    // N * (L + ceil(128/Bw)) + N * (L + ceil(128/Br)).
+    // dram, remote, and peer stores with explicit timing behind a
+    // controller: every write, read and probe charges each link exactly
+    // L + ceil(sector-rounded bytes / B) for the bytes its stored
+    // payload puts on that link — raw entries' 128 B as well as
+    // compressed payloads that are not a whole number of sectors.
     constexpr Cycles kLat = 40;
     constexpr u64 kRead = 32, kWrite = 8;
     constexpr std::size_t kOps = 64;
-
-    LinkTiming t;
-    t.latency = kLat;
-    t.readBytesPerCycle = kRead;
-    t.writeBytesPerCycle = kWrite;
+    constexpr u64 kSlot = 64; // Ratio2: two device sectors per entry
+    const LinkTiming t{kLat, kRead, kWrite};
 
     for (const char *kind : {"dram", "remote", "peer"}) {
-        const auto store = makeBackingStore(kind, 64 * KiB, t);
-        EXPECT_STREQ(store->kind(), kind);
-        EXPECT_EQ(store->cyclesElapsed(), 0u);
+        BuddyConfig cfg;
+        cfg.deviceBytes = 8 * MiB;
+        cfg.deviceBackend = kind;
+        cfg.buddyBackend = kind;
+        cfg.deviceLink = t;
+        cfg.buddyLink = t;
+        BuddyController gpu(cfg);
+        EXPECT_STREQ(gpu.deviceStore().kind(), kind);
+        EXPECT_STREQ(gpu.carveOut().store().kind(), kind);
 
-        u8 buf[kEntryBytes] = {1, 2, 3};
-        Cycles charged = 0;
-        for (std::size_t i = 0; i < kOps; ++i)
-            charged += store->write(i * kEntryBytes, buf, kEntryBytes);
-        for (std::size_t i = 0; i < kOps; ++i)
-            charged += store->read(i * kEntryBytes, buf, kEntryBytes);
+        const auto id = gpu.allocate("a", kOps * kEntryBytes,
+                                     CompressionTarget::Ratio2);
+        ASSERT_TRUE(id.has_value());
+        const Addr va = gpu.allocations().at(*id).va;
+        Rng rng(5);
+        std::vector<u8> data(kOps * kEntryBytes), out(data.size());
+        for (std::size_t e = 0; e < kOps; ++e)
+            fillBucketEntry(rng, static_cast<unsigned>(e % kPatternBuckets),
+                            data.data() + e * kEntryBytes);
 
-        const Cycles expect =
-            kOps * (kLat + xferCycles(kEntryBytes, kWrite)) +
-            kOps * (kLat + xferCycles(kEntryBytes, kRead));
-        EXPECT_EQ(charged, expect) << kind;
-        EXPECT_EQ(store->cyclesElapsed(), expect) << kind;
-        EXPECT_EQ(store->roundTrips(), 2 * kOps) << kind;
+        AccessBatch w, r, p;
+        for (std::size_t e = 0; e < kOps; ++e) {
+            w.write(va + e * kEntryBytes, data.data() + e * kEntryBytes);
+            r.read(va + e * kEntryBytes, out.data() + e * kEntryBytes);
+            p.probe(va + e * kEntryBytes);
+        }
+        std::size_t odd = 0; // payloads that end mid-sector
+        u64 dev_sum = 0, bud_sum = 0;
+        for (AccessBatch *b : {&w, &r, &p}) {
+            gpu.execute(*b);
+            const bool write = b == &w;
+            for (std::size_t e = 0; e < kOps; ++e) {
+                const AccessInfo &i = b->result(e);
+                const u64 stored = (u64{i.storedBits} + 7) / 8;
+                const u64 on_dev = std::min(stored, kSlot);
+                const u64 bpc = write ? kWrite : kRead;
+                const auto expect = [&](u64 bytes) {
+                    return bytes ? kLat + xferCycles(bytes, bpc) : 0;
+                };
+                ASSERT_EQ(i.deviceCycles, expect(on_dev)) << kind << e;
+                ASSERT_EQ(i.buddyCycles, expect(stored - on_dev))
+                    << kind << e;
+                odd += stored % kSectorBytes != 0;
+                dev_sum += i.deviceCycles;
+                bud_sum += i.buddyCycles;
+            }
+        }
+        EXPECT_GT(odd, 0u) << kind;
+        EXPECT_EQ(std::memcmp(out.data(), data.data(), data.size()), 0);
+        EXPECT_EQ(gpu.stats().deviceCycles, dev_sum) << kind;
+        EXPECT_EQ(gpu.stats().buddyCycles, bud_sum) << kind;
+        EXPECT_GT(bud_sum, 0u) << kind; // incompressible entries spill
     }
 }
 
 TEST(BackingStoreTiming, OddLengthsChargeWholeSectors)
 {
-    LinkTiming t;
-    t.latency = 10;
-    t.readBytesPerCycle = 32;
-    t.writeBytesPerCycle = 32;
-    const auto store = makeBackingStore("remote", 4 * KiB, t);
+    // A compressed payload of S bytes, S not a multiple of 32, moves as
+    // ceil(S / 32) whole sectors: at 8 B/cycle it costs
+    // L + 4 * ceil(S / 32) cycles — for writes, reads and probes alike
+    // — not L + ceil(S / 8).
+    const LinkTiming t{10, 8, 8};
+    BuddyConfig cfg;
+    cfg.deviceBytes = 8 * MiB;
+    cfg.deviceBackend = "remote";
+    cfg.deviceLink = t;
+    BuddyController gpu(cfg);
+    const auto id =
+        gpu.allocate("a", 64 * kEntryBytes, CompressionTarget::None);
+    ASSERT_TRUE(id.has_value());
+    const Addr va = gpu.allocations().at(*id).va;
 
-    // 65 bytes transfer as three 32 B sectors (96 bytes): 10 + 3.
-    u8 buf[kEntryBytes] = {};
-    EXPECT_EQ(store->write(0, buf, 65), 13u);
-    EXPECT_EQ(store->read(0, buf, 65), 13u);
-    // chargeRead (the probe path) is bit-identical to a real read.
-    EXPECT_EQ(store->chargeRead(65), 13u);
-    EXPECT_EQ(store->cyclesElapsed(), 39u);
+    // Find an entry whose payload ends in the first three quarters of a
+    // sector, where the two formulas differ.
+    Rng rng(9);
+    std::vector<u8> data(kEntryBytes);
+    AccessBatch one(1);
+    u64 stored = 0;
+    for (unsigned tries = 0; tries < 256; ++tries) {
+        fillBucketEntry(rng, 1 + tries % (kPatternBuckets - 1),
+                        data.data());
+        one.clear();
+        one.write(va, data.data());
+        gpu.execute(one);
+        stored = (u64{one.result(0).storedBits} + 7) / 8;
+        const u64 tail = stored % kSectorBytes;
+        if (tail >= 1 && tail <= 24)
+            break;
+    }
+    const u64 tail = stored % kSectorBytes;
+    ASSERT_TRUE(tail >= 1 && tail <= 24) << "no odd-length payload";
+    const Cycles whole = 10 + 4 * ((stored + kSectorBytes - 1) / kSectorBytes);
+    EXPECT_NE(whole, 10 + (stored + 7) / 8);
+    EXPECT_EQ(one.result(0).deviceCycles, whole);
+    EXPECT_EQ(one.result(0).buddyCycles, 0u); // all on device
+
+    std::vector<u8> out(kEntryBytes);
+    one.clear();
+    one.read(va, out.data());
+    one.probe(va);
+    gpu.execute(one);
+    EXPECT_EQ(one.result(0).deviceCycles, whole);
+    EXPECT_EQ(one.result(1).deviceCycles, whole);
+    EXPECT_EQ(out, data);
 }
 
-TEST(BackingStoreTiming, StoreWindowsShareTimingButNotTheClock)
+TEST(BackingStoreTiming, StoreWindowsScheduleOverTheStoreTiming)
 {
     // makeWindow() is the store's windowed charging mode: it schedules
-    // over the store's link timing but owns private servers, so issuing
-    // through a window never advances the store's serial clock.
+    // over the store's link timing with private servers, so W = 1
+    // charges the serial cost and a wider window overlaps latency.
     LinkTiming t;
     t.latency = 40;
     t.readBytesPerCycle = 32;
     t.writeBytesPerCycle = 32;
     const auto store = makeBackingStore("remote", 4 * KiB, t);
+    EXPECT_EQ(store->timing().latency, 40u);
 
     auto serial = store->makeWindow(1);
     EXPECT_EQ(serial.issue(LinkDir::Read, kEntryBytes),
-              store->chargeRead(kEntryBytes));
+              serial.cost(LinkDir::Read, kEntryBytes));
+    EXPECT_EQ(serial.cost(LinkDir::Read, kEntryBytes),
+              40 + kEntryBytes / 32);
     auto windowed = store->makeWindow(8);
     for (unsigned i = 0; i < 8; ++i)
         windowed.issue(LinkDir::Read, kEntryBytes);
     EXPECT_LT(windowed.elapsed(), 8 * (40 + kEntryBytes / 32));
-    // Only the one serial chargeRead() above touched the store's clock.
-    EXPECT_EQ(store->cyclesElapsed(), 40 + kEntryBytes / 32);
 }
 
 TEST(BackingStoreTiming, PeerStoreRecordsItsOrdinal)
@@ -363,12 +441,6 @@ TEST(BackingStoreTiming, ControllerChargesArePureFunctionOfTraffic)
                   expectCycles(r.result(e), kBudLat, kBudBpc, false));
     }
     EXPECT_EQ(std::memcmp(out.data(), data.data(), data.size()), 0);
-
-    // The store clocks agree with the per-op sums.
-    EXPECT_EQ(gpu.stats().deviceCycles,
-              gpu.deviceStore().cyclesElapsed());
-    EXPECT_EQ(gpu.stats().buddyCycles,
-              gpu.carveOut().store().cyclesElapsed());
 }
 
 TEST(BackingStoreTiming, EngineWiresPeerRingAndChargesPeerLinks)
@@ -407,6 +479,7 @@ TEST(BackingStoreTiming, EngineWiresPeerRingAndChargesPeerLinks)
         plan.write(vas[i], data.data() + i * kEntryBytes);
     eng.execute(plan);
     EXPECT_GT(plan.summary().buddyCycles, 0u);
+    u64 buddy_cycles = plan.summary().buddyCycles;
 
     plan.clear();
     for (std::size_t i = 0; i < vas.size(); ++i)
@@ -414,11 +487,9 @@ TEST(BackingStoreTiming, EngineWiresPeerRingAndChargesPeerLinks)
     eng.execute(plan);
     EXPECT_EQ(std::memcmp(out.data(), data.data(), data.size()), 0);
 
-    // Merged stats equal the sum over the per-shard peer-store clocks.
-    u64 clock_sum = 0;
-    for (unsigned s = 0; s < eng.shardCount(); ++s)
-        clock_sum += eng.shard(s).carveOut().store().cyclesElapsed();
-    EXPECT_EQ(eng.stats().buddyCycles, clock_sum);
+    // The engine's stats carry its batches' charges.
+    buddy_cycles += plan.summary().buddyCycles;
+    EXPECT_EQ(eng.stats().buddyCycles, buddy_cycles);
 }
 
 } // namespace

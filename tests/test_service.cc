@@ -6,7 +6,7 @@
  *
  * The heart is the isolation contract: with a deterministic scheduler
  * seed, every tenant's functional totals — traffic counters, serial
- * LinkModel cycles, and (under the engine's default merged window
+ * link cycles, and (under the engine's default merged window
  * mode) the windowed totals — must be bit-identical to replaying its
  * stream alone on a private identically-configured engine, no matter
  * how many other tenants contend for the same shards. Everything else

@@ -3,7 +3,7 @@
  * Closed-form tests of the windowed (MSHR-style) timing replay
  * (timing/window.h):
  *
- *   - W = 1 reproduces the serial LinkModel charges bit-for-bit, per
+ *   - W = 1 reproduces the serial cost() charges bit-for-bit, per
  *     request and in total, on randomized mixed streams;
  *   - an effectively unbounded window converges to the bandwidth bound
  *     (transfer occupancy plus one exposed latency, exactly);
@@ -26,16 +26,21 @@
  *     frontier, the pipelined admission matches a closed form, and the
  *     codec-charged makespan is bracketed by the combined makespan and
  *     combined + the summed codec latencies, monotone in the codec's
- *     initiation interval.
+ *     initiation interval;
+ *   - the timing contract: an untimed run charges no time, and
+ *     windowBatch() over fresh windows then reproduces execute()'s
+ *     results and summary field for field.
  */
 
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/controller.h"
+#include "core/window_pass.h"
 #include "timing/link_model.h"
 #include "timing/window.h"
 #include "workloads/patterns.h"
@@ -50,7 +55,6 @@ using timing::GroupCharge;
 using timing::LatencyBandwidthServer;
 using timing::LinkDir;
 using timing::LinkTiming;
-using timing::LinkModel;
 using timing::RequestWindow;
 using timing::WindowGroup;
 
@@ -71,7 +75,7 @@ randomStream(u64 seed, std::size_t n)
     return ops;
 }
 
-TEST(RequestWindow, SerialWindowMatchesLinkModelBitForBit)
+TEST(RequestWindow, SerialWindowMatchesCostBitForBit)
 {
     LinkTiming t;
     t.latency = 83;
@@ -80,13 +84,13 @@ TEST(RequestWindow, SerialWindowMatchesLinkModelBitForBit)
 
     for (const u64 seed : {1ull, 2ull, 3ull}) {
         RequestWindow win(t, 1);
-        LinkModel serial(t);
+        Cycles serial = 0;
         for (const auto &[dir, bytes] : randomStream(seed, 500)) {
             const Cycles charged = win.issue(dir, bytes);
-            ASSERT_EQ(charged, serial.charge(dir, bytes))
-                << "seed " << seed;
+            ASSERT_EQ(charged, win.cost(dir, bytes)) << "seed " << seed;
+            serial += charged;
         }
-        EXPECT_EQ(win.elapsed(), serial.now()) << "seed " << seed;
+        EXPECT_EQ(win.elapsed(), serial) << "seed " << seed;
         // The serial discipline never queues on the pipes.
         EXPECT_EQ(win.reader().queuedCycles(), 0u);
         EXPECT_EQ(win.writer().queuedCycles(), 0u);
@@ -673,6 +677,146 @@ TEST(WindowedController, WindowedTotalsFallBetweenBoundsAndShrink)
             // 50-cycle buddy latency over hundreds of spilling reads:
             // a real window must hide a measurable amount of it.
             EXPECT_LT(s.windowTotalCycles(), s.totalCycles()) << "W " << w;
+        }
+    }
+}
+
+/** Every field of two AccessInfos, codecPass included, is equal. */
+bool
+sameInfo(const AccessInfo &a, const AccessInfo &b)
+{
+    return a.deviceSectors == b.deviceSectors &&
+           a.buddySectors == b.buddySectors &&
+           a.metadataHit == b.metadataHit && a.isZero == b.isZero &&
+           a.codecPass == b.codecPass && a.storedBits == b.storedBits &&
+           a.deviceCycles == b.deviceCycles &&
+           a.buddyCycles == b.buddyCycles &&
+           a.deviceWindowCycles == b.deviceWindowCycles &&
+           a.buddyWindowCycles == b.buddyWindowCycles &&
+           a.combinedWindowCycles == b.combinedWindowCycles &&
+           a.codecCycles == b.codecCycles &&
+           a.codecChargedWindowCycles == b.codecChargedWindowCycles;
+}
+
+/** Every field of two BatchSummaries is equal. */
+bool
+sameSummary(const BatchSummary &a, const BatchSummary &b)
+{
+    return a.reads == b.reads && a.writes == b.writes &&
+           a.probes == b.probes && a.deviceSectors == b.deviceSectors &&
+           a.buddySectors == b.buddySectors &&
+           a.metadataHits == b.metadataHits &&
+           a.metadataMisses == b.metadataMisses &&
+           a.buddyAccesses == b.buddyAccesses &&
+           a.deviceCycles == b.deviceCycles &&
+           a.buddyCycles == b.buddyCycles &&
+           a.deviceWindowCycles == b.deviceWindowCycles &&
+           a.buddyWindowCycles == b.buddyWindowCycles &&
+           a.combinedWindowCycles == b.combinedWindowCycles &&
+           a.codecCycles == b.codecCycles &&
+           a.codecChargedWindowCycles == b.codecChargedWindowCycles;
+}
+
+/** True if every Cycles field of @p i is 0. */
+bool
+untimed(const AccessInfo &i)
+{
+    return i.deviceCycles == 0 && i.buddyCycles == 0 &&
+           i.deviceWindowCycles == 0 && i.buddyWindowCycles == 0 &&
+           i.combinedWindowCycles == 0 && i.codecCycles == 0 &&
+           i.codecChargedWindowCycles == 0;
+}
+
+/** True if every cycle total of @p s is 0. */
+bool
+untimed(const BatchSummary &s)
+{
+    return s.deviceCycles == 0 && s.buddyCycles == 0 &&
+           s.deviceWindowCycles == 0 && s.buddyWindowCycles == 0 &&
+           s.combinedWindowCycles == 0 && s.codecCycles == 0 &&
+           s.codecChargedWindowCycles == 0;
+}
+
+TEST(WindowedController, TimingPassOverUntimedRunMatchesExecute)
+{
+    // The timing contract: the functional pass charges no time, and
+    // every cycle field is a function of the traffic it records, so
+    // timing an untimed run's results afterwards reproduces execute().
+    constexpr std::size_t kN = 256;
+    for (const u64 w : {1ull, 8ull}) {
+        for (const CodecTiming codec : {CodecTiming{}, CodecTiming{3, 4}}) {
+            BuddyConfig cfg = windowedConfig(w);
+            cfg.codecTiming = codec;
+            BuddyController timed(cfg), plain(cfg);
+            const auto ta = timed.allocate("a", kN * kEntryBytes,
+                                           CompressionTarget::Ratio2);
+            const auto pa = plain.allocate("a", kN * kEntryBytes,
+                                           CompressionTarget::Ratio2);
+            ASSERT_TRUE(ta && pa);
+            const Addr va = timed.allocations().at(*ta).va;
+            ASSERT_EQ(va, plain.allocations().at(*pa).va);
+
+            Rng rng(41);
+            std::vector<u8> data(kN * kEntryBytes);
+            for (std::size_t e = 0; e < kN; ++e)
+                fillBucketEntry(rng,
+                                static_cast<unsigned>(e % kPatternBuckets),
+                                data.data() + e * kEntryBytes);
+            std::vector<u8> outT(data.size()), outP(data.size());
+
+            // A fill, then reads, probes and overwrites interleaved.
+            AccessBatch fillT, fillP, mixT, mixP;
+            for (std::size_t e = 0; e < kN; ++e) {
+                const Addr a = va + e * kEntryBytes;
+                const u8 *src = data.data() + e * kEntryBytes;
+                fillT.write(a, src);
+                fillP.write(a, src);
+                const u8 *again =
+                    data.data() + (kN - 1 - e) * kEntryBytes;
+                switch (e % 3) {
+                  case 0:
+                    mixT.read(a, outT.data() + e * kEntryBytes);
+                    mixP.read(a, outP.data() + e * kEntryBytes);
+                    break;
+                  case 1:
+                    mixT.probe(a);
+                    mixP.probe(a);
+                    break;
+                  default:
+                    mixT.write(a, again);
+                    mixP.write(a, again);
+                }
+            }
+
+            for (auto [t, p] : {std::pair{&fillT, &fillP},
+                                std::pair{&mixT, &mixP}}) {
+                timed.execute(*t);
+                plain.run(*p, false);
+                ASSERT_TRUE(untimed(p->summary()));
+                std::vector<AccessInfo> infos = p->results();
+                for (const AccessInfo &i : infos)
+                    ASSERT_TRUE(untimed(i));
+
+                WindowGroup windows(
+                    plain.deviceStore().makeWindow(w),
+                    plain.carveOut().store().makeWindow(w),
+                    plain.codecTiming());
+                BatchSummary sum = p->summary();
+                windowBatch(p->ops(), infos, windows, sum);
+                for (std::size_t i = 0; i < infos.size(); ++i)
+                    ASSERT_TRUE(sameInfo(infos[i], t->result(i)))
+                        << "W " << w << " op " << i;
+                EXPECT_TRUE(sameSummary(sum, t->summary())) << "W " << w;
+                EXPECT_GT(sum.buddyCycles, 0u);
+                EXPECT_EQ(sum.codecCycles > 0, !codec.free());
+            }
+            EXPECT_EQ(outP, outT);
+            const BuddyStats &st = plain.stats();
+            EXPECT_EQ(st.deviceCycles + st.buddyCycles + st.codecCycles +
+                          st.deviceWindowCycles + st.buddyWindowCycles +
+                          st.combinedWindowCycles +
+                          st.codecChargedWindowCycles,
+                      0u);
         }
     }
 }
