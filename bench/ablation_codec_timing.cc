@@ -4,10 +4,10 @@
  *
  * The paper's design point is an inline hardware codec fast enough to
  * hide behind the NVLink transfers. This ablation asks how much of the
- * timing story depends on that assumption: the same write+read pass
- * over a compressible working set is re-timed under a ladder of
- * CodecTiming points, from a free unit through the registry's hardware
- * defaults out to a software-LZ4-class unit that is orders of
+ * timing story depends on that assumption: one write+read pass over a
+ * compressible working set runs once, untimed, and is re-timed under a
+ * ladder of CodecTiming points, from a free unit through the registry's
+ * hardware defaults out to a software-LZ4-class unit that is orders of
  * magnitude slower (one entry per ~hundred cycles, deep pipeline).
  *
  * The codec stage is charged through the windowed scheduler
@@ -33,8 +33,8 @@
 #include "common/rng.h"
 #include "common/table.h"
 #include "core/controller.h"
+#include "core/window_pass.h"
 #include "obs/report.h"
-#include "timing/window.h"
 #include "workloads/patterns.h"
 
 using namespace buddy;
@@ -48,7 +48,7 @@ struct SpeedPoint
     timing::CodecTiming timing;
 };
 
-/** Cycle totals of one write+read pass under one CodecTiming. */
+/** Cycle totals of the write+read pass under one CodecTiming. */
 struct PassTotals
 {
     u64 serial = 0;
@@ -56,22 +56,16 @@ struct PassTotals
     u64 combined = 0;
     u64 codecCharged = 0;
     u64 codecSerial = 0;
-
-    bool linksEqual(const PassTotals &o) const
-    {
-        return serial == o.serial && windowed == o.windowed &&
-               combined == o.combined;
-    }
 };
 
-/** Write the compressible set and read it back under @p timing. */
-PassTotals
-runPass(std::size_t entries, u64 window, const std::string &codec,
-        const timing::CodecTiming &timing)
+/** Write the compressible set and read it back once, untimed, then
+ *  re-time both plans (core/window_pass.h) per rung of @p ladder. */
+std::vector<PassTotals>
+sweep(std::size_t entries, u64 window, const std::string &codec,
+      const std::vector<SpeedPoint> &ladder)
 {
     BuddyConfig cfg;
     cfg.codec = codec;
-    cfg.codecTiming = timing;
     cfg.deviceBytes = entries * kEntryBytes + 8 * MiB;
     cfg.linkWindow = window;
     BuddyController gpu(cfg);
@@ -93,27 +87,31 @@ runPass(std::size_t entries, u64 window, const std::string &codec,
         fillBucketEntry(rng, static_cast<unsigned>(e % kPatternBuckets),
                         data.data() + e * kEntryBytes);
 
-    PassTotals t;
-    const auto accumulate = [&](const BatchSummary &s) {
-        t.serial += s.totalCycles();
-        t.windowed += s.windowTotalCycles();
-        t.combined += s.combinedWindowCycles;
-        t.codecCharged += s.codecChargedWindowCycles;
-        t.codecSerial += s.codecCycles;
-    };
-
-    AccessBatch plan(entries);
-    for (std::size_t e = 0; e < entries; ++e)
-        plan.write(va + e * kEntryBytes, data.data() + e * kEntryBytes);
-    accumulate(gpu.execute(plan));
-
-    plan.clear();
     std::vector<u8> readback(entries * kEntryBytes);
-    for (std::size_t e = 0; e < entries; ++e)
-        plan.read(va + e * kEntryBytes,
-                  readback.data() + e * kEntryBytes);
-    accumulate(gpu.execute(plan));
-    return t;
+    AccessBatch writes(entries), reads(entries);
+    for (std::size_t e = 0; e < entries; ++e) {
+        writes.write(va + e * kEntryBytes, data.data() + e * kEntryBytes);
+        reads.read(va + e * kEntryBytes, readback.data() + e * kEntryBytes);
+    }
+    gpu.run(writes, false);
+    gpu.run(reads, false);
+
+    std::vector<PassTotals> totals;
+    for (const SpeedPoint &p : ladder) {
+        BatchSummary s;
+        // Each plan is its own latency-overlap scope: fresh windows.
+        for (const AccessBatch *pass : {&writes, &reads}) {
+            timing::WindowGroup windows(
+                gpu.deviceStore().makeWindow(window),
+                gpu.carveOut().store().makeWindow(window), p.timing);
+            std::vector<AccessInfo> infos = pass->results();
+            windowBatch(pass->ops(), infos, windows, s);
+        }
+        totals.push_back({s.totalCycles(), s.windowTotalCycles(),
+                          s.combinedWindowCycles,
+                          s.codecChargedWindowCycles, s.codecCycles});
+    }
+    return totals;
 }
 
 } // namespace
@@ -151,10 +149,12 @@ main(int argc, char **argv)
 
     Table t({"codec unit", "cyc/entry", "depth", "comb-total",
              "codec-charged", "codec-serial", "vs comb"});
-    std::vector<PassTotals> totals;
+    const std::vector<PassTotals> totals =
+        sweep(entries, window, codec, ladder);
     bool ok = true;
-    for (const SpeedPoint &p : ladder) {
-        const PassTotals r = runPass(entries, window, codec, p.timing);
+    for (std::size_t i = 0; i < ladder.size(); ++i) {
+        const SpeedPoint &p = ladder[i];
+        const PassTotals &r = totals[i];
         t.addRow({p.name,
                   strfmt("%llu",
                          (unsigned long long)p.timing.cyclesPerEntry),
@@ -167,7 +167,9 @@ main(int argc, char **argv)
                                       static_cast<double>(r.combined))});
 
         // Structural guarantees, rung by rung.
-        if (!totals.empty() && !r.linksEqual(totals.front())) {
+        const PassTotals &f = totals.front();
+        if (r.serial != f.serial || r.windowed != f.windowed ||
+            r.combined != f.combined) {
             std::printf("FAIL: %s perturbed the link totals\n", p.name);
             ok = false;
         }
@@ -178,8 +180,7 @@ main(int argc, char **argv)
                         (unsigned long long)r.combined);
             ok = false;
         }
-        if (!totals.empty() &&
-            r.codecCharged < totals.back().codecCharged) {
+        if (i > 0 && r.codecCharged < totals[i - 1].codecCharged) {
             std::printf("FAIL: %s charged less than the faster rung "
                         "above it\n",
                         p.name);
@@ -192,7 +193,6 @@ main(int argc, char **argv)
                         p.name, (unsigned long long)r.codecCharged);
             ok = false;
         }
-        totals.push_back(r);
     }
     t.print();
 

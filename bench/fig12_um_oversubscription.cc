@@ -41,12 +41,14 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <type_traits>
 #include <vector>
 
 #include "common/cli.h"
 #include "common/rng.h"
 #include "common/table.h"
 #include "core/controller.h"
+#include "core/window_pass.h"
 #include "engine/engine.h"
 #include "obs/report.h"
 #include "umsim/um.h"
@@ -119,8 +121,9 @@ buildOversubSet(Target &target, std::size_t entries, double oversub)
 }
 
 /**
- * Read the whole set back. @return the executed read plan: its results
- * and summary (the read destinations are gone).
+ * Read the whole set back, untimed on a controller (timedReadCycles
+ * re-times it). @return the executed read plan: its results and
+ * summary (the read destinations are gone).
  */
 template <typename Target>
 AccessBatch
@@ -130,34 +133,29 @@ readOversubSet(Target &target, const std::vector<Addr> &vas)
     std::vector<u8> readback(vas.size() * kEntryBytes);
     for (std::size_t i = 0; i < vas.size(); ++i)
         plan.read(vas[i], readback.data() + i * kEntryBytes);
-    target.execute(plan);
+    if constexpr (std::is_same_v<Target, BuddyController>)
+        target.run(plan, false);
+    else
+        target.execute(plan);
     return plan;
 }
 
 /**
  * Simulated cycles to read an @p entries-entry set of which a fraction
- * @p oversub lives behind the buddy link (see buildOversubSet).
+ * @p oversub lives behind the buddy link (see buildOversubSet), per W
+ * of @p windows: one untimed read pass, re-timed (core/window_pass.h).
  */
-TimedPass
-timedReadCycles(std::size_t entries, double oversub, u64 window)
+std::vector<TimedPass>
+timedReadCycles(std::size_t entries, double oversub,
+                const std::vector<u64> &windows)
 {
     BuddyConfig cfg;
     cfg.deviceBytes = entries * kEntryBytes + 8 * MiB;
-    cfg.linkWindow = window;
     BuddyController gpu(cfg);
 
-    const std::vector<Addr> vas =
-        buildOversubSet(gpu, entries, oversub);
+    const AccessBatch read =
+        readOversubSet(gpu, buildOversubSet(gpu, entries, oversub));
 
-    const AccessBatch read = readOversubSet(gpu, vas);
-    const BatchSummary &read_pass = read.summary();
-
-    TimedPass t;
-    t.serial = read_pass.totalCycles();
-    t.windowed = read_pass.windowTotalCycles();
-    t.combined = read_pass.combinedWindowCycles;
-    t.codec = read_pass.codecChargedWindowCycles;
-    t.codecSerial = read_pass.codecCycles;
     // Perfectly overlapped, the read pass takes as long as its busiest
     // pipe is occupied: the summed transfer cycles of its reads.
     const timing::LinkTiming &dt = gpu.deviceStore().timing();
@@ -171,8 +169,19 @@ timedReadCycles(std::size_t entries, double oversub, u64 window)
         dev_busy += dev.transferCycles(u64{i.deviceSectors} * kSectorBytes);
         bud_busy += bud.transferCycles(u64{i.buddySectors} * kSectorBytes);
     }
-    t.bw = std::max(dev_busy, bud_busy);
-    return t;
+    std::vector<TimedPass> passes;
+    for (const u64 w : windows) {
+        timing::WindowGroup group(gpu.deviceStore().makeWindow(w),
+                                  gpu.carveOut().store().makeWindow(w),
+                                  gpu.codecTiming());
+        std::vector<AccessInfo> infos = read.results();
+        BatchSummary s;
+        windowBatch(read.ops(), infos, group, s);
+        passes.push_back({s.totalCycles(), std::max(dev_busy, bud_busy),
+                          s.windowTotalCycles(), s.combinedWindowCycles,
+                          s.codecChargedWindowCycles, s.codecCycles});
+    }
+    return passes;
 }
 
 /**
@@ -210,8 +219,8 @@ smokeCheck(std::size_t entries, u64 window, unsigned gpus)
 {
     bool ok = true;
     for (const double o : {0.0, 0.2, 0.4}) {
-        const TimedPass serial1 = timedReadCycles(entries, o, 1);
-        const TimedPass win = timedReadCycles(entries, o, window);
+        const auto pass = timedReadCycles(entries, o, {1, window});
+        const TimedPass &serial1 = pass[0], &win = pass[1];
 
         // W=1 reproduces the serial bound bit-for-bit.
         if (serial1.windowed != serial1.serial) {
@@ -275,9 +284,8 @@ smokeCheck(std::size_t entries, u64 window, unsigned gpus)
                         (unsigned long long)one_gpu, o * 100);
             ok = false;
         }
-        // Determinism: the timed passes are pure functions of their
-        // configs.
-        const TimedPass again = timedReadCycles(entries, o, window);
+        // Determinism: the timed passes are pure functions of their configs.
+        const TimedPass again = timedReadCycles(entries, o, {window})[0];
         if (again.windowed != win.windowed ||
             again.serial != win.serial || again.bw != win.bw ||
             again.combined != win.combined ||
@@ -351,19 +359,19 @@ main(int argc, char **argv)
     Table t(headers);
 
     // The timed buddy-link lines are workload-independent in this model
-    // (the link charge depends only on the spilled fraction): compute
-    // the cycle ratios once per oversubscription point.
+    // (the link charge depends only on the spilled fraction): one read
+    // pass per point, re-timed at ws[0] = --window and the sweep's Ws.
     const std::size_t entries =
         static_cast<std::size_t>(cli.uintOf("entries"));
-    const TimedPass timed_base = timedReadCycles(entries, 0.0, window);
-    std::vector<TimedPass> timed;
+    const std::vector<u64> ws = {window, 1, 2, 4, 8, 16, 32, 64, 256};
+    std::vector<std::vector<TimedPass>> timed; // [oversub][ws]
     std::vector<u64> pershard;
     for (const double o : oversub) {
-        timed.push_back(timedReadCycles(entries, o, window));
+        timed.push_back(timedReadCycles(entries, o, ws));
         pershard.push_back(
             timedReadCyclesPerShard(entries, o, window, gpus));
     }
-    const u64 pershard_base = pershard[0]; // 0% oversubscription
+    const TimedPass &timed_base = timed[0][0]; // 0% oversubscription
 
     for (const char *name : {"360.ilbdc", "356.sp", "351.palm"}) {
         const auto &spec = findBenchmark(name);
@@ -392,14 +400,13 @@ main(int argc, char **argv)
             pin.push_back(strfmt(
                 "%.2f",
                 runUm(spec, cfg, UmMode::Pinned, o).cycles / base));
-            win.push_back(
-                ratioCell(timed[i].windowed, timed_base.windowed));
-            comb.push_back(
-                ratioCell(timed[i].combined, timed_base.combined));
-            codec.push_back(ratioCell(timed[i].codec, timed_base.codec));
-            ngpu.push_back(ratioCell(pershard[i], pershard_base));
-            ser.push_back(ratioCell(timed[i].serial, timed_base.serial));
-            bwb.push_back(ratioCell(timed[i].bw, timed_base.bw));
+            const TimedPass &p = timed[i][0];
+            win.push_back(ratioCell(p.windowed, timed_base.windowed));
+            comb.push_back(ratioCell(p.combined, timed_base.combined));
+            codec.push_back(ratioCell(p.codec, timed_base.codec));
+            ngpu.push_back(ratioCell(pershard[i], pershard[0]));
+            ser.push_back(ratioCell(p.serial, timed_base.serial));
+            bwb.push_back(ratioCell(p.bw, timed_base.bw));
         }
         t.addRow(mig);
         t.addRow(pin);
@@ -422,26 +429,19 @@ main(int argc, char **argv)
     for (const double o : oversub)
         sweep_headers.push_back(strfmt("%.0f%%", o * 100));
     Table sweep(sweep_headers);
-    for (const u64 w : {1ull, 2ull, 4ull, 8ull, 16ull, 32ull, 64ull,
-                        256ull}) {
+    for (std::size_t k = 1; k < ws.size(); ++k) {
         std::vector<std::string> row = {
-            strfmt("%llu", (unsigned long long)w)};
-        for (std::size_t i = 0; i < oversub.size(); ++i) {
-            // The main table already ran this W; reuse its pass.
-            const u64 cycles =
-                w == window
-                    ? timed[i].windowed
-                    : timedReadCycles(entries, oversub[i], w).windowed;
-            row.push_back(
-                strfmt("%.2f", static_cast<double>(cycles) / 1e6));
-        }
+            strfmt("%llu", (unsigned long long)ws[k])};
+        for (const std::vector<TimedPass> &p : timed)
+            row.push_back(strfmt(
+                "%.2f", static_cast<double>(p[k].windowed) / 1e6));
         sweep.addRow(row);
     }
     {
         std::vector<std::string> row = {"bw bound"};
-        for (std::size_t i = 0; i < oversub.size(); ++i)
-            row.push_back(strfmt(
-                "%.2f", static_cast<double>(timed[i].bw) / 1e6));
+        for (const std::vector<TimedPass> &p : timed)
+            row.push_back(
+                strfmt("%.2f", static_cast<double>(p[0].bw) / 1e6));
         sweep.addRow(row);
     }
     sweep.print();

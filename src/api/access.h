@@ -76,82 +76,19 @@ struct AccessInfo
 
     /** Exact stored payload size in bits (0 for zero entries). This
      *  field, isZero and codecPass sit in the padding after
-     *  metadataHit, so the struct stays 72 bytes on LP64. */
+     *  metadataHit, so the struct stays 24 bytes on LP64. */
     u32 storedBits = 0;
 
     /**
-     * Serial device-link charge of this access: the unloaded cost of
-     * its device sectors, latency + ceil(bytes / bytesPerCycle)
-     * (RequestWindow::cost, timing/window.h). Every Cycles field is
-     * written by the batch's one timing pass (core/window_pass.h) from
-     * the traffic fields above, which the functional pass fills; an
-     * untimed run leaves them all 0. A pure function of the traffic,
-     * so it is identical under any sharding — the engine's determinism
-     * contract extends to these fields.
-     */
-    Cycles deviceCycles = 0;
-
-    /** Serial buddy-link charge of the buddy sectors (see above). */
-    Cycles buddyCycles = 0;
-
-    /**
-     * Device-link share of the batch's windowed (MSHR-style) timing
-     * replay: the advance of the window's completion frontier this
-     * access caused (see timing/window.h). The charges of a batch
-     * telescope, so their sum is the windowed makespan of the batch's
-     * device-link stream. Under the engine's
-     * default WindowMode::Merged the engine windows the merged
-     * submission-order traffic — a pure function of the plan — so the
-     * charges are identical under any sharding, like the serial
-     * fields; under WindowMode::PerShard each shard windows its own
-     * sub-stream, so they depend on the sharding by design. At
-     * BuddyConfig::linkWindow == 1 this equals deviceCycles exactly.
-     */
-    Cycles deviceWindowCycles = 0;
-
-    /** Buddy-link share of the windowed replay (see above). */
-    Cycles buddyWindowCycles = 0;
-
-    /**
-     * Combined (cross-link) share of the windowed replay: the advance
-     * of the batch's *combined* completion frontier — the max over the
-     * device and buddy link frontiers (timing/window.h WindowGroup).
-     * The two links run in parallel, so these charges telescope to
-     * max(device makespan, buddy makespan) per batch, a tighter
-     * makespan than the per-link sum, bracketed per batch by
-     * max(deviceWindowCycles, buddyWindowCycles) totals and their sum.
-     * Like the other window fields, the per-op charges are
-     * shard-invariant only under WindowMode::Merged (the engine
-     * windows the merged stream); under WindowMode::PerShard they are
-     * each shard's own sub-stream charges, which depend on the
-     * sharding by design (still reproducible run-to-run).
-     */
-    Cycles combinedWindowCycles = 0;
-
-    /**
-     * Unloaded (de)compression latency of this access through the
-     * configured codec's inline unit (CodecTiming::latency per
-     * processed entry; see timing/link_model.h): nonzero exactly when
-     * codecPass is set and the codec timing is nonzero. A pure function
-     * of the op and the codec configuration, so it rides the engine's
-     * determinism contract like the serial link charges. Never folded
-     * into deviceCycles/buddyCycles: link occupancy stays a pure
-     * function of the traffic.
+     * Unloaded (de)compression latency of this access
+     * (CodecTiming::latency when codecPass is set, else 0), written by
+     * the batch's one timing pass (core/window_pass.h); an untimed run
+     * leaves it 0. The only time an AccessInfo carries: link charges
+     * are batch-level and live in BatchSummary. It stays only because
+     * perfbench reads "codecCycles > 0" as its codec-pass marker;
+     * codecPass carries the same fact.
      */
     Cycles codecCycles = 0;
-
-    /**
-     * Codec-charged share of the windowed replay: the advance of the
-     * batch's codec-charged frontier — each op's completion including
-     * its (de)compression through the batch's shared CodecStage
-     * (timing/window.h). Telescopes to the batch's codec-charged
-     * makespan: combinedWindowCycles plus exactly the codec time the
-     * pipelined unit could not hide behind link transfers; equal to
-     * combinedWindowCycles when the codec timing is free. Shard-
-     * invariance follows combinedWindowCycles: exact under
-     * WindowMode::Merged, per-shard by design under PerShard.
-     */
-    Cycles codecChargedWindowCycles = 0;
 
     /** True if any part of the entry lives in buddy memory. */
     bool
@@ -173,9 +110,10 @@ struct BatchSummary
     u64 metadataMisses = 0;
     u64 buddyAccesses = 0; ///< operations that touched buddy memory
 
-    /** Serial device-link charges of the batch (AccessInfo::
-     *  deviceCycles sums); like every cycle total here, written by
-     *  the timing pass and 0 after an untimed run. */
+    /** Serial device-link charges of the batch: each op's unloaded
+     *  device round trip (RequestWindow::cost), summed. Like every
+     *  cycle total here, written by the timing pass from the ops'
+     *  traffic and 0 after an untimed run. */
     u64 deviceCycles = 0;
 
     /** Serial buddy/interconnect-link charges of the batch. */

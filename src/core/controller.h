@@ -22,8 +22,9 @@
  * read/write/probe spans, get one AccessInfo per operation plus a
  * batch-level BatchSummary. execute() runs two passes: the functional
  * pass (codec, metadata, stores; it charges no time) and then one
- * timing pass over the batch (core/window_pass.h), which writes every
- * cycle field from the traffic the functional pass recorded. Every
+ * timing pass over the batch (core/window_pass.h), which writes the
+ * batch's cycle totals from the traffic the functional pass recorded
+ * (an AccessInfo is a traffic record; time is batch-level). Every
  * batch reuses the controller's CompressionScratch, so the path
  * performs zero per-entry heap allocations.
  *
@@ -114,7 +115,7 @@ struct BuddyConfig
      * the MSHR pool the timing pass models (see timing/window.h). Every
      * executed batch's traffic is scheduled through one RequestWindow
      * per link in submission order (core/window_pass.h), filling the
-     * *WindowCycles fields of AccessInfo/BatchSummary/BuddyStats; the
+     * *WindowCycles totals of BatchSummary/BuddyStats; the
      * serial deviceCycles/buddyCycles fields are the same windows'
      * unloaded cost() and do not depend on W.
      * The default of 1 reproduces the serial deviceCycles/buddyCycles
@@ -162,7 +163,7 @@ struct BuddyStats
     u64 buddyAccesses = 0;  ///< accesses that touched buddy memory
     u64 overflowEntries = 0; ///< current entries spilling to buddy
 
-    /** Serial device-link charges (AccessInfo::deviceCycles sums). All
+    /** Serial device-link charges (BatchSummary::deviceCycles sums). All
      *  seven cycle totals are written by timed batches only, so they
      *  stay 0 on an engine shard under WindowMode::Merged, which times
      *  nothing (ShardedEngine::stats() reports the engine's own). */
@@ -185,7 +186,7 @@ struct BuddyStats
      */
     u64 combinedWindowCycles = 0;
 
-    /** Unloaded codec latency charged (AccessInfo::codecCycles sums):
+    /** Unloaded codec latency charged (BatchSummary::codecCycles sums):
      *  additive serial occupancy of the inline unit. */
     u64 codecCycles = 0;
 
@@ -256,10 +257,12 @@ class BuddyController
 
     /**
      * execute(), whose timing pass runs only when @p timed. Untimed,
-     * every Cycles field of the results, the summary and stats_ stays
-     * 0, and windowBatch() (core/window_pass.h) over fresh windows
-     * times the results later, bit-identically to execute(). Either
-     * way, attached sinks see the batch's events once it is finished.
+     * every cycle total of the summary and stats_ (and each result's
+     * codecCycles) stays 0, and windowBatch() (core/window_pass.h)
+     * over fresh windows re-times the results later — at this
+     * controller's config bit-identically to execute(), or at any other
+     * W or codec timing without re-executing. Either way, attached
+     * sinks see the batch's events once it is finished.
      */
     const BatchSummary &run(AccessBatch &batch, bool timed);
 

@@ -27,20 +27,14 @@ windowBatch(const std::vector<AccessRequest> &ops,
         if (info.codecPass)
             work = write ? timing::CodecWork::Compress
                          : timing::CodecWork::Decompress;
-        info.deviceCycles = windows.device().cost(dir, dev_bytes);
-        info.buddyCycles = windows.buddy().cost(dir, bud_bytes);
         info.codecCycles =
             info.codecPass ? windows.codec().timing().latency() : 0;
-        summary.deviceCycles += info.deviceCycles;
-        summary.buddyCycles += info.buddyCycles;
+        summary.deviceCycles += windows.device().cost(dir, dev_bytes);
+        summary.buddyCycles += windows.buddy().cost(dir, bud_bytes);
         summary.codecCycles += info.codecCycles;
 
         const timing::GroupCharge charge =
             windows.issue(dir, dev_bytes, bud_bytes, work);
-        info.deviceWindowCycles = charge.device;
-        info.buddyWindowCycles = charge.buddy;
-        info.combinedWindowCycles = charge.combined;
-        info.codecChargedWindowCycles = charge.codecCharged;
         summary.deviceWindowCycles += charge.device;
         summary.buddyWindowCycles += charge.buddy;
         summary.combinedWindowCycles += charge.combined;

@@ -2,7 +2,8 @@
  * @file
  * The timing pass: the one place a batch's traffic is turned into
  * simulated time, serial charges and MSHR-style link windows
- * (timing/window.h) alike.
+ * (timing/window.h) alike. Time is batch-level: the pass writes the
+ * BatchSummary totals, not per-op charges.
  *
  * Timing is a pure function of each op's direction, sectors and codec
  * pass, which the functional pass (BuddyController) fills in.
@@ -26,10 +27,12 @@ namespace buddy {
  * Time one batch through @p windows, a fresh group (the batch is the
  * latency-overlap scope). Reads each op's direction from @p ops and its
  * sectors and codec pass from @p infos (compression for writes,
- * decompression otherwise); writes all seven cycle fields of every
- * info — the serial deviceCycles/buddyCycles (RequestWindow::cost) and
- * codecCycles, and the four *WindowCycles — and adds them to
- * @p summary. When
+ * decompression otherwise); adds the seven cycle totals to @p summary —
+ * the serial device/buddy charges (RequestWindow::cost), the codec
+ * latency, and the four windowed makespans — and writes each info's
+ * codecCycles, the one cycle field an AccessInfo keeps. Any traffic
+ * record re-times this way: over fresh windows of any W or codec
+ * timing, without re-executing the batch. When
  * given, @p occupancy and @p stall sample each op's post-issue window
  * occupancy (both links) and window-constraint wait.
  */

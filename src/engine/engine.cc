@@ -367,7 +367,7 @@ ShardedEngine::finish(BatchJob &job)
 
     const bool perShard = cfg_.shard.windowMode == WindowMode::PerShard;
     if (!perShard) {
-        // The shards ran only the functional pass (cycle fields 0), so
+        // The shards ran only the functional pass (cycle totals 0), so
         // this is the batch's one timing pass: the submission-order
         // traffic through one window group — the single-GPU equivalent
         // of the batch. Per-op traffic is a pure function of the plan,
@@ -383,8 +383,8 @@ ShardedEngine::finish(BatchJob &job)
         maxBudOut = group.buddy().maxOutstanding();
     } else {
         // Per-shard window mode: each shard windowed its own sub-plan
-        // over its own links (one MSHR pool per GPU) and the per-op
-        // charges scattered above stand. The batch completes at a
+        // over its own links (one MSHR pool per GPU), and the serial
+        // and codec totals folded above stand. The batch completes at a
         // cross-shard barrier, so its windowed totals are the max over
         // the participating shards' makespans, not the sum folded
         // above: the N-GPU makespan. max() is order-independent, so

@@ -36,16 +36,10 @@ using timing::SimTime;
  * first-order time estimate of a functional run without standing up the
  * full GpuSimulator pipeline.
  *
- * The stores' link timing can participate in the same clock: with
- * honor_store_cycles set, an event cannot complete before the slower
- * of its serial link charges (AccessInfo::deviceCycles/buddyCycles,
- * written by the controller's timing pass from the stores' LinkTiming)
- * — remote traffic advances the timeline the cache-side servers use
- * instead of living in a separate counter. The coupling is opt-in
- * because every store is timed by default: when this sink's own
- * SectorLink already models the buddy interconnect, folding the store
- * charge in as well would model the same link twice with different
- * calibrations.
+ * The sink times events from their traffic alone (sector counts and
+ * direction); it is independent of the stores' LinkTiming, which only
+ * the controller's batch-level timing pass (core/window_pass.h)
+ * charges.
  */
 class MemsysReplaySink : public api::TrafficSink
 {
@@ -55,15 +49,10 @@ class MemsysReplaySink : public api::TrafficSink
      * @param link interconnect timing model (charged buddySectors).
      * @param issue_interval cycles between successive issued accesses
      *        (models the front end's issue rate).
-     * @param honor_store_cycles bound each access's completion by its
-     *        serial link charges (remote/peer replays where the store
-     *        timing is the link model; see file header).
      */
     MemsysReplaySink(DramModel &dram, SectorLink &link,
-                     double issue_interval = 1.0,
-                     bool honor_store_cycles = false)
-        : dram_(dram), link_(link), issueInterval_(issue_interval),
-          honorStoreCycles_(honor_store_cycles)
+                     double issue_interval = 1.0)
+        : dram_(dram), link_(link), issueInterval_(issue_interval)
     {}
 
     void
@@ -82,15 +71,6 @@ class MemsysReplaySink : public api::TrafficSink
                     : link_.read(now_, event.info.buddySectors);
             done = std::max(done, link_done);
         }
-        // Serial link charges ride the same clock: the device and buddy
-        // portions of one access transfer in parallel, so the slower
-        // charge bounds the completion.
-        if (honorStoreCycles_) {
-            const Cycles store =
-                std::max(event.info.deviceCycles, event.info.buddyCycles);
-            if (store)
-                done = std::max(done, now_ + static_cast<SimTime>(store));
-        }
         end_ = std::max(end_, done);
         now_ += issueInterval_;
         ++ops_;
@@ -106,7 +86,6 @@ class MemsysReplaySink : public api::TrafficSink
     DramModel &dram_;
     SectorLink &link_;
     double issueInterval_;
-    bool honorStoreCycles_;
     SimTime now_ = 0.0;
     SimTime end_ = 0.0;
     u64 ops_ = 0;

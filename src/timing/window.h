@@ -41,8 +41,8 @@
  * scheduler feeds the windows: windowBatch() (core/window_pass.h),
  * which issues a batch's submission-order stream once per GPU boundary
  * — called by BuddyController::execute and, under WindowMode::Merged,
- * by ShardedEngine over the merged batch — and writes every cycle field
- * of the batch, so the totals are independent of sharding and thread
+ * by ShardedEngine over the merged batch — and writes the batch's
+ * cycle totals, so they are independent of sharding and thread
  * scheduling.
  *
  * WindowGroup (below) schedules one access stream over a *pair* of

@@ -63,15 +63,6 @@ readOne(BuddyController &c, Addr va, u8 *out)
     return batch.result(0);
 }
 
-AccessInfo
-probeOne(BuddyController &c, Addr va)
-{
-    AccessBatch batch(1);
-    batch.probe(va);
-    c.execute(batch);
-    return batch.result(0);
-}
-
 TEST(Controller, AllocateReservesDeviceByTargetRatio)
 {
     BuddyController c(smallConfig());
@@ -315,17 +306,22 @@ TEST(Controller, ProbeMatchesReadTraffic)
             fillCompressible(rng, entry);
         else
             fillRandom(rng, entry);
-        const auto write_info = writeOne(c, addr, entry);
-        EXPECT_GT(write_info.combinedWindowCycles, 0u) << "write " << i;
+        // One-op batches: each summary carries that op's charges.
+        AccessBatch write(1), read(1), probe(1);
+        write.write(addr, entry);
+        EXPECT_GT(c.execute(write).combinedWindowCycles, 0u)
+            << "write " << i;
 
         u8 out[kEntryBytes];
-        const auto read_info = readOne(c, addr, out);
+        read.read(addr, out);
+        probe.probe(addr);
+        const BatchSummary r = c.execute(read);
+        const BatchSummary p = c.execute(probe);
         EXPECT_EQ(std::memcmp(out, entry, kEntryBytes), 0) << "read " << i;
-        const auto probe_info = probeOne(c, addr);
-        EXPECT_EQ(read_info.deviceSectors, probe_info.deviceSectors);
-        EXPECT_EQ(read_info.buddySectors, probe_info.buddySectors);
-        EXPECT_EQ(read_info.deviceCycles, probe_info.deviceCycles);
-        EXPECT_EQ(read_info.buddyCycles, probe_info.buddyCycles);
+        EXPECT_EQ(r.deviceSectors, p.deviceSectors);
+        EXPECT_EQ(r.buddySectors, p.buddySectors);
+        EXPECT_EQ(r.deviceCycles, p.deviceCycles);
+        EXPECT_EQ(r.buddyCycles, p.buddyCycles);
     }
 }
 

@@ -87,13 +87,7 @@ sameInfo(const AccessInfo &a, const AccessInfo &b)
            a.buddySectors == b.buddySectors &&
            a.metadataHit == b.metadataHit && a.isZero == b.isZero &&
            a.codecPass == b.codecPass && a.storedBits == b.storedBits &&
-           a.deviceCycles == b.deviceCycles &&
-           a.buddyCycles == b.buddyCycles &&
-           a.deviceWindowCycles == b.deviceWindowCycles &&
-           a.buddyWindowCycles == b.buddyWindowCycles &&
-           a.combinedWindowCycles == b.combinedWindowCycles &&
-           a.codecCycles == b.codecCycles &&
-           a.codecChargedWindowCycles == b.codecChargedWindowCycles;
+           a.codecCycles == b.codecCycles;
 }
 
 bool

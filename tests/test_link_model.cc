@@ -43,6 +43,34 @@ xferCycles(u64 bytes, u64 bpc)
     return bpc ? (sect + bpc - 1) / bpc : 0;
 }
 
+/** One op executed alone: its result, and its one-op batch's summary,
+ *  whose serial totals are exactly that op's link charges. */
+struct SoloOp
+{
+    AccessInfo info;
+    BatchSummary summary;
+};
+
+/** Execute every op of @p plan, in plan order, as its own one-op batch. */
+std::vector<SoloOp>
+executeEach(BuddyController &gpu, const AccessBatch &plan)
+{
+    std::vector<SoloOp> out;
+    AccessBatch one(1);
+    for (const AccessRequest &op : plan.ops()) {
+        one.clear();
+        if (op.kind == AccessKind::Write)
+            one.write(op.va, op.src);
+        else if (op.kind == AccessKind::Read)
+            one.read(op.va, op.dst);
+        else
+            one.probe(op.va);
+        const BatchSummary s = gpu.execute(one);
+        out.push_back({one.result(0), s});
+    }
+    return out;
+}
+
 TEST(LatencyBandwidthServer, SequentialRoundTripsMatchClosedForm)
 {
     // Blocking driver: each request issues at the completion of the
@@ -250,23 +278,21 @@ TEST(BackingStoreTiming, StoresChargeClosedFormCycles)
         }
         std::size_t odd = 0; // payloads that end mid-sector
         u64 dev_sum = 0, bud_sum = 0;
-        for (AccessBatch *b : {&w, &r, &p}) {
-            gpu.execute(*b);
+        for (const AccessBatch *b : {&w, &r, &p}) {
             const bool write = b == &w;
-            for (std::size_t e = 0; e < kOps; ++e) {
-                const AccessInfo &i = b->result(e);
-                const u64 stored = (u64{i.storedBits} + 7) / 8;
+            for (const SoloOp &op : executeEach(gpu, *b)) {
+                const u64 stored = (u64{op.info.storedBits} + 7) / 8;
                 const u64 on_dev = std::min(stored, kSlot);
                 const u64 bpc = write ? kWrite : kRead;
                 const auto expect = [&](u64 bytes) {
                     return bytes ? kLat + xferCycles(bytes, bpc) : 0;
                 };
-                ASSERT_EQ(i.deviceCycles, expect(on_dev)) << kind << e;
-                ASSERT_EQ(i.buddyCycles, expect(stored - on_dev))
-                    << kind << e;
+                const BatchSummary &s = op.summary;
+                ASSERT_EQ(s.deviceCycles, expect(on_dev)) << kind;
+                ASSERT_EQ(s.buddyCycles, expect(stored - on_dev)) << kind;
                 odd += stored % kSectorBytes != 0;
-                dev_sum += i.deviceCycles;
-                bud_sum += i.buddyCycles;
+                dev_sum += s.deviceCycles;
+                bud_sum += s.buddyCycles;
             }
         }
         EXPECT_GT(odd, 0u) << kind;
@@ -315,16 +341,17 @@ TEST(BackingStoreTiming, OddLengthsChargeWholeSectors)
     ASSERT_TRUE(tail >= 1 && tail <= 24) << "no odd-length payload";
     const Cycles whole = 10 + 4 * ((stored + kSectorBytes - 1) / kSectorBytes);
     EXPECT_NE(whole, 10 + (stored + 7) / 8);
-    EXPECT_EQ(one.result(0).deviceCycles, whole);
-    EXPECT_EQ(one.result(0).buddyCycles, 0u); // all on device
+    // One-op batches: each summary carries that op's charges.
+    EXPECT_EQ(one.summary().deviceCycles, whole);
+    EXPECT_EQ(one.summary().buddyCycles, 0u); // all on device
 
     std::vector<u8> out(kEntryBytes);
     one.clear();
     one.read(va, out.data());
+    EXPECT_EQ(gpu.execute(one).deviceCycles, whole);
+    one.clear();
     one.probe(va);
-    gpu.execute(one);
-    EXPECT_EQ(one.result(0).deviceCycles, whole);
-    EXPECT_EQ(one.result(1).deviceCycles, whole);
+    EXPECT_EQ(gpu.execute(one).deviceCycles, whole);
     EXPECT_EQ(out, data);
 }
 
@@ -364,10 +391,12 @@ TEST(BackingStoreTiming, PeerStoreRecordsItsOrdinal)
 
 /**
  * Controller-driven closed form: the cycle charge of every executed
- * operation must be a pure function of its traffic —
+ * operation — a one-op batch's serial totals — must be a pure function
+ * of its traffic —
  *   deviceCycles = devL + ceil(deviceSectors * 32 / devB)  (if any)
  *   buddyCycles  = budL + ceil(buddySectors * 32 / budB)   (if any)
- * — for writes, reads, and probes alike, on any workload.
+ * — for writes, reads, and probes alike, on any workload, and a
+ * batch's totals must be the sum of its ops' charges.
  */
 TEST(BackingStoreTiming, ControllerChargesArePureFunctionOfTraffic)
 {
@@ -402,20 +431,21 @@ TEST(BackingStoreTiming, ControllerChargesArePureFunctionOfTraffic)
         return lat + (bytes + bpc - 1) / bpc;
     };
 
+    // The whole write batch, then the same writes one op at a time (a
+    // rewrite of identical data moves identical traffic).
     AccessBatch w;
     for (std::size_t e = 0; e < n; ++e)
         w.write(va + e * kEntryBytes, data.data() + e * kEntryBytes);
     gpu.execute(w);
     u64 dev_sum = 0, bud_sum = 0;
-    for (std::size_t e = 0; e < n; ++e) {
-        const AccessInfo &i = w.result(e);
-        ASSERT_EQ(i.deviceCycles,
-                  expectCycles(i, kDevLat, kDevBpc, true))
-            << "write " << e;
-        ASSERT_EQ(i.buddyCycles, expectCycles(i, kBudLat, kBudBpc, false))
-            << "write " << e;
-        dev_sum += i.deviceCycles;
-        bud_sum += i.buddyCycles;
+    for (const SoloOp &op : executeEach(gpu, w)) {
+        const BatchSummary &s = op.summary;
+        ASSERT_EQ(s.deviceCycles,
+                  expectCycles(op.info, kDevLat, kDevBpc, true));
+        ASSERT_EQ(s.buddyCycles,
+                  expectCycles(op.info, kBudLat, kBudBpc, false));
+        dev_sum += s.deviceCycles;
+        bud_sum += s.buddyCycles;
     }
     EXPECT_EQ(w.summary().deviceCycles, dev_sum);
     EXPECT_EQ(w.summary().buddyCycles, bud_sum);
@@ -424,21 +454,21 @@ TEST(BackingStoreTiming, ControllerChargesArePureFunctionOfTraffic)
     // Probes and reads of the same entries charge identical cycles.
     AccessBatch p, r;
     std::vector<u8> out(n * kEntryBytes);
-    for (std::size_t e = 0; e < n; ++e)
-        p.probe(va + e * kEntryBytes);
-    gpu.execute(p);
-    for (std::size_t e = 0; e < n; ++e)
-        r.read(va + e * kEntryBytes, out.data() + e * kEntryBytes);
-    gpu.execute(r);
     for (std::size_t e = 0; e < n; ++e) {
-        ASSERT_EQ(p.result(e).deviceCycles, r.result(e).deviceCycles)
-            << "op " << e;
-        ASSERT_EQ(p.result(e).buddyCycles, r.result(e).buddyCycles)
-            << "op " << e;
-        ASSERT_EQ(r.result(e).deviceCycles,
-                  expectCycles(r.result(e), kDevLat, kDevBpc, true));
-        ASSERT_EQ(r.result(e).buddyCycles,
-                  expectCycles(r.result(e), kBudLat, kBudBpc, false));
+        p.probe(va + e * kEntryBytes);
+        r.read(va + e * kEntryBytes, out.data() + e * kEntryBytes);
+    }
+    const std::vector<SoloOp> probes = executeEach(gpu, p);
+    const std::vector<SoloOp> reads = executeEach(gpu, r);
+    for (std::size_t e = 0; e < n; ++e) {
+        const BatchSummary &ps = probes[e].summary;
+        const BatchSummary &rs = reads[e].summary;
+        ASSERT_EQ(ps.deviceCycles, rs.deviceCycles) << "op " << e;
+        ASSERT_EQ(ps.buddyCycles, rs.buddyCycles) << "op " << e;
+        ASSERT_EQ(rs.deviceCycles,
+                  expectCycles(reads[e].info, kDevLat, kDevBpc, true));
+        ASSERT_EQ(rs.buddyCycles,
+                  expectCycles(reads[e].info, kBudLat, kBudBpc, false));
     }
     EXPECT_EQ(std::memcmp(out.data(), data.data(), data.size()), 0);
 }

@@ -557,8 +557,8 @@ TEST(WindowedController, WindowOneReproducesSerialTotalsBitForBit)
 
 TEST(WindowedController, OneOpBatchesReportCombinedAsLinkMax)
 {
-    // A one-op batch is a lone request in a fresh group, so the
-    // combined charge is exactly the max of the two serial link
+    // A one-op batch is a lone request in a fresh group, so its
+    // combined makespan is exactly the max of its two serial link
     // charges.
     BuddyController gpu(windowedConfig(1));
     const auto id =
@@ -567,10 +567,9 @@ TEST(WindowedController, OneOpBatchesReportCombinedAsLinkMax)
     const Addr va = gpu.allocations().at(*id).va;
     AccessBatch one(1);
     const auto oneOp = [&]() {
-        gpu.execute(one);
-        const AccessInfo info = one.result(0);
+        const BatchSummary s = gpu.execute(one);
         one.clear();
-        return info;
+        return s;
     };
 
     Rng rng(23);
@@ -578,7 +577,7 @@ TEST(WindowedController, OneOpBatchesReportCombinedAsLinkMax)
     for (auto &b : data)
         b = static_cast<u8>(rng.below(256)); // incompressible: spills
     one.write(va, data.data());
-    const AccessInfo w = oneOp();
+    const BatchSummary w = oneOp();
     EXPECT_GT(w.buddyCycles, 0u);
     EXPECT_EQ(w.combinedWindowCycles,
               std::max(w.deviceCycles, w.buddyCycles));
@@ -591,14 +590,14 @@ TEST(WindowedController, OneOpBatchesReportCombinedAsLinkMax)
 
     std::vector<u8> out(kEntryBytes);
     one.read(va, out.data());
-    const AccessInfo r = oneOp();
+    const BatchSummary r = oneOp();
     EXPECT_EQ(r.combinedWindowCycles,
               std::max(r.deviceCycles, r.buddyCycles));
     // The entry is stored Raw, so the read bypasses the decompressor.
     EXPECT_EQ(r.codecCycles, 0u);
     EXPECT_EQ(r.codecChargedWindowCycles, r.combinedWindowCycles);
     one.probe(va);
-    const AccessInfo p = oneOp();
+    const BatchSummary p = oneOp();
     EXPECT_EQ(p.combinedWindowCycles,
               std::max(p.deviceCycles, p.buddyCycles));
     EXPECT_EQ(p.codecCycles, 0u);
@@ -607,8 +606,8 @@ TEST(WindowedController, OneOpBatchesReportCombinedAsLinkMax)
 TEST(WindowedController, WindowedTotalsFallBetweenBoundsAndShrink)
 {
     // The same functional workload under growing windows: totals are
-    // monotone nonincreasing, every per-op charge is bounded by its
-    // serial charge, and the aggregate stays above the transfer
+    // monotone nonincreasing, each link's windowed makespan is bounded
+    // by its serial charges, and the aggregate stays above the transfer
     // occupancy (the bandwidth bound).
     constexpr std::size_t kN = 512;
     constexpr u64 kBudBpc = 8;
@@ -643,19 +642,13 @@ TEST(WindowedController, WindowedTotalsFallBetweenBoundsAndShrink)
         const BatchSummary &s = gpu.execute(read_plan);
 
         u64 bud_occupancy = 0; // the read pass's buddy bandwidth bound
-        for (std::size_t e = 0; e < kN; ++e) {
-            const AccessInfo &i = read_plan.result(e);
-            EXPECT_LE(i.deviceWindowCycles, i.deviceCycles);
-            EXPECT_LE(i.buddyWindowCycles, i.buddyCycles);
-            // Per access the combined advance is 1-Lipschitz-bounded
-            // by the per-link advances.
-            EXPECT_LE(i.combinedWindowCycles,
-                      i.deviceWindowCycles + i.buddyWindowCycles);
+        for (const AccessInfo &i : read_plan.results())
             bud_occupancy +=
                 (static_cast<u64>(i.buddySectors) * kSectorBytes +
                  kBudBpc - 1) /
                 kBudBpc;
-        }
+        EXPECT_LE(s.deviceWindowCycles, s.deviceCycles);
+        EXPECT_LE(s.buddyWindowCycles, s.buddyCycles);
         EXPECT_GE(s.buddyWindowCycles, bud_occupancy);
         EXPECT_LE(s.windowTotalCycles(), s.totalCycles());
         // The tentpole bracket: the cross-link combined makespan is
@@ -681,21 +674,14 @@ TEST(WindowedController, WindowedTotalsFallBetweenBoundsAndShrink)
     }
 }
 
-/** Every field of two AccessInfos, codecPass included, is equal. */
+/** The traffic fields of two AccessInfos (all but codecCycles) match. */
 bool
-sameInfo(const AccessInfo &a, const AccessInfo &b)
+sameTraffic(const AccessInfo &a, const AccessInfo &b)
 {
     return a.deviceSectors == b.deviceSectors &&
            a.buddySectors == b.buddySectors &&
            a.metadataHit == b.metadataHit && a.isZero == b.isZero &&
-           a.codecPass == b.codecPass && a.storedBits == b.storedBits &&
-           a.deviceCycles == b.deviceCycles &&
-           a.buddyCycles == b.buddyCycles &&
-           a.deviceWindowCycles == b.deviceWindowCycles &&
-           a.buddyWindowCycles == b.buddyWindowCycles &&
-           a.combinedWindowCycles == b.combinedWindowCycles &&
-           a.codecCycles == b.codecCycles &&
-           a.codecChargedWindowCycles == b.codecChargedWindowCycles;
+           a.codecPass == b.codecPass && a.storedBits == b.storedBits;
 }
 
 /** Every field of two BatchSummaries is equal. */
@@ -717,16 +703,6 @@ sameSummary(const BatchSummary &a, const BatchSummary &b)
            a.codecChargedWindowCycles == b.codecChargedWindowCycles;
 }
 
-/** True if every Cycles field of @p i is 0. */
-bool
-untimed(const AccessInfo &i)
-{
-    return i.deviceCycles == 0 && i.buddyCycles == 0 &&
-           i.deviceWindowCycles == 0 && i.buddyWindowCycles == 0 &&
-           i.combinedWindowCycles == 0 && i.codecCycles == 0 &&
-           i.codecChargedWindowCycles == 0;
-}
-
 /** True if every cycle total of @p s is 0. */
 bool
 untimed(const BatchSummary &s)
@@ -737,86 +713,102 @@ untimed(const BatchSummary &s)
            s.codecChargedWindowCycles == 0;
 }
 
-TEST(WindowedController, TimingPassOverUntimedRunMatchesExecute)
+/**
+ * A fill, then reads, probes and overwrites interleaved, of the @p n
+ * entries at @p va; reads land in @p out.
+ */
+std::vector<AccessBatch>
+fillThenMix(Addr va, std::size_t n, const std::vector<u8> &data,
+            std::vector<u8> &out)
+{
+    std::vector<AccessBatch> plans(2);
+    for (std::size_t e = 0; e < n; ++e) {
+        const Addr a = va + e * kEntryBytes;
+        plans[0].write(a, data.data() + e * kEntryBytes);
+        switch (e % 3) {
+          case 0:
+            plans[1].read(a, out.data() + e * kEntryBytes);
+            break;
+          case 1:
+            plans[1].probe(a);
+            break;
+          default:
+            plans[1].write(a, data.data() + (n - 1 - e) * kEntryBytes);
+        }
+    }
+    return plans;
+}
+
+TEST(WindowedController, RetimingOneUntimedPassMatchesExecuteAtEveryConfig)
 {
     // The timing contract: the functional pass charges no time, and
-    // every cycle field is a function of the traffic it records, so
-    // timing an untimed run's results afterwards reproduces execute().
+    // every cycle total is a function of the traffic it records. So one
+    // untimed run, re-timed at any W and codec timing, reproduces a
+    // fresh controller's execute() at that config, field for field.
     constexpr std::size_t kN = 256;
-    for (const u64 w : {1ull, 8ull}) {
+    Rng rng(41);
+    std::vector<u8> data(kN * kEntryBytes);
+    for (std::size_t e = 0; e < kN; ++e)
+        fillBucketEntry(rng, static_cast<unsigned>(e % kPatternBuckets),
+                        data.data() + e * kEntryBytes);
+
+    // The one functional pass. Neither W nor the codec timing reaches
+    // it, so any config serves.
+    BuddyController plain(windowedConfig(1));
+    const auto pa =
+        plain.allocate("a", kN * kEntryBytes, CompressionTarget::Ratio2);
+    ASSERT_TRUE(pa);
+    const Addr va = plain.allocations().at(*pa).va;
+    std::vector<u8> outP(data.size());
+    std::vector<AccessBatch> untimedPlans = fillThenMix(va, kN, data, outP);
+    for (AccessBatch &p : untimedPlans) {
+        plain.run(p, false);
+        ASSERT_TRUE(untimed(p.summary()));
+        for (const AccessInfo &i : p.results())
+            ASSERT_EQ(i.codecCycles, 0u);
+    }
+    const BuddyStats &st = plain.stats();
+    EXPECT_EQ(st.deviceCycles + st.buddyCycles + st.codecCycles +
+                  st.deviceWindowCycles + st.buddyWindowCycles +
+                  st.combinedWindowCycles + st.codecChargedWindowCycles,
+              0u);
+
+    for (const u64 w : {1ull, 8ull, 32ull}) {
         for (const CodecTiming codec : {CodecTiming{}, CodecTiming{3, 4}}) {
             BuddyConfig cfg = windowedConfig(w);
             cfg.codecTiming = codec;
-            BuddyController timed(cfg), plain(cfg);
+            BuddyController timed(cfg);
             const auto ta = timed.allocate("a", kN * kEntryBytes,
                                            CompressionTarget::Ratio2);
-            const auto pa = plain.allocate("a", kN * kEntryBytes,
-                                           CompressionTarget::Ratio2);
-            ASSERT_TRUE(ta && pa);
-            const Addr va = timed.allocations().at(*ta).va;
-            ASSERT_EQ(va, plain.allocations().at(*pa).va);
+            ASSERT_TRUE(ta);
+            ASSERT_EQ(timed.allocations().at(*ta).va, va);
+            std::vector<u8> outT(data.size());
+            std::vector<AccessBatch> timedPlans =
+                fillThenMix(va, kN, data, outT);
 
-            Rng rng(41);
-            std::vector<u8> data(kN * kEntryBytes);
-            for (std::size_t e = 0; e < kN; ++e)
-                fillBucketEntry(rng,
-                                static_cast<unsigned>(e % kPatternBuckets),
-                                data.data() + e * kEntryBytes);
-            std::vector<u8> outT(data.size()), outP(data.size());
-
-            // A fill, then reads, probes and overwrites interleaved.
-            AccessBatch fillT, fillP, mixT, mixP;
-            for (std::size_t e = 0; e < kN; ++e) {
-                const Addr a = va + e * kEntryBytes;
-                const u8 *src = data.data() + e * kEntryBytes;
-                fillT.write(a, src);
-                fillP.write(a, src);
-                const u8 *again =
-                    data.data() + (kN - 1 - e) * kEntryBytes;
-                switch (e % 3) {
-                  case 0:
-                    mixT.read(a, outT.data() + e * kEntryBytes);
-                    mixP.read(a, outP.data() + e * kEntryBytes);
-                    break;
-                  case 1:
-                    mixT.probe(a);
-                    mixP.probe(a);
-                    break;
-                  default:
-                    mixT.write(a, again);
-                    mixP.write(a, again);
-                }
-            }
-
-            for (auto [t, p] : {std::pair{&fillT, &fillP},
-                                std::pair{&mixT, &mixP}}) {
-                timed.execute(*t);
-                plain.run(*p, false);
-                ASSERT_TRUE(untimed(p->summary()));
-                std::vector<AccessInfo> infos = p->results();
-                for (const AccessInfo &i : infos)
-                    ASSERT_TRUE(untimed(i));
+            for (std::size_t b = 0; b < timedPlans.size(); ++b) {
+                const AccessBatch &t = timedPlans[b];
+                const AccessBatch &p = untimedPlans[b];
+                timed.execute(timedPlans[b]);
 
                 WindowGroup windows(
                     plain.deviceStore().makeWindow(w),
-                    plain.carveOut().store().makeWindow(w),
-                    plain.codecTiming());
-                BatchSummary sum = p->summary();
-                windowBatch(p->ops(), infos, windows, sum);
-                for (std::size_t i = 0; i < infos.size(); ++i)
-                    ASSERT_TRUE(sameInfo(infos[i], t->result(i)))
+                    plain.carveOut().store().makeWindow(w), codec);
+                std::vector<AccessInfo> infos = p.results();
+                BatchSummary sum = p.summary();
+                windowBatch(p.ops(), infos, windows, sum);
+                EXPECT_TRUE(sameSummary(sum, t.summary()))
+                    << "W " << w << " batch " << b;
+                for (std::size_t i = 0; i < infos.size(); ++i) {
+                    ASSERT_TRUE(sameTraffic(infos[i], p.result(i)));
+                    ASSERT_TRUE(sameTraffic(infos[i], t.result(i)));
+                    ASSERT_EQ(infos[i].codecCycles, t.result(i).codecCycles)
                         << "W " << w << " op " << i;
-                EXPECT_TRUE(sameSummary(sum, t->summary())) << "W " << w;
+                }
                 EXPECT_GT(sum.buddyCycles, 0u);
                 EXPECT_EQ(sum.codecCycles > 0, !codec.free());
             }
             EXPECT_EQ(outP, outT);
-            const BuddyStats &st = plain.stats();
-            EXPECT_EQ(st.deviceCycles + st.buddyCycles + st.codecCycles +
-                          st.deviceWindowCycles + st.buddyWindowCycles +
-                          st.combinedWindowCycles +
-                          st.codecChargedWindowCycles,
-                      0u);
         }
     }
 }
