@@ -43,7 +43,8 @@ namespace {
 struct RunResult
 {
     double seconds = 0;
-    BuddyStats stats;
+    BatchSummary stats;
+    u64 overflowEntries = 0;
     WindowImbalanceStats imbalance;
 };
 
@@ -116,6 +117,7 @@ runOnce(unsigned shards, unsigned threads, const std::string &codec,
     RunResult r;
     r.seconds = std::chrono::duration<double>(t1 - t0).count();
     r.stats = eng.stats();
+    r.overflowEntries = eng.overflowEntries();
     r.imbalance = eng.windowImbalance();
     return r;
 }
@@ -134,13 +136,15 @@ histString(const WindowImbalanceStats &s)
 }
 
 bool
-sameTraffic(const BuddyStats &a, const BuddyStats &b)
+sameTraffic(const RunResult &ra, const RunResult &rb)
 {
+    const BatchSummary &a = ra.stats;
+    const BatchSummary &b = rb.stats;
     return a.reads == b.reads && a.writes == b.writes &&
-           a.deviceSectorTraffic == b.deviceSectorTraffic &&
-           a.buddySectorTraffic == b.buddySectorTraffic &&
+           a.deviceSectors == b.deviceSectors &&
+           a.buddySectors == b.buddySectors &&
            a.buddyAccesses == b.buddyAccesses &&
-           a.overflowEntries == b.overflowEntries &&
+           ra.overflowEntries == rb.overflowEntries &&
            a.deviceCycles == b.deviceCycles &&
            a.buddyCycles == b.buddyCycles;
 }
@@ -222,7 +226,7 @@ main(int argc, char **argv)
                     last && want_trace ? &trace : nullptr);
         if (shards == 1)
             ref = r;
-        else if (!sameTraffic(r.stats, ref.stats))
+        else if (!sameTraffic(r, ref))
             totals_ok = false;
         runs.emplace_back(shards, r);
 

@@ -96,7 +96,7 @@ main()
                     ? "ok"
                     : "CORRUPT");
 
-    const BuddyStats &stats = gpu.stats();
+    const BatchSummary &stats = gpu.stats();
     std::printf("\nstats: %llu reads, %llu writes, buddy-access "
                 "fraction %.1f%%, capacity ratio %.1fx\n",
                 static_cast<unsigned long long>(stats.reads),

@@ -9,14 +9,13 @@
  * AccessInfo after the batch's one timing pass — so an event is
  * defined in one place. An event carries the op's traffic; the
  * batch's simulated time arrives in onBatch()'s summary. Every
- * external traffic consumer — custom BuddyStats-style counting sinks,
+ * external traffic consumer — custom counting sinks,
  * the profiling pass (OnlineProfileSink in core/profiler.h), the
  * gpusim memory system (MemsysReplaySink in gpusim/memsys.h), and the
  * UM model's migration reporting — shares this one stream instead of
  * re-deriving counters from controller internals. (The controller's
- * own BuddyStats counters are updated inline on the same execution
- * path that emits the events, and carry identical totals — asserted
- * by tests/test_api_batch.cc.)
+ * stats() is the fold of the summaries sinks receive in onBatch() —
+ * asserted by tests/test_api_batch.cc.)
  * Sinks attach to a controller's TrafficHub; emission is zero-cost
  * when no sink is attached.
  */

@@ -111,7 +111,7 @@ BuddyController::free(AllocId id)
         const auto st = entryState_.find(first + e);
         if (st != entryState_.end()) {
             if (st->second.overflow)
-                --stats_.overflowEntries;
+                --overflowEntries_;
             entryState_.erase(st);
         }
         metaStore_->set(first + e, EntryMeta::Zero);
@@ -278,22 +278,20 @@ BuddyController::executeOp(const AccessRequest &op, BatchSummary &summary)
         info = trafficFor(loc, meta, stored_bits);
         info.metadataHit = meta_hit;
 
-        // Track overflow population for the stats.
+        // Track the overflow population (overflowEntries()).
         auto &st = entryState_[loc.globalEntryIdx];
         const bool now_overflow = info.buddySectors > 0;
         if (st.overflow != now_overflow) {
             if (now_overflow)
-                ++stats_.overflowEntries;
+                ++overflowEntries_;
             else
-                --stats_.overflowEntries;
+                --overflowEntries_;
             st.overflow = now_overflow;
         }
         st.bits = stored_bits;
 
-        ++stats_.writes;
         ++summary.writes;
         if (probes_.active) {
-            probes_.writes->add();
             if (meta == EntryMeta::Zero)
                 probes_.writesZero->add();
             else if (meta == EntryMeta::Raw)
@@ -340,10 +338,7 @@ BuddyController::executeOp(const AccessRequest &op, BatchSummary &summary)
             codec_pass = true;
         }
 
-        ++stats_.reads;
         ++summary.reads;
-        if (probes_.active)
-            probes_.reads->add();
         break;
       }
 
@@ -364,11 +359,7 @@ BuddyController::executeOp(const AccessRequest &op, BatchSummary &summary)
         if (meta != EntryMeta::Zero && meta != EntryMeta::Raw)
             codec_pass = true;
 
-        // A probe models the traffic of a read: account it as one.
-        ++stats_.reads;
         ++summary.probes;
-        if (probes_.active)
-            probes_.probes->add();
         break;
       }
     }
@@ -376,11 +367,6 @@ BuddyController::executeOp(const AccessRequest &op, BatchSummary &summary)
     info.isZero = is_zero;
     info.codecPass = codec_pass;
     info.storedBits = stored_bits;
-
-    stats_.deviceSectorTraffic += info.deviceSectors;
-    stats_.buddySectorTraffic += info.buddySectors;
-    if (info.usedBuddy())
-        ++stats_.buddyAccesses;
 
     summary.deviceSectors += info.deviceSectors;
     summary.buddySectors += info.buddySectors;
@@ -390,12 +376,6 @@ BuddyController::executeOp(const AccessRequest &op, BatchSummary &summary)
         ++summary.metadataMisses;
     if (info.usedBuddy())
         ++summary.buddyAccesses;
-
-    if (probes_.active) {
-        (meta_hit ? probes_.metadataHits : probes_.metadataMisses)->add();
-        if (info.usedBuddy())
-            probes_.buddyAccesses->add();
-    }
     return info;
 }
 
@@ -416,8 +396,15 @@ BuddyController::run(AccessBatch &batch, bool timed)
     // The functional pass.
     for (const AccessRequest &op : batch.ops_)
         batch.results_.push_back(executeOp(op, sum));
-    if (probes_.active)
+    if (probes_.active) {
         probes_.batches->add();
+        probes_.reads->add(sum.reads);
+        probes_.writes->add(sum.writes);
+        probes_.probes->add(sum.probes);
+        probes_.metadataHits->add(sum.metadataHits);
+        probes_.metadataMisses->add(sum.metadataMisses);
+        probes_.buddyAccesses->add(sum.buddyAccesses);
+    }
 
     if (timed) {
         // The timing pass: the batch is the latency-overlap scope, so
@@ -428,16 +415,10 @@ BuddyController::run(AccessBatch &batch, bool timed)
         windowBatch(batch.ops_, batch.results_, windows, sum,
                     sample ? probes_.windowOccupancy : nullptr,
                     sample ? probes_.windowStall : nullptr);
-        stats_.deviceCycles += sum.deviceCycles;
-        stats_.buddyCycles += sum.buddyCycles;
-        stats_.codecCycles += sum.codecCycles;
-        stats_.deviceWindowCycles += sum.deviceWindowCycles;
-        stats_.buddyWindowCycles += sum.buddyWindowCycles;
-        stats_.combinedWindowCycles += sum.combinedWindowCycles;
-        stats_.codecChargedWindowCycles += sum.codecChargedWindowCycles;
         if (sample)
             probes_.batchMakespan->add(sum.combinedWindowCycles);
     }
+    stats_.accumulate(sum);
 
     // Sinks see the finished batch, window charges included.
     if (!hub_.empty()) {

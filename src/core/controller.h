@@ -115,7 +115,7 @@ struct BuddyConfig
      * the MSHR pool the timing pass models (see timing/window.h). Every
      * executed batch's traffic is scheduled through one RequestWindow
      * per link in submission order (core/window_pass.h), filling the
-     * *WindowCycles totals of BatchSummary/BuddyStats; the
+     * *WindowCycles totals of BatchSummary (and of stats()); the
      * serial deviceCycles/buddyCycles fields are the same windows'
      * unloaded cost() and do not depend on W.
      * The default of 1 reproduces the serial deviceCycles/buddyCycles
@@ -151,63 +151,6 @@ struct BuddyConfig
      * (standalone controllers).
      */
     int buddyPeerOrdinal = -1;
-};
-
-/** Aggregated controller statistics. */
-struct BuddyStats
-{
-    u64 reads = 0;
-    u64 writes = 0;
-    u64 deviceSectorTraffic = 0;
-    u64 buddySectorTraffic = 0;
-    u64 buddyAccesses = 0;  ///< accesses that touched buddy memory
-    u64 overflowEntries = 0; ///< current entries spilling to buddy
-
-    /** Serial device-link charges (BatchSummary::deviceCycles sums). All
-     *  seven cycle totals are written by timed batches only, so they
-     *  stay 0 on an engine shard under WindowMode::Merged, which times
-     *  nothing (ShardedEngine::stats() reports the engine's own). */
-    u64 deviceCycles = 0;
-    u64 buddyCycles = 0; ///< serial buddy-link charges
-
-    /** Windowed-replay device-link makespans, summed over batches
-     *  (BuddyConfig::linkWindow; equals deviceCycles at window 1). */
-    u64 deviceWindowCycles = 0;
-
-    /** Windowed-replay buddy-link makespans, summed over batches. */
-    u64 buddyWindowCycles = 0;
-
-    /**
-     * Combined (cross-link) windowed makespans summed over batches:
-     * per batch, max(device, buddy) link makespan — the two links
-     * drain in parallel (timing/window.h WindowGroup). Under the
-     * engine's per-shard window mode the per-batch value is the N-GPU
-     * makespan (max over shards) instead.
-     */
-    u64 combinedWindowCycles = 0;
-
-    /** Unloaded codec latency charged (BatchSummary::codecCycles sums):
-     *  additive serial occupancy of the inline unit. */
-    u64 codecCycles = 0;
-
-    /**
-     * Codec-charged windowed makespans summed over batches: per batch,
-     * the combined makespan plus the codec time the inline unit could
-     * not hide behind link transfers (equal to combinedWindowCycles
-     * when the codec timing is free). Under the engine's per-shard
-     * window mode: the codec-charged N-GPU makespan.
-     */
-    u64 codecChargedWindowCycles = 0;
-
-    /** Fraction of accesses that needed buddy memory. */
-    double
-    buddyAccessFraction() const
-    {
-        const u64 total = reads + writes;
-        return total ? static_cast<double>(buddyAccesses) /
-                           static_cast<double>(total)
-                     : 0.0;
-    }
 };
 
 /**
@@ -274,11 +217,12 @@ class BuddyController
 
     /**
      * Register this controller's metrics under @p prefix in @p registry
-     * and update them on every executed operation: operation and
+     * and update them as batches execute: operation and metadata
+     * hit/miss counters (added once per batch, from its summary),
      * codec-outcome counters (writes_zero / writes_compressed /
-     * writes_raw), metadata hit/miss counters, and the batch-makespan,
-     * stored-bits, window-occupancy and window-stall histograms. Every
-     * value is simulated-time state, so with a "sim/"-rooted prefix the
+     * writes_raw), and the batch-makespan, stored-bits,
+     * window-occupancy and window-stall histograms. Every value is
+     * simulated-time state, so with a "sim/"-rooted prefix the
      * metrics join the determinism contract (a single controller's
      * stream is pure; under the sharded engine, per-shard cache state
      * belongs under "shard/" — the engine picks the prefixes).
@@ -319,8 +263,17 @@ class BuddyController
                            : 1.0;
     }
 
-    const BuddyStats &stats() const { return stats_; }
-    void clearStats() { stats_ = BuddyStats{}; }
+    /**
+     * Running totals: the accumulate() fold of every batch summary
+     * execute()/run() returned since construction or clearStats().
+     * `reads` counts reads only; probes are in `probes`.
+     */
+    const BatchSummary &stats() const { return stats_; }
+    void clearStats() { stats_ = BatchSummary{}; }
+
+    /** Entries currently spilling to buddy memory: a population gauge
+     *  over the live allocations, which clearStats() leaves alone. */
+    u64 overflowEntries() const { return overflowEntries_; }
 
     MetadataCache &metadataCache() { return *metaCache_; }
     const BuddyConfig &config() const { return cfg_; }
@@ -387,8 +340,8 @@ class BuddyController
 
     /**
      * Execute one planned operation's functional pass: codec, metadata
-     * and stores. Updates stats_ and @p summary (cycle fields excepted)
-     * and returns the op's result, codecPass included; timing and
+     * and stores. Updates @p summary (cycle fields excepted) and
+     * returns the op's result, codecPass included; timing and
      * emission are run()'s.
      */
     AccessInfo executeOp(const AccessRequest &op, BatchSummary &summary);
@@ -435,7 +388,8 @@ class BuddyController
     u64 deviceUsed_ = 0;
     u64 buddyUsed_ = 0;
     u64 logicalUsed_ = 0;
-    BuddyStats stats_;
+    BatchSummary stats_;
+    u64 overflowEntries_ = 0;
 
     /** The codec scratch every batch reuses: the hot path performs no
      *  per-entry heap allocation. */

@@ -525,42 +525,30 @@ ShardedEngine::finish(BatchJob &job)
     job.done.set_value(merged);
 }
 
-BuddyStats
+BatchSummary
 ShardedEngine::stats() const
 {
-    BuddyStats total;
-    for (const auto &s : shards_) {
-        const BuddyStats &st = s->stats();
-        total.reads += st.reads;
-        total.writes += st.writes;
-        total.deviceSectorTraffic += st.deviceSectorTraffic;
-        total.buddySectorTraffic += st.buddySectorTraffic;
-        total.buddyAccesses += st.buddyAccesses;
-        total.overflowEntries += st.overflowEntries;
-    }
-    // Cycle totals are the engine's own per-batch ones (the merged
-    // timing pass, or per-shard maxima under WindowMode::PerShard), not
-    // the shards' (see stats() docs). Every batch folds into exactly one
-    // tenant's totals, so their sum is the engine's.
+    // Every batch folds into exactly one tenant's totals, so their
+    // fold is the engine's.
+    BatchSummary total;
     std::lock_guard<std::mutex> lk(accountMutex_);
-    for (const auto &entry : tenantTotals_) {
-        const BatchSummary &t = entry.second.summary;
-        total.deviceCycles += t.deviceCycles;
-        total.buddyCycles += t.buddyCycles;
-        total.codecCycles += t.codecCycles;
-        total.deviceWindowCycles += t.deviceWindowCycles;
-        total.buddyWindowCycles += t.buddyWindowCycles;
-        total.combinedWindowCycles += t.combinedWindowCycles;
-        total.codecChargedWindowCycles += t.codecChargedWindowCycles;
-    }
+    for (const auto &entry : tenantTotals_)
+        total.accumulate(entry.second.summary);
+    return total;
+}
+
+u64
+ShardedEngine::overflowEntries() const
+{
+    u64 total = 0;
+    for (const auto &s : shards_)
+        total += s->overflowEntries();
     return total;
 }
 
 void
 ShardedEngine::clearStats()
 {
-    // Symmetric with stats(): every field merged there must reset here
-    // (tests/test_engine.cc pins reset -> resubmit equality).
     for (auto &s : shards_)
         s->clearStats();
     std::lock_guard<std::mutex> lk(accountMutex_);

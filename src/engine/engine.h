@@ -336,18 +336,24 @@ class ShardedEngine
     const EngineAllocation &allocationFor(Addr va) const;
 
     /**
-     * Merged controller statistics across all shards. The traffic
-     * fields are sums over the per-shard controllers; all seven cycle
-     * fields are the engine's own per-batch totals (summed over
-     * tenantTotals()). Under WindowMode::Merged they come from the
+     * Running totals: the accumulate() fold of tenantTotals(), which
+     * is the fold of every finished batch's summary. Traffic fields
+     * equal the shard sums; the seven cycle fields are the engine's
+     * per-batch ones. Under WindowMode::Merged they come from the
      * merged submission-order stream's one timing pass (the shards'
      * own cycle totals stay 0); under WindowMode::PerShard the serial
      * fields are the shard sums and the *WindowCycles fields the
-     * max-over-shards (N-GPU) makespans.
+     * max-over-shards (N-GPU) makespans. Metadata hits/misses are
+     * per-shard cache state, so they depend on the shard count.
      */
-    BuddyStats stats() const;
+    BatchSummary stats() const;
 
-    /** Clear every shard's statistics. */
+    /** Entries spilling to buddy memory, summed over the shards (see
+     *  BuddyController::overflowEntries(); clearStats() keeps it). */
+    u64 overflowEntries() const;
+
+    /** Reset stats(), tenantTotals(), windowImbalance() and every
+     *  shard's stats(); overflowEntries() is a gauge and stays. */
     void clearStats();
 
     /**

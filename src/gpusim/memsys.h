@@ -29,9 +29,9 @@ using timing::SimTime;
 
 /**
  * Replays the controller's functional traffic into the bandwidth/latency
- * servers: a TrafficSink that consumes the same event stream as
- * BuddyStats and the profiler, charging each access's device sectors to
- * the DRAM channels and its buddy sectors to the interconnect. Attach
+ * servers: a TrafficSink on the event stream whose batch summaries
+ * stats() folds, charging each access's device sectors to the DRAM
+ * channels and its buddy sectors to the interconnect. Attach
  * it to a BuddyController (or feed it a replayed event log) to get a
  * first-order time estimate of a functional run without standing up the
  * full GpuSimulator pipeline.

@@ -174,7 +174,10 @@ struct TenantReport
     u64 maxInflight = 0; ///< peak batches in flight at any instant
 
     /** Σ per-batch max(combinedWindowCycles, 1): the simulated time
-     *  this tenant occupied the fleet — the fairness currency. */
+     *  this tenant occupied the fleet — the fairness currency. Codec
+     *  time is not in it: a slow CodecTiming grows only
+     *  totals.codecChargedWindowCycles, so the service clock and the
+     *  latency histograms ignore the inline unit. */
     u64 serviceCycles = 0;
 
     /** Continuous mode: Σ per-batch (admission − arrival) simulated

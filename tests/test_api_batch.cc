@@ -63,13 +63,35 @@ sameInfo(const AccessInfo &a, const AccessInfo &b)
 }
 
 bool
-sameStats(const BuddyStats &a, const BuddyStats &b)
+sameSummary(const BatchSummary &a, const BatchSummary &b)
 {
     return a.reads == b.reads && a.writes == b.writes &&
-           a.deviceSectorTraffic == b.deviceSectorTraffic &&
-           a.buddySectorTraffic == b.buddySectorTraffic &&
+           a.probes == b.probes && a.deviceSectors == b.deviceSectors &&
+           a.buddySectors == b.buddySectors &&
+           a.metadataHits == b.metadataHits &&
+           a.metadataMisses == b.metadataMisses &&
            a.buddyAccesses == b.buddyAccesses &&
-           a.overflowEntries == b.overflowEntries &&
+           a.deviceCycles == b.deviceCycles &&
+           a.buddyCycles == b.buddyCycles &&
+           a.deviceWindowCycles == b.deviceWindowCycles &&
+           a.buddyWindowCycles == b.buddyWindowCycles &&
+           a.combinedWindowCycles == b.combinedWindowCycles &&
+           a.codecCycles == b.codecCycles &&
+           a.codecChargedWindowCycles == b.codecChargedWindowCycles;
+}
+
+/** Two controllers' stats() traffic and serial cycles, and overflow
+ *  gauges (windowed makespans depend on the batch split). */
+bool
+sameStats(const BuddyController &x, const BuddyController &y)
+{
+    const BatchSummary &a = x.stats();
+    const BatchSummary &b = y.stats();
+    return a.reads == b.reads && a.writes == b.writes &&
+           a.probes == b.probes && a.deviceSectors == b.deviceSectors &&
+           a.buddySectors == b.buddySectors &&
+           a.buddyAccesses == b.buddyAccesses &&
+           x.overflowEntries() == y.overflowEntries() &&
            a.deviceCycles == b.deviceCycles &&
            a.buddyCycles == b.buddyCycles;
 }
@@ -107,7 +129,7 @@ TEST(AccessBatch, BatchedWritesReadsProbesMatchOneOpBatches)
         ASSERT_TRUE(sameInfo(wbatch.result(i), one.result(0)))
             << "write " << i;
     }
-    EXPECT_TRUE(sameStats(batched.stats(), single.stats()));
+    EXPECT_TRUE(sameStats(batched, single));
 
     // --- Reads (interleaved with probes to stress ordering).
     std::vector<std::vector<u8>> outB(n), outS(n);
@@ -140,7 +162,7 @@ TEST(AccessBatch, BatchedWritesReadsProbesMatchOneOpBatches)
                       0);
         }
     }
-    EXPECT_TRUE(sameStats(batched.stats(), single.stats()));
+    EXPECT_TRUE(sameStats(batched, single));
 }
 
 TEST(AccessBatch, SummaryMatchesStatsDelta)
@@ -155,7 +177,7 @@ TEST(AccessBatch, SummaryMatchesStatsDelta)
     for (std::size_t i = 0; i < entries.size(); ++i)
         batch.write(va + i * kEntryBytes, entries[i].data());
 
-    const BuddyStats before = gpu.stats();
+    const BatchSummary before = gpu.stats();
     const BatchSummary &s = gpu.execute(batch);
 
     EXPECT_EQ(s.writes, entries.size());
@@ -163,9 +185,9 @@ TEST(AccessBatch, SummaryMatchesStatsDelta)
     EXPECT_EQ(s.probes, 0u);
     EXPECT_EQ(s.operations(), entries.size());
     EXPECT_EQ(s.deviceSectors,
-              gpu.stats().deviceSectorTraffic - before.deviceSectorTraffic);
+              gpu.stats().deviceSectors - before.deviceSectors);
     EXPECT_EQ(s.buddySectors,
-              gpu.stats().buddySectorTraffic - before.buddySectorTraffic);
+              gpu.stats().buddySectors - before.buddySectors);
     EXPECT_EQ(s.buddyAccesses,
               gpu.stats().buddyAccesses - before.buddyAccesses);
     EXPECT_EQ(s.deviceCycles,
@@ -190,6 +212,7 @@ struct CountingSink : api::TrafficSink
     u64 buddySectors = 0;
     u64 batches = 0;
     BatchSummary last;
+    BatchSummary folded; ///< accumulate() of every onBatch() summary
 
     void
     onAccess(const api::AccessEvent &e) override
@@ -206,10 +229,11 @@ struct CountingSink : api::TrafficSink
     {
         ++batches;
         last = s;
+        folded.accumulate(s);
     }
 };
 
-TEST(TrafficSink, SinkSeesTheSameTrafficAsBuddyStats)
+TEST(TrafficSink, SinkSeesTheSameTrafficAsStats)
 {
     BuddyController gpu(smallConfig());
     CountingSink sink;
@@ -227,8 +251,8 @@ TEST(TrafficSink, SinkSeesTheSameTrafficAsBuddyStats)
 
     EXPECT_EQ(sink.events, entries.size());
     EXPECT_EQ(sink.writes, entries.size());
-    EXPECT_EQ(sink.deviceSectors, gpu.stats().deviceSectorTraffic);
-    EXPECT_EQ(sink.buddySectors, gpu.stats().buddySectorTraffic);
+    EXPECT_EQ(sink.deviceSectors, gpu.stats().deviceSectors);
+    EXPECT_EQ(sink.buddySectors, gpu.stats().buddySectors);
     EXPECT_EQ(sink.batches, 1u);
     EXPECT_EQ(sink.last.writes, entries.size());
 
@@ -239,6 +263,48 @@ TEST(TrafficSink, SinkSeesTheSameTrafficAsBuddyStats)
     read.read(va, out);
     gpu.execute(read);
     EXPECT_EQ(sink.events, entries.size());
+}
+
+TEST(TrafficSink, StatsIsTheFoldOfTheBatchSummaries)
+{
+    // Mixed write/read/probe batches, timed through execute() and
+    // untimed through run(): stats() equals the accumulate() fold of
+    // every returned summary, which is also the fold the sink sees in
+    // onBatch(). clearStats() zeroes it.
+    BuddyController gpu(smallConfig());
+    CountingSink sink;
+    gpu.attachSink(&sink);
+    const auto id = gpu.allocate("a", 128 * KiB, CompressionTarget::Ratio2);
+    ASSERT_TRUE(id);
+    const Addr va = gpu.allocations().at(*id).va;
+
+    const auto entries = mixedEntries(96, 17);
+    std::vector<u8> out(kEntryBytes);
+    BatchSummary fold;
+    AccessBatch batch;
+    for (unsigned round = 0; round < 6; ++round) {
+        batch.clear();
+        for (std::size_t i = 0; i < entries.size(); ++i) {
+            const Addr a = va + i * kEntryBytes;
+            const std::size_t k = i + round;
+            if (k % 3 == 0)
+                batch.write(a, entries[k % entries.size()].data());
+            else if (k % 3 == 1)
+                batch.read(a, out.data());
+            else
+                batch.probe(a);
+        }
+        fold.accumulate(round % 2 == 0 ? gpu.execute(batch)
+                                       : gpu.run(batch, false));
+    }
+    EXPECT_GT(fold.reads, 0u);
+    EXPECT_GT(fold.probes, 0u);
+    EXPECT_GT(fold.combinedWindowCycles, 0u);
+    EXPECT_TRUE(sameSummary(gpu.stats(), fold));
+    EXPECT_TRUE(sameSummary(sink.folded, fold));
+
+    gpu.clearStats();
+    EXPECT_TRUE(sameSummary(gpu.stats(), BatchSummary{}));
 }
 
 TEST(TrafficSink, OnlineProfileMatchesDecisionFromSameData)
@@ -302,8 +368,8 @@ TEST(TrafficSink, MemsysReplayChargesDeviceAndLinkTraffic)
     gpu.execute(batch);
 
     EXPECT_EQ(replay.operations(), entries.size());
-    EXPECT_EQ(dram.sectorsTransferred(), gpu.stats().deviceSectorTraffic);
-    EXPECT_EQ(link.sectorsTransferred(), gpu.stats().buddySectorTraffic);
+    EXPECT_EQ(dram.sectorsTransferred(), gpu.stats().deviceSectors);
+    EXPECT_EQ(link.sectorsTransferred(), gpu.stats().buddySectors);
     EXPECT_GT(replay.end(), 0.0);
 }
 

@@ -170,7 +170,35 @@ TEST(Controller, IncompressibleEntrySpillsToBuddy)
     const auto r = readOne(c, va, out);
     EXPECT_TRUE(r.usedBuddy());
     EXPECT_EQ(std::memcmp(entry, out, kEntryBytes), 0);
-    EXPECT_EQ(c.stats().overflowEntries, 1u);
+    EXPECT_EQ(c.overflowEntries(), 1u);
+}
+
+TEST(Controller, ClearStatsKeepsTheOverflowGauge)
+{
+    // overflowEntries() counts entries, not traffic: clearStats() must
+    // not zero it while entries still spill, or a later free() or
+    // shrinking rewrite would decrement it below zero.
+    BuddyController c(smallConfig());
+    const auto id = c.allocate("a", 64 * KiB, CompressionTarget::Ratio2);
+    ASSERT_TRUE(id);
+    const Addr va = c.allocations().at(*id).va;
+
+    Rng rng(4);
+    u8 entry[kEntryBytes];
+    fillRandom(rng, entry);
+    writeOne(c, va, entry);
+    writeOne(c, va + kEntryBytes, entry);
+    ASSERT_EQ(c.overflowEntries(), 2u);
+
+    c.clearStats();
+    EXPECT_EQ(c.stats().operations(), 0u);
+    EXPECT_EQ(c.overflowEntries(), 2u);
+
+    fillCompressible(rng, entry);
+    writeOne(c, va, entry);
+    EXPECT_EQ(c.overflowEntries(), 1u);
+    c.free(*id);
+    EXPECT_EQ(c.overflowEntries(), 0u);
 }
 
 TEST(Controller, CompressibilityChangeMovesNoOtherData)
@@ -192,13 +220,13 @@ TEST(Controller, CompressibilityChangeMovesNoOtherData)
     u8 entry[kEntryBytes];
     fillCompressible(rng, entry);
     writeOne(c, base + kEntryBytes, entry);
-    EXPECT_EQ(c.stats().overflowEntries, 0u);
+    EXPECT_EQ(c.overflowEntries(), 0u);
 
     // Overwrite the middle entry with incompressible data.
     fillRandom(rng, entry);
     const auto w = writeOne(c, base + kEntryBytes, entry);
     EXPECT_TRUE(w.usedBuddy());
-    EXPECT_EQ(c.stats().overflowEntries, 1u);
+    EXPECT_EQ(c.overflowEntries(), 1u);
 
     // Neighbours still read back exactly, from device only.
     u8 out[kEntryBytes];
@@ -212,7 +240,7 @@ TEST(Controller, CompressibilityChangeMovesNoOtherData)
     // And shrinking back releases the overflow accounting.
     fillCompressible(rng, entry);
     writeOne(c, base + kEntryBytes, entry);
-    EXPECT_EQ(c.stats().overflowEntries, 0u);
+    EXPECT_EQ(c.overflowEntries(), 0u);
 }
 
 TEST(Controller, RawFallbackRoundTripsThroughBothMemories)

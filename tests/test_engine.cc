@@ -108,14 +108,19 @@ sameSummary(const BatchSummary &a, const BatchSummary &b)
            a.codecChargedWindowCycles == b.codecChargedWindowCycles;
 }
 
+/** stats() of two engines/controllers and their overflow gauges, metadata
+ *  hits/misses excepted: those are per-shard cache state. */
+template <typename A, typename B>
 bool
-sameStats(const BuddyStats &a, const BuddyStats &b)
+sameStats(const A &x, const B &y)
 {
+    const BatchSummary a = x.stats();
+    const BatchSummary b = y.stats();
     return a.reads == b.reads && a.writes == b.writes &&
-           a.deviceSectorTraffic == b.deviceSectorTraffic &&
-           a.buddySectorTraffic == b.buddySectorTraffic &&
+           a.probes == b.probes && a.deviceSectors == b.deviceSectors &&
+           a.buddySectors == b.buddySectors &&
            a.buddyAccesses == b.buddyAccesses &&
-           a.overflowEntries == b.overflowEntries &&
+           x.overflowEntries() == y.overflowEntries() &&
            a.deviceCycles == b.deviceCycles &&
            a.buddyCycles == b.buddyCycles &&
            a.deviceWindowCycles == b.deviceWindowCycles &&
@@ -153,7 +158,7 @@ TEST(ShardedEngine, MergedResultsMatchSingleControllerBitForBit)
     for (std::size_t i = 0; i < kN; ++i)
         ASSERT_TRUE(sameInfo(we.result(i), ws.result(i))) << "write " << i;
     EXPECT_TRUE(sameSummary(we.summary(), ws.summary()));
-    EXPECT_TRUE(sameStats(eng.stats(), single.stats()));
+    EXPECT_TRUE(sameStats(eng, single));
 
     // Mixed reads and probes.
     std::vector<std::vector<u8>> outE(kN), outS(kN);
@@ -184,7 +189,7 @@ TEST(ShardedEngine, MergedResultsMatchSingleControllerBitForBit)
         }
     }
     EXPECT_TRUE(sameSummary(re.summary(), rs.summary()));
-    EXPECT_TRUE(sameStats(eng.stats(), single.stats()));
+    EXPECT_TRUE(sameStats(eng, single));
 
     // Merged bookkeeping views agree with the single controller too.
     EXPECT_EQ(eng.deviceBytesReserved(), single.deviceBytesReserved());
@@ -333,10 +338,12 @@ TEST(ShardedEngine, EachBatchIsWindowedOnce)
                          std::vector<u8> &out) {
         vas = allocateSet(target);
         AccessBatch w;
+        w.setTenant(1);
         for (std::size_t i = 0; i < kN; ++i)
             w.write(vas[i], entries[i].data());
         target.execute(w);
         AccessBatch mixed;
+        mixed.setTenant(2);
         for (std::size_t i = 0; i < kN; ++i) {
             if (i % 3 == 0)
                 mixed.probe(vas[i]);
@@ -370,8 +377,10 @@ TEST(ShardedEngine, EachBatchIsWindowedOnce)
 
         const std::string exported = obs::exportJson(registry, {});
         u64 shardCombined = 0;
+        BatchSummary shardSum;
         for (unsigned s = 0; s < eng.shardCount(); ++s) {
-            const BuddyStats &st = eng.shard(s).stats();
+            const BatchSummary &st = eng.shard(s).stats();
+            shardSum.accumulate(st);
             const std::string prefix = "shard/s" + std::to_string(s) + "/";
             const bool windowKeys =
                 exported.find(prefix + "window_occupancy") !=
@@ -394,12 +403,29 @@ TEST(ShardedEngine, EachBatchIsWindowedOnce)
             shardCombined += st.combinedWindowCycles;
         }
 
+        // stats() is the fold of the tenant totals, and its traffic
+        // fields are the shards' sums.
+        const BatchSummary total = eng.stats();
+        BatchSummary fold;
+        for (const auto &[tenant, t] : eng.tenantTotals())
+            fold.accumulate(t.summary);
+        EXPECT_EQ(eng.tenantTotals().size(), 2u);
+        EXPECT_TRUE(sameSummary(total, fold));
+        EXPECT_EQ(total.reads, shardSum.reads);
+        EXPECT_EQ(total.writes, shardSum.writes);
+        EXPECT_EQ(total.probes, shardSum.probes);
+        EXPECT_EQ(total.deviceSectors, shardSum.deviceSectors);
+        EXPECT_EQ(total.buddySectors, shardSum.buddySectors);
+        EXPECT_EQ(total.metadataHits, shardSum.metadataHits);
+        EXPECT_EQ(total.metadataMisses, shardSum.metadataMisses);
+        EXPECT_EQ(total.buddyAccesses, shardSum.buddyAccesses);
+
         if (mode == WindowMode::Merged) {
             for (std::size_t i = 0; i < kN; ++i)
                 ASSERT_TRUE(sameInfo(re.result(i), rs.result(i)))
                     << "op " << i;
             EXPECT_TRUE(sameSummary(re.summary(), rs.summary()));
-            EXPECT_TRUE(sameStats(eng.stats(), single.stats()));
+            EXPECT_TRUE(sameStats(eng, single));
             EXPECT_GT(eng.stats().combinedWindowCycles, 0u);
         } else {
             // The barrier makespan is at most the shards' summed ones.
@@ -446,7 +472,7 @@ TEST(ShardedEngine, MultiThreadedRunsAreReproducibleRunToRun)
         ASSERT_TRUE(sameInfo(infosA[i], infosB[i])) << "op " << i;
     EXPECT_TRUE(sameSummary(wA, wB));
     EXPECT_TRUE(sameSummary(rA, rB));
-    EXPECT_TRUE(sameStats(a.stats(), b.stats()));
+    EXPECT_TRUE(sameStats(a, b));
 
     // The fixed shard hash places the allocation sequence identically.
     for (const auto &[id, alloc] : a.allocations())
@@ -509,7 +535,7 @@ TEST(ShardedEngine, AsyncSubmissionPipelinesAndMatchesSequential)
     for (std::size_t e = 0; e < kN; ++e)
         plan.read(vasS[e], outS.data() + e * kEntryBytes);
     single.execute(plan);
-    EXPECT_TRUE(sameStats(eng.stats(), single.stats()));
+    EXPECT_TRUE(sameStats(eng, single));
 }
 
 TEST(ShardedEngine, EmptyBatchCompletesImmediately)
@@ -664,22 +690,26 @@ TEST(ShardedEngine, CycleTotalsDeterministicAcrossShardingAndRuns)
     replayer.loadImage(recorder.serialize());
 
     // Two fresh 4-shard runs of the same trace.
-    const auto runSharded = [&](std::vector<BuddyStats> &per_shard) {
+    using ShardStats = std::pair<BatchSummary, u64>; // stats, overflow
+    const auto runSharded = [&](std::vector<ShardStats> &per_shard) {
         ShardedEngine eng(remote4);
         const TraceTotals t = replayer.replay(eng);
         per_shard.clear();
         for (unsigned s = 0; s < eng.shardCount(); ++s)
-            per_shard.push_back(eng.shard(s).stats());
+            per_shard.emplace_back(eng.shard(s).stats(),
+                                   eng.shard(s).overflowEntries());
         return t;
     };
-    std::vector<BuddyStats> shardsA, shardsB;
+    std::vector<ShardStats> shardsA, shardsB;
     const TraceTotals runA = runSharded(shardsA);
     const TraceTotals runB = runSharded(shardsB);
 
     // Per-shard and merged cycle totals reproduce run-to-run.
     ASSERT_EQ(shardsA.size(), shardsB.size());
     for (std::size_t s = 0; s < shardsA.size(); ++s)
-        EXPECT_TRUE(sameStats(shardsA[s], shardsB[s])) << "shard " << s;
+        EXPECT_TRUE(sameSummary(shardsA[s].first, shardsB[s].first) &&
+                    shardsA[s].second == shardsB[s].second)
+            << "shard " << s;
     EXPECT_TRUE(sameSummary(runA.summary, runB.summary));
 
     // Merged 4-shard cycle totals equal the 1-shard run of the trace.
@@ -755,7 +785,7 @@ TEST(ShardedEngine, WindowedTotalsShardInvariantAndReproducible)
         ShardedEngine eng(windowed(shards));
         const TraceTotals t = replayer.replay(eng);
         // Engine stats report the merged-stream windowed totals.
-        const BuddyStats st = eng.stats();
+        const BatchSummary st = eng.stats();
         EXPECT_EQ(st.deviceWindowCycles, t.summary.deviceWindowCycles);
         EXPECT_EQ(st.buddyWindowCycles, t.summary.buddyWindowCycles);
         return t;
@@ -819,7 +849,7 @@ TEST(ShardedEngine, PerShardWindowModeAtOneShardMatchesMergedBitForBit)
     }
     EXPECT_TRUE(sameSummary(wm.summary(), wp.summary()));
     EXPECT_TRUE(sameSummary(rm.summary(), rp.summary()));
-    EXPECT_TRUE(sameStats(merged.stats(), pershard.stats()));
+    EXPECT_TRUE(sameStats(merged, pershard));
     EXPECT_GT(merged.stats().combinedWindowCycles, 0u);
 }
 
@@ -856,18 +886,21 @@ TEST(ShardedEngine, PerShardWindowModeBarrierAndReproducibility)
                 r.read(vas[i], out.data() + i * kEntryBytes);
         }
         rsum = eng.execute(r);
-        return eng.stats();
+        return std::make_pair(eng.stats(), eng.overflowEntries());
     };
 
     BatchSummary wA, rA, wB, rB, wM, rM;
-    const BuddyStats statsA = run(config(WindowMode::PerShard), wA, rA);
-    const BuddyStats statsB = run(config(WindowMode::PerShard), wB, rB);
-    const BuddyStats statsM = run(config(WindowMode::Merged), wM, rM);
+    const auto [statsA, overflowA] =
+        run(config(WindowMode::PerShard), wA, rA);
+    const auto [statsB, overflowB] =
+        run(config(WindowMode::PerShard), wB, rB);
+    const BatchSummary statsM = run(config(WindowMode::Merged), wM, rM).first;
 
     // Reproducible run-to-run.
     EXPECT_TRUE(sameSummary(wA, wB));
     EXPECT_TRUE(sameSummary(rA, rB));
-    EXPECT_TRUE(sameStats(statsA, statsB));
+    EXPECT_TRUE(sameSummary(statsA, statsB));
+    EXPECT_EQ(overflowA, overflowB);
 
     // Engine stats mirror the per-batch summary accumulation.
     EXPECT_EQ(statsA.deviceWindowCycles,
@@ -904,14 +937,13 @@ TEST(ShardedEngine, PerShardWindowModeBarrierAndReproducibility)
 
 TEST(ShardedEngine, ResetThenResubmitReproducesFlowTotals)
 {
-    // The satellite regression: clearStats() must reset every windowed
-    // atomic symmetrically with the stats() merge — a missed field
-    // would survive the reset and double up on the second run. Traffic
-    // and cycle charges are pure per-op functions of the data, so
+    // clearStats() must reset every flow total — a missed one would
+    // survive the reset and double up on the second run. Traffic and
+    // cycle charges are pure per-op functions of the data, so
     // re-submitting the identical plans after a reset must reproduce
-    // every flow counter exactly. (overflowEntries is a population
-    // gauge, not a flow counter: rewriting identical data toggles no
-    // entry, so it stays 0 after the reset and is excluded here.)
+    // every flow counter exactly. overflowEntries() is a population
+    // gauge, not a flow counter: clearStats() keeps it, and rewriting
+    // identical data toggles no entry, so it holds throughout.
     const auto entries = mixedEntries(kN, 903);
 
     EngineConfig cfg = engineConfig(4, 2);
@@ -937,9 +969,12 @@ TEST(ShardedEngine, ResetThenResubmitReproducesFlowTotals)
         return eng.stats();
     };
 
-    const BuddyStats first = pass();
+    const BatchSummary first = pass();
+    const u64 overflow = eng.overflowEntries();
+    EXPECT_GT(overflow, 0u);
     eng.clearStats();
-    const BuddyStats cleared = eng.stats();
+    EXPECT_EQ(eng.overflowEntries(), overflow);
+    const BatchSummary cleared = eng.stats();
     EXPECT_EQ(cleared.reads, 0u);
     EXPECT_EQ(cleared.writes, 0u);
     EXPECT_EQ(cleared.deviceCycles, 0u);
@@ -948,11 +983,13 @@ TEST(ShardedEngine, ResetThenResubmitReproducesFlowTotals)
     EXPECT_EQ(cleared.buddyWindowCycles, 0u);
     EXPECT_EQ(cleared.combinedWindowCycles, 0u);
 
-    const BuddyStats second = pass();
+    const BatchSummary second = pass();
+    EXPECT_EQ(eng.overflowEntries(), overflow);
     EXPECT_EQ(second.reads, first.reads);
     EXPECT_EQ(second.writes, first.writes);
-    EXPECT_EQ(second.deviceSectorTraffic, first.deviceSectorTraffic);
-    EXPECT_EQ(second.buddySectorTraffic, first.buddySectorTraffic);
+    EXPECT_EQ(second.probes, first.probes);
+    EXPECT_EQ(second.deviceSectors, first.deviceSectors);
+    EXPECT_EQ(second.buddySectors, first.buddySectors);
     EXPECT_EQ(second.buddyAccesses, first.buddyAccesses);
     EXPECT_EQ(second.deviceCycles, first.deviceCycles);
     EXPECT_EQ(second.buddyCycles, first.buddyCycles);

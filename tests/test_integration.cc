@@ -170,7 +170,7 @@ TEST(Pipeline, SnapshotEvolutionKeepsFunctionalCorrectness)
     ASSERT_EQ(std::memcmp(data.data(), out.data(), data.size()), 0);
     // Zeros became data: the overflow population grew, but only inside
     // this allocation's own slots.
-    EXPECT_GE(gpu.stats().overflowEntries, 0u);
+    EXPECT_GE(gpu.overflowEntries(), 0u);
 }
 
 TEST(Pipeline, AlternativeCodecStillRoundTrips)

@@ -60,6 +60,20 @@ sameSummary(const BatchSummary &a, const BatchSummary &b)
            a.metadataMisses == b.metadataMisses;
 }
 
+/** Two latency histograms agree on count, sum, range and percentiles. */
+void
+expectSameHistogram(const obs::LatencyHistogram &h,
+                    const obs::LatencyHistogram &g)
+{
+    EXPECT_EQ(h.count(), g.count());
+    EXPECT_EQ(h.sum(), g.sum());
+    EXPECT_EQ(h.min(), g.min());
+    EXPECT_EQ(h.max(), g.max());
+    EXPECT_EQ(h.percentile(500), g.percentile(500));
+    EXPECT_EQ(h.percentile(950), g.percentile(950));
+    EXPECT_EQ(h.percentile(990), g.percentile(990));
+}
+
 /**
  * Run @p tenants synthetic sessions to completion on one engine.
  * @p arrivals, when given, supplies tenant i's arrival process
@@ -516,22 +530,49 @@ TEST(Service, ContinuousFixedSeedReproducesBitForBit)
         const TenantReport &y = b.tenants[i];
         EXPECT_EQ(x.serviceCycles, y.serviceCycles);
         EXPECT_EQ(x.queueDelayCycles, y.queueDelayCycles);
-        const auto histEq = [](const obs::LatencyHistogram &h,
-                               const obs::LatencyHistogram &g) {
-            EXPECT_EQ(h.count(), g.count());
-            EXPECT_EQ(h.sum(), g.sum());
-            EXPECT_EQ(h.min(), g.min());
-            EXPECT_EQ(h.max(), g.max());
-            EXPECT_EQ(h.percentile(500), g.percentile(500));
-            EXPECT_EQ(h.percentile(950), g.percentile(950));
-            EXPECT_EQ(h.percentile(990), g.percentile(990));
-        };
-        histEq(x.queueDelay, y.queueDelay);
-        histEq(x.serviceLatency, y.serviceLatency);
+        expectSameHistogram(x.queueDelay, y.queueDelay);
+        expectSameHistogram(x.serviceLatency, y.serviceLatency);
         EXPECT_EQ(x.queueDelay.count(), x.batches);
         EXPECT_EQ(x.serviceLatency.count(), x.batches);
         EXPECT_EQ(x.serviceLatency.sum(), x.serviceCycles);
         EXPECT_TRUE(sameSummary(x.totals, y.totals));
+    }
+}
+
+// The continuous-mode clock advances by each batch's
+// max(combinedWindowCycles, 1), which codec time never reaches: a slow
+// inline codec grows only the codec-charged totals, not the service
+// clock (the gap TenantReport::serviceCycles documents).
+TEST(Service, ContinuousClockIgnoresCodecTime)
+{
+    ServiceConfig scfg;
+    scfg.admission = AdmissionMode::Continuous;
+    scfg.seed = 0x5151;
+    scfg.maxInflightPerTenant = 2;
+    scfg.maxInflightTotal = 6;
+    const auto run = [&](const timing::CodecTiming &codec) {
+        EngineConfig cfg = engineConfig(4);
+        cfg.shard.codecTiming = codec;
+        ShardedEngine eng(cfg);
+        return runFleet(eng, 8, scfg, kBatches, {}, poissonArrivals(700));
+    };
+    const ServiceReport freeRun = run(timing::CodecTiming{});
+    const ServiceReport slowRun = run(timing::CodecTiming{64, 4});
+
+    EXPECT_EQ(freeRun.simCycles, slowRun.simCycles);
+    ASSERT_EQ(freeRun.tenants.size(), slowRun.tenants.size());
+    for (std::size_t i = 0; i < freeRun.tenants.size(); ++i) {
+        const TenantReport &f = freeRun.tenants[i];
+        const TenantReport &s = slowRun.tenants[i];
+        EXPECT_EQ(f.serviceCycles, s.serviceCycles);
+        EXPECT_EQ(f.queueDelayCycles, s.queueDelayCycles);
+        expectSameHistogram(f.queueDelay, s.queueDelay);
+        expectSameHistogram(f.serviceLatency, s.serviceLatency);
+        EXPECT_EQ(f.totals.codecChargedWindowCycles,
+                  f.totals.combinedWindowCycles);
+        EXPECT_GT(s.totals.codecChargedWindowCycles,
+                  f.totals.codecChargedWindowCycles)
+            << "tenant " << f.name;
     }
 }
 

@@ -277,7 +277,7 @@ TEST(TraceTiming, ReplayUnderEitherWindowModeAndAnyWindow)
         ShardedEngine eng(c);
         const TraceTotals t = replayer.replay(eng);
         // Engine stats mirror the replayed totals in either mode.
-        const BuddyStats st = eng.stats();
+        const BatchSummary st = eng.stats();
         EXPECT_EQ(st.deviceWindowCycles, t.summary.deviceWindowCycles);
         EXPECT_EQ(st.buddyWindowCycles, t.summary.buddyWindowCycles);
         EXPECT_EQ(st.combinedWindowCycles,
