@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <condition_variable>
 #include <deque>
+#include <iterator>
 #include <thread>
 
 #include "common/check.h"
@@ -24,7 +25,7 @@ struct ShardedEngine::Worker
     bool stop = false;
     std::vector<unsigned> shards; ///< shard ids this worker serves
 
-    /** Task: (job, sub index). Parallel to `shards`. */
+    /** Task: (job, shard). Parallel to `shards`. */
     std::vector<std::deque<std::pair<std::shared_ptr<BatchJob>, unsigned>>>
         queues;
 
@@ -49,8 +50,11 @@ ShardedEngine::ShardedEngine(const EngineConfig &cfg)
         shards_.push_back(std::make_unique<BuddyController>(shard_cfg));
     }
 
+    // One worker is the calling thread: no thread, no queues.
     const unsigned nthreads =
         std::min(cfg.threads == 0 ? cfg.shards : cfg.threads, cfg.shards);
+    if (nthreads == 1)
+        return;
     workers_.reserve(nthreads);
     for (unsigned t = 0; t < nthreads; ++t)
         workers_.push_back(std::make_unique<Worker>());
@@ -117,8 +121,8 @@ ShardedEngine::allocate(const std::string &name, u64 bytes,
         a.shardVa = sa.va;
         nextVa_ += a.bytes;
         logicalUsed_ += a.bytes;
-        byVa_[a.va] = a.id;
-        allocs_[a.id] = a;
+        const EngineAllocation &placed = allocs_[a.id] = a;
+        byVa_[a.va] = &placed;
         return a.id;
     }
     return std::nullopt;
@@ -141,8 +145,7 @@ ShardedEngine::allocationFor(Addr va) const
 {
     auto it = byVa_.upper_bound(va);
     BUDDY_CHECK(it != byVa_.begin(), "address below all engine allocations");
-    --it;
-    const EngineAllocation &a = allocs_.at(it->second);
+    const EngineAllocation &a = *std::prev(it)->second;
     BUDDY_CHECK(a.contains(va), "address not inside any engine allocation");
     return a;
 }
@@ -217,59 +220,90 @@ ShardedEngine::attachMetrics(obs::MetricRegistry &registry)
 std::future<BatchSummary>
 ShardedEngine::submit(AccessBatch &batch)
 {
-    auto job = std::make_shared<BatchJob>();
-    job->batch = &batch;
-    job->seq = nextSeq_.fetch_add(1, std::memory_order_relaxed);
-    batch.submitSeq_ = job->seq;
-
+    const u64 seq = nextSeq_.fetch_add(1, std::memory_order_relaxed);
+    batch.submitSeq_ = seq;
     const std::size_t n = batch.ops_.size();
     batch.results_.assign(n, AccessInfo{});
     batch.summary_ = BatchSummary{};
-    job->opAlloc.resize(n);
 
-    // Split the plan: one sub-plan per participating shard, ops kept in
-    // submission order with shard-local addresses.
-    std::vector<int> subOf(shardCount(), -1);
-    for (std::size_t i = 0; i < n; ++i) {
-        const AccessRequest &op = batch.ops_[i];
-        const EngineAllocation &a = allocationFor(op.va);
-        int &sub = subOf[a.shard];
-        if (sub < 0) {
-            sub = static_cast<int>(job->subs.size());
-            job->subs.emplace_back();
-            job->subs.back().shard = a.shard;
-        }
-        SubPlan &sp = job->subs[static_cast<std::size_t>(sub)];
-        AccessRequest local = op;
-        local.va = a.shardVa + (op.va - a.va);
-        sp.plan.ops_.push_back(local);
-        sp.origIdx.push_back(static_cast<u32>(i));
-        job->opAlloc[i] = a.id;
-    }
-
-    auto fut = job->done.get_future();
-    if (job->subs.empty()) {
-        // Empty plan: nothing to enqueue.
+    if (n == 0) {
+        // Empty plan: nothing to run.
         if (!hub_.empty()) {
             std::lock_guard<std::mutex> lk(accountMutex_);
             hub_.emitBatch(batch.summary_);
         }
-        job->done.set_value(batch.summary_);
+        std::promise<BatchSummary> done;
+        done.set_value(batch.summary_);
+        return done.get_future();
+    }
+
+    // A finished job if there is one; its sub-plans keep their capacity.
+    std::shared_ptr<BatchJob> job;
+    {
+        std::lock_guard<std::mutex> lk(jobMutex_);
+        if (!spareJobs_.empty()) {
+            job = std::move(spareJobs_.back());
+            spareJobs_.pop_back();
+        }
+    }
+    if (!job) {
+        job = std::make_shared<BatchJob>();
+        job->subs.resize(shardCount());
+    }
+    for (const unsigned s : job->active) {
+        job->subs[s].plan.clear();
+        job->subs[s].origIdx.clear();
+    }
+    job->active.clear();
+    job->done = std::promise<BatchSummary>();
+    job->batch = &batch;
+    job->seq = seq;
+    job->opAlloc.resize(n);
+
+    // Split the plan: one sub-plan per participating shard, ops kept in
+    // submission order with shard-local addresses. Runs of ops mostly
+    // stay inside one allocation, so the last lookup is reused while it
+    // covers the address.
+    const EngineAllocation *a = nullptr;
+    for (std::size_t i = 0; i < n; ++i) {
+        const AccessRequest &op = batch.ops_[i];
+        if (a == nullptr || !a->contains(op.va))
+            a = &allocationFor(op.va);
+        SubPlan &sp = job->subs[a->shard];
+        if (sp.origIdx.empty())
+            job->active.push_back(a->shard);
+        AccessRequest local = op;
+        local.va = a->shardVa + (op.va - a->va);
+        sp.plan.ops_.push_back(local);
+        sp.origIdx.push_back(static_cast<u32>(i));
+        job->opAlloc[i] = a->id;
+    }
+
+    auto fut = job->done.get_future();
+    const std::size_t parts = job->active.size();
+    job->remaining.store(static_cast<unsigned>(parts),
+                         std::memory_order_relaxed);
+
+    // Once its last sub-plan has run or been queued the job may already
+    // be finished and recycled, so neither loop reads it after that.
+    if (workers_.empty()) {
+        // One worker: the calling thread runs every sub-plan, and the
+        // last one completes the batch, so `fut` is ready on return.
+        for (std::size_t k = 0; k < parts; ++k)
+            runTask(job, job->active[k]);
         return fut;
     }
 
-    job->remaining.store(static_cast<unsigned>(job->subs.size()),
-                         std::memory_order_relaxed);
     std::size_t peakDepth = 0;
-    for (unsigned sub = 0; sub < job->subs.size(); ++sub) {
-        const unsigned s = job->subs[sub].shard;
+    for (std::size_t k = 0; k < parts; ++k) {
+        const unsigned s = job->active[k];
         Worker &w = *workers_[workerOf(s)];
         const auto slot = std::find(w.shards.begin(), w.shards.end(), s) -
                           w.shards.begin();
         {
             std::lock_guard<std::mutex> lk(w.m);
             auto &q = w.queues[static_cast<std::size_t>(slot)];
-            q.emplace_back(job, sub);
+            q.emplace_back(job, s);
             peakDepth = std::max(peakDepth, q.size());
         }
         w.cv.notify_one();
@@ -294,7 +328,7 @@ ShardedEngine::workerMain(Worker &w)
 {
     for (;;) {
         std::shared_ptr<BatchJob> job;
-        unsigned sub = 0;
+        unsigned shard = 0;
         {
             std::unique_lock<std::mutex> lk(w.m);
             w.cv.wait(lk, [&] {
@@ -311,7 +345,7 @@ ShardedEngine::workerMain(Worker &w)
                 auto &q = w.queues[(w.cursor + k) % w.queues.size()];
                 if (!q.empty()) {
                     job = std::move(q.front().first);
-                    sub = q.front().second;
+                    shard = q.front().second;
                     q.pop_front();
                     w.cursor = (w.cursor + k + 1) % w.queues.size();
                 }
@@ -322,32 +356,33 @@ ShardedEngine::workerMain(Worker &w)
                 continue;
             }
         }
-        runTask(job, sub);
+        runTask(job, shard);
     }
 }
 
 void
-ShardedEngine::runTask(const std::shared_ptr<BatchJob> &job, unsigned sub)
+ShardedEngine::runTask(const std::shared_ptr<BatchJob> &job, unsigned shard)
 {
-    SubPlan &sp = job->subs[sub];
     // Under Merged the batch is windowed once, merged, in finish().
-    shards_[sp.shard]->run(sp.plan,
-                           cfg_.shard.windowMode == WindowMode::PerShard);
+    shards_[shard]->run(job->subs[shard].plan,
+                        cfg_.shard.windowMode == WindowMode::PerShard);
 
     if (job->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
-        finish(*job);
+        finish(job);
 }
 
 void
-ShardedEngine::finish(BatchJob &job)
+ShardedEngine::finish(const std::shared_ptr<BatchJob> &jobPtr)
 {
+    BatchJob &job = *jobPtr;
     AccessBatch &batch = *job.batch;
 
     // Scatter per-op results back into submission order and fold the
     // per-shard summaries (u64 sums, so the merge is order-independent
     // and bit-identical to a single-controller run of the same plan).
     BatchSummary merged;
-    for (const SubPlan &sp : job.subs) {
+    for (const unsigned s : job.active) {
+        const SubPlan &sp = job.subs[s];
         merged.accumulate(sp.plan.summary_);
         for (std::size_t j = 0; j < sp.origIdx.size(); ++j)
             batch.results_[sp.origIdx[j]] = sp.plan.results_[j];
@@ -396,8 +431,8 @@ ShardedEngine::finish(BatchJob &job)
         merged.buddyWindowCycles = 0;
         merged.combinedWindowCycles = 0;
         merged.codecChargedWindowCycles = 0;
-        for (const SubPlan &sp : job.subs) {
-            const BatchSummary &s = sp.plan.summary_;
+        for (const unsigned shard : job.active) {
+            const BatchSummary &s = job.subs[shard].plan.summary_;
             merged.deviceWindowCycles =
                 std::max(merged.deviceWindowCycles, s.deviceWindowCycles);
             merged.buddyWindowCycles =
@@ -427,7 +462,7 @@ ShardedEngine::finish(BatchJob &job)
             imbalance_.sumMin += min_makespan;
             imbalance_.sumMax += max_makespan;
             imbalance_.sumAll += sum_makespan;
-            imbalance_.sumShards += job.subs.size();
+            imbalance_.sumShards += job.active.size();
             imbalance_.minMin = std::min(imbalance_.minMin, min_makespan);
             imbalance_.maxMax = std::max(imbalance_.maxMax, max_makespan);
             if (sum_makespan > 0) {
@@ -435,7 +470,7 @@ ShardedEngine::finish(BatchJob &job)
                 // max * 10 * shards / Σ so no floats enter the
                 // accumulator.
                 const u64 tenths =
-                    max_makespan * 10 * job.subs.size() / sum_makespan;
+                    max_makespan * 10 * job.active.size() / sum_makespan;
                 const u64 bucket = std::min<u64>(
                     tenths - 10, WindowImbalanceStats::kRatioBuckets - 1);
                 ++imbalance_.ratioHist[bucket];
@@ -490,10 +525,11 @@ ShardedEngine::finish(BatchJob &job)
             rec.summary = merged;
             rec.maxDeviceOutstanding = maxDevOut;
             rec.maxBuddyOutstanding = maxBudOut;
-            rec.shards.reserve(job.subs.size());
-            for (const SubPlan &sp : job.subs) {
+            rec.shards.reserve(job.active.size());
+            for (const unsigned s : job.active) {
+                const SubPlan &sp = job.subs[s];
                 obs::BatchRecord::ShardSpan span;
-                span.shard = sp.shard;
+                span.shard = s;
                 span.ops = sp.plan.ops_.size();
                 // Under Merged every span carries the batch's one
                 // (merged) makespan.
@@ -523,6 +559,10 @@ ShardedEngine::finish(BatchJob &job)
     }
 
     job.done.set_value(merged);
+
+    // Recycle the job only now; nothing here touches it after this.
+    std::lock_guard<std::mutex> lk(jobMutex_);
+    spareJobs_.push_back(jobPtr);
 }
 
 BatchSummary

@@ -11,21 +11,30 @@
  * backing stores), and executing access plans on a worker thread pool
  * with per-shard work queues.
  *
- * Submission is asynchronous: submit(AccessBatch&) splits the plan by
- * shard, enqueues one sub-plan per participating shard, and returns a
- * std::future<BatchSummary>. Workers execute sub-plans in parallel; the
- * last one to finish merges the per-op AccessInfo back into submission
- * order, folds the per-shard summaries into one BatchSummary and, under
+ * Submission: submit(AccessBatch&) splits the plan by shard into one
+ * sub-plan per participating shard and returns a
+ * std::future<BatchSummary>. With more than one worker thread it
+ * enqueues each sub-plan on its shard's queue and returns at once;
+ * workers execute sub-plans in parallel, and the last one to finish
+ * completes the batch. With one worker (EngineConfig::threads) the
+ * engine starts no thread: submit() runs every sub-plan on the calling
+ * thread, completes the batch itself and returns a future that is
+ * already ready. Completion is the same code on both paths: it merges
+ * the per-op AccessInfo back into submission order, folds the
+ * per-shard summaries into one BatchSummary and, under
  * WindowMode::Merged, runs the batch's one windowed timing pass. It
  * then publishes the finished batch in one critical section: the
  * per-tenant and metric accounting, the BatchRecord, and the sink
  * events, each built from an op and its merged result
- * (api::makeEvent).
+ * (api::makeEvent). Running on the caller changes no simulated value:
+ * each sub-plan touches only its own shard, and the merge does not
+ * depend on the order the sub-plans finish in.
  *
- * Determinism: a shard is only ever touched by the one worker thread
- * that owns its queue, and each shard sees its sub-plan's operations in
- * submission order, so results are independent of thread scheduling.
- * Shard assignment hashes the allocation ordinal with a fixed salt
+ * Determinism: a shard is only ever touched by the one thread that
+ * owns its queue (the calling thread when the engine has one worker),
+ * and each shard sees its sub-plan's operations in submission order,
+ * so results are independent of thread scheduling. Shard assignment
+ * hashes the allocation ordinal with a fixed salt
  * (EngineConfig::shardSalt) and per-shard RNG seeds derive from
  * EngineConfig::seed, so multi-threaded runs are reproducible
  * run-to-run. Cross-shard traffic totals — including the serial link
@@ -38,16 +47,19 @@
  * Thread-safety contract: allocate()/free()/attachSink()/detachSink()
  * and the merged-stat accessors must be called with no batch in flight
  * (between submit() and future completion only workers touch shard
- * state). Multiple batches may be in flight at once; per-shard FIFO
- * order keeps same-entry dependencies correct across batches. Engine
- * sinks and the batch observer are invoked under the one accounting
- * lock, one batch at a time in completion order (a batch's events in
- * submission order), so they need no locking of their own and see the
- * batches in the same order. They must not call back into the engine.
+ * state). submit() calls must not overlap one another: with one worker
+ * the calling thread executes the batch. Multiple batches may be in
+ * flight at once; per-shard FIFO order keeps same-entry dependencies
+ * correct across batches. Engine sinks and the batch observer are
+ * invoked under the one accounting lock, one batch at a time in
+ * completion order (a batch's events in submission order), so they
+ * need no locking of their own and see the batches in the same order.
+ * They must not call back into the engine.
  */
 
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <future>
 #include <map>
@@ -72,7 +84,11 @@ struct EngineConfig
     /** Number of shards; each owns a complete BuddyController. */
     unsigned shards = 4;
 
-    /** Worker threads (0 = one per shard; clamped to the shard count). */
+    /**
+     * Worker threads (0 = one per shard; clamped to the shard count).
+     * One worker means no thread: submit() runs the batch on the
+     * calling thread and returns a future that is already ready.
+     */
     unsigned threads = 0;
 
     /**
@@ -231,12 +247,13 @@ class ShardedEngine
     /**
      * Submit a batched access plan for parallel execution.
      *
-     * The plan is split by shard and executed concurrently; when the
-     * future becomes ready, batch.results() holds one AccessInfo per
-     * operation in submission order and batch.summary() the merged
-     * cross-shard totals (also the future's value). The batch and every
-     * src/dst buffer it references must stay alive and untouched until
-     * the future is ready.
+     * The plan is split by shard and executed concurrently, or, when
+     * the engine has one worker, on the calling thread before submit()
+     * returns. When the future becomes ready, batch.results() holds one
+     * AccessInfo per operation in submission order and batch.summary()
+     * the merged cross-shard totals (also the future's value). The
+     * batch and every src/dst buffer it references must stay alive and
+     * untouched until the future is ready.
      *
      * Windowed timing (BuddyConfig::windowMode) runs once per batch.
      * Under the default Merged mode the shards run only the functional
@@ -283,7 +300,9 @@ class ShardedEngine
      *                  shards window nothing, so shard/s<k>/ has no
      *                  window metrics);
      *   wall/engine/   thread-timing-dependent (queue depth) —
-     *                  excluded from every determinism check.
+     *                  excluded from every determinism check. A
+     *                  one-worker engine has no queue and records no
+     *                  queue-depth sample.
      *
      * Call with no batch in flight; the registry must outlive the
      * engine. Metric folds happen under the accounting lock, so
@@ -303,7 +322,13 @@ class ShardedEngine
     }
 
     unsigned shardCount() const { return static_cast<unsigned>(shards_.size()); }
-    unsigned threadCount() const { return static_cast<unsigned>(workers_.size()); }
+    /** Workers EngineConfig::threads resolves to; with one, the worker
+     *  is the calling thread. */
+    unsigned
+    threadCount() const
+    {
+        return std::max(1u, static_cast<unsigned>(workers_.size()));
+    }
 
     /** Shard @p s's controller (tests / per-shard introspection). */
     const BuddyController &shard(unsigned s) const { return *shards_[s]; }
@@ -399,17 +424,23 @@ class ShardedEngine
     /** One shard's slice of an in-flight batch. */
     struct SubPlan
     {
-        unsigned shard = 0;
         AccessBatch plan;           ///< shard-local (translated) ops
         std::vector<u32> origIdx;   ///< submission index of each op
     };
 
-    /** One in-flight batch: sub-plans plus completion bookkeeping. */
+    /**
+     * One in-flight batch: sub-plans plus completion bookkeeping.
+     * Jobs are recycled: finish() returns a job to spareJobs_ only
+     * after done.set_value, and nothing touches it afterwards; submit()
+     * takes a spare job before making a new one. Cleared sub-plans keep
+     * their capacity.
+     */
     struct BatchJob
     {
         AccessBatch *batch = nullptr;
         u64 seq = 0; ///< submission sequence (obs::BatchRecord sort key)
-        std::vector<SubPlan> subs;
+        std::vector<SubPlan> subs;    ///< one per shard, by shard index
+        std::vector<unsigned> active; ///< shards in use, first-seen order
         std::vector<AllocId> opAlloc; ///< engine alloc id of each op
         std::atomic<unsigned> remaining{0};
         std::promise<BatchSummary> done;
@@ -451,20 +482,24 @@ class ShardedEngine
 
     unsigned workerOf(unsigned shard) const;
     void workerMain(Worker &w);
-    void runTask(const std::shared_ptr<BatchJob> &job, unsigned sub);
-    void finish(BatchJob &job);
+    void runTask(const std::shared_ptr<BatchJob> &job, unsigned shard);
+    void finish(const std::shared_ptr<BatchJob> &job);
 
     EngineConfig cfg_;
     std::vector<std::unique_ptr<BuddyController>> shards_;
-    std::vector<std::unique_ptr<Worker>> workers_;
+    std::vector<std::unique_ptr<Worker>> workers_; ///< empty: caller runs
     TrafficHub hub_;
 
+    std::mutex jobMutex_; ///< guards spareJobs_
+    std::vector<std::shared_ptr<BatchJob>> spareJobs_;
+
     /** Guards tenantTotals_, imbalance_ and the metric folds, and
-     *  serializes the batch observer and sink emission — finish() runs
-     *  on worker threads, so concurrent batch completions race without
-     *  it. The accumulations are integer sums (and per-batch maxima
-     *  folded with max/min), so the result is completion-order-
-     *  independent. */
+     *  serializes the batch observer and sink emission — with several
+     *  workers finish() runs on worker threads, and concurrent batch
+     *  completions race without it (with one worker it runs on the
+     *  calling thread, uncontended). The accumulations are integer
+     *  sums (and per-batch maxima folded with max/min), so the result
+     *  is completion-order-independent. */
     mutable std::mutex accountMutex_;
     std::map<u32, TenantTotals> tenantTotals_;
     WindowImbalanceStats imbalance_;
@@ -475,7 +510,9 @@ class ShardedEngine
     std::atomic<u64> nextSeq_{0};
 
     std::map<AllocId, EngineAllocation> allocs_;
-    std::map<Addr, AllocId> byVa_; // engine base VA -> id
+    /** Engine base VA -> its allocation in allocs_ (a node map, so the
+     *  pointer stays valid until free()). */
+    std::map<Addr, const EngineAllocation *> byVa_;
     AllocId nextId_ = 1;
     u64 nextOrdinal_ = 0; ///< shard-hash input, counts all allocates
     Addr nextVa_ = 0x10000000ull;

@@ -42,7 +42,8 @@ struct ServiceScheduler::Tenant
 /**
  * One in-flight batch. Heap-allocated and pinned until completion: the
  * engine holds a pointer to the plan (and the plan's reads point into
- * readBuf) until the future is ready, so neither may move.
+ * readBuf) until the future is ready, so neither may move. A completed
+ * Dispatch goes to spareDispatches_ for the next batch.
  */
 struct ServiceScheduler::Dispatch
 {
@@ -162,6 +163,21 @@ ServiceScheduler::pickNext(const std::vector<unsigned> &inflight,
     return -1;
 }
 
+std::unique_ptr<ServiceScheduler::Dispatch>
+ServiceScheduler::takeDispatch(std::size_t tenant)
+{
+    std::unique_ptr<Dispatch> d;
+    if (spareDispatches_.empty()) {
+        d = std::make_unique<Dispatch>();
+    } else {
+        d = std::move(spareDispatches_.back());
+        spareDispatches_.pop_back();
+        d->resolved = false; // every other field is set on admission
+    }
+    d->tenant = tenant;
+    return d;
+}
+
 ServiceReport
 ServiceScheduler::run()
 {
@@ -195,21 +211,22 @@ ServiceScheduler::runBulk()
     };
 
     std::size_t rrCursor = n ? engine::splitmix64(cfg_.seed) % n : 0;
+    std::vector<unsigned> inflight(n, 0);
+    std::vector<std::unique_ptr<Dispatch>> dispatches;
 
     while (n && !allDone() &&
            (cfg_.maxRounds == 0 || rep.rounds < cfg_.maxRounds)) {
         // Admission: the policy fills the round up to the per-tenant and
         // global caps. Each dispatch is submitted as soon as it is
-        // planned so the engine's workers overlap with plan generation.
-        std::vector<unsigned> inflight(n, 0);
-        std::vector<std::unique_ptr<Dispatch>> dispatches;
+        // planned, so engine workers overlap with plan generation (a
+        // one-worker engine has none and runs the batch inside submit()).
+        std::fill(inflight.begin(), inflight.end(), 0u);
         while (dispatches.size() < cfg_.maxInflightTotal) {
             const int pick = pickNext(inflight, rrCursor, false, 0);
             if (pick < 0)
                 break;
             Tenant &t = *tenants_[static_cast<std::size_t>(pick)];
-            auto d = std::make_unique<Dispatch>();
-            d->tenant = static_cast<std::size_t>(pick);
+            auto d = takeDispatch(static_cast<std::size_t>(pick));
             const bool ok = t.session->next(d->plan, d->readBuf);
             BUDDY_CHECK(ok, "eligible session yielded no batch");
             d->plan.setTenant(t.id);
@@ -261,6 +278,9 @@ ServiceScheduler::runBulk()
             if (dispatches.size() >= cfg_.maxInflightTotal)
                 mCapRounds_->add();
         }
+        for (auto &d : dispatches)
+            spareDispatches_.push_back(std::move(d));
+        dispatches.clear();
     }
 
     finalizeReport(rep);
@@ -311,8 +331,7 @@ ServiceScheduler::runContinuous()
                 break;
             const std::size_t i = static_cast<std::size_t>(pick);
             Tenant &t = *tenants_[i];
-            auto d = std::make_unique<Dispatch>();
-            d->tenant = i;
+            auto d = takeDispatch(i);
             d->arrival = t.session->arrivalCycles(t.dispatched);
             d->admit = now;
             d->admitSeq = admitSeq++;
@@ -361,10 +380,11 @@ ServiceScheduler::runContinuous()
         }
 
         // Resolve every outstanding future. All pending batches are
-        // already executing concurrently on the engine's workers, so
-        // the blocking order is irrelevant to both wall time and the
-        // (deterministic) results; resolving them all makes every
-        // completion time known in simulated cycles.
+        // executing concurrently on the engine's workers, or, with one
+        // worker, already finished inside submit(), so the blocking
+        // order is irrelevant to both wall time and the (deterministic)
+        // results; resolving them all makes every completion time known
+        // in simulated cycles.
         for (auto &d : pending) {
             if (d->resolved)
                 continue;
@@ -404,6 +424,7 @@ ServiceScheduler::runContinuous()
         if (timeline_ != nullptr)
             timeline_->noteServiceSpan(done->submitSeq, done->arrival,
                                        done->admit, done->complete);
+        spareDispatches_.push_back(std::move(done));
     }
 
     rep.dispatched = admitted;

@@ -344,6 +344,11 @@ class ServiceScheduler
     int pickNext(const std::vector<unsigned> &inflight,
                  std::size_t &rrCursor, bool gateArrivals, u64 now) const;
 
+    /** A Dispatch for tenant index @p tenant: a finished one from
+     *  spareDispatches_ (its plan and readBuf keep their capacity) or a
+     *  new one. */
+    std::unique_ptr<Dispatch> takeDispatch(std::size_t tenant);
+
     ServiceReport runBulk();
     ServiceReport runContinuous();
     void finalizeReport(ServiceReport &rep) const;
@@ -351,6 +356,7 @@ class ServiceScheduler
     engine::ShardedEngine &engine_;
     ServiceConfig cfg_;
     std::vector<std::unique_ptr<Tenant>> tenants_;
+    std::vector<std::unique_ptr<Dispatch>> spareDispatches_;
     bool ran_ = false;
 
     obs::ChromeTraceSink *timeline_ = nullptr;

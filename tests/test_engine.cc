@@ -9,8 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <future>
+#include <set>
+#include <thread>
 #include <utility>
 
 #include "core/controller.h"
@@ -544,6 +547,216 @@ TEST(ShardedEngine, EmptyBatchCompletesImmediately)
     AccessBatch empty;
     EXPECT_EQ(eng.submit(empty).get().operations(), 0u);
     EXPECT_TRUE(empty.results().empty());
+}
+
+/** Records every BatchRecord and the thread it arrives on. */
+struct BatchLog : obs::BatchObserver
+{
+    std::vector<obs::BatchRecord> records;
+    std::vector<std::thread::id> threads;
+
+    void
+    onBatchComplete(const obs::BatchRecord &r) override
+    {
+        records.push_back(r);
+        threads.push_back(std::this_thread::get_id());
+    }
+};
+
+TEST(ShardedEngine, OneWorkerRunsBatchesOnTheCaller)
+{
+    // One worker is the calling thread: submit() runs the batch before
+    // it returns, so the future is ready and the observer runs here.
+    // Per-op results, summaries and sink events equal a two-worker
+    // engine's over the same plans.
+    struct Run
+    {
+        std::vector<AccessInfo> infos;
+        std::vector<BatchSummary> sums;
+        EventLog events;
+        BatchLog observer;
+    };
+    const auto entries = mixedEntries(kN, 31);
+    const auto drive = [&](unsigned threads, Run &run) {
+        ShardedEngine eng(engineConfig(4, threads));
+        EXPECT_EQ(eng.threadCount(), threads);
+        eng.setBatchObserver(&run.observer);
+        const auto vas = allocateSet(eng);
+        eng.attachSink(&run.events);
+        std::vector<u8> out(kN * kEntryBytes);
+        AccessBatch w, r;
+        for (std::size_t i = 0; i < kN; ++i)
+            w.write(vas[i], entries[i].data());
+        for (std::size_t i = 0; i < kN; ++i) {
+            if (i % 4 == 0)
+                r.probe(vas[i]);
+            else
+                r.read(vas[i], out.data() + i * kEntryBytes);
+        }
+        for (AccessBatch *b : {&w, &r}) {
+            std::future<BatchSummary> fut = eng.submit(*b);
+            if (threads == 1) {
+                EXPECT_EQ(fut.wait_for(std::chrono::seconds(0)),
+                          std::future_status::ready);
+            }
+            run.sums.push_back(fut.get());
+            run.infos.insert(run.infos.end(), b->results().begin(),
+                             b->results().end());
+        }
+        eng.detachSink(&run.events);
+    };
+    Run one, two;
+    drive(1, one);
+    drive(2, two);
+
+    ASSERT_EQ(one.observer.threads.size(), 2u);
+    for (const std::thread::id id : one.observer.threads)
+        EXPECT_EQ(id, std::this_thread::get_id());
+    for (const std::thread::id id : two.observer.threads)
+        EXPECT_NE(id, std::this_thread::get_id());
+
+    ASSERT_EQ(one.infos.size(), two.infos.size());
+    for (std::size_t i = 0; i < one.infos.size(); ++i)
+        ASSERT_TRUE(sameInfo(one.infos[i], two.infos[i])) << "op " << i;
+    ASSERT_EQ(one.sums.size(), two.sums.size());
+    for (std::size_t b = 0; b < one.sums.size(); ++b)
+        EXPECT_TRUE(sameSummary(one.sums[b], two.sums[b])) << "batch " << b;
+
+    ASSERT_EQ(one.events.events.size(), two.events.events.size());
+    for (std::size_t i = 0; i < one.events.events.size(); ++i) {
+        const EventLog::Event &x = one.events.events[i];
+        const EventLog::Event &y = two.events.events[i];
+        ASSERT_EQ(x.batch, y.batch) << "event " << i;
+        ASSERT_EQ(x.ev.kind, y.ev.kind) << "event " << i;
+        ASSERT_EQ(x.ev.va, y.ev.va) << "event " << i;
+        ASSERT_EQ(x.ev.allocId, y.ev.allocId) << "event " << i;
+        ASSERT_TRUE(sameInfo(x.ev.info, y.ev.info)) << "event " << i;
+        ASSERT_EQ(x.payload, y.payload) << "event " << i;
+    }
+    ASSERT_EQ(one.events.batches.size(), two.events.batches.size());
+    for (std::size_t b = 0; b < one.events.batches.size(); ++b)
+        EXPECT_TRUE(
+            sameSummary(one.events.batches[b], two.events.batches[b]))
+            << "batch " << b;
+}
+
+/**
+ * Drive a plan sequence whose shard sets change from batch to batch
+ * through @p t: every entry (all shards), allocation 0 alone (one
+ * shard), an empty batch, allocations 0 and @p other interleaved op by
+ * op (two shards), then allocation @p again freed, allocated anew,
+ * written and read back. Appends every per-op result and summary.
+ */
+template <typename Target>
+void
+shardSetSequence(Target &t, std::size_t other, std::size_t again,
+                 std::vector<AccessInfo> &infos,
+                 std::vector<BatchSummary> &sums)
+{
+    const auto vas = allocateSet(t);
+    const auto entries = mixedEntries(kN, 2024);
+    std::vector<u8> out(kN * kEntryBytes);
+    const auto entry = [](std::size_t a, std::size_t i) {
+        return a * kEntriesPerAlloc + i;
+    };
+    const auto run = [&](AccessBatch &b) {
+        sums.push_back(t.execute(b));
+        infos.insert(infos.end(), b.results().begin(), b.results().end());
+    };
+
+    AccessBatch all, one, empty, two, fresh;
+    for (std::size_t e = 0; e < kN; ++e)
+        all.write(vas[e], entries[e].data());
+    run(all);
+    for (std::size_t i = 0; i < kEntriesPerAlloc; ++i)
+        one.read(vas[i], &out[i * kEntryBytes]);
+    run(one);
+    run(empty);
+    for (std::size_t i = 0; i < kEntriesPerAlloc; ++i) {
+        two.probe(vas[entry(0, i)]);
+        const std::size_t e = entry(other, i);
+        two.read(vas[e], &out[e * kEntryBytes]);
+    }
+    run(two);
+
+    AllocId victim = 0;
+    for (const auto &[id, a] : t.allocations())
+        if (a.va == vas[entry(again, 0)])
+            victim = id;
+    t.free(victim);
+    const auto id = t.allocate("again", kEntriesPerAlloc * kEntryBytes,
+                               CompressionTarget::Ratio2);
+    ASSERT_TRUE(id.has_value());
+    const Addr base = t.allocations().at(*id).va;
+    for (std::size_t i = 0; i < kEntriesPerAlloc; ++i) {
+        fresh.write(base + i * kEntryBytes, entries[entry(other, i)].data());
+        const std::size_t e = entry(other, i);
+        fresh.read(vas[e], &out[e * kEntryBytes]);
+    }
+    run(fresh);
+    fresh.clear();
+    for (std::size_t i = 0; i < kEntriesPerAlloc; ++i)
+        fresh.read(base + i * kEntryBytes, &out[i * kEntryBytes]);
+    run(fresh);
+    for (std::size_t i = 0; i < kEntriesPerAlloc; ++i)
+        ASSERT_EQ(std::memcmp(&out[i * kEntryBytes],
+                              entries[entry(other, i)].data(), kEntryBytes),
+                  0)
+            << "entry " << i;
+}
+
+TEST(ShardedEngine, RecycledJobsMatchSingleControllerAcrossShardSets)
+{
+    // Jobs and their sub-plans are reused across submits. A sub-plan
+    // left over from an earlier batch, or a stale address lookup after
+    // free(), would show up as a result that differs from a single
+    // controller running the same plans, or as a shard span with no
+    // ops of this batch.
+    std::vector<unsigned> shardOf;
+    {
+        ShardedEngine placement(engineConfig(4, 1));
+        allocateSet(placement);
+        for (const auto &[id, a] : placement.allocations())
+            shardOf.push_back(a.shard);
+    }
+    ASSERT_EQ(std::set<unsigned>(shardOf.begin(), shardOf.end()).size(),
+              4u);
+    std::size_t other = 1;
+    while (shardOf[other] == shardOf[0])
+        ++other;
+    const std::size_t again = other == 1 ? 2 : 1;
+
+    std::vector<AccessInfo> want;
+    std::vector<BatchSummary> wantSums;
+    BuddyController single(singleConfig());
+    shardSetSequence(single, other, again, want, wantSums);
+
+    for (const unsigned threads : {1u, 2u}) {
+        ShardedEngine eng(engineConfig(4, threads));
+        BatchLog log;
+        eng.setBatchObserver(&log);
+        std::vector<AccessInfo> got;
+        std::vector<BatchSummary> gotSums;
+        shardSetSequence(eng, other, again, got, gotSums);
+        for (const obs::BatchRecord &rec : log.records) {
+            u64 ops = 0;
+            for (const obs::BatchRecord::ShardSpan &span : rec.shards) {
+                EXPECT_GT(span.ops, 0u) << threads << " batch " << rec.seq;
+                ops += span.ops;
+            }
+            EXPECT_EQ(ops, rec.summary.operations())
+                << threads << " batch " << rec.seq;
+        }
+        ASSERT_EQ(got.size(), want.size()) << threads;
+        for (std::size_t i = 0; i < want.size(); ++i)
+            ASSERT_TRUE(sameInfo(got[i], want[i]))
+                << threads << " op " << i;
+        ASSERT_EQ(gotSums.size(), wantSums.size()) << threads;
+        for (std::size_t b = 0; b < wantSums.size(); ++b)
+            EXPECT_TRUE(sameSummary(gotSums[b], wantSums[b]))
+                << threads << " batch " << b;
+        EXPECT_TRUE(sameStats(eng, single)) << threads;
+    }
 }
 
 TEST(ShardedEngine, FreeReleasesCapacityOnOwningShard)
