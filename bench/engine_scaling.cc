@@ -19,7 +19,7 @@
  * pools per shard, cross-shard barrier per batch), which shrinks with
  * the shard count while the traffic stays identical.
  *
- *   bench_engine_scaling --shards=8 --threads=0 --entries=131072
+ *   bench_engine_scaling --shards=8 --entries=131072
  *   bench_engine_scaling --smoke       # tiny set + "SMOKE OK" for CI
  */
 
@@ -50,15 +50,14 @@ struct RunResult
 
 /** Write + read the whole working set through one engine. */
 RunResult
-runOnce(unsigned shards, unsigned threads, const std::string &codec,
-        std::size_t entries, std::size_t allocs, const std::vector<u8> &data,
+runOnce(unsigned shards, const std::string &codec, std::size_t entries,
+        std::size_t allocs, const std::vector<u8> &data,
         std::size_t batch_entries, u64 window, WindowMode mode,
         obs::MetricRegistry *registry = nullptr,
         obs::ChromeTraceSink *trace = nullptr)
 {
     EngineConfig cfg;
     cfg.shards = shards;
-    cfg.threads = threads;
     cfg.shard.codec = codec;
     // Worst case the ordinal hash lands every allocation on one shard:
     // give each shard room for the whole logical set at the 2x target.
@@ -157,7 +156,6 @@ main(int argc, char **argv)
     CliFlags cli("bench_engine_scaling",
                  "simulated-traffic throughput vs. shard count");
     cli.addUint("shards", 8, "maximum shard count in the sweep");
-    cli.addUint("threads", 0, "worker threads (0 = one per shard)");
     cli.addUint("entries", 128 * 1024, "working-set size in 128 B entries");
     cli.addString("codec", "bpc", "codec registry name");
     cli.addUint("allocs", 16, "allocations the set is spread over");
@@ -179,7 +177,6 @@ main(int argc, char **argv)
         !cli.wasSet("entries") && smoke ? 4096 : cli.uintOf("entries"));
     const unsigned max_shards = static_cast<unsigned>(
         !cli.wasSet("shards") && smoke ? 4 : cli.uintOf("shards"));
-    const unsigned threads = static_cast<unsigned>(cli.uintOf("threads"));
     const std::size_t allocs = std::max<u64>(1, cli.uintOf("allocs"));
     const std::size_t batch_entries = std::max<u64>(1, cli.uintOf("batch"));
     const u64 window = windowOf(cli);
@@ -205,7 +202,7 @@ main(int argc, char **argv)
                             data.data() + e * kEntryBytes);
     }
 
-    Table t({"shards", "threads", "wall-ms", "entries/s", "speedup",
+    Table t({"shards", "wall-ms", "entries/s", "speedup",
              "sim-Mcycles",
              strfmt("%s-win-Mcycles (W=%llu)", mode_token.c_str(),
                     (unsigned long long)window)});
@@ -221,8 +218,8 @@ main(int argc, char **argv)
     for (unsigned shards = 1; shards <= max_shards; shards *= 2) {
         const bool last = shards * 2 > max_shards;
         const RunResult r =
-            runOnce(shards, threads, codec, entries, allocs, data,
-                    batch_entries, window, mode, last ? &registry : nullptr,
+            runOnce(shards, codec, entries, allocs, data, batch_entries,
+                    window, mode, last ? &registry : nullptr,
                     last && want_trace ? &trace : nullptr);
         if (shards == 1)
             ref = r;
@@ -232,7 +229,6 @@ main(int argc, char **argv)
 
         const double eps = 2.0 * static_cast<double>(entries); // W + R
         t.addRow({strfmt("%u", shards),
-                  strfmt("%u", threads == 0 ? shards : threads),
                   strfmt("%.1f", r.seconds * 1e3),
                   strfmt("%.0f", eps / r.seconds),
                   strfmt("%.2fx", ref.seconds / r.seconds),

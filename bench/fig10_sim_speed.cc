@@ -35,8 +35,8 @@
  *      and codec-charged makespans shrinking monotonely inside them.
  *
  * --smoke shrinks the set and runs sections (iv)+(v) only, emitting
- * "SMOKE OK"/"SMOKE FAILED" — the CI ThreadSanitizer job drives the
- * engine's timed clock paths through this mode.
+ * "SMOKE OK"/"SMOKE FAILED" — the CI snapshot gate drives the engine's
+ * timed clock paths through this mode, under ASan/UBSan too.
  */
 
 #include <algorithm>

@@ -50,13 +50,12 @@ using namespace buddy;
 namespace {
 
 EngineConfig
-engineConfig(unsigned shards, unsigned threads, const std::string &codec,
+engineConfig(unsigned shards, const std::string &codec,
              std::size_t tenants, std::size_t entries, u64 window,
              WindowMode mode)
 {
     EngineConfig cfg;
     cfg.shards = shards;
-    cfg.threads = threads;
     cfg.shard.codec = codec;
     // Worst case the ordinal hash lands every tenant's set on one shard.
     cfg.shard.deviceBytes = tenants * entries * kEntryBytes + 8 * MiB;
@@ -102,7 +101,6 @@ main(int argc, char **argv)
                  "isolation");
     cli.addUint("tenants", 16, "concurrent tenant sessions");
     cli.addUint("shards", 4, "engine shard count");
-    cli.addUint("threads", 0, "worker threads (0 = one per shard)");
     cli.addUint("entries", 1024, "per-tenant working set in 128 B entries");
     cli.addUint("batches", 8, "batches per tenant stream");
     cli.addString("codec", "bpc", "codec registry name");
@@ -155,7 +153,6 @@ main(int argc, char **argv)
     const std::size_t entries = static_cast<std::size_t>(
         !cli.wasSet("entries") && smoke ? 512 : cli.uintOf("entries"));
     const unsigned shards = static_cast<unsigned>(cli.uintOf("shards"));
-    const unsigned threads = static_cast<unsigned>(cli.uintOf("threads"));
     const u64 batches = std::max<u64>(1, cli.uintOf("batches"));
     const u64 spread = std::max<u64>(1, cli.uintOf("weight-spread"));
     const u64 seed = cli.uintOf("seed");
@@ -187,8 +184,8 @@ main(int argc, char **argv)
                 continuous ? ", arrivals " : "",
                 continuous ? cli.enumTokenOf("arrivals").c_str() : "");
 
-    const EngineConfig cfg = engineConfig(shards, threads, codec, tenants,
-                                          entries, window, mode);
+    const EngineConfig cfg =
+        engineConfig(shards, codec, tenants, entries, window, mode);
     ShardedEngine eng(cfg);
 
     // Telemetry: one registry over the engine and the scheduler, and —

@@ -298,8 +298,8 @@ class AccessBatch
     u32 tenant() const { return tenant_; }
 
     /**
-     * The engine submit sequence stamped by ShardedEngine::submit()
-     * (valid once submit() returns; 0 before any submission). The
+     * The engine submit sequence stamped by ShardedEngine::execute()
+     * (valid once execute() returns; 0 before any submission). The
      * batch's identity for completion-hook consumers: BatchRecords and
      * service-scheduler timeline spans carry the same sequence, so
      * per-batch data from both sides joins on it.

@@ -1,7 +1,10 @@
 #include "api/backing_store.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <memory>
 
 #include "common/log.h"
 
@@ -10,36 +13,51 @@ namespace api {
 
 namespace {
 
-/** Shared flat-memory implementation behind every in-process kind. */
+/**
+ * Shared flat-memory implementation behind every in-process kind. The
+ * bytes come from calloc, not a zero-filled vector: a fresh allocation
+ * is then zero pages the kernel maps on first touch, so constructing a
+ * controller costs no page faults for memory the run never writes, and
+ * that cost does not depend on whether the allocator recycled the
+ * memory of an earlier store.
+ */
 class FlatStore : public BackingStore
 {
   public:
     FlatStore(const char *kind, u64 capacity_bytes,
               const timing::LinkTiming &timing)
-        : BackingStore(kind, timing), data_(capacity_bytes, 0)
-    {}
+        : BackingStore(kind, timing), size_(capacity_bytes),
+          data_(static_cast<u8 *>(
+              std::calloc(std::max<u64>(capacity_bytes, 1), 1)))
+    {
+        BUDDY_CHECK(data_ != nullptr, "backing-store allocation failed");
+    }
 
-    u64 capacity() const override { return data_.size(); }
+    u64 capacity() const override { return size_; }
 
   protected:
     void
     doWrite(Addr addr, const u8 *src, std::size_t len) override
     {
-        BUDDY_CHECK(addr + len <= data_.size(),
-                    "backing-store write out of range");
-        std::memcpy(data_.data() + addr, src, len);
+        BUDDY_CHECK(addr + len <= size_, "backing-store write out of range");
+        std::memcpy(data_.get() + addr, src, len);
     }
 
     void
     doRead(Addr addr, u8 *dst, std::size_t len) const override
     {
-        BUDDY_CHECK(addr + len <= data_.size(),
-                    "backing-store read out of range");
-        std::memcpy(dst, data_.data() + addr, len);
+        BUDDY_CHECK(addr + len <= size_, "backing-store read out of range");
+        std::memcpy(dst, data_.get() + addr, len);
     }
 
   private:
-    std::vector<u8> data_;
+    struct Free
+    {
+        void operator()(u8 *p) const { std::free(p); }
+    };
+
+    u64 size_;
+    std::unique_ptr<u8[], Free> data_;
 };
 
 /**

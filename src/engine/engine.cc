@@ -1,10 +1,7 @@
 #include "engine/engine.h"
 
 #include <algorithm>
-#include <condition_variable>
-#include <deque>
 #include <iterator>
-#include <thread>
 
 #include "common/check.h"
 #include "common/table.h"
@@ -13,28 +10,8 @@
 namespace buddy {
 namespace engine {
 
-/**
- * One worker thread plus the queues of the shards it owns. A shard's
- * queue lives with its owning worker and is only ever popped by that
- * worker, so per-shard execution is serial and FIFO by construction.
- */
-struct ShardedEngine::Worker
-{
-    std::mutex m;
-    std::condition_variable cv;
-    bool stop = false;
-    std::vector<unsigned> shards; ///< shard ids this worker serves
-
-    /** Task: (job, shard). Parallel to `shards`. */
-    std::vector<std::deque<std::pair<std::shared_ptr<BatchJob>, unsigned>>>
-        queues;
-
-    std::size_t cursor = 0; ///< round-robin scan position
-    std::thread th;
-};
-
 ShardedEngine::ShardedEngine(const EngineConfig &cfg)
-    : cfg_(cfg)
+    : cfg_(cfg), subs_(cfg.shards)
 {
     BUDDY_CHECK(cfg.shards > 0, "engine needs at least one shard");
     shards_.reserve(cfg.shards);
@@ -49,41 +26,6 @@ ShardedEngine::ShardedEngine(const EngineConfig &cfg)
                 static_cast<int>((s + 1) % cfg.shards);
         shards_.push_back(std::make_unique<BuddyController>(shard_cfg));
     }
-
-    // One worker is the calling thread: no thread, no queues.
-    const unsigned nthreads =
-        std::min(cfg.threads == 0 ? cfg.shards : cfg.threads, cfg.shards);
-    if (nthreads == 1)
-        return;
-    workers_.reserve(nthreads);
-    for (unsigned t = 0; t < nthreads; ++t)
-        workers_.push_back(std::make_unique<Worker>());
-    for (unsigned s = 0; s < cfg.shards; ++s) {
-        Worker &w = *workers_[workerOf(s)];
-        w.shards.push_back(s);
-        w.queues.emplace_back();
-    }
-    for (auto &w : workers_)
-        w->th = std::thread([this, &w = *w] { workerMain(w); });
-}
-
-ShardedEngine::~ShardedEngine()
-{
-    for (auto &w : workers_) {
-        {
-            std::lock_guard<std::mutex> lk(w->m);
-            w->stop = true;
-        }
-        w->cv.notify_one();
-    }
-    for (auto &w : workers_)
-        w->th.join();
-}
-
-unsigned
-ShardedEngine::workerOf(unsigned shard) const
-{
-    return shard % static_cast<unsigned>(workers_.size());
 }
 
 u64
@@ -97,7 +39,7 @@ ShardedEngine::allocate(const std::string &name, u64 bytes,
                         CompressionTarget target)
 {
     // Fixed ordinal hash: the same allocation sequence always lands on
-    // the same shards, independent of thread count and scheduling.
+    // the same shards.
     const unsigned n = shardCount();
     const unsigned home = static_cast<unsigned>(
         splitmix64(nextOrdinal_ ^ cfg_.shardSalt) % n);
@@ -204,11 +146,6 @@ ShardedEngine::attachMetrics(obs::MetricRegistry &registry)
         probes_.windowStall = nullptr;
     }
 
-    // Queue depth depends on how fast workers drain — thread timing,
-    // not simulated time — so it is wall/ by definition.
-    probes_.wallQueueDepth =
-        &registry.histogram("wall/engine/queue_depth");
-
     // Each shard controller's own view (codec outcomes, its cache's
     // hits and, under PerShard, its own windows): reproducible,
     // sharding-dependent. Under Merged the shards window nothing.
@@ -217,190 +154,67 @@ ShardedEngine::attachMetrics(obs::MetricRegistry &registry)
                                  !mergedMode);
 }
 
-std::future<BatchSummary>
-ShardedEngine::submit(AccessBatch &batch)
+const BatchSummary &
+ShardedEngine::execute(AccessBatch &batch)
 {
-    const u64 seq = nextSeq_.fetch_add(1, std::memory_order_relaxed);
-    batch.submitSeq_ = seq;
+    batch.submitSeq_ = nextSeq_++;
     const std::size_t n = batch.ops_.size();
     batch.results_.assign(n, AccessInfo{});
     batch.summary_ = BatchSummary{};
 
     if (n == 0) {
         // Empty plan: nothing to run.
-        if (!hub_.empty()) {
-            std::lock_guard<std::mutex> lk(accountMutex_);
-            hub_.emitBatch(batch.summary_);
-        }
-        std::promise<BatchSummary> done;
-        done.set_value(batch.summary_);
-        return done.get_future();
+        hub_.emitBatch(batch.summary_);
+        return batch.summary_;
     }
-
-    // A finished job if there is one; its sub-plans keep their capacity.
-    std::shared_ptr<BatchJob> job;
-    {
-        std::lock_guard<std::mutex> lk(jobMutex_);
-        if (!spareJobs_.empty()) {
-            job = std::move(spareJobs_.back());
-            spareJobs_.pop_back();
-        }
-    }
-    if (!job) {
-        job = std::make_shared<BatchJob>();
-        job->subs.resize(shardCount());
-    }
-    for (const unsigned s : job->active) {
-        job->subs[s].plan.clear();
-        job->subs[s].origIdx.clear();
-    }
-    job->active.clear();
-    job->done = std::promise<BatchSummary>();
-    job->batch = &batch;
-    job->seq = seq;
-    job->opAlloc.resize(n);
 
     // Split the plan: one sub-plan per participating shard, ops kept in
     // submission order with shard-local addresses. Runs of ops mostly
     // stay inside one allocation, so the last lookup is reused while it
-    // covers the address.
+    // covers the address. The previous batch's sub-plans are cleared,
+    // not freed, so they keep their capacity.
+    for (const unsigned s : active_) {
+        subs_[s].plan.clear();
+        subs_[s].origIdx.clear();
+    }
+    active_.clear();
+    opAlloc_.resize(n);
     const EngineAllocation *a = nullptr;
     for (std::size_t i = 0; i < n; ++i) {
         const AccessRequest &op = batch.ops_[i];
         if (a == nullptr || !a->contains(op.va))
             a = &allocationFor(op.va);
-        SubPlan &sp = job->subs[a->shard];
+        SubPlan &sp = subs_[a->shard];
         if (sp.origIdx.empty())
-            job->active.push_back(a->shard);
+            active_.push_back(a->shard);
         AccessRequest local = op;
         local.va = a->shardVa + (op.va - a->va);
         sp.plan.ops_.push_back(local);
         sp.origIdx.push_back(static_cast<u32>(i));
-        job->opAlloc[i] = a->id;
+        opAlloc_[i] = a->id;
     }
 
-    auto fut = job->done.get_future();
-    const std::size_t parts = job->active.size();
-    job->remaining.store(static_cast<unsigned>(parts),
-                         std::memory_order_relaxed);
-
-    // Once its last sub-plan has run or been queued the job may already
-    // be finished and recycled, so neither loop reads it after that.
-    if (workers_.empty()) {
-        // One worker: the calling thread runs every sub-plan, and the
-        // last one completes the batch, so `fut` is ready on return.
-        for (std::size_t k = 0; k < parts; ++k)
-            runTask(job, job->active[k]);
-        return fut;
-    }
-
-    std::size_t peakDepth = 0;
-    for (std::size_t k = 0; k < parts; ++k) {
-        const unsigned s = job->active[k];
-        Worker &w = *workers_[workerOf(s)];
-        const auto slot = std::find(w.shards.begin(), w.shards.end(), s) -
-                          w.shards.begin();
-        {
-            std::lock_guard<std::mutex> lk(w.m);
-            auto &q = w.queues[static_cast<std::size_t>(slot)];
-            q.emplace_back(job, s);
-            peakDepth = std::max(peakDepth, q.size());
-        }
-        w.cv.notify_one();
-    }
-    if (probes_.active) {
-        // Post-enqueue depth depends on worker drain speed: wall/.
-        std::lock_guard<std::mutex> lk(accountMutex_);
-        probes_.wallQueueDepth->add(peakDepth);
-    }
-    return fut;
-}
-
-const BatchSummary &
-ShardedEngine::execute(AccessBatch &batch)
-{
-    submit(batch).get();
-    return batch.summary_;
-}
-
-void
-ShardedEngine::workerMain(Worker &w)
-{
-    for (;;) {
-        std::shared_ptr<BatchJob> job;
-        unsigned shard = 0;
-        {
-            std::unique_lock<std::mutex> lk(w.m);
-            w.cv.wait(lk, [&] {
-                if (w.stop)
-                    return true;
-                for (const auto &q : w.queues)
-                    if (!q.empty())
-                        return true;
-                return false;
-            });
-            // Round-robin over this worker's shard queues so one busy
-            // shard cannot starve its siblings.
-            for (std::size_t k = 0; k < w.queues.size() && !job; ++k) {
-                auto &q = w.queues[(w.cursor + k) % w.queues.size()];
-                if (!q.empty()) {
-                    job = std::move(q.front().first);
-                    shard = q.front().second;
-                    q.pop_front();
-                    w.cursor = (w.cursor + k + 1) % w.queues.size();
-                }
-            }
-            if (!job) {
-                if (w.stop)
-                    return;
-                continue;
-            }
-        }
-        runTask(job, shard);
-    }
-}
-
-void
-ShardedEngine::runTask(const std::shared_ptr<BatchJob> &job, unsigned shard)
-{
-    // Under Merged the batch is windowed once, merged, in finish().
-    shards_[shard]->run(job->subs[shard].plan,
-                        cfg_.shard.windowMode == WindowMode::PerShard);
-
-    if (job->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
-        finish(job);
-}
-
-void
-ShardedEngine::finish(const std::shared_ptr<BatchJob> &jobPtr)
-{
-    BatchJob &job = *jobPtr;
-    AccessBatch &batch = *job.batch;
-
-    // Scatter per-op results back into submission order and fold the
-    // per-shard summaries (u64 sums, so the merge is order-independent
-    // and bit-identical to a single-controller run of the same plan).
+    // Run each sub-plan on its shard, then scatter per-op results back
+    // into submission order and fold the per-shard summaries (u64
+    // sums, so the merge is order-independent and bit-identical to a
+    // single-controller run of the same plan). Under Merged the shards
+    // run only the functional pass; the batch is windowed once, below.
+    const bool perShard = cfg_.shard.windowMode == WindowMode::PerShard;
     BatchSummary merged;
-    for (const unsigned s : job.active) {
-        const SubPlan &sp = job.subs[s];
+    for (const unsigned s : active_) {
+        SubPlan &sp = subs_[s];
+        shards_[s]->run(sp.plan, perShard);
         merged.accumulate(sp.plan.summary_);
         for (std::size_t j = 0; j < sp.origIdx.size(); ++j)
             batch.results_[sp.origIdx[j]] = sp.plan.results_[j];
     }
 
     // Observability feeds of the merged timing pass: occupancy/stall
-    // samples go to stack-local histograms, folded into the registry
-    // under the accounting lock below (bucket sums commute), and the
-    // windows' peak concurrency goes to the BatchRecord.
-    obs::LatencyHistogram localOcc;
-    obs::LatencyHistogram localStall;
+    // samples go to the registry's histograms, and the windows' peak
+    // concurrency goes to the BatchRecord.
     u64 maxDevOut = 0;
     u64 maxBudOut = 0;
-    // Per-shard mode's imbalance inputs: Σ and min of shard makespans.
-    u64 sum_makespan = 0;
-    u64 min_makespan = ~0ull;
 
-    const bool perShard = cfg_.shard.windowMode == WindowMode::PerShard;
     if (!perShard) {
         // The shards ran only the functional pass (cycle totals 0), so
         // this is the batch's one timing pass: the submission-order
@@ -410,10 +224,8 @@ ShardedEngine::finish(const std::shared_ptr<BatchJob> &jobPtr)
         // identical to a single controller executing the same plan
         // (every shard runs the same timing config).
         timing::WindowGroup group = shards_[0]->makeWindows();
-        const bool sample = probes_.windowOccupancy != nullptr;
         windowBatch(batch.ops_, batch.results_, group, merged,
-                    sample ? &localOcc : nullptr,
-                    sample ? &localStall : nullptr);
+                    probes_.windowOccupancy, probes_.windowStall);
         maxDevOut = group.device().maxOutstanding();
         maxBudOut = group.buddy().maxOutstanding();
     } else {
@@ -422,17 +234,19 @@ ShardedEngine::finish(const std::shared_ptr<BatchJob> &jobPtr)
         // and codec totals folded above stand. The batch completes at a
         // cross-shard barrier, so its windowed totals are the max over
         // the participating shards' makespans, not the sum folded
-        // above: the N-GPU makespan. max() is order-independent, so
-        // these totals reproduce run-to-run; at one shard they are
-        // bit-identical to the merged pass (same stream, same timing),
+        // above: the N-GPU makespan. At one shard they are bit-
+        // identical to the merged pass (same stream, same timing),
         // which tests pin.
-        sum_makespan = merged.combinedWindowCycles;
+
+        // Imbalance inputs: Σ and min of the shards' makespans.
+        const u64 sum_makespan = merged.combinedWindowCycles;
+        u64 min_makespan = ~0ull;
         merged.deviceWindowCycles = 0;
         merged.buddyWindowCycles = 0;
         merged.combinedWindowCycles = 0;
         merged.codecChargedWindowCycles = 0;
-        for (const unsigned shard : job.active) {
-            const BatchSummary &s = job.subs[shard].plan.summary_;
+        for (const unsigned shard : active_) {
+            const BatchSummary &s = subs_[shard].plan.summary_;
             merged.deviceWindowCycles =
                 std::max(merged.deviceWindowCycles, s.deviceWindowCycles);
             merged.buddyWindowCycles =
@@ -444,125 +258,107 @@ ShardedEngine::finish(const std::shared_ptr<BatchJob> &jobPtr)
                          s.codecChargedWindowCycles);
             min_makespan = std::min(min_makespan, s.combinedWindowCycles);
         }
+
+        // The spread between the shards' makespans is the per-batch GPU
+        // load-imbalance signal (the barrier waits for the max).
+        const u64 max_makespan = merged.combinedWindowCycles;
+        ++imbalance_.batches;
+        imbalance_.sumMin += min_makespan;
+        imbalance_.sumMax += max_makespan;
+        imbalance_.sumAll += sum_makespan;
+        imbalance_.sumShards += active_.size();
+        imbalance_.minMin = std::min(imbalance_.minMin, min_makespan);
+        imbalance_.maxMax = std::max(imbalance_.maxMax, max_makespan);
+        if (sum_makespan > 0) {
+            // Integer ratio bucket: max/mean in tenths, computed as
+            // max * 10 * shards / Σ so no floats enter the accumulator.
+            const u64 tenths =
+                max_makespan * 10 * active_.size() / sum_makespan;
+            const u64 bucket = std::min<u64>(
+                tenths - 10, WindowImbalanceStats::kRatioBuckets - 1);
+            ++imbalance_.ratioHist[bucket];
+        }
     }
     batch.summary_ = merged;
 
-    // Publish the finished batch in one critical section: accounting,
-    // BatchRecord, then sink events.
-    {
-        std::lock_guard<std::mutex> lk(accountMutex_);
+    // Per-tenant accounting: fold the batch's merged summary into the
+    // submitting tenant's totals (untagged batches land under tenant
+    // 0). A tenant's totals thus sum exactly its own batches — the
+    // bookkeeping behind the service layer's isolation contract.
+    TenantTotals &t = tenantTotals_[batch.tenant()];
+    t.summary.accumulate(merged);
+    ++t.batches;
 
-        if (perShard) {
-            // The spread between the shards' makespans is the per-batch
-            // GPU load-imbalance signal (the barrier waits for the max).
-            // All sums are integers, so accumulation is completion-
-            // order-independent and the stats reproduce run-to-run.
-            const u64 max_makespan = merged.combinedWindowCycles;
-            ++imbalance_.batches;
-            imbalance_.sumMin += min_makespan;
-            imbalance_.sumMax += max_makespan;
-            imbalance_.sumAll += sum_makespan;
-            imbalance_.sumShards += job.active.size();
-            imbalance_.minMin = std::min(imbalance_.minMin, min_makespan);
-            imbalance_.maxMax = std::max(imbalance_.maxMax, max_makespan);
-            if (sum_makespan > 0) {
-                // Integer ratio bucket: max/mean in tenths, computed as
-                // max * 10 * shards / Σ so no floats enter the
-                // accumulator.
-                const u64 tenths =
-                    max_makespan * 10 * job.active.size() / sum_makespan;
-                const u64 bucket = std::min<u64>(
-                    tenths - 10, WindowImbalanceStats::kRatioBuckets - 1);
-                ++imbalance_.ratioHist[bucket];
-            }
-        }
-
-        // Per-tenant accounting: fold the batch's merged summary into
-        // the submitting tenant's totals (untagged batches land under
-        // tenant 0). A tenant's totals thus sum exactly its own batches
-        // — the bookkeeping behind the service layer's isolation
-        // contract.
-        TenantTotals &t = tenantTotals_[batch.tenant()];
-        t.summary.accumulate(merged);
-        ++t.batches;
-
-        // Metric folds: every accumulation is a counter add or a
-        // histogram bucket sum — commutative, so the registry state is
-        // independent of which batch finished first.
-        if (probes_.active) {
-            probes_.batches->add();
-            probes_.reads->add(merged.reads);
-            probes_.writes->add(merged.writes);
-            probes_.probes->add(merged.probes);
-            probes_.deviceSectors->add(merged.deviceSectors);
-            probes_.buddySectors->add(merged.buddySectors);
-            probes_.buddyAccesses->add(merged.buddyAccesses);
-            probes_.deviceCycles->add(merged.deviceCycles);
-            probes_.buddyCycles->add(merged.buddyCycles);
-            probes_.metadataHits->add(merged.metadataHits);
-            probes_.metadataMisses->add(merged.metadataMisses);
-            probes_.deviceWindowCycles->add(merged.deviceWindowCycles);
-            probes_.buddyWindowCycles->add(merged.buddyWindowCycles);
-            probes_.combinedWindowCycles->add(
-                merged.combinedWindowCycles);
-            probes_.codecCycles->add(merged.codecCycles);
-            probes_.codecChargedWindowCycles->add(
-                merged.codecChargedWindowCycles);
-            probes_.batchMakespan->add(merged.combinedWindowCycles);
-            probes_.batchOps->add(batch.ops_.size());
-            if (probes_.windowOccupancy != nullptr) {
-                probes_.windowOccupancy->merge(localOcc);
-                probes_.windowStall->merge(localStall);
-            }
-        }
-
-        // Timeline hook: one record per batch, serialized by this lock
-        // (completion order; seq recovers submission order).
-        if (observer_ != nullptr) {
-            obs::BatchRecord rec;
-            rec.seq = job.seq;
-            rec.tenant = batch.tenant();
-            rec.summary = merged;
-            rec.maxDeviceOutstanding = maxDevOut;
-            rec.maxBuddyOutstanding = maxBudOut;
-            rec.shards.reserve(job.active.size());
-            for (const unsigned s : job.active) {
-                const SubPlan &sp = job.subs[s];
-                obs::BatchRecord::ShardSpan span;
-                span.shard = s;
-                span.ops = sp.plan.ops_.size();
-                // Under Merged every span carries the batch's one
-                // (merged) makespan.
-                span.combinedCycles =
-                    perShard ? sp.plan.summary_.combinedWindowCycles
-                             : merged.combinedWindowCycles;
-                rec.shards.push_back(span);
-            }
-            std::sort(rec.shards.begin(), rec.shards.end(),
-                      [](const obs::BatchRecord::ShardSpan &a,
-                         const obs::BatchRecord::ShardSpan &b) {
-                          return a.shard < b.shard;
-                      });
-            observer_->onBatchComplete(rec);
-        }
-
-        // Sink events, built from the finished batch in submission
-        // order: exactly the stream a single controller emits for the
-        // plan, with engine-global addresses and allocation ids and the
-        // submitting tenant's tag.
-        if (!hub_.empty()) {
-            for (std::size_t i = 0; i < batch.ops_.size(); ++i)
-                hub_.emit(api::makeEvent(batch.ops_[i], batch.results_[i],
-                                         job.opAlloc[i], batch.tenant()));
-            hub_.emitBatch(merged);
-        }
+    if (probes_.active) {
+        probes_.batches->add();
+        probes_.reads->add(merged.reads);
+        probes_.writes->add(merged.writes);
+        probes_.probes->add(merged.probes);
+        probes_.deviceSectors->add(merged.deviceSectors);
+        probes_.buddySectors->add(merged.buddySectors);
+        probes_.buddyAccesses->add(merged.buddyAccesses);
+        probes_.deviceCycles->add(merged.deviceCycles);
+        probes_.buddyCycles->add(merged.buddyCycles);
+        probes_.metadataHits->add(merged.metadataHits);
+        probes_.metadataMisses->add(merged.metadataMisses);
+        probes_.deviceWindowCycles->add(merged.deviceWindowCycles);
+        probes_.buddyWindowCycles->add(merged.buddyWindowCycles);
+        probes_.combinedWindowCycles->add(merged.combinedWindowCycles);
+        probes_.codecCycles->add(merged.codecCycles);
+        probes_.codecChargedWindowCycles->add(
+            merged.codecChargedWindowCycles);
+        probes_.batchMakespan->add(merged.combinedWindowCycles);
+        probes_.batchOps->add(n);
     }
 
-    job.done.set_value(merged);
+    // Timeline hook: one record per batch.
+    if (observer_ != nullptr) {
+        obs::BatchRecord rec;
+        rec.seq = batch.submitSeq_;
+        rec.tenant = batch.tenant();
+        rec.summary = merged;
+        rec.maxDeviceOutstanding = maxDevOut;
+        rec.maxBuddyOutstanding = maxBudOut;
+        rec.shards.reserve(active_.size());
+        for (const unsigned s : active_) {
+            const SubPlan &sp = subs_[s];
+            obs::BatchRecord::ShardSpan span;
+            span.shard = s;
+            span.ops = sp.plan.ops_.size();
+            // Under Merged every span carries the batch's one (merged)
+            // makespan.
+            span.combinedCycles = perShard
+                                      ? sp.plan.summary_.combinedWindowCycles
+                                      : merged.combinedWindowCycles;
+            rec.shards.push_back(span);
+        }
+        std::sort(rec.shards.begin(), rec.shards.end(),
+                  [](const obs::BatchRecord::ShardSpan &x,
+                     const obs::BatchRecord::ShardSpan &y) {
+                      return x.shard < y.shard;
+                  });
+        observer_->onBatchComplete(rec);
+    }
 
-    // Recycle the job only now; nothing here touches it after this.
-    std::lock_guard<std::mutex> lk(jobMutex_);
-    spareJobs_.push_back(jobPtr);
+    // Sink events, built from the finished batch in submission order:
+    // exactly the stream a single controller emits for the plan, with
+    // engine-global addresses and allocation ids and the submitting
+    // tenant's tag.
+    if (!hub_.empty()) {
+        for (std::size_t i = 0; i < n; ++i)
+            hub_.emit(api::makeEvent(batch.ops_[i], batch.results_[i],
+                                     opAlloc_[i], batch.tenant()));
+        hub_.emitBatch(merged);
+    }
+    return batch.summary_;
+}
+
+std::future<BatchSummary>
+ShardedEngine::submit(AccessBatch &batch)
+{
+    std::promise<BatchSummary> done;
+    done.set_value(execute(batch));
+    return done.get_future();
 }
 
 BatchSummary
@@ -571,7 +367,6 @@ ShardedEngine::stats() const
     // Every batch folds into exactly one tenant's totals, so their
     // fold is the engine's.
     BatchSummary total;
-    std::lock_guard<std::mutex> lk(accountMutex_);
     for (const auto &entry : tenantTotals_)
         total.accumulate(entry.second.summary);
     return total;
@@ -591,23 +386,8 @@ ShardedEngine::clearStats()
 {
     for (auto &s : shards_)
         s->clearStats();
-    std::lock_guard<std::mutex> lk(accountMutex_);
     tenantTotals_.clear();
     imbalance_ = WindowImbalanceStats{};
-}
-
-std::map<u32, TenantTotals>
-ShardedEngine::tenantTotals() const
-{
-    std::lock_guard<std::mutex> lk(accountMutex_);
-    return tenantTotals_;
-}
-
-WindowImbalanceStats
-ShardedEngine::windowImbalance() const
-{
-    std::lock_guard<std::mutex> lk(accountMutex_);
-    return imbalance_;
 }
 
 u64

@@ -1,6 +1,6 @@
 /**
  * @file
- * buddy::engine — the sharded concurrent simulation engine.
+ * buddy::engine — the sharded simulation engine.
  *
  * Buddy Compression's fixed buddy-slot property (paper Section 3.3:
  * a compressibility change never moves any other entry) makes 128 B
@@ -8,63 +8,44 @@
  * another entry's allocation. The ShardedEngine exploits this by
  * partitioning allocations across N shards, each shard owning a complete
  * BuddyController (codec, metadata store + cache, device and buddy
- * backing stores), and executing access plans on a worker thread pool
- * with per-shard work queues.
+ * backing stores). Shards model GPUs: the parallelism is simulated
+ * (WindowMode::PerShard gives the N-GPU makespan, the peer ring models
+ * NVLink peers), and every batch runs on the calling thread.
  *
- * Submission: submit(AccessBatch&) splits the plan by shard into one
- * sub-plan per participating shard and returns a
- * std::future<BatchSummary>. With more than one worker thread it
- * enqueues each sub-plan on its shard's queue and returns at once;
- * workers execute sub-plans in parallel, and the last one to finish
- * completes the batch. With one worker (EngineConfig::threads) the
- * engine starts no thread: submit() runs every sub-plan on the calling
- * thread, completes the batch itself and returns a future that is
- * already ready. Completion is the same code on both paths: it merges
- * the per-op AccessInfo back into submission order, folds the
- * per-shard summaries into one BatchSummary and, under
- * WindowMode::Merged, runs the batch's one windowed timing pass. It
- * then publishes the finished batch in one critical section: the
- * per-tenant and metric accounting, the BatchRecord, and the sink
- * events, each built from an op and its merged result
- * (api::makeEvent). Running on the caller changes no simulated value:
- * each sub-plan touches only its own shard, and the merge does not
- * depend on the order the sub-plans finish in.
+ * Execution: execute(AccessBatch&) splits the plan by shard into one
+ * sub-plan per participating shard, runs each sub-plan on its shard,
+ * merges the per-op AccessInfo back into submission order and folds
+ * the per-shard summaries into one BatchSummary. Under
+ * WindowMode::Merged it then runs the batch's one windowed timing
+ * pass. Last it publishes the finished batch: the per-tenant and
+ * metric accounting, the BatchRecord, and the sink events, each built
+ * from an op and its merged result (api::makeEvent). Each sub-plan
+ * touches only its own shard, and the merge does not depend on the
+ * order the sub-plans run in.
  *
- * Determinism: a shard is only ever touched by the one thread that
- * owns its queue (the calling thread when the engine has one worker),
- * and each shard sees its sub-plan's operations in submission order,
- * so results are independent of thread scheduling. Shard assignment
- * hashes the allocation ordinal with a fixed salt
- * (EngineConfig::shardSalt) and per-shard RNG seeds derive from
- * EngineConfig::seed, so multi-threaded runs are reproducible
- * run-to-run. Cross-shard traffic totals — including the serial link
- * and codec cycle charges, which are pure per-operation functions of
- * the traffic — are bit-identical to a single BuddyController
- * executing the same plan; per-op metadata hit/miss results also
- * match whenever the metadata working set fits the cache (no capacity
- * evictions), which tests/test_engine.cc pins.
+ * Determinism: each shard sees its sub-plan's operations in submission
+ * order. Shard assignment hashes the allocation ordinal with a fixed
+ * salt (EngineConfig::shardSalt) and per-shard RNG seeds derive from
+ * EngineConfig::seed, so runs are reproducible run-to-run. Cross-shard
+ * traffic totals — including the serial link and codec cycle charges,
+ * which are pure per-operation functions of the traffic — are
+ * bit-identical to a single BuddyController executing the same plan;
+ * per-op metadata hit/miss results also match whenever the metadata
+ * working set fits the cache (no capacity evictions), which
+ * tests/test_engine.cc pins.
  *
- * Thread-safety contract: allocate()/free()/attachSink()/detachSink()
- * and the merged-stat accessors must be called with no batch in flight
- * (between submit() and future completion only workers touch shard
- * state). submit() calls must not overlap one another: with one worker
- * the calling thread executes the batch. Multiple batches may be in
- * flight at once; per-shard FIFO order keeps same-entry dependencies
- * correct across batches. Engine sinks and the batch observer are
- * invoked under the one accounting lock, one batch at a time in
- * completion order (a batch's events in submission order), so they
- * need no locking of their own and see the batches in the same order.
- * They must not call back into the engine.
+ * Threading: the engine is single-threaded, like BuddyController. Use
+ * it from one thread at a time. Engine sinks and the batch observer
+ * run inside execute(), one batch at a time in submission order (a
+ * batch's events in submission order). They must not call back into
+ * the engine.
  */
 
 #pragma once
 
-#include <algorithm>
-#include <atomic>
 #include <future>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -85,9 +66,9 @@ struct EngineConfig
     unsigned shards = 4;
 
     /**
-     * Worker threads (0 = one per shard; clamped to the shard count).
-     * One worker means no thread: submit() runs the batch on the
-     * calling thread and returns a future that is already ready.
+     * Unused: the engine always runs on the calling thread, whatever
+     * this holds. Kept only because the perfbench harness still
+     * assigns it; the field goes once the harness stops doing so.
      */
     unsigned threads = 0;
 
@@ -100,8 +81,8 @@ struct EngineConfig
 
     /**
      * Salt of the allocation-ordinal shard hash. Fixed so the
-     * allocation-to-shard map — and therefore every multi-threaded run —
-     * is reproducible run-to-run.
+     * allocation-to-shard map — and therefore every run — is
+     * reproducible run-to-run.
      */
     u64 shardSalt = 0xb5297a4d3c2d6ed3ull;
 
@@ -143,9 +124,9 @@ struct TenantTotals
  * WindowMode::PerShard: each batch's participating shards report their
  * own combined windowed makespans, and the spread between them is the
  * GPU load-imbalance signal (the barrier waits for the max). All
- * accumulators are order-independent integer sums, so the stats ride
- * the engine's run-to-run reproducibility contract even when batches
- * finish concurrently; derived means/ratios are computed at read time.
+ * accumulators are integer sums, so the stats ride the engine's
+ * run-to-run reproducibility contract; derived means/ratios are
+ * computed at read time.
  */
 struct WindowImbalanceStats
 {
@@ -216,18 +197,16 @@ splitmix64(u64 x)
 }
 
 /**
- * The sharded concurrent engine (see file header).
+ * The sharded engine (see file header).
  *
- * Owns `shards` BuddyControllers and a worker pool. Addresses handed to
- * submit()/execute() are engine-global virtual addresses returned by
- * allocate(); the engine translates them to shard-local addresses when
- * splitting a plan.
+ * Owns `shards` BuddyControllers. Addresses handed to execute() are
+ * engine-global virtual addresses returned by allocate(); the engine
+ * translates them to shard-local addresses when splitting a plan.
  */
 class ShardedEngine
 {
   public:
     explicit ShardedEngine(const EngineConfig &cfg);
-    ~ShardedEngine();
 
     ShardedEngine(const ShardedEngine &) = delete;
     ShardedEngine &operator=(const ShardedEngine &) = delete;
@@ -245,23 +224,21 @@ class ShardedEngine
     void free(AllocId id);
 
     /**
-     * Submit a batched access plan for parallel execution.
+     * Execute a batched access plan on the calling thread.
      *
-     * The plan is split by shard and executed concurrently, or, when
-     * the engine has one worker, on the calling thread before submit()
-     * returns. When the future becomes ready, batch.results() holds one
-     * AccessInfo per operation in submission order and batch.summary()
-     * the merged cross-shard totals (also the future's value). The
-     * batch and every src/dst buffer it references must stay alive and
-     * untouched until the future is ready.
+     * The plan is split by shard and each shard runs its sub-plan. On
+     * return, batch.results() holds one AccessInfo per operation in
+     * submission order and batch.summary() the merged cross-shard
+     * totals (also the return value). The engine keeps no reference to
+     * the batch after it returns.
      *
      * Windowed timing (BuddyConfig::windowMode) runs once per batch.
      * Under the default Merged mode the shards run only the functional
      * pass; after the merge the engine windows the merged submission-
      * order traffic (BuddyConfig::linkWindow) through one WindowGroup —
      * the single-GPU equivalent of the plan — so the per-op and summary
-     * *WindowCycles fields do not depend on the shard count or thread
-     * scheduling, exactly like the serial cycle totals
+     * *WindowCycles fields do not depend on the shard count, exactly
+     * like the serial cycle totals
      * (tests/test_engine.cc pins this). Under PerShard mode each shard
      * windows its own sub-plan (N GPUs, one MSHR pool each), those
      * per-op charges stand, and the summary window fields carry the max
@@ -269,14 +246,18 @@ class ShardedEngine
      * cross-shard barrier; still reproducible run-to-run, and
      * bit-identical to Merged at one shard.
      */
-    std::future<BatchSummary> submit(AccessBatch &batch);
-
-    /** Submit and wait: the synchronous convenience wrapper. */
     const BatchSummary &execute(AccessBatch &batch);
 
     /**
+     * execute() returning an already-ready future. Kept only for the
+     * perfbench harness, which still calls it; it goes with
+     * EngineConfig::threads.
+     */
+    std::future<BatchSummary> submit(AccessBatch &batch);
+
+    /**
      * Subscribe @p sink to the engine-level traffic event stream (see
-     * the file header for when and under which lock it is called).
+     * the file header for when it is called).
      */
     void attachSink(TrafficSink *sink) { hub_.attach(sink); }
 
@@ -298,23 +279,16 @@ class ShardedEngine
      *                  the shards' own window histograms and the
      *                  engine's N-GPU window totals (under Merged the
      *                  shards window nothing, so shard/s<k>/ has no
-     *                  window metrics);
-     *   wall/engine/   thread-timing-dependent (queue depth) —
-     *                  excluded from every determinism check. A
-     *                  one-worker engine has no queue and records no
-     *                  queue-depth sample.
+     *                  window metrics).
      *
-     * Call with no batch in flight; the registry must outlive the
-     * engine. Metric folds happen under the accounting lock, so
-     * concurrent batch completions accumulate order-independently.
+     * The registry must outlive the engine.
      */
     void attachMetrics(obs::MetricRegistry &registry);
 
     /**
      * Register @p observer to receive one BatchRecord per completed
-     * batch (obs/hooks.h), called under the accounting lock in
-     * completion order with submission-time seq numbers. Pass nullptr
-     * to detach; call with no batch in flight.
+     * batch (obs/hooks.h), called inside execute() in submission
+     * order. Pass nullptr to detach.
      */
     void setBatchObserver(obs::BatchObserver *observer)
     {
@@ -322,13 +296,6 @@ class ShardedEngine
     }
 
     unsigned shardCount() const { return static_cast<unsigned>(shards_.size()); }
-    /** Workers EngineConfig::threads resolves to; with one, the worker
-     *  is the calling thread. */
-    unsigned
-    threadCount() const
-    {
-        return std::max(1u, static_cast<unsigned>(workers_.size()));
-    }
 
     /** Shard @p s's controller (tests / per-shard introspection). */
     const BuddyController &shard(unsigned s) const { return *shards_[s]; }
@@ -391,10 +358,12 @@ class ShardedEngine
      * engine, regardless of contention (the service isolation
      * contract; metadata hit/miss totals are per-shard cache state and
      * are accounted here but excluded from that contract). Cleared by
-     * clearStats(). Safe to call with batches in flight (snapshot
-     * under the accounting lock).
+     * clearStats().
      */
-    std::map<u32, TenantTotals> tenantTotals() const;
+    const std::map<u32, TenantTotals> &tenantTotals() const
+    {
+        return tenantTotals_;
+    }
 
     /**
      * Cross-shard window-imbalance statistics (see
@@ -402,7 +371,10 @@ class ShardedEngine
      * WindowMode::PerShard — under Merged there is one window group,
      * hence no per-shard spread. Cleared by clearStats().
      */
-    WindowImbalanceStats windowImbalance() const;
+    const WindowImbalanceStats &windowImbalance() const
+    {
+        return imbalance_;
+    }
 
     /** Device bytes reserved across all shards. */
     u64 deviceBytesReserved() const;
@@ -421,7 +393,7 @@ class ShardedEngine
     const EngineConfig &config() const { return cfg_; }
 
   private:
-    /** One shard's slice of an in-flight batch. */
+    /** One shard's slice of the batch being executed. */
     struct SubPlan
     {
         AccessBatch plan;           ///< shard-local (translated) ops
@@ -429,26 +401,8 @@ class ShardedEngine
     };
 
     /**
-     * One in-flight batch: sub-plans plus completion bookkeeping.
-     * Jobs are recycled: finish() returns a job to spareJobs_ only
-     * after done.set_value, and nothing touches it afterwards; submit()
-     * takes a spare job before making a new one. Cleared sub-plans keep
-     * their capacity.
-     */
-    struct BatchJob
-    {
-        AccessBatch *batch = nullptr;
-        u64 seq = 0; ///< submission sequence (obs::BatchRecord sort key)
-        std::vector<SubPlan> subs;    ///< one per shard, by shard index
-        std::vector<unsigned> active; ///< shards in use, first-seen order
-        std::vector<AllocId> opAlloc; ///< engine alloc id of each op
-        std::atomic<unsigned> remaining{0};
-        std::promise<BatchSummary> done;
-    };
-
-    /**
      * Stable-address metric objects resolved once by attachMetrics();
-     * folded into under accountMutex_ on batch completion. Window
+     * folded into at the end of every execute(). Window
      * histogram pointers stay null under WindowMode::PerShard (the
      * shards' own controller metrics carry those there).
      */
@@ -475,39 +429,25 @@ class ShardedEngine
         obs::LatencyHistogram *batchOps = nullptr;
         obs::LatencyHistogram *windowOccupancy = nullptr; // Merged only
         obs::LatencyHistogram *windowStall = nullptr;     // Merged only
-        obs::LatencyHistogram *wallQueueDepth = nullptr;  // wall/ subtree
     };
-
-    struct Worker;
-
-    unsigned workerOf(unsigned shard) const;
-    void workerMain(Worker &w);
-    void runTask(const std::shared_ptr<BatchJob> &job, unsigned shard);
-    void finish(const std::shared_ptr<BatchJob> &job);
 
     EngineConfig cfg_;
     std::vector<std::unique_ptr<BuddyController>> shards_;
-    std::vector<std::unique_ptr<Worker>> workers_; ///< empty: caller runs
     TrafficHub hub_;
 
-    std::mutex jobMutex_; ///< guards spareJobs_
-    std::vector<std::shared_ptr<BatchJob>> spareJobs_;
+    /** Split storage, reused by every execute(): cleared sub-plans
+     *  keep their capacity between batches. */
+    std::vector<SubPlan> subs_;    ///< one per shard, by shard index
+    std::vector<unsigned> active_; ///< shards in use, first-seen order
+    std::vector<AllocId> opAlloc_; ///< engine alloc id of each op
 
-    /** Guards tenantTotals_, imbalance_ and the metric folds, and
-     *  serializes the batch observer and sink emission — with several
-     *  workers finish() runs on worker threads, and concurrent batch
-     *  completions race without it (with one worker it runs on the
-     *  calling thread, uncontended). The accumulations are integer
-     *  sums (and per-batch maxima folded with max/min), so the result
-     *  is completion-order-independent. */
-    mutable std::mutex accountMutex_;
     std::map<u32, TenantTotals> tenantTotals_;
     WindowImbalanceStats imbalance_;
     EngineProbes probes_;
     obs::BatchObserver *observer_ = nullptr;
 
-    /** Submission sequence of the next batch (BatchJob::seq). */
-    std::atomic<u64> nextSeq_{0};
+    /** Submission sequence of the next batch (obs::BatchRecord::seq). */
+    u64 nextSeq_ = 0;
 
     std::map<AllocId, EngineAllocation> allocs_;
     /** Engine base VA -> its allocation in allocs_ (a node map, so the

@@ -242,8 +242,7 @@ class TraceCursor
      * Fill @p plan with the next recorded batch (cleared first; ops in
      * recorded order, addresses translated). Read destinations point
      * into @p readBuf, which is resized to the batch's needs and must
-     * stay alive and untouched until the plan has executed — callers
-     * overlapping several in-flight plans need one buffer per plan.
+     * stay alive and untouched until the plan has executed.
      * @return false — with @p plan left empty — once the stream is
      *         exhausted.
      */

@@ -96,8 +96,8 @@ metadataEvent(JsonWriter &w, const char *what, unsigned pid, unsigned tid,
 std::string
 ChromeTraceSink::toJson() const
 {
-    // Completion order is nondeterministic; submission (seq) order is
-    // the deterministic layout the byte-stability contract rests on.
+    // Lay records out in submission (seq) order, the order the
+    // byte-stability contract rests on, whatever order they arrived in.
     std::vector<const BatchRecord *> ordered;
     ordered.reserve(records_.size());
     for (const BatchRecord &r : records_)

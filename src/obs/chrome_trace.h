@@ -76,7 +76,7 @@ class ChromeTraceSink : public api::TrafficSink, public BatchObserver
     /** Completed batches recorded so far. */
     std::size_t batches() const { return records_.size(); }
 
-    /** The recorded batches, completion-ordered (sort key is seq). */
+    /** The recorded batches in arrival order (toJson() sorts by seq). */
     const std::vector<BatchRecord> &records() const { return records_; }
 
     /**

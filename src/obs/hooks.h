@@ -11,12 +11,10 @@
  * its per-shard split, and its submission order. BatchRecord carries
  * exactly that, and BatchObserver receives one per completed batch.
  *
- * The sharded engine emits records from its completion path under its
- * accounting lock, in completion order; `seq` is assigned at submission
- * time, so sorting by it recovers the deterministic submission order
- * regardless of which worker finished first. Every field is simulated-
- * time state (no wall clocks), so a consumer that orders by seq sees a
- * bit-identical record stream run-to-run.
+ * The sharded engine emits one record at the end of each execute(), so
+ * completion order equals submission order, and `seq` is the batch's
+ * submission sequence. Every field is simulated-time state (no wall
+ * clocks), so the record stream is bit-identical run-to-run.
  */
 
 #pragma once
@@ -76,10 +74,9 @@ class BatchObserver
     virtual ~BatchObserver() = default;
 
     /**
-     * One batch finished. Producers serialize calls (the engine holds
-     * its accounting lock), so implementations need no locking of
-     * their own; completion order is nondeterministic, `seq` order is
-     * not.
+     * One batch finished. Producers call it from the thread that ran
+     * the batch, one batch at a time in `seq` order, so implementations
+     * need no locking of their own.
      */
     virtual void onBatchComplete(const BatchRecord &record) = 0;
 };

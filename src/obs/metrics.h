@@ -13,12 +13,11 @@
  *   - names are hierarchical slash-paths ("sim/engine/batches") and
  *     iteration is stable (lexicographic), so two runs that update the
  *     same metrics produce byte-identical exports (obs/json.h);
- *   - metrics whose value depends on wall-clock scheduling (queue
- *     depths sampled under thread timing, wall seconds) MUST live
- *     under the kWallPrefix subtree, which the determinism checks and
- *     the simulated-time export exclude;
+ *   - metrics whose value depends on the host (wall seconds, host
+ *     timings) MUST live under the kWallPrefix subtree, which the
+ *     determinism checks and the simulated-time export exclude;
  *   - histograms merge exactly (bucket sums), so per-shard or
- *     per-worker histograms fold into fleet totals without loss.
+ *     per-run histograms fold into fleet totals without loss.
  *
  * Registered metric objects have stable addresses for the registry's
  * lifetime: hot paths hold pointers to Counter / LatencyHistogram
@@ -27,8 +26,7 @@
  * Thread-safety: registration and snapshot are for setup/report time
  * (single-threaded); updates to *distinct* metric objects may race
  * only in the C++ sense of separate objects (each object must still be
- * updated by one thread at a time, or under the caller's lock — the
- * engine folds worker-local histograms under its accounting mutex).
+ * updated by one thread at a time, or under the caller's lock).
  */
 
 #pragma once
@@ -266,8 +264,8 @@ class MetricRegistry
 
     /**
      * Fold @p other into this registry: counters add, histograms
-     * merge, gauges take @p other's value. Used to fold per-worker or
-     * per-shard registries into a fleet registry.
+     * merge, gauges take @p other's value. Used to fold per-shard or
+     * per-run registries into a fleet registry.
      */
     void merge(const MetricRegistry &other);
 

@@ -40,26 +40,19 @@ struct ServiceScheduler::Tenant
 };
 
 /**
- * One in-flight batch. Heap-allocated and pinned until completion: the
- * engine holds a pointer to the plan (and the plan's reads point into
- * readBuf) until the future is ready, so neither may move. A completed
- * Dispatch goes to spareDispatches_ for the next batch.
+ * One continuous-mode batch between admission and its completion event
+ * on the simulated clock. The engine has already executed it; this is
+ * the record the event loop accounts once the clock reaches `complete`.
  */
 struct ServiceScheduler::Dispatch
 {
     std::size_t tenant = 0; ///< index into tenants_
-    AccessBatch plan;
-    std::vector<u8> readBuf;
-    std::future<BatchSummary> fut;
-
-    /** Continuous-mode event state (simulated cycles). */
     u64 arrival = 0;  ///< batch became eligible
     u64 admit = 0;    ///< clock at admission
-    u64 complete = 0; ///< admit + serviceCycles (once resolved)
+    u64 complete = 0; ///< admit + serviceCycles
     u64 serviceCycles = 0;
     u64 admitSeq = 0;  ///< scheduler admission order (event tie-break)
     u64 submitSeq = 0; ///< engine submit sequence (timeline join key)
-    bool resolved = false;
     BatchSummary summary;
 };
 
@@ -163,19 +156,13 @@ ServiceScheduler::pickNext(const std::vector<unsigned> &inflight,
     return -1;
 }
 
-std::unique_ptr<ServiceScheduler::Dispatch>
-ServiceScheduler::takeDispatch(std::size_t tenant)
+const BatchSummary &
+ServiceScheduler::executeNext(Tenant &t)
 {
-    std::unique_ptr<Dispatch> d;
-    if (spareDispatches_.empty()) {
-        d = std::make_unique<Dispatch>();
-    } else {
-        d = std::move(spareDispatches_.back());
-        spareDispatches_.pop_back();
-        d->resolved = false; // every other field is set on admission
-    }
-    d->tenant = tenant;
-    return d;
+    const bool ok = t.session->next(plan_, readBuf_);
+    BUDDY_CHECK(ok, "eligible session yielded no batch");
+    plan_.setTenant(t.id);
+    return engine_.execute(plan_);
 }
 
 ServiceReport
@@ -212,30 +199,33 @@ ServiceScheduler::runBulk()
 
     std::size_t rrCursor = n ? engine::splitmix64(cfg_.seed) % n : 0;
     std::vector<unsigned> inflight(n, 0);
-    std::vector<std::unique_ptr<Dispatch>> dispatches;
 
     while (n && !allDone() &&
            (cfg_.maxRounds == 0 || rep.rounds < cfg_.maxRounds)) {
         // Admission: the policy fills the round up to the per-tenant and
-        // global caps. Each dispatch is submitted as soon as it is
-        // planned, so engine workers overlap with plan generation (a
-        // one-worker engine has none and runs the batch inside submit()).
+        // global caps. Each batch executes as soon as it is admitted and
+        // is accounted at once, so the round's barrier is the end of
+        // this pass.
         std::fill(inflight.begin(), inflight.end(), 0u);
-        while (dispatches.size() < cfg_.maxInflightTotal) {
+        u64 admitted = 0;
+        while (admitted < cfg_.maxInflightTotal) {
             const int pick = pickNext(inflight, rrCursor, false, 0);
             if (pick < 0)
                 break;
             Tenant &t = *tenants_[static_cast<std::size_t>(pick)];
-            auto d = takeDispatch(static_cast<std::size_t>(pick));
-            const bool ok = t.session->next(d->plan, d->readBuf);
-            BUDDY_CHECK(ok, "eligible session yielded no batch");
-            d->plan.setTenant(t.id);
+            const BatchSummary &s = executeNext(t);
             ++inflight[static_cast<std::size_t>(pick)];
+            ++admitted;
             ++t.dispatched;
-            if (t.mDispatched != nullptr)
+            t.totals.accumulate(s);
+            ++t.batches;
+            const u64 cycles = std::max<u64>(s.combinedWindowCycles, 1);
+            t.serviceCycles += cycles;
+            if (t.mDispatched != nullptr) {
                 t.mDispatched->add();
-            d->fut = engine_.submit(d->plan);
-            dispatches.push_back(std::move(d));
+                t.mBatches->add();
+                t.mServiceCycles->add(cycles);
+            }
         }
 
         for (std::size_t i = 0; i < n; ++i) {
@@ -252,35 +242,17 @@ ServiceScheduler::runBulk()
             }
             t.maxInflight = std::max<u64>(t.maxInflight, inflight[i]);
         }
-        rep.maxGlobalInflight =
-            std::max<u64>(rep.maxGlobalInflight, dispatches.size());
-        rep.dispatched += dispatches.size();
-
-        // Barrier: complete the round before the next admission pass.
-        for (auto &d : dispatches) {
-            const BatchSummary s = d->fut.get();
-            Tenant &t = *tenants_[d->tenant];
-            t.totals.accumulate(s);
-            ++t.batches;
-            const u64 cycles = std::max<u64>(s.combinedWindowCycles, 1);
-            t.serviceCycles += cycles;
-            if (t.mBatches != nullptr) {
-                t.mBatches->add();
-                t.mServiceCycles->add(cycles);
-            }
-        }
+        rep.maxGlobalInflight = std::max(rep.maxGlobalInflight, admitted);
+        rep.dispatched += admitted;
         ++rep.rounds;
         if (metricsActive_) {
             mRounds_->add();
-            mDispatched_->add(dispatches.size());
+            mDispatched_->add(admitted);
             // The admission pass stopped at the global cap (rather
             // than running out of eligible work): fleet saturation.
-            if (dispatches.size() >= cfg_.maxInflightTotal)
+            if (admitted >= cfg_.maxInflightTotal)
                 mCapRounds_->add();
         }
-        for (auto &d : dispatches)
-            spareDispatches_.push_back(std::move(d));
-        dispatches.clear();
     }
 
     finalizeReport(rep);
@@ -308,7 +280,7 @@ ServiceScheduler::runContinuous()
 
     std::size_t rrCursor = n ? engine::splitmix64(cfg_.seed) % n : 0;
     std::vector<unsigned> inflight(n, 0);
-    std::vector<std::unique_ptr<Dispatch>> pending;
+    std::vector<Dispatch> pending;
     u64 now = 0;       ///< the simulated service clock
     u64 admitted = 0;  ///< batches admitted over the whole run
     u64 admitSeq = 0;  ///< admission order (completion tie-break)
@@ -331,13 +303,18 @@ ServiceScheduler::runContinuous()
                 break;
             const std::size_t i = static_cast<std::size_t>(pick);
             Tenant &t = *tenants_[i];
-            auto d = takeDispatch(i);
-            d->arrival = t.session->arrivalCycles(t.dispatched);
-            d->admit = now;
-            d->admitSeq = admitSeq++;
-            const bool ok = t.session->next(d->plan, d->readBuf);
-            BUDDY_CHECK(ok, "eligible session yielded no batch");
-            d->plan.setTenant(t.id);
+            Dispatch d;
+            d.tenant = i;
+            d.arrival = t.session->arrivalCycles(t.dispatched);
+            d.admit = now;
+            d.admitSeq = admitSeq++;
+            d.summary = executeNext(t);
+            d.submitSeq = plan_.submitSeq();
+            // Service latency is known at admission: the completion
+            // event lies that many simulated cycles later.
+            d.serviceCycles =
+                std::max<u64>(d.summary.combinedWindowCycles, 1);
+            d.complete = d.admit + d.serviceCycles;
             ++inflight[i];
             t.maxInflight = std::max<u64>(t.maxInflight, inflight[i]);
             ++t.dispatched;
@@ -345,7 +322,7 @@ ServiceScheduler::runContinuous()
 
             // Queueing delay is fixed at admission: eligibility to
             // admission on the simulated clock.
-            const u64 delay = now - d->arrival;
+            const u64 delay = now - d.arrival;
             t.queueDelayCycles += delay;
             t.queueDelay.add(delay);
             if (t.mDispatched != nullptr) {
@@ -354,10 +331,7 @@ ServiceScheduler::runContinuous()
             }
             if (metricsActive_)
                 mDispatched_->add();
-
-            d->fut = engine_.submit(d->plan);
-            d->submitSeq = d->plan.submitSeq();
-            pending.push_back(std::move(d));
+            pending.push_back(d);
         }
         rep.maxGlobalInflight =
             std::max<u64>(rep.maxGlobalInflight, pending.size());
@@ -379,52 +353,35 @@ ServiceScheduler::runContinuous()
             continue;
         }
 
-        // Resolve every outstanding future. All pending batches are
-        // executing concurrently on the engine's workers, or, with one
-        // worker, already finished inside submit(), so the blocking
-        // order is irrelevant to both wall time and the (deterministic)
-        // results; resolving them all makes every completion time known
-        // in simulated cycles.
-        for (auto &d : pending) {
-            if (d->resolved)
-                continue;
-            d->summary = d->fut.get();
-            d->serviceCycles =
-                std::max<u64>(d->summary.combinedWindowCycles, 1);
-            d->complete = d->admit + d->serviceCycles;
-            d->resolved = true;
-        }
-
         // Pop the earliest completion event; ties break on admission
         // order, so the event sequence is a pure function of the seed
-        // and the workload no matter how the workers interleaved.
+        // and the workload.
         std::size_t best = 0;
         for (std::size_t k = 1; k < pending.size(); ++k) {
-            const Dispatch &a = *pending[k];
-            const Dispatch &b = *pending[best];
+            const Dispatch &a = pending[k];
+            const Dispatch &b = pending[best];
             if (a.complete < b.complete ||
                 (a.complete == b.complete && a.admitSeq < b.admitSeq))
                 best = k;
         }
-        std::unique_ptr<Dispatch> done = std::move(pending[best]);
+        const Dispatch done = pending[best];
         pending.erase(pending.begin() +
                       static_cast<std::ptrdiff_t>(best));
 
-        now = done->complete;
-        Tenant &t = *tenants_[done->tenant];
-        --inflight[done->tenant];
-        t.totals.accumulate(done->summary);
+        now = done.complete;
+        Tenant &t = *tenants_[done.tenant];
+        --inflight[done.tenant];
+        t.totals.accumulate(done.summary);
         ++t.batches;
-        t.serviceCycles += done->serviceCycles;
-        t.serviceLatency.add(done->serviceCycles);
+        t.serviceCycles += done.serviceCycles;
+        t.serviceLatency.add(done.serviceCycles);
         if (t.mBatches != nullptr) {
             t.mBatches->add();
-            t.mServiceCycles->add(done->serviceCycles);
+            t.mServiceCycles->add(done.serviceCycles);
         }
         if (timeline_ != nullptr)
-            timeline_->noteServiceSpan(done->submitSeq, done->arrival,
-                                       done->admit, done->complete);
-        spareDispatches_.push_back(std::move(done));
+            timeline_->noteServiceSpan(done.submitSeq, done.arrival,
+                                       done.admit, done.complete);
     }
 
     rep.dispatched = admitted;

@@ -12,18 +12,17 @@
  *   BulkSynchronous  deterministic dispatch *rounds*: each round the
  *                    QoS policy admits batches — at most
  *                    ServiceConfig::maxInflightPerTenant per tenant and
- *                    ServiceConfig::maxInflightTotal overall — submits
- *                    them to the engine's worker pool for concurrent
- *                    execution, and barriers on their completion before
- *                    accounting. A slow tenant stalls the round, and
- *                    queue-wait is measured in rounds: a session denied
- *                    ready work in a round (admitted nothing, or capped
- *                    by the fleet-wide limit below its own cap) accrues
- *                    one queue-wait round.
+ *                    ServiceConfig::maxInflightTotal overall — and the
+ *                    next round starts only after all of them complete.
+ *                    A slow tenant stalls the round, and queue-wait is
+ *                    measured in rounds: a session denied ready work in
+ *                    a round (admitted nothing, or capped by the
+ *                    fleet-wide limit below its own cap) accrues one
+ *                    queue-wait round.
  *
  *   Continuous       open-loop admission on a simulated-cycle clock: no
- *                    round barrier — slots refill as batch futures
- *                    resolve, and the QoS policy re-picks among
+ *                    round barrier — slots refill at batch completion
+ *                    events, and the QoS policy re-picks among
  *                    eligible tenants at every completion event. A
  *                    batch is eligible once the clock passes its
  *                    arrival time (TenantSession arrival process;
@@ -38,10 +37,10 @@
  *                    jumps to the next arrival when the fleet idles).
  *
  * Why both modes stay: neither is a configuration of the other.
- * BulkSynchronous (the default) admits batches up to the caps, then
- * waits on every admitted future before the next admission pass
- * (runBulk); Continuous refills a slot at each completion event, so the
- * two admit batches in a different order. queue_wait_rounds and
+ * BulkSynchronous (the default) admits batches up to the caps, and
+ * the round ends when they have all completed (runBulk); Continuous
+ * refills a slot at each completion event, so the two admit batches in
+ * a different order. queue_wait_rounds and
  * maxRounds have no continuous counterpart, and expressing rounds as a
  * continuous configuration would add a barrier path, not remove one.
  *
@@ -49,18 +48,22 @@
  * so a tenant denied admission is backpressured into its stream rather
  * than queueing unbounded work.
  *
+ * Execution: every admitted batch runs to completion inside
+ * ShardedEngine::execute() on the calling thread, at admission. "In
+ * flight" is simulated state: in continuous mode a batch occupies its
+ * slot from admission until its completion event on the simulated
+ * clock, and the scheduler keeps only its summary until then.
+ *
  * Determinism: policy decisions depend only on integer scheduler state
  * (dispatch counts, weights, the seeded round-robin rotation, and — in
  * continuous mode — the simulated clock and deterministic arrival
  * times), engine results are deterministic per batch, and continuous-
  * mode completion events pop in (completion time, admission sequence)
- * order regardless of which worker finished first, so a fixed
- * ServiceConfig::seed makes the whole run — dispatch order, queue-wait,
- * latency histograms, per-tenant totals, fairness — reproducible
- * run-to-run. And because
- * each batch carries ops of exactly one tenant and per-batch results
- * are pure functions of the plan (under WindowMode::Merged), a
- * tenant's accumulated totals are bit-identical to replaying its
+ * order, so a fixed ServiceConfig::seed makes the whole run — dispatch
+ * order, queue-wait, latency histograms, per-tenant totals, fairness —
+ * reproducible run-to-run. And because each batch carries ops of
+ * exactly one tenant and per-batch results are pure functions of the
+ * plan (under WindowMode::Merged), a tenant's accumulated totals are bit-identical to replaying its
  * stream alone on a private engine, no matter how many other tenants
  * contend — the isolation contract, extended from the engine's
  * single-workload bit-identical guarantee and pinned by
@@ -344,10 +347,9 @@ class ServiceScheduler
     int pickNext(const std::vector<unsigned> &inflight,
                  std::size_t &rrCursor, bool gateArrivals, u64 now) const;
 
-    /** A Dispatch for tenant index @p tenant: a finished one from
-     *  spareDispatches_ (its plan and readBuf keep their capacity) or a
-     *  new one. */
-    std::unique_ptr<Dispatch> takeDispatch(std::size_t tenant);
+    /** Pull @p t's next batch into plan_, tag it and execute it on the
+     *  engine; @return the batch's summary. */
+    const BatchSummary &executeNext(Tenant &t);
 
     ServiceReport runBulk();
     ServiceReport runContinuous();
@@ -356,8 +358,12 @@ class ServiceScheduler
     engine::ShardedEngine &engine_;
     ServiceConfig cfg_;
     std::vector<std::unique_ptr<Tenant>> tenants_;
-    std::vector<std::unique_ptr<Dispatch>> spareDispatches_;
     bool ran_ = false;
+
+    /** The one plan and read buffer every admission reuses: the engine
+     *  is done with both once execute() returns. */
+    AccessBatch plan_;
+    std::vector<u8> readBuf_;
 
     obs::ChromeTraceSink *timeline_ = nullptr;
 

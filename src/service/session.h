@@ -22,8 +22,8 @@
  * spec are closed-loop (every batch ready at cycle 0); the
  * bulk-synchronous scheduler mode ignores arrival times entirely.
  *
- * Sessions are driven by exactly one scheduler thread at a time and
- * need no locking of their own. A session does not know its tenant id —
+ * Sessions are driven by the scheduler on its calling thread and need
+ * no locking of their own. A session does not know its tenant id —
  * the scheduler assigns ids at addSession() and tags each plan.
  */
 
@@ -177,8 +177,8 @@ class TenantSession
     /**
      * Fill @p plan with the stream's next batch. Read destinations
      * point into @p readBuf (resized as needed), which must stay alive
-     * and untouched until the plan has executed — the scheduler keeps
-     * one buffer per in-flight dispatch. @return false once exhausted.
+     * and untouched until the plan has executed. @return false once
+     * exhausted.
      */
     bool next(AccessBatch &plan, std::vector<u8> &readBuf);
 

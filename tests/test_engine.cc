@@ -2,9 +2,9 @@
  * @file
  * Tests of the buddy::engine subsystem: shard-merged results must be
  * bit-identical to a single BuddyController executing the same plan,
- * multi-threaded runs must be reproducible run-to-run, asynchronous
- * submission must pipeline, and a recorded trace must replay to the
- * recorder's exact totals.
+ * runs must be reproducible run-to-run, every batch must run on the
+ * calling thread, and a recorded trace must replay to the recorder's
+ * exact totals.
  */
 
 #include <gtest/gtest.h>
@@ -30,11 +30,10 @@ constexpr std::size_t kEntriesPerAlloc = 256;
 constexpr std::size_t kN = kAllocs * kEntriesPerAlloc;
 
 EngineConfig
-engineConfig(unsigned shards, unsigned threads = 0)
+engineConfig(unsigned shards)
 {
     EngineConfig cfg;
     cfg.shards = shards;
-    cfg.threads = threads;
     cfg.shard.deviceBytes = 8 * MiB;
     return cfg;
 }
@@ -140,7 +139,7 @@ TEST(ShardedEngine, MergedResultsMatchSingleControllerBitForBit)
     // same order), so plans are structurally identical. The default
     // 64 KB metadata cache holds this working set without capacity
     // evictions, so even per-op hit/miss results must match.
-    ShardedEngine eng(engineConfig(4, 2));
+    ShardedEngine eng(engineConfig(4));
     BuddyController single(singleConfig());
 
     const auto vasE = allocateSet(eng);
@@ -367,7 +366,7 @@ TEST(ShardedEngine, EachBatchIsWindowedOnce)
     const AccessBatch rs = run(single, vasS, outS);
 
     for (const WindowMode mode : {WindowMode::Merged, WindowMode::PerShard}) {
-        EngineConfig ecfg = engineConfig(4, 2);
+        EngineConfig ecfg = engineConfig(4);
         configure(ecfg.shard, mode);
         ShardedEngine eng(ecfg);
         obs::MetricRegistry registry;
@@ -438,114 +437,11 @@ TEST(ShardedEngine, EachBatchIsWindowedOnce)
     }
 }
 
-TEST(ShardedEngine, MultiThreadedRunsAreReproducibleRunToRun)
-{
-    // Two fresh engines, same config, three worker threads for four
-    // shards: per-op results, summaries, and merged stats must be
-    // identical — determinism must not depend on thread scheduling.
-    const auto entries = mixedEntries(kN, 77);
-
-    auto run = [&](ShardedEngine &eng, std::vector<AccessInfo> &infos,
-                   BatchSummary &wsum, BatchSummary &rsum) {
-        const auto vas = allocateSet(eng);
-        std::vector<u8> out(kN * kEntryBytes);
-        AccessBatch w, r;
-        for (std::size_t i = 0; i < kN; ++i)
-            w.write(vas[i], entries[i].data());
-        wsum = eng.execute(w);
-        for (std::size_t i = 0; i < kN; ++i) {
-            if (i % 3 == 0)
-                r.probe(vas[i]);
-            else
-                r.read(vas[i], out.data() + i * kEntryBytes);
-        }
-        rsum = eng.execute(r);
-        infos = w.results();
-        infos.insert(infos.end(), r.results().begin(), r.results().end());
-    };
-
-    ShardedEngine a(engineConfig(4, 3)), b(engineConfig(4, 3));
-    std::vector<AccessInfo> infosA, infosB;
-    BatchSummary wA, rA, wB, rB;
-    run(a, infosA, wA, rA);
-    run(b, infosB, wB, rB);
-
-    ASSERT_EQ(infosA.size(), infosB.size());
-    for (std::size_t i = 0; i < infosA.size(); ++i)
-        ASSERT_TRUE(sameInfo(infosA[i], infosB[i])) << "op " << i;
-    EXPECT_TRUE(sameSummary(wA, wB));
-    EXPECT_TRUE(sameSummary(rA, rB));
-    EXPECT_TRUE(sameStats(a, b));
-
-    // The fixed shard hash places the allocation sequence identically.
-    for (const auto &[id, alloc] : a.allocations())
-        EXPECT_EQ(alloc.shard, b.allocations().at(id).shard);
-
-    // Per-shard seeds are deterministic and pairwise distinct.
-    for (unsigned s = 0; s < a.shardCount(); ++s) {
-        EXPECT_EQ(a.shardSeed(s), b.shardSeed(s));
-        for (unsigned t = s + 1; t < a.shardCount(); ++t)
-            EXPECT_NE(a.shardSeed(s), a.shardSeed(t));
-    }
-}
-
-TEST(ShardedEngine, AsyncSubmissionPipelinesAndMatchesSequential)
-{
-    // Several batches in flight at once: per-shard FIFO queues keep
-    // same-entry write->read ordering correct, and the merged totals
-    // must equal a sequential run of the same plans.
-    const auto entries = mixedEntries(kN, 5);
-
-    ShardedEngine eng(engineConfig(4, 2));
-    const auto vas = allocateSet(eng);
-
-    constexpr std::size_t kBatches = 8;
-    const std::size_t per_batch = kN / kBatches;
-    std::vector<AccessBatch> writes(kBatches), reads(kBatches);
-    std::vector<u8> out(kN * kEntryBytes, 0xFF);
-    for (std::size_t b = 0; b < kBatches; ++b) {
-        for (std::size_t i = 0; i < per_batch; ++i) {
-            const std::size_t e = b * per_batch + i;
-            writes[b].write(vas[e], entries[e].data());
-            reads[b].read(vas[e], out.data() + e * kEntryBytes);
-        }
-    }
-
-    // Interleave submissions: each read batch chases its write batch
-    // through the same shards.
-    std::vector<std::future<BatchSummary>> futs;
-    for (std::size_t b = 0; b < kBatches; ++b) {
-        futs.push_back(eng.submit(writes[b]));
-        futs.push_back(eng.submit(reads[b]));
-    }
-    for (auto &f : futs)
-        f.get();
-
-    for (std::size_t e = 0; e < kN; ++e)
-        ASSERT_EQ(std::memcmp(out.data() + e * kEntryBytes,
-                              entries[e].data(), kEntryBytes),
-                  0)
-            << "entry " << e;
-
-    BuddyController single(singleConfig());
-    const auto vasS = allocateSet(single);
-    std::vector<u8> outS(kN * kEntryBytes);
-    AccessBatch plan;
-    for (std::size_t e = 0; e < kN; ++e)
-        plan.write(vasS[e], entries[e].data());
-    single.execute(plan);
-    plan.clear();
-    for (std::size_t e = 0; e < kN; ++e)
-        plan.read(vasS[e], outS.data() + e * kEntryBytes);
-    single.execute(plan);
-    EXPECT_TRUE(sameStats(eng, single));
-}
-
 TEST(ShardedEngine, EmptyBatchCompletesImmediately)
 {
     ShardedEngine eng(engineConfig(2));
     AccessBatch empty;
-    EXPECT_EQ(eng.submit(empty).get().operations(), 0u);
+    EXPECT_EQ(eng.execute(empty).operations(), 0u);
     EXPECT_TRUE(empty.results().empty());
 }
 
@@ -563,28 +459,48 @@ struct BatchLog : obs::BatchObserver
     }
 };
 
-TEST(ShardedEngine, OneWorkerRunsBatchesOnTheCaller)
+TEST(ShardedEngine, ThreadsFieldIsInert)
 {
-    // One worker is the calling thread: submit() runs the batch before
-    // it returns, so the future is ready and the observer runs here.
-    // Per-op results, summaries and sink events equal a two-worker
-    // engine's over the same plans.
+    // EngineConfig::threads selects nothing: every batch
+    // runs on the calling thread, so the observer and the sinks run
+    // here and submit() hands back a future that is already ready.
+    // Fresh engines that differ only in the field (4 is what the
+    // perfbench harness sets) produce bit-identical per-op results,
+    // summaries and sink events, and place allocations and derive
+    // shard seeds identically.
     struct Run
     {
         std::vector<AccessInfo> infos;
         std::vector<BatchSummary> sums;
         EventLog events;
         BatchLog observer;
+        std::vector<std::thread::id> sinkThreads;
+        std::vector<unsigned> placement;
+        std::vector<u64> seeds;
+    };
+    /** Notes the thread each access event arrives on. */
+    struct ThreadSink : api::TrafficSink
+    {
+        std::vector<std::thread::id> *threads = nullptr;
+        void
+        onAccess(const AccessEvent &) override
+        {
+            threads->push_back(std::this_thread::get_id());
+        }
     };
     const auto entries = mixedEntries(kN, 31);
     const auto drive = [&](unsigned threads, Run &run) {
-        ShardedEngine eng(engineConfig(4, threads));
-        EXPECT_EQ(eng.threadCount(), threads);
+        EngineConfig cfg = engineConfig(4);
+        cfg.threads = threads;
+        ShardedEngine eng(cfg);
         eng.setBatchObserver(&run.observer);
         const auto vas = allocateSet(eng);
+        ThreadSink where;
+        where.threads = &run.sinkThreads;
         eng.attachSink(&run.events);
+        eng.attachSink(&where);
         std::vector<u8> out(kN * kEntryBytes);
-        AccessBatch w, r;
+        AccessBatch w, r, p;
         for (std::size_t i = 0; i < kN; ++i)
             w.write(vas[i], entries[i].data());
         for (std::size_t i = 0; i < kN; ++i) {
@@ -593,51 +509,79 @@ TEST(ShardedEngine, OneWorkerRunsBatchesOnTheCaller)
             else
                 r.read(vas[i], out.data() + i * kEntryBytes);
         }
-        for (AccessBatch *b : {&w, &r}) {
+        for (std::size_t i = 0; i < kN; i += 2)
+            p.probe(vas[i]);
+        for (AccessBatch *b : {&w, &r, &p}) {
             std::future<BatchSummary> fut = eng.submit(*b);
-            if (threads == 1) {
-                EXPECT_EQ(fut.wait_for(std::chrono::seconds(0)),
-                          std::future_status::ready);
-            }
+            EXPECT_EQ(fut.wait_for(std::chrono::seconds(0)),
+                      std::future_status::ready)
+                << threads;
             run.sums.push_back(fut.get());
             run.infos.insert(run.infos.end(), b->results().begin(),
                              b->results().end());
         }
+        eng.detachSink(&where);
         eng.detachSink(&run.events);
+        for (const auto &[id, a] : eng.allocations())
+            run.placement.push_back(a.shard);
+        for (unsigned s = 0; s < eng.shardCount(); ++s)
+            run.seeds.push_back(eng.shardSeed(s));
     };
-    Run one, two;
-    drive(1, one);
-    drive(2, two);
+    const unsigned kThreads[] = {0, 1, 4};
+    Run runs[3];
+    for (std::size_t k = 0; k < 3; ++k)
+        drive(kThreads[k], runs[k]);
 
-    ASSERT_EQ(one.observer.threads.size(), 2u);
-    for (const std::thread::id id : one.observer.threads)
-        EXPECT_EQ(id, std::this_thread::get_id());
-    for (const std::thread::id id : two.observer.threads)
-        EXPECT_NE(id, std::this_thread::get_id());
-
-    ASSERT_EQ(one.infos.size(), two.infos.size());
-    for (std::size_t i = 0; i < one.infos.size(); ++i)
-        ASSERT_TRUE(sameInfo(one.infos[i], two.infos[i])) << "op " << i;
-    ASSERT_EQ(one.sums.size(), two.sums.size());
-    for (std::size_t b = 0; b < one.sums.size(); ++b)
-        EXPECT_TRUE(sameSummary(one.sums[b], two.sums[b])) << "batch " << b;
-
-    ASSERT_EQ(one.events.events.size(), two.events.events.size());
-    for (std::size_t i = 0; i < one.events.events.size(); ++i) {
-        const EventLog::Event &x = one.events.events[i];
-        const EventLog::Event &y = two.events.events[i];
-        ASSERT_EQ(x.batch, y.batch) << "event " << i;
-        ASSERT_EQ(x.ev.kind, y.ev.kind) << "event " << i;
-        ASSERT_EQ(x.ev.va, y.ev.va) << "event " << i;
-        ASSERT_EQ(x.ev.allocId, y.ev.allocId) << "event " << i;
-        ASSERT_TRUE(sameInfo(x.ev.info, y.ev.info)) << "event " << i;
-        ASSERT_EQ(x.payload, y.payload) << "event " << i;
+    for (const Run &run : runs) {
+        ASSERT_EQ(run.observer.threads.size(), 3u);
+        for (const std::thread::id id : run.observer.threads)
+            EXPECT_EQ(id, std::this_thread::get_id());
+        ASSERT_EQ(run.sinkThreads.size(), 3 * kN - kN / 2);
+        for (const std::thread::id id : run.sinkThreads)
+            ASSERT_EQ(id, std::this_thread::get_id());
     }
-    ASSERT_EQ(one.events.batches.size(), two.events.batches.size());
-    for (std::size_t b = 0; b < one.events.batches.size(); ++b)
-        EXPECT_TRUE(
-            sameSummary(one.events.batches[b], two.events.batches[b]))
-            << "batch " << b;
+
+    // Per-shard seeds are pairwise distinct.
+    for (std::size_t s = 0; s < runs[0].seeds.size(); ++s)
+        for (std::size_t t = s + 1; t < runs[0].seeds.size(); ++t)
+            EXPECT_NE(runs[0].seeds[s], runs[0].seeds[t]);
+
+    const Run &ref = runs[0];
+    for (std::size_t k = 1; k < 3; ++k) {
+        const Run &run = runs[k];
+        const unsigned threads = kThreads[k];
+        EXPECT_EQ(run.placement, ref.placement) << threads;
+        EXPECT_EQ(run.seeds, ref.seeds) << threads;
+        ASSERT_EQ(run.infos.size(), ref.infos.size()) << threads;
+        for (std::size_t i = 0; i < ref.infos.size(); ++i)
+            ASSERT_TRUE(sameInfo(run.infos[i], ref.infos[i]))
+                << threads << " op " << i;
+        ASSERT_EQ(run.sums.size(), ref.sums.size()) << threads;
+        for (std::size_t b = 0; b < ref.sums.size(); ++b)
+            EXPECT_TRUE(sameSummary(run.sums[b], ref.sums[b]))
+                << threads << " batch " << b;
+
+        ASSERT_EQ(run.events.events.size(), ref.events.events.size())
+            << threads;
+        for (std::size_t i = 0; i < ref.events.events.size(); ++i) {
+            const EventLog::Event &x = run.events.events[i];
+            const EventLog::Event &y = ref.events.events[i];
+            ASSERT_EQ(x.batch, y.batch) << threads << " event " << i;
+            ASSERT_EQ(x.ev.kind, y.ev.kind) << threads << " event " << i;
+            ASSERT_EQ(x.ev.va, y.ev.va) << threads << " event " << i;
+            ASSERT_EQ(x.ev.allocId, y.ev.allocId)
+                << threads << " event " << i;
+            ASSERT_TRUE(sameInfo(x.ev.info, y.ev.info))
+                << threads << " event " << i;
+            ASSERT_EQ(x.payload, y.payload) << threads << " event " << i;
+        }
+        ASSERT_EQ(run.events.batches.size(), ref.events.batches.size())
+            << threads;
+        for (std::size_t b = 0; b < ref.events.batches.size(); ++b)
+            EXPECT_TRUE(
+                sameSummary(run.events.batches[b], ref.events.batches[b]))
+                << threads << " batch " << b;
+    }
 }
 
 /**
@@ -705,16 +649,16 @@ shardSetSequence(Target &t, std::size_t other, std::size_t again,
             << "entry " << i;
 }
 
-TEST(ShardedEngine, RecycledJobsMatchSingleControllerAcrossShardSets)
+TEST(ShardedEngine, RecycledSubPlansMatchSingleControllerAcrossShardSets)
 {
-    // Jobs and their sub-plans are reused across submits. A sub-plan
+    // The engine's sub-plans are reused across batches. A sub-plan
     // left over from an earlier batch, or a stale address lookup after
     // free(), would show up as a result that differs from a single
     // controller running the same plans, or as a shard span with no
     // ops of this batch.
     std::vector<unsigned> shardOf;
     {
-        ShardedEngine placement(engineConfig(4, 1));
+        ShardedEngine placement(engineConfig(4));
         allocateSet(placement);
         for (const auto &[id, a] : placement.allocations())
             shardOf.push_back(a.shard);
@@ -731,32 +675,27 @@ TEST(ShardedEngine, RecycledJobsMatchSingleControllerAcrossShardSets)
     BuddyController single(singleConfig());
     shardSetSequence(single, other, again, want, wantSums);
 
-    for (const unsigned threads : {1u, 2u}) {
-        ShardedEngine eng(engineConfig(4, threads));
-        BatchLog log;
-        eng.setBatchObserver(&log);
-        std::vector<AccessInfo> got;
-        std::vector<BatchSummary> gotSums;
-        shardSetSequence(eng, other, again, got, gotSums);
-        for (const obs::BatchRecord &rec : log.records) {
-            u64 ops = 0;
-            for (const obs::BatchRecord::ShardSpan &span : rec.shards) {
-                EXPECT_GT(span.ops, 0u) << threads << " batch " << rec.seq;
-                ops += span.ops;
-            }
-            EXPECT_EQ(ops, rec.summary.operations())
-                << threads << " batch " << rec.seq;
+    ShardedEngine eng(engineConfig(4));
+    BatchLog log;
+    eng.setBatchObserver(&log);
+    std::vector<AccessInfo> got;
+    std::vector<BatchSummary> gotSums;
+    shardSetSequence(eng, other, again, got, gotSums);
+    for (const obs::BatchRecord &rec : log.records) {
+        u64 ops = 0;
+        for (const obs::BatchRecord::ShardSpan &span : rec.shards) {
+            EXPECT_GT(span.ops, 0u) << "batch " << rec.seq;
+            ops += span.ops;
         }
-        ASSERT_EQ(got.size(), want.size()) << threads;
-        for (std::size_t i = 0; i < want.size(); ++i)
-            ASSERT_TRUE(sameInfo(got[i], want[i]))
-                << threads << " op " << i;
-        ASSERT_EQ(gotSums.size(), wantSums.size()) << threads;
-        for (std::size_t b = 0; b < wantSums.size(); ++b)
-            EXPECT_TRUE(sameSummary(gotSums[b], wantSums[b]))
-                << threads << " batch " << b;
-        EXPECT_TRUE(sameStats(eng, single)) << threads;
+        EXPECT_EQ(ops, rec.summary.operations()) << "batch " << rec.seq;
     }
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i)
+        ASSERT_TRUE(sameInfo(got[i], want[i])) << "op " << i;
+    ASSERT_EQ(gotSums.size(), wantSums.size());
+    for (std::size_t b = 0; b < wantSums.size(); ++b)
+        EXPECT_TRUE(sameSummary(gotSums[b], wantSums[b])) << "batch " << b;
+    EXPECT_TRUE(sameStats(eng, single));
 }
 
 TEST(ShardedEngine, FreeReleasesCapacityOnOwningShard)
@@ -777,7 +716,7 @@ TEST(Trace, ReplayReproducesRecordedTotals)
     const auto entries = mixedEntries(kN, 99);
 
     // Record on a 4-shard engine.
-    ShardedEngine rec(engineConfig(4, 2));
+    ShardedEngine rec(engineConfig(4));
     TraceRecorderSink recorder;
     rec.attachSink(&recorder);
 
@@ -825,7 +764,7 @@ TEST(Trace, ReplayReproducesRecordedTotals)
 
     // Identically-configured engine: every field reproduces, including
     // metadata hits (same per-shard access sequences).
-    ShardedEngine same(engineConfig(4, 2));
+    ShardedEngine same(engineConfig(4));
     const TraceTotals replayed = replayer.replay(same);
     EXPECT_TRUE(sameSummary(replayed.summary,
                             replayer.recordedTotals().summary));
@@ -863,9 +802,9 @@ TEST(ShardedEngine, CycleTotalsDeterministicAcrossShardingAndRuns)
     // functions of the traffic, so sharding cannot change the sums.
     const auto entries = mixedEntries(kN, 321);
 
-    EngineConfig remote4 = engineConfig(4, 2);
+    EngineConfig remote4 = engineConfig(4);
     remote4.shard.buddyBackend = "remote";
-    EngineConfig remote1 = engineConfig(1, 1);
+    EngineConfig remote1 = engineConfig(1);
     remote1.shard.buddyBackend = "remote";
 
     // Record on a 4-shard engine.
@@ -950,7 +889,7 @@ TEST(ShardedEngine, WindowedTotalsShardInvariantAndReproducible)
     constexpr u64 kWindow = 4;
 
     const auto windowed = [&](unsigned shards) {
-        EngineConfig cfg = engineConfig(shards, 2);
+        EngineConfig cfg = engineConfig(shards);
         cfg.shard.buddyBackend = "remote";
         cfg.shard.linkWindow = kWindow;
         return cfg;
@@ -1023,7 +962,7 @@ TEST(ShardedEngine, PerShardWindowModeAtOneShardMatchesMergedBitForBit)
     const auto entries = mixedEntries(kN, 901);
 
     const auto config = [&](WindowMode mode) {
-        EngineConfig cfg = engineConfig(1, 1);
+        EngineConfig cfg = engineConfig(1);
         cfg.shard.buddyBackend = "remote";
         cfg.shard.linkWindow = 6;
         cfg.shard.windowMode = mode;
@@ -1076,7 +1015,7 @@ TEST(ShardedEngine, PerShardWindowModeBarrierAndReproducibility)
     const auto entries = mixedEntries(kN, 902);
 
     const auto config = [&](WindowMode mode) {
-        EngineConfig cfg = engineConfig(4, 2);
+        EngineConfig cfg = engineConfig(4);
         cfg.shard.buddyBackend = "remote";
         cfg.shard.linkWindow = 4;
         cfg.shard.windowMode = mode;
@@ -1159,7 +1098,7 @@ TEST(ShardedEngine, ResetThenResubmitReproducesFlowTotals)
     // identical data toggles no entry, so it holds throughout.
     const auto entries = mixedEntries(kN, 903);
 
-    EngineConfig cfg = engineConfig(4, 2);
+    EngineConfig cfg = engineConfig(4);
     cfg.shard.buddyBackend = "remote";
     cfg.shard.linkWindow = 5;
     cfg.shard.windowMode = WindowMode::PerShard;
@@ -1220,7 +1159,7 @@ TEST(Trace, SequentialRecordingIsByteStable)
     const auto entries = mixedEntries(512, 13);
 
     auto record = [&]() {
-        ShardedEngine eng(engineConfig(4, 2));
+        ShardedEngine eng(engineConfig(4));
         TraceRecorderSink recorder;
         eng.attachSink(&recorder);
         const auto id = eng.allocate("a", 512 * kEntryBytes,

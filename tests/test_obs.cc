@@ -186,7 +186,8 @@ TEST(ObsDeterminism, FullDeterministicExportReproducesRunToRun)
     const std::string runB = replayExport(trace, engineConfig(4), all);
     EXPECT_EQ(runA, runB);
     EXPECT_NE(runA.find("shard/s0/"), std::string::npos);
-    // wall/ metrics exist but stay out of the deterministic export.
+    // Nothing under wall/ reaches the deterministic export (the engine
+    // registers none; test_metrics pins the exporter's exclusion).
     EXPECT_EQ(runA.find("wall/"), std::string::npos);
 }
 
@@ -202,7 +203,7 @@ TEST(ObsDeterminism, ChromeTraceIsValidAndByteStable)
     replayExport(trace, engineConfig(4), simOnly, &traceB);
 
     EXPECT_TRUE(obs::jsonValid(traceA));
-    EXPECT_EQ(traceA, traceB); // worker completion order cannot leak
+    EXPECT_EQ(traceA, traceB); // byte-stable run-to-run
     EXPECT_NE(traceA.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(traceA.find("\"ph\":\"X\""), std::string::npos);
     EXPECT_NE(traceA.find("\"ph\":\"M\""), std::string::npos);

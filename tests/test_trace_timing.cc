@@ -32,7 +32,6 @@ timedEngineConfig(unsigned shards, const std::string &buddy_backend)
 {
     EngineConfig cfg;
     cfg.shards = shards;
-    cfg.threads = 2;
     cfg.shard.deviceBytes = 8 * MiB;
     cfg.shard.buddyBackend = buddy_backend;
     return cfg;
