@@ -70,7 +70,8 @@ class BitWriter
  * cleared lazily as the writer first touches them (the first byte of a
  * put keeps only the bits already written; every later byte is
  * overwritten whole), which makes reuse of a dirty scratch buffer safe.
- * Overflowing the buffer is a checked panic.
+ * A put may therefore also zero bytes past the written bits, but never
+ * a byte past the capacity. Overflowing the buffer is a checked panic.
  */
 class FixedBitWriter
 {
@@ -91,9 +92,26 @@ class FixedBitWriter
             return;
         if (nbits < 64)
             value &= (1ull << nbits) - 1;
-        // Byte-at-a-time: a 64-bit field costs at most nine stores.
         std::size_t byte = bitCount_ / 8;
         const unsigned off = bitCount_ % 8;
+        if (byte + 16 <= capBits_ / 8) {
+            // Word store: the kept bits of the first byte merged with
+            // the field, stored as 8 bytes; a field that crosses them
+            // spills into the next 8. Only the first byte is loaded: an
+            // 8-byte load overlapping the previous put's store at
+            // another offset would stall on store forwarding.
+            const u64 word =
+                (buf_[byte] & ((1u << off) - 1u)) | (value << off);
+            std::memcpy(buf_ + byte, &word, sizeof(word));
+            if (off + nbits > 64) {
+                const u64 spill = value >> (64 - off);
+                std::memcpy(buf_ + byte + 8, &spill, sizeof(spill));
+            }
+            bitCount_ += nbits;
+            return;
+        }
+        // Within 16 bytes of the end: one byte at a time, so no store
+        // passes the capacity.
         const u8 kept = static_cast<u8>(buf_[byte] & ((1u << off) - 1u));
         buf_[byte] = static_cast<u8>(kept | (value << off));
         for (unsigned done = 8 - off; done < nbits; done += 8)
@@ -136,10 +154,12 @@ class FixedBitWriter
 /**
  * LSB-first bit unpacker over a byte buffer produced by BitWriter.
  *
- * Reads never touch a byte past (size_bits + 7) / 8: a field of at most
- * 56 bits whose 8-byte window lies inside the buffer is one unaligned
- * little-endian load, a shift and a mask; wider fields and fields near
- * the end of the buffer are gathered bit by bit.
+ * Reads never touch a byte past (size_bits + 7) / 8. Every read starts
+ * from one 8-byte window at the read position: an unaligned
+ * little-endian load where the buffer holds 8 more bytes, else a load
+ * of the buffer's last 8 bytes shifted down (a byte loop only for
+ * buffers shorter than 8 bytes). A field of at most 56 bits is one
+ * window, a shift and a mask; a wider one is two windows.
  */
 class BitReader
 {
@@ -158,19 +178,37 @@ class BitReader
     {
         BUDDY_CHECK(nbits <= 64, "BitReader::get supports at most 64 bits");
         BUDDY_CHECK(nbits <= sizeBits_ - pos_, "BitReader overrun");
-        const std::size_t byte = pos_ / 8;
-        if (nbits <= 56 && byte + 8 <= (sizeBits_ + 7) / 8) {
-            u64 window = 0;
-            std::memcpy(&window, data_ + byte, sizeof(window));
-            const u64 v = (window >> (pos_ % 8)) & ((1ull << nbits) - 1);
+        if (nbits <= 56) {
+            const u64 v = window() & ((1ull << nbits) - 1);
             pos_ += nbits;
             return v;
         }
-        u64 v = 0;
-        for (unsigned i = 0; i < nbits; ++i) {
-            v |= static_cast<u64>(getBit()) << i;
-        }
-        return v;
+        const u64 lo = window() & 0xFFFFFFFFull;
+        pos_ += 32;
+        const u64 hi = window() & ((1ull << (nbits - 32)) - 1);
+        pos_ += nbits - 32;
+        return lo | (hi << 32);
+    }
+
+    /**
+     * The next min(56, remaining()) bits without consuming them, LSB
+     * first; every higher bit is zero. Decoders branch on a symbol's
+     * code and take its payload from one peek, then skip() its length.
+     */
+    u64
+    peek() const
+    {
+        const std::size_t left = sizeBits_ - pos_;
+        const unsigned n = left < 56 ? static_cast<unsigned>(left) : 56;
+        return window() & ((1ull << n) - 1);
+    }
+
+    /** Consume @p nbits bits (checked against the end like get()). */
+    void
+    skip(std::size_t nbits)
+    {
+        BUDDY_CHECK(nbits <= sizeBits_ - pos_, "BitReader overrun");
+        pos_ += nbits;
     }
 
     /** Read one bit. */
@@ -190,6 +228,30 @@ class BitReader
     std::size_t remaining() const { return sizeBits_ - pos_; }
 
   private:
+    /**
+     * At least 57 bits from the read position (fewer near the end,
+     * zero-filled past the last byte); bits past the stream inside its
+     * last byte are not masked.
+     */
+    u64
+    window() const
+    {
+        const std::size_t byte = pos_ / 8;
+        const std::size_t end = (sizeBits_ + 7) / 8;
+        u64 w = 0;
+        if (byte + 8 <= end) {
+            std::memcpy(&w, data_ + byte, sizeof(w));
+        } else if (end >= 8 && byte < end) {
+            // The buffer's last 8 bytes, shifted down to the read byte.
+            std::memcpy(&w, data_ + end - 8, sizeof(w));
+            w >>= 8 * (byte + 8 - end);
+        } else { // a buffer shorter than 8 bytes, or no byte left
+            for (std::size_t i = byte; i < end; ++i)
+                w |= static_cast<u64>(data_[i]) << (8 * (i - byte));
+        }
+        return w >> (pos_ % 8);
+    }
+
     const u8 *data_;
     std::size_t sizeBits_;
     std::size_t pos_ = 0;

@@ -158,21 +158,21 @@ BdiCompressor::compressInto(const u8 *data, u8 *out,
 
     if (!best) {
         bw.put(static_cast<u8>(BdiMode::Raw), 4);
-        for (std::size_t i = 0; i < kEntryBytes; ++i)
-            bw.put(data[i], 8);
+        for (unsigned i = 0; i < kEntryBytes / 8; ++i)
+            bw.put(loadElem(data, i, 8), 64);
         return bw.sizeBits();
     }
 
     bw.put(static_cast<u8>(best->mode), 4);
     bw.put(best_base, best->baseBytes * 8);
+    // Each element is its mask bit then its delta, in one put (deltas
+    // are at most 4 bytes, so the field fits in 33 bits).
     const unsigned elems = kEntryBytes / best->baseBytes;
+    const unsigned delta_bits = best->deltaBytes * 8;
     for (unsigned i = 0; i < elems; ++i) {
-        bw.putBit(best_mask[i]);
-        bw.put(static_cast<u64>(best_deltas[i]) &
-                   ((best->deltaBytes * 8 == 64)
-                        ? ~0ull
-                        : ((1ull << (best->deltaBytes * 8)) - 1)),
-               best->deltaBytes * 8);
+        const u64 delta =
+            static_cast<u64>(best_deltas[i]) & ((1ull << delta_bits) - 1);
+        bw.put(static_cast<u64>(best_mask[i]) | delta << 1, 1 + delta_bits);
     }
     return bw.sizeBits();
 }
@@ -195,8 +195,10 @@ BdiCompressor::decompressFrom(const u8 *payload, std::size_t size_bits,
         return;
     }
     if (mode == BdiMode::Raw) {
-        for (std::size_t i = 0; i < kEntryBytes; ++i)
-            out[i] = static_cast<u8>(br.get(8));
+        for (unsigned i = 0; i < kEntryBytes / 8; ++i) {
+            const u64 v = br.get(64);
+            std::memcpy(out + i * 8, &v, 8);
+        }
         return;
     }
 
@@ -210,9 +212,9 @@ BdiCompressor::decompressFrom(const u8 *payload, std::size_t size_bits,
     const i64 base = signExtend(base_raw, spec->baseBytes);
     const unsigned elems = kEntryBytes / spec->baseBytes;
     for (unsigned i = 0; i < elems; ++i) {
-        const bool use_base = br.getBit();
-        const u64 draw = br.get(spec->deltaBytes * 8);
-        const i64 d = signExtend(draw, spec->deltaBytes);
+        const u64 field = br.get(1 + spec->deltaBytes * 8);
+        const bool use_base = field & 1;
+        const i64 d = signExtend(field >> 1, spec->deltaBytes);
         // Add in u64 (mirror of the encoder's wrapping subtract): only
         // the low baseBytes*8 bits are stored, so the wrap is harmless.
         const i64 val =

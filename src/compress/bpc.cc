@@ -13,7 +13,7 @@ constexpr u64 kPlaneMask = (1ull << BpcCompressor::kPlaneBits) - 1;
 constexpr u64 kDeltaMask = (1ull << BpcCompressor::kPlanes) - 1;
 constexpr std::size_t kRawBits = kEntryBytes * 8;
 
-/**
+/*
  * Prefix-free DBX plane symbol codes. The set below mirrors the structure
  * of the published BPC code table (zero runs, all-ones, DBP-zero shortcut,
  * two consecutive ones, single one, raw plane):
@@ -26,30 +26,22 @@ constexpr std::size_t kRawBits = kEntryBytes * 8;
  *   "00011" + 5-bit pos      single one at pos                   (10 bits)
  *   "1"     + 31 raw bits    uncompressed plane                  (32 bits)
  *
- * Codes are written LSB-first into the BitWriter; the reader peels them
- * bit by bit in the same order.
+ * Codes are written LSB-first, so a code's first bit is bit 0 of its
+ * value. The encoder writes each symbol, code and payload together, with
+ * one put; the decoder peeks once per symbol, branches on the low bits
+ * and takes the payload from the same word.
  */
-enum class PlaneSym : u8 {
-    ZeroSingle,
-    ZeroRun,
-    AllOnes,
-    DbpZero,
-    TwoOnes,
-    OneOne,
-    Raw,
-};
 
 void
 emitZeroPlanes(FixedBitWriter &bw, unsigned run)
 {
     while (run > 0) {
         if (run == 1) {
-            bw.putBit(0); bw.putBit(1); // "01"
+            bw.put(0b10, 2); // "01"
             run = 0;
         } else {
             const unsigned chunk = run > 33 ? 33 : run;
-            bw.putBit(0); bw.putBit(0); bw.putBit(1); // "001"
-            bw.put(chunk - 2, 5);
+            bw.put(0b100 | (chunk - 2) << 3, 8); // "001" + run
             run -= chunk;
         }
     }
@@ -66,36 +58,33 @@ void
 encodeBase(FixedBitWriter &bw, u32 base)
 {
     const i32 sbase = static_cast<i32>(base);
-    if (base == 0) {
-        bw.putBit(0); bw.putBit(0);
-    } else if (sbase >= -8 && sbase < 8) {
-        bw.putBit(0); bw.putBit(1);
-        bw.put(static_cast<u32>(sbase) & 0xF, 4);
-    } else if (sbase >= -32768 && sbase < 32768) {
-        bw.putBit(1); bw.putBit(0);
-        bw.put(static_cast<u32>(sbase) & 0xFFFF, 16);
-    } else {
-        bw.putBit(1); bw.putBit(1);
-        bw.put(base, 32);
-    }
+    if (base == 0)
+        bw.put(0b00, 2);
+    else if (sbase >= -8 && sbase < 8)
+        bw.put(0b10 | (base & 0xF) << 2, 6);
+    else if (sbase >= -32768 && sbase < 32768)
+        bw.put(0b01 | (base & 0xFFFF) << 2, 18);
+    else
+        bw.put(0b11 | static_cast<u64>(base) << 2, 34);
 }
 
 u32
 decodeBase(BitReader &br)
 {
-    const bool b0 = br.getBit();
-    const bool b1 = br.getBit();
-    if (!b0 && !b1)
+    switch (br.get(2)) {
+      case 0b00:
         return 0;
-    if (!b0 && b1) { // 4-bit sign-extended
+      case 0b10: { // "01": 4-bit sign-extended
         const u32 v = static_cast<u32>(br.get(4));
         return static_cast<u32>(static_cast<i32>(v << 28) >> 28);
-    }
-    if (b0 && !b1) { // 16-bit sign-extended
+      }
+      case 0b01: { // "10": 16-bit sign-extended
         const u32 v = static_cast<u32>(br.get(16));
         return static_cast<u32>(static_cast<i32>(v << 16) >> 16);
+      }
+      default:
+        return static_cast<u32>(br.get(32));
     }
-    return static_cast<u32>(br.get(32));
 }
 
 /**
@@ -183,23 +172,17 @@ BpcCompressor::compressInto(const u8 *data, u8 *out,
 
         const unsigned pos = static_cast<unsigned>(__builtin_ctz(x));
         if (x == kPlaneMask) {
-            bw.put(0b00000, 5);
+            bw.put(0b00000, 5); // "00000"
         } else if (((or_d >> b) & 1ull) == 0) {
             // DBX nonzero but the underlying DBP plane is zero: tell the
             // decoder directly (5-bit shortcut instead of a raw plane).
-            bw.putBit(0); bw.putBit(0); bw.putBit(0); bw.putBit(0);
-            bw.putBit(1);
+            bw.put(0b10000, 5); // "00001"
         } else if (x == (0b11ull << pos) && pos + 1 < kPlaneBits) {
-            bw.putBit(0); bw.putBit(0); bw.putBit(0); bw.putBit(1);
-            bw.putBit(0);
-            bw.put(pos, 5);
+            bw.put(0b01000 | pos << 5, 10); // "00010" + pos
         } else if (x == (1ull << pos)) {
-            bw.putBit(0); bw.putBit(0); bw.putBit(0); bw.putBit(1);
-            bw.putBit(1);
-            bw.put(pos, 5);
+            bw.put(0b11000 | pos << 5, 10); // "00011" + pos
         } else {
-            bw.putBit(1);
-            bw.put(x, kPlaneBits);
+            bw.put(1 | static_cast<u64>(x) << 1, 1 + kPlaneBits); // "1" + x
         }
     }
     emitZeroPlanes(bw, zero_run);
@@ -242,36 +225,46 @@ BpcCompressor::decompressFrom(const u8 *payload, std::size_t size_bits,
     u32 above = 0; // DBP of the plane above plane b
     int b = kPlanes - 1;
     while (b >= 0) {
-        if (br.getBit()) { // "1": raw plane
-            above ^= static_cast<u32>(br.get(kPlaneBits));
+        const u64 sym = br.peek();
+        if (sym & 1) { // "1": raw plane
+            above ^= static_cast<u32>(sym >> 1 & kPlaneMask);
+            br.skip(1 + kPlaneBits);
             planes[b--] = above;
             continue;
         }
-        if (br.getBit()) { // "01": single zero plane
+        if (sym & 2) { // "01": single zero plane
+            br.skip(2);
             planes[b--] = above;
             continue;
         }
-        if (br.getBit()) { // "001": zero run
-            const unsigned run = static_cast<unsigned>(br.get(5)) + 2;
+        if (sym & 4) { // "001": zero run
+            const unsigned run = static_cast<unsigned>(sym >> 3 & 31) + 2;
+            br.skip(8);
             for (unsigned i = 0; i < run; ++i) {
                 BUDDY_CHECK(b >= 0, "BPC zero run overruns planes");
                 planes[b--] = above;
             }
             continue;
         }
-        // "000xx" family.
-        const bool b3 = br.getBit();
-        const bool b4 = br.getBit();
-        if (!b3 && !b4) { // "00000": all ones
+        // "000xx" family: bit 3 and bit 4 pick the symbol.
+        const unsigned pos = static_cast<unsigned>(sym >> 5 & 31);
+        switch (sym >> 3 & 3) {
+          case 0b00: // "00000": all ones
             above ^= static_cast<u32>(kPlaneMask);
-        } else if (!b3 && b4) { // "00001": DBP == 0 shortcut
+            br.skip(5);
+            break;
+          case 0b10: // "00001": DBP == 0 shortcut
             above = 0;
-        } else if (b3 && !b4) { // "00010": two consecutive ones
-            const unsigned pos = static_cast<unsigned>(br.get(5));
+            br.skip(5);
+            break;
+          case 0b01: // "00010": two consecutive ones
             above ^= static_cast<u32>(0b11ull << pos);
-        } else { // "00011": single one
-            const unsigned pos = static_cast<unsigned>(br.get(5));
+            br.skip(10);
+            break;
+          default: // "00011": single one
             above ^= static_cast<u32>(1ull << pos);
+            br.skip(10);
+            break;
         }
         planes[b--] = above;
     }

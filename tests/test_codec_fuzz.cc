@@ -11,6 +11,7 @@
 
 #include <cstring>
 #include <map>
+#include <memory>
 
 #include "api/codec_registry.h"
 #include "common/rng.h"
@@ -96,6 +97,30 @@ TEST_P(CodecFuzzTest, ScratchPathRoundTripsBitExactly)
         ASSERT_LE((bits + 7) / 8, kMaxEncodedBytes);
         std::memset(out, 0xAA, sizeof(out));
         codec->decompressFrom(scratch.encode, bits, out);
+        ASSERT_EQ(std::memcmp(buf, out, kEntryBytes), 0)
+            << GetParam() << " entry " << i;
+    }
+}
+
+TEST_P(CodecFuzzTest, DecodeReadsOnlyThePayload)
+{
+    // Decode each stream from a heap block of exactly (bits + 7) / 8
+    // bytes: a decoder that reads past its payload is caught by ASan
+    // (CompressionScratch::encode has spare bytes that would hide it).
+    const auto codec = api::CodecRegistry::instance().create(GetParam());
+    Rng rng(2026);
+    u8 buf[kEntryBytes], out[kEntryBytes];
+    CompressionScratch scratch;
+
+    for (int i = 0; i < kFuzzEntries; ++i) {
+        fuzzEntry(rng, i, buf);
+        const std::size_t bits =
+            codec->compressInto(buf, scratch.encode, scratch);
+        const std::size_t nbytes = (bits + 7) / 8;
+        std::unique_ptr<u8[]> payload(new u8[nbytes]);
+        std::memcpy(payload.get(), scratch.encode, nbytes);
+        std::memset(out, 0xAA, sizeof(out));
+        codec->decompressFrom(payload.get(), bits, out);
         ASSERT_EQ(std::memcmp(buf, out, kEntryBytes), 0)
             << GetParam() << " entry " << i;
     }
