@@ -1,7 +1,6 @@
 /**
  * @file
- * Compressed allocation descriptors and the page-table extension
- * (paper Section 3.2).
+ * Compressed allocation descriptors (paper Section 3.2).
  *
  * A Buddy Compression allocation is created through an annotated
  * cudaMalloc with a target compression ratio. Only size/ratio of the data
@@ -9,13 +8,13 @@
  * a fixed, pre-allocated slot in the buddy-memory carve-out. The page
  * table is extended with 24 bits per page: a compressed flag, the target
  * ratio, and the buddy-page offset from the Global Buddy Base-address
- * Register (GBBR).
+ * Register (GBBR). Every page of an allocation shares those fields, so
+ * the model keeps them once, in the Allocation.
  */
 
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "common/types.h"
 #include "compress/sector.h"
@@ -50,21 +49,18 @@ struct Allocation
 
     u64 entryCount() const { return bytes / kEntryBytes; }
 
-    /** Device bytes consumed per entry under the target. */
-    u64 deviceBytesPerEntry_() const { return deviceBytesPerEntry(target); }
-
     /** Device footprint of the whole allocation. */
     u64
     deviceBytes() const
     {
-        return entryCount() * deviceBytesPerEntry_();
+        return entryCount() * deviceBytesPerEntry(target);
     }
 
     /** Buddy-carve-out footprint of the whole allocation. */
     u64
     buddyBytes() const
     {
-        return entryCount() * (kEntryBytes - deviceBytesPerEntry_());
+        return entryCount() * (kEntryBytes - deviceBytesPerEntry(target));
     }
 
     /** True if @p addr falls inside this allocation. */
@@ -73,22 +69,6 @@ struct Allocation
     {
         return addr >= va && addr < va + bytes;
     }
-};
-
-/**
- * Per-page compression info, the 24-bit page-table-entry extension.
- * In this model a "page" is the 8 KB annotation granularity.
- */
-struct PageInfo
-{
-    bool compressed = false;
-    CompressionTarget target = CompressionTarget::None;
-
-    /** Offset of the page's buddy backing from the GBBR, in buddy pages. */
-    u32 buddyPageOffset = 0;
-
-    /** Owning allocation (model convenience, not an architectural field). */
-    AllocId alloc = 0;
 };
 
 } // namespace buddy

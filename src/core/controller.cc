@@ -17,6 +17,33 @@ sectorsFor(u64 bytes)
     return static_cast<unsigned>((bytes + kSectorBytes - 1) / kSectorBytes);
 }
 
+/** Traffic implied by reading the entry @p rec describes: its payload
+ *  split between a @p slot_bytes device slot and the buddy slot (a Zero
+ *  entry is fully described by metadata and moves no sector). */
+AccessInfo
+trafficFor(const EntryRecord &rec, u64 slot_bytes)
+{
+    AccessInfo info;
+    const u64 stored = rec.storedBytes();
+    const u64 on_device = std::min<u64>(stored, slot_bytes);
+    info.deviceSectors = sectorsFor(on_device);
+    info.buddySectors = sectorsFor(stored - on_device);
+    return info;
+}
+
+/** The byVa_ entry of the allocation covering @p va (panics if none). */
+template <typename ByVa>
+auto &
+entriesFor(ByVa &by_va, Addr va)
+{
+    auto it = by_va.upper_bound(va);
+    BUDDY_CHECK(it != by_va.begin(), "address below all allocations");
+    --it;
+    BUDDY_CHECK(it->second.alloc->contains(va),
+                "address not inside any allocation");
+    return it->second;
+}
+
 } // namespace
 
 BuddyController::BuddyController(const BuddyConfig &cfg)
@@ -49,12 +76,6 @@ BuddyController::BuddyController(const BuddyConfig &cfg)
     timing::validateWindowedTiming(buddy_.store().timing(),
                                    cfg.linkWindow,
                                    "BuddyConfig buddyLink/linkWindow");
-
-    // The architectural metadata region must cover the largest logical
-    // footprint: device memory fully expanded at the maximum 4x ratio.
-    const std::size_t covered =
-        cfg.deviceBytes * 4 / kEntryBytes;
-    metaStore_ = std::make_unique<MetadataStore>(covered);
     metaCache_ = std::make_unique<MetadataCache>(cfg.metadataCache);
 }
 
@@ -93,8 +114,9 @@ BuddyController::allocate(const std::string &name, u64 bytes,
     deviceUsed_ += dev_bytes;
     buddyUsed_ += bud_bytes;
     logicalUsed_ += rounded;
-    byVa_[a.va] = a.id;
-    allocs_[a.id] = a;
+    const Allocation &placed = allocs_[a.id] = a;
+    byVa_.emplace(a.va,
+                  AllocEntries{&placed, std::vector<EntryRecord>(entries)});
     return a.id;
 }
 
@@ -105,17 +127,11 @@ BuddyController::free(AllocId id)
     BUDDY_CHECK(it != allocs_.end(), "free of unknown allocation");
     const Allocation &a = it->second;
 
-    // Drop per-entry state and metadata.
-    const u64 first = a.va / kEntryBytes;
-    for (u64 e = 0; e < a.entryCount(); ++e) {
-        const auto st = entryState_.find(first + e);
-        if (st != entryState_.end()) {
-            if (st->second.overflow)
-                --overflowEntries_;
-            entryState_.erase(st);
-        }
-        metaStore_->set(first + e, EntryMeta::Zero);
-    }
+    // The freed entries leave the overflow gauge with their records.
+    const u64 slot = deviceBytesPerEntry(a.target);
+    for (const EntryRecord &rec : byVa_.at(a.va).records)
+        if (rec.overflows(slot))
+            --overflowEntries_;
 
     deviceAlloc_.release(a.deviceOffset);
     buddyAlloc_.release(a.buddyOffset);
@@ -129,51 +145,23 @@ BuddyController::free(AllocId id)
 const Allocation &
 BuddyController::allocationFor(Addr va) const
 {
-    auto it = byVa_.upper_bound(va);
-    BUDDY_CHECK(it != byVa_.begin(), "address below all allocations");
-    --it;
-    const Allocation &a = allocs_.at(it->second);
-    BUDDY_CHECK(a.contains(va), "address not inside any allocation");
-    return a;
+    return *entriesFor(byVa_, va).alloc;
 }
 
 BuddyController::EntryLoc
-BuddyController::locate(Addr va) const
+BuddyController::locate(Addr va)
 {
     BUDDY_CHECK(va % kEntryBytes == 0, "entry address must be 128B aligned");
-    const Allocation &a = allocationFor(va);
+    AllocEntries &ae = entriesFor(byVa_, va);
+    const Allocation &a = *ae.alloc;
+    const u64 idx = (va - a.va) / kEntryBytes;
     EntryLoc loc;
-    loc.alloc = &a;
-    loc.entryIdx = (va - a.va) / kEntryBytes;
-    loc.globalEntryIdx = va / kEntryBytes;
+    loc.rec = &ae.records[idx];
     loc.deviceSlotBytes = deviceBytesPerEntry(a.target);
-    loc.deviceAddr = a.deviceOffset + loc.entryIdx * loc.deviceSlotBytes;
+    loc.deviceAddr = a.deviceOffset + idx * loc.deviceSlotBytes;
     loc.buddyOffset =
-        a.buddyOffset + loc.entryIdx * (kEntryBytes - loc.deviceSlotBytes);
+        a.buddyOffset + idx * (kEntryBytes - loc.deviceSlotBytes);
     return loc;
-}
-
-AccessInfo
-BuddyController::trafficFor(const EntryLoc &loc, EntryMeta meta,
-                            u32 payload_bits) const
-{
-    AccessInfo info;
-    if (meta == EntryMeta::Zero) {
-        // Fully described by metadata: no data sectors move.
-        return info;
-    }
-
-    u64 stored;
-    if (meta == EntryMeta::Raw) {
-        stored = kEntryBytes; // raw data, tag carried by metadata
-    } else {
-        stored = (payload_bits + 7) / 8;
-    }
-    const u64 on_device = std::min<u64>(stored, loc.deviceSlotBytes);
-    const u64 on_buddy = stored - on_device;
-    info.deviceSectors = sectorsFor(on_device);
-    info.buddySectors = sectorsFor(on_buddy);
-    return info;
 }
 
 void
@@ -221,11 +209,9 @@ AccessInfo
 BuddyController::executeOp(const AccessRequest &op, BatchSummary &summary)
 {
     const EntryLoc loc = locate(op.va);
-    const bool meta_hit = metaCache_->access(loc.globalEntryIdx);
+    EntryRecord &rec = *loc.rec;
+    const bool meta_hit = metaCache_->access(op.va / kEntryBytes);
 
-    AccessInfo info;
-    u32 stored_bits = 0;
-    bool is_zero = false;
     // Whether this op runs the inline unit: writes of non-zero entries
     // compress (even when the result is stored Raw — the unit still ran
     // to discover that); reads and probes of Compressed entries
@@ -236,69 +222,55 @@ BuddyController::executeOp(const AccessRequest &op, BatchSummary &summary)
       case AccessKind::Write: {
         BUDDY_CHECK(op.src != nullptr, "write op needs a payload");
         const u8 *data = op.src;
+        const bool was_overflow = rec.overflows(loc.deviceSlotBytes);
 
-        EntryMeta meta;
-        std::size_t comp_bits = 0;
+        // The stored payload: the codec's encoding, or the raw data
+        // when it does not fit an entry.
+        const u8 *payload = data;
         if (entryIsZero(data)) {
-            meta = EntryMeta::Zero;
-            is_zero = true;
+            rec = EntryRecord{};
         } else {
             codec_pass = true;
-            comp_bits =
+            const std::size_t comp_bits =
                 codec_->compressInto(data, scratch_.encode, scratch_);
             if (comp_bits > kEntryBytes * 8) {
-                meta = EntryMeta::Raw;
+                rec = {kEntryBytes * 8, EntryMeta::Raw};
             } else {
-                meta = static_cast<EntryMeta>(compressedSectors(comp_bits));
+                rec = {static_cast<u16>(comp_bits),
+                       static_cast<EntryMeta>(compressedSectors(comp_bits))};
+                payload = scratch_.encode;
             }
         }
 
         // Store the payload split across the device slot and the entry's
         // fixed buddy slot.
-        if (meta == EntryMeta::Raw) {
-            const u64 on_dev =
-                std::min<u64>(kEntryBytes, loc.deviceSlotBytes);
-            device_->write(loc.deviceAddr, data, on_dev);
-            if (on_dev < kEntryBytes)
-                buddy_.write(loc.buddyOffset, data + on_dev,
-                             kEntryBytes - on_dev);
-            stored_bits = kEntryBytes * 8;
-        } else if (meta != EntryMeta::Zero) {
-            const u64 bytes = (comp_bits + 7) / 8;
+        if (rec.meta != EntryMeta::Zero) {
+            const u64 bytes = rec.storedBytes();
             const u64 on_dev = std::min<u64>(bytes, loc.deviceSlotBytes);
-            device_->write(loc.deviceAddr, scratch_.encode, on_dev);
+            device_->write(loc.deviceAddr, payload, on_dev);
             if (on_dev < bytes)
-                buddy_.write(loc.buddyOffset, scratch_.encode + on_dev,
+                buddy_.write(loc.buddyOffset, payload + on_dev,
                              bytes - on_dev);
-            stored_bits = static_cast<u32>(comp_bits);
         }
 
-        metaStore_->set(loc.globalEntryIdx, meta);
-
-        info = trafficFor(loc, meta, stored_bits);
-        info.metadataHit = meta_hit;
-
         // Track the overflow population (overflowEntries()).
-        auto &st = entryState_[loc.globalEntryIdx];
-        const bool now_overflow = info.buddySectors > 0;
-        if (st.overflow != now_overflow) {
+        const bool now_overflow = rec.overflows(loc.deviceSlotBytes);
+        if (was_overflow != now_overflow) {
             if (now_overflow)
                 ++overflowEntries_;
             else
                 --overflowEntries_;
-            st.overflow = now_overflow;
         }
-        st.bits = stored_bits;
 
         ++summary.writes;
         if (probes_.active) {
-            if (meta == EntryMeta::Zero)
+            if (rec.meta == EntryMeta::Zero)
                 probes_.writesZero->add();
-            else if (meta == EntryMeta::Raw)
+            else if (rec.meta == EntryMeta::Raw)
                 probes_.writesRaw->add();
             else
                 probes_.writesCompressed->add();
-            probes_.storedBits->add(stored_bits);
+            probes_.storedBits->add(rec.bits);
         }
         break;
       }
@@ -307,66 +279,44 @@ BuddyController::executeOp(const AccessRequest &op, BatchSummary &summary)
         BUDDY_CHECK(op.dst != nullptr, "read op needs a destination");
         u8 *out = op.dst;
 
-        const EntryMeta meta = metaStore_->get(loc.globalEntryIdx);
-        const auto stit = entryState_.find(loc.globalEntryIdx);
-        const u32 bits = stit == entryState_.end() ? 0 : stit->second.bits;
-        stored_bits = bits;
-        is_zero = meta == EntryMeta::Zero;
-
-        info = trafficFor(loc, meta, bits);
-        info.metadataHit = meta_hit;
-
-        if (meta == EntryMeta::Zero) {
+        if (rec.meta == EntryMeta::Zero) {
             std::memset(out, 0, kEntryBytes);
-        } else if (meta == EntryMeta::Raw) {
-            const u64 on_dev =
-                std::min<u64>(kEntryBytes, loc.deviceSlotBytes);
-            device_->read(loc.deviceAddr, out, on_dev);
-            if (on_dev < kEntryBytes)
-                buddy_.read(loc.buddyOffset, out + on_dev,
-                            kEntryBytes - on_dev);
         } else {
-            // Reassemble the split payload into the scratch and
-            // decode in place: no per-entry allocation.
-            const u64 bytes = (static_cast<u64>(bits) + 7) / 8;
+            // Reassemble the split payload: a Raw entry straight into
+            // the destination, a compressed one into the scratch, where
+            // it is decoded in place (no per-entry allocation).
+            const bool raw = rec.meta == EntryMeta::Raw;
+            u8 *buf = raw ? out : scratch_.io;
+            const u64 bytes = rec.storedBytes();
             const u64 on_dev = std::min<u64>(bytes, loc.deviceSlotBytes);
-            device_->read(loc.deviceAddr, scratch_.io, on_dev);
+            device_->read(loc.deviceAddr, buf, on_dev);
             if (on_dev < bytes)
-                buddy_.read(loc.buddyOffset, scratch_.io + on_dev,
-                            bytes - on_dev);
-            codec_->decompressFrom(scratch_.io, bits, out);
-            codec_pass = true;
+                buddy_.read(loc.buddyOffset, buf + on_dev, bytes - on_dev);
+            if (!raw) {
+                codec_->decompressFrom(scratch_.io, rec.bits, out);
+                codec_pass = true;
+            }
         }
 
         ++summary.reads;
         break;
       }
 
-      case AccessKind::Probe: {
-        const EntryMeta meta = metaStore_->get(loc.globalEntryIdx);
-        const auto stit = entryState_.find(loc.globalEntryIdx);
-        const u32 bits = stit == entryState_.end() ? 0 : stit->second.bits;
-        stored_bits = bits;
-        is_zero = meta == EntryMeta::Zero;
-
-        // The traffic a read would generate (the same sector split),
-        // so probe and read timing are bit-identical.
-        info = trafficFor(loc, meta, bits);
-        info.metadataHit = meta_hit;
-
-        // Probe mirrors the read's codec accounting too: a read of a
-        // Compressed entry would run the decompressor.
-        if (meta != EntryMeta::Zero && meta != EntryMeta::Raw)
-            codec_pass = true;
-
+      case AccessKind::Probe:
+        // The traffic a read would generate (the same sector split) and
+        // its codec accounting: a read of a Compressed entry would run
+        // the decompressor.
+        codec_pass =
+            rec.meta != EntryMeta::Zero && rec.meta != EntryMeta::Raw;
         ++summary.probes;
         break;
-      }
     }
 
-    info.isZero = is_zero;
+    AccessInfo info = trafficFor(rec, loc.deviceSlotBytes);
+    info.metadataHit = meta_hit;
+    info.isZero = rec.meta == EntryMeta::Zero;
     info.codecPass = codec_pass;
-    info.storedBits = stored_bits;
+    info.storedBits = rec.bits;
 
     summary.deviceSectors += info.deviceSectors;
     summary.buddySectors += info.buddySectors;

@@ -5,11 +5,16 @@
  * batched access plan.
  *
  * The controller owns the codec (instantiated from the CodecRegistry),
- * the per-entry metadata (store + cache), and two pluggable
- * BackingStores: device memory and the buddy carve-out. Allocations are
- * created with a target compression ratio; each 128 B entry of an
- * allocation has `deviceSectors(target)` sectors in device memory and the
- * remaining sectors at a fixed pre-allocated slot in the buddy memory.
+ * the metadata cache, and two pluggable BackingStores: device memory
+ * and the buddy carve-out. Allocations are created with a target
+ * compression ratio; each 128 B entry of an allocation has
+ * `deviceSectors(target)` sectors in device memory and the remaining
+ * sectors at a fixed pre-allocated slot in the buddy memory. Every
+ * allocation owns a dense array of EntryRecords (core/metadata.h), one
+ * per entry, indexed by the entry's index in the allocation: the
+ * model's copy of the paper's dense metadata region, plus each
+ * payload's exact bit length. Whether an entry overflows into its
+ * buddy slot is derived from its record and the allocation's target.
  *
  * On a write the entry is compressed: if it fits the device-resident
  * sectors it is stored entirely on-device, otherwise the overflow goes to
@@ -40,7 +45,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "api/access.h"
@@ -299,21 +303,20 @@ class BuddyController
     // windows the merged batch itself.
     friend class engine::ShardedEngine;
 
+    /** A live allocation and its entry records, one per entry. */
+    struct AllocEntries
+    {
+        const Allocation *alloc; ///< node of allocs_ (stable address)
+        std::vector<EntryRecord> records;
+    };
+
+    /** Where one entry lives: its record and its two payload slots. */
     struct EntryLoc
     {
-        const Allocation *alloc;
-        u64 entryIdx;        ///< entry index within the allocation
-        u64 globalEntryIdx;  ///< metadata index
+        EntryRecord *rec;    ///< the entry's record
         Addr deviceAddr;     ///< device byte address of the entry slot
         Addr buddyOffset;    ///< carve-out offset of the entry's buddy slot
         u64 deviceSlotBytes; ///< device bytes reserved for this entry
-    };
-
-    /** Per-entry model state needed to reassemble the payload. */
-    struct EntryState
-    {
-        u32 bits = 0;        ///< exact compressed bit length
-        bool overflow = false;
     };
 
     /**
@@ -332,11 +335,8 @@ class BuddyController
     void attachProbes(obs::MetricRegistry &registry,
                       const std::string &prefix, bool timed);
 
-    EntryLoc locate(Addr va) const;
-
-    /** Traffic implied by reading an entry with metadata @p meta. */
-    AccessInfo trafficFor(const EntryLoc &loc, EntryMeta meta,
-                          u32 payload_bits) const;
+    /** The entry at @p va: one map lookup plus an array index. */
+    EntryLoc locate(Addr va);
 
     /**
      * Execute one planned operation's functional pass: codec, metadata
@@ -375,14 +375,13 @@ class BuddyController
     timing::CodecTiming codecTiming_; ///< resolved, see codecTiming()
     std::unique_ptr<BackingStore> device_;
     BuddyCarveOut buddy_;
-    std::unique_ptr<MetadataStore> metaStore_;
     std::unique_ptr<MetadataCache> metaCache_;
     RegionAllocator deviceAlloc_;
     RegionAllocator buddyAlloc_;
     TrafficHub hub_;
 
     std::map<AllocId, Allocation> allocs_;
-    std::map<Addr, AllocId> byVa_; // allocation base VA -> id
+    std::map<Addr, AllocEntries> byVa_; // allocation base VA -> entries
     AllocId nextId_ = 1;
     Addr nextVa_ = 0x10000000ull;
     u64 deviceUsed_ = 0;
@@ -396,8 +395,6 @@ class BuddyController
     CompressionScratch scratch_;
 
     MetricProbes probes_;
-
-    std::unordered_map<u64, EntryState> entryState_;
 };
 
 } // namespace buddy

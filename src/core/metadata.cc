@@ -49,14 +49,12 @@ MetadataCache::access(std::size_t entry_idx)
     for (unsigned w = 0; w < cfg_.ways; ++w) {
         if (s[w].valid && s[w].tag == tag) {
             s[w].lru = tick_;
-            hits_.addHit();
             return true;
         }
     }
 
     // Miss: fill into the LRU way.
     ++misses_;
-    hits_.addMiss();
     Line *victim = &s[0];
     for (unsigned w = 1; w < cfg_.ways; ++w)
         if (!s[w].valid || s[w].lru < victim->lru ||

@@ -5,17 +5,21 @@
  *
  * Every 128 B memory entry owns 4 bits of metadata recording how many
  * sectors its compressed form actually occupies (plus a zero-entry and a
- * raw-fallback encoding). The metadata lives in a dedicated region of
- * device memory (0.4% overhead) and is cached by a set-associative
+ * raw-fallback encoding). The metadata lives in a dedicated dense region
+ * of device memory (0.4% overhead) and is cached by a set-associative
  * metadata cache that is sliced across the DRAM channels. One cache line
  * is 32 B and therefore covers 64 neighbouring entries, so a miss
  * prefetches the metadata of 63 neighbours.
+ *
+ * The model keeps each entry's nibble in an EntryRecord, next to the
+ * payload's exact bit length; every allocation owns a dense array of
+ * them (core/controller.h). The cache is indexed by virtual address /
+ * 128 and only models which lines are resident.
  */
 
 #pragma once
 
 #include <cstddef>
-#include <unordered_map>
 #include <vector>
 
 #include "common/check.h"
@@ -49,54 +53,26 @@ metaSectors(EntryMeta m)
 }
 
 /**
- * Backing store for the per-entry metadata nibbles of one GPU.
- *
- * Indexed by memory-entry index (virtual address / 128). Architecturally
- * this is a dedicated dense region of device memory (0.4% overhead); the
- * model stores it sparsely because the virtual address space is allocated
- * monotonically. Reads and writes go through the MetadataCache in the
- * full system.
+ * One memory entry's model state (4 B): the exact bit length of its
+ * stored payload and its metadata nibble. A Zero entry stores 0 bits
+ * and a Raw one kEntryBytes * 8, so the stored byte count — and with
+ * the allocation's device slot, the Figure 4 device/buddy split — is
+ * derived from the record alone.
  */
-class MetadataStore
+struct EntryRecord
 {
-  public:
-    /**
-     * @param covered_entries number of entries the architectural region
-     *        must cover (used only for the sizeBytes() overhead report).
-     */
-    explicit MetadataStore(std::size_t covered_entries)
-        : coveredEntries_(covered_entries)
-    {}
+    u16 bits = 0;
+    EntryMeta meta = EntryMeta::Zero;
 
-    /** Number of entries the architectural region covers. */
-    std::size_t entries() const { return coveredEntries_; }
+    /** Payload bytes stored across the device and buddy slots. */
+    u64 storedBytes() const { return (bits + 7u) / 8u; }
 
-    /** Architectural metadata region size in bytes (4 bits per entry). */
-    std::size_t
-    sizeBytes() const
+    /** True if the payload spills past a @p slot_bytes device slot. */
+    bool
+    overflows(u64 slot_bytes) const
     {
-        return (coveredEntries_ * kMetadataBitsPerEntry + 7) / 8;
+        return storedBytes() > slot_bytes;
     }
-
-    EntryMeta
-    get(u64 entry_idx) const
-    {
-        const auto it = meta_.find(entry_idx);
-        return it == meta_.end() ? EntryMeta::Zero : it->second;
-    }
-
-    void
-    set(u64 entry_idx, EntryMeta m)
-    {
-        if (m == EntryMeta::Zero)
-            meta_.erase(entry_idx);
-        else
-            meta_[entry_idx] = m;
-    }
-
-  private:
-    std::size_t coveredEntries_;
-    std::unordered_map<u64, EntryMeta> meta_;
 };
 
 /** Configuration of the sliced set-associative metadata cache. */
@@ -138,7 +114,14 @@ class MetadataCache
     void flush();
 
     /** Hit-rate statistics since construction. */
-    const RatioStat &hitRate() const { return hits_; }
+    RatioStat
+    hitRate() const
+    {
+        RatioStat r;
+        r.add(static_cast<double>(accesses_ - misses_),
+              static_cast<double>(accesses_));
+        return r;
+    }
 
     u64 accesses() const { return accesses_; }
     u64 misses() const { return misses_; }
@@ -166,7 +149,6 @@ class MetadataCache
     u64 tick_ = 0;
     u64 accesses_ = 0;
     u64 misses_ = 0;
-    RatioStat hits_;
 
     Line *set(unsigned slice, unsigned set_idx);
 };

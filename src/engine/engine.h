@@ -7,7 +7,7 @@
  * entries embarrassingly shardable: no access ever needs state owned by
  * another entry's allocation. The ShardedEngine exploits this by
  * partitioning allocations across N shards, each shard owning a complete
- * BuddyController (codec, metadata store + cache, device and buddy
+ * BuddyController (codec, entry records + metadata cache, device and buddy
  * backing stores). Shards model GPUs: the parallelism is simulated
  * (WindowMode::PerShard gives the N-GPU makespan, the peer ring models
  * NVLink peers), and every batch runs on the calling thread.

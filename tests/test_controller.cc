@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/controller.h"
@@ -61,6 +63,43 @@ readOne(BuddyController &c, Addr va, u8 *out)
     batch.read(va, out);
     c.execute(batch);
     return batch.result(0);
+}
+
+AccessInfo
+probeOne(BuddyController &c, Addr va)
+{
+    AccessBatch batch(1);
+    batch.probe(va);
+    c.execute(batch);
+    return batch.result(0);
+}
+
+/** The bit length the controller stores for @p data: 0 for a zero
+ *  entry, the codec's encoded size, or a raw entry's when it does not
+ *  fit. */
+u32
+expectedStoredBits(const BuddyController &c, const u8 *data, bool *raw)
+{
+    *raw = false;
+    if (entryIsZero(data))
+        return 0;
+    CompressionScratch scratch;
+    const std::size_t bits =
+        c.codec().compressInto(data, scratch.encode, scratch);
+    *raw = bits > kEntryBytes * 8;
+    return *raw ? kEntryBytes * 8 : static_cast<u32>(bits);
+}
+
+/** Figure 4 split of a @p bits payload over a @p slot_bytes device slot:
+ *  {device sectors, buddy sectors}. */
+std::pair<unsigned, unsigned>
+expectedSplit(u32 bits, u64 slot_bytes)
+{
+    const u64 stored = (bits + 7) / 8;
+    const u64 on_dev = std::min<u64>(stored, slot_bytes);
+    return {static_cast<unsigned>((on_dev + kSectorBytes - 1) / kSectorBytes),
+            static_cast<unsigned>((stored - on_dev + kSectorBytes - 1) /
+                                  kSectorBytes)};
 }
 
 TEST(Controller, AllocateReservesDeviceByTargetRatio)
@@ -129,6 +168,190 @@ TEST(Controller, ZeroEntryRoundTripsWithNoDataTraffic)
     EXPECT_EQ(r.deviceSectors, 0u);
     for (const u8 b : out)
         EXPECT_EQ(b, 0);
+}
+
+TEST(Controller, NeverWrittenEntryReadsAsZero)
+{
+    BuddyController c(smallConfig());
+    const auto id = c.allocate("a", 64 * KiB, CompressionTarget::Ratio2);
+    ASSERT_TRUE(id);
+    const Allocation &a = c.allocations().at(*id);
+
+    for (const Addr va : {a.va, a.va + a.bytes - kEntryBytes}) {
+        u8 out[kEntryBytes];
+        std::memset(out, 0xFF, sizeof(out));
+        for (const AccessInfo &info : {readOne(c, va, out), probeOne(c, va)}) {
+            EXPECT_TRUE(info.isZero);
+            EXPECT_EQ(info.deviceSectors, 0u);
+            EXPECT_EQ(info.buddySectors, 0u);
+            EXPECT_EQ(info.storedBits, 0u);
+            EXPECT_FALSE(info.codecPass);
+        }
+        for (const u8 b : out)
+            EXPECT_EQ(b, 0);
+    }
+    EXPECT_EQ(c.overflowEntries(), 0u);
+}
+
+TEST(Controller, RewritesCycleThroughEveryEncoding)
+{
+    // One entry rewritten Zero -> compressed -> Raw -> Zero: each write,
+    // and the read after it, carries the new record's exact size and
+    // split, and the overflow gauge follows the entry.
+    BuddyController c(smallConfig());
+    const auto id = c.allocate("a", 64 * KiB, CompressionTarget::Ratio2);
+    ASSERT_TRUE(id);
+    const Addr va = c.allocations().at(*id).va;
+
+    Rng rng(8);
+    u8 zero[kEntryBytes] = {};
+    u8 smooth[kEntryBytes];
+    u8 noise[kEntryBytes];
+    fillCompressible(rng, smooth);
+    fillRandom(rng, noise);
+
+    struct Step
+    {
+        const u8 *data;
+        u32 bits;
+        bool raw;
+        unsigned device, buddy;
+        u64 overflow;
+    };
+    bool raw = false;
+    const u32 smooth_bits = expectedStoredBits(c, smooth, &raw);
+    ASSERT_FALSE(raw);
+    ASSERT_GT(smooth_bits, 0u);
+    ASSERT_LE(smooth_bits, 64u * 8); // fits the 2x device slot
+    const unsigned smooth_sectors = expectedSplit(smooth_bits, 64).first;
+    expectedStoredBits(c, noise, &raw);
+    ASSERT_TRUE(raw);
+
+    const Step steps[] = {
+        {zero, 0, false, 0, 0, 0},
+        {smooth, smooth_bits, false, smooth_sectors, 0, 0},
+        {noise, kEntryBytes * 8, true, 2, 2, 1},
+        {zero, 0, false, 0, 0, 0},
+    };
+    for (const Step &st : steps) {
+        const bool is_zero = st.bits == 0;
+        const AccessInfo w = writeOne(c, va, st.data);
+        u8 out[kEntryBytes];
+        const AccessInfo r = readOne(c, va, out);
+        EXPECT_EQ(std::memcmp(out, st.data, kEntryBytes), 0);
+        for (const AccessInfo &info : {w, r}) {
+            EXPECT_EQ(info.isZero, is_zero);
+            EXPECT_EQ(info.storedBits, st.bits);
+            EXPECT_EQ(info.deviceSectors, st.device);
+            EXPECT_EQ(info.buddySectors, st.buddy);
+        }
+        EXPECT_EQ(w.codecPass, !is_zero);
+        EXPECT_EQ(r.codecPass, !is_zero && !st.raw);
+        EXPECT_EQ(c.overflowEntries(), st.overflow);
+    }
+}
+
+TEST(Controller, RecordLifecycleMatchesAReferenceModel)
+{
+    // Random writes, rewrites, reads, probes, frees and re-allocations
+    // over allocations of different targets. Every op's result and the
+    // overflow gauge must match a reference model that keeps each
+    // entry's payload and derives the Figure 4 split from the codec's
+    // encoded size.
+    BuddyController c(smallConfig());
+    const CompressionTarget targets[] = {CompressionTarget::MostlyZero,
+                                         CompressionTarget::None,
+                                         CompressionTarget::Ratio2,
+                                         CompressionTarget::Ratio4};
+    struct Model
+    {
+        std::vector<u8> data = std::vector<u8>(kEntryBytes, 0);
+        u32 bits = 0;
+        bool raw = false;
+    };
+    std::map<Addr, Model> model; // written entries of live allocations
+    std::vector<AllocId> live;
+
+    Rng rng(23);
+    const auto allocateOne = [&](CompressionTarget t) {
+        const auto id = c.allocate("r", 2 * kPageBytes, t);
+        ASSERT_TRUE(id);
+        live.push_back(*id);
+    };
+    for (int i = 0; i < 3; ++i)
+        allocateOne(targets[i]);
+
+    const auto expectedOverflow = [&] {
+        u64 n = 0;
+        for (const auto &[va, m] : model)
+            if (expectedSplit(m.bits,
+                              deviceBytesPerEntry(
+                                  c.allocationFor(va).target))
+                    .second > 0)
+                ++n;
+        return n;
+    };
+
+    u8 payload[kEntryBytes];
+    u8 out[kEntryBytes];
+    for (int op = 0; op < 6000; ++op) {
+        if (rng.below(500) == 0) {
+            // Free one allocation and place a new one.
+            const std::size_t k = rng.below(live.size());
+            const Allocation &a = c.allocations().at(live[k]);
+            model.erase(model.lower_bound(a.va),
+                        model.lower_bound(a.va + a.bytes));
+            c.free(live[k]);
+            live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
+            allocateOne(targets[rng.below(4)]);
+            ASSERT_EQ(c.overflowEntries(), expectedOverflow()) << "op " << op;
+            continue;
+        }
+
+        const Allocation &a = c.allocations().at(live[rng.below(live.size())]);
+        const Addr va = a.va + rng.below(a.entryCount()) * kEntryBytes;
+        const u64 slot = deviceBytesPerEntry(a.target);
+        const u64 kind = rng.below(3);
+        AccessInfo info;
+        if (kind == 0) {
+            std::memset(payload, 0, sizeof(payload));
+            switch (rng.below(4)) {
+              case 0: break; // zero
+              case 1: fillCompressible(rng, payload); break;
+              case 2: fillRandom(rng, payload); break;
+              default: // mostly zero: one small word
+                payload[rng.below(kEntryBytes)] =
+                    static_cast<u8>(1 + rng.below(255));
+                break;
+            }
+            Model m;
+            m.data.assign(payload, payload + kEntryBytes);
+            m.bits = expectedStoredBits(c, payload, &m.raw);
+            model[va] = m;
+            info = writeOne(c, va, payload);
+        } else if (kind == 1) {
+            info = readOne(c, va, out);
+        } else {
+            info = probeOne(c, va);
+        }
+
+        const auto it = model.find(va);
+        const Model m = it == model.end() ? Model{} : it->second;
+        if (kind == 1) {
+            ASSERT_EQ(std::memcmp(out, m.data.data(), kEntryBytes), 0)
+                << "op " << op;
+        }
+        // Writes of non-zero entries compress; reads and probes of
+        // compressed (not Raw) entries decompress.
+        EXPECT_EQ(info.codecPass, m.bits != 0 && (kind == 0 || !m.raw))
+            << "op " << op;
+        const auto [device, buddy] = expectedSplit(m.bits, slot);
+        EXPECT_EQ(info.isZero, m.bits == 0) << "op " << op;
+        EXPECT_EQ(info.storedBits, m.bits) << "op " << op;
+        EXPECT_EQ(info.deviceSectors, device) << "op " << op;
+        EXPECT_EQ(info.buddySectors, buddy) << "op " << op;
+        ASSERT_EQ(c.overflowEntries(), expectedOverflow()) << "op " << op;
+    }
 }
 
 TEST(Controller, CompressibleEntryStaysOnDevice)

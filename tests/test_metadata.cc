@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the 4-bit per-entry metadata store and the sliced
- * set-associative metadata cache (paper Section 3.2, Figure 5).
+ * Tests for the 4-bit per-entry metadata, its EntryRecord, and the
+ * sliced set-associative metadata cache (paper Section 3.2, Figure 5).
  */
 
 #include <gtest/gtest.h>
@@ -12,33 +12,33 @@
 namespace buddy {
 namespace {
 
-TEST(MetadataStore, DefaultsToZero)
-{
-    MetadataStore s(1024);
-    EXPECT_EQ(s.get(0), EntryMeta::Zero);
-    EXPECT_EQ(s.get(1023), EntryMeta::Zero);
-}
-
-TEST(MetadataStore, SetGetRoundTrip)
-{
-    MetadataStore s(1024);
-    s.set(7, EntryMeta::Sectors3);
-    s.set(8, EntryMeta::Raw);
-    EXPECT_EQ(s.get(7), EntryMeta::Sectors3);
-    EXPECT_EQ(s.get(8), EntryMeta::Raw);
-    s.set(7, EntryMeta::Zero);
-    EXPECT_EQ(s.get(7), EntryMeta::Zero);
-}
-
-TEST(MetadataStore, OverheadIsPointFourPercent)
+TEST(MetadataOverhead, IsPointFourPercent)
 {
     // 4 bits per 128 B entry = 0.39% of the covered capacity.
-    const std::size_t entries = (1 * GiB) / kEntryBytes;
-    MetadataStore s(entries);
-    const double overhead =
-        static_cast<double>(s.sizeBytes()) /
-        static_cast<double>(entries * kEntryBytes);
+    const double overhead = static_cast<double>(kMetadataBitsPerEntry) /
+                            static_cast<double>(kEntryBytes * 8);
     EXPECT_NEAR(overhead, 0.0039, 0.0002);
+}
+
+TEST(EntryRecord, FourBytesAndOverflowFollowsTheStoredSize)
+{
+    EXPECT_EQ(sizeof(EntryRecord), 4u);
+
+    const EntryRecord zero;
+    EXPECT_EQ(zero.meta, EntryMeta::Zero);
+    EXPECT_EQ(zero.storedBytes(), 0u);
+    EXPECT_FALSE(zero.overflows(8));
+
+    const EntryRecord raw{kEntryBytes * 8, EntryMeta::Raw};
+    EXPECT_EQ(raw.storedBytes(), kEntryBytes);
+    EXPECT_TRUE(raw.overflows(64));
+    EXPECT_FALSE(raw.overflows(kEntryBytes));
+
+    // 513 bits round up to 65 bytes: one past a 2x slot.
+    const EntryRecord three{513, EntryMeta::Sectors3};
+    EXPECT_EQ(three.storedBytes(), 65u);
+    EXPECT_TRUE(three.overflows(64));
+    EXPECT_FALSE(three.overflows(96));
 }
 
 TEST(MetaSectors, RawCountsAsFourSectors)
@@ -65,6 +65,9 @@ TEST(MetadataCache, FirstAccessMissesThenHits)
     EXPECT_FALSE(c.access(64)); // next line
     EXPECT_EQ(c.misses(), 2u);
     EXPECT_EQ(c.accesses(), 5u);
+    // The hit rate is built from the same two counters.
+    EXPECT_EQ(c.hitRate().numerator(), 3.0);
+    EXPECT_EQ(c.hitRate().denominator(), 5.0);
 }
 
 TEST(MetadataCache, NeighbourPrefetchEffect)
