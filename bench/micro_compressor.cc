@@ -1,9 +1,11 @@
 /**
  * @file
  * google-benchmark micro benchmarks of the compression substrate: codec
- * encode and decode throughput per data class, controller submission (one-op batches vs.
- * one large batch), and the metadata cache — the ablation backing the
- * Section 2.4 algorithm choice and the buddy::api batching design.
+ * encode and decode throughput per data class (one entry in a loop) and
+ * over a mixed 1024-entry working set (`bpc_mixed`), controller
+ * submission (one-op batches vs. one large batch), and the metadata
+ * cache — the ablation backing the Section 2.4 algorithm choice and the
+ * buddy::api batching design.
  *
  * Before the google-benchmark suite runs, main() prints a headline
  * comparison: entries/s through a frozen copy of the original per-entry
@@ -46,18 +48,46 @@ fillClass(Rng &rng, int data_class, u8 *buf)
     }
 }
 
+/** Data class of the working set that cycles through every bucket. */
+constexpr int kMixedClass = 3;
+constexpr std::size_t kMixedEntries = 1024;
+
+/**
+ * The entries a codec bench walks, back to back: one entry of
+ * @p data_class, or for kMixedClass kMixedEntries entries that cycle
+ * through all six fillBucketEntry buckets, so the branch predictor
+ * cannot learn one entry's path.
+ */
+std::vector<u8>
+benchEntries(int data_class)
+{
+    Rng rng(1234);
+    const std::size_t n = data_class == kMixedClass ? kMixedEntries : 1;
+    std::vector<u8> entries(n * kEntryBytes);
+    for (std::size_t i = 0; i < n; ++i) {
+        u8 *e = entries.data() + i * kEntryBytes;
+        if (data_class == kMixedClass)
+            fillBucketEntry(rng, static_cast<unsigned>(i % kPatternBuckets),
+                            e);
+        else
+            fillClass(rng, data_class, e);
+    }
+    return entries;
+}
+
 void
 BM_CompressInto(benchmark::State &state, const char *codec_name,
                 int data_class)
 {
     const auto codec = api::CodecRegistry::instance().create(codec_name);
-    Rng rng(1234);
-    u8 buf[kEntryBytes];
-    fillClass(rng, data_class, buf);
+    const auto entries = benchEntries(data_class);
+    const std::size_t n = entries.size() / kEntryBytes;
     CompressionScratch scratch;
+    std::size_t i = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            codec->compressInto(buf, scratch.encode, scratch));
+        benchmark::DoNotOptimize(codec->compressInto(
+            entries.data() + i * kEntryBytes, scratch.encode, scratch));
+        i = i + 1 == n ? 0 : i + 1;
     }
     state.SetBytesProcessed(
         static_cast<i64>(state.iterations() * kEntryBytes));
@@ -68,15 +98,24 @@ BM_DecompressFrom(benchmark::State &state, const char *codec_name,
                   int data_class)
 {
     const auto codec = api::CodecRegistry::instance().create(codec_name);
-    Rng rng(1234);
-    u8 buf[kEntryBytes], out[kEntryBytes];
-    fillClass(rng, data_class, buf);
+    const auto entries = benchEntries(data_class);
+    const std::size_t n = entries.size() / kEntryBytes;
+    std::vector<u8> payloads(n * kMaxEncodedBytes);
+    std::vector<std::size_t> bits(n);
     CompressionScratch scratch;
-    const std::size_t bits =
-        codec->compressInto(buf, scratch.encode, scratch);
+    for (std::size_t k = 0; k < n; ++k) {
+        bits[k] = codec->compressInto(entries.data() + k * kEntryBytes,
+                                      scratch.encode, scratch);
+        std::memcpy(payloads.data() + k * kMaxEncodedBytes, scratch.encode,
+                    kMaxEncodedBytes);
+    }
+    u8 out[kEntryBytes];
+    std::size_t i = 0;
     for (auto _ : state) {
-        codec->decompressFrom(scratch.encode, bits, out);
+        codec->decompressFrom(payloads.data() + i * kMaxEncodedBytes,
+                              bits[i], out);
         benchmark::DoNotOptimize(out[0]);
+        i = i + 1 == n ? 0 : i + 1;
     }
     state.SetBytesProcessed(
         static_cast<i64>(state.iterations() * kEntryBytes));
@@ -391,6 +430,7 @@ reportBatchSpeedup()
 BENCHMARK_CAPTURE(BM_CompressInto, bpc_zero, "bpc", 0);
 BENCHMARK_CAPTURE(BM_CompressInto, bpc_smooth, "bpc", 1);
 BENCHMARK_CAPTURE(BM_CompressInto, bpc_random, "bpc", 2);
+BENCHMARK_CAPTURE(BM_CompressInto, bpc_mixed, "bpc", kMixedClass);
 BENCHMARK_CAPTURE(BM_CompressInto, bdi_zero, "bdi", 0);
 BENCHMARK_CAPTURE(BM_CompressInto, bdi_smooth, "bdi", 1);
 BENCHMARK_CAPTURE(BM_CompressInto, bdi_random, "bdi", 2);
@@ -399,6 +439,7 @@ BENCHMARK_CAPTURE(BM_CompressInto, zero_zero, "zero", 0);
 BENCHMARK_CAPTURE(BM_DecompressFrom, bpc_zero, "bpc", 0);
 BENCHMARK_CAPTURE(BM_DecompressFrom, bpc_smooth, "bpc", 1);
 BENCHMARK_CAPTURE(BM_DecompressFrom, bpc_random, "bpc", 2);
+BENCHMARK_CAPTURE(BM_DecompressFrom, bpc_mixed, "bpc", kMixedClass);
 BENCHMARK_CAPTURE(BM_DecompressFrom, bdi_zero, "bdi", 0);
 BENCHMARK_CAPTURE(BM_DecompressFrom, bdi_smooth, "bdi", 1);
 BENCHMARK_CAPTURE(BM_DecompressFrom, bdi_random, "bdi", 2);

@@ -1,6 +1,7 @@
 #include "compress/bpc.h"
 
 #include <cstring>
+#include <utility>
 
 #include "common/bitstream.h"
 #include "common/check.h"
@@ -88,32 +89,60 @@ decodeBase(BitReader &br)
 }
 
 /**
+ * Masked block swap between word M and word M + J/2, whose rows are J
+ * apart: in every 2J-bit group, the high J bits of word M's two rows
+ * trade places with the low J bits of the other word's two rows. Mask
+ * holds the low J bits of every 2J.
+ */
+template <unsigned J, u64 Mask, std::size_t M>
+inline void
+swapBlocks(u64 *pair)
+{
+    const u64 t = ((pair[M] >> J) ^ pair[M + J / 2]) & Mask;
+    pair[M + J / 2] ^= t;
+    pair[M] ^= t << J;
+}
+
+/** One swap stage: the eight words K with bit J/2 of their index clear. */
+template <unsigned J, u64 Mask, std::size_t... K>
+inline void
+swapStage(u64 *pair, std::index_sequence<K...>)
+{
+    (swapBlocks<J, Mask, K / (J / 2) * J + K % (J / 2)>(pair), ...);
+}
+
+/** The 1-row swap between the two rows of one word. */
+template <std::size_t... M>
+inline void
+swapInWords(u64 *pair, std::index_sequence<M...>)
+{
+    const auto swap = [](u64 w) {
+        const u64 t = ((w >> 1) ^ (w >> 32)) & 0x55555555ull;
+        return w ^ (t << 32 | t << 1);
+    };
+    ((pair[M] = swap(pair[M])), ...);
+}
+
+/**
  * In-place transpose of a 32x32 bit matrix, LSB-first: bit j of row i
  * trades places with bit i of row j. Rows are paired into 64-bit words
  * (row 2m in the low half of word m, row 2m+1 in the high half), so
  * the 16-, 8-, 4- and 2-row masked block swaps move two rows per
- * operation and the last 1-row swap happens inside each word.
+ * operation and the last 1-row swap happens inside each word. The code
+ * is straight-line: each stage's row distance J, mask and word indices
+ * are compile-time constants, expanded by a fold over the stage's words.
  */
 void
 transpose32(u32 *rows)
 {
     u64 pair[16];
     std::memcpy(pair, rows, sizeof(pair));
-    u64 mask = 0x0000FFFF0000FFFFull;
-    for (unsigned j = 16; j != 1; j >>= 1, mask ^= mask << j) {
-        const unsigned h = j / 2; // row distance j, in words
-        for (unsigned m = 0; m < 16; ++m) {
-            if (m & h)
-                continue;
-            const u64 t = ((pair[m] >> j) ^ pair[m + h]) & mask;
-            pair[m + h] ^= t;
-            pair[m] ^= t << j;
-        }
-    }
-    for (u64 &w : pair) {
-        const u64 t = ((w >> 1) ^ (w >> 32)) & 0x55555555ull;
-        w ^= (t << 32) | (t << 1);
-    }
+    constexpr auto kHalf = std::make_index_sequence<8>{};
+    swapStage<16, 0x0000FFFF0000FFFFull>(pair, kHalf);
+    swapStage<8, 0x00FF00FF00FF00FFull>(pair, kHalf);
+    swapStage<4, 0x0F0F0F0F0F0F0F0Full>(pair, kHalf);
+    swapStage<2, 0x3333333333333333ull>(pair, kHalf);
+    swapInWords(pair, std::make_index_sequence<16>{});
     std::memcpy(rows, pair, sizeof(pair));
 }
 

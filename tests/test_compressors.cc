@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "api/codec_registry.h"
+#include "common/bitstream.h"
 #include "common/rng.h"
 #include "compress/bdi.h"
 #include "compress/bpc.h"
@@ -271,6 +272,46 @@ TEST(Bpc, SignBitPlanesCollapseForNegativeDeltas)
     const std::size_t bytes = encodedBytes(bpc, e.data);
     EXPECT_LE(bytes, 24u);
     expectRoundTrip(bpc, e);
+}
+
+TEST(Bpc, SingleBitDeltasCodeToTheirPlanes)
+{
+    // words[j] = j > i ? 1 << b : 0 has one nonzero delta, d[i] = 2^b,
+    // so DBP plane b is a single one at lane i and every other DBP
+    // plane is zero. The DBX planes are then: b, the 10-bit "single one
+    // at i"; b-1 (when b > 0), the 5-bit DBP-zero shortcut; the rest
+    // zero runs. A transpose that moves delta i to another lane or bit
+    // b to another plane changes the stream.
+    BpcCompressor bpc;
+    const auto zero_run_bits = [](unsigned run) -> std::size_t {
+        return run == 0 ? 0 : run == 1 ? 2 : 8; // runs here are <= 33
+    };
+    for (unsigned i = 0; i + 1 < kWordsPerEntry; ++i) {
+        for (unsigned b = 0; b < 32; ++b) {
+            EntryBuf e;
+            for (std::size_t j = 0; j < kWordsPerEntry; ++j) {
+                const u32 v = j > i ? 1u << b : 0u;
+                std::memcpy(e.data + j * 4, &v, 4);
+            }
+            SCOPED_TRACE(testing::Message() << "delta " << i << " bit " << b);
+            expectRoundTrip(bpc, e);
+
+            // Tag, zero base, then planes 32..b+1 as one zero run.
+            const std::size_t plane_b_at = 1 + 2 + zero_run_bits(32 - b);
+            std::size_t want = plane_b_at + 10;
+            if (b > 0)
+                want += 5 + zero_run_bits(b - 1);
+            CompressionScratch scratch;
+            const std::size_t bits =
+                bpc.compressInto(e.data, scratch.encode, scratch);
+            ASSERT_EQ(bits, want);
+
+            BitReader br(scratch.encode, bits);
+            br.skip(plane_b_at);
+            EXPECT_EQ(br.get(10), 0b11000u | i << 5) // "00011" + pos i
+                << "plane " << b << " is not a single one at lane " << i;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
