@@ -1,23 +1,20 @@
 /**
  * @file
- * The TrafficSink observer API: one event stream for every traffic
- * consumer.
+ * The TrafficSink observer API: the per-operation traffic stream.
  *
  * The controller and the sharded engine emit an AccessEvent per
  * executed operation and a BatchSummary per batch. Both build every
  * event with makeEvent() from the finished batch — the op and its
  * AccessInfo after the batch's one timing pass — so an event is
- * defined in one place. An event carries the op's traffic; the
- * batch's simulated time arrives in onBatch()'s summary. Every
- * external traffic consumer — custom counting sinks,
- * the profiling pass (OnlineProfileSink in core/profiler.h), the
- * gpusim memory system (MemsysReplaySink in gpusim/memsys.h), and the
- * UM model's migration reporting — shares this one stream instead of
- * re-deriving counters from controller internals. (The controller's
- * stats() is the fold of the summaries sinks receive in onBatch() —
- * asserted by tests/test_api_batch.cc.)
- * Sinks attach to a controller's TrafficHub; emission is zero-cost
- * when no sink is attached.
+ * defined in one place. An event carries the op's traffic and its
+ * write payload; the batch's simulated time arrives in onBatch()'s
+ * summary. The trace recorder (TraceRecorderSink in engine/trace.h)
+ * is the consumer in src/; tests attach counting sinks. (The
+ * controller's stats() is the fold of the summaries sinks receive in
+ * onBatch() — asserted by tests/test_api_batch.cc.) Timeline consumers
+ * use the batch-level BatchObserver hook (obs/hooks.h) instead.
+ * Sinks attach to a controller's or an engine's TrafficHub; emission
+ * is zero-cost when no sink is attached.
  */
 
 #pragma once
@@ -39,17 +36,6 @@ struct AccessEvent
     /** Entry-aligned virtual address. */
     Addr va = 0;
 
-    /** Owning allocation id (core AllocId). */
-    u32 allocId = 0;
-
-    /**
-     * Tenant the submitting batch was tagged with (AccessBatch::
-     * setTenant), as the sharded engine passes it to makeEvent(). 0 —
-     * the anonymous tenant — for untagged batches and for events
-     * emitted by a standalone controller.
-     */
-    u32 tenant = 0;
-
     /**
      * Traffic and metadata outcome of the access, including the stored
      * payload size (info.storedBits) and the all-zero flag
@@ -67,17 +53,14 @@ struct AccessEvent
 
 /**
  * The one event builder: the event of executed op @p op with result
- * @p info, owned by allocation @p allocId and submitted by @p tenant.
+ * @p info.
  */
 inline AccessEvent
-makeEvent(const AccessRequest &op, const AccessInfo &info, u32 allocId,
-          u32 tenant)
+makeEvent(const AccessRequest &op, const AccessInfo &info)
 {
     AccessEvent event;
     event.kind = op.kind;
     event.va = op.va;
-    event.allocId = allocId;
-    event.tenant = tenant;
     event.info = info;
     event.data = op.kind == AccessKind::Write ? op.src : nullptr;
     return event;
@@ -92,7 +75,7 @@ class TrafficSink
     /** One executed operation. */
     virtual void onAccess(const AccessEvent &event) = 0;
 
-    /** End of one executed batch (also fired once per single-op call). */
+    /** End of one executed batch, after its last onAccess(). */
     virtual void onBatch(const BatchSummary &) {}
 };
 

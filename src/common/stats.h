@@ -140,17 +140,6 @@ class Histogram
                       : 0.0;
     }
 
-    /** Fraction of observations in buckets > @p bucket. */
-    double
-    fractionAbove(std::size_t bucket) const
-    {
-        u64 c = 0;
-        for (std::size_t b = bucket + 1; b < counts_.size(); ++b)
-            c += counts_[b];
-        return total_ ? static_cast<double>(c) / static_cast<double>(total_)
-                      : 0.0;
-    }
-
     /** Merge another histogram with the same bucket count. */
     void
     merge(const Histogram &other)

@@ -59,20 +59,6 @@ class Table
             print_row(row);
     }
 
-    /** Render as CSV. */
-    void
-    printCsv(std::FILE *out = stdout) const
-    {
-        auto emit = [&](const std::vector<std::string> &row) {
-            for (std::size_t c = 0; c < row.size(); ++c)
-                std::fprintf(out, "%s%s", row[c].c_str(),
-                             c + 1 == row.size() ? "\n" : ",");
-        };
-        emit(headers_);
-        for (const auto &row : rows_)
-            emit(row);
-    }
-
     /** Column headers (machine-readable export; see obs/report.h). */
     const std::vector<std::string> &headers() const { return headers_; }
 

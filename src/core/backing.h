@@ -24,8 +24,9 @@ namespace buddy {
 
 /**
  * The buddy-memory carve-out: a contiguous remote region sized as a
- * multiple of device memory (3x for a 4x maximum target ratio). The GBBR
- * holds its base; all buddy addressing is offset-based. The storage
+ * multiple of device memory (3x for a 4x maximum target ratio). All
+ * buddy addressing is offset-based (the GBBR base add is not modelled,
+ * since nothing reads host-physical addresses). The storage
  * itself is a pluggable BackingStore ("host-um" by default, "remote"
  * for disaggregated placements).
  */
@@ -46,20 +47,13 @@ class BuddyCarveOut
                   const std::optional<timing::LinkTiming> &timing =
                       std::nullopt,
                   int peer_ordinal = -1)
-        : gbbr_(0x1000000000ull), // arbitrary host-physical base
-          mem_(makeBackingStore(
+        : mem_(makeBackingStore(
               backend, device_bytes * ratio,
               timing ? *timing : timing::defaultLinkTiming(backend),
               peer_ordinal))
     {}
 
-    /** Global Buddy Base-address Register value. */
-    Addr gbbr() const { return gbbr_; }
-
     u64 capacity() const { return mem_->capacity(); }
-
-    /** Translate a carve-out offset to the host-physical address. */
-    Addr translate(Addr offset) const { return gbbr_ + offset; }
 
     void
     write(Addr offset, const u8 *src, std::size_t len)
@@ -77,7 +71,6 @@ class BuddyCarveOut
     const BackingStore &store() const { return *mem_; }
 
   private:
-    Addr gbbr_;
     std::unique_ptr<BackingStore> mem_;
 };
 

@@ -372,11 +372,8 @@ BuddyController::run(AccessBatch &batch, bool timed)
 
     // Sinks see the finished batch, window charges included.
     if (!hub_.empty()) {
-        for (std::size_t i = 0; i < batch.ops_.size(); ++i) {
-            const AccessRequest &op = batch.ops_[i];
-            hub_.emit(api::makeEvent(op, batch.results_[i],
-                                     allocationFor(op.va).id, 0));
-        }
+        for (std::size_t i = 0; i < batch.ops_.size(); ++i)
+            hub_.emit(api::makeEvent(batch.ops_[i], batch.results_[i]));
         hub_.emitBatch(sum);
     }
     return sum;

@@ -231,14 +231,11 @@ class BuddyController
      * stream is pure; under the sharded engine, per-shard cache state
      * belongs under "shard/" — the engine picks the prefixes).
      *
-     * The registry must outlive the controller (or detachMetrics()).
-     * Call with no batch in flight.
+     * The registry must outlive the controller. Call with no batch in
+     * flight.
      */
     void attachMetrics(obs::MetricRegistry &registry,
                        const std::string &prefix);
-
-    /** Stop updating (previously attached) metrics. */
-    void detachMetrics() { probes_.active = false; }
 
     /** The allocation covering @p va (panics if none). */
     const Allocation &allocationFor(Addr va) const;

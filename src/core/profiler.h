@@ -25,10 +25,8 @@
 #include <algorithm>
 #include <array>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "api/traffic_sink.h"
 #include "common/stats.h"
 #include "compress/sector.h"
 
@@ -123,48 +121,6 @@ class AllocationProfile
     std::string name_;
     u64 bytes_;
     Histogram hist_;
-};
-
-/**
- * Builds AllocationProfiles live from the controller's traffic event
- * stream (api/traffic_sink.h) instead of a separate analysis pass:
- * attach it to a BuddyController, run the representative workload
- * through execute(), and feed profiles() to Profiler::decide(). Write
- * events carry the exact compressed bit length, so the online profile
- * is bit-identical to one measured offline over the same entries.
- */
-class OnlineProfileSink : public api::TrafficSink
-{
-  public:
-    /** Start profiling @p alloc_id (untracked allocations are ignored). */
-    void
-    track(u32 alloc_id, std::string name, u64 bytes)
-    {
-        indexOf_[alloc_id] = profiles_.size();
-        profiles_.emplace_back(std::move(name), bytes);
-    }
-
-    void
-    onAccess(const api::AccessEvent &event) override
-    {
-        if (event.kind != api::AccessKind::Write)
-            return;
-        const auto it = indexOf_.find(event.allocId);
-        if (it == indexOf_.end())
-            return;
-        profiles_[it->second].addEntry(event.info.storedBits,
-                                       event.info.isZero);
-    }
-
-    /** Profiles in track() order, one per tracked allocation. */
-    const std::vector<AllocationProfile> &profiles() const
-    {
-        return profiles_;
-    }
-
-  private:
-    std::vector<AllocationProfile> profiles_;
-    std::unordered_map<u32, std::size_t> indexOf_;
 };
 
 /** Result of a profiling pass over one workload. */

@@ -162,12 +162,6 @@ ShardedEngine::execute(AccessBatch &batch)
     batch.results_.assign(n, AccessInfo{});
     batch.summary_ = BatchSummary{};
 
-    if (n == 0) {
-        // Empty plan: nothing to run.
-        hub_.emitBatch(batch.summary_);
-        return batch.summary_;
-    }
-
     // Split the plan: one sub-plan per participating shard, ops kept in
     // submission order with shard-local addresses. Runs of ops mostly
     // stay inside one allocation, so the last lookup is reused while it
@@ -178,7 +172,6 @@ ShardedEngine::execute(AccessBatch &batch)
         subs_[s].origIdx.clear();
     }
     active_.clear();
-    opAlloc_.resize(n);
     const EngineAllocation *a = nullptr;
     for (std::size_t i = 0; i < n; ++i) {
         const AccessRequest &op = batch.ops_[i];
@@ -191,7 +184,6 @@ ShardedEngine::execute(AccessBatch &batch)
         local.va = a->shardVa + (op.va - a->va);
         sp.plan.ops_.push_back(local);
         sp.origIdx.push_back(static_cast<u32>(i));
-        opAlloc_[i] = a->id;
     }
 
     // Run each sub-plan on its shard, then scatter per-op results back
@@ -228,7 +220,7 @@ ShardedEngine::execute(AccessBatch &batch)
                     probes_.windowOccupancy, probes_.windowStall);
         maxDevOut = group.device().maxOutstanding();
         maxBudOut = group.buddy().maxOutstanding();
-    } else {
+    } else if (!active_.empty()) {
         // Per-shard window mode: each shard windowed its own sub-plan
         // over its own links (one MSHR pool per GPU), and the serial
         // and codec totals folded above stand. The batch completes at a
@@ -236,7 +228,8 @@ ShardedEngine::execute(AccessBatch &batch)
         // the participating shards' makespans, not the sum folded
         // above: the N-GPU makespan. At one shard they are bit-
         // identical to the merged pass (same stream, same timing),
-        // which tests pin.
+        // which tests pin. An empty batch has no shard to take a min
+        // over, so it skips this block and keeps its zero totals.
 
         // Imbalance inputs: Σ and min of the shards' makespans.
         const u64 sum_makespan = merged.combinedWindowCycles;
@@ -342,12 +335,10 @@ ShardedEngine::execute(AccessBatch &batch)
 
     // Sink events, built from the finished batch in submission order:
     // exactly the stream a single controller emits for the plan, with
-    // engine-global addresses and allocation ids and the submitting
-    // tenant's tag.
+    // engine-global addresses.
     if (!hub_.empty()) {
         for (std::size_t i = 0; i < n; ++i)
-            hub_.emit(api::makeEvent(batch.ops_[i], batch.results_[i],
-                                     opAlloc_[i], batch.tenant()));
+            hub_.emit(api::makeEvent(batch.ops_[i], batch.results_[i]));
         hub_.emitBatch(merged);
     }
     return batch.summary_;

@@ -439,7 +439,6 @@ class ShardedEngine
      *  keep their capacity between batches. */
     std::vector<SubPlan> subs_;    ///< one per shard, by shard index
     std::vector<unsigned> active_; ///< shards in use, first-seen order
-    std::vector<AllocId> opAlloc_; ///< engine alloc id of each op
 
     std::map<u32, TenantTotals> tenantTotals_;
     WindowImbalanceStats imbalance_;

@@ -172,21 +172,15 @@ TraceRecorderSink::onAccess(const api::AccessEvent &event)
 {
     const bool zero_write =
         event.kind == AccessKind::Write && event.info.isZero;
-    if (event.kind == AccessKind::Write && !zero_write &&
-        event.data == nullptr) {
-        // Not a replayable entry write: emitters other than the
-        // controller (e.g. the UM model's migration reports) publish
-        // payload-less Write events on the shared stream. Count and
-        // skip rather than record an op that cannot be re-executed.
-        ++skipped_;
-        return;
-    }
+    const bool payload = event.kind == AccessKind::Write && !zero_write;
+    BUDDY_CHECK(!payload || event.data != nullptr,
+                "non-zero write event without a payload");
     u8 tag = static_cast<u8>(event.kind);
     if (zero_write)
         tag |= kTagZeroWrite;
     stream_.push_back(tag);
     putVarint(stream_, event.va / kEntryBytes);
-    if (event.kind == AccessKind::Write && !zero_write)
+    if (payload)
         stream_.insert(stream_.end(), event.data, event.data + kEntryBytes);
     ++ops_;
     ++opsInBatch_;

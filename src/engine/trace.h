@@ -104,13 +104,6 @@ class TraceRecorderSink : public api::TrafficSink
 
     u64 opCount() const { return ops_; }
 
-    /**
-     * Write events skipped because they carried no payload (emitters
-     * other than the controller, e.g. umsim migration reports, publish
-     * such events on the shared stream; they cannot be re-executed).
-     */
-    u64 skippedOps() const { return skipped_; }
-
     /** Serialize header + allocation table + stream + footer. */
     std::vector<u8> serialize() const;
 
@@ -122,7 +115,6 @@ class TraceRecorderSink : public api::TrafficSink
     std::vector<u8> stream_; ///< op + batch-mark records
     u64 ops_ = 0;
     u64 opsInBatch_ = 0;
-    u64 skipped_ = 0;
     TraceTotals totals_;
 };
 

@@ -37,10 +37,14 @@
 #include "core/metadata.h"
 #include "gpusim/cache.h"
 #include "gpusim/config.h"
-#include "gpusim/memsys.h"
+#include "timing/servers.h"
 #include "workloads/image.h"
 
 namespace buddy {
+
+using timing::DramModel;
+using timing::SectorLink;
+using timing::SimTime;
 
 /** Aggregate results of one simulation run. */
 struct SimResult

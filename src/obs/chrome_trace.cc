@@ -12,41 +12,7 @@ namespace obs {
 void
 ChromeTraceSink::onBatchComplete(const BatchRecord &record)
 {
-    if (!fromObserver_) {
-        // Engine records supersede any synthesis state accumulated so
-        // far (a sink attached both ways would double count).
-        fromObserver_ = true;
-        records_.clear();
-    }
     records_.push_back(record);
-}
-
-void
-ChromeTraceSink::onAccess(const api::AccessEvent &event)
-{
-    if (fromObserver_)
-        return;
-    ++pendingOps_;
-    pendingTenant_ = event.tenant;
-}
-
-void
-ChromeTraceSink::onBatch(const api::BatchSummary &summary)
-{
-    if (fromObserver_)
-        return;
-    BatchRecord rec;
-    rec.seq = nextSeq_++;
-    rec.tenant = pendingTenant_;
-    rec.summary = summary;
-    BatchRecord::ShardSpan span;
-    span.shard = 0;
-    span.ops = pendingOps_ ? pendingOps_ : summary.operations();
-    span.combinedCycles = summary.combinedWindowCycles;
-    rec.shards.push_back(span);
-    records_.push_back(rec);
-    pendingOps_ = 0;
-    pendingTenant_ = 0;
 }
 
 void
@@ -66,10 +32,6 @@ ChromeTraceSink::clear()
 {
     records_.clear();
     serviceSpans_.clear();
-    nextSeq_ = 0;
-    pendingOps_ = 0;
-    pendingTenant_ = 0;
-    fromObserver_ = false;
 }
 
 namespace {

@@ -4,12 +4,11 @@
  * Chrome trace_event JSON, loadable in Perfetto (ui.perfetto.dev) or
  * chrome://tracing.
  *
- * The sink consumes batch completions — either rich BatchRecords from
- * the sharded engine's BatchObserver hook (obs/hooks.h), or synthesized
- * ones from a standalone controller's TrafficSink stream — and lays
- * them out on one timeline whose clock is *simulated cycles*, not wall
- * time. Batches are placed end-to-end in submission (`seq`) order, each
- * spanning its combined windowed makespan:
+ * The sink is a BatchObserver (obs/hooks.h): attach it to a sharded
+ * engine with setBatchObserver(). It lays the engine's BatchRecords
+ * out on one timeline whose clock is *simulated cycles*, not wall
+ * time. Batches are placed end-to-end in submission (`seq`) order,
+ * each spanning its combined windowed makespan:
  *
  *   pid "tenants"  one row per tenant; "X" span per batch with the
  *                  batch's ops/traffic in args — the per-tenant service
@@ -33,11 +32,6 @@
  * layout sorts by seq, so the rendered JSON is byte-identical
  * run-to-run for the same workload — toJson() output can be diffed as
  * a regression test, exactly like obs::exportJson().
- *
- * Attach EITHER as a BatchObserver (engine; richer records) OR as a
- * TrafficSink (standalone controller; spans synthesized per onBatch),
- * not both — once an engine record arrives, synthesized ones are
- * ignored to prevent double counting.
  */
 
 #pragma once
@@ -46,23 +40,16 @@
 #include <string>
 #include <vector>
 
-#include "api/traffic_sink.h"
 #include "obs/hooks.h"
 
 namespace buddy {
 namespace obs {
 
 /** The Chrome trace_event renderer (see file header). */
-class ChromeTraceSink : public api::TrafficSink, public BatchObserver
+class ChromeTraceSink : public BatchObserver
 {
   public:
-    // BatchObserver (sharded engine): one rich record per batch.
     void onBatchComplete(const BatchRecord &record) override;
-
-    // TrafficSink (standalone controller): synthesize one record per
-    // executed batch from the event stream.
-    void onAccess(const api::AccessEvent &event) override;
-    void onBatch(const api::BatchSummary &summary) override;
 
     /**
      * Pin the batch submitted as engine sequence @p seq to the service
@@ -103,14 +90,6 @@ class ChromeTraceSink : public api::TrafficSink, public BatchObserver
 
     std::vector<BatchRecord> records_;
     std::map<u64, ServiceSpan> serviceSpans_; ///< by engine submit seq
-
-    /** Synthesis state of the TrafficSink path. */
-    u64 nextSeq_ = 0;
-    u64 pendingOps_ = 0;
-    u32 pendingTenant_ = 0;
-
-    /** True once a BatchObserver record arrived; disables synthesis. */
-    bool fromObserver_ = false;
 };
 
 } // namespace obs

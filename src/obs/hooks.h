@@ -4,8 +4,8 @@
  * per-operation TrafficSink stream.
  *
  * The TrafficSink stream (api/traffic_sink.h) carries one event per
- * entry access — the right granularity for traffic counting, profiling
- * and trace recording, but too fine for timeline reconstruction: a
+ * entry access — the right granularity for traffic counting and trace
+ * recording, but too fine for timeline reconstruction: a
  * timeline consumer needs the *batch* (the unit the windowed timing
  * replay scopes, and the unit tenants submit) with its makespan,
  * its per-shard split, and its submission order. BatchRecord carries

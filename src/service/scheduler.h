@@ -332,7 +332,6 @@ class ServiceScheduler
     ServiceReport run();
 
     const ServiceConfig &config() const { return cfg_; }
-    std::size_t sessionCount() const { return tenants_.size(); }
 
   private:
     struct Tenant;

@@ -74,7 +74,6 @@ runUm(const BenchmarkSpec &spec, const UmConfig &cfg, UmMode mode,
 
     Residency res(device_pages);
     const AccessProfile &prof = spec.access;
-    u64 link_sectors = 0; // sectors reported on the traffic stream
 
     // Warm-up: pre-fault the first device-memory's worth of pages so
     // that cold first-touch faults (amortized over a real application's
@@ -143,21 +142,6 @@ runUm(const BenchmarkSpec &spec, const UmConfig &cfg, UmMode mode,
                     cost += page_migrate_cycles; // dirty writeback
                 cycles += cost;
                 r.faultOverheadFraction += fault_cycles;
-
-                if (cfg.sink != nullptr) {
-                    // A migration moves the whole page over the link
-                    // (twice when it also evicts a dirty page); report
-                    // it on the shared traffic stream.
-                    api::AccessEvent ev;
-                    ev.kind = dirty_wb ? api::AccessKind::Write
-                                       : api::AccessKind::Read;
-                    ev.va = page * cfg.pageBytes;
-                    ev.info.buddySectors = static_cast<unsigned>(
-                        (dirty_wb ? 2 : 1) * cfg.pageBytes / kSectorBytes);
-                    ev.info.metadataHit = false; // took a driver fault
-                    cfg.sink->onAccess(ev);
-                    link_sectors += ev.info.buddySectors;
-                }
             }
             break;
         }
@@ -166,18 +150,6 @@ runUm(const BenchmarkSpec &spec, const UmConfig &cfg, UmMode mode,
     r.cycles = cycles;
     r.faultOverheadFraction =
         cycles > 0 ? r.faultOverheadFraction / cycles : 0.0;
-
-    if (cfg.sink != nullptr) {
-        // The summary totals exactly what the per-migration events
-        // reported (including dirty writebacks), so sinks that
-        // cross-check onAccess against onBatch stay consistent.
-        api::BatchSummary summary;
-        summary.reads = cfg.memOps;
-        summary.buddySectors = link_sectors;
-        summary.metadataMisses = r.faults;
-        summary.buddyAccesses = r.migratedPages;
-        cfg.sink->onBatch(summary);
-    }
     return r;
 }
 

@@ -27,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "api/traffic_sink.h"
 #include "common/types.h"
 #include "workloads/benchmark.h"
 
@@ -61,14 +60,6 @@ struct UmConfig
     u64 memOps = 2000000;
 
     u64 seed = 7;
-
-    /**
-     * Optional traffic observer: page migrations are reported as
-     * AccessEvents (buddySectors = page sectors over the interconnect)
-     * and the whole run as one BatchSummary — the same event stream the
-     * BuddyController emits, so UM and Buddy traffic can share sinks.
-     */
-    api::TrafficSink *sink = nullptr;
 };
 
 /** Result of one UM run. */

@@ -77,24 +77,6 @@ class WorkloadModel
     /** Generate the 128 B contents of entry (a, e) at snapshot @p s. */
     void entryData(std::size_t a, u64 e, unsigned s, u8 *out) const;
 
-    /**
-     * Stream every entry of snapshot @p s through @p fn.
-     * @param fn callable (std::size_t alloc_idx, u64 entry_idx,
-     *           const u8 *data).
-     */
-    template <typename F>
-    void
-    forEachEntry(unsigned s, F &&fn) const
-    {
-        u8 buf[kEntryBytes];
-        for (std::size_t a = 0; a < allocs_.size(); ++a) {
-            for (u64 e = 0; e < allocs_[a].entries; ++e) {
-                entryData(a, e, s, buf);
-                fn(a, e, static_cast<const u8 *>(buf));
-            }
-        }
-    }
-
   private:
     /** Mixture of allocation @p a interpolated to snapshot @p s. */
     std::array<double, 6> mixAt(std::size_t a, unsigned s) const;

@@ -3,7 +3,7 @@
  * Tests of the buddy::api facade: batched-vs-single-op equivalence
  * (one N-op execute() must yield exactly the AccessInfo and stats of N
  * one-op batches), the BatchSummary accounting, the
- * TrafficSink event stream (stats, online profiling, memsys replay),
+ * TrafficSink event stream (traffic and the stats fold),
  * the codec registry, and the pluggable backing stores.
  */
 
@@ -14,8 +14,6 @@
 #include "api/backing_store.h"
 #include "api/codec_registry.h"
 #include "core/controller.h"
-#include "core/profiler.h"
-#include "gpusim/memsys.h"
 #include "workloads/patterns.h"
 
 namespace buddy {
@@ -305,72 +303,6 @@ TEST(TrafficSink, StatsIsTheFoldOfTheBatchSummaries)
 
     gpu.clearStats();
     EXPECT_TRUE(sameSummary(gpu.stats(), BatchSummary{}));
-}
-
-TEST(TrafficSink, OnlineProfileMatchesDecisionFromSameData)
-{
-    // Profile the written data live off the event stream; the decision
-    // must match one computed from an offline histogram of the same
-    // entries.
-    BuddyController gpu(smallConfig());
-    OnlineProfileSink online;
-    gpu.attachSink(&online);
-
-    const auto id =
-        gpu.allocate("field", 256 * KiB, CompressionTarget::None);
-    ASSERT_TRUE(id);
-    const Allocation &alloc = gpu.allocations().at(*id);
-    online.track(alloc.id, alloc.name, alloc.bytes);
-
-    const auto entries = mixedEntries(1024, 21);
-    AccessBatch batch;
-    for (std::size_t i = 0; i < entries.size(); ++i)
-        batch.write(alloc.va + i * kEntryBytes, entries[i].data());
-    gpu.execute(batch);
-
-    AllocationProfile offline(alloc.name, alloc.bytes);
-    CompressionScratch scratch;
-    const Compressor &codec = gpu.codec();
-    for (const auto &e : entries) {
-        const bool zero = entryIsZero(e.data());
-        offline.addEntry(
-            zero ? 0 : codec.compressInto(e.data(), scratch.encode, scratch),
-            zero);
-    }
-
-    ASSERT_EQ(online.profiles().size(), 1u);
-    const Profiler prof;
-    EXPECT_EQ(prof.chooseTarget(online.profiles()[0]),
-              prof.chooseTarget(offline));
-    for (std::size_t b = 0; b < kNeedBuckets.size(); ++b) {
-        EXPECT_EQ(online.profiles()[0].histogram().count(b),
-                  offline.histogram().count(b))
-            << "bucket " << b;
-    }
-}
-
-TEST(TrafficSink, MemsysReplayChargesDeviceAndLinkTraffic)
-{
-    BuddyController gpu(smallConfig());
-    DramModel dram(8, 16.0, 100.0);
-    SectorLink link(2.0, 500.0);
-    MemsysReplaySink replay(dram, link);
-    gpu.attachSink(&replay);
-
-    const auto id = gpu.allocate("a", 128 * KiB, CompressionTarget::Ratio2);
-    ASSERT_TRUE(id);
-    const Addr va = gpu.allocations().at(*id).va;
-
-    const auto entries = mixedEntries(256, 5);
-    AccessBatch batch;
-    for (std::size_t i = 0; i < entries.size(); ++i)
-        batch.write(va + i * kEntryBytes, entries[i].data());
-    gpu.execute(batch);
-
-    EXPECT_EQ(replay.operations(), entries.size());
-    EXPECT_EQ(dram.sectorsTransferred(), gpu.stats().deviceSectors);
-    EXPECT_EQ(link.sectorsTransferred(), gpu.stats().buddySectors);
-    EXPECT_GT(replay.end(), 0.0);
 }
 
 TEST(CodecRegistry, ListsBuiltinsAndCreatesThem)

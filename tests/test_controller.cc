@@ -251,14 +251,19 @@ TEST(Controller, RewritesCycleThroughEveryEncoding)
     }
 }
 
-TEST(Controller, RecordLifecycleMatchesAReferenceModel)
+/**
+ * Random writes, rewrites, reads, probes, frees and re-allocations over
+ * allocations of different targets, on a controller running @p codec.
+ * Every op's result and the overflow gauge must match a reference model
+ * that keeps each entry's payload and derives the Figure 4 split from
+ * the codec's encoded size.
+ */
+void
+checkRecordLifecycle(const char *codec)
 {
-    // Random writes, rewrites, reads, probes, frees and re-allocations
-    // over allocations of different targets. Every op's result and the
-    // overflow gauge must match a reference model that keeps each
-    // entry's payload and derives the Figure 4 split from the codec's
-    // encoded size.
-    BuddyController c(smallConfig());
+    BuddyConfig cfg = smallConfig();
+    cfg.codec = codec;
+    BuddyController c(cfg);
     const CompressionTarget targets[] = {CompressionTarget::MostlyZero,
                                          CompressionTarget::None,
                                          CompressionTarget::Ratio2,
@@ -351,6 +356,16 @@ TEST(Controller, RecordLifecycleMatchesAReferenceModel)
         EXPECT_EQ(info.deviceSectors, device) << "op " << op;
         EXPECT_EQ(info.buddySectors, buddy) << "op " << op;
         ASSERT_EQ(c.overflowEntries(), expectedOverflow()) << "op " << op;
+    }
+}
+
+TEST(Controller, RecordLifecycleMatchesAReferenceModel)
+{
+    for (const char *codec : {"bpc", "bdi", "fpc", "zero"}) {
+        SCOPED_TRACE(codec);
+        checkRecordLifecycle(codec);
+        if (HasFatalFailure())
+            return;
     }
 }
 

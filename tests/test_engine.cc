@@ -286,9 +286,9 @@ logEventPlan(Target &t, EventLog &log)
 TEST(ShardedEngine, EventStreamMatchesSingleController)
 {
     // The engine's sinks must see exactly the stream a single
-    // controller emits for the same plan — engine-global addresses and
-    // allocation ids, merged window charges, submission order — plus
-    // the tenant tag. The working set fits the metadata cache, so even
+    // controller emits for the same plan — engine-global addresses,
+    // merged window charges, submission order — whatever the batch's
+    // tenant tag. The working set fits the metadata cache, so even
     // per-op hit/miss results match at any shard count.
     EventLog want;
     {
@@ -306,12 +306,8 @@ TEST(ShardedEngine, EventStreamMatchesSingleController)
             const EventLog::Event &w = want.events[i];
             const EventLog::Event &g = got.events[i];
             ASSERT_EQ(g.batch, w.batch) << shards << " event " << i;
-            ASSERT_EQ(w.ev.tenant, 0u); // a controller never stamps one
-            ASSERT_EQ(g.ev.tenant, g.batch == kTaggedBatch ? kTag : 0u)
-                << shards << " event " << i;
             ASSERT_EQ(g.ev.kind, w.ev.kind) << shards << " event " << i;
             ASSERT_EQ(g.ev.va, w.ev.va) << shards << " event " << i;
-            ASSERT_EQ(g.ev.allocId, w.ev.allocId) << shards << " event " << i;
             ASSERT_TRUE(sameInfo(g.ev.info, w.ev.info))
                 << shards << " event " << i;
             ASSERT_EQ(g.payload, w.payload) << shards << " event " << i;
@@ -437,14 +433,6 @@ TEST(ShardedEngine, EachBatchIsWindowedOnce)
     }
 }
 
-TEST(ShardedEngine, EmptyBatchCompletesImmediately)
-{
-    ShardedEngine eng(engineConfig(2));
-    AccessBatch empty;
-    EXPECT_EQ(eng.execute(empty).operations(), 0u);
-    EXPECT_TRUE(empty.results().empty());
-}
-
 /** Records every BatchRecord and the thread it arrives on. */
 struct BatchLog : obs::BatchObserver
 {
@@ -458,6 +446,54 @@ struct BatchLog : obs::BatchObserver
         threads.push_back(std::this_thread::get_id());
     }
 };
+
+TEST(ShardedEngine, EmptyBatchIsAccountedLikeAnyOther)
+{
+    // An empty plan is a batch like any other: it takes the next
+    // sequence number, and the observer, the sinks, the tenant totals
+    // and the batch counter all see it, as a single controller's sinks
+    // do. Sequence numbers stay gap-free.
+    const auto entries = mixedEntries(kN, 5);
+    for (const WindowMode mode : {WindowMode::Merged, WindowMode::PerShard}) {
+        for (const unsigned shards : {1u, 4u}) {
+            SCOPED_TRACE(testing::Message() << shards << " shards, mode "
+                                            << static_cast<int>(mode));
+            EngineConfig cfg = engineConfig(shards);
+            cfg.shard.windowMode = mode;
+            ShardedEngine eng(cfg);
+            obs::MetricRegistry registry;
+            eng.attachMetrics(registry);
+            BatchLog observer;
+            eng.setBatchObserver(&observer);
+            EventLog sink;
+            eng.attachSink(&sink);
+            const auto vas = allocateSet(eng);
+
+            AccessBatch first, empty, last;
+            for (std::size_t i = 0; i < kN; i += 2)
+                first.write(vas[i], entries[i].data());
+            for (std::size_t i = 1; i < kN; i += 2)
+                last.write(vas[i], entries[i].data());
+            eng.execute(first);
+            EXPECT_EQ(eng.execute(empty).operations(), 0u);
+            EXPECT_TRUE(empty.results().empty());
+            eng.execute(last);
+            eng.detachSink(&sink);
+
+            ASSERT_EQ(observer.records.size(), 3u);
+            for (u64 b = 0; b < 3; ++b)
+                EXPECT_EQ(observer.records[b].seq, b);
+            EXPECT_TRUE(observer.records[1].shards.empty());
+            EXPECT_TRUE(sameSummary(observer.records[1].summary,
+                                    BatchSummary{}));
+            EXPECT_EQ(sink.batches.size(), 3u);
+            EXPECT_EQ(sink.events.size(), kN);
+            EXPECT_EQ(eng.tenantTotals().at(0).batches, 3u);
+            EXPECT_EQ(registry.counter("sim/engine/batches").value(), 3u);
+            EXPECT_EQ(eng.stats().writes, kN);
+        }
+    }
+}
 
 TEST(ShardedEngine, ThreadsFieldIsInert)
 {
@@ -569,8 +605,6 @@ TEST(ShardedEngine, ThreadsFieldIsInert)
             ASSERT_EQ(x.batch, y.batch) << threads << " event " << i;
             ASSERT_EQ(x.ev.kind, y.ev.kind) << threads << " event " << i;
             ASSERT_EQ(x.ev.va, y.ev.va) << threads << " event " << i;
-            ASSERT_EQ(x.ev.allocId, y.ev.allocId)
-                << threads << " event " << i;
             ASSERT_TRUE(sameInfo(x.ev.info, y.ev.info))
                 << threads << " event " << i;
             ASSERT_EQ(x.payload, y.payload) << threads << " event " << i;
@@ -1177,25 +1211,33 @@ TEST(Trace, SequentialRecordingIsByteStable)
     EXPECT_EQ(record(), record());
 }
 
-TEST(Trace, PayloadlessWriteEventsAreSkippedNotFatal)
+TEST(Trace, ZeroWriteEventsNeedNoPayload)
 {
-    // Emitters other than the controller (e.g. umsim migration
-    // reports) publish Write events without a payload on the shared
-    // stream; the recorder must skip them, not abort.
+    // A zero write carries no payload by design and is still recorded.
     TraceRecorderSink recorder;
     api::AccessEvent ev;
     ev.kind = AccessKind::Write;
     ev.va = 4 * kPageBytes;
-    ev.info.buddySectors = 8;
-    recorder.onAccess(ev); // data == nullptr, info.isZero == false
-    EXPECT_EQ(recorder.opCount(), 0u);
-    EXPECT_EQ(recorder.skippedOps(), 1u);
-
-    // Zero writes carry no payload by design and are still recorded.
     ev.info.isZero = true;
-    recorder.onAccess(ev);
+    recorder.onAccess(ev); // data == nullptr
     EXPECT_EQ(recorder.opCount(), 1u);
-    EXPECT_EQ(recorder.skippedOps(), 1u);
+}
+
+TEST(TraceDeath, NonZeroWriteEventWithoutPayloadDies)
+{
+    // Every non-zero write the controller executes has a payload
+    // (executeOp requires op.src), so an event without one is an
+    // internal fault, not an op to skip.
+    EXPECT_DEATH(
+        {
+            TraceRecorderSink recorder;
+            api::AccessEvent ev;
+            ev.kind = AccessKind::Write;
+            ev.va = 4 * kPageBytes;
+            ev.info.buddySectors = 8;
+            recorder.onAccess(ev);
+        },
+        "payload");
 }
 
 TEST(TraceDeath, MalformedTraceFailsFast)

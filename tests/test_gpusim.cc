@@ -8,12 +8,14 @@
 
 #include "gpusim/cache.h"
 #include "gpusim/gpu.h"
-#include "gpusim/memsys.h"
 #include "gpusim/runner.h"
+#include "timing/servers.h"
 #include "workloads/benchmark.h"
 
 namespace buddy {
 namespace {
+
+using timing::SectorServer;
 
 // ---------------------------------------------------------------------
 // Bandwidth server.

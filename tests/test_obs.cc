@@ -209,29 +209,6 @@ TEST(ObsDeterminism, ChromeTraceIsValidAndByteStable)
     EXPECT_NE(traceA.find("\"ph\":\"M\""), std::string::npos);
 }
 
-TEST(ObsDeterminism, ChromeTraceSynthesizesFromControllerSink)
-{
-    BuddyConfig cfg;
-    cfg.deviceBytes = 8 * MiB;
-    BuddyController gpu(cfg);
-    obs::ChromeTraceSink sink;
-    gpu.attachSink(&sink);
-
-    const auto id =
-        gpu.allocate("a", 64 * kEntryBytes, CompressionTarget::Ratio2);
-    ASSERT_TRUE(id.has_value());
-    const Addr va = gpu.allocations().at(*id).va;
-    std::vector<u8> data(64 * kEntryBytes, 0xAB);
-    AccessBatch plan;
-    for (std::size_t i = 0; i < 64; ++i)
-        plan.write(va + i * kEntryBytes, data.data() + i * kEntryBytes);
-    gpu.execute(plan);
-    gpu.detachSink(&sink);
-
-    EXPECT_EQ(sink.batches(), 1u);
-    EXPECT_TRUE(obs::jsonValid(sink.toJson()));
-}
-
 TEST(ObsReport, BenchReportRendersValidStableJson)
 {
     obs::MetricRegistry registry;
