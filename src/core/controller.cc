@@ -44,6 +44,25 @@ entriesFor(ByVa &by_va, Addr va)
     return it->second;
 }
 
+/**
+ * The controller's window group over @p device and @p buddy. The two
+ * link timings are validated against @p window first, so a windowed-
+ * replay configuration error (a 0 window, or a windowed replay over a
+ * zero-bandwidth link) is reported against the BuddyConfig field at
+ * construction rather than at the first executed batch.
+ */
+timing::WindowGroup
+validatedWindows(const BackingStore &device, const BackingStore &buddy,
+                 u64 window, const timing::CodecTiming &codec)
+{
+    timing::validateWindowedTiming(device.timing(), window,
+                                   "BuddyConfig deviceLink/linkWindow");
+    timing::validateWindowedTiming(buddy.timing(), window,
+                                   "BuddyConfig buddyLink/linkWindow");
+    return timing::WindowGroup(device.makeWindow(window),
+                               buddy.makeWindow(window), codec);
+}
+
 } // namespace
 
 BuddyController::BuddyController(const BuddyConfig &cfg)
@@ -66,16 +85,10 @@ BuddyController::BuddyController(const BuddyConfig &cfg)
       buddy_(cfg.deviceBytes, cfg.carveOutRatio, cfg.buddyBackend,
              cfg.buddyLink, cfg.buddyPeerOrdinal),
       deviceAlloc_(cfg.deviceBytes),
-      buddyAlloc_(buddy_.capacity())
+      buddyAlloc_(buddy_.capacity()),
+      windows_(validatedWindows(*device_, buddy_.store(), cfg.linkWindow,
+                                codecTiming_))
 {
-    // Windowed-replay configuration errors (a 0 window, or a windowed
-    // replay over a zero-bandwidth link) are caught here rather than at
-    // the first executed batch.
-    timing::validateWindowedTiming(device_->timing(), cfg.linkWindow,
-                                   "BuddyConfig deviceLink/linkWindow");
-    timing::validateWindowedTiming(buddy_.store().timing(),
-                                   cfg.linkWindow,
-                                   "BuddyConfig buddyLink/linkWindow");
     metaCache_ = std::make_unique<MetadataCache>(cfg.metadataCache);
 }
 
@@ -138,6 +151,7 @@ BuddyController::free(AllocId id)
     deviceUsed_ -= a.deviceBytes();
     buddyUsed_ -= a.buddyBytes();
     logicalUsed_ -= a.bytes;
+    lastAlloc_ = nullptr;
     byVa_.erase(a.va);
     allocs_.erase(it);
 }
@@ -152,7 +166,10 @@ BuddyController::EntryLoc
 BuddyController::locate(Addr va)
 {
     BUDDY_CHECK(va % kEntryBytes == 0, "entry address must be 128B aligned");
-    AllocEntries &ae = entriesFor(byVa_, va);
+    // Runs of ops mostly stay inside one allocation.
+    if (lastAlloc_ == nullptr || !lastAlloc_->alloc->contains(va))
+        lastAlloc_ = &entriesFor(byVa_, va);
+    AllocEntries &ae = *lastAlloc_;
     const Allocation &a = *ae.alloc;
     const u64 idx = (va - a.va) / kEntryBytes;
     EntryLoc loc;
@@ -195,14 +212,6 @@ BuddyController::attachProbes(obs::MetricRegistry &registry,
     probes_.windowOccupancy =
         &registry.histogram(prefix + "window_occupancy");
     probes_.windowStall = &registry.histogram(prefix + "window_stall");
-}
-
-timing::WindowGroup
-BuddyController::makeWindows() const
-{
-    return timing::WindowGroup(device_->makeWindow(cfg_.linkWindow),
-                               buddy_.store().makeWindow(cfg_.linkWindow),
-                               codecTiming_);
 }
 
 AccessInfo
@@ -358,11 +367,11 @@ BuddyController::run(AccessBatch &batch, bool timed)
 
     if (timed) {
         // The timing pass: the batch is the latency-overlap scope, so
-        // it gets fresh windows.
-        timing::WindowGroup windows = makeWindows();
+        // it starts from reset windows.
+        windows_.reset();
         const bool sample =
             probes_.active && probes_.windowOccupancy != nullptr;
-        windowBatch(batch.ops_, batch.results_, windows, sum,
+        windowBatch(batch.ops_, batch.results_, windows_, sum,
                     sample ? probes_.windowOccupancy : nullptr,
                     sample ? probes_.windowStall : nullptr);
         if (sample)

@@ -206,7 +206,7 @@ class BuddyController
      * execute(), whose timing pass runs only when @p timed. Untimed,
      * every cycle total of the summary and stats_ (and each result's
      * codecCycles) stays 0, and windowBatch() (core/window_pass.h)
-     * over fresh windows re-times the results later — at this
+     * over new windows re-times the results later — at this
      * controller's config bit-identically to execute(), or at any other
      * W or codec timing without re-executing. Either way, attached
      * sinks see the batch's events once it is finished.
@@ -316,23 +316,14 @@ class BuddyController
         u64 deviceSlotBytes; ///< device bytes reserved for this entry
     };
 
-    /**
-     * Build the per-batch windowed-replay state: one RequestWindow per
-     * link, grouped so the combined (cross-link) frontier is tracked
-     * alongside the per-link ones. Created fresh for every windowed
-     * batch so windowed totals stay additive across batches (a batch
-     * is the latency-overlap scope — the outstanding-miss stream of
-     * one kernel).
-     */
-    timing::WindowGroup makeWindows() const;
-
     /** attachMetrics(), whose window histograms (batch_combined_makespan,
      *  window_occupancy, window_stall) are registered only when
      *  @p timed, for a controller that only runs untimed. */
     void attachProbes(obs::MetricRegistry &registry,
                       const std::string &prefix, bool timed);
 
-    /** The entry at @p va: one map lookup plus an array index. */
+    /** The entry at @p va: an array index into the last allocation
+     *  located while it covers @p va, else one map lookup first. */
     EntryLoc locate(Addr va);
 
     /**
@@ -386,6 +377,21 @@ class BuddyController
     u64 logicalUsed_ = 0;
     BatchSummary stats_;
     u64 overflowEntries_ = 0;
+
+    /** The allocation locate() found last (a node of byVa_, whose
+     *  inserts never move nodes); free() clears it. Null when none. */
+    AllocEntries *lastAlloc_ = nullptr;
+
+    /**
+     * The windowed-replay state: one RequestWindow per link, grouped so
+     * the combined (cross-link) frontier is tracked alongside the
+     * per-link ones. Built once, after the link timings are validated,
+     * and reset per timed batch, so windowed totals stay additive
+     * across batches (a batch is the latency-overlap scope — the
+     * outstanding-miss stream of one kernel). Under WindowMode::Merged
+     * the engine times its merged batches through shard 0's group.
+     */
+    timing::WindowGroup windows_;
 
     /** The codec scratch every batch reuses: the hot path performs no
      *  per-entry heap allocation. */

@@ -10,8 +10,9 @@ MetadataCache::MetadataCache(const MetadataCacheConfig &cfg) : cfg_(cfg)
     setsPerSlice_ =
         static_cast<unsigned>(per_slice / (cfg_.lineBytes * cfg_.ways));
     BUDDY_CHECK(setsPerSlice_ > 0, "metadata cache too small for config");
-    lines_.resize(static_cast<std::size_t>(cfg_.slices) * setsPerSlice_ *
-                  cfg_.ways);
+    sets_ = static_cast<u64>(cfg_.slices) * setsPerSlice_;
+    BUDDY_CHECK(sets_ <= 0xffffffffull, "metadata cache has too many sets");
+    lines_.resize(static_cast<std::size_t>(sets_) * cfg_.ways);
 }
 
 MetadataCache::Line *
@@ -40,9 +41,12 @@ MetadataCache::access(std::size_t entry_idx)
     h ^= h >> 27;
     h *= 0x94d049bb133111ebull;
     h ^= h >> 31;
-    const unsigned slice = static_cast<unsigned>(h % cfg_.slices);
-    const unsigned set_idx =
-        static_cast<unsigned>((h / cfg_.slices) % setsPerSlice_);
+    // One 64-bit reduction to the set's global number g = h mod
+    // (slices * setsPerSlice); g mod slices and g / slices are exactly
+    // h mod slices and (h / slices) mod setsPerSlice, in 32 bits.
+    const u32 g = static_cast<u32>(h % sets_);
+    const unsigned slice = g % cfg_.slices;
+    const unsigned set_idx = g / cfg_.slices;
     const u64 tag = line_idx;
 
     Line *s = set(slice, set_idx);

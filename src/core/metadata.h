@@ -145,6 +145,7 @@ class MetadataCache
 
     MetadataCacheConfig cfg_;
     unsigned setsPerSlice_;
+    u64 sets_; ///< slices * setsPerSlice_
     std::vector<Line> lines_; // [slice][set][way] flattened
     u64 tick_ = 0;
     u64 accesses_ = 0;

@@ -24,14 +24,15 @@
 namespace buddy {
 
 /**
- * Time one batch through @p windows, a fresh group (the batch is the
- * latency-overlap scope). Reads each op's direction from @p ops and its
- * sectors and codec pass from @p infos (compression for writes,
- * decompression otherwise); adds the seven cycle totals to @p summary —
- * the serial device/buddy charges (RequestWindow::cost), the codec
- * latency, and the four windowed makespans — and writes each info's
+ * Time one batch through @p windows, a group new or reset per batch
+ * (WindowGroup::reset(); the batch is the latency-overlap scope).
+ * Reads each op's direction from @p ops and its sectors and codec pass
+ * from @p infos (compression for writes, decompression otherwise);
+ * adds the seven cycle totals to @p summary — the serial device/buddy
+ * charges (RequestWindow::cost), the codec latency, and the four
+ * windowed makespans — and writes each info's
  * codecCycles, the one cycle field an AccessInfo keeps. Any traffic
- * record re-times this way: over fresh windows of any W or codec
+ * record re-times this way: over new windows of any W or codec
  * timing, without re-executing the batch. When
  * given, @p occupancy and @p stall sample each op's post-issue window
  * occupancy (both links) and window-constraint wait.

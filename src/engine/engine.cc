@@ -214,8 +214,10 @@ ShardedEngine::execute(AccessBatch &batch)
         // of the batch. Per-op traffic is a pure function of the plan,
         // so the charges are identical under any sharding and bit-
         // identical to a single controller executing the same plan
-        // (every shard runs the same timing config).
-        timing::WindowGroup group = shards_[0]->makeWindows();
+        // (every shard runs the same timing config). Shard 0 ran
+        // untimed, so its window group is free to reset and reuse.
+        timing::WindowGroup &group = shards_[0]->windows_;
+        group.reset();
         windowBatch(batch.ops_, batch.results_, group, merged,
                     probes_.windowOccupancy, probes_.windowStall);
         maxDevOut = group.device().maxOutstanding();
@@ -304,17 +306,19 @@ ShardedEngine::execute(AccessBatch &batch)
         probes_.batchOps->add(n);
     }
 
-    // Timeline hook: one record per batch.
+    // Timeline hook: one record per batch, its spans in shard order.
     if (observer_ != nullptr) {
-        obs::BatchRecord rec;
+        obs::BatchRecord &rec = record_;
         rec.seq = batch.submitSeq_;
         rec.tenant = batch.tenant();
         rec.summary = merged;
         rec.maxDeviceOutstanding = maxDevOut;
         rec.maxBuddyOutstanding = maxBudOut;
-        rec.shards.reserve(active_.size());
-        for (const unsigned s : active_) {
+        rec.shards.clear();
+        for (unsigned s = 0; s < shardCount(); ++s) {
             const SubPlan &sp = subs_[s];
+            if (sp.origIdx.empty())
+                continue;
             obs::BatchRecord::ShardSpan span;
             span.shard = s;
             span.ops = sp.plan.ops_.size();
@@ -325,11 +329,6 @@ ShardedEngine::execute(AccessBatch &batch)
                                       : merged.combinedWindowCycles;
             rec.shards.push_back(span);
         }
-        std::sort(rec.shards.begin(), rec.shards.end(),
-                  [](const obs::BatchRecord::ShardSpan &x,
-                     const obs::BatchRecord::ShardSpan &y) {
-                      return x.shard < y.shard;
-                  });
         observer_->onBatchComplete(rec);
     }
 

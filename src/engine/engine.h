@@ -235,10 +235,10 @@ class ShardedEngine
      * Windowed timing (BuddyConfig::windowMode) runs once per batch.
      * Under the default Merged mode the shards run only the functional
      * pass; after the merge the engine windows the merged submission-
-     * order traffic (BuddyConfig::linkWindow) through one WindowGroup —
-     * the single-GPU equivalent of the plan — so the per-op and summary
-     * *WindowCycles fields do not depend on the shard count, exactly
-     * like the serial cycle totals
+     * order traffic (BuddyConfig::linkWindow) through one WindowGroup,
+     * shard 0's, reset per batch — the single-GPU equivalent of the
+     * plan — so the per-op and summary *WindowCycles fields do not
+     * depend on the shard count, exactly like the serial cycle totals
      * (tests/test_engine.cc pins this). Under PerShard mode each shard
      * windows its own sub-plan (N GPUs, one MSHR pool each), those
      * per-op charges stand, and the summary window fields carry the max
@@ -444,6 +444,10 @@ class ShardedEngine
     WindowImbalanceStats imbalance_;
     EngineProbes probes_;
     obs::BatchObserver *observer_ = nullptr;
+
+    /** The record handed to observer_, reused by every execute(): its
+     *  shard spans are cleared, not freed, between batches. */
+    obs::BatchRecord record_;
 
     /** Submission sequence of the next batch (obs::BatchRecord::seq). */
     u64 nextSeq_ = 0;

@@ -30,14 +30,36 @@ const u8 kZeroEntry[kEntryBytes] = {};
 // multiplication below and alias a small VA instead of failing.
 constexpr u64 kMaxEntryIndex = u64{1} << 50;
 
+/** Bytes of @p v's LEB128 varint: one per 7 bits, at most 10. */
+std::size_t
+varintBytes(u64 v)
+{
+    std::size_t n = 1;
+    while (v >= 0x80) {
+        ++n;
+        v >>= 7;
+    }
+    return n;
+}
+
+/** Encode @p v as a LEB128 varint at @p out, which has room for
+ *  varintBytes(v) bytes; @return one past the last byte written. */
+u8 *
+encodeVarint(u8 *out, u64 v)
+{
+    while (v >= 0x80) {
+        *out++ = static_cast<u8>(v) | 0x80;
+        v >>= 7;
+    }
+    *out++ = static_cast<u8>(v);
+    return out;
+}
+
 void
 putVarint(std::vector<u8> &out, u64 v)
 {
-    while (v >= 0x80) {
-        out.push_back(static_cast<u8>(v) | 0x80);
-        v >>= 7;
-    }
-    out.push_back(static_cast<u8>(v));
+    u8 buf[10];
+    out.insert(out.end(), buf, encodeVarint(buf, v));
 }
 
 /** Bounds-checked byte-stream reader over a loaded trace image. */
@@ -178,10 +200,16 @@ TraceRecorderSink::onAccess(const api::AccessEvent &event)
     u8 tag = static_cast<u8>(event.kind);
     if (zero_write)
         tag |= kTagZeroWrite;
-    stream_.push_back(tag);
-    putVarint(stream_, event.va / kEntryBytes);
+    // The record is sized once and encoded in place: tag, entry-index
+    // varint, then the payload of a non-zero write.
+    const u64 idx = event.va / kEntryBytes;
+    const std::size_t at = stream_.size();
+    stream_.resize(at + 1 + varintBytes(idx) + (payload ? kEntryBytes : 0));
+    u8 *out = stream_.data() + at;
+    *out++ = tag;
+    out = encodeVarint(out, idx);
     if (payload)
-        stream_.insert(stream_.end(), event.data, event.data + kEntryBytes);
+        std::memcpy(out, event.data, kEntryBytes);
     ++ops_;
     ++opsInBatch_;
 }
@@ -198,8 +226,7 @@ TraceRecorderSink::onBatch(const BatchSummary &summary)
 std::vector<u8>
 TraceRecorderSink::serialize() const
 {
-    std::vector<u8> out;
-    out.insert(out.end(), kMagic, kMagic + 4);
+    std::vector<u8> out(kMagic, kMagic + 4);
     out.push_back(kTraceFormatVersion);
     putVarint(out, allocs_.size());
     for (const TraceAllocation &a : allocs_) {

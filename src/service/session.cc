@@ -38,12 +38,6 @@ TenantSession::TenantSession(std::string name,
                         data_.data() + i * kEntryBytes);
 }
 
-u64
-TenantSession::totalBatches() const
-{
-    return cursor_ ? cursor_->totalBatches() : batchCount_;
-}
-
 void
 TenantSession::setArrivals(const ArrivalSpec &spec)
 {

@@ -141,7 +141,11 @@ class TenantSession
     const std::string &name() const { return name_; }
 
     /** Batches the whole stream yields. */
-    u64 totalBatches() const;
+    u64
+    totalBatches() const
+    {
+        return cursor_ ? cursor_->totalBatches() : batchCount_;
+    }
 
     /** Batches handed to the scheduler so far. */
     u64

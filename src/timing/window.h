@@ -37,7 +37,9 @@
  * cost() reads only the link timing, so the serial per-operation
  * charges — and every determinism contract resting on their purity —
  * are independent of what the window has issued. The windowed totals
- * are themselves a pure function of the scheduled request stream. One
+ * are themselves a pure function of the scheduled request stream, and
+ * reset() returns a window to its freshly constructed state, so a
+ * window reset per batch yields the same totals as a new one. One
  * scheduler feeds the windows: windowBatch() (core/window_pass.h),
  * which issues a batch's submission-order stream once per GPU boundary
  * — called by BuddyController::execute and, under WindowMode::Merged,
@@ -99,8 +101,8 @@ void validateWindowedTiming(const LinkTiming &timing, u64 window,
 
 /**
  * A windowed (MSHR-style) scheduler over one link (see file header).
- * Constructed per request stream — e.g. one per link per access batch —
- * so windowed totals stay additive across batches.
+ * Reset per request stream — e.g. per access batch — so windowed
+ * totals stay additive across batches.
  */
 class RequestWindow
 {
@@ -115,6 +117,27 @@ class RequestWindow
           write_(timing.latency, timing.writeBytesPerCycle)
     {
         validateWindowedTiming(timing, window, "RequestWindow");
+    }
+
+    /**
+     * Return to the freshly constructed state (same timing and W):
+     * idle servers, no outstanding requests, zero frontiers and
+     * counters. Clearing inflight_ keeps its map and a node, so the
+     * reset itself allocates nothing, unlike building a new window.
+     */
+    void
+    reset()
+    {
+        read_ = LatencyBandwidthServer(timing_.latency,
+                                       timing_.readBytesPerCycle);
+        write_ = LatencyBandwidthServer(timing_.latency,
+                                        timing_.writeBytesPerCycle);
+        inflight_.clear();
+        lastIssue_ = 0;
+        frontier_ = 0;
+        issued_ = 0;
+        maxOutstanding_ = 0;
+        lastStall_ = 0;
     }
 
     /** Serial (unloaded) cost of a lone @p bytes round trip:
@@ -248,7 +271,7 @@ class RequestWindow
  * fixed-function FCFS pipeline parameterized by CodecTiming. Work is
  * admitted in stream order; a new entry may enter every cyclesPerEntry
  * cycles and leaves latency() cycles after it entered. Like the
- * windows, a stage is built per request stream (one per batch), so
+ * windows, a stage is reset per request stream (per batch), so
  * codec-charged totals stay additive across batches. With free timing
  * every admit() is an exact no-op (returns the availability time,
  * advances nothing).
@@ -257,6 +280,16 @@ class CodecStage
 {
   public:
     explicit CodecStage(const CodecTiming &timing) : timing_(timing) {}
+
+    /** Return to the freshly constructed state: an empty pipe and
+     *  zero counters. */
+    void
+    reset()
+    {
+        nextAccept_ = 0;
+        lastStall_ = 0;
+        entries_ = 0;
+    }
 
     /**
      * Admit one entry whose input becomes available at @p avail.
@@ -341,8 +374,8 @@ struct GroupCharge
  *
  * per batch (equality with max holds for the frontier of a group; the
  * bracket is what the fuzz tests pin through the whole stack). Like
- * RequestWindow, a group is built per request stream (one per batch)
- * and all arithmetic is exact unsigned 64-bit.
+ * RequestWindow, a group is reset per request stream (per batch) and
+ * all arithmetic is exact unsigned 64-bit.
  *
  * The optional codec stage (see the file header) adds a fourth,
  * codec-charged frontier: each op's completion including its codec
@@ -362,6 +395,18 @@ class WindowGroup
         : device_(std::move(device)), buddy_(std::move(buddy)),
           codec_(codec)
     {}
+
+    /** Return both windows, the codec stage and the two frontiers to
+     *  their freshly constructed state (RequestWindow::reset()). */
+    void
+    reset()
+    {
+        device_.reset();
+        buddy_.reset();
+        codec_.reset();
+        combined_ = 0;
+        charged_ = 0;
+    }
 
     /**
      * Issue one access: @p device_bytes over the device link and

@@ -612,6 +612,117 @@ TEST(Controller, StatsTrackBuddyAccessFraction)
     EXPECT_NEAR(c.stats().buddyAccessFraction(), 0.5, 0.05);
 }
 
+TEST(Controller, LocateAfterFreeOfLastTouchedAllocation)
+{
+    // locate() remembers the allocation it found last. Freeing that
+    // allocation must forget it: ops on B and on a newly allocated C
+    // must then see what a controller that never touched A sees. The
+    // reference allocates and frees A too, untouched, so both place B
+    // and C at the same addresses; both flush the metadata cache and
+    // clear stats() at the free. Under ASan a remembered pointer into
+    // the freed allocation is a use-after-free.
+    const u64 bytes = 4 * kPageBytes;
+    const std::size_t n = 16;
+    Rng rng(31);
+    std::vector<u8> data(n * kEntryBytes);
+    for (std::size_t e = 0; e < n; ++e) {
+        if (e % 2 == 0)
+            fillCompressible(rng, data.data() + e * kEntryBytes);
+        else
+            fillRandom(rng, data.data() + e * kEntryBytes);
+    }
+
+    auto run = [&](bool touch_a, std::vector<AccessInfo> &results,
+                   std::vector<u8> &out) {
+        BuddyController c(smallConfig());
+        const auto b = c.allocate("b", bytes, CompressionTarget::Ratio2);
+        const auto a = c.allocate("a", bytes, CompressionTarget::Ratio2);
+        EXPECT_TRUE(a && b);
+        const Addr b_va = c.allocations().at(*b).va;
+        const Addr a_va = c.allocations().at(*a).va;
+        if (touch_a) {
+            AccessBatch touch;
+            for (std::size_t e = 0; e < n; ++e) {
+                touch.write(b_va + e * kEntryBytes,
+                            data.data() + e * kEntryBytes);
+                touch.write(a_va + e * kEntryBytes,
+                            data.data() + e * kEntryBytes);
+            }
+            c.execute(touch);
+            // A is the allocation touched last.
+            EXPECT_FALSE(readOne(c, a_va, out.data()).isZero);
+        }
+        c.free(*a);
+        c.metadataCache().flush();
+        c.clearStats();
+
+        const auto cid = c.allocate("c", bytes, CompressionTarget::Ratio2);
+        EXPECT_TRUE(cid.has_value());
+        const Addr c_va = c.allocations().at(*cid).va;
+        AccessBatch batch;
+        for (std::size_t e = 0; e < n; ++e) {
+            batch.write(c_va + e * kEntryBytes,
+                        data.data() + (n - 1 - e) * kEntryBytes);
+            batch.write(b_va + e * kEntryBytes,
+                        data.data() + e * kEntryBytes);
+        }
+        for (std::size_t e = 0; e < n; ++e) {
+            batch.read(b_va + e * kEntryBytes, &out[e * kEntryBytes]);
+            batch.read(c_va + e * kEntryBytes,
+                       &out[(n + e) * kEntryBytes]);
+            batch.probe(c_va + e * kEntryBytes);
+        }
+        c.execute(batch);
+        results = batch.results();
+        return c.stats();
+    };
+
+    std::vector<AccessInfo> got, want;
+    std::vector<u8> got_out(2 * n * kEntryBytes);
+    std::vector<u8> want_out(2 * n * kEntryBytes);
+    const BatchSummary got_stats = run(true, got, got_out);
+    const BatchSummary want_stats = run(false, want, want_out);
+
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].deviceSectors, want[i].deviceSectors) << "op " << i;
+        EXPECT_EQ(got[i].buddySectors, want[i].buddySectors) << "op " << i;
+        EXPECT_EQ(got[i].metadataHit, want[i].metadataHit) << "op " << i;
+        EXPECT_EQ(got[i].isZero, want[i].isZero) << "op " << i;
+        EXPECT_EQ(got[i].codecPass, want[i].codecPass) << "op " << i;
+        EXPECT_EQ(got[i].storedBits, want[i].storedBits) << "op " << i;
+        EXPECT_EQ(got[i].codecCycles, want[i].codecCycles) << "op " << i;
+    }
+    EXPECT_EQ(got_out, want_out);
+    for (std::size_t e = 0; e < n; ++e) {
+        EXPECT_EQ(std::memcmp(&got_out[e * kEntryBytes],
+                              &data[e * kEntryBytes], kEntryBytes),
+                  0)
+            << "b entry " << e;
+        EXPECT_EQ(std::memcmp(&got_out[(n + e) * kEntryBytes],
+                              &data[(n - 1 - e) * kEntryBytes], kEntryBytes),
+                  0)
+            << "c entry " << e;
+    }
+    EXPECT_EQ(got_stats.reads, want_stats.reads);
+    EXPECT_EQ(got_stats.writes, want_stats.writes);
+    EXPECT_EQ(got_stats.probes, want_stats.probes);
+    EXPECT_EQ(got_stats.deviceSectors, want_stats.deviceSectors);
+    EXPECT_EQ(got_stats.buddySectors, want_stats.buddySectors);
+    EXPECT_EQ(got_stats.metadataHits, want_stats.metadataHits);
+    EXPECT_EQ(got_stats.metadataMisses, want_stats.metadataMisses);
+    EXPECT_EQ(got_stats.buddyAccesses, want_stats.buddyAccesses);
+    EXPECT_EQ(got_stats.deviceCycles, want_stats.deviceCycles);
+    EXPECT_EQ(got_stats.buddyCycles, want_stats.buddyCycles);
+    EXPECT_EQ(got_stats.deviceWindowCycles, want_stats.deviceWindowCycles);
+    EXPECT_EQ(got_stats.buddyWindowCycles, want_stats.buddyWindowCycles);
+    EXPECT_EQ(got_stats.combinedWindowCycles,
+              want_stats.combinedWindowCycles);
+    EXPECT_EQ(got_stats.codecCycles, want_stats.codecCycles);
+    EXPECT_EQ(got_stats.codecChargedWindowCycles,
+              want_stats.codecChargedWindowCycles);
+}
+
 TEST(ControllerDeath, MisalignedAccessPanics)
 {
     BuddyController c(smallConfig());

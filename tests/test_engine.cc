@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <future>
@@ -730,6 +731,64 @@ TEST(ShardedEngine, RecycledSubPlansMatchSingleControllerAcrossShardSets)
     for (std::size_t b = 0; b < wantSums.size(); ++b)
         EXPECT_TRUE(sameSummary(gotSums[b], wantSums[b])) << "batch " << b;
     EXPECT_TRUE(sameStats(eng, single));
+}
+
+TEST(ShardedEngine, ShardSpansAscendAndNoneGoStale)
+{
+    // The BatchRecord is reused across batches and its spans are filled
+    // in shard order. Batch 1 visits the allocations from the highest
+    // shard down, so its first op lands on a higher shard than a later
+    // op; its spans must still ascend. Batch 2 touches one shard and
+    // must carry exactly that one span, none left from batch 1.
+    ShardedEngine eng(engineConfig(4));
+    BatchLog log;
+    eng.setBatchObserver(&log);
+    const auto vas = allocateSet(eng);
+    std::vector<unsigned> shardOf;
+    for (const auto &[id, a] : eng.allocations())
+        shardOf.push_back(a.shard);
+    ASSERT_EQ(shardOf.size(), kAllocs);
+    std::vector<std::size_t> order(kAllocs);
+    for (std::size_t a = 0; a < kAllocs; ++a)
+        order[a] = a;
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t x, std::size_t y) {
+                         return shardOf[x] > shardOf[y];
+                     });
+    const std::set<unsigned> used(shardOf.begin(), shardOf.end());
+    ASSERT_GE(used.size(), 2u);
+    ASSERT_GT(shardOf[order.front()], shardOf[order.back()]);
+
+    const auto entries = mixedEntries(kN, 9);
+    AccessBatch first;
+    for (const std::size_t a : order)
+        for (std::size_t i = 0; i < 4; ++i) {
+            const std::size_t e = a * kEntriesPerAlloc + i;
+            first.write(vas[e], entries[e].data());
+        }
+    eng.execute(first);
+
+    std::vector<u8> out(kEntriesPerAlloc * kEntryBytes);
+    AccessBatch second;
+    for (std::size_t i = 0; i < 8; ++i)
+        second.read(vas[i], &out[i * kEntryBytes]);
+    eng.execute(second);
+
+    ASSERT_EQ(log.records.size(), 2u);
+    const obs::BatchRecord &r1 = log.records[0];
+    ASSERT_EQ(r1.shards.size(), used.size());
+    for (std::size_t k = 1; k < r1.shards.size(); ++k)
+        EXPECT_LT(r1.shards[k - 1].shard, r1.shards[k].shard)
+            << "span " << k;
+    for (const obs::BatchRecord::ShardSpan &span : r1.shards)
+        EXPECT_EQ(span.ops,
+                  4u * static_cast<u64>(std::count(
+                           shardOf.begin(), shardOf.end(), span.shard)));
+
+    const obs::BatchRecord &r2 = log.records[1];
+    ASSERT_EQ(r2.shards.size(), 1u);
+    EXPECT_EQ(r2.shards[0].shard, shardOf[0]);
+    EXPECT_EQ(r2.shards[0].ops, 8u);
 }
 
 TEST(ShardedEngine, FreeReleasesCapacityOnOwningShard)

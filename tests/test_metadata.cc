@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+
 #include "common/rng.h"
 #include "core/metadata.h"
 
@@ -128,6 +131,100 @@ TEST(MetadataCache, HashedPlacementDefeatsStrideConflicts)
             c.access(i * stride);
     EXPECT_GT(c.hitRate().value(), 0.5)
         << "stride-conflicting streams must not thrash";
+}
+
+/**
+ * A reference of the cache's placement and replacement, kept apart from
+ * its implementation: a line's slice is hash(line) mod slices, its set
+ * within the slice is (hash(line) / slices) mod setsPerSlice, and each
+ * set holds up to `ways` lines, evicting the least recently used.
+ */
+class ReferenceMetadataCache
+{
+  public:
+    explicit ReferenceMetadataCache(const MetadataCacheConfig &cfg)
+        : cfg_(cfg),
+          setsPerSlice_(cfg.totalBytes / cfg.slices /
+                        (cfg.lineBytes * cfg.ways))
+    {}
+
+    bool
+    access(std::size_t entry_idx)
+    {
+        ++tick_;
+        const u64 line = entry_idx / (cfg_.lineBytes * 8 /
+                                      kMetadataBitsPerEntry);
+        u64 h = line;
+        h ^= h >> 30;
+        h *= 0xbf58476d1ce4e5b9ull;
+        h ^= h >> 27;
+        h *= 0x94d049bb133111ebull;
+        h ^= h >> 31;
+        const u64 slice = h % cfg_.slices;
+        const u64 set = (h / cfg_.slices) % setsPerSlice_;
+        std::map<u64, u64> &lines = sets_[{slice, set}]; // tag -> last use
+        const auto it = lines.find(line);
+        if (it != lines.end()) {
+            it->second = tick_;
+            return true;
+        }
+        if (lines.size() == cfg_.ways) {
+            auto lru = lines.begin();
+            for (auto l = lines.begin(); l != lines.end(); ++l)
+                if (l->second < lru->second)
+                    lru = l;
+            lines.erase(lru);
+        }
+        lines[line] = tick_;
+        return false;
+    }
+
+  private:
+    MetadataCacheConfig cfg_;
+    u64 setsPerSlice_;
+    std::map<std::pair<u64, u64>, std::map<u64, u64>> sets_;
+    u64 tick_ = 0;
+};
+
+TEST(MetadataCache, PlacementMatchesTheSliceThenSetReference)
+{
+    // Hit for hit against the reference, at the default geometry and at
+    // slice and set counts that are not powers of two, over a working
+    // set a few times the cache's capacity (so sets conflict and evict).
+    struct Geometry
+    {
+        unsigned slices, ways;
+        std::size_t totalBytes;
+    };
+    const Geometry geometries[] = {
+        {8, 4, 64 * KiB},      // the default: 8 slices x 64 sets x 4 ways
+        {3, 2, 3 * 5 * 2 * 32}, // 3 slices x 5 sets x 2 ways
+        {7, 1, 7 * 6 * 32},    // 7 slices x 6 sets, direct mapped
+        {1, 4, 4 * 32},        // 1 slice, 1 set
+    };
+    for (const Geometry &g : geometries) {
+        MetadataCacheConfig cfg;
+        cfg.slices = g.slices;
+        cfg.ways = g.ways;
+        cfg.lineBytes = 32;
+        cfg.totalBytes = g.totalBytes;
+        MetadataCache cache(cfg);
+        ReferenceMetadataCache ref(cfg);
+        const std::size_t lines = 3 * cfg.totalBytes / cfg.lineBytes + 4;
+        Rng rng(g.slices * 100 + g.ways);
+        for (std::size_t i = 0; i < 20000; ++i) {
+            // Mostly a bounded working set, some far-away entries.
+            const std::size_t e =
+                rng.below(8) == 0
+                    ? rng.below(u64{1} << 40)
+                    : rng.below(lines) * cache.entriesPerLine() +
+                          rng.below(cache.entriesPerLine());
+            ASSERT_EQ(cache.access(e), ref.access(e))
+                << g.slices << " slices, " << g.ways << " ways, access " << i;
+        }
+        EXPECT_GT(cache.misses(), 0u);
+        EXPECT_LT(cache.misses(), cache.accesses());
+    }
 }
 
 /** Hit rate grows monotonically with capacity on a looping working set. */

@@ -27,6 +27,8 @@
  *     codec-charged makespan is bracketed by the combined makespan and
  *     combined + the summed codec latencies, monotone in the codec's
  *     initiation interval;
+ *   - WindowGroup::reset() returns a used group to the state of a
+ *     newly built one, observable for observable;
  *   - the timing contract: an untimed run charges no time, and
  *     windowBatch() over fresh windows then reproduces execute()'s
  *     results and summary field for field.
@@ -480,6 +482,138 @@ TEST(WindowGroupCodec, ChargedMakespanIsBracketedAndMonotoneInSpeed)
                           group.codec().timing().latency());
         EXPECT_GE(group.chargedElapsed(), prev_charged);
         prev_charged = group.chargedElapsed();
+    }
+}
+
+// ------------------------------------------------------------- reset --
+
+/** The first observable on which windows @p x and @p y differ, if any:
+ *  frontier, counters, last stall and both pipes' counters. */
+testing::AssertionResult
+sameWindowState(const RequestWindow &x, const RequestWindow &y)
+{
+    const std::pair<const char *, std::pair<u64, u64>> fields[] = {
+        {"elapsed", {x.elapsed(), y.elapsed()}},
+        {"issued", {x.issued(), y.issued()}},
+        {"outstanding", {x.outstanding(), y.outstanding()}},
+        {"maxOutstanding", {x.maxOutstanding(), y.maxOutstanding()}},
+        {"lastStall", {x.lastStall(), y.lastStall()}},
+        {"reader.nextFree", {x.reader().nextFree(), y.reader().nextFree()}},
+        {"reader.busy", {x.reader().busyCycles(), y.reader().busyCycles()}},
+        {"reader.queued",
+         {x.reader().queuedCycles(), y.reader().queuedCycles()}},
+        {"reader.bytes", {x.reader().bytesServed(), y.reader().bytesServed()}},
+        {"reader.requests", {x.reader().requests(), y.reader().requests()}},
+        {"writer.nextFree", {x.writer().nextFree(), y.writer().nextFree()}},
+        {"writer.busy", {x.writer().busyCycles(), y.writer().busyCycles()}},
+        {"writer.queued",
+         {x.writer().queuedCycles(), y.writer().queuedCycles()}},
+        {"writer.bytes", {x.writer().bytesServed(), y.writer().bytesServed()}},
+        {"writer.requests", {x.writer().requests(), y.writer().requests()}},
+    };
+    for (const auto &[name, v] : fields)
+        if (v.first != v.second)
+            return testing::AssertionFailure()
+                   << name << ": " << v.first << " vs " << v.second;
+    return testing::AssertionSuccess();
+}
+
+/** The first observable on which groups @p a and @p b differ, if any. */
+testing::AssertionResult
+sameGroupState(const WindowGroup &a, const WindowGroup &b)
+{
+    if (const auto r = sameWindowState(a.device(), b.device()); !r)
+        return testing::AssertionFailure() << "device " << r.message();
+    if (const auto r = sameWindowState(a.buddy(), b.buddy()); !r)
+        return testing::AssertionFailure() << "buddy " << r.message();
+    const std::pair<const char *, std::pair<u64, u64>> fields[] = {
+        {"combinedElapsed", {a.combinedElapsed(), b.combinedElapsed()}},
+        {"chargedElapsed", {a.chargedElapsed(), b.chargedElapsed()}},
+        {"codec.entries", {a.codec().entries(), b.codec().entries()}},
+        {"codec.lastStall", {a.codec().lastStall(), b.codec().lastStall()}},
+    };
+    for (const auto &[name, v] : fields)
+        if (v.first != v.second)
+            return testing::AssertionFailure()
+                   << name << ": " << v.first << " vs " << v.second;
+    return testing::AssertionSuccess();
+}
+
+/** One op of a seeded mixed group stream. */
+struct GroupOp
+{
+    LinkDir dir;
+    u64 device;
+    u64 buddy;
+    CodecWork work;
+};
+
+std::vector<GroupOp>
+randomGroupStream(u64 seed, std::size_t n)
+{
+    Rng rng(seed);
+    std::vector<GroupOp> ops;
+    ops.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const LinkDir dir = rng.below(2) ? LinkDir::Read : LinkDir::Write;
+        const u64 dev_bytes = rng.below(3) ? 32 * rng.below(5) : 0;
+        const u64 bud_bytes = rng.below(3) ? 32 * rng.below(4) : 0;
+        CodecWork work = CodecWork::None;
+        if (rng.below(3) != 0)
+            work = dir == LinkDir::Write ? CodecWork::Compress
+                                         : CodecWork::Decompress;
+        ops.push_back({dir, dev_bytes, bud_bytes, work});
+    }
+    return ops;
+}
+
+TEST(WindowGroup, ResetMatchesAFreshGroup)
+{
+    // A group reset after one stream must be indistinguishable from a
+    // newly built group: the same charges op for op and the same
+    // frontiers, counters, stalls and pipe counters at every step of
+    // the next stream, including before its first op. A reset() that
+    // forgets any one field of the windows, their pipes, the codec
+    // stage or the group's frontiers shows up as a difference here.
+    const LinkTiming dev{2, 64, 64};
+    const LinkTiming bud{50, 8, 8};
+    const auto first = randomGroupStream(700, 500);
+    const auto second = randomGroupStream(701, 500);
+    for (const u64 w : {1ull, 4ull, 1ull << 20}) {
+        for (const CodecTiming codec : {CodecTiming{}, CodecTiming{3, 4}}) {
+            SCOPED_TRACE(testing::Message()
+                         << "W " << w << ", codec ii "
+                         << codec.cyclesPerEntry);
+            WindowGroup reused(RequestWindow(dev, w), RequestWindow(bud, w),
+                               codec);
+            for (const GroupOp &op : first)
+                reused.issue(op.dir, op.device, op.buddy, op.work);
+            // Two compressions in a row: the second waits on the unit.
+            reused.issue(LinkDir::Write, 32, 0, CodecWork::Compress);
+            reused.issue(LinkDir::Write, 32, 0, CodecWork::Compress);
+            // The first stream must leave state for reset() to clear.
+            ASSERT_GT(reused.device().maxOutstanding(), 0u);
+            ASSERT_GT(reused.buddy().reader().requests(), 0u);
+            ASSERT_GT(reused.buddy().writer().requests(), 0u);
+            ASSERT_EQ(reused.codec().lastStall() > 0, !codec.free());
+            reused.reset();
+
+            WindowGroup fresh(RequestWindow(dev, w), RequestWindow(bud, w),
+                              codec);
+            ASSERT_TRUE(sameGroupState(reused, fresh)) << "after reset()";
+            for (std::size_t i = 0; i < second.size(); ++i) {
+                const GroupOp &op = second[i];
+                const GroupCharge a =
+                    reused.issue(op.dir, op.device, op.buddy, op.work);
+                const GroupCharge b =
+                    fresh.issue(op.dir, op.device, op.buddy, op.work);
+                ASSERT_EQ(a.device, b.device) << "op " << i;
+                ASSERT_EQ(a.buddy, b.buddy) << "op " << i;
+                ASSERT_EQ(a.combined, b.combined) << "op " << i;
+                ASSERT_EQ(a.codecCharged, b.codecCharged) << "op " << i;
+                ASSERT_TRUE(sameGroupState(reused, fresh)) << "op " << i;
+            }
+        }
     }
 }
 
