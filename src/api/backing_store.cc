@@ -1,11 +1,13 @@
 #include "api/backing_store.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <memory>
+#include <iterator>
 
+#include "common/check.h"
 #include "common/log.h"
 
 namespace buddy {
@@ -13,76 +15,75 @@ namespace api {
 
 namespace {
 
-/**
- * Shared flat-memory implementation behind every in-process kind. The
- * bytes come from calloc, not a zero-filled vector: a fresh allocation
- * is then zero pages the kernel maps on first touch, so constructing a
- * controller costs no page faults for memory the run never writes, and
- * that cost does not depend on whether the allocator recycled the
- * memory of an earlier store.
- */
-class FlatStore : public BackingStore
-{
-  public:
-    FlatStore(const char *kind, u64 capacity_bytes,
-              const timing::LinkTiming &timing)
-        : BackingStore(kind, timing), size_(capacity_bytes),
-          data_(static_cast<u8 *>(
-              std::calloc(std::max<u64>(capacity_bytes, 1), 1)))
-    {
-        BUDDY_CHECK(data_ != nullptr, "backing-store allocation failed");
-    }
+/** Granule populate() touches: the base page size of every host the
+ *  simulator targets (with larger pages, the extra touches are hits). */
+constexpr u64 kFaultBytes = 4 * KiB;
 
-    u64 capacity() const override { return size_; }
-
-  protected:
-    void
-    doWrite(Addr addr, const u8 *src, std::size_t len) override
-    {
-        BUDDY_CHECK(addr + len <= size_, "backing-store write out of range");
-        std::memcpy(data_.get() + addr, src, len);
-    }
-
-    void
-    doRead(Addr addr, u8 *dst, std::size_t len) const override
-    {
-        BUDDY_CHECK(addr + len <= size_, "backing-store read out of range");
-        std::memcpy(dst, data_.get() + addr, len);
-    }
-
-  private:
-    struct Free
-    {
-        void operator()(u8 *p) const { std::free(p); }
-    };
-
-    u64 size_;
-    std::unique_ptr<u8[], Free> data_;
-};
-
-/**
- * NVLink peer access to another shard's device memory. The bytes model
- * a region reserved in the peer GPU's memory exclusively for this
- * shard's carve-out, so the storage is owned here (no cross-shard data
- * races); what distinguishes the kind is its NVLink-peer link timing
- * and the recorded peer topology, which the sharded engine wires as a
- * ring (shard s spills into shard (s+1) mod N).
- */
-class PeerStore : public FlatStore
-{
-  public:
-    PeerStore(u64 capacity_bytes, const timing::LinkTiming &timing,
-              int peer_ordinal)
-        : FlatStore("peer", capacity_bytes, timing), peer_(peer_ordinal)
-    {}
-
-    int peerOrdinal() const override { return peer_; }
-
-  private:
-    int peer_;
-};
+/** Every kind makeBackingStore() accepts; a store keeps its kind as a
+ *  pointer into this table. */
+constexpr const char *kKinds[] = {"dram", "host-um", "remote", "peer"};
 
 } // namespace
+
+/**
+ * The bytes are a private anonymous mapping, not heap memory: its pages
+ * are zero, are made resident only when first touched, and go back to
+ * the kernel in the destructor, so no later store is handed recycled
+ * (and cleared) memory. MAP_NORESERVE: the capacity is address space,
+ * not a commitment; only populated and written pages are backed.
+ */
+BackingStore::BackingStore(const char *kind, u64 capacity_bytes,
+                           const timing::LinkTiming &timing,
+                           int peer_ordinal)
+    : kind_(kind), timing_(timing), peer_(peer_ordinal),
+      size_(capacity_bytes)
+{
+    void *p = ::mmap(nullptr, std::max<u64>(size_, 1),
+                     PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    BUDDY_CHECK(p != MAP_FAILED, "backing-store mapping failed");
+    data_ = static_cast<u8 *>(p);
+}
+
+BackingStore::~BackingStore()
+{
+    ::munmap(data_, std::max<u64>(size_, 1));
+}
+
+void
+BackingStore::populate(Addr addr, u64 len)
+{
+    if (len == 0)
+        return;
+    BUDDY_CHECK(addr + len <= size_, "backing-store populate out of range");
+    // One write per page: an atomic add of zero is a single write fault
+    // on an untouched page (a plain read-then-write would fault twice,
+    // first mapping the shared zero page) and leaves written bytes as
+    // they are.
+    const u64 first = addr / kFaultBytes * kFaultBytes;
+    for (u64 page = first; page < addr + len; page += kFaultBytes) {
+        u8 *const byte = data_ + std::max<u64>(page, addr);
+        __atomic_fetch_add(byte, static_cast<u8>(0), __ATOMIC_RELAXED);
+    }
+}
+
+void
+BackingStore::write(Addr addr, const u8 *src, std::size_t len)
+{
+    BUDDY_CHECK(addr + len <= size_, "backing-store write out of range");
+    std::memcpy(data_ + addr, src, len);
+    written_ += len;
+    ++writeOps_;
+}
+
+void
+BackingStore::read(Addr addr, u8 *dst, std::size_t len) const
+{
+    BUDDY_CHECK(addr + len <= size_, "backing-store read out of range");
+    std::memcpy(dst, data_ + addr, len);
+    read_ += len;
+    ++readOps_;
+}
 
 std::unique_ptr<BackingStore>
 makeBackingStore(const std::string &kind, u64 capacity_bytes)
@@ -95,20 +96,14 @@ std::unique_ptr<BackingStore>
 makeBackingStore(const std::string &kind, u64 capacity_bytes,
                  const timing::LinkTiming &timing, int peer_ordinal)
 {
-    if (kind == "dram")
-        return std::make_unique<FlatStore>("dram", capacity_bytes, timing);
-    if (kind == "host-um")
-        return std::make_unique<FlatStore>("host-um", capacity_bytes,
-                                           timing);
-    if (kind == "remote")
-        return std::make_unique<FlatStore>("remote", capacity_bytes,
-                                           timing);
-    if (kind == "peer")
-        return std::make_unique<PeerStore>(capacity_bytes, timing,
-                                           peer_ordinal);
+    for (const char *k : kKinds)
+        if (kind == k)
+            return std::unique_ptr<BackingStore>(new BackingStore(
+                k, capacity_bytes, timing,
+                kind == "peer" ? peer_ordinal : -1));
 
     std::string known;
-    for (const auto &k : backingStoreKinds()) {
+    for (const char *k : kKinds) {
         if (!known.empty())
             known += ", ";
         known += k;
@@ -122,7 +117,7 @@ makeBackingStore(const std::string &kind, u64 capacity_bytes,
 std::vector<std::string>
 backingStoreKinds()
 {
-    return {"dram", "host-um", "remote", "peer"};
+    return {std::begin(kKinds), std::end(kKinds)};
 }
 
 } // namespace api

@@ -1,17 +1,24 @@
 /**
  * @file
- * BackingStore: the pluggable storage interface behind the controller's
- * device memory and buddy carve-out.
+ * BackingStore: the storage behind the controller's device memory and
+ * buddy carve-out.
  *
  * The functional model needs byte-addressable load/store with capacity
  * and traffic accounting; the timing model needs the latency/bandwidth
- * of the link in front of the store. The base class therefore owns the
- * traffic counters and the store's timing::LinkTiming: concrete stores
- * implement only the raw byte movement (doWrite/doRead) while the
- * non-virtual public calls account the operation. A store keeps no
+ * of the link in front of the store. A store therefore holds its bytes,
+ * its traffic counters and its timing::LinkTiming. A store keeps no
  * clock: the batch's one timing pass (core/window_pass.h) charges an
  * access's sectors through a window over the store's timing
  * (makeWindow()), a pure function of the traffic.
+ *
+ * Residency. The paper reserves the buddy carve-out at boot, 3x the
+ * size of device memory (Section 3.2), but only the slots allocations
+ * reserve ever hold data. A store maps its whole capacity as a private
+ * anonymous mapping, which costs address space and no memory, and the
+ * controller faults in an allocation's slots when it reserves them
+ * (populate()). Resident memory thus follows reserved bytes, not the
+ * configured capacity, and the page faults are paid when an allocation
+ * is made, not by the accesses that later write into it.
  *
  * Four kinds ship in-tree, all flat in-process memory differing in what
  * they model and in their default link timing:
@@ -26,8 +33,8 @@
  *
  * Stores are selected by name through BuddyConfig
  * (deviceBackend/buddyBackend) and created by makeBackingStore(), which
- * fails fast on unknown kinds. Future backends (CXL pools, GPUDirect
- * NVMe) plug in the same way without touching the controller.
+ * fails fast on unknown kinds. A further kind (a CXL pool, GPUDirect
+ * NVMe) is a name and a default LinkTiming.
  */
 
 #pragma once
@@ -46,44 +53,51 @@ namespace api {
 /**
  * Byte-addressable storage with capacity and traffic accounting, and
  * the timing of its link (see file header).
+ *
+ * Every byte of [0, capacity()) reads zero until it is written, whether
+ * or not populate() covered it.
  */
-class BackingStore
+class BackingStore final
 {
   public:
-    BackingStore(const char *kind, const timing::LinkTiming &timing)
-        : kind_(kind), timing_(timing)
-    {}
+    BackingStore(const BackingStore &) = delete;
+    BackingStore &operator=(const BackingStore &) = delete;
+    ~BackingStore();
 
-    virtual ~BackingStore() = default;
-
-    /** Store kind ("dram", "host-um", "remote", "peer", ...). */
+    /** Store kind ("dram", "host-um", "remote", "peer"). */
     const char *kind() const { return kind_; }
 
-    virtual u64 capacity() const = 0;
+    u64 capacity() const { return size_; }
 
     /**
      * Shard ordinal of the GPU whose memory a "peer" store maps, -1 for
-     * every other kind (and for unwired peer stores).
+     * every other kind (and for unwired peer stores). A peer store's
+     * bytes model a region of the peer GPU reserved for this shard's
+     * carve-out, so they are owned here; the sharded engine wires the
+     * shards as a ring (shard s spills into shard (s+1) mod N).
      */
-    virtual int peerOrdinal() const { return -1; }
+    int peerOrdinal() const { return peer_; }
 
-    /** Store @p len bytes at @p addr. */
-    void
-    write(Addr addr, const u8 *src, std::size_t len)
-    {
-        doWrite(addr, src, len);
-        written_ += len;
-        ++writeOps_;
-    }
+    /**
+     * Fault in the pages of [addr, addr + len) without changing their
+     * bytes, so later accesses there take no page fault. A zero-length
+     * range is a no-op at any @p addr (RegionAllocator's zero-size
+     * sentinel base is one past the end). Not traffic: the counters
+     * are left alone.
+     */
+    void populate(Addr addr, u64 len);
+
+    /**
+     * Store @p len bytes at @p addr. write() and read() are direct
+     * calls, deliberately not inline: inlined into the controller's
+     * access path, GCC expands their bounded-length memcpy into
+     * `rep movsq`, which is slower than the library memcpy on
+     * 32–128 B slots.
+     */
+    void write(Addr addr, const u8 *src, std::size_t len);
 
     /** Load @p len bytes from @p addr. */
-    void
-    read(Addr addr, u8 *dst, std::size_t len) const
-    {
-        doRead(addr, dst, len);
-        read_ += len;
-        ++readOps_;
-    }
+    void read(Addr addr, u8 *dst, std::size_t len) const;
 
     /** Total bytes written / read since construction. */
     u64 bytesWritten() const { return written_; }
@@ -106,11 +120,10 @@ class BackingStore
     /**
      * The store's windowed charging mode: an MSHR-style scheduler over
      * this store's link timing that keeps up to @p window round trips
-     * in flight (timing/window.h). Windows are created per request
-     * stream (one per batch in the controller) and own private
-     * servers. window == 1 reproduces the serial charges
-     * (RequestWindow::cost) bit-for-bit; 0 or a zero-bandwidth non-free
-     * link fail fast.
+     * in flight (timing/window.h). A window owns private servers; the
+     * controller builds its windows once and resets them per batch.
+     * window == 1 reproduces the serial charges (RequestWindow::cost)
+     * bit-for-bit; 0 or a zero-bandwidth non-free link fail fast.
      */
     timing::RequestWindow
     makeWindow(u64 window) const
@@ -118,13 +131,19 @@ class BackingStore
         return timing::RequestWindow(timing_, window);
     }
 
-  protected:
-    virtual void doWrite(Addr addr, const u8 *src, std::size_t len) = 0;
-    virtual void doRead(Addr addr, u8 *dst, std::size_t len) const = 0;
-
   private:
+    friend std::unique_ptr<BackingStore>
+    makeBackingStore(const std::string &kind, u64 capacity_bytes,
+                     const timing::LinkTiming &timing, int peer_ordinal);
+
+    BackingStore(const char *kind, u64 capacity_bytes,
+                 const timing::LinkTiming &timing, int peer_ordinal);
+
     const char *kind_;
     timing::LinkTiming timing_;
+    int peer_;
+    u64 size_;
+    u8 *data_; ///< private anonymous mapping of max(size_, 1) bytes
     u64 written_ = 0;
     mutable u64 read_ = 0;
     u64 writeOps_ = 0;

@@ -3,11 +3,13 @@
  * Functional backing stores: GPU device memory and the buddy-memory
  * carve-out region.
  *
- * Both sit on the pluggable api::BackingStore interface, selected by
- * name through BuddyConfig (deviceBackend / buddyBackend). The buddy
- * carve-out is a physically contiguous region of the host/disaggregated
- * memory that is reserved at boot and addressed as GBBR + offset
- * (Section 3.2), which makes buddy translation a single add.
+ * Both are api::BackingStores, selected by name through BuddyConfig
+ * (deviceBackend / buddyBackend). The buddy carve-out is a physically
+ * contiguous region of the host/disaggregated memory that is reserved
+ * at boot and addressed as GBBR + offset (Section 3.2), which makes
+ * buddy translation a single add. Reserving it costs address space
+ * only: a slot's pages become resident when an allocation reserves the
+ * slot (BackingStore::populate()).
  */
 
 #pragma once
@@ -27,8 +29,9 @@ namespace buddy {
  * multiple of device memory (3x for a 4x maximum target ratio). All
  * buddy addressing is offset-based (the GBBR base add is not modelled,
  * since nothing reads host-physical addresses). The storage
- * itself is a pluggable BackingStore ("host-um" by default, "remote"
- * for disaggregated placements).
+ * itself is a BackingStore ("host-um" by default, "remote" for
+ * disaggregated placements), whose pages are resident only where
+ * allocations have reserved buddy slots (populate()).
  */
 class BuddyCarveOut
 {
@@ -66,6 +69,10 @@ class BuddyCarveOut
     {
         mem_->read(offset, dst, len);
     }
+
+    /** Fault in the slots at [offset, offset + len) (a no-op when len
+     *  is 0); see BackingStore::populate(). */
+    void populate(Addr offset, u64 len) { mem_->populate(offset, len); }
 
     /** The underlying store (kind, traffic accounting, link timing). */
     const BackingStore &store() const { return *mem_; }

@@ -113,6 +113,12 @@ BuddyController::allocate(const std::string &name, u64 bytes,
         deviceAlloc_.release(*dev_off);
         return std::nullopt;
     }
+    // Both reservations hold: make their slots resident now, so the
+    // accesses that fill them take no page fault. A None allocation's
+    // empty buddy range sits at the allocator's sentinel base and is
+    // skipped.
+    device_->populate(*dev_off, dev_bytes);
+    buddy_.populate(*bud_off, bud_bytes);
 
     Allocation a;
     a.id = nextId_++;

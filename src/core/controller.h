@@ -5,7 +5,7 @@
  * batched access plan.
  *
  * The controller owns the codec (instantiated from the CodecRegistry),
- * the metadata cache, and two pluggable BackingStores: device memory
+ * the metadata cache, and two BackingStores, chosen by name: device memory
  * and the buddy carve-out. Allocations are created with a target
  * compression ratio; each 128 B entry of an allocation has
  * `deviceSectors(target)` sectors in device memory and the remaining
@@ -180,6 +180,11 @@ class BuddyController
      * @param target target compression ratio.
      * @return the allocation id, or std::nullopt if device or buddy
      *         memory is exhausted.
+     *
+     * On success the allocation's device and buddy slots are faulted in
+     * (BackingStore::populate()), so resident memory follows reserved
+     * bytes and later accesses take no page fault; a failed allocation
+     * touches neither store.
      */
     std::optional<AllocId> allocate(const std::string &name, u64 bytes,
                                     CompressionTarget target);

@@ -5,11 +5,18 @@
  * timing model charges fabric round trips against. Covered under
  * direct use, behind a single controller's buddy carve-out, and behind
  * a sharded engine where every shard owns its own remote store.
+ *
+ * Residency tests of every kind: a store's resident memory follows the
+ * bytes allocations reserve, not its capacity, and a store never
+ * exposes an earlier store's bytes.
  */
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstring>
+#include <fstream>
 
 #include "api/backing_store.h"
 #include "core/controller.h"
@@ -154,6 +161,96 @@ TEST(RemoteBackingStore, EngineDrivenAccountingAcrossShards)
     EXPECT_GE(bytes_written, vas.size() * 65);
     EXPECT_LE(bytes_written, vas.size() * (kEntryBytes - kSectorBytes));
     EXPECT_GT(shards_touched, 1u) << "hash placed everything on one shard";
+}
+
+/** This process's resident set size in bytes (/proc/self/statm). */
+u64
+residentBytes()
+{
+    std::ifstream statm("/proc/self/statm");
+    u64 size_pages = 0, resident_pages = 0;
+    statm >> size_pages >> resident_pages;
+    EXPECT_TRUE(statm.good()) << "cannot read /proc/self/statm";
+    return resident_pages * static_cast<u64>(::sysconf(_SC_PAGESIZE));
+}
+
+TEST(BackingStore, ResidentMemoryFollowsReservedBytes)
+{
+    const u64 start = residentBytes();
+
+    BuddyConfig cfg;
+    cfg.deviceBytes = 16 * MiB;
+    // A 16 MiB heap block is below glibc's 32 MiB mmap ceiling, so once
+    // a store of that size is freed the allocator would hand the next
+    // one recycled heap memory: a heap-backed store would be resident
+    // in full from then on.
+    for (int i = 0; i < 3; ++i)
+        BuddyController discarded(cfg);
+
+    BuddyController gpu(cfg);
+    const auto ratio2 =
+        gpu.allocate("ratio2", 64 * KiB, CompressionTarget::Ratio2);
+    // 0 buddy bytes: its range sits at the buddy allocator's sentinel
+    // base, one past the end of the 48 MiB carve-out.
+    const auto none = gpu.allocate("none", 64 * KiB, CompressionTarget::None);
+    ASSERT_TRUE(ratio2 && none);
+
+    const Addr va = gpu.allocations().at(*ratio2).va;
+    Rng rng(5);
+    std::vector<u8> data(64 * KiB), out(64 * KiB);
+    for (auto &b : data)
+        b = static_cast<u8>(rng.below(256));
+    AccessBatch plan;
+    for (std::size_t i = 0; i < data.size() / kEntryBytes; ++i)
+        plan.write(va + i * kEntryBytes, data.data() + i * kEntryBytes);
+    gpu.execute(plan);
+    plan.clear();
+    for (std::size_t i = 0; i < data.size() / kEntryBytes; ++i)
+        plan.read(va + i * kEntryBytes, out.data() + i * kEntryBytes);
+    gpu.execute(plan);
+    ASSERT_EQ(std::memcmp(data.data(), out.data(), data.size()), 0);
+
+    // 16 MiB of device memory and a 48 MiB carve-out are configured;
+    // 128 KiB of device slots and 32 KiB of buddy slots are reserved.
+    const u64 now = residentBytes();
+    const u64 grown = now > start ? now - start : 0;
+    EXPECT_LT(grown, 4 * MiB) << "resident memory grew by " << grown
+                              << " bytes";
+}
+
+TEST(BackingStore, UnwrittenBytesReadZeroAfterReuse)
+{
+    const u64 kBytes = 1 * MiB;
+    const u64 kPopulated = kBytes / 2;
+    for (const auto &kind : api::backingStoreKinds()) {
+        {
+            const auto used = makeBackingStore(kind, kBytes);
+            used->populate(0, kBytes);
+            std::vector<u8> pattern(kBytes);
+            for (u64 i = 0; i < kBytes; ++i)
+                pattern[i] = static_cast<u8>(i * 31 + 7) | 1;
+            used->write(0, pattern.data(), kBytes);
+        }
+
+        // A store of the same size, half of it faulted in: every byte
+        // reads zero, in both halves.
+        const auto fresh = makeBackingStore(kind, kBytes);
+        fresh->populate(0, kPopulated);
+        std::vector<u8> out(kBytes, 0xff);
+        fresh->read(0, out.data(), kBytes);
+        for (u64 i = 0; i < kBytes; ++i)
+            ASSERT_EQ(out[i], 0u) << kind << " byte " << i
+                                  << (i < kPopulated ? " (populated)"
+                                                     : " (untouched)");
+
+        // populate() keeps what was written.
+        const u8 entry[4] = {1, 2, 3, 4};
+        fresh->write(kPopulated + 4096, entry, sizeof(entry));
+        fresh->populate(kPopulated, kBytes - kPopulated);
+        u8 back[4] = {};
+        fresh->read(kPopulated + 4096, back, sizeof(back));
+        EXPECT_EQ(std::memcmp(entry, back, sizeof(entry)), 0) << kind;
+    }
 }
 
 } // namespace
