@@ -34,8 +34,7 @@ main(int argc, char **argv)
                 "===\n(final compression ratio per benchmark and "
                 "codec)\n\n");
 
-    // Every registered codec competes, so externally registered codecs
-    // automatically join the ablation.
+    // Every codec in the codec table competes.
     const auto &registry = api::CodecRegistry::instance();
     const auto codecs = registry.names();
     AnalysisConfig acfg;

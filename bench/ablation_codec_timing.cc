@@ -6,7 +6,7 @@
  * hide behind the NVLink transfers. This ablation asks how much of the
  * timing story depends on that assumption: one write+read pass over a
  * compressible working set runs once, untimed, and is re-timed under a
- * ladder of CodecTiming points, from a free unit through the registry's
+ * ladder of CodecTiming points, from a free unit through the codec table's
  * hardware defaults out to a software-LZ4-class unit that is orders of
  * magnitude slower (one entry per ~hundred cycles, deep pipeline).
  *
@@ -137,7 +137,7 @@ main(int argc, char **argv)
                 "W=%llu) ===\n\n",
                 (unsigned long long)window);
 
-    // Free through hardware-class (the registry defaults live in this
+    // Free through hardware-class (the codec table's defaults lie in this
     // range) out to software-LZ4-class: ~a hundred cycles per 128 B
     // entry, deep pipeline. Both fields grow monotonely down the
     // ladder, so the charged makespan must too.

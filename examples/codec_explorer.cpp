@@ -76,7 +76,7 @@ main()
         {"struct-of-mixed", fillStructs},
         {"random bytes", fillRandomBytes},
     };
-    // Every codec in the registry joins the tour automatically.
+    // Every codec in the codec table joins the tour.
     const auto &registry = api::CodecRegistry::instance();
     const auto codecs = registry.names();
 

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <iterator>
 
 #include "common/check.h"
 #include "common/log.h"
@@ -19,9 +18,28 @@ namespace {
  *  simulator targets (with larger pages, the extra touches are hits). */
 constexpr u64 kFaultBytes = 4 * KiB;
 
-/** Every kind makeBackingStore() accepts; a store keeps its kind as a
- *  pointer into this table. */
-constexpr const char *kKinds[] = {"dram", "host-um", "remote", "peer"};
+/** One kind makeBackingStore() accepts, with its default link timing. */
+struct Kind
+{
+    const char *name;
+    timing::LinkTiming timing;
+};
+
+/**
+ * Every kind makeBackingStore() accepts; a store keeps its kind as a
+ * pointer into this table. Default timings are a calibration sketch at
+ * 1.3 GHz (paper Table 2 class hardware): HBM2 ~900 GB/s ≈ 650 B/cycle;
+ * NVLink2 to the host ~75 GB/s per direction ≈ 57 B/cycle shared with
+ * UM traffic; NVLink peer ~150 GB/s ≈ 115 B/cycle; a disaggregation
+ * fabric is assumed to deliver a quarter of the host path at
+ * several-microsecond RTT.
+ */
+constexpr Kind kKinds[] = {
+    {"dram", {4, 512, 512}},
+    {"host-um", {600, 32, 32}},
+    {"remote", {1200, 16, 16}},
+    {"peer", {400, 64, 64}},
+};
 
 } // namespace
 
@@ -86,28 +104,18 @@ BackingStore::read(Addr addr, u8 *dst, std::size_t len) const
 }
 
 std::unique_ptr<BackingStore>
-makeBackingStore(const std::string &kind, u64 capacity_bytes)
-{
-    return makeBackingStore(kind, capacity_bytes,
-                            timing::defaultLinkTiming(kind));
-}
-
-std::unique_ptr<BackingStore>
 makeBackingStore(const std::string &kind, u64 capacity_bytes,
-                 const timing::LinkTiming &timing, int peer_ordinal)
+                 std::optional<timing::LinkTiming> timing, int peer_ordinal)
 {
-    for (const char *k : kKinds)
-        if (kind == k)
+    for (const Kind &k : kKinds)
+        if (kind == k.name)
             return std::unique_ptr<BackingStore>(new BackingStore(
-                k, capacity_bytes, timing,
+                k.name, capacity_bytes, timing.value_or(k.timing),
                 kind == "peer" ? peer_ordinal : -1));
 
     std::string known;
-    for (const char *k : kKinds) {
-        if (!known.empty())
-            known += ", ";
-        known += k;
-    }
+    for (const std::string &k : backingStoreKinds())
+        known += known.empty() ? k : ", " + k;
     std::fprintf(stderr,
                  "unknown backing store \"%s\"; known kinds: %s\n",
                  kind.c_str(), known.c_str());
@@ -117,7 +125,10 @@ makeBackingStore(const std::string &kind, u64 capacity_bytes,
 std::vector<std::string>
 backingStoreKinds()
 {
-    return {std::begin(kKinds), std::end(kKinds)};
+    std::vector<std::string> out;
+    for (const Kind &k : kKinds)
+        out.emplace_back(k.name);
+    return out;
 }
 
 } // namespace api

@@ -20,7 +20,7 @@
  * configured capacity, and the page faults are paid when an allocation
  * is made, not by the accesses that later write into it.
  *
- * Four kinds ship in-tree, all flat in-process memory differing in what
+ * There are four kinds, all flat in-process memory differing in what
  * they model and in their default link timing:
  *
  *   "dram"    GPU device memory (HBM2/GDDR class).
@@ -33,13 +33,14 @@
  *
  * Stores are selected by name through BuddyConfig
  * (deviceBackend/buddyBackend) and created by makeBackingStore(), which
- * fails fast on unknown kinds. A further kind (a CXL pool, GPUDirect
- * NVMe) is a name and a default LinkTiming.
+ * fails fast on unknown kinds. The kinds and their default link timings
+ * are one fixed table in backing_store.cc.
  */
 
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -134,7 +135,8 @@ class BackingStore final
   private:
     friend std::unique_ptr<BackingStore>
     makeBackingStore(const std::string &kind, u64 capacity_bytes,
-                     const timing::LinkTiming &timing, int peer_ordinal);
+                     std::optional<timing::LinkTiming> timing,
+                     int peer_ordinal);
 
     BackingStore(const char *kind, u64 capacity_bytes,
                  const timing::LinkTiming &timing, int peer_ordinal);
@@ -151,20 +153,16 @@ class BackingStore final
 };
 
 /**
- * Create a backing store of @p kind with @p capacity bytes and the
- * kind's default link timing (timing::defaultLinkTiming).
- * Unknown kinds are a fatal configuration error naming the known kinds.
- */
-std::unique_ptr<BackingStore> makeBackingStore(const std::string &kind,
-                                               u64 capacity_bytes);
-
-/**
- * Create a backing store with explicit link timing. @p peer_ordinal
- * names the peer shard a "peer" store maps (ignored by other kinds).
+ * Create a backing store of @p kind with @p capacity bytes. @p timing
+ * overrides the kind's default link timing (the kKinds table in
+ * backing_store.cc); @p peer_ordinal names the peer shard a "peer"
+ * store maps (ignored by other kinds). Unknown kinds are a fatal
+ * configuration error naming the known kinds.
  */
 std::unique_ptr<BackingStore>
 makeBackingStore(const std::string &kind, u64 capacity_bytes,
-                 const timing::LinkTiming &timing, int peer_ordinal = -1);
+                 std::optional<timing::LinkTiming> timing = {},
+                 int peer_ordinal = -1);
 
 /** All backing-store kinds makeBackingStore() accepts. */
 std::vector<std::string> backingStoreKinds();

@@ -11,69 +11,60 @@
 namespace buddy {
 namespace api {
 
-CodecRegistry &
+namespace {
+
+template <typename C>
+std::unique_ptr<Compressor>
+make()
+{
+    return std::make_unique<C>();
+}
+
+/**
+ * Every codec, with its inline-unit timing in cycles per 128 B entry at
+ * the core clock (initiation interval, pipeline depth). Rough estimates
+ * of relative hardware complexity, deepest pipe for the heaviest
+ * transform: zero detection is a wired OR (free); BDI is a single-pass
+ * delta pack; FPC adds per-word prefix coding; BPC's delta+bit-plane
+ * (DBX) transform is the deepest of the four. These feed only the
+ * *codec-charged* totals — the serial and windowed link totals never
+ * depend on them — and BuddyConfig::codecTiming overrides them per
+ * controller.
+ */
+constexpr CodecInfo kCodecs[] = {
+    {"bpc", {2, 4}, make<BpcCompressor>},
+    {"bdi", {1, 2}, make<BdiCompressor>},
+    {"fpc", {1, 3}, make<FpcCompressor>},
+    {"zero", {0, 1}, make<ZeroCompressor>},
+};
+
+} // namespace
+
+const CodecRegistry &
 CodecRegistry::instance()
 {
-    // Construction registers the built-ins; doing it here (not via
-    // per-TU static registrars) keeps them present even when the
-    // library is linked statically and nothing references the codec
-    // object files.
-    static CodecRegistry registry;
+    static const CodecRegistry registry;
     return registry;
 }
 
-CodecRegistry::CodecRegistry()
-{
-    // Inline-unit timing defaults, cycles per 128 B entry at the core
-    // clock (initiation interval, pipeline depth). Rough estimates of
-    // relative hardware complexity, deepest pipe for the heaviest
-    // transform: zero detection is a wired OR (free); BDI is a
-    // single-pass delta pack; FPC adds per-word prefix coding; BPC's
-    // delta+bit-plane (DBX) transform is the deepest of the four.
-    // These feed only the *codec-charged* totals — the serial and
-    // windowed link totals never depend on them — and
-    // BuddyConfig::codecTiming overrides them per controller.
-    registerCodec({"bpc", 128.0, true, timing::CodecTiming{2, 4},
-                   [] { return std::make_unique<BpcCompressor>(); }});
-    registerCodec({"bdi", 256.0, true, timing::CodecTiming{1, 2},
-                   [] { return std::make_unique<BdiCompressor>(); }});
-    registerCodec({"fpc", 64.0, true, timing::CodecTiming{1, 3},
-                   [] { return std::make_unique<FpcCompressor>(); }});
-    registerCodec({"zero", 1024.0, true, timing::CodecTiming{0, 1},
-                   [] { return std::make_unique<ZeroCompressor>(); }});
-}
-
-void
-CodecRegistry::registerCodec(CodecInfo info)
-{
-    BUDDY_CHECK(!info.name.empty(), "codec registration needs a name");
-    BUDDY_CHECK(info.factory != nullptr,
-                "codec registration needs a factory");
-    for (auto &existing : codecs_) {
-        if (existing.name == info.name) {
-            existing = std::move(info);
-            return;
-        }
-    }
-    codecs_.push_back(std::move(info));
-}
-
-std::unique_ptr<Compressor>
-CodecRegistry::create(const std::string &name) const
+const CodecInfo &
+CodecRegistry::at(const std::string &name) const
 {
     if (const CodecInfo *info = find(name))
-        return info->factory();
-    std::fprintf(stderr,
-                 "unknown codec \"%s\"; registered codecs: %s\n",
-                 name.c_str(), namesJoined().c_str());
+        return *info;
+    std::string known;
+    for (const std::string &n : names())
+        known += known.empty() ? n : ", " + n;
+    std::fprintf(stderr, "unknown codec \"%s\"; known codecs: %s\n",
+                 name.c_str(), known.c_str());
     BUDDY_FATAL("unknown codec name");
 }
 
 const CodecInfo *
 CodecRegistry::find(const std::string &name) const
 {
-    for (const auto &info : codecs_)
-        if (info.name == name)
+    for (const CodecInfo &info : kCodecs)
+        if (name == info.name)
             return &info;
     return nullptr;
 }
@@ -82,21 +73,8 @@ std::vector<std::string>
 CodecRegistry::names() const
 {
     std::vector<std::string> out;
-    out.reserve(codecs_.size());
-    for (const auto &info : codecs_)
-        out.push_back(info.name);
-    return out;
-}
-
-std::string
-CodecRegistry::namesJoined() const
-{
-    std::string out;
-    for (const auto &info : codecs_) {
-        if (!out.empty())
-            out += ", ";
-        out += info.name;
-    }
+    for (const CodecInfo &info : kCodecs)
+        out.emplace_back(info.name);
     return out;
 }
 

@@ -1,19 +1,16 @@
 /**
  * @file
- * Codec registry: codecs self-register with capability metadata and are
- * instantiated by name.
+ * Codec table: the four codecs a BuddyConfig can name (bpc, bdi, fpc,
+ * zero), one fixed row each holding the codec's name, the timing of its
+ * inline hardware unit and its constructor.
  *
- * Replaces the old string-switch makeCompressor factory. Lookup of an
- * unknown name fails fast with the list of registered codecs instead of
- * silently returning nullptr; BuddyController validates its configured
- * codec at construction. The four built-in codecs (bpc, bdi, fpc, zero)
- * are registered on first use; external codecs register through
- * CodecRegistry::registerCodec() or the BUDDY_REGISTER_CODEC macro.
+ * Lookup of an unknown name fails fast with the list of known codecs
+ * instead of returning nullptr; BuddyController validates its
+ * configured codec at construction.
  */
 
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,84 +21,51 @@
 namespace buddy {
 namespace api {
 
-/** Capability metadata a codec registers alongside its factory. */
+/** One row of the codec table. */
 struct CodecInfo
 {
-    /** Registry key ("bpc", "bdi", ...). */
-    std::string name;
-
-    /** Best-case entry compression ratio the codec can express. */
-    double maxRatio = 1.0;
-
-    /**
-     * True if compressInto() is a real allocation-free implementation
-     * (all built-ins). Exploratory codecs may route compressInto()
-     * through an allocating path and advertise false here, which the
-     * controller surfaces in diagnostics.
-     */
-    bool supportsScratch = false;
+    /** Codec name ("bpc", "bdi", ...). */
+    const char *name;
 
     /**
      * Latency/throughput model of the codec's inline hardware unit
      * (timing/link_model.h): the timing the window scheduler charges
      * (de)compression at unless BuddyConfig::codecTiming overrides it.
-     * The built-ins carry distinct estimates of their pipeline cost;
-     * the default-constructed timing is the free unit, which charges
-     * nothing and leaves every total bit-identical to a codec-free run.
      */
     timing::CodecTiming timing;
 
     /** Instantiate the codec. */
-    std::function<std::unique_ptr<Compressor>()> factory;
+    std::unique_ptr<Compressor> (*make)();
 };
 
-/** Process-wide codec registry (see file header). */
+/** Lookup by name into the codec table (see file header). */
 class CodecRegistry
 {
   public:
-    /** The registry, with built-in codecs registered. */
-    static CodecRegistry &instance();
+    /** The table. */
+    static const CodecRegistry &instance();
 
     /**
-     * Register a codec. Re-registering an existing name replaces it
-     * (useful for tests shadowing a built-in).
+     * The row of @p name. Unknown names are a fatal configuration
+     * error that names every known codec — no nullptr escape hatch.
      */
-    void registerCodec(CodecInfo info);
+    const CodecInfo &at(const std::string &name) const;
 
-    /**
-     * Instantiate a codec by name.
-     * Unknown names are a fatal configuration error that names every
-     * registered codec — no nullptr escape hatch.
-     */
-    std::unique_ptr<Compressor> create(const std::string &name) const;
+    /** Instantiate a codec by name (at(name).make()). */
+    std::unique_ptr<Compressor>
+    create(const std::string &name) const
+    {
+        return at(name).make();
+    }
 
-    /** Metadata for @p name, or nullptr if not registered. */
+    /** The row of @p name, or nullptr if there is none. */
     const CodecInfo *find(const std::string &name) const;
 
-    bool contains(const std::string &name) const
-    {
-        return find(name) != nullptr;
-    }
-
-    /** All registered codec names, in registration order. */
+    /** All codec names, in table order. */
     std::vector<std::string> names() const;
 
-    /** Registered names joined for diagnostics ("bpc, bdi, ..."). */
-    std::string namesJoined() const;
-
   private:
-    CodecRegistry();
-
-    std::vector<CodecInfo> codecs_;
-};
-
-/** Helper running a registration at static-init time. */
-struct CodecRegistrar
-{
-    explicit CodecRegistrar(CodecInfo info)
-    {
-        CodecRegistry::instance().registerCodec(std::move(info));
-    }
+    CodecRegistry() = default;
 };
 
 } // namespace api
@@ -110,20 +74,3 @@ using api::CodecInfo;
 using api::CodecRegistry;
 
 } // namespace buddy
-
-/**
- * Register @p type under @p name with capability metadata from the call
- * site, e.g.:
- *   BUDDY_REGISTER_CODEC(MyCodec, "mine", 64.0, true,
- *                        (::buddy::timing::CodecTiming{4, 2}));
- * The timing argument is the codec's inline-unit latency/throughput
- * model; pass the default-constructed CodecTiming for a free unit.
- * Note: in a statically linked library, place registrations in an object
- * file the final binary references, or the linker may drop them.
- */
-#define BUDDY_REGISTER_CODEC(type, name_, maxRatio_, supportsScratch_,       \
-                             timing_)                                        \
-    static ::buddy::api::CodecRegistrar buddyCodecRegistrar_##type{          \
-        ::buddy::api::CodecInfo{                                             \
-            name_, maxRatio_, supportsScratch_, timing_,                     \
-            [] { return std::make_unique<type>(); }}}

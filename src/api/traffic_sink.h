@@ -3,9 +3,9 @@
  * The TrafficSink observer API: the per-operation traffic stream.
  *
  * The controller and the sharded engine emit an AccessEvent per
- * executed operation and a BatchSummary per batch. Both build every
- * event with makeEvent() from the finished batch — the op and its
- * AccessInfo after the batch's one timing pass — so an event is
+ * executed operation and a BatchSummary per batch. Both hand the
+ * finished batch to emitBatch(), which builds every event from an op
+ * and its AccessInfo after the batch's one timing pass, so an event is
  * defined in one place. An event carries the op's traffic and its
  * write payload; the batch's simulated time arrives in onBatch()'s
  * summary. The trace recorder (TraceRecorderSink in engine/trace.h)
@@ -13,16 +13,17 @@
  * controller's stats() is the fold of the summaries sinks receive in
  * onBatch() — asserted by tests/test_api_batch.cc.) Timeline consumers
  * use the batch-level BatchObserver hook (obs/hooks.h) instead.
- * Sinks attach to a controller's or an engine's TrafficHub; emission
- * is zero-cost when no sink is attached.
+ * A controller or an engine holds at most one sink (attachSink()) and
+ * hands it each finished batch through emitBatch(); emission is
+ * zero-cost when no sink is attached.
  */
 
 #pragma once
 
-#include <algorithm>
-#include <vector>
+#include <cstddef>
 
 #include "api/access.h"
+#include "common/check.h"
 #include "common/types.h"
 
 namespace buddy {
@@ -51,21 +52,6 @@ struct AccessEvent
     const u8 *data = nullptr;
 };
 
-/**
- * The one event builder: the event of executed op @p op with result
- * @p info.
- */
-inline AccessEvent
-makeEvent(const AccessRequest &op, const AccessInfo &info)
-{
-    AccessEvent event;
-    event.kind = op.kind;
-    event.va = op.va;
-    event.info = info;
-    event.data = op.kind == AccessKind::Write ? op.src : nullptr;
-    return event;
-}
-
 /** Observer of the controller's traffic event stream. */
 class TrafficSink
 {
@@ -80,52 +66,44 @@ class TrafficSink
 };
 
 /**
- * Fan-out multiplexer owned by the controller. Attach/detach are O(n)
- * and expected at setup/teardown time only; emit is a simple loop and
- * the controller skips it entirely while no sink is attached.
+ * Attach @p sink as the one sink in @p slot (a controller's or an
+ * engine's). Re-attaching the attached sink is a no-op; attaching a
+ * second, different sink is a fatal error.
  */
-class TrafficHub
+inline void
+attachSink(TrafficSink *&slot, TrafficSink *sink)
 {
-  public:
-    void
-    attach(TrafficSink *sink)
-    {
-        if (sink != nullptr &&
-            std::find(sinks_.begin(), sinks_.end(), sink) == sinks_.end())
-            sinks_.push_back(sink);
+    BUDDY_CHECK(slot == nullptr || slot == sink,
+                "a different traffic sink is already attached");
+    slot = sink;
+}
+
+/** Detach @p sink from @p slot; a no-op unless it is the one attached. */
+inline void
+detachSink(TrafficSink *&slot, const TrafficSink *sink)
+{
+    if (slot == sink)
+        slot = nullptr;
+}
+
+/**
+ * Hand @p sink the finished @p batch: each op's event, built from the
+ * op and its result, in plan order, then the batch's summary.
+ */
+inline void
+emitBatch(TrafficSink &sink, const AccessBatch &batch)
+{
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        const AccessRequest &op = batch.ops()[i];
+        sink.onAccess({op.kind, op.va, batch.result(i),
+                       op.kind == AccessKind::Write ? op.src : nullptr});
     }
-
-    void
-    detach(TrafficSink *sink)
-    {
-        sinks_.erase(std::remove(sinks_.begin(), sinks_.end(), sink),
-                     sinks_.end());
-    }
-
-    bool empty() const { return sinks_.empty(); }
-
-    void
-    emit(const AccessEvent &event) const
-    {
-        for (TrafficSink *s : sinks_)
-            s->onAccess(event);
-    }
-
-    void
-    emitBatch(const BatchSummary &summary) const
-    {
-        for (TrafficSink *s : sinks_)
-            s->onBatch(summary);
-    }
-
-  private:
-    std::vector<TrafficSink *> sinks_;
-};
+    sink.onBatch(batch.summary());
+}
 
 } // namespace api
 
 using api::AccessEvent;
-using api::TrafficHub;
 using api::TrafficSink;
 
 } // namespace buddy

@@ -29,8 +29,7 @@ namespace buddy {
  * Upper bound on any codec's encoded entry size in bytes. The worst case
  * in the library is FPC's all-raw stream (1 + 32 * 35 = 1121 bits =
  * 141 B); BPC and BDI cap at a tagged raw copy (1025 / 1028 bits).
- * Rounded up with headroom so externally registered codecs with modest
- * tag overhead also fit.
+ * Rounded up with headroom.
  */
 constexpr std::size_t kMaxEncodedBytes = 160;
 

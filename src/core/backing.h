@@ -42,7 +42,7 @@ class BuddyCarveOut
      *        (paper default: 3x, supporting a 4x max target).
      * @param backend backing-store kind (see api/backing_store.h).
      * @param timing link timing override; the backend kind's default
-     *        when unset (timing::defaultLinkTiming).
+     *        when unset (see makeBackingStore()).
      * @param peer_ordinal peer shard a "peer" backend maps.
      */
     BuddyCarveOut(u64 device_bytes, unsigned ratio = 3,
@@ -50,10 +50,8 @@ class BuddyCarveOut
                   const std::optional<timing::LinkTiming> &timing =
                       std::nullopt,
                   int peer_ordinal = -1)
-        : mem_(makeBackingStore(
-              backend, device_bytes * ratio,
-              timing ? *timing : timing::defaultLinkTiming(backend),
-              peer_ordinal))
+        : mem_(makeBackingStore(backend, device_bytes * ratio, timing,
+                                peer_ordinal))
     {}
 
     u64 capacity() const { return mem_->capacity(); }

@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "api/codec_registry.h"
 #include "common/check.h"
 #include "core/window_pass.h"
 
@@ -65,23 +64,19 @@ validatedWindows(const BackingStore &device, const BackingStore &buddy,
 
 } // namespace
 
+// The codec table and makeBackingStore fail fast on unknown names
+// (listing the known ones), so a misconfigured codec or backend is
+// caught here instead of at the first access.
 BuddyController::BuddyController(const BuddyConfig &cfg)
-    : cfg_(cfg),
-      // CodecRegistry::create and makeBackingStore fail fast on unknown
-      // names (listing what is registered), so a misconfigured codec or
-      // backend is caught here instead of at the first access.
-      codec_(api::CodecRegistry::instance().create(cfg.codec)),
-      // create() above fails fast on unknown names, so find() is
-      // non-null here: the resolved timing is the config override or the
-      // codec's registered inline-unit estimate.
-      codecTiming_(cfg.codecTiming
-                       ? *cfg.codecTiming
-                       : api::CodecRegistry::instance().find(cfg.codec)
-                             ->timing),
-      device_(makeBackingStore(
-          cfg.deviceBackend, cfg.deviceBytes,
-          cfg.deviceLink ? *cfg.deviceLink
-                         : timing::defaultLinkTiming(cfg.deviceBackend))),
+    : BuddyController(cfg, api::CodecRegistry::instance().at(cfg.codec))
+{}
+
+BuddyController::BuddyController(const BuddyConfig &cfg,
+                                 const api::CodecInfo &codec)
+    : cfg_(cfg), codec_(codec.make()),
+      codecTiming_(cfg.codecTiming.value_or(codec.timing)),
+      device_(makeBackingStore(cfg.deviceBackend, cfg.deviceBytes,
+                               cfg.deviceLink)),
       buddy_(cfg.deviceBytes, cfg.carveOutRatio, cfg.buddyBackend,
              cfg.buddyLink, cfg.buddyPeerOrdinal),
       deviceAlloc_(cfg.deviceBytes),
@@ -385,12 +380,9 @@ BuddyController::run(AccessBatch &batch, bool timed)
     }
     stats_.accumulate(sum);
 
-    // Sinks see the finished batch, window charges included.
-    if (!hub_.empty()) {
-        for (std::size_t i = 0; i < batch.ops_.size(); ++i)
-            hub_.emit(api::makeEvent(batch.ops_[i], batch.results_[i]));
-        hub_.emitBatch(sum);
-    }
+    // The sink sees the finished batch, window charges included.
+    if (sink_)
+        api::emitBatch(*sink_, batch);
     return sum;
 }
 

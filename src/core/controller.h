@@ -4,7 +4,7 @@
  * (paper Section 3, Figures 1, 4 and 5a), fronted by the buddy::api
  * batched access plan.
  *
- * The controller owns the codec (instantiated from the CodecRegistry),
+ * The controller owns the codec (instantiated from the codec table),
  * the metadata cache, and two BackingStores, chosen by name: device memory
  * and the buddy carve-out. Allocations are created with a target
  * compression ratio; each 128 B entry of an allocation has
@@ -49,6 +49,7 @@
 
 #include "api/access.h"
 #include "api/backing_store.h"
+#include "api/codec_registry.h"
 #include "api/traffic_sink.h"
 #include "common/stats.h"
 #include "compress/compressor.h"
@@ -96,7 +97,8 @@ struct BuddyConfig
     /** Metadata cache geometry. */
     MetadataCacheConfig metadataCache;
 
-    /** Codec registry name ("bpc" is the paper's choice). */
+    /** Codec name: "bpc" (the paper's choice), "bdi", "fpc" or "zero"
+     *  (api/codec_registry.h). */
     std::string codec = "bpc";
 
     /** Backing store behind device memory (see api/backing_store.h). */
@@ -108,8 +110,8 @@ struct BuddyConfig
 
     /**
      * Link timing overrides for the two stores; each defaults to its
-     * backend kind's calibration (timing::defaultLinkTiming) when
-     * unset. See timing/link_model.h.
+     * backend kind's calibration (the kind table behind
+     * makeBackingStore()) when unset. See timing/link_model.h.
      */
     std::optional<timing::LinkTiming> deviceLink;
     std::optional<timing::LinkTiming> buddyLink;
@@ -133,7 +135,7 @@ struct BuddyConfig
     /**
      * Inline (de)compression unit timing override (see
      * timing::CodecTiming). Unset — the default — resolves to the
-     * configured codec's registry timing (CodecInfo::timing:
+     * configured codec's row of the codec table (CodecInfo::timing:
      * zero/bdi/fpc/bpc carry distinct estimates); set it explicitly to
      * sweep codec speed (bench/ablation_codec_timing.cc) or to
      * timing::CodecTiming{} for a provably free unit. Only the
@@ -198,8 +200,8 @@ class BuddyController
      * Fills batch.results() with one AccessInfo per planned operation
      * (in plan order) and batch.summary() with the batch-level traffic
      * totals: the functional pass over every op, then one timing pass
-     * over the batch. Attached sinks then see one event per
-     * op, built from the op and its finished result (api::makeEvent),
+     * over the batch. The attached sink then sees one event per
+     * op, built from the op and its finished result (api::emitBatch),
      * and the summary. The hot path performs no per-entry heap
      * allocations.
      *
@@ -213,16 +215,16 @@ class BuddyController
      * codecCycles) stays 0, and windowBatch() (core/window_pass.h)
      * over new windows re-times the results later — at this
      * controller's config bit-identically to execute(), or at any other
-     * W or codec timing without re-executing. Either way, attached
-     * sinks see the batch's events once it is finished.
+     * W or codec timing without re-executing. Either way, the attached
+     * sink sees the batch's events once it is finished.
      */
     const BatchSummary &run(AccessBatch &batch, bool timed);
 
-    /** Subscribe @p sink to the traffic event stream. */
-    void attachSink(TrafficSink *sink) { hub_.attach(sink); }
+    /** Subscribe @p sink, the controller's one sink (api::attachSink). */
+    void attachSink(TrafficSink *sink) { api::attachSink(sink_, sink); }
 
     /** Unsubscribe @p sink. */
-    void detachSink(TrafficSink *sink) { hub_.detach(sink); }
+    void detachSink(TrafficSink *sink) { api::detachSink(sink_, sink); }
 
     /**
      * Register this controller's metrics under @p prefix in @p registry
@@ -290,7 +292,7 @@ class BuddyController
     /**
      * The resolved inline-unit timing the windowed replay charges
      * (de)compression at: BuddyConfig::codecTiming when set, else the
-     * configured codec's registry timing.
+     * configured codec's timing in the codec table.
      */
     const timing::CodecTiming &codecTiming() const { return codecTiming_; }
 
@@ -301,6 +303,9 @@ class BuddyController
     const BuddyCarveOut &carveOut() const { return buddy_; }
 
   private:
+    /** The constructor, given the configured codec's table row. */
+    BuddyController(const BuddyConfig &cfg, const api::CodecInfo &codec);
+
     // Under WindowMode::Merged the engine runs its shards untimed and
     // windows the merged batch itself.
     friend class engine::ShardedEngine;
@@ -371,7 +376,7 @@ class BuddyController
     std::unique_ptr<MetadataCache> metaCache_;
     RegionAllocator deviceAlloc_;
     RegionAllocator buddyAlloc_;
-    TrafficHub hub_;
+    TrafficSink *sink_ = nullptr;
 
     std::map<AllocId, Allocation> allocs_;
     std::map<Addr, AllocEntries> byVa_; // allocation base VA -> entries

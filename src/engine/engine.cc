@@ -335,11 +335,8 @@ ShardedEngine::execute(AccessBatch &batch)
     // Sink events, built from the finished batch in submission order:
     // exactly the stream a single controller emits for the plan, with
     // engine-global addresses.
-    if (!hub_.empty()) {
-        for (std::size_t i = 0; i < n; ++i)
-            hub_.emit(api::makeEvent(batch.ops_[i], batch.results_[i]));
-        hub_.emitBatch(merged);
-    }
+    if (sink_)
+        api::emitBatch(*sink_, batch);
     return batch.summary_;
 }
 

@@ -18,8 +18,8 @@
  * the per-shard summaries into one BatchSummary. Under
  * WindowMode::Merged it then runs the batch's one windowed timing
  * pass. Last it publishes the finished batch: the per-tenant and
- * metric accounting, the BatchRecord, and the sink events, each built
- * from an op and its merged result (api::makeEvent). Each sub-plan
+ * metric accounting, the BatchRecord, and the sink events, built from
+ * the batch's ops and merged results (api::emitBatch). Each sub-plan
  * touches only its own shard, and the merge does not depend on the
  * order the sub-plans run in.
  *
@@ -35,7 +35,7 @@
  * tests/test_engine.cc pins.
  *
  * Threading: the engine is single-threaded, like BuddyController. Use
- * it from one thread at a time. Engine sinks and the batch observer
+ * it from one thread at a time. The engine's sink and batch observer
  * run inside execute(), one batch at a time in submission order (a
  * batch's events in submission order). They must not call back into
  * the engine.
@@ -255,14 +255,12 @@ class ShardedEngine
      */
     std::future<BatchSummary> submit(AccessBatch &batch);
 
-    /**
-     * Subscribe @p sink to the engine-level traffic event stream (see
-     * the file header for when it is called).
-     */
-    void attachSink(TrafficSink *sink) { hub_.attach(sink); }
+    /** Subscribe @p sink, the engine's one sink (api::attachSink), to
+     *  the engine-level event stream (the file header says when). */
+    void attachSink(TrafficSink *sink) { api::attachSink(sink_, sink); }
 
     /** Unsubscribe @p sink. */
-    void detachSink(TrafficSink *sink) { hub_.detach(sink); }
+    void detachSink(TrafficSink *sink) { api::detachSink(sink_, sink); }
 
     /**
      * Register the engine's metrics in @p registry and update them on
@@ -433,7 +431,7 @@ class ShardedEngine
 
     EngineConfig cfg_;
     std::vector<std::unique_ptr<BuddyController>> shards_;
-    TrafficHub hub_;
+    TrafficSink *sink_ = nullptr;
 
     /** Split storage, reused by every execute(): cleared sub-plans
      *  keep their capacity between batches. */

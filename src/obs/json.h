@@ -86,13 +86,6 @@ class JsonWriter
 /** Escape @p s for inclusion in a JSON string literal (no quotes). */
 std::string jsonEscape(const std::string &s);
 
-/**
- * Strict syntax check of a complete JSON document (objects, arrays,
- * strings with escapes, numbers, literals; no trailing garbage). Used
- * by the export tests and cheap enough for bench smoke asserts.
- */
-bool jsonValid(const std::string &text);
-
 /** Rendering options of exportJson(). */
 struct JsonExportOptions
 {

@@ -44,7 +44,6 @@
 #pragma once
 
 #include <algorithm>
-#include <string>
 
 #include "common/types.h"
 
@@ -89,7 +88,7 @@ struct LinkTiming
  * cycles after it entered. cyclesPerEntry == 0 is the free unit — it
  * charges nothing and is an exact arithmetic no-op in the window
  * scheduler, whatever the depth — so CodecTiming{0, *} reproduces the
- * codec-free totals bit-for-bit. Every registered codec carries a
+ * codec-free totals bit-for-bit. Every codec carries a
  * CodecTiming (api/codec_registry.h); BuddyConfig::codecTiming
  * overrides it per controller.
  */
@@ -116,22 +115,6 @@ struct CodecTiming
         return cyclesPerEntry * std::max<u64>(pipelineDepth, 1);
     }
 };
-
-/**
- * Default link timing for a backing-store kind, loosely calibrated to
- * the paper's reference machine at a ~1.3 GHz core clock:
- *
- *   "dram"     HBM2 device memory: ~650 B/cycle, short access latency.
- *   "host-um"  host memory over NVLink2 (the buddy carve-out): tens of
- *              B/cycle per direction, host-memory round-trip latency.
- *   "remote"   disaggregated/far memory behind a fabric: lower
- *              bandwidth, much higher latency.
- *   "peer"     another GPU's device memory over NVLink peer access:
- *              more bandwidth and less latency than the host path.
- *
- * Unknown kinds get the free timing (future stores opt in explicitly).
- */
-LinkTiming defaultLinkTiming(const std::string &kind);
 
 /**
  * One FCFS latency/bandwidth server over an integer simulated clock.

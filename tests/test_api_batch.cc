@@ -305,17 +305,87 @@ TEST(TrafficSink, StatsIsTheFoldOfTheBatchSummaries)
     EXPECT_TRUE(sameSummary(gpu.stats(), BatchSummary{}));
 }
 
+TEST(TrafficSink, ReattachingTheSameSinkIsANoOp)
+{
+    // A controller holds one sink: attaching it again neither doubles
+    // its events nor fails.
+    BuddyController gpu(smallConfig());
+    CountingSink sink;
+    gpu.attachSink(&sink);
+    gpu.attachSink(&sink);
+    const auto id = gpu.allocate("a", 64 * KiB, CompressionTarget::Ratio2);
+    ASSERT_TRUE(id);
+    const Addr va = gpu.allocations().at(*id).va;
+    u8 out[kEntryBytes];
+    AccessBatch batch;
+    batch.read(va, out);
+    batch.probe(va);
+    gpu.execute(batch);
+    EXPECT_EQ(sink.events, 2u);
+    EXPECT_EQ(sink.batches, 1u);
+
+    // Detaching a sink that is not attached leaves the attached one.
+    CountingSink other;
+    gpu.detachSink(&other);
+    gpu.execute(batch);
+    EXPECT_EQ(sink.events, 4u);
+
+    // Once the sink is detached, another may attach.
+    gpu.detachSink(&sink);
+    gpu.attachSink(&other);
+    gpu.execute(batch);
+    EXPECT_EQ(sink.events, 4u);
+    EXPECT_EQ(other.events, 2u);
+}
+
+TEST(TrafficSinkDeath, SecondSinkFailsFast)
+{
+    BuddyController gpu(smallConfig());
+    CountingSink first, second;
+    gpu.attachSink(&first);
+    EXPECT_DEATH({ gpu.attachSink(&second); },
+                 "traffic sink is already attached");
+}
+
 TEST(CodecRegistry, ListsBuiltinsAndCreatesThem)
 {
-    auto &reg = api::CodecRegistry::instance();
-    for (const char *name : {"bpc", "bdi", "fpc", "zero"}) {
-        EXPECT_TRUE(reg.contains(name)) << name;
-        const auto codec = reg.create(name);
-        EXPECT_STREQ(codec->name(), name);
+    const auto &reg = api::CodecRegistry::instance();
+    EXPECT_EQ(reg.names(),
+              (std::vector<std::string>{"bpc", "bdi", "fpc", "zero"}));
+    for (const auto &name : reg.names()) {
         const CodecInfo *info = reg.find(name);
+        ASSERT_NE(info, nullptr) << name;
+        EXPECT_EQ(&reg.at(name), info);
+        EXPECT_STREQ(reg.create(name)->name(), name.c_str());
+    }
+    EXPECT_EQ(reg.find("lzma"), nullptr);
+}
+
+TEST(CodecRegistry, TimingRowsArePinned)
+{
+    // Each codec's inline-unit timing as README.md documents it, both
+    // in its table row and as an unconfigured controller resolves it.
+    struct Row
+    {
+        const char *name;
+        Cycles cyclesPerEntry;
+        u64 pipelineDepth;
+    };
+    const Row rows[] = {
+        {"bpc", 2, 4}, {"bdi", 1, 2}, {"fpc", 1, 3}, {"zero", 0, 1}};
+    for (const Row &row : rows) {
+        SCOPED_TRACE(row.name);
+        const CodecInfo *info = api::CodecRegistry::instance().find(row.name);
         ASSERT_NE(info, nullptr);
-        EXPECT_TRUE(info->supportsScratch);
-        EXPECT_GT(info->maxRatio, 1.0);
+        EXPECT_EQ(info->timing.cyclesPerEntry, row.cyclesPerEntry);
+        EXPECT_EQ(info->timing.pipelineDepth, row.pipelineDepth);
+
+        BuddyConfig cfg = smallConfig();
+        cfg.codec = row.name;
+        ASSERT_FALSE(cfg.codecTiming.has_value());
+        const BuddyController gpu(cfg);
+        EXPECT_EQ(gpu.codecTiming().cyclesPerEntry, row.cyclesPerEntry);
+        EXPECT_EQ(gpu.codecTiming().pipelineDepth, row.pipelineDepth);
     }
 }
 
@@ -355,6 +425,30 @@ TEST(BackingStoreDeath, UnknownKindFailsFast)
 {
     EXPECT_DEATH({ makeBackingStore("nvme-of", 1 * MiB); },
                  "unknown backing store");
+}
+
+TEST(BackingStore, DefaultTimingRowsArePinned)
+{
+    // Each kind's default link timing as README.md documents it.
+    struct Row
+    {
+        const char *kind;
+        Cycles latency;
+        u64 bytesPerCycle; ///< both directions
+    };
+    const Row rows[] = {{"dram", 4, 512},
+                        {"host-um", 600, 32},
+                        {"remote", 1200, 16},
+                        {"peer", 400, 64}};
+    EXPECT_EQ(api::backingStoreKinds(),
+              (std::vector<std::string>{"dram", "host-um", "remote", "peer"}));
+    for (const Row &row : rows) {
+        SCOPED_TRACE(row.kind);
+        const auto store = makeBackingStore(row.kind, KiB);
+        EXPECT_EQ(store->timing().latency, row.latency);
+        EXPECT_EQ(store->timing().readBytesPerCycle, row.bytesPerCycle);
+        EXPECT_EQ(store->timing().writeBytesPerCycle, row.bytesPerCycle);
+    }
 }
 
 TEST(BackingStore, ControllerHonoursConfiguredBackends)

@@ -218,10 +218,12 @@ struct EventLog : api::TrafficSink
     };
     std::vector<Event> events;
     std::vector<BatchSummary> batches;
+    std::vector<std::thread::id> threads; ///< one per event
 
     void
     onAccess(const AccessEvent &e) override
     {
+        threads.push_back(std::this_thread::get_id());
         Event x;
         x.ev = e;
         x.ev.data = nullptr;
@@ -511,19 +513,8 @@ TEST(ShardedEngine, ThreadsFieldIsInert)
         std::vector<BatchSummary> sums;
         EventLog events;
         BatchLog observer;
-        std::vector<std::thread::id> sinkThreads;
         std::vector<unsigned> placement;
         std::vector<u64> seeds;
-    };
-    /** Notes the thread each access event arrives on. */
-    struct ThreadSink : api::TrafficSink
-    {
-        std::vector<std::thread::id> *threads = nullptr;
-        void
-        onAccess(const AccessEvent &) override
-        {
-            threads->push_back(std::this_thread::get_id());
-        }
     };
     const auto entries = mixedEntries(kN, 31);
     const auto drive = [&](unsigned threads, Run &run) {
@@ -532,10 +523,7 @@ TEST(ShardedEngine, ThreadsFieldIsInert)
         ShardedEngine eng(cfg);
         eng.setBatchObserver(&run.observer);
         const auto vas = allocateSet(eng);
-        ThreadSink where;
-        where.threads = &run.sinkThreads;
         eng.attachSink(&run.events);
-        eng.attachSink(&where);
         std::vector<u8> out(kN * kEntryBytes);
         AccessBatch w, r, p;
         for (std::size_t i = 0; i < kN; ++i)
@@ -557,7 +545,6 @@ TEST(ShardedEngine, ThreadsFieldIsInert)
             run.infos.insert(run.infos.end(), b->results().begin(),
                              b->results().end());
         }
-        eng.detachSink(&where);
         eng.detachSink(&run.events);
         for (const auto &[id, a] : eng.allocations())
             run.placement.push_back(a.shard);
@@ -573,8 +560,8 @@ TEST(ShardedEngine, ThreadsFieldIsInert)
         ASSERT_EQ(run.observer.threads.size(), 3u);
         for (const std::thread::id id : run.observer.threads)
             EXPECT_EQ(id, std::this_thread::get_id());
-        ASSERT_EQ(run.sinkThreads.size(), 3 * kN - kN / 2);
-        for (const std::thread::id id : run.sinkThreads)
+        ASSERT_EQ(run.events.threads.size(), 3 * kN - kN / 2);
+        for (const std::thread::id id : run.events.threads)
             ASSERT_EQ(id, std::this_thread::get_id());
     }
 
@@ -617,6 +604,18 @@ TEST(ShardedEngine, ThreadsFieldIsInert)
                 sameSummary(run.events.batches[b], ref.events.batches[b]))
                 << threads << " batch " << b;
     }
+}
+
+TEST(ShardedEngineDeath, SecondSinkFailsFast)
+{
+    // The engine holds one sink: re-attaching it is a no-op, a
+    // different one fails fast.
+    ShardedEngine eng(engineConfig(2));
+    EventLog first, second;
+    eng.attachSink(&first);
+    eng.attachSink(&first);
+    EXPECT_DEATH({ eng.attachSink(&second); },
+                 "traffic sink is already attached");
 }
 
 /**

@@ -218,10 +218,10 @@ TEST(LinkModel, WindowCostIsUnloadedLatencyPlusTransfer)
 
 TEST(LinkModel, DefaultTimingsRankKindsSensibly)
 {
-    const LinkTiming dram = timing::defaultLinkTiming("dram");
-    const LinkTiming host = timing::defaultLinkTiming("host-um");
-    const LinkTiming remote = timing::defaultLinkTiming("remote");
-    const LinkTiming peer = timing::defaultLinkTiming("peer");
+    const LinkTiming dram = makeBackingStore("dram", KiB)->timing();
+    const LinkTiming host = makeBackingStore("host-um", KiB)->timing();
+    const LinkTiming remote = makeBackingStore("remote", KiB)->timing();
+    const LinkTiming peer = makeBackingStore("peer", KiB)->timing();
 
     // Device memory is the fast end; the fabric the slow one; NVLink
     // peer sits between device memory and the host path.
@@ -231,9 +231,6 @@ TEST(LinkModel, DefaultTimingsRankKindsSensibly)
     EXPECT_GT(dram.readBytesPerCycle, peer.readBytesPerCycle);
     EXPECT_GT(peer.readBytesPerCycle, host.readBytesPerCycle);
     EXPECT_GT(host.readBytesPerCycle, remote.readBytesPerCycle);
-
-    // Unknown kinds are untimed until they opt in.
-    EXPECT_TRUE(timing::defaultLinkTiming("cxl-pool").free());
 }
 
 TEST(BackingStoreTiming, StoresChargeClosedFormCycles)

@@ -12,12 +12,15 @@
 #include <string>
 
 #include "common/rng.h"
+#include "json_check.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 
 namespace buddy {
 namespace obs {
 namespace {
+
+using testutil::jsonValid;
 
 TEST(LatencyHistogram, BucketBoundaries)
 {
@@ -221,6 +224,42 @@ TEST(JsonWriter, EscapesAndValidates)
     EXPECT_FALSE(jsonValid("{\"a\":1} trailing"));
     EXPECT_FALSE(jsonValid("{'a':1}"));
     EXPECT_TRUE(jsonValid("[1, 2.5e3, \"x\", true, null, {}]"));
+}
+
+// The checker the export tests rely on must reject what real parsers
+// reject; otherwise a malformed report would pass them.
+TEST(JsonCheck, RejectsMalformedDocuments)
+{
+    for (const char *bad : {
+             "",                  // no value
+             "   ",               // whitespace only
+             "{",                 // unterminated object
+             "[1, 2",             // unterminated array
+             "[1 2]",             // missing comma
+             "{\"a\" 1}",         // missing colon
+             "{1: 2}",            // non-string key
+             "\"abc",             // unterminated string
+             "\"a\x1f\"",         // raw control byte in a string
+             "\"\\q\"",           // unknown escape
+             "\"\\u12G4\"",       // bad unicode escape
+             "01",                // leading zero
+             "-",                 // sign without digits
+             "1.",                // fraction without digits
+             "1e",                // exponent without digits
+             "+1",                // leading plus
+             "tru",               // truncated literal
+             "nul",               // truncated literal
+             "[1]]",              // trailing garbage
+         })
+        EXPECT_FALSE(jsonValid(bad)) << bad;
+
+    // Nesting is bounded: 256 levels parse, 257 do not.
+    EXPECT_TRUE(jsonValid(std::string(256, '[') + std::string(256, ']')));
+    EXPECT_FALSE(jsonValid(std::string(257, '[') + std::string(257, ']')));
+
+    for (const char *good : {"0", "-0.5e-3", "\"\\u00e9\\n\"", " {} ",
+                             "{\"a\": [true, false, null]}"})
+        EXPECT_TRUE(jsonValid(good)) << good;
 }
 
 // The writer and the validator are two independent implementations of

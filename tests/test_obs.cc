@@ -18,6 +18,7 @@
 #include "core/controller.h"
 #include "engine/engine.h"
 #include "engine/trace.h"
+#include "json_check.h"
 #include "obs/chrome_trace.h"
 #include "obs/json.h"
 #include "obs/report.h"
@@ -110,7 +111,7 @@ TEST(ObsDeterminism, SimSubtreeIsByteIdenticalAcrossShardCounts)
     const std::string at2 = replayExport(trace, engineConfig(2), simOnly);
     const std::string at4 = replayExport(trace, engineConfig(4), simOnly);
 
-    EXPECT_TRUE(obs::jsonValid(at1));
+    EXPECT_TRUE(testutil::jsonValid(at1));
     EXPECT_FALSE(at1.empty());
     // The tentpole contract: simulated-time metrics do not depend on
     // the sharding. Byte equality, not field-by-field tolerance.
@@ -141,7 +142,7 @@ TEST(ObsDeterminism, SimSubtreeShardInvariantUnderExplicitCodecTiming)
     const std::string at2 = replayExport(trace, slowConfig(2), simOnly);
     const std::string at4 = replayExport(trace, slowConfig(4), simOnly);
 
-    EXPECT_TRUE(obs::jsonValid(at1));
+    EXPECT_TRUE(testutil::jsonValid(at1));
     EXPECT_EQ(at1, at2);
     EXPECT_EQ(at1, at4);
     // The codec totals ride the sim/ subtree (merged window mode).
@@ -202,7 +203,7 @@ TEST(ObsDeterminism, ChromeTraceIsValidAndByteStable)
     replayExport(trace, engineConfig(4), simOnly, &traceA);
     replayExport(trace, engineConfig(4), simOnly, &traceB);
 
-    EXPECT_TRUE(obs::jsonValid(traceA));
+    EXPECT_TRUE(testutil::jsonValid(traceA));
     EXPECT_EQ(traceA, traceB); // byte-stable run-to-run
     EXPECT_NE(traceA.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(traceA.find("\"ph\":\"X\""), std::string::npos);
@@ -229,7 +230,7 @@ TEST(ObsReport, BenchReportRendersValidStableJson)
     const std::string a = build();
     const std::string b = build();
     EXPECT_EQ(a, b);
-    EXPECT_TRUE(obs::jsonValid(a));
+    EXPECT_TRUE(testutil::jsonValid(a));
     EXPECT_NE(a.find("\"schema\":\"buddy-bench-v1\""), std::string::npos);
     EXPECT_NE(a.find("\"bench\":\"unit_test\""), std::string::npos);
     EXPECT_NE(a.find("\"metrics\""), std::string::npos);
