@@ -288,9 +288,9 @@ class AccessBatch
     /**
      * Tag the batch with the submitting tenant (service front end;
      * see src/service/). The sharded engine threads the tag into its
-     * per-tenant accounting and the batch's BatchRecord; AccessEvents
-     * do not carry it. 0 — the default — is the anonymous tenant. The
-     * tag survives clear(): it names the stream, not the plan.
+     * per-tenant accounting and the batch's BatchRecord. 0 — the
+     * default — is the anonymous tenant. The tag survives clear(): it
+     * names the stream, not the plan.
      */
     void setTenant(u32 tenant) { tenant_ = tenant; }
 

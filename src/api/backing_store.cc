@@ -90,8 +90,6 @@ BackingStore::write(Addr addr, const u8 *src, std::size_t len)
 {
     BUDDY_CHECK(addr + len <= size_, "backing-store write out of range");
     std::memcpy(data_ + addr, src, len);
-    written_ += len;
-    ++writeOps_;
 }
 
 void
@@ -99,8 +97,6 @@ BackingStore::read(Addr addr, u8 *dst, std::size_t len) const
 {
     BUDDY_CHECK(addr + len <= size_, "backing-store read out of range");
     std::memcpy(dst, data_ + addr, len);
-    read_ += len;
-    ++readOps_;
 }
 
 std::unique_ptr<BackingStore>

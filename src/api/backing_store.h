@@ -3,11 +3,11 @@
  * BackingStore: the storage behind the controller's device memory and
  * buddy carve-out.
  *
- * The functional model needs byte-addressable load/store with capacity
- * and traffic accounting; the timing model needs the latency/bandwidth
- * of the link in front of the store. A store therefore holds its bytes,
- * its traffic counters and its timing::LinkTiming. A store keeps no
- * clock: the batch's one timing pass (core/window_pass.h) charges an
+ * The functional model needs byte-addressable load/store with capacity;
+ * the timing model needs the latency/bandwidth of the link in front of
+ * the store. A store therefore holds its bytes and its
+ * timing::LinkTiming. Traffic is counted per access in the controller's
+ * AccessInfo and BatchSummary, not here. A store keeps no clock: the batch's one timing pass (core/window_pass.h) charges an
  * access's sectors through a window over the store's timing
  * (makeWindow()), a pure function of the traffic.
  *
@@ -52,8 +52,8 @@ namespace buddy {
 namespace api {
 
 /**
- * Byte-addressable storage with capacity and traffic accounting, and
- * the timing of its link (see file header).
+ * Byte-addressable storage with a capacity, and the timing of its link
+ * (see file header).
  *
  * Every byte of [0, capacity()) reads zero until it is written, whether
  * or not populate() covered it.
@@ -83,8 +83,8 @@ class BackingStore final
      * Fault in the pages of [addr, addr + len) without changing their
      * bytes, so later accesses there take no page fault. A zero-length
      * range is a no-op at any @p addr (RegionAllocator's zero-size
-     * sentinel base is one past the end). Not traffic: the counters
-     * are left alone.
+     * sentinel base is one past the end). Not traffic: no access is
+     * charged for it.
      */
     void populate(Addr addr, u64 len);
 
@@ -99,21 +99,6 @@ class BackingStore final
 
     /** Load @p len bytes from @p addr. */
     void read(Addr addr, u8 *dst, std::size_t len) const;
-
-    /** Total bytes written / read since construction. */
-    u64 bytesWritten() const { return written_; }
-    u64 bytesRead() const { return read_; }
-
-    /** Number of write() and read() calls since construction. */
-    u64 writeOps() const { return writeOps_; }
-    u64 readOps() const { return readOps_; }
-
-    /**
-     * Access round trips the timing model charges. One per operation
-     * for every in-process kind; only "remote" and "peer" cross a
-     * fabric, so only there does the count dominate the cycle total.
-     */
-    u64 roundTrips() const { return writeOps_ + readOps_; }
 
     /** The latency/bandwidth of this store's link. */
     const timing::LinkTiming &timing() const { return timing_; }
@@ -146,10 +131,6 @@ class BackingStore final
     int peer_;
     u64 size_;
     u8 *data_; ///< private anonymous mapping of max(size_, 1) bytes
-    u64 written_ = 0;
-    mutable u64 read_ = 0;
-    u64 writeOps_ = 0;
-    mutable u64 readOps_ = 0;
 };
 
 /**

@@ -50,33 +50,6 @@ class RunningStat
 
     double stddev() const { return std::sqrt(variance()); }
 
-    /**
-     * Exact Welford combine (Chan et al.): fold @p other's samples into
-     * this accumulator as if every sample had been add()ed to one
-     * stream. Used to fold per-shard stats into fleet stats.
-     */
-    void
-    merge(const RunningStat &other)
-    {
-        if (other.n_ == 0)
-            return;
-        if (n_ == 0) {
-            *this = other;
-            return;
-        }
-        const std::size_t n = n_ + other.n_;
-        const double delta = other.mean_ - mean_;
-        mean_ += delta * static_cast<double>(other.n_) /
-                 static_cast<double>(n);
-        m2_ += other.m2_ + delta * delta * static_cast<double>(n_) *
-                               static_cast<double>(other.n_) /
-                               static_cast<double>(n);
-        n_ = n;
-        sum_ += other.sum_;
-        min_ = std::min(min_, other.min_);
-        max_ = std::max(max_, other.max_);
-    }
-
   private:
     std::size_t n_ = 0;
     double mean_ = 0.0;
@@ -149,14 +122,6 @@ class Histogram
         for (std::size_t b = 0; b < counts_.size(); ++b)
             counts_[b] += other.counts_[b];
         total_ += other.total_;
-    }
-
-    /** Reset all buckets. */
-    void
-    clear()
-    {
-        std::fill(counts_.begin(), counts_.end(), 0);
-        total_ = 0;
     }
 
   private:

@@ -379,10 +379,6 @@ BuddyController::run(AccessBatch &batch, bool timed)
             probes_.batchMakespan->add(sum.combinedWindowCycles);
     }
     stats_.accumulate(sum);
-
-    // The sink sees the finished batch, window charges included.
-    if (sink_)
-        api::emitBatch(*sink_, batch);
     return sum;
 }
 

@@ -35,8 +35,8 @@
  *
  * All traffic is accounted per access so the experiments can report the
  * paper's metrics (buddy-access fraction, metadata hit rate, achieved
- * compression ratio); observers subscribe to the same event stream via
- * attachSink() (see api/traffic_sink.h).
+ * compression ratio). Traffic observers (api/traffic_sink.h) attach to
+ * a ShardedEngine, which hands them each finished batch.
  */
 
 #pragma once
@@ -50,7 +50,6 @@
 #include "api/access.h"
 #include "api/backing_store.h"
 #include "api/codec_registry.h"
-#include "api/traffic_sink.h"
 #include "common/stats.h"
 #include "compress/compressor.h"
 #include "compress/sector.h"
@@ -200,9 +199,7 @@ class BuddyController
      * Fills batch.results() with one AccessInfo per planned operation
      * (in plan order) and batch.summary() with the batch-level traffic
      * totals: the functional pass over every op, then one timing pass
-     * over the batch. The attached sink then sees one event per
-     * op, built from the op and its finished result (api::emitBatch),
-     * and the summary. The hot path performs no per-entry heap
+     * over the batch. The hot path performs no per-entry heap
      * allocations.
      *
      * @return the batch summary (also retained in the batch).
@@ -215,16 +212,9 @@ class BuddyController
      * codecCycles) stays 0, and windowBatch() (core/window_pass.h)
      * over new windows re-times the results later — at this
      * controller's config bit-identically to execute(), or at any other
-     * W or codec timing without re-executing. Either way, the attached
-     * sink sees the batch's events once it is finished.
+     * W or codec timing without re-executing.
      */
     const BatchSummary &run(AccessBatch &batch, bool timed);
-
-    /** Subscribe @p sink, the controller's one sink (api::attachSink). */
-    void attachSink(TrafficSink *sink) { api::attachSink(sink_, sink); }
-
-    /** Unsubscribe @p sink. */
-    void detachSink(TrafficSink *sink) { api::detachSink(sink_, sink); }
 
     /**
      * Register this controller's metrics under @p prefix in @p registry
@@ -273,14 +263,13 @@ class BuddyController
 
     /**
      * Running totals: the accumulate() fold of every batch summary
-     * execute()/run() returned since construction or clearStats().
+     * execute()/run() returned since construction.
      * `reads` counts reads only; probes are in `probes`.
      */
     const BatchSummary &stats() const { return stats_; }
-    void clearStats() { stats_ = BatchSummary{}; }
 
     /** Entries currently spilling to buddy memory: a population gauge
-     *  over the live allocations, which clearStats() leaves alone. */
+     *  over the live allocations. */
     u64 overflowEntries() const { return overflowEntries_; }
 
     MetadataCache &metadataCache() { return *metaCache_; }
@@ -376,7 +365,6 @@ class BuddyController
     std::unique_ptr<MetadataCache> metaCache_;
     RegionAllocator deviceAlloc_;
     RegionAllocator buddyAlloc_;
-    TrafficSink *sink_ = nullptr;
 
     std::map<AllocId, Allocation> allocs_;
     std::map<Addr, AllocEntries> byVa_; // allocation base VA -> entries

@@ -112,7 +112,6 @@ Profiler::decide(const std::vector<AllocationProfile> &profiles) const
 
     // Final metrics.
     double logical = 0.0, device = 0.0, overflow_weight = 0.0;
-    GeoMean unused;
     for (std::size_t i = 0; i < profiles.size(); ++i) {
         const auto &p = profiles[i];
         logical += static_cast<double>(p.bytes());

@@ -332,11 +332,10 @@ ShardedEngine::execute(AccessBatch &batch)
         observer_->onBatchComplete(rec);
     }
 
-    // Sink events, built from the finished batch in submission order:
-    // exactly the stream a single controller emits for the plan, with
-    // engine-global addresses.
+    // The sink sees the finished batch: ops in submission order,
+    // engine-global addresses, window charges included.
     if (sink_)
-        api::emitBatch(*sink_, batch);
+        sink_->onBatch(batch);
     return batch.summary_;
 }
 
@@ -366,15 +365,6 @@ ShardedEngine::overflowEntries() const
     for (const auto &s : shards_)
         total += s->overflowEntries();
     return total;
-}
-
-void
-ShardedEngine::clearStats()
-{
-    for (auto &s : shards_)
-        s->clearStats();
-    tenantTotals_.clear();
-    imbalance_ = WindowImbalanceStats{};
 }
 
 u64

@@ -18,8 +18,8 @@
  * the per-shard summaries into one BatchSummary. Under
  * WindowMode::Merged it then runs the batch's one windowed timing
  * pass. Last it publishes the finished batch: the per-tenant and
- * metric accounting, the BatchRecord, and the sink events, built from
- * the batch's ops and merged results (api::emitBatch). Each sub-plan
+ * metric accounting, the BatchRecord, and the batch itself, handed to
+ * the attached sink (api/traffic_sink.h). Each sub-plan
  * touches only its own shard, and the merge does not depend on the
  * order the sub-plans run in.
  *
@@ -36,9 +36,8 @@
  *
  * Threading: the engine is single-threaded, like BuddyController. Use
  * it from one thread at a time. The engine's sink and batch observer
- * run inside execute(), one batch at a time in submission order (a
- * batch's events in submission order). They must not call back into
- * the engine.
+ * run inside execute(), one batch at a time in submission order. They
+ * must not call back into the engine.
  */
 
 #pragma once
@@ -52,6 +51,7 @@
 
 #include "api/access.h"
 #include "api/traffic_sink.h"
+#include "common/check.h"
 #include "core/controller.h"
 #include "obs/hooks.h"
 #include "obs/metrics.h"
@@ -255,12 +255,26 @@ class ShardedEngine
      */
     std::future<BatchSummary> submit(AccessBatch &batch);
 
-    /** Subscribe @p sink, the engine's one sink (api::attachSink), to
-     *  the engine-level event stream (the file header says when). */
-    void attachSink(TrafficSink *sink) { api::attachSink(sink_, sink); }
+    /**
+     * Subscribe @p sink, the engine's one sink, to the finished batches
+     * (the file header says when). Re-attaching the attached sink is a
+     * no-op; attaching a second, different sink is a fatal error.
+     */
+    void
+    attachSink(TrafficSink *sink)
+    {
+        BUDDY_CHECK(sink_ == nullptr || sink_ == sink,
+                    "a different traffic sink is already attached");
+        sink_ = sink;
+    }
 
-    /** Unsubscribe @p sink. */
-    void detachSink(TrafficSink *sink) { api::detachSink(sink_, sink); }
+    /** Unsubscribe @p sink; a no-op unless it is the one attached. */
+    void
+    detachSink(const TrafficSink *sink)
+    {
+        if (sink_ == sink)
+            sink_ = nullptr;
+    }
 
     /**
      * Register the engine's metrics in @p registry and update them on
@@ -339,12 +353,8 @@ class ShardedEngine
     BatchSummary stats() const;
 
     /** Entries spilling to buddy memory, summed over the shards (see
-     *  BuddyController::overflowEntries(); clearStats() keeps it). */
+     *  BuddyController::overflowEntries()). */
     u64 overflowEntries() const;
-
-    /** Reset stats(), tenantTotals(), windowImbalance() and every
-     *  shard's stats(); overflowEntries() is a gauge and stays. */
-    void clearStats();
 
     /**
      * Per-tenant accumulated batch totals, keyed by the tenant id each
@@ -355,8 +365,7 @@ class ShardedEngine
      * bit-identical to the same stream executed alone on a private
      * engine, regardless of contention (the service isolation
      * contract; metadata hit/miss totals are per-shard cache state and
-     * are accounted here but excluded from that contract). Cleared by
-     * clearStats().
+     * are accounted here but excluded from that contract).
      */
     const std::map<u32, TenantTotals> &tenantTotals() const
     {
@@ -367,7 +376,7 @@ class ShardedEngine
      * Cross-shard window-imbalance statistics (see
      * WindowImbalanceStats). Accumulated only under
      * WindowMode::PerShard — under Merged there is one window group,
-     * hence no per-shard spread. Cleared by clearStats().
+     * hence no per-shard spread.
      */
     const WindowImbalanceStats &windowImbalance() const
     {

@@ -190,37 +190,36 @@ TraceRecorderSink::noteAllocation(const std::string &name, Addr va,
 }
 
 void
-TraceRecorderSink::onAccess(const api::AccessEvent &event)
+TraceRecorderSink::onBatch(const AccessBatch &batch)
 {
-    const bool zero_write =
-        event.kind == AccessKind::Write && event.info.isZero;
-    const bool payload = event.kind == AccessKind::Write && !zero_write;
-    BUDDY_CHECK(!payload || event.data != nullptr,
-                "non-zero write event without a payload");
-    u8 tag = static_cast<u8>(event.kind);
-    if (zero_write)
-        tag |= kTagZeroWrite;
-    // The record is sized once and encoded in place: tag, entry-index
-    // varint, then the payload of a non-zero write.
-    const u64 idx = event.va / kEntryBytes;
-    const std::size_t at = stream_.size();
-    stream_.resize(at + 1 + varintBytes(idx) + (payload ? kEntryBytes : 0));
-    u8 *out = stream_.data() + at;
-    *out++ = tag;
-    out = encodeVarint(out, idx);
-    if (payload)
-        std::memcpy(out, event.data, kEntryBytes);
-    ++ops_;
-    ++opsInBatch_;
-}
-
-void
-TraceRecorderSink::onBatch(const BatchSummary &summary)
-{
+    BUDDY_CHECK(batch.results().size() == batch.size(),
+                "recorded batch has not executed");
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        const AccessRequest &op = batch.ops()[i];
+        const bool write = op.kind == AccessKind::Write;
+        const bool zero_write = write && batch.result(i).isZero;
+        const bool payload = write && !zero_write;
+        BUDDY_CHECK(!payload || op.src != nullptr,
+                    "non-zero write event without a payload");
+        u8 tag = static_cast<u8>(op.kind);
+        if (zero_write)
+            tag |= kTagZeroWrite;
+        // The record is sized once and encoded in place: tag,
+        // entry-index varint, then the payload of a non-zero write.
+        const u64 idx = op.va / kEntryBytes;
+        const std::size_t at = stream_.size();
+        stream_.resize(at + 1 + varintBytes(idx) +
+                       (payload ? kEntryBytes : 0));
+        u8 *out = stream_.data() + at;
+        *out++ = tag;
+        out = encodeVarint(out, idx);
+        if (payload)
+            std::memcpy(out, op.src, kEntryBytes);
+    }
+    ops_ += batch.size();
     stream_.push_back(kTagBatch);
-    putVarint(stream_, opsInBatch_);
-    opsInBatch_ = 0;
-    accumulate(totals_, summary);
+    putVarint(stream_, batch.size());
+    accumulate(totals_, batch.summary());
 }
 
 std::vector<u8>
@@ -236,9 +235,14 @@ TraceRecorderSink::serialize() const
         putVarint(out, a.bytes);
         out.push_back(static_cast<u8>(a.target));
     }
+    // Size the image exactly before the stream goes in, so the stream
+    // is copied once and never again by a growing vector.
+    std::vector<u8> footer;
+    putTotals(footer, totals_);
+    out.reserve(out.size() + stream_.size() + 1 + footer.size());
     out.insert(out.end(), stream_.begin(), stream_.end());
     out.push_back(kTagFooter);
-    putTotals(out, totals_);
+    out.insert(out.end(), footer.begin(), footer.end());
     return out;
 }
 

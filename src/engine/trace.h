@@ -8,11 +8,10 @@
  * non-zero writes — with batch boundaries preserved, and (iii) a footer
  * with the recorder's accumulated traffic totals.
  *
- * TraceRecorderSink records through the existing TrafficSink stream, so
- * it works unchanged on a plain BuddyController or on a ShardedEngine
- * (which emits each finished batch's events in submission order —
- * recorded traces are deterministic byte-for-byte when batches are
- * submitted sequentially). TraceReplayer drives a fresh engine or controller from
+ * TraceRecorderSink is the ShardedEngine's TrafficSink: the engine
+ * hands it each finished batch, ops in submission order, so recorded
+ * traces are deterministic byte-for-byte when batches are submitted
+ * sequentially. TraceReplayer drives a fresh engine or controller from
  * the file: it re-creates the allocation table in recorded order,
  * translates recorded addresses into the new address space, and
  * re-executes the batches. Replaying onto an identically-configured
@@ -82,12 +81,12 @@ struct TraceTotals
 };
 
 /**
- * TrafficSink that records the access stream into the trace format.
+ * TrafficSink that records the batch stream into the trace format.
  *
- * Usage: attach to a ShardedEngine (or BuddyController), declare each
- * allocation with noteAllocation() right after allocating it, run the
- * workload, then save(). Write payloads are copied during onAccess(),
- * so the recorder has no lifetime coupling to the caller's buffers.
+ * Usage: attach to a ShardedEngine, declare each allocation with
+ * noteAllocation() right after allocating it, run the workload, then
+ * save(). Write payloads are copied during onBatch(), so the recorder
+ * has no lifetime coupling to the caller's buffers.
  */
 class TraceRecorderSink : public api::TrafficSink
 {
@@ -96,8 +95,8 @@ class TraceRecorderSink : public api::TrafficSink
     void noteAllocation(const std::string &name, Addr va, u64 bytes,
                         CompressionTarget target);
 
-    void onAccess(const api::AccessEvent &event) override;
-    void onBatch(const BatchSummary &summary) override;
+    /** Record each op of @p batch, then its batch mark and totals. */
+    void onBatch(const AccessBatch &batch) override;
 
     /** Totals accumulated so far (one onBatch = one batch). */
     const TraceTotals &totals() const { return totals_; }
@@ -114,7 +113,6 @@ class TraceRecorderSink : public api::TrafficSink
     std::vector<TraceAllocation> allocs_;
     std::vector<u8> stream_; ///< op + batch-mark records
     u64 ops_ = 0;
-    u64 opsInBatch_ = 0;
     TraceTotals totals_;
 };
 

@@ -27,13 +27,6 @@ ChromeTraceSink::noteServiceSpan(u64 seq, u64 arrival, u64 admit,
     s.complete = complete;
 }
 
-void
-ChromeTraceSink::clear()
-{
-    records_.clear();
-    serviceSpans_.clear();
-}
-
 namespace {
 
 /** Process ids of the two timeline groups. */

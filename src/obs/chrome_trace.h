@@ -63,9 +63,6 @@ class ChromeTraceSink : public BatchObserver
     /** Completed batches recorded so far. */
     std::size_t batches() const { return records_.size(); }
 
-    /** The recorded batches in arrival order (toJson() sorts by seq). */
-    const std::vector<BatchRecord> &records() const { return records_; }
-
     /**
      * Render the timeline as a complete Chrome trace_event JSON
      * document ({"traceEvents":[...]}); byte-stable for identical
@@ -75,9 +72,6 @@ class ChromeTraceSink : public BatchObserver
 
     /** Render and write to @p path (fatal on I/O failure). */
     void save(const std::string &path) const;
-
-    /** Drop all recorded batches. */
-    void clear();
 
   private:
     /** One scheduler-clock pin (see noteServiceSpan). */

@@ -1,15 +1,14 @@
 /**
  * @file
- * Batch-completion observer hooks: the coarse-grained companion of the
- * per-operation TrafficSink stream.
+ * Batch-completion observer hooks: the timeline companion of the
+ * TrafficSink stream.
  *
- * The TrafficSink stream (api/traffic_sink.h) carries one event per
- * entry access — the right granularity for traffic counting and trace
- * recording, but too fine for timeline reconstruction: a
- * timeline consumer needs the *batch* (the unit the windowed timing
- * replay scopes, and the unit tenants submit) with its makespan,
- * its per-shard split, and its submission order. BatchRecord carries
- * exactly that, and BatchObserver receives one per completed batch.
+ * The TrafficSink stream (api/traffic_sink.h) hands a sink each
+ * finished AccessBatch — its ops and per-op results, the right view
+ * for trace recording. A timeline consumer needs the batch's per-shard
+ * split, which the AccessBatch does not hold, next to its makespan and
+ * submission order. BatchRecord carries exactly that, and
+ * BatchObserver receives one per completed batch.
  *
  * The sharded engine emits one record at the end of each execute(), so
  * completion order equals submission order, and `seq` is the batch's

@@ -66,9 +66,6 @@ class JsonWriter
     /** The document so far (complete once every container is closed). */
     const std::string &str() const { return out_; }
 
-    /** True once every opened container has been closed. */
-    bool complete() const { return levels_.empty() && !out_.empty(); }
-
   private:
     void separate();
 

@@ -5,43 +5,6 @@
 namespace buddy {
 namespace obs {
 
-MetricSnapshot
-MetricSnapshot::delta(const MetricSnapshot &earlier) const
-{
-    MetricSnapshot d;
-    for (const auto &[name, v] : counters) {
-        const auto it = earlier.counters.find(name);
-        const u64 base = it == earlier.counters.end() ? 0 : it->second;
-        BUDDY_CHECK(v >= base, "counter went backwards across snapshots");
-        d.counters[name] = v - base;
-    }
-    d.gauges = gauges; // gauges are instantaneous, not cumulative
-    for (const auto &[name, h] : histograms) {
-        const auto it = earlier.histograms.find(name);
-        if (it == earlier.histograms.end()) {
-            d.histograms[name] = h;
-            continue;
-        }
-        // Rebuild the delta histogram from bucket subtraction. min/max
-        // of the interval are unknowable from endpoints; the delta
-        // keeps the later snapshot's observed bounds (documented
-        // approximation — counts and sum are exact).
-        const LatencyHistogram &old = it->second;
-        BUDDY_CHECK(h.count() >= old.count(),
-                    "histogram went backwards across snapshots");
-        LatencyHistogram out;
-        for (std::size_t b = 0; b < LatencyHistogram::kBuckets; ++b) {
-            const u64 c = h.bucketCount(b);
-            const u64 oc = old.bucketCount(b);
-            BUDDY_CHECK(c >= oc, "histogram bucket went backwards");
-            for (u64 i = oc; i < c; ++i)
-                out.add(LatencyHistogram::bucketLo(b));
-        }
-        d.histograms[name] = out;
-    }
-    return d;
-}
-
 void
 MetricRegistry::checkFresh(const std::string &name, const char *kind) const
 {
@@ -101,28 +64,6 @@ MetricRegistry::snapshot() const
     for (const auto &[name, h] : histograms_)
         s.histograms[name] = *h;
     return s;
-}
-
-void
-MetricRegistry::merge(const MetricRegistry &other)
-{
-    for (const auto &[name, c] : other.counters_)
-        counter(name).add(c->value());
-    for (const auto &[name, g] : other.gauges_)
-        gauge(name).set(g->value());
-    for (const auto &[name, h] : other.histograms_)
-        histogram(name).merge(*h);
-}
-
-void
-MetricRegistry::clear()
-{
-    for (auto &[name, c] : counters_)
-        c->clear();
-    for (auto &[name, g] : gauges_)
-        g->clear();
-    for (auto &[name, h] : histograms_)
-        h->clear();
 }
 
 } // namespace obs

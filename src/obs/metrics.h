@@ -2,7 +2,7 @@
  * @file
  * MetricRegistry: the deterministic observability registry — named
  * counters, gauges, and mergeable log2-bucket latency histograms with
- * snapshot/delta support and stable-ordered iteration.
+ * snapshots and stable-ordered iteration.
  *
  * Discipline (gem5-stats-inspired, adapted to the repo's bit-identical
  * determinism contract):
@@ -54,7 +54,6 @@ class Counter
   public:
     void add(u64 n = 1) { v_ += n; }
     u64 value() const { return v_; }
-    void clear() { v_ = 0; }
 
   private:
     u64 v_ = 0;
@@ -66,7 +65,6 @@ class Gauge
   public:
     void set(i64 v) { v_ = v; }
     i64 value() const { return v_; }
-    void clear() { v_ = 0; }
 
   private:
     i64 v_ = 0;
@@ -205,14 +203,6 @@ class LatencyHistogram
         return max_;
     }
 
-    void
-    clear()
-    {
-        for (std::size_t b = 0; b < kBuckets; ++b)
-            counts_[b] = 0;
-        total_ = sum_ = min_ = max_ = 0;
-    }
-
   private:
     u64 counts_[kBuckets] = {};
     u64 total_ = 0;
@@ -223,23 +213,14 @@ class LatencyHistogram
 
 /**
  * Point-in-time copy of a registry's values, in stable (lexicographic)
- * name order. Snapshots diff (delta) and export (obs/json.h
- * exportJson) without touching the live registry.
+ * name order. Snapshots export (obs/json.h exportJson) without touching
+ * the live registry.
  */
 struct MetricSnapshot
 {
     std::map<std::string, u64> counters;
     std::map<std::string, i64> gauges;
     std::map<std::string, LatencyHistogram> histograms;
-
-    /**
-     * This snapshot minus @p earlier: counter and histogram-bucket
-     * subtraction (gauges keep their current value — they are not
-     * cumulative). Names absent from @p earlier pass through whole;
-     * @p earlier must be a prefix state of this snapshot (counts may
-     * not go backwards — checked).
-     */
-    MetricSnapshot delta(const MetricSnapshot &earlier) const;
 };
 
 /**
@@ -261,21 +242,6 @@ class MetricRegistry
 
     /** Copy every value out in stable order. */
     MetricSnapshot snapshot() const;
-
-    /**
-     * Fold @p other into this registry: counters add, histograms
-     * merge, gauges take @p other's value. Used to fold per-shard or
-     * per-run registries into a fleet registry.
-     */
-    void merge(const MetricRegistry &other);
-
-    /** Reset every registered metric to zero (names stay registered). */
-    void clear();
-
-    std::size_t size() const
-    {
-        return counters_.size() + gauges_.size() + histograms_.size();
-    }
 
   private:
     void checkFresh(const std::string &name, const char *kind) const;

@@ -2,9 +2,9 @@
  * @file
  * Tests of the buddy::api facade: batched-vs-single-op equivalence
  * (one N-op execute() must yield exactly the AccessInfo and stats of N
- * one-op batches), the BatchSummary accounting, the
- * TrafficSink event stream (traffic and the stats fold),
- * the codec registry, and the pluggable backing stores.
+ * one-op batches), the BatchSummary accounting and the stats fold,
+ * the engine's TrafficSink batch stream, the codec registry, and the
+ * pluggable backing stores.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include "api/backing_store.h"
 #include "api/codec_registry.h"
 #include "core/controller.h"
+#include "engine/engine.h"
 #include "workloads/patterns.h"
 
 namespace buddy {
@@ -201,77 +202,95 @@ TEST(AccessBatch, SummaryMatchesStatsDelta)
     EXPECT_EQ(batch.summary().operations(), 0u);
 }
 
-/** Counting sink used by the event-stream tests. */
+/** Counting sink used by the batch-stream tests. */
 struct CountingSink : api::TrafficSink
 {
-    u64 events = 0;
+    u64 ops = 0;
     u64 writes = 0;
     u64 deviceSectors = 0;
     u64 buddySectors = 0;
     u64 batches = 0;
     BatchSummary last;
-    BatchSummary folded; ///< accumulate() of every onBatch() summary
+    BatchSummary folded; ///< accumulate() of every batch's summary
 
     void
-    onAccess(const api::AccessEvent &e) override
-    {
-        ++events;
-        if (e.kind == api::AccessKind::Write)
-            ++writes;
-        deviceSectors += e.info.deviceSectors;
-        buddySectors += e.info.buddySectors;
-    }
-
-    void
-    onBatch(const BatchSummary &s) override
+    onBatch(const AccessBatch &batch) override
     {
         ++batches;
-        last = s;
-        folded.accumulate(s);
+        ops += batch.size();
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+            if (batch.ops()[i].kind == AccessKind::Write)
+                ++writes;
+            deviceSectors += batch.result(i).deviceSectors;
+            buddySectors += batch.result(i).buddySectors;
+        }
+        last = batch.summary();
+        folded.accumulate(batch.summary());
     }
 };
 
+EngineConfig
+smallEngine()
+{
+    EngineConfig cfg;
+    cfg.shards = 2;
+    cfg.shard = smallConfig();
+    return cfg;
+}
+
 TEST(TrafficSink, SinkSeesTheSameTrafficAsStats)
 {
-    BuddyController gpu(smallConfig());
+    ShardedEngine eng(smallEngine());
     CountingSink sink;
-    gpu.attachSink(&sink);
+    eng.attachSink(&sink);
 
-    const auto id = gpu.allocate("a", 128 * KiB, CompressionTarget::Ratio2);
+    const auto id = eng.allocate("a", 128 * KiB, CompressionTarget::Ratio2);
     ASSERT_TRUE(id);
-    const Addr va = gpu.allocations().at(*id).va;
+    const Addr va = eng.allocations().at(*id).va;
 
     const auto entries = mixedEntries(128, 3);
     AccessBatch batch;
     for (std::size_t i = 0; i < entries.size(); ++i)
         batch.write(va + i * kEntryBytes, entries[i].data());
-    gpu.execute(batch);
+    eng.execute(batch);
 
-    EXPECT_EQ(sink.events, entries.size());
+    EXPECT_EQ(sink.ops, entries.size());
     EXPECT_EQ(sink.writes, entries.size());
-    EXPECT_EQ(sink.deviceSectors, gpu.stats().deviceSectors);
-    EXPECT_EQ(sink.buddySectors, gpu.stats().buddySectors);
+    EXPECT_EQ(sink.deviceSectors, eng.stats().deviceSectors);
+    EXPECT_EQ(sink.buddySectors, eng.stats().buddySectors);
     EXPECT_EQ(sink.batches, 1u);
     EXPECT_EQ(sink.last.writes, entries.size());
 
+    // A second, mixed batch: the sink's fold of the summaries is the
+    // engine's stats(), window charges included.
+    std::vector<u8> out(kEntryBytes);
+    batch.clear();
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        if (i % 2 == 0)
+            batch.read(va + i * kEntryBytes, out.data());
+        else
+            batch.probe(va + i * kEntryBytes);
+    }
+    eng.execute(batch);
+    EXPECT_EQ(sink.batches, 2u);
+    EXPECT_EQ(sink.ops, 2 * entries.size());
+    EXPECT_GT(sink.folded.combinedWindowCycles, 0u);
+    EXPECT_TRUE(sameSummary(sink.folded, eng.stats()));
+
     // Detached sinks see nothing further.
-    gpu.detachSink(&sink);
-    u8 out[kEntryBytes];
+    eng.detachSink(&sink);
     AccessBatch read;
-    read.read(va, out);
-    gpu.execute(read);
-    EXPECT_EQ(sink.events, entries.size());
+    read.read(va, out.data());
+    eng.execute(read);
+    EXPECT_EQ(sink.batches, 2u);
 }
 
-TEST(TrafficSink, StatsIsTheFoldOfTheBatchSummaries)
+TEST(BatchSummary, StatsIsTheFoldOfTheBatchSummaries)
 {
     // Mixed write/read/probe batches, timed through execute() and
     // untimed through run(): stats() equals the accumulate() fold of
-    // every returned summary, which is also the fold the sink sees in
-    // onBatch(). clearStats() zeroes it.
+    // every returned summary.
     BuddyController gpu(smallConfig());
-    CountingSink sink;
-    gpu.attachSink(&sink);
     const auto id = gpu.allocate("a", 128 * KiB, CompressionTarget::Ratio2);
     ASSERT_TRUE(id);
     const Addr va = gpu.allocations().at(*id).va;
@@ -299,52 +318,39 @@ TEST(TrafficSink, StatsIsTheFoldOfTheBatchSummaries)
     EXPECT_GT(fold.probes, 0u);
     EXPECT_GT(fold.combinedWindowCycles, 0u);
     EXPECT_TRUE(sameSummary(gpu.stats(), fold));
-    EXPECT_TRUE(sameSummary(sink.folded, fold));
-
-    gpu.clearStats();
-    EXPECT_TRUE(sameSummary(gpu.stats(), BatchSummary{}));
 }
 
 TEST(TrafficSink, ReattachingTheSameSinkIsANoOp)
 {
-    // A controller holds one sink: attaching it again neither doubles
-    // its events nor fails.
-    BuddyController gpu(smallConfig());
+    // An engine holds one sink: attaching it again neither doubles its
+    // batches nor fails.
+    ShardedEngine eng(smallEngine());
     CountingSink sink;
-    gpu.attachSink(&sink);
-    gpu.attachSink(&sink);
-    const auto id = gpu.allocate("a", 64 * KiB, CompressionTarget::Ratio2);
+    eng.attachSink(&sink);
+    eng.attachSink(&sink);
+    const auto id = eng.allocate("a", 64 * KiB, CompressionTarget::Ratio2);
     ASSERT_TRUE(id);
-    const Addr va = gpu.allocations().at(*id).va;
+    const Addr va = eng.allocations().at(*id).va;
     u8 out[kEntryBytes];
     AccessBatch batch;
     batch.read(va, out);
     batch.probe(va);
-    gpu.execute(batch);
-    EXPECT_EQ(sink.events, 2u);
+    eng.execute(batch);
+    EXPECT_EQ(sink.ops, 2u);
     EXPECT_EQ(sink.batches, 1u);
 
     // Detaching a sink that is not attached leaves the attached one.
     CountingSink other;
-    gpu.detachSink(&other);
-    gpu.execute(batch);
-    EXPECT_EQ(sink.events, 4u);
+    eng.detachSink(&other);
+    eng.execute(batch);
+    EXPECT_EQ(sink.ops, 4u);
 
     // Once the sink is detached, another may attach.
-    gpu.detachSink(&sink);
-    gpu.attachSink(&other);
-    gpu.execute(batch);
-    EXPECT_EQ(sink.events, 4u);
-    EXPECT_EQ(other.events, 2u);
-}
-
-TEST(TrafficSinkDeath, SecondSinkFailsFast)
-{
-    BuddyController gpu(smallConfig());
-    CountingSink first, second;
-    gpu.attachSink(&first);
-    EXPECT_DEATH({ gpu.attachSink(&second); },
-                 "traffic sink is already attached");
+    eng.detachSink(&sink);
+    eng.attachSink(&other);
+    eng.execute(batch);
+    EXPECT_EQ(sink.ops, 4u);
+    EXPECT_EQ(other.ops, 2u);
 }
 
 TEST(CodecRegistry, ListsBuiltinsAndCreatesThem)
@@ -416,8 +422,6 @@ TEST(BackingStore, KindsRoundTripData)
         store->write(1024, src, kEntryBytes);
         store->read(1024, dst, kEntryBytes);
         EXPECT_EQ(std::memcmp(src, dst, kEntryBytes), 0) << kind;
-        EXPECT_GE(store->bytesWritten(), kEntryBytes);
-        EXPECT_GE(store->bytesRead(), kEntryBytes);
     }
 }
 
@@ -460,7 +464,9 @@ TEST(BackingStore, ControllerHonoursConfiguredBackends)
     EXPECT_STREQ(gpu.deviceStore().kind(), "dram");
     EXPECT_STREQ(gpu.carveOut().store().kind(), "remote");
 
-    // The functional path still round-trips through a remote carve-out.
+    // The functional path still round-trips through a remote carve-out:
+    // the random entry keeps one sector on the device and spills three
+    // into its buddy slot, on the write and on the read.
     const auto id = gpu.allocate("a", 64 * KiB, CompressionTarget::Ratio4);
     ASSERT_TRUE(id);
     const Addr va = gpu.allocations().at(*id).va;
@@ -471,9 +477,11 @@ TEST(BackingStore, ControllerHonoursConfiguredBackends)
     AccessBatch batch;
     batch.write(va, entry);
     batch.read(va, out);
-    gpu.execute(batch);
+    const BatchSummary &s = gpu.execute(batch);
     EXPECT_EQ(std::memcmp(entry, out, kEntryBytes), 0);
-    EXPECT_GT(gpu.carveOut().store().bytesWritten(), 0u);
+    EXPECT_EQ(s.buddyAccesses, 2u);
+    EXPECT_EQ(s.deviceSectors, 2u);
+    EXPECT_EQ(s.buddySectors, 6u);
 }
 
 TEST(BackingStoreDeath, ControllerValidatesConfiguredBackend)

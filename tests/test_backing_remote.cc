@@ -1,10 +1,10 @@
 /**
  * @file
- * Round-trip and accounting tests of the "remote" BackingStore: the
- * disaggregated/far-memory backend whose per-operation counters a
- * timing model charges fabric round trips against. Covered under
- * direct use, behind a single controller's buddy carve-out, and behind
- * a sharded engine where every shard owns its own remote store.
+ * Round-trip tests of the "remote" BackingStore, the disaggregated /
+ * far-memory backend: under direct use, behind a single controller's
+ * buddy carve-out, and behind a sharded engine where every shard owns
+ * its own remote store. Traffic is checked where it is counted, in the
+ * batch summaries.
  *
  * Residency tests of every kind: a store's resident memory follows the
  * bytes allocations reserve, not its capacity, and a store never
@@ -26,35 +26,30 @@
 namespace buddy {
 namespace {
 
-TEST(RemoteBackingStore, DirectRoundTripAndAccounting)
+TEST(RemoteBackingStore, DirectRoundTrip)
 {
     const auto store = makeBackingStore("remote", 256 * KiB);
     EXPECT_STREQ(store->kind(), "remote");
     EXPECT_EQ(store->capacity(), 256 * KiB);
-    EXPECT_EQ(store->roundTrips(), 0u);
 
-    u8 src[kEntryBytes], dst[kEntryBytes];
+    // Write every entry, then read them all back: each slot keeps its
+    // own bytes. The slots are visited in a scrambled order (3 is
+    // coprime to kOps).
     Rng rng(7);
     const std::size_t kOps = 64;
-    for (std::size_t i = 0; i < kOps; ++i) {
-        for (auto &b : src)
-            b = static_cast<u8>(rng.below(256));
-        const Addr addr = (i * 3 % kOps) * kEntryBytes;
-        store->write(addr, src, kEntryBytes);
-        store->read(addr, dst, kEntryBytes);
-        ASSERT_EQ(std::memcmp(src, dst, kEntryBytes), 0) << "op " << i;
-    }
-
-    // Exact accounting: one write op + one read op per iteration, each
-    // moving one full entry; round trips count both directions.
-    EXPECT_EQ(store->writeOps(), kOps);
-    EXPECT_EQ(store->readOps(), kOps);
-    EXPECT_EQ(store->bytesWritten(), kOps * kEntryBytes);
-    EXPECT_EQ(store->bytesRead(), kOps * kEntryBytes);
-    EXPECT_EQ(store->roundTrips(), 2 * kOps);
+    std::vector<u8> data(kOps * kEntryBytes), out(kOps * kEntryBytes);
+    for (auto &b : data)
+        b = static_cast<u8>(rng.below(256));
+    for (std::size_t i = 0; i < kOps; ++i)
+        store->write((i * 3 % kOps) * kEntryBytes,
+                     data.data() + i * kEntryBytes, kEntryBytes);
+    for (std::size_t i = 0; i < kOps; ++i)
+        store->read((i * 3 % kOps) * kEntryBytes,
+                    out.data() + i * kEntryBytes, kEntryBytes);
+    EXPECT_EQ(std::memcmp(data.data(), out.data(), data.size()), 0);
 }
 
-TEST(RemoteBackingStore, ControllerDrivenAccounting)
+TEST(RemoteBackingStore, ControllerDrivenRoundTrip)
 {
     BuddyConfig cfg;
     cfg.deviceBytes = 8 * MiB;
@@ -68,8 +63,9 @@ TEST(RemoteBackingStore, ControllerDrivenAccounting)
     ASSERT_TRUE(id.has_value());
     const Addr va = gpu.allocations().at(*id).va;
 
-    // Incompressible entries under a 4x target spill to the carve-out:
-    // one remote write per entry write, one remote read per entry read.
+    // Random entries do not compress below 97 B, so under a 4x target
+    // each one keeps its one device sector and spills three sectors
+    // into its buddy slot in the remote carve-out, on write and on read.
     Rng rng(3);
     const std::size_t n = 64;
     std::vector<u8> data(n * kEntryBytes), out(n * kEntryBytes);
@@ -79,27 +75,26 @@ TEST(RemoteBackingStore, ControllerDrivenAccounting)
     AccessBatch plan;
     for (std::size_t i = 0; i < n; ++i)
         plan.write(va + i * kEntryBytes, data.data() + i * kEntryBytes);
-    gpu.execute(plan);
-    EXPECT_EQ(remote.writeOps(), n);
-    EXPECT_EQ(remote.readOps(), 0u);
+    const BatchSummary w = gpu.execute(plan);
+    EXPECT_EQ(w.buddyAccesses, n);
+    EXPECT_EQ(w.deviceSectors, n);
+    EXPECT_EQ(w.buddySectors, 3 * n);
 
     plan.clear();
     for (std::size_t i = 0; i < n; ++i)
         plan.read(va + i * kEntryBytes, out.data() + i * kEntryBytes);
-    gpu.execute(plan);
-    EXPECT_EQ(remote.readOps(), n);
-    EXPECT_EQ(remote.roundTrips(), 2 * n);
-    EXPECT_EQ(std::memcmp(data.data(), out.data(), n * kEntryBytes), 0);
+    const BatchSummary r = gpu.execute(plan);
+    EXPECT_EQ(r.buddyAccesses, n);
+    EXPECT_EQ(r.deviceSectors, n);
+    EXPECT_EQ(r.buddySectors, 3 * n);
 
-    // Reads reassemble exactly the spilled bytes, and every
-    // incompressible entry (need bucket 5: >96 stored bytes) leaves at
-    // least 65 bytes beyond its 32 B device slot in the carve-out.
-    EXPECT_EQ(remote.bytesRead(), remote.bytesWritten());
-    EXPECT_GE(remote.bytesWritten(), n * 65);
-    EXPECT_LE(remote.bytesWritten(), n * (kEntryBytes - kSectorBytes));
+    // Reads reassemble exactly the bytes written, and every entry
+    // stays an overflow entry.
+    EXPECT_EQ(std::memcmp(data.data(), out.data(), n * kEntryBytes), 0);
+    EXPECT_EQ(gpu.overflowEntries(), n);
 }
 
-TEST(RemoteBackingStore, EngineDrivenAccountingAcrossShards)
+TEST(RemoteBackingStore, EngineDrivenRoundTripAcrossShards)
 {
     EngineConfig cfg;
     cfg.shards = 4;
@@ -133,33 +128,26 @@ TEST(RemoteBackingStore, EngineDrivenAccountingAcrossShards)
     AccessBatch plan;
     for (std::size_t i = 0; i < vas.size(); ++i)
         plan.write(vas[i], data.data() + i * kEntryBytes);
-    eng.execute(plan);
+    const BatchSummary w = eng.execute(plan);
     plan.clear();
     for (std::size_t i = 0; i < vas.size(); ++i)
         plan.read(vas[i], out.data() + i * kEntryBytes);
-    eng.execute(plan);
+    const BatchSummary r = eng.execute(plan);
 
     EXPECT_EQ(std::memcmp(data.data(), out.data(), data.size()), 0);
 
-    // Summed across shards the accounting is exactly the single-store
-    // accounting: one write + one read round trip per (incompressible)
-    // entry, split by wherever each allocation was placed.
-    u64 write_ops = 0, read_ops = 0, bytes_written = 0, bytes_read = 0;
-    unsigned shards_touched = 0;
-    for (unsigned s = 0; s < eng.shardCount(); ++s) {
-        const BackingStore &store = eng.shard(s).carveOut().store();
-        write_ops += store.writeOps();
-        read_ops += store.readOps();
-        bytes_written += store.bytesWritten();
-        bytes_read += store.bytesRead();
-        if (store.roundTrips() > 0)
-            ++shards_touched;
+    // Summed across shards the traffic is exactly the single-store
+    // traffic: every (incompressible) entry spills three sectors each
+    // way, wherever its allocation was placed.
+    for (const BatchSummary *s : {&w, &r}) {
+        EXPECT_EQ(s->buddyAccesses, vas.size());
+        EXPECT_EQ(s->deviceSectors, vas.size());
+        EXPECT_EQ(s->buddySectors, 3 * vas.size());
     }
-    EXPECT_EQ(write_ops, vas.size());
-    EXPECT_EQ(read_ops, vas.size());
-    EXPECT_EQ(bytes_read, bytes_written);
-    EXPECT_GE(bytes_written, vas.size() * 65);
-    EXPECT_LE(bytes_written, vas.size() * (kEntryBytes - kSectorBytes));
+    unsigned shards_touched = 0;
+    for (unsigned s = 0; s < eng.shardCount(); ++s)
+        if (eng.shard(s).overflowEntries() > 0)
+            ++shards_touched;
     EXPECT_GT(shards_touched, 1u) << "hash placed everything on one shard";
 }
 

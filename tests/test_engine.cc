@@ -204,36 +204,41 @@ TEST(ShardedEngine, MergedResultsMatchSingleControllerBitForBit)
 }
 
 /**
- * Records the whole traffic event stream: every AccessEvent field, the
- * write payload copied (the pointer dies with the callback), each
- * event's batch ordinal, and every batch summary.
+ * Records the whole batch stream: each op's kind, address and result,
+ * a write's payload copied (the batch is valid only during the call),
+ * each op's batch ordinal, and every batch summary.
  */
 struct EventLog : api::TrafficSink
 {
     struct Event
     {
-        AccessEvent ev;
+        AccessKind kind = AccessKind::Probe;
+        Addr va = 0;
+        AccessInfo info;
         std::vector<u8> payload;
         std::size_t batch = 0;
     };
     std::vector<Event> events;
     std::vector<BatchSummary> batches;
-    std::vector<std::thread::id> threads; ///< one per event
+    std::vector<std::thread::id> threads; ///< one per batch
 
     void
-    onAccess(const AccessEvent &e) override
+    onBatch(const AccessBatch &batch) override
     {
         threads.push_back(std::this_thread::get_id());
-        Event x;
-        x.ev = e;
-        x.ev.data = nullptr;
-        if (e.data != nullptr)
-            x.payload.assign(e.data, e.data + kEntryBytes);
-        x.batch = batches.size();
-        events.push_back(std::move(x));
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+            const AccessRequest &op = batch.ops()[i];
+            Event x;
+            x.kind = op.kind;
+            x.va = op.va;
+            x.info = batch.result(i);
+            if (op.kind == AccessKind::Write)
+                x.payload.assign(op.src, op.src + kEntryBytes);
+            x.batch = batches.size();
+            events.push_back(std::move(x));
+        }
+        batches.push_back(batch.summary());
     }
-
-    void onBatch(const BatchSummary &s) override { batches.push_back(s); }
 };
 
 /** Ordinal of logEventPlan()'s tenant-tagged batch, and its tag. */
@@ -241,24 +246,33 @@ constexpr std::size_t kTaggedBatch = 3;
 constexpr u32 kTag = 7;
 
 /**
- * Drive one plan through @p t with @p log attached: fill every entry,
- * then a mixed read/write/probe batch, an empty batch, and a
- * tenant-tagged read/probe batch.
+ * Drive one plan through @p t and log its finished batches in @p log:
+ * fill every entry, then a mixed read/write/probe batch, an empty
+ * batch, and a tenant-tagged read/probe batch. An engine hands @p log
+ * each batch as its attached sink; a standalone controller has no
+ * sink, so its results() and summary() are logged after execute().
  */
 template <typename Target>
 void
 logEventPlan(Target &t, EventLog &log)
 {
+    constexpr bool kEngine = std::is_same_v<Target, ShardedEngine>;
     const auto vas = allocateSet(t);
     const auto entries = mixedEntries(kN, 99);
     const auto rewrites = mixedEntries(kN, 100);
     std::vector<u8> out(kN * kEntryBytes);
-    t.attachSink(&log);
+    if constexpr (kEngine)
+        t.attachSink(&log);
+    const auto execute = [&](AccessBatch &batch) {
+        t.execute(batch);
+        if constexpr (!kEngine)
+            log.onBatch(batch);
+    };
 
     AccessBatch fill;
     for (std::size_t i = 0; i < kN; ++i)
         fill.write(vas[i], entries[i].data());
-    t.execute(fill);
+    execute(fill);
 
     AccessBatch mixed;
     for (std::size_t i = 0; i < kN; ++i) {
@@ -269,10 +283,10 @@ logEventPlan(Target &t, EventLog &log)
         else
             mixed.read(vas[i], &out[i * kEntryBytes]);
     }
-    t.execute(mixed);
+    execute(mixed);
 
     AccessBatch empty;
-    t.execute(empty);
+    execute(empty);
 
     AccessBatch tagged;
     tagged.setTenant(kTag);
@@ -282,17 +296,18 @@ logEventPlan(Target &t, EventLog &log)
         else
             tagged.read(vas[i], &out[i * kEntryBytes]);
     }
-    t.execute(tagged);
-    t.detachSink(&log);
+    execute(tagged);
+    if constexpr (kEngine)
+        t.detachSink(&log);
 }
 
 TEST(ShardedEngine, EventStreamMatchesSingleController)
 {
-    // The engine's sinks must see exactly the stream a single
-    // controller emits for the same plan — engine-global addresses,
-    // merged window charges, submission order — whatever the batch's
-    // tenant tag. The working set fits the metadata cache, so even
-    // per-op hit/miss results match at any shard count.
+    // The engine's sink must see exactly the results and summaries a
+    // single controller returns for the same plan — engine-global
+    // addresses, merged window charges, submission order — whatever
+    // the batch's tenant tag. The working set fits the metadata cache,
+    // so even per-op hit/miss results match at any shard count.
     EventLog want;
     {
         BuddyController single(singleConfig());
@@ -309,9 +324,9 @@ TEST(ShardedEngine, EventStreamMatchesSingleController)
             const EventLog::Event &w = want.events[i];
             const EventLog::Event &g = got.events[i];
             ASSERT_EQ(g.batch, w.batch) << shards << " event " << i;
-            ASSERT_EQ(g.ev.kind, w.ev.kind) << shards << " event " << i;
-            ASSERT_EQ(g.ev.va, w.ev.va) << shards << " event " << i;
-            ASSERT_TRUE(sameInfo(g.ev.info, w.ev.info))
+            ASSERT_EQ(g.kind, w.kind) << shards << " event " << i;
+            ASSERT_EQ(g.va, w.va) << shards << " event " << i;
+            ASSERT_TRUE(sameInfo(g.info, w.info))
                 << shards << " event " << i;
             ASSERT_EQ(g.payload, w.payload) << shards << " event " << i;
         }
@@ -453,9 +468,9 @@ struct BatchLog : obs::BatchObserver
 TEST(ShardedEngine, EmptyBatchIsAccountedLikeAnyOther)
 {
     // An empty plan is a batch like any other: it takes the next
-    // sequence number, and the observer, the sinks, the tenant totals
-    // and the batch counter all see it, as a single controller's sinks
-    // do. Sequence numbers stay gap-free.
+    // sequence number, and the observer, the sink, the tenant totals
+    // and the batch counter all see it. Sequence numbers stay
+    // gap-free.
     const auto entries = mixedEntries(kN, 5);
     for (const WindowMode mode : {WindowMode::Merged, WindowMode::PerShard}) {
         for (const unsigned shards : {1u, 4u}) {
@@ -560,7 +575,7 @@ TEST(ShardedEngine, ThreadsFieldIsInert)
         ASSERT_EQ(run.observer.threads.size(), 3u);
         for (const std::thread::id id : run.observer.threads)
             EXPECT_EQ(id, std::this_thread::get_id());
-        ASSERT_EQ(run.events.threads.size(), 3 * kN - kN / 2);
+        ASSERT_EQ(run.events.threads.size(), 3u);
         for (const std::thread::id id : run.events.threads)
             ASSERT_EQ(id, std::this_thread::get_id());
     }
@@ -591,9 +606,9 @@ TEST(ShardedEngine, ThreadsFieldIsInert)
             const EventLog::Event &x = run.events.events[i];
             const EventLog::Event &y = ref.events.events[i];
             ASSERT_EQ(x.batch, y.batch) << threads << " event " << i;
-            ASSERT_EQ(x.ev.kind, y.ev.kind) << threads << " event " << i;
-            ASSERT_EQ(x.ev.va, y.ev.va) << threads << " event " << i;
-            ASSERT_TRUE(sameInfo(x.ev.info, y.ev.info))
+            ASSERT_EQ(x.kind, y.kind) << threads << " event " << i;
+            ASSERT_EQ(x.va, y.va) << threads << " event " << i;
+            ASSERT_TRUE(sameInfo(x.info, y.info))
                 << threads << " event " << i;
             ASSERT_EQ(x.payload, y.payload) << threads << " event " << i;
         }
@@ -1179,15 +1194,13 @@ TEST(ShardedEngine, PerShardWindowModeBarrierAndReproducibility)
     }
 }
 
-TEST(ShardedEngine, ResetThenResubmitReproducesFlowTotals)
+TEST(ShardedEngine, ResubmitReproducesFlowTotals)
 {
-    // clearStats() must reset every flow total — a missed one would
-    // survive the reset and double up on the second run. Traffic and
-    // cycle charges are pure per-op functions of the data, so
-    // re-submitting the identical plans after a reset must reproduce
-    // every flow counter exactly. overflowEntries() is a population
-    // gauge, not a flow counter: clearStats() keeps it, and rewriting
-    // identical data toggles no entry, so it holds throughout.
+    // Traffic and cycle charges are pure per-op functions of the data,
+    // so re-submitting the identical plans must reproduce every flow
+    // total of the first pass exactly. overflowEntries() is a
+    // population gauge, not a flow counter: rewriting identical data
+    // toggles no entry, so it holds throughout.
     const auto entries = mixedEntries(kN, 903);
 
     EngineConfig cfg = engineConfig(4);
@@ -1202,30 +1215,20 @@ TEST(ShardedEngine, ResetThenResubmitReproducesFlowTotals)
         AccessBatch w, r;
         for (std::size_t i = 0; i < kN; ++i)
             w.write(vas[i], entries[i].data());
-        eng.execute(w);
+        BatchSummary sum = eng.execute(w);
         for (std::size_t i = 0; i < kN; ++i) {
             if (i % 3 == 0)
                 r.probe(vas[i]);
             else
                 r.read(vas[i], out.data() + i * kEntryBytes);
         }
-        eng.execute(r);
-        return eng.stats();
+        sum.accumulate(eng.execute(r));
+        return sum;
     };
 
     const BatchSummary first = pass();
     const u64 overflow = eng.overflowEntries();
     EXPECT_GT(overflow, 0u);
-    eng.clearStats();
-    EXPECT_EQ(eng.overflowEntries(), overflow);
-    const BatchSummary cleared = eng.stats();
-    EXPECT_EQ(cleared.reads, 0u);
-    EXPECT_EQ(cleared.writes, 0u);
-    EXPECT_EQ(cleared.deviceCycles, 0u);
-    EXPECT_EQ(cleared.buddyCycles, 0u);
-    EXPECT_EQ(cleared.deviceWindowCycles, 0u);
-    EXPECT_EQ(cleared.buddyWindowCycles, 0u);
-    EXPECT_EQ(cleared.combinedWindowCycles, 0u);
 
     const BatchSummary second = pass();
     EXPECT_EQ(eng.overflowEntries(), overflow);
@@ -1269,33 +1272,86 @@ TEST(Trace, SequentialRecordingIsByteStable)
     EXPECT_EQ(record(), record());
 }
 
-TEST(Trace, ZeroWriteEventsNeedNoPayload)
+TEST(Trace, ZeroWritesRecordNoPayload)
 {
-    // A zero write carries no payload by design and is still recorded.
+    // A zero write is recorded as its tag and address alone; a
+    // non-zero write adds its 128 B payload.
+    ShardedEngine eng(engineConfig(2));
     TraceRecorderSink recorder;
-    api::AccessEvent ev;
-    ev.kind = AccessKind::Write;
-    ev.va = 4 * kPageBytes;
-    ev.info.isZero = true;
-    recorder.onAccess(ev); // data == nullptr
+    eng.attachSink(&recorder);
+    const auto id = eng.allocate("a", 64 * KiB, CompressionTarget::Ratio2);
+    ASSERT_TRUE(id.has_value());
+    const Addr va = eng.allocations().at(*id).va;
+
+    const u8 zeros[kEntryBytes] = {};
+    AccessBatch batch;
+    batch.write(va, zeros);
+    eng.execute(batch);
     EXPECT_EQ(recorder.opCount(), 1u);
+    const std::size_t zero_image = recorder.serialize().size();
+
+    u8 entry[kEntryBytes];
+    for (std::size_t i = 0; i < kEntryBytes; ++i)
+        entry[i] = static_cast<u8>(i + 1);
+    batch.clear();
+    batch.write(va, entry);
+    eng.execute(batch);
+    EXPECT_EQ(recorder.opCount(), 2u);
+    EXPECT_GE(recorder.serialize().size(), zero_image + kEntryBytes);
+    EXPECT_LT(zero_image, kEntryBytes);
+}
+
+TEST(Trace, SerializeCopiesTheStreamOnce)
+{
+    // serialize() sizes the whole image before it copies the stream
+    // in, so the stream is copied once: a vector that grew while the
+    // footer went in would hold about twice the image's size.
+    ShardedEngine eng(engineConfig(2));
+    TraceRecorderSink recorder;
+    eng.attachSink(&recorder);
+    const auto vas = allocateSet(eng);
+    const auto entries = mixedEntries(kN, 41);
+    AccessBatch batch;
+    for (std::size_t i = 0; i < kN; ++i)
+        batch.write(vas[i], entries[i].data());
+    eng.execute(batch);
+
+    const std::vector<u8> image = recorder.serialize();
+    EXPECT_GT(image.size(), kN * kEntryBytes / 2);
+    EXPECT_LE(image.capacity() - image.size(), 160u);
 }
 
 TEST(TraceDeath, NonZeroWriteEventWithoutPayloadDies)
 {
-    // Every non-zero write the controller executes has a payload
-    // (executeOp requires op.src), so an event without one is an
-    // internal fault, not an op to skip.
+    // Every non-zero write needs a payload (the controller's executeOp
+    // requires op.src, and the recorder copies it), so a write without
+    // one is an internal fault, not an op to skip.
+    EXPECT_DEATH(
+        {
+            ShardedEngine eng(engineConfig(2));
+            TraceRecorderSink recorder;
+            eng.attachSink(&recorder);
+            const auto id =
+                eng.allocate("a", 64 * KiB, CompressionTarget::Ratio2);
+            AccessBatch batch;
+            batch.write(eng.allocations().at(*id).va, nullptr);
+            eng.execute(batch);
+        },
+        "payload");
+}
+
+TEST(TraceDeath, UnexecutedBatchDies)
+{
+    // The recorder reads each op's result; a batch that has not run
+    // has none.
     EXPECT_DEATH(
         {
             TraceRecorderSink recorder;
-            api::AccessEvent ev;
-            ev.kind = AccessKind::Write;
-            ev.va = 4 * kPageBytes;
-            ev.info.buddySectors = 8;
-            recorder.onAccess(ev);
+            AccessBatch batch;
+            batch.probe(4 * kPageBytes);
+            recorder.onBatch(batch);
         },
-        "payload");
+        "has not executed");
 }
 
 TEST(TraceDeath, MalformedTraceFailsFast)

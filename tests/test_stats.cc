@@ -1,13 +1,14 @@
 /**
  * @file
- * Tests of the common streaming-statistics accumulators (common/stats.h),
- * pinning RunningStat::merge as an exact Welford combine: folding
- * per-shard accumulators must agree with one single-stream accumulator
- * over the concatenated samples, for any split of the stream.
+ * Tests of the common streaming-statistics accumulators (common/stats.h):
+ * RunningStat's one-pass Welford moments agree with a two-pass
+ * computation over the same samples, and Histogram::merge is an exact
+ * bucket fold.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -25,81 +26,65 @@ sampleStream(std::size_t n, u64 seed)
     std::vector<double> xs;
     xs.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-        // Mix tiny and large magnitudes so a naive (non-Welford)
-        // combine would lose precision visibly.
+        // Mix tiny and large magnitudes so a naive sum-of-squares
+        // variance would lose precision visibly.
         const double base = (i % 7 == 0) ? 1e9 : 1.0;
         xs.push_back(base + static_cast<double>(rng.below(1000)) / 997.0);
     }
     return xs;
 }
 
-void
-expectSameStats(const RunningStat &a, const RunningStat &b)
-{
-    EXPECT_EQ(a.count(), b.count());
-    EXPECT_DOUBLE_EQ(a.min(), b.min());
-    EXPECT_DOUBLE_EQ(a.max(), b.max());
-    // sum/mean/m2 accumulate in a different order on the merged side
-    // (per-shard partials, then folds) vs. the single stream; floating
-    // point is not associative, so close relative tolerance, not
-    // bit-equality, is the right contract.
-    EXPECT_NEAR(a.sum(), b.sum(), std::abs(b.sum()) * 1e-12);
-    EXPECT_NEAR(a.mean(), b.mean(), std::abs(b.mean()) * 1e-12);
-    EXPECT_NEAR(a.variance(), b.variance(),
-                std::abs(b.variance()) * 1e-9 + 1e-9);
-}
-
-TEST(RunningStatMerge, MatchesSingleStreamForAnySplit)
-{
-    const auto xs = sampleStream(1000, 17);
-    RunningStat whole;
-    for (const double x : xs)
-        whole.add(x);
-
-    for (const std::size_t split : {0ul, 1ul, 250ul, 999ul, 1000ul}) {
-        RunningStat left, right;
-        for (std::size_t i = 0; i < xs.size(); ++i)
-            (i < split ? left : right).add(xs[i]);
-        left.merge(right);
-        expectSameStats(left, whole);
-    }
-}
-
-TEST(RunningStatMerge, ManyWayFoldMatchesSingleStream)
+TEST(RunningStat, MatchesTwoPassMoments)
 {
     const auto xs = sampleStream(4096, 23);
-    RunningStat whole;
+    RunningStat rs;
     for (const double x : xs)
-        whole.add(x);
+        rs.add(x);
 
-    // 8-way round-robin split, folded in order — the per-shard shape.
-    std::vector<RunningStat> shards(8);
-    for (std::size_t i = 0; i < xs.size(); ++i)
-        shards[i % shards.size()].add(xs[i]);
-    RunningStat fleet;
-    for (const RunningStat &s : shards)
-        fleet.merge(s);
-    expectSameStats(fleet, whole);
+    double sum = 0.0;
+    for (const double x : xs)
+        sum += x;
+    const double mean = sum / static_cast<double>(xs.size());
+    double m2 = 0.0;
+    for (const double x : xs)
+        m2 += (x - mean) * (x - mean);
+    const double variance = m2 / static_cast<double>(xs.size() - 1);
+
+    EXPECT_EQ(rs.count(), xs.size());
+    EXPECT_DOUBLE_EQ(rs.min(), *std::min_element(xs.begin(), xs.end()));
+    EXPECT_DOUBLE_EQ(rs.max(), *std::max_element(xs.begin(), xs.end()));
+    EXPECT_NEAR(rs.sum(), sum, std::abs(sum) * 1e-12);
+    EXPECT_NEAR(rs.mean(), mean, std::abs(mean) * 1e-12);
+    EXPECT_NEAR(rs.variance(), variance, variance * 1e-9);
 }
 
-TEST(RunningStatMerge, EmptySidesAreIdentity)
+TEST(RunningStat, EmptyAndSingleSampleAreZeroSpread)
 {
-    RunningStat empty, filled;
-    filled.add(2.0);
-    filled.add(4.0);
+    RunningStat rs;
+    EXPECT_EQ(rs.count(), 0u);
+    EXPECT_DOUBLE_EQ(rs.mean(), 0.0);
+    EXPECT_DOUBLE_EQ(rs.min(), 0.0);
+    EXPECT_DOUBLE_EQ(rs.max(), 0.0);
 
-    RunningStat a = filled;
-    a.merge(empty); // merging empty changes nothing
-    expectSameStats(a, filled);
+    rs.add(3.5);
+    EXPECT_DOUBLE_EQ(rs.mean(), 3.5);
+    EXPECT_DOUBLE_EQ(rs.variance(), 0.0);
+    EXPECT_DOUBLE_EQ(rs.stddev(), 0.0);
+}
 
-    RunningStat b = empty;
-    b.merge(filled); // merging into empty copies the other side
-    expectSameStats(b, filled);
-
-    RunningStat c;
-    c.merge(empty); // empty + empty stays empty
-    EXPECT_EQ(c.count(), 0u);
-    EXPECT_DOUBLE_EQ(c.mean(), 0.0);
+TEST(Histogram, MergeAddsBuckets)
+{
+    Histogram a(5), b(5);
+    a.add(0);
+    a.add(4);
+    b.add(4);
+    b.add(2);
+    a.merge(b);
+    EXPECT_EQ(a.total(), 4u);
+    EXPECT_EQ(a.count(0), 1u);
+    EXPECT_EQ(a.count(2), 1u);
+    EXPECT_EQ(a.count(4), 2u);
+    EXPECT_DOUBLE_EQ(a.fraction(4), 0.5);
 }
 
 } // namespace
