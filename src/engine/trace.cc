@@ -19,6 +19,7 @@ constexpr u8 kMagic[4] = {'B', 'D', 'Y', 'T'};
 // The only format written; loadImage() rejects every other version.
 constexpr u8 kTraceFormatVersion = 5;
 constexpr u8 kTagZeroWrite = 0x10;
+constexpr u8 kTagRepeat = 0x40;
 constexpr u8 kTagBatch = 0xFE;
 constexpr u8 kTagFooter = 0xFF;
 
@@ -187,6 +188,33 @@ TraceRecorderSink::noteAllocation(const std::string &name, Addr va,
     a.bytes = bytes;
     a.target = target;
     allocs_.push_back(std::move(a));
+
+    // Kept sorted by start for lastPayloadSlot()'s search; an equal
+    // start goes after, so a re-noted range finds its latest note.
+    const u64 first = va / kEntryBytes;
+    const auto at = std::upper_bound(
+        slots_.begin(), slots_.end(), first,
+        [](u64 v, const EntrySlots &x) { return v < x.firstIdx; });
+    slots_.insert(at, {first, (bytes + kEntryBytes - 1) / kEntryBytes, {}});
+}
+
+u32 *
+TraceRecorderSink::lastPayloadSlot(u64 idx, bool create)
+{
+    const auto it = std::upper_bound(
+        slots_.begin(), slots_.end(), idx,
+        [](u64 v, const EntrySlots &x) { return v < x.firstIdx; });
+    if (it == slots_.begin())
+        return nullptr;
+    EntrySlots &s = *(it - 1);
+    if (idx - s.firstIdx >= s.entries)
+        return nullptr;
+    if (s.lastPayload.empty()) {
+        if (!create)
+            return nullptr;
+        s.lastPayload.assign(s.entries, 0);
+    }
+    return &s.lastPayload[idx - s.firstIdx];
 }
 
 void
@@ -201,20 +229,42 @@ TraceRecorderSink::onBatch(const AccessBatch &batch)
         const bool payload = write && !zero_write;
         BUDDY_CHECK(!payload || op.src != nullptr,
                     "non-zero write event without a payload");
+        const u64 idx = op.va / kEntryBytes;
+        u32 *last = write ? lastPayloadSlot(idx, payload) : nullptr;
+        // A non-zero write whose bytes equal its entry's last payload
+        // records the distance back to that payload record instead.
+        u64 back = 0;
+        if (payload && last != nullptr && *last != 0 &&
+            std::memcmp(stream_.data() + payloadAt_[*last - 1], op.src,
+                        kEntryBytes) == 0)
+            back = payloadAt_.size() - (*last - 1);
         u8 tag = static_cast<u8>(op.kind);
         if (zero_write)
             tag |= kTagZeroWrite;
+        if (back != 0)
+            tag |= kTagRepeat;
         // The record is sized once and encoded in place: tag,
-        // entry-index varint, then the payload of a non-zero write.
-        const u64 idx = op.va / kEntryBytes;
+        // entry-index varint, then a repeat's distance or the payload
+        // of any other non-zero write.
+        const bool copy = payload && back == 0;
         const std::size_t at = stream_.size();
         stream_.resize(at + 1 + varintBytes(idx) +
-                       (payload ? kEntryBytes : 0));
+                       (back != 0 ? varintBytes(back)
+                                  : copy ? kEntryBytes : 0));
         u8 *out = stream_.data() + at;
         *out++ = tag;
         out = encodeVarint(out, idx);
-        if (payload)
+        if (back != 0)
+            encodeVarint(out, back);
+        if (copy) {
             std::memcpy(out, op.src, kEntryBytes);
+            payloadAt_.push_back(static_cast<u64>(out - stream_.data()));
+        }
+        // A zero write leaves no payload to refer back to. Past 2^32
+        // payload records the slot wraps to an older record; the memcmp
+        // above still checks the bytes of the record it names.
+        if (last != nullptr && back == 0)
+            *last = copy ? static_cast<u32>(payloadAt_.size()) : 0;
     }
     ops_ += batch.size();
     stream_.push_back(kTagBatch);
@@ -322,6 +372,7 @@ TraceReplayer::loadImage(std::vector<u8> image)
     }
 
     std::vector<Op> batch;
+    std::vector<const u8 *> payloads; // payload records, in stream order
     for (;;) {
         const u8 tag = r.byte();
         if (tag == kTagFooter) {
@@ -335,7 +386,9 @@ TraceReplayer::loadImage(std::vector<u8> image)
             const u64 count = r.varint();
             BUDDY_CHECK(count == batch.size(),
                         "trace batch-mark op count mismatch");
-            batches_.push_back(std::move(batch));
+            // Copied out at its exact size: the scratch batch keeps its
+            // capacity instead of regrowing from empty for every batch.
+            batches_.emplace_back(batch.begin(), batch.end());
             batch.clear();
             continue;
         }
@@ -345,15 +398,28 @@ TraceReplayer::loadImage(std::vector<u8> image)
         const u8 flags = tag & 0xF0;
         BUDDY_CHECK(kind <= static_cast<u8>(AccessKind::Probe),
                     "unknown trace op kind");
-        BUDDY_CHECK(flags == 0 || flags == kTagZeroWrite,
+        BUDDY_CHECK((flags & ~(kTagZeroWrite | kTagRepeat)) == 0,
                     "unknown trace op flag bits");
-        BUDDY_CHECK(flags == 0 || kind == static_cast<u8>(AccessKind::Write),
-                    "zero-write flag on a non-write trace op");
+        const bool write = kind == static_cast<u8>(AccessKind::Write);
+        const bool zero = flags & kTagZeroWrite;
+        const bool repeat = flags & kTagRepeat;
+        BUDDY_CHECK(!zero || write, "zero-write flag on a non-write trace op");
+        BUDDY_CHECK(!repeat || write, "repeat flag on a non-write trace op");
+        BUDDY_CHECK(!(zero && repeat), "repeat flag on a zero-write trace op");
         op.kind = static_cast<AccessKind>(kind);
         op.va = r.entryIndex() * kEntryBytes;
-        if (op.kind == AccessKind::Write)
-            op.payload = (tag & kTagZeroWrite) ? kZeroEntry
-                                               : r.raw(kEntryBytes);
+        if (zero) {
+            op.payload = kZeroEntry;
+        } else if (repeat) {
+            const u64 back = r.varint();
+            BUDDY_CHECK(back != 0, "trace repeat distance is zero");
+            BUDDY_CHECK(back <= payloads.size(),
+                        "trace repeat reaches before the first payload");
+            op.payload = payloads[payloads.size() - back];
+        } else if (write) {
+            op.payload = r.raw(kEntryBytes);
+            payloads.push_back(op.payload);
+        }
         batch.push_back(op);
         ++ops_;
     }

@@ -5,8 +5,9 @@
  * A trace is a compact binary file holding (i) the allocation table
  * (name, base VA, size, target ratio), (ii) the executed operation
  * stream — kind + entry address per op, plus the 128 B payload for
- * non-zero writes — with batch boundaries preserved, and (iii) a footer
- * with the recorder's accumulated traffic totals.
+ * non-zero writes, or a back-reference for a write that repeats its
+ * entry's last payload — with batch boundaries preserved, and (iii) a
+ * footer with the recorder's accumulated traffic totals.
  *
  * TraceRecorderSink is the ShardedEngine's TrafficSink: the engine
  * hands it each finished batch, ops in submission order, so recorded
@@ -27,7 +28,10 @@
  *   record stream, one tag byte each:
  *     0x00..0x02  op: tag = kind (read/write/probe), then entryIdx
  *                 (va/128); tag|0x10 marks an all-zero write;
- *                 non-zero writes append 128 raw payload bytes
+ *                 tag|0x40 marks a repeat: a write whose bytes equal
+ *                 the k-th most recent payload record, with varint
+ *                 k >= 1 after entryIdx; every other non-zero write
+ *                 appends 128 raw payload bytes (a payload record)
  *     0xFE        batch end: opCount (redundant, checked on load)
  *     0xFF        footer: the accumulated totals — eight traffic
  *                 counters, the deviceCycles/buddyCycles link charges,
@@ -36,6 +40,10 @@
  *                 makespan total, the codecCycles /
  *                 codecChargedWindowCycles inline-unit totals, and the
  *                 batch count — then EOF
+ *
+ * Version 5 includes the repeat flag. A capture without repeats is
+ * byte-identical to one written before the flag existed, and a reader
+ * that predates the flag rejects it as unknown flag bits.
  *
  * Windowed timing and traces: the op stream carries no timing, so
  * a capture recorded at any BuddyConfig::linkWindow and either
@@ -85,8 +93,11 @@ struct TraceTotals
  *
  * Usage: attach to a ShardedEngine, declare each allocation with
  * noteAllocation() right after allocating it, run the workload, then
- * save(). Write payloads are copied during onBatch(), so the recorder
- * has no lifetime coupling to the caller's buffers.
+ * save(). onBatch() copies each non-zero write's payload into the
+ * stream, so the recorder has no lifetime coupling to the caller's
+ * buffers — unless the bytes equal the payload last recorded for that
+ * entry of a noted allocation: then it records a repeat, which costs a
+ * few bytes instead of 128. A zero write clears the entry's reference.
  */
 class TraceRecorderSink : public api::TrafficSink
 {
@@ -110,8 +121,25 @@ class TraceRecorderSink : public api::TrafficSink
     void save(const std::string &path) const;
 
   private:
+    /** A noted allocation's entries and, per entry, 1 + the ordinal of
+     *  its last payload record (0: none). lastPayload stays empty until
+     *  the allocation's first non-zero write. */
+    struct EntrySlots
+    {
+        u64 firstIdx; ///< base VA / kEntryBytes
+        u64 entries;
+        std::vector<u32> lastPayload;
+    };
+
+    /** The slot of entry @p idx in the noted allocation that starts
+     *  last at or below it; nullptr outside every noted allocation, or
+     *  when its slots are not allocated yet and @p create is false. */
+    u32 *lastPayloadSlot(u64 idx, bool create);
+
     std::vector<TraceAllocation> allocs_;
-    std::vector<u8> stream_; ///< op + batch-mark records
+    std::vector<EntrySlots> slots_; ///< sorted by firstIdx
+    std::vector<u64> payloadAt_;    ///< stream offset per payload record
+    std::vector<u8> stream_;        ///< op + batch-mark records
     u64 ops_ = 0;
     TraceTotals totals_;
 };

@@ -1246,14 +1246,27 @@ TEST(ShardedEngine, ResubmitReproducesFlowTotals)
     EXPECT_GT(second.combinedWindowCycles, 0u);
 }
 
+/** FNV-1a 64 over @p bytes. */
+u64
+fnv1a(const std::vector<u8> &bytes)
+{
+    u64 h = 0xcbf29ce484222325ull;
+    for (u8 b : bytes) {
+        h ^= b;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
 TEST(Trace, SequentialRecordingIsByteStable)
 {
     // Recording the same sequentially-submitted workload twice must
     // produce bit-identical trace files (events are replayed to engine
-    // sinks in submission order, not completion order).
+    // sinks in submission order, not completion order). Rewriting every
+    // entry with its own bytes adds repeat records, which are as stable.
     const auto entries = mixedEntries(512, 13);
 
-    auto record = [&]() {
+    auto record = [&](bool rewrite) {
         ShardedEngine eng(engineConfig(4));
         TraceRecorderSink recorder;
         eng.attachSink(&recorder);
@@ -1266,10 +1279,21 @@ TEST(Trace, SequentialRecordingIsByteStable)
         for (std::size_t i = 0; i < entries.size(); ++i)
             w.write(ea.va + i * kEntryBytes, entries[i].data());
         eng.execute(w);
+        if (rewrite)
+            eng.execute(w);
         return recorder.serialize();
     };
 
-    EXPECT_EQ(record(), record());
+    const std::vector<u8> once = record(false);
+    EXPECT_EQ(once, record(false));
+    // The rewrite pass adds a few bytes per entry, not 128.
+    const std::vector<u8> twice = record(true);
+    EXPECT_EQ(twice, record(true));
+    EXPECT_LT(twice.size(), once.size() + once.size() / 4);
+    // A capture without a rewrite holds no repeat record, so it is the
+    // image the recorder wrote before repeat records existed.
+    EXPECT_EQ(once.size(), 57140u);
+    EXPECT_EQ(fnv1a(once), 0x30ad074e52925643ull);
 }
 
 TEST(Trace, ZeroWritesRecordNoPayload)
@@ -1299,6 +1323,168 @@ TEST(Trace, ZeroWritesRecordNoPayload)
     EXPECT_EQ(recorder.opCount(), 2u);
     EXPECT_GE(recorder.serialize().size(), zero_image + kEntryBytes);
     EXPECT_LT(zero_image, kEntryBytes);
+}
+
+/** Bytes of @p v's LEB128 varint. */
+std::vector<u8>
+varint(u64 v)
+{
+    std::vector<u8> out;
+    for (; v >= 0x80; v >>= 7)
+        out.push_back(static_cast<u8>(v) | 0x80);
+    out.push_back(static_cast<u8>(v));
+    return out;
+}
+
+/** The recorder's image up to the end of its record stream: the footer
+ *  (its tag and sixteen totals varints) cut off. */
+std::vector<u8>
+streamImage(const TraceRecorderSink &rec)
+{
+    std::vector<u8> image = rec.serialize();
+    const BatchSummary &s = rec.totals().summary;
+    const u64 fields[] = {s.reads,
+                          s.writes,
+                          s.probes,
+                          s.deviceSectors,
+                          s.buddySectors,
+                          s.metadataHits,
+                          s.metadataMisses,
+                          s.buddyAccesses,
+                          s.deviceCycles,
+                          s.buddyCycles,
+                          s.deviceWindowCycles,
+                          s.buddyWindowCycles,
+                          s.combinedWindowCycles,
+                          s.codecCycles,
+                          s.codecChargedWindowCycles,
+                          rec.totals().batches};
+    std::size_t footer = 1;
+    for (u64 f : fields)
+        footer += varint(f).size();
+    image.resize(image.size() - footer);
+    return image;
+}
+
+TEST(Trace, UnchangedRewriteRecordsAReference)
+{
+    // A write whose bytes equal its entry's last payload is recorded as
+    // its tag (write | 0x40), entry index and the distance k back to
+    // that payload record. A changed rewrite, a rewrite after a zero
+    // write, and bytes equal only to another entry's payload record
+    // the full 128 B. The replay resolves every reference to the bytes
+    // it names, at 1 and 4 shards.
+    std::vector<std::vector<u8>> data(5, std::vector<u8>(kEntryBytes));
+    for (std::size_t e = 0; e < data.size(); ++e)
+        for (std::size_t i = 0; i < kEntryBytes; ++i)
+            data[e][i] = static_cast<u8>(e * 37 + i * 3 + 1);
+    const u8 zeros[kEntryBytes] = {};
+
+    for (unsigned shards : {1u, 4u}) {
+        SCOPED_TRACE("shards " + std::to_string(shards));
+        ShardedEngine eng(engineConfig(shards));
+        TraceRecorderSink recorder;
+        eng.attachSink(&recorder);
+        const auto id =
+            eng.allocate("a", 8 * kEntryBytes, CompressionTarget::Ratio2);
+        ASSERT_TRUE(id.has_value());
+        const EngineAllocation &ea = eng.allocations().at(*id);
+        recorder.noteAllocation(ea.name, ea.va, ea.bytes, ea.target);
+        const auto va = [&](std::size_t e) { return ea.va + e * kEntryBytes; };
+
+        // One single-write batch; returns the stream bytes it added,
+        // less its two-byte batch mark (0xFE, count 1).
+        const auto writeOne = [&](std::size_t e, const u8 *bytes) {
+            const std::vector<u8> before = streamImage(recorder);
+            AccessBatch b;
+            b.write(va(e), bytes);
+            eng.execute(b);
+            const std::vector<u8> after = streamImage(recorder);
+            EXPECT_TRUE(std::equal(before.begin(), before.end(),
+                                   after.begin()));
+            EXPECT_EQ(after[after.size() - 2], 0xFE);
+            EXPECT_EQ(after.back(), 1u);
+            return std::vector<u8>(after.begin() + before.size(),
+                                   after.end() - 2);
+        };
+        const auto repeatRecord = [&](std::size_t e, u64 k) {
+            std::vector<u8> rec{0x41};
+            const std::vector<u8> idx = varint(va(e) / kEntryBytes);
+            const std::vector<u8> back = varint(k);
+            rec.insert(rec.end(), idx.begin(), idx.end());
+            rec.insert(rec.end(), back.begin(), back.end());
+            return rec;
+        };
+        const std::size_t payload_record =
+            1 + varint(va(0) / kEntryBytes).size() + kEntryBytes;
+        // Reads entries 0..3 in one batch, checks them against
+        // @p expect and keeps them for the replay to match.
+        std::vector<u8> recorded_reads;
+        const auto readBack = [&](std::vector<const std::vector<u8> *> expect) {
+            const std::size_t at = recorded_reads.size();
+            recorded_reads.resize(at + 4 * kEntryBytes);
+            AccessBatch reads;
+            for (std::size_t e = 0; e < 4; ++e)
+                reads.read(va(e), recorded_reads.data() + at + e * kEntryBytes);
+            eng.execute(reads);
+            for (std::size_t e = 0; e < 4; ++e)
+                EXPECT_EQ(0, std::memcmp(recorded_reads.data() + at +
+                                             e * kEntryBytes,
+                                         expect[e]->data(), kEntryBytes));
+        };
+
+        AccessBatch first;
+        for (std::size_t e = 0; e < 4; ++e)
+            first.write(va(e), data[e].data());
+        eng.execute(first); // payload records 0..3
+
+        // Entry 1 again with its own bytes: k = 4 - 1.
+        const std::vector<u8> rewrite = writeOne(1, data[1].data());
+        EXPECT_EQ(rewrite, repeatRecord(1, 3));
+        EXPECT_EQ(rewrite.size(), 1 + varint(va(1) / kEntryBytes).size() +
+                                      varint(3).size());
+        readBack({&data[0], &data[1], &data[2], &data[3]});
+        // Entry 2 with changed bytes: payload record 4.
+        std::vector<u8> rec = writeOne(2, data[4].data());
+        EXPECT_EQ(rec.size(), payload_record);
+        EXPECT_EQ(rec[0], 0x01);
+        // A zero write clears entry 3's reference: payload record 5.
+        rec = writeOne(3, zeros);
+        EXPECT_EQ(rec[0], 0x11);
+        rec = writeOne(3, data[3].data());
+        EXPECT_EQ(rec.size(), payload_record);
+        // Entry 0 with entry 1's bytes: payload record 6.
+        rec = writeOne(0, data[1].data());
+        EXPECT_EQ(rec.size(), payload_record);
+        // Entry 1's last payload is still record 1: k = 7 - 1.
+        EXPECT_EQ(writeOne(1, data[1].data()), repeatRecord(1, 6));
+
+        readBack({&data[1], &data[1], &data[4], &data[3]});
+        eng.detachSink(&recorder);
+
+        TraceReplayer replayer;
+        replayer.loadImage(recorder.serialize());
+        EXPECT_EQ(replayer.opCount(), recorder.opCount());
+
+        // Every batch replays onto a fresh engine: the totals match the
+        // footer's, and the read batches read the recorded bytes back.
+        ShardedEngine fresh(engineConfig(shards));
+        TraceCursor cursor(replayer, fresh);
+        TraceTotals replayed;
+        AccessBatch plan;
+        std::vector<u8> read_buf, replayed_reads;
+        while (cursor.next(plan, read_buf)) {
+            replayed.summary.accumulate(fresh.execute(plan));
+            ++replayed.batches;
+            if (plan.ops()[0].kind == AccessKind::Read)
+                replayed_reads.insert(replayed_reads.end(), read_buf.begin(),
+                                      read_buf.end());
+        }
+        EXPECT_TRUE(sameSummary(replayed.summary,
+                                replayer.recordedTotals().summary));
+        EXPECT_EQ(replayed.batches, replayer.recordedTotals().batches);
+        EXPECT_EQ(replayed_reads, recorded_reads);
+    }
 }
 
 TEST(Trace, SerializeCopiesTheStreamOnce)

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -542,6 +543,65 @@ TEST(TraceCorruption, ZeroWriteFlagOnNonWriteDies)
     std::vector<u8> image = {'B', 'D', 'Y', 'T', 5, 0x00};
     image.push_back(0x10); // zero-write flag on a read op
     EXPECT_DEATH(loadBytes(image), "zero-write flag on a non-write");
+}
+
+TEST(TraceCorruption, RepeatFlagOnNonWriteDies)
+{
+    // The repeat flag (0x40) names a payload, which only a write has.
+    for (u8 tag : {u8{0x40}, u8{0x42}}) { // read, probe
+        std::vector<u8> image = {'B', 'D', 'Y', 'T', 5, 0x00};
+        image.push_back(tag);
+        image.push_back(0x00); // entry 0
+        image.push_back(0x01); // k = 1
+        EXPECT_DEATH(loadBytes(image), "repeat flag on a non-write")
+            << "tag " << unsigned{tag};
+    }
+}
+
+TEST(TraceCorruption, RepeatFlagOnZeroWriteDies)
+{
+    std::vector<u8> image = {'B', 'D', 'Y', 'T', 5, 0x00};
+    image.push_back(0x51); // write | zero | repeat
+    image.push_back(0x00);
+    image.push_back(0x01);
+    EXPECT_DEATH(loadBytes(image), "repeat flag on a zero-write");
+}
+
+/** A minimal image whose one batch holds a non-zero write of entry 0
+ *  (payload record 1) followed by @p tail. */
+std::vector<u8>
+afterOnePayload(std::initializer_list<u8> tail)
+{
+    std::vector<u8> image = {'B', 'D', 'Y', 'T', 5, 0x00};
+    image.push_back(0x01); // write of entry 0
+    image.push_back(0x00);
+    image.insert(image.end(), kEntryBytes, 0xA5);
+    image.insert(image.end(), tail);
+    return image;
+}
+
+TEST(TraceCorruption, RepeatDistanceZeroDies)
+{
+    // k = 0 would name the repeat record itself.
+    EXPECT_DEATH(loadBytes(afterOnePayload({0x41, 0x00, 0x00})),
+                 "trace repeat distance is zero");
+}
+
+TEST(TraceCorruption, RepeatBeforeFirstPayloadDies)
+{
+    // One payload record precedes the repeat, so k = 2 names none.
+    EXPECT_DEATH(loadBytes(afterOnePayload({0x41, 0x00, 0x02})),
+                 "trace repeat reaches before the first payload");
+    // No payload precedes it at all.
+    EXPECT_DEATH(loadBytes({'B', 'D', 'Y', 'T', 5, 0x00, 0x41, 0x00, 0x01}),
+                 "trace repeat reaches before the first payload");
+}
+
+TEST(TraceCorruption, TruncatedRepeatDistanceDies)
+{
+    // The k varint's continuation bit runs past the end of the image.
+    EXPECT_DEATH(loadBytes(afterOnePayload({0x41, 0x00, 0x80})),
+                 "truncated trace");
 }
 
 TEST(TraceCorruption, EntryIndexOutOfRangeDies)
