@@ -9,13 +9,11 @@
  * fleet throughput and fairness (min/max service cycles and Jain's
  * index).
  *
- * By default this is a true open-loop load generator: continuous
- * admission (--admission=continuous) with a deterministic per-tenant
- * arrival process (--arrivals=poisson|bursty|closed), reporting
- * per-tenant queueing-delay and service-latency p50/p95/p99 in
- * simulated cycles — all bit-for-bit reproducible from --seed.
- * --admission=bulk selects the bulk-synchronous round scheduler
- * (arrival flags are then rejected as meaningless).
+ * This is a true open-loop load generator: admission on a simulated
+ * clock with a deterministic per-tenant arrival process
+ * (--arrivals=poisson|bursty|closed), reporting per-tenant
+ * queueing-delay and service-latency p50/p95/p99 in simulated cycles —
+ * all bit-for-bit reproducible from --seed.
  *
  * Correctness ride-along — the service isolation contract: after the
  * contended run, every tenant's stream is replayed alone on a private
@@ -73,8 +71,8 @@ tenantSeed(u64 base, std::size_t i)
 
 /**
  * Replay the first @p upto batches of tenant @p i's stream alone on a
- * private engine (under --max-rounds a tenant may have completed only
- * a prefix; the contract compares exactly the batches that ran).
+ * private engine (under --max-completions a tenant may have completed
+ * only a prefix; the contract compares exactly the batches that ran).
  */
 BatchSummary
 soloTotals(const EngineConfig &cfg, u64 seed, std::size_t i,
@@ -116,26 +114,18 @@ main(int argc, char **argv)
     cli.addUint("weight-spread", 1,
                 "tenant i gets weight 1 + i %% spread (1 = uniform)");
     cli.addUint("seed", 0x5eed, "scheduling + workload base seed");
-    cli.addEnum("admission", "continuous",
-                {{"bulk", static_cast<u64>(AdmissionMode::BulkSynchronous)},
-                 {"continuous",
-                  static_cast<u64>(AdmissionMode::Continuous)}},
-                "admission model (continuous = open-loop)");
     cli.addEnum("arrivals", "poisson",
                 {{"closed", static_cast<u64>(ArrivalKind::Closed)},
                  {"poisson", static_cast<u64>(ArrivalKind::Poisson)},
                  {"bursty", static_cast<u64>(ArrivalKind::Bursty)}},
-                "per-tenant arrival process (continuous mode)");
+                "per-tenant arrival process");
     cli.addUint("mean-gap", 4096,
                 "poisson mean inter-arrival gap in simulated cycles");
     cli.addUint("burst-size", 4, "bursty: batches arriving together");
     cli.addUint("burst-gap", 8192,
                 "bursty: cycles between burst fronts");
-    cli.addUint("max-rounds", 0,
-                "bulk: stop after this many rounds (0 = drain)");
     cli.addUint("max-completions", 0,
-                "continuous: stop admitting after this many batches "
-                "(0 = drain)");
+                "stop admitting after this many batches (0 = drain)");
     addWindowFlag(cli); // --window, default 32
     cli.addEnum("window-mode", "merged",
                 {{"merged", static_cast<u64>(WindowMode::Merged)},
@@ -159,30 +149,19 @@ main(int argc, char **argv)
     const u64 window = windowOf(cli);
     const auto mode = static_cast<WindowMode>(cli.enumOf("window-mode"));
     const auto policy = static_cast<SchedPolicy>(cli.enumOf("sched"));
-    const auto admission = static_cast<AdmissionMode>(cli.enumOf("admission"));
     const auto arrivalKind = static_cast<ArrivalKind>(cli.enumOf("arrivals"));
-    const bool continuous = admission == AdmissionMode::Continuous;
     const std::string &codec = cli.stringOf("codec");
     if (tenants == 0 || entries == 0 || shards == 0) {
         std::fprintf(stderr,
                      "--tenants, --entries and --shards must be nonzero\n");
         return 1;
     }
-    if (!continuous &&
-        (cli.wasSet("arrivals") || cli.wasSet("mean-gap") ||
-         cli.wasSet("burst-size") || cli.wasSet("burst-gap"))) {
-        std::fprintf(stderr, "arrival flags need --admission=continuous "
-                             "(bulk mode has no simulated clock)\n");
-        return 1;
-    }
 
     std::printf("=== service load: %zu tenants x %llu batches on a "
-                "%u-shard engine, sched %s, %s admission%s%s ===\n\n",
+                "%u-shard engine, sched %s, arrivals %s ===\n\n",
                 tenants, (unsigned long long)batches, shards,
                 cli.enumTokenOf("sched").c_str(),
-                cli.enumTokenOf("admission").c_str(),
-                continuous ? ", arrivals " : "",
-                continuous ? cli.enumTokenOf("arrivals").c_str() : "");
+                cli.enumTokenOf("arrivals").c_str());
 
     const EngineConfig cfg =
         engineConfig(shards, codec, tenants, entries, window, mode);
@@ -204,8 +183,6 @@ main(int argc, char **argv)
     scfg.maxInflightTotal = static_cast<unsigned>(
         std::max<u64>(1, cli.uintOf("total-inflight")));
     scfg.policy = policy;
-    scfg.admission = admission;
-    scfg.maxRounds = cli.uintOf("max-rounds");
     scfg.maxCompletions = cli.uintOf("max-completions");
     ServiceScheduler sched(eng, scfg);
 
@@ -213,29 +190,27 @@ main(int argc, char **argv)
         auto session = std::make_unique<TenantSession>(
             "t" + std::to_string(i), eng, tenantSeed(seed, i), entries,
             batches);
-        if (continuous) {
-            // Per-tenant deterministic arrival stream: the Poisson draw
-            // seed derives from the base seed and the tenant ordinal,
-            // so the whole fleet's arrivals reproduce from --seed.
-            switch (arrivalKind) {
-            case ArrivalKind::Poisson:
-                session->setArrivals(ArrivalSpec::poisson(
-                    tenantSeed(seed ^ 0xa221a221ull, i),
-                    std::max<u64>(1, cli.uintOf("mean-gap"))));
-                break;
-            case ArrivalKind::Bursty:
-                session->setArrivals(ArrivalSpec::bursty(
-                    std::max<u64>(1, cli.uintOf("burst-size")),
-                    cli.uintOf("burst-gap")));
-                break;
-            default:
-                break; // closed-loop: every batch ready at cycle 0
-            }
+        // Per-tenant deterministic arrival stream: the Poisson draw
+        // seed derives from the base seed and the tenant ordinal, so
+        // the whole fleet's arrivals reproduce from --seed.
+        switch (arrivalKind) {
+        case ArrivalKind::Poisson:
+            session->setArrivals(ArrivalSpec::poisson(
+                tenantSeed(seed ^ 0xa221a221ull, i),
+                std::max<u64>(1, cli.uintOf("mean-gap"))));
+            break;
+        case ArrivalKind::Bursty:
+            session->setArrivals(ArrivalSpec::bursty(
+                std::max<u64>(1, cli.uintOf("burst-size")),
+                cli.uintOf("burst-gap")));
+            break;
+        default:
+            break; // closed-loop: every batch ready at cycle 0
         }
         sched.addSession(std::move(session), 1 + i % spread);
     }
     sched.attachMetrics(registry); // after the full roster, before run()
-    if (continuous && !traceOutPathOf(cli).empty())
+    if (!traceOutPathOf(cli).empty())
         sched.setTimeline(&trace); // open-loop spans on the service clock
 
     const ServiceReport rep = sched.run();
@@ -245,7 +220,7 @@ main(int argc, char **argv)
     const bool windowed = mode == WindowMode::Merged;
     const auto engineTotals = eng.tenantTotals();
     bool iso_ok = true, account_ok = true;
-    Table t({"tenant", "weight", "batches", "q-wait", "q-delay-kcyc",
+    Table t({"tenant", "weight", "batches", "q-delay-kcyc",
              "max-infl", "service-kcyc", "reads", "writes", "buddy%",
              "solo"});
     for (std::size_t i = 0; i < rep.tenants.size(); ++i) {
@@ -261,9 +236,8 @@ main(int argc, char **argv)
             account_ok = false;
         t.addRow({tr.name, strfmt("%llu", (unsigned long long)tr.weight),
                   strfmt("%llu", (unsigned long long)tr.batches),
-                  strfmt("%llu", (unsigned long long)tr.queueWaitRounds),
                   strfmt("%.1f",
-                         static_cast<double>(tr.queueDelayCycles) / 1e3),
+                         static_cast<double>(tr.queueDelay.sum()) / 1e3),
                   strfmt("%llu", (unsigned long long)tr.maxInflight),
                   strfmt("%.1f",
                          static_cast<double>(tr.serviceCycles) / 1e3),
@@ -274,20 +248,12 @@ main(int argc, char **argv)
     }
     t.print();
 
-    if (continuous)
-        std::printf("\nfleet: %llu batches dispatched over %llu simulated "
-                    "cycles, peak %llu in flight, %.1f ms wall\n",
-                    (unsigned long long)rep.dispatched,
-                    (unsigned long long)rep.simCycles,
-                    (unsigned long long)rep.maxGlobalInflight,
-                    rep.wallSeconds * 1e3);
-    else
-        std::printf("\nfleet: %llu rounds, %llu batches dispatched, peak "
-                    "%llu in flight, %.1f ms wall\n",
-                    (unsigned long long)rep.rounds,
-                    (unsigned long long)rep.dispatched,
-                    (unsigned long long)rep.maxGlobalInflight,
-                    rep.wallSeconds * 1e3);
+    std::printf("\nfleet: %llu batches dispatched over %llu simulated "
+                "cycles, peak %llu in flight, %.1f ms wall\n",
+                (unsigned long long)rep.dispatched,
+                (unsigned long long)rep.simCycles,
+                (unsigned long long)rep.maxGlobalInflight,
+                rep.wallSeconds * 1e3);
     std::printf("fairness: service cycles min %llu / max %llu, Jain %.4f"
                 " (weighted %.4f)\n",
                 (unsigned long long)rep.minServiceCycles,
@@ -337,23 +303,20 @@ main(int argc, char **argv)
     // on the simulated-cycle clock from the report's histograms.
     Table lat({"tenant", "q-p50", "q-p95", "q-p99", "s-p50", "s-p95",
                "s-p99"});
-    if (continuous) {
-        for (const TenantReport &tr : rep.tenants) {
-            const obs::LatencyHistogram &q = tr.queueDelay;
-            const obs::LatencyHistogram &s = tr.serviceLatency;
-            lat.addRow(
-                {tr.name,
-                 strfmt("%llu", (unsigned long long)q.percentile(500)),
-                 strfmt("%llu", (unsigned long long)q.percentile(950)),
-                 strfmt("%llu", (unsigned long long)q.percentile(990)),
-                 strfmt("%llu", (unsigned long long)s.percentile(500)),
-                 strfmt("%llu", (unsigned long long)s.percentile(950)),
-                 strfmt("%llu", (unsigned long long)s.percentile(990))});
-        }
-        std::printf("\nopen-loop latency percentiles in simulated cycles "
-                    "(q = queueing delay, s = service latency):\n\n");
-        lat.print();
+    for (const TenantReport &tr : rep.tenants) {
+        const obs::LatencyHistogram &q = tr.queueDelay;
+        const obs::LatencyHistogram &s = tr.serviceLatency;
+        lat.addRow({tr.name,
+                    strfmt("%llu", (unsigned long long)q.percentile(500)),
+                    strfmt("%llu", (unsigned long long)q.percentile(950)),
+                    strfmt("%llu", (unsigned long long)q.percentile(990)),
+                    strfmt("%llu", (unsigned long long)s.percentile(500)),
+                    strfmt("%llu", (unsigned long long)s.percentile(950)),
+                    strfmt("%llu", (unsigned long long)s.percentile(990))});
     }
+    std::printf("\nopen-loop latency percentiles in simulated cycles "
+                "(q = queueing delay, s = service latency):\n\n");
+    lat.print();
 
     const bool ok = iso_ok && account_ok;
 
@@ -363,12 +326,8 @@ main(int argc, char **argv)
         report.setValue("shards", shards);
         report.setValue("sched", cli.enumTokenOf("sched"));
         report.setValue("window_mode", cli.enumTokenOf("window-mode"));
-        report.setValue("admission", cli.enumTokenOf("admission"));
-        if (continuous) {
-            report.setValue("arrivals", cli.enumTokenOf("arrivals"));
-            report.setValue("sim_cycles", rep.simCycles);
-        }
-        report.setValue("rounds", rep.rounds);
+        report.setValue("arrivals", cli.enumTokenOf("arrivals"));
+        report.setValue("sim_cycles", rep.simCycles);
         report.setValue("dispatched", rep.dispatched);
         report.setValue("max_global_inflight", rep.maxGlobalInflight);
         report.setValue("min_service_cycles", rep.minServiceCycles);
@@ -381,8 +340,7 @@ main(int argc, char **argv)
                         static_cast<u64>(account_ok ? 1 : 0));
         report.addTable("tenants", t);
         report.addTable("service_cycle_percentiles", pct);
-        if (continuous)
-            report.addTable("open_loop_latency", lat);
+        report.addTable("open_loop_latency", lat);
         report.attachRegistry(&registry);
         report.writeTo(jsonPathOf(cli));
         std::printf("\nwrote %s\n", jsonPathOf(cli).c_str());

@@ -5,12 +5,12 @@
  * Records a small capture, then runs a mixed fleet on one 4-shard
  * engine behind the ServiceScheduler: two trace-backed tenants
  * streaming the same capture under private VA namespaces plus two
- * synthetic tenants with their own working sets, scheduled
- * weighted-fair with 1:1:2:4 weights. Afterwards the per-tenant
- * accounting shows the isolation contract in action — the two trace
- * tenants' functional totals match each other and the recorded capture
- * exactly, contention notwithstanding — alongside the fleet's fairness
- * indices.
+ * synthetic tenants with their own working sets, all closed-loop and
+ * scheduled weighted-fair with 1:1:2:4 weights. Afterwards the
+ * per-tenant accounting shows the isolation contract in action — the
+ * two trace tenants' functional totals match each other and the
+ * recorded capture exactly, contention notwithstanding — alongside
+ * queueing delay and the fleet's fairness indices.
  *
  *   ./example_service_mode --entries=4096 --sched=weighted-fair
  */
@@ -128,14 +128,13 @@ main(int argc, char **argv)
                      4);
     const ServiceReport rep = sched.run();
 
-    Table t({"tenant", "weight", "batches", "q-wait", "service-kcyc",
+    Table t({"tenant", "weight", "batches", "q-delay-kcyc", "service-kcyc",
              "reads", "writes", "dev-sectors", "buddy%"});
     for (const TenantReport &tr : rep.tenants)
         t.addRow({tr.name, strfmt("%llu", (unsigned long long)tr.weight),
                   strfmt("%llu", (unsigned long long)tr.batches),
-                  strfmt("%llu", (unsigned long long)tr.queueWaitRounds),
-                  strfmt("%.1f",
-                         static_cast<double>(tr.serviceCycles) / 1e3),
+                  strfmt("%.1f", tr.queueDelay.sum() / 1e3),
+                  strfmt("%.1f", tr.serviceCycles / 1e3),
                   strfmt("%llu", (unsigned long long)tr.totals.reads),
                   strfmt("%llu", (unsigned long long)tr.totals.writes),
                   strfmt("%llu",
@@ -144,10 +143,10 @@ main(int argc, char **argv)
                          100.0 * tr.totals.buddyAccessFraction())});
     t.print();
 
-    std::printf("\nfleet: %llu rounds, %llu batches, Jain %.4f (weighted "
-                "%.4f), %.1f ms wall\n",
-                (unsigned long long)rep.rounds,
-                (unsigned long long)rep.dispatched, rep.jainIndex,
+    std::printf("\nfleet: %llu batches over %llu simulated cycles, Jain "
+                "%.4f (weighted %.4f), %.1f ms wall\n",
+                (unsigned long long)rep.dispatched,
+                (unsigned long long)rep.simCycles, rep.jainIndex,
                 rep.weightedJainIndex, rep.wallSeconds * 1e3);
 
     // --- Isolation on display: the two trace tenants streamed the same

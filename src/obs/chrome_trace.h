@@ -20,9 +20,9 @@
  *                  (peak outstanding round trips per link) and
  *                  cumulative sector traffic per link.
  *
- * Service-clock spans: the continuous-admission service scheduler can
- * mirror its per-batch timing into the sink via noteServiceSpan(),
- * keyed by the engine submit sequence. A batch with a service span is
+ * Service-clock spans: the service scheduler can mirror its per-batch
+ * timing into the sink via noteServiceSpan(), keyed by the engine
+ * submit sequence. A batch with a service span is
  * placed at its true open-loop times — a "queued" span from arrival to
  * admission and the batch span from admission to completion on the
  * scheduler's simulated clock — instead of the synthetic end-to-end

@@ -20,12 +20,9 @@ struct ServiceScheduler::Tenant
 
     u64 dispatched = 0;
     u64 batches = 0;
-    u64 queueWaitRounds = 0;
     u64 maxInflight = 0;
-    u64 serviceCycles = 0;
 
-    /** Continuous-mode latency accounting (simulated cycles). */
-    u64 queueDelayCycles = 0;
+    /** Latency accounting (simulated cycles). */
     obs::LatencyHistogram queueDelay;
     obs::LatencyHistogram serviceLatency;
 
@@ -36,13 +33,12 @@ struct ServiceScheduler::Tenant
     obs::LatencyHistogram *mQueueDelay = nullptr;
     obs::Counter *mDispatched = nullptr;
     obs::Counter *mBatches = nullptr;
-    obs::Counter *mQueueWait = nullptr;
 };
 
 /**
- * One continuous-mode batch between admission and its completion event
- * on the simulated clock. The engine has already executed it; this is
- * the record the event loop accounts once the clock reaches `complete`.
+ * One batch between admission and its completion event on the
+ * simulated clock. The engine has already executed it; this is the
+ * record the event loop accounts once the clock reaches `complete`.
  */
 struct ServiceScheduler::Dispatch
 {
@@ -87,9 +83,7 @@ ServiceScheduler::attachMetrics(obs::MetricRegistry &registry)
 {
     BUDDY_CHECK(!ran_, "attachMetrics must precede run()");
     metricsActive_ = true;
-    mRounds_ = &registry.counter("sim/service/rounds");
     mDispatched_ = &registry.counter("sim/service/dispatched");
-    mCapRounds_ = &registry.counter("sim/service/global_cap_rounds");
     mSimCycles_ = &registry.gauge("sim/service/sim_cycles");
     for (auto &t : tenants_) {
         const std::string p = strfmt("sim/service/t%u/", t->id);
@@ -97,22 +91,18 @@ ServiceScheduler::attachMetrics(obs::MetricRegistry &registry)
         t->mQueueDelay = &registry.histogram(p + "queue_delay_cycles");
         t->mDispatched = &registry.counter(p + "dispatched");
         t->mBatches = &registry.counter(p + "batches");
-        t->mQueueWait = &registry.counter(p + "queue_wait_rounds");
     }
 }
 
 int
 ServiceScheduler::pickNext(const std::vector<unsigned> &inflight,
-                           std::size_t &rrCursor, bool gateArrivals,
-                           u64 now) const
+                           std::size_t &rrCursor, u64 now) const
 {
     const std::size_t n = tenants_.size();
     const auto eligible = [&](std::size_t i) {
         const Tenant &t = *tenants_[i];
-        if (t.session->done() || inflight[i] >= cfg_.maxInflightPerTenant)
-            return false;
-        // In continuous mode the next batch must also have arrived.
-        return !gateArrivals ||
+        return !t.session->done() &&
+               inflight[i] < cfg_.maxInflightPerTenant &&
                t.session->arrivalCycles(t.dispatched) <= now;
     };
 
@@ -165,118 +155,24 @@ ServiceScheduler::executeNext(Tenant &t)
     return engine_.execute(plan_);
 }
 
+bool
+ServiceScheduler::allDone() const
+{
+    for (const auto &t : tenants_)
+        if (!t->session->done())
+            return false;
+    return true;
+}
+
 ServiceReport
 ServiceScheduler::run()
 {
     BUDDY_CHECK(!ran_, "ServiceScheduler::run is single-shot");
     ran_ = true;
-    if (cfg_.admission == AdmissionMode::Continuous) {
-        BUDDY_CHECK(cfg_.maxRounds == 0,
-                    "maxRounds is a bulk-synchronous knob; continuous "
-                    "mode truncates via maxCompletions");
-        return runContinuous();
-    }
-    BUDDY_CHECK(cfg_.maxCompletions == 0,
-                "maxCompletions is a continuous-mode knob; bulk mode "
-                "truncates via maxRounds");
-    return runBulk();
-}
-
-ServiceReport
-ServiceScheduler::runBulk()
-{
     // buddy-lint: allow(wall-clock) wall/ throughput instrumentation (ServiceReport::wallSeconds); never feeds sim/ totals
     const auto t0 = std::chrono::steady_clock::now();
     const std::size_t n = tenants_.size();
     ServiceReport rep;
-
-    const auto allDone = [&] {
-        for (const auto &t : tenants_)
-            if (!t->session->done())
-                return false;
-        return true;
-    };
-
-    std::size_t rrCursor = n ? engine::splitmix64(cfg_.seed) % n : 0;
-    std::vector<unsigned> inflight(n, 0);
-
-    while (n && !allDone() &&
-           (cfg_.maxRounds == 0 || rep.rounds < cfg_.maxRounds)) {
-        // Admission: the policy fills the round up to the per-tenant and
-        // global caps. Each batch executes as soon as it is admitted and
-        // is accounted at once, so the round's barrier is the end of
-        // this pass.
-        std::fill(inflight.begin(), inflight.end(), 0u);
-        u64 admitted = 0;
-        while (admitted < cfg_.maxInflightTotal) {
-            const int pick = pickNext(inflight, rrCursor, false, 0);
-            if (pick < 0)
-                break;
-            Tenant &t = *tenants_[static_cast<std::size_t>(pick)];
-            const BatchSummary &s = executeNext(t);
-            ++inflight[static_cast<std::size_t>(pick)];
-            ++admitted;
-            ++t.dispatched;
-            t.totals.accumulate(s);
-            ++t.batches;
-            const u64 cycles = std::max<u64>(s.combinedWindowCycles, 1);
-            t.serviceCycles += cycles;
-            if (t.mDispatched != nullptr) {
-                t.mDispatched->add();
-                t.mBatches->add();
-                t.mServiceCycles->add(cycles);
-            }
-        }
-
-        for (std::size_t i = 0; i < n; ++i) {
-            Tenant &t = *tenants_[i];
-            // Queue-wait: the tenant still has ready work and is below
-            // its own cap, so the fleet-wide limit denied it admission
-            // this round (inflight[i] == 0 is the starved special
-            // case; a tenant granted some-but-not-all slots waits too).
-            if (!t.session->done() &&
-                inflight[i] < cfg_.maxInflightPerTenant) {
-                ++t.queueWaitRounds;
-                if (t.mQueueWait != nullptr)
-                    t.mQueueWait->add();
-            }
-            t.maxInflight = std::max<u64>(t.maxInflight, inflight[i]);
-        }
-        rep.maxGlobalInflight = std::max(rep.maxGlobalInflight, admitted);
-        rep.dispatched += admitted;
-        ++rep.rounds;
-        if (metricsActive_) {
-            mRounds_->add();
-            mDispatched_->add(admitted);
-            // The admission pass stopped at the global cap (rather
-            // than running out of eligible work): fleet saturation.
-            if (admitted >= cfg_.maxInflightTotal)
-                mCapRounds_->add();
-        }
-    }
-
-    finalizeReport(rep);
-    rep.wallSeconds = std::chrono::duration<double>(
-                          // buddy-lint: allow(wall-clock) wall/ throughput instrumentation; never feeds sim/ totals
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-    return rep;
-}
-
-ServiceReport
-ServiceScheduler::runContinuous()
-{
-    // buddy-lint: allow(wall-clock) wall/ throughput instrumentation (ServiceReport::wallSeconds); never feeds sim/ totals
-    const auto t0 = std::chrono::steady_clock::now();
-    const std::size_t n = tenants_.size();
-    ServiceReport rep;
-
-    const auto allDone = [&] {
-        for (const auto &t : tenants_)
-            if (!t->session->done())
-                return false;
-        return true;
-    };
 
     std::size_t rrCursor = n ? engine::splitmix64(cfg_.seed) % n : 0;
     std::vector<unsigned> inflight(n, 0);
@@ -298,7 +194,7 @@ ServiceScheduler::runContinuous()
         // the policy grants. The policy re-picks after each grant, so
         // slots freed by one completion can fan out across tenants.
         while (admissionOpen() && pending.size() < cfg_.maxInflightTotal) {
-            const int pick = pickNext(inflight, rrCursor, true, now);
+            const int pick = pickNext(inflight, rrCursor, now);
             if (pick < 0)
                 break;
             const std::size_t i = static_cast<std::size_t>(pick);
@@ -323,7 +219,6 @@ ServiceScheduler::runContinuous()
             // Queueing delay is fixed at admission: eligibility to
             // admission on the simulated clock.
             const u64 delay = now - d.arrival;
-            t.queueDelayCycles += delay;
             t.queueDelay.add(delay);
             if (t.mDispatched != nullptr) {
                 t.mDispatched->add();
@@ -373,7 +268,6 @@ ServiceScheduler::runContinuous()
         --inflight[done.tenant];
         t.totals.accumulate(done.summary);
         ++t.batches;
-        t.serviceCycles += done.serviceCycles;
         t.serviceLatency.add(done.serviceCycles);
         if (t.mBatches != nullptr) {
             t.mBatches->add();
@@ -401,12 +295,7 @@ void
 ServiceScheduler::finalizeReport(ServiceReport &rep) const
 {
     const std::size_t n = tenants_.size();
-    rep.allFinished = [&] {
-        for (const auto &t : tenants_)
-            if (!t->session->done())
-                return false;
-        return true;
-    }();
+    rep.allFinished = allDone();
 
     rep.tenants.reserve(n);
     double sum = 0.0, sumSq = 0.0, wsum = 0.0, wsumSq = 0.0;
@@ -419,20 +308,18 @@ ServiceScheduler::finalizeReport(ServiceReport &rep) const
         tr.finished = t->session->done();
         tr.batches = t->batches;
         tr.dispatched = t->dispatched;
-        tr.queueWaitRounds = t->queueWaitRounds;
         tr.maxInflight = t->maxInflight;
-        tr.serviceCycles = t->serviceCycles;
-        tr.queueDelayCycles = t->queueDelayCycles;
+        tr.serviceCycles = t->serviceLatency.sum();
         tr.queueDelay = t->queueDelay;
         tr.serviceLatency = t->serviceLatency;
         tr.totals = t->totals;
-        rep.tenants.push_back(std::move(tr));
 
         rep.minServiceCycles =
-            std::min(rep.minServiceCycles, t->serviceCycles);
+            std::min(rep.minServiceCycles, tr.serviceCycles);
         rep.maxServiceCycles =
-            std::max(rep.maxServiceCycles, t->serviceCycles);
-        const double x = static_cast<double>(t->serviceCycles);
+            std::max(rep.maxServiceCycles, tr.serviceCycles);
+        const double x = static_cast<double>(tr.serviceCycles);
+        rep.tenants.push_back(std::move(tr));
         const double wx = x / static_cast<double>(t->weight);
         sum += x;
         sumSq += x * x;

@@ -6,71 +6,48 @@
  *
  * The scheduler runs the engine as a long-lived multiplexer: sessions
  * are added up front (each bringing its own VA namespace), then run()
- * drives them to completion under one of two admission models
- * (ServiceConfig::admission):
+ * drives them to completion under open-loop admission on a
+ * simulated-cycle clock. Slots refill at batch completion events, and
+ * the QoS policy re-picks among eligible tenants at every completion
+ * event. A batch is eligible once the clock passes its arrival time
+ * (TenantSession arrival process; sessions without one are
+ * closed-loop) and its tenant is below its in-flight cap
+ * (ServiceConfig::maxInflightPerTenant, with
+ * ServiceConfig::maxInflightTotal overall). Each batch is accounted
+ * per-batch in simulated cycles: queueing delay (arrival -> admission)
+ * and service latency (admission -> completion, = max(combined
+ * windowed makespan, 1)); a batch's completion event is its admission
+ * time plus its service latency, and the clock advances from
+ * completion to completion (or jumps to the next arrival when the
+ * fleet idles).
  *
- *   BulkSynchronous  deterministic dispatch *rounds*: each round the
- *                    QoS policy admits batches — at most
- *                    ServiceConfig::maxInflightPerTenant per tenant and
- *                    ServiceConfig::maxInflightTotal overall — and the
- *                    next round starts only after all of them complete.
- *                    A slow tenant stalls the round, and queue-wait is
- *                    measured in rounds: a session denied ready work in
- *                    a round (admitted nothing, or capped by the
- *                    fleet-wide limit below its own cap) accrues one
- *                    queue-wait round.
- *
- *   Continuous       open-loop admission on a simulated-cycle clock: no
- *                    round barrier — slots refill at batch completion
- *                    events, and the QoS policy re-picks among
- *                    eligible tenants at every completion event. A
- *                    batch is eligible once the clock passes its
- *                    arrival time (TenantSession arrival process;
- *                    sessions without one are closed-loop) and its
- *                    tenant is below its in-flight cap. Each batch is
- *                    accounted per-batch in simulated cycles: queueing
- *                    delay (arrival -> admission) and service latency
- *                    (admission -> completion, = max(combined windowed
- *                    makespan, 1)); a batch's completion event is its
- *                    admission time plus its service latency, and the
- *                    clock advances from completion to completion (or
- *                    jumps to the next arrival when the fleet idles).
- *
- * Why both modes stay: neither is a configuration of the other.
- * BulkSynchronous (the default) admits batches up to the caps, and
- * the round ends when they have all completed (runBulk); Continuous
- * refills a slot at each completion event, so the two admit batches in
- * a different order. queue_wait_rounds and
- * maxRounds have no continuous counterpart, and expressing rounds as a
- * continuous configuration would add a barrier path, not remove one.
- *
- * Sessions generate plans lazily (TenantSession::next) in both modes,
- * so a tenant denied admission is backpressured into its stream rather
- * than queueing unbounded work.
+ * Sessions generate plans lazily (TenantSession::next), so a tenant
+ * denied admission is backpressured into its stream rather than
+ * queueing unbounded work.
  *
  * Execution: every admitted batch runs to completion inside
  * ShardedEngine::execute() on the calling thread, at admission. "In
- * flight" is simulated state: in continuous mode a batch occupies its
- * slot from admission until its completion event on the simulated
- * clock, and the scheduler keeps only its summary until then.
+ * flight" is simulated state: a batch occupies its slot from admission
+ * until its completion event on the simulated clock, and the scheduler
+ * keeps only its summary until then.
  *
  * Determinism: policy decisions depend only on integer scheduler state
- * (dispatch counts, weights, the seeded round-robin rotation, and — in
- * continuous mode — the simulated clock and deterministic arrival
- * times), engine results are deterministic per batch, and continuous-
- * mode completion events pop in (completion time, admission sequence)
- * order, so a fixed ServiceConfig::seed makes the whole run — dispatch
- * order, queue-wait, latency histograms, per-tenant totals, fairness —
- * reproducible run-to-run. And because each batch carries ops of
- * exactly one tenant and per-batch results are pure functions of the
- * plan (under WindowMode::Merged), a tenant's accumulated totals are bit-identical to replaying its
- * stream alone on a private engine, no matter how many other tenants
- * contend — the isolation contract, extended from the engine's
- * single-workload bit-identical guarantee and pinned by
- * tests/test_service.cc. (Metadata hit/miss counts are shared-cache
- * state, and under WindowMode::PerShard the window fields depend on
- * co-tenant allocation placement; both are observable interference
- * metrics, deliberately outside the contract.)
+ * (dispatch counts, weights, the seeded round-robin rotation, the
+ * simulated clock and deterministic arrival times), engine results are
+ * deterministic per batch, and completion events pop in (completion
+ * time, admission sequence) order, so a fixed ServiceConfig::seed
+ * makes the whole run — dispatch order, latency histograms, per-tenant
+ * totals, fairness — reproducible run-to-run. And because each batch
+ * carries ops of exactly one tenant and per-batch results are pure
+ * functions of the plan (under WindowMode::Merged), a tenant's
+ * accumulated totals are bit-identical to replaying its stream alone
+ * on a private engine, no matter how many other tenants contend — the
+ * isolation contract, extended from the engine's single-workload
+ * bit-identical guarantee and pinned by tests/test_service.cc.
+ * (Metadata hit/miss counts are shared-cache state, and under
+ * WindowMode::PerShard the window fields depend on co-tenant
+ * allocation placement; both are observable interference metrics,
+ * deliberately outside the contract.)
  *
  * QoS policies (SchedPolicy):
  *   Fifo          drain sessions in arrival (addSession) order — the
@@ -113,11 +90,8 @@ enum class SchedPolicy : u8 {
     WeightedFair,
 };
 
-/** Admission model of the service scheduler (see file header). */
-enum class AdmissionMode : u8 {
-    BulkSynchronous, ///< dispatch rounds with a completion barrier
-    Continuous,      ///< open-loop: slots refill per completion event
-};
+/** perfbench pins this; it goes with the next benchmark change. */
+enum class AdmissionMode : u8 { Continuous };
 
 /** Service front-end configuration. */
 struct ServiceConfig
@@ -134,26 +108,16 @@ struct ServiceConfig
 
     SchedPolicy policy = SchedPolicy::RoundRobin;
 
-    /** Admission model; BulkSynchronous reproduces the pre-open-loop
-     *  scheduler bit-for-bit. */
-    AdmissionMode admission = AdmissionMode::BulkSynchronous;
+    /** perfbench pins this; it goes with the next benchmark change. */
+    AdmissionMode admission = AdmissionMode::Continuous;
 
     /**
-     * Stop after this many dispatch rounds even if sessions remain
-     * unfinished (0 = run to completion). Truncated runs are how
-     * policy convergence is measured: under contention the dispatch
-     * shares, not the eventual totals, carry the QoS signal.
-     * BulkSynchronous only (continuous mode has no rounds; use
-     * maxCompletions there — mixing them up is fail-fast).
-     */
-    u64 maxRounds = 0;
-
-    /**
-     * Continuous mode's truncation knob: stop *admitting* after this
-     * many batches have completed (0 = run to completion), then drain
-     * what is still in flight so scheduler accounting and engine
-     * tenant totals stay consistent. The convergence analogue of
-     * maxRounds; fail-fast if set in bulk mode.
+     * Stop *admitting* after this many batches (0 = run to
+     * completion), then drain what is still in flight so scheduler
+     * accounting and engine tenant totals stay consistent. Truncated
+     * runs are how policy convergence is measured: under contention
+     * the dispatch shares, not the eventual totals, carry the QoS
+     * signal.
      */
     u64 maxCompletions = 0;
 };
@@ -169,33 +133,22 @@ struct TenantReport
     u64 batches = 0;    ///< batches completed
     u64 dispatched = 0; ///< batches admitted (== batches, unless truncated)
 
-    /** Bulk mode: rounds this tenant had ready work denied admission
-     *  (admitted nothing, or capped by the fleet-wide limit below its
-     *  own cap). Always 0 in continuous mode — see queueDelayCycles. */
-    u64 queueWaitRounds = 0;
-
     u64 maxInflight = 0; ///< peak batches in flight at any instant
 
-    /** Σ per-batch max(combinedWindowCycles, 1): the simulated time
-     *  this tenant occupied the fleet — the fairness currency. Codec
-     *  time is not in it: a slow CodecTiming grows only
-     *  totals.codecChargedWindowCycles, so the service clock and the
-     *  latency histograms ignore the inline unit. */
+    /** serviceLatency.sum(): the simulated time this tenant occupied
+     *  the fleet — the fairness currency. Codec time is not in it: a
+     *  slow CodecTiming grows only totals.codecChargedWindowCycles, so
+     *  the service clock and the latency histograms ignore the inline
+     *  unit. */
     u64 serviceCycles = 0;
 
-    /** Continuous mode: Σ per-batch (admission − arrival) simulated
-     *  cycles — total time batches sat eligible but unadmitted.
-     *  Always 0 in bulk mode (no clock). */
-    u64 queueDelayCycles = 0;
-
-    /** Continuous mode: per-batch queueing delay (arrival → admission)
-     *  in simulated cycles; percentile() gives p50/p95/p99. Empty in
-     *  bulk mode. */
+    /** Per-batch queueing delay (arrival → admission) in simulated
+     *  cycles; percentile() gives p50/p95/p99, sum() the total time
+     *  batches sat eligible but unadmitted. */
     obs::LatencyHistogram queueDelay;
 
-    /** Continuous mode: per-batch service latency (admission →
-     *  completion = max(combinedWindowCycles, 1)) in simulated cycles.
-     *  Empty in bulk mode. */
+    /** Per-batch service latency (admission → completion =
+     *  max(combinedWindowCycles, 1)) in simulated cycles. */
     obs::LatencyHistogram serviceLatency;
 
     /** Field sums over exactly this tenant's batches (the isolation-
@@ -207,14 +160,13 @@ struct TenantReport
 struct ServiceReport
 {
     std::vector<TenantReport> tenants; ///< in addSession order
-    u64 rounds = 0;            ///< bulk mode: dispatch rounds; else 0
     u64 dispatched = 0;        ///< batches admitted across all tenants
     u64 maxGlobalInflight = 0; ///< peak in-flight batches at any instant
     bool allFinished = false;
     double wallSeconds = 0.0;
 
-    /** Continuous mode: final simulated-clock value — the cycle the
-     *  last batch completed (the open-loop makespan). 0 in bulk mode. */
+    /** Final simulated-clock value — the cycle the last batch
+     *  completed (the open-loop makespan). */
     u64 simCycles = 0;
 
     /** Fairness over per-tenant serviceCycles. */
@@ -296,19 +248,16 @@ class ServiceScheduler
      * Register the scheduler's metrics in @p registry and update them
      * during run(). Call after every addSession() and before run().
      *
-     *   sim/service/rounds, dispatched, global_cap_rounds — fleet
-     *     round/admission counters;
+     *   sim/service/dispatched — fleet admission counter;
      *   sim/service/t<id>/service_cycles — per-tenant histogram of
      *     per-batch max(combinedWindowCycles, 1), the fairness
      *     currency (p50/p95/p99 come from here);
-     *   sim/service/t<id>/dispatched, batches, queue_wait_rounds —
-     *     per-tenant admission counters (queue_wait_rounds counts the
-     *     bulk-mode rounds the tenant had ready work denied — the
-     *     admission-denial signal);
-     *   sim/service/t<id>/queue_delay_cycles — continuous mode:
-     *     per-batch queueing delay (arrival → admission) histogram;
-     *   sim/service/sim_cycles — continuous mode: the final simulated
-     *     clock (open-loop makespan).
+     *   sim/service/t<id>/dispatched, batches — per-tenant admission
+     *     counters;
+     *   sim/service/t<id>/queue_delay_cycles — per-batch queueing
+     *     delay (arrival → admission) histogram;
+     *   sim/service/sim_cycles — the final simulated clock (open-loop
+     *     makespan).
      *
      * Everything is integer scheduler state or simulated cycles, so
      * under WindowMode::Merged the whole subtree is bit-identical
@@ -318,17 +267,17 @@ class ServiceScheduler
     void attachMetrics(obs::MetricRegistry &registry);
 
     /**
-     * Mirror continuous-mode per-batch spans into @p sink: each
-     * admitted batch's queued (arrival → admission) and service
-     * (admission → completion) intervals on the true service clock,
-     * keyed by the engine submit sequence so the spans line up with
-     * the BatchRecords the engine feeds the same sink. No-op in bulk
-     * mode (no clock). Call before run(); the sink must outlive it.
+     * Mirror per-batch spans into @p sink: each admitted batch's
+     * queued (arrival → admission) and service (admission →
+     * completion) intervals on the service clock, keyed by the engine
+     * submit sequence so the spans line up with the BatchRecords the
+     * engine feeds the same sink. Call before run(); the sink must
+     * outlive it.
      */
     void setTimeline(obs::ChromeTraceSink *sink) { timeline_ = sink; }
 
-    /** Drive every session to completion (or the mode's truncation
-     *  knob) and return the fleet report. Callable once. */
+    /** Drive every session to completion (or maxCompletions) and
+     *  return the fleet report. Callable once. */
     ServiceReport run();
 
     const ServiceConfig &config() const { return cfg_; }
@@ -340,18 +289,17 @@ class ServiceScheduler
     /**
      * Policy pick among eligible tenants; -1 when none. A tenant is
      * eligible when its stream has work, it is below its in-flight
-     * cap, and — when @p gateArrivals — its next batch's arrival time
-     * is <= @p now on the simulated clock.
+     * cap, and its next batch's arrival time is <= @p now on the
+     * simulated clock.
      */
     int pickNext(const std::vector<unsigned> &inflight,
-                 std::size_t &rrCursor, bool gateArrivals, u64 now) const;
+                 std::size_t &rrCursor, u64 now) const;
 
     /** Pull @p t's next batch into plan_, tag it and execute it on the
      *  engine; @return the batch's summary. */
     const BatchSummary &executeNext(Tenant &t);
 
-    ServiceReport runBulk();
-    ServiceReport runContinuous();
+    bool allDone() const;
     void finalizeReport(ServiceReport &rep) const;
 
     engine::ShardedEngine &engine_;
@@ -368,9 +316,7 @@ class ServiceScheduler
 
     /** Fleet metric probes (null until attachMetrics). */
     bool metricsActive_ = false;
-    obs::Counter *mRounds_ = nullptr;
     obs::Counter *mDispatched_ = nullptr;
-    obs::Counter *mCapRounds_ = nullptr;
     obs::Gauge *mSimCycles_ = nullptr;
 };
 

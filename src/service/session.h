@@ -15,12 +15,10 @@
  * giving every batch of its stream a deterministic *arrival time* in
  * simulated cycles — a fixed-seed Poisson process, a fixed-cadence
  * burst train, or explicit per-batch stamps (e.g. carried alongside a
- * recorded capture). Under the scheduler's continuous-admission mode
- * (ServiceConfig::admission) a batch only becomes eligible once the
- * simulated clock passes its arrival time, and the gap between arrival
- * and admission is accounted as queueing delay. Sessions without a
- * spec are closed-loop (every batch ready at cycle 0); the
- * bulk-synchronous scheduler mode ignores arrival times entirely.
+ * recorded capture). The scheduler admits a batch only once its
+ * simulated clock passes the batch's arrival time, and the gap between
+ * arrival and admission is accounted as queueing delay. Sessions
+ * without a spec are closed-loop (every batch ready at cycle 0).
  *
  * Sessions are driven by the scheduler on its calling thread and need
  * no locking of their own. A session does not know its tenant id —

@@ -10,7 +10,7 @@
  * mode) the windowed totals — must be bit-identical to replaying its
  * stream alone on a private identically-configured engine, no matter
  * how many other tenants contend for the same shards. Everything else
- * (fair shares, caps, queue-wait) is scheduling policy layered on top
+ * (fair shares, caps, queueing delay) is scheduling policy layered on top
  * of that guarantee.
  */
 
@@ -77,7 +77,7 @@ expectSameHistogram(const obs::LatencyHistogram &h,
 /**
  * Run @p tenants synthetic sessions to completion on one engine.
  * @p arrivals, when given, supplies tenant i's arrival process
- * (continuous-mode runs; bulk mode ignores arrival times).
+ * (closed-loop when absent).
  */
 ServiceReport
 runFleet(ShardedEngine &eng, std::size_t tenants, ServiceConfig scfg,
@@ -156,119 +156,46 @@ TEST(Service, TenantTotalsMatchSoloReplayUnderContention)
     }
 }
 
-// The isolation contract holds under every QoS policy — admission
-// order must never leak into a tenant's functional totals.
-TEST(Service, IsolationHoldsUnderEveryPolicy)
+// Admission caps are hard limits under every policy (Fifo would pile
+// onto tenant 0 without the per-tenant cap): per-tenant and global
+// in-flight never exceed them, and tightening them shows up as
+// queueing delay.
+TEST(Service, AdmissionCapsAreEnforcedAndProduceQueueDelay)
 {
     const EngineConfig cfg = engineConfig(4);
+    const auto totalDelay = [](const ServiceReport &rep) {
+        u64 delay = 0;
+        for (const TenantReport &tr : rep.tenants)
+            delay += tr.queueDelay.sum();
+        return delay;
+    };
+
     for (const SchedPolicy policy :
          {SchedPolicy::Fifo, SchedPolicy::RoundRobin,
           SchedPolicy::WeightedFair}) {
-        ShardedEngine eng(cfg);
-        ServiceConfig scfg;
-        scfg.policy = policy;
-        const ServiceReport rep = runFleet(eng, 6, scfg);
-        for (std::size_t i = 0; i < rep.tenants.size(); ++i)
-            EXPECT_TRUE(isolationEqual(rep.tenants[i].totals,
-                                       soloTotals(cfg, i), true));
+        ServiceConfig tight;
+        tight.policy = policy;
+        tight.maxInflightPerTenant = 1;
+        tight.maxInflightTotal = 2;
+        ShardedEngine engT(cfg);
+        const ServiceReport t = runFleet(engT, 8, tight);
+        EXPECT_EQ(t.maxGlobalInflight, 2u);
+        for (const TenantReport &tr : t.tenants)
+            EXPECT_EQ(tr.maxInflight, 1u) << tr.name;
+
+        ServiceConfig loose = tight;
+        loose.maxInflightPerTenant = 2;
+        loose.maxInflightTotal = 16;
+        ShardedEngine engL(cfg);
+        const ServiceReport l = runFleet(engL, 8, loose);
+        EXPECT_LE(l.maxGlobalInflight, 16u);
+        for (const TenantReport &tr : l.tenants)
+            EXPECT_LE(tr.maxInflight, 2u) << tr.name;
+
+        EXPECT_EQ(t.dispatched, l.dispatched); // same total work
+        // 8 closed-loop tenants into 2 slots wait longer than into 16.
+        EXPECT_GT(totalDelay(t), totalDelay(l));
     }
-}
-
-// A fixed scheduler seed reproduces the whole run: dispatch counts,
-// queue-wait, service cycles, and full per-tenant summaries (metadata
-// hit/miss included — the engine is deterministic run-to-run even
-// though it is not placement-invariant).
-TEST(Service, FixedSeedReproducesTheRunBitForBit)
-{
-    const EngineConfig cfg = engineConfig(4);
-    ServiceConfig scfg;
-    scfg.seed = 0x1234;
-    scfg.policy = SchedPolicy::RoundRobin;
-
-    ShardedEngine engA(cfg);
-    ShardedEngine engB(cfg);
-    const ServiceReport a = runFleet(engA, 8, scfg);
-    const ServiceReport b = runFleet(engB, 8, scfg);
-
-    EXPECT_EQ(a.rounds, b.rounds);
-    EXPECT_EQ(a.dispatched, b.dispatched);
-    EXPECT_EQ(a.maxGlobalInflight, b.maxGlobalInflight);
-    EXPECT_EQ(a.minServiceCycles, b.minServiceCycles);
-    EXPECT_EQ(a.maxServiceCycles, b.maxServiceCycles);
-    EXPECT_DOUBLE_EQ(a.jainIndex, b.jainIndex);
-    ASSERT_EQ(a.tenants.size(), b.tenants.size());
-    for (std::size_t i = 0; i < a.tenants.size(); ++i) {
-        EXPECT_EQ(a.tenants[i].dispatched, b.tenants[i].dispatched);
-        EXPECT_EQ(a.tenants[i].queueWaitRounds,
-                  b.tenants[i].queueWaitRounds);
-        EXPECT_EQ(a.tenants[i].serviceCycles, b.tenants[i].serviceCycles);
-        EXPECT_TRUE(sameSummary(a.tenants[i].totals, b.tenants[i].totals));
-    }
-}
-
-// Admission caps are hard limits: per-tenant and global in-flight
-// never exceed them, and tightening them shows up as queue-wait.
-TEST(Service, AdmissionCapsAreEnforcedAndProduceQueueWait)
-{
-    const EngineConfig cfg = engineConfig(4);
-
-    ServiceConfig tight;
-    tight.maxInflightPerTenant = 1;
-    tight.maxInflightTotal = 2;
-    ShardedEngine engT(cfg);
-    const ServiceReport t = runFleet(engT, 8, tight);
-    EXPECT_LE(t.maxGlobalInflight, 2u);
-    u64 tightWait = 0;
-    for (const TenantReport &tr : t.tenants) {
-        EXPECT_LE(tr.maxInflight, 1u);
-        tightWait += tr.queueWaitRounds;
-    }
-    // 8 tenants into 2 slots per round: most tenants wait most rounds.
-    EXPECT_GT(tightWait, 0u);
-
-    ServiceConfig loose;
-    loose.maxInflightPerTenant = 2;
-    loose.maxInflightTotal = 16;
-    ShardedEngine engL(cfg);
-    const ServiceReport l = runFleet(engL, 8, loose);
-    EXPECT_LE(l.maxGlobalInflight, 16u);
-    u64 looseWait = 0;
-    for (const TenantReport &tr : l.tenants)
-        looseWait += tr.queueWaitRounds;
-    EXPECT_EQ(looseWait, 0u); // every tenant admitted every round
-    EXPECT_LT(l.rounds, t.rounds);
-    EXPECT_EQ(t.dispatched, l.dispatched); // same total work either way
-}
-
-// Weighted-fair converges each tenant's dispatch share to its weight:
-// after R full rounds of a saturated fleet, tenant i has dispatched
-// R * weight_i batches to within one round's slack.
-TEST(Service, WeightedFairConvergesToWeightRatios)
-{
-    const EngineConfig cfg = engineConfig(4);
-    const std::vector<u64> weights = {1, 2, 3, 4};
-    ServiceConfig scfg;
-    scfg.policy = SchedPolicy::WeightedFair;
-    scfg.maxInflightPerTenant = 8;           // never the binding cap
-    scfg.maxInflightTotal = 10;              // = Σ weights
-    scfg.maxRounds = 10;                     // truncate: streams outlast it
-    ShardedEngine eng(cfg);
-    const ServiceReport rep =
-        runFleet(eng, weights.size(), scfg, /*batches=*/200, weights);
-
-    EXPECT_FALSE(rep.allFinished); // truncated, so contention never eased
-    EXPECT_EQ(rep.rounds, 10u);
-    for (std::size_t i = 0; i < weights.size(); ++i) {
-        const double expected =
-            static_cast<double>(rep.rounds * weights[i]);
-        EXPECT_NEAR(static_cast<double>(rep.tenants[i].dispatched),
-                    expected, static_cast<double>(weights[i]))
-            << "tenant " << i;
-    }
-    // Equal weighted shares: the weighted Jain index is near-perfect
-    // while the raw index reflects the deliberate 1:2:3:4 skew.
-    EXPECT_GT(rep.weightedJainIndex, 0.95);
-    EXPECT_LT(rep.jainIndex, rep.weightedJainIndex);
 }
 
 // Uniform weights under round-robin: everyone finishes and service is
@@ -461,88 +388,100 @@ TEST(Service, WindowImbalanceSingleShardBatchesAreBalanced)
 }
 
 // ---------------------------------------------------------------------
-// Continuous admission (the open-loop scheduler).
+// Open-loop admission on the simulated clock.
 
-// The isolation contract survives the loss of the round barrier: under
-// continuous admission with Poisson arrivals, every tenant's functional
-// totals still match its solo replay bit-for-bit for all three QoS
-// policies, and the engine's independent per-tenant tally agrees.
+// The isolation contract on the service clock: under closed-loop and
+// Poisson arrivals alike, every tenant's functional totals match its
+// solo replay bit-for-bit for all three QoS policies — admission order
+// never leaks into them — and the engine's independent per-tenant
+// tally agrees.
 TEST(Service, ContinuousIsolationHoldsUnderEveryPolicy)
 {
     const EngineConfig cfg = engineConfig(4);
-    for (const SchedPolicy policy :
-         {SchedPolicy::Fifo, SchedPolicy::RoundRobin,
-          SchedPolicy::WeightedFair}) {
-        ShardedEngine eng(cfg);
-        ServiceConfig scfg;
-        scfg.admission = AdmissionMode::Continuous;
-        scfg.policy = policy;
-        const ServiceReport rep = runFleet(eng, 6, scfg, kBatches, {},
-                                           poissonArrivals(512));
-        EXPECT_TRUE(rep.allFinished);
-        EXPECT_EQ(rep.rounds, 0u); // no rounds without a barrier
-        const auto engineTotals = eng.tenantTotals();
-        for (std::size_t i = 0; i < rep.tenants.size(); ++i) {
-            const TenantReport &tr = rep.tenants[i];
-            EXPECT_EQ(tr.batches, kBatches);
-            EXPECT_EQ(tr.dispatched, tr.batches); // every admit completed
-            EXPECT_TRUE(isolationEqual(tr.totals, soloTotals(cfg, i),
-                                       true))
-                << "tenant " << tr.name << " under policy "
-                << static_cast<int>(policy);
-            const auto it = engineTotals.find(tr.tenant);
-            ASSERT_NE(it, engineTotals.end());
-            EXPECT_TRUE(sameSummary(it->second.summary, tr.totals));
+    for (const auto &arrivals :
+         {std::function<ArrivalSpec(std::size_t)>{},
+          poissonArrivals(512)}) {
+        for (const SchedPolicy policy :
+             {SchedPolicy::Fifo, SchedPolicy::RoundRobin,
+              SchedPolicy::WeightedFair}) {
+            ShardedEngine eng(cfg);
+            ServiceConfig scfg;
+            scfg.policy = policy;
+            const ServiceReport rep =
+                runFleet(eng, 6, scfg, kBatches, {}, arrivals);
+            EXPECT_TRUE(rep.allFinished);
+            const auto engineTotals = eng.tenantTotals();
+            for (std::size_t i = 0; i < rep.tenants.size(); ++i) {
+                const TenantReport &tr = rep.tenants[i];
+                EXPECT_EQ(tr.batches, kBatches);
+                EXPECT_EQ(tr.dispatched, tr.batches); // every admit done
+                EXPECT_TRUE(isolationEqual(tr.totals, soloTotals(cfg, i),
+                                           true))
+                    << "tenant " << tr.name << " under policy "
+                    << static_cast<int>(policy)
+                    << (arrivals ? ", poisson" : ", closed-loop");
+                const auto it = engineTotals.find(tr.tenant);
+                ASSERT_NE(it, engineTotals.end());
+                EXPECT_TRUE(sameSummary(it->second.summary, tr.totals));
+            }
         }
     }
 }
 
-// A fixed seed reproduces the whole open-loop run bit-for-bit: the
-// simulated clock, per-tenant queueing-delay and service-latency
-// histograms (counts, sums, extrema, and percentiles), and totals.
+// A fixed seed reproduces the whole run bit-for-bit, closed-loop and
+// open-loop alike: the simulated clock, dispatch counts, per-tenant
+// queueing-delay and service-latency histograms (counts, sums, extrema,
+// and percentiles), and full per-tenant summaries (metadata hit/miss
+// included — the engine is deterministic run-to-run even though it is
+// not placement-invariant).
 TEST(Service, ContinuousFixedSeedReproducesBitForBit)
 {
     const EngineConfig cfg = engineConfig(4);
     ServiceConfig scfg;
-    scfg.admission = AdmissionMode::Continuous;
     scfg.seed = 0x7777;
     scfg.maxInflightPerTenant = 2;
     scfg.maxInflightTotal = 6;
 
-    ShardedEngine engA(cfg);
-    ShardedEngine engB(cfg);
-    const auto arrivals = poissonArrivals(700);
-    const ServiceReport a = runFleet(engA, 8, scfg, kBatches, {}, arrivals);
-    const ServiceReport b = runFleet(engB, 8, scfg, kBatches, {}, arrivals);
+    for (const auto &arrivals :
+         {std::function<ArrivalSpec(std::size_t)>{},
+          poissonArrivals(700)}) {
+        ShardedEngine engA(cfg);
+        ShardedEngine engB(cfg);
+        const ServiceReport a =
+            runFleet(engA, 8, scfg, kBatches, {}, arrivals);
+        const ServiceReport b =
+            runFleet(engB, 8, scfg, kBatches, {}, arrivals);
 
-    EXPECT_GT(a.simCycles, 0u);
-    EXPECT_EQ(a.simCycles, b.simCycles);
-    EXPECT_EQ(a.dispatched, b.dispatched);
-    EXPECT_EQ(a.maxGlobalInflight, b.maxGlobalInflight);
-    EXPECT_DOUBLE_EQ(a.jainIndex, b.jainIndex);
-    ASSERT_EQ(a.tenants.size(), b.tenants.size());
-    for (std::size_t i = 0; i < a.tenants.size(); ++i) {
-        const TenantReport &x = a.tenants[i];
-        const TenantReport &y = b.tenants[i];
-        EXPECT_EQ(x.serviceCycles, y.serviceCycles);
-        EXPECT_EQ(x.queueDelayCycles, y.queueDelayCycles);
-        expectSameHistogram(x.queueDelay, y.queueDelay);
-        expectSameHistogram(x.serviceLatency, y.serviceLatency);
-        EXPECT_EQ(x.queueDelay.count(), x.batches);
-        EXPECT_EQ(x.serviceLatency.count(), x.batches);
-        EXPECT_EQ(x.serviceLatency.sum(), x.serviceCycles);
-        EXPECT_TRUE(sameSummary(x.totals, y.totals));
+        EXPECT_GT(a.simCycles, 0u);
+        EXPECT_EQ(a.simCycles, b.simCycles);
+        EXPECT_EQ(a.dispatched, b.dispatched);
+        EXPECT_EQ(a.maxGlobalInflight, b.maxGlobalInflight);
+        EXPECT_EQ(a.minServiceCycles, b.minServiceCycles);
+        EXPECT_EQ(a.maxServiceCycles, b.maxServiceCycles);
+        EXPECT_DOUBLE_EQ(a.jainIndex, b.jainIndex);
+        ASSERT_EQ(a.tenants.size(), b.tenants.size());
+        for (std::size_t i = 0; i < a.tenants.size(); ++i) {
+            const TenantReport &x = a.tenants[i];
+            const TenantReport &y = b.tenants[i];
+            EXPECT_EQ(x.dispatched, y.dispatched);
+            EXPECT_EQ(x.serviceCycles, y.serviceCycles);
+            expectSameHistogram(x.queueDelay, y.queueDelay);
+            expectSameHistogram(x.serviceLatency, y.serviceLatency);
+            EXPECT_EQ(x.queueDelay.count(), x.batches);
+            EXPECT_EQ(x.serviceLatency.count(), x.batches);
+            EXPECT_EQ(x.serviceLatency.sum(), x.serviceCycles);
+            EXPECT_TRUE(sameSummary(x.totals, y.totals));
+        }
     }
 }
 
-// The continuous-mode clock advances by each batch's
+// The service clock advances by each batch's
 // max(combinedWindowCycles, 1), which codec time never reaches: a slow
 // inline codec grows only the codec-charged totals, not the service
 // clock (the gap TenantReport::serviceCycles documents).
 TEST(Service, ContinuousClockIgnoresCodecTime)
 {
     ServiceConfig scfg;
-    scfg.admission = AdmissionMode::Continuous;
     scfg.seed = 0x5151;
     scfg.maxInflightPerTenant = 2;
     scfg.maxInflightTotal = 6;
@@ -561,7 +500,6 @@ TEST(Service, ContinuousClockIgnoresCodecTime)
         const TenantReport &f = freeRun.tenants[i];
         const TenantReport &s = slowRun.tenants[i];
         EXPECT_EQ(f.serviceCycles, s.serviceCycles);
-        EXPECT_EQ(f.queueDelayCycles, s.queueDelayCycles);
         expectSameHistogram(f.queueDelay, s.queueDelay);
         expectSameHistogram(f.serviceLatency, s.serviceLatency);
         EXPECT_EQ(f.totals.codecChargedWindowCycles,
@@ -569,40 +507,6 @@ TEST(Service, ContinuousClockIgnoresCodecTime)
         EXPECT_GT(s.totals.codecChargedWindowCycles,
                   f.totals.codecChargedWindowCycles)
             << "tenant " << f.name;
-    }
-}
-
-// The bulk-synchronous scheduler is the config default and reproduces
-// the pre-open-loop behavior: arrival processes are ignored entirely
-// (same rounds, dispatch, queue-wait, and totals as a fleet without
-// them), and no continuous-mode state leaks into the report.
-TEST(Service, BulkModeIsDefaultAndIgnoresArrivals)
-{
-    const EngineConfig cfg = engineConfig(4);
-    ServiceConfig scfg; // admission defaults to BulkSynchronous
-    ASSERT_EQ(scfg.admission, AdmissionMode::BulkSynchronous);
-
-    ShardedEngine engA(cfg);
-    ShardedEngine engB(cfg);
-    const ServiceReport plain = runFleet(engA, 6, scfg);
-    const ServiceReport stamped =
-        runFleet(engB, 6, scfg, kBatches, {}, poissonArrivals(100000));
-
-    EXPECT_EQ(plain.rounds, stamped.rounds);
-    EXPECT_EQ(plain.dispatched, stamped.dispatched);
-    EXPECT_EQ(stamped.simCycles, 0u);
-    ASSERT_EQ(plain.tenants.size(), stamped.tenants.size());
-    for (std::size_t i = 0; i < plain.tenants.size(); ++i) {
-        const TenantReport &p = plain.tenants[i];
-        const TenantReport &s = stamped.tenants[i];
-        EXPECT_EQ(p.dispatched, s.dispatched);
-        EXPECT_EQ(p.queueWaitRounds, s.queueWaitRounds);
-        EXPECT_EQ(p.serviceCycles, s.serviceCycles);
-        EXPECT_TRUE(sameSummary(p.totals, s.totals));
-        // Cycle-based latency accounting is continuous-mode state.
-        EXPECT_EQ(s.queueDelayCycles, 0u);
-        EXPECT_EQ(s.queueDelay.count(), 0u);
-        EXPECT_EQ(s.serviceLatency.count(), 0u);
     }
 }
 
@@ -630,7 +534,6 @@ TEST(Service, ContinuousQueueDelayMatchesHandComputedTimeline)
 
     ShardedEngine eng(cfg);
     ServiceConfig scfg;
-    scfg.admission = AdmissionMode::Continuous;
     scfg.maxInflightPerTenant = 1;
     const ServiceReport rep = runFleet(eng, 1, scfg, batches);
 
@@ -641,7 +544,7 @@ TEST(Service, ContinuousQueueDelayMatchesHandComputedTimeline)
     }
     ASSERT_EQ(rep.tenants.size(), 1u);
     EXPECT_EQ(rep.simCycles, clock);
-    EXPECT_EQ(rep.tenants[0].queueDelayCycles, expectDelay);
+    EXPECT_EQ(rep.tenants[0].queueDelay.sum(), expectDelay);
     EXPECT_EQ(rep.tenants[0].serviceCycles, clock);
     EXPECT_EQ(rep.tenants[0].queueDelay.count(), batches);
     EXPECT_EQ(rep.tenants[0].queueDelay.min(), 0u); // first batch
@@ -657,7 +560,6 @@ TEST(Service, ContinuousArrivalGapsIdleTheClockForward)
 
     ShardedEngine eng(cfg);
     ServiceConfig scfg;
-    scfg.admission = AdmissionMode::Continuous;
     scfg.maxInflightPerTenant = 1;
     ServiceScheduler sched(eng, scfg);
     auto session = std::make_unique<TenantSession>(
@@ -678,21 +580,20 @@ TEST(Service, ContinuousArrivalGapsIdleTheClockForward)
     // admitted at its own arrival (delay 0). Total delay is therefore
     // bounded by this tenant's own service time — nothing accrues a
     // gap-sized wait for sitting out the idle jump.
-    EXPECT_LE(rep.tenants[0].queueDelayCycles,
+    EXPECT_LE(rep.tenants[0].queueDelay.sum(),
               rep.tenants[0].serviceCycles);
-    EXPECT_LT(rep.tenants[0].queueDelayCycles, kFarFuture / 2);
+    EXPECT_LT(rep.tenants[0].queueDelay.sum(), kFarFuture / 2);
     EXPECT_GT(rep.tenants[0].serviceCycles, 0u);
 }
 
-// Weighted-fair still converges to weight ratios without the round
-// barrier: a saturated closed-loop fleet truncated by maxCompletions
-// splits admissions in proportion to weight, and nobody starves.
+// Weighted-fair converges to weight ratios: a saturated closed-loop
+// fleet truncated by maxCompletions splits admissions in proportion to
+// weight, and nobody starves.
 TEST(Service, ContinuousWeightedFairConvergesWithoutRoundBarrier)
 {
     const EngineConfig cfg = engineConfig(4);
     const std::vector<u64> weights = {1, 2, 3, 4};
     ServiceConfig scfg;
-    scfg.admission = AdmissionMode::Continuous;
     scfg.policy = SchedPolicy::WeightedFair;
     scfg.maxInflightPerTenant = 8;
     scfg.maxInflightTotal = 10;
@@ -777,70 +678,19 @@ TEST(ServiceDeath, ArrivalSpecsFailFastOnBadInput)
 // — distinctly outside Jain's [1/n, 1] range — not as a fake 1.0.
 TEST(Service, AllIdleFleetReportsUndefinedJainNotPerfect)
 {
-    for (const AdmissionMode admission :
-         {AdmissionMode::BulkSynchronous, AdmissionMode::Continuous}) {
-        ShardedEngine eng(engineConfig(2));
-        ServiceConfig scfg;
-        scfg.admission = admission;
-        // Zero-batch streams: sessions exist but never produce work.
-        const ServiceReport rep = runFleet(eng, 3, scfg, /*batches=*/0);
-        EXPECT_TRUE(rep.allFinished);
-        EXPECT_EQ(rep.dispatched, 0u);
-        EXPECT_EQ(rep.maxServiceCycles, 0u);
-        EXPECT_DOUBLE_EQ(rep.jainIndex, 0.0);
-        EXPECT_DOUBLE_EQ(rep.weightedJainIndex, 0.0);
-    }
-}
-
-// Bulk-mode queue-wait counts partial-admission rounds too: a tenant
-// granted some slots but capped by the fleet-wide limit below its own
-// cap is still waiting. Fifo with 2 tenants into 5 global slots: t0
-// takes its full cap of 4, t1 gets the 1 leftover and accrues wait
-// every round until t0 drains (the pre-fix counter reported 0 here,
-// only ever counting rounds with *nothing* admitted).
-TEST(Service, BulkQueueWaitCountsPartialAdmissionRounds)
-{
-    ShardedEngine eng(engineConfig(4));
+    ShardedEngine eng(engineConfig(2));
     ServiceConfig scfg;
-    scfg.policy = SchedPolicy::Fifo;
-    scfg.maxInflightPerTenant = 4;
-    scfg.maxInflightTotal = 5;
-    const ServiceReport rep = runFleet(eng, 2, scfg, /*batches=*/16);
-
-    ASSERT_EQ(rep.tenants.size(), 2u);
-    const TenantReport &t0 = rep.tenants[0];
-    const TenantReport &t1 = rep.tenants[1];
-    // t0: 4 per round for 4 rounds, never denied.
-    EXPECT_EQ(t0.queueWaitRounds, 0u);
-    EXPECT_EQ(t0.maxInflight, 4u);
-    // t1: 1 per round for rounds 1-4 (partial admission -> wait), then
-    // its full cap of 4 for rounds 5-7 (no wait).
-    EXPECT_EQ(rep.rounds, 7u);
-    EXPECT_EQ(t1.queueWaitRounds, 4u);
-    EXPECT_GE(t1.maxInflight, 1u);
+    // Zero-batch streams: sessions exist but never produce work.
+    const ServiceReport rep = runFleet(eng, 3, scfg, /*batches=*/0);
     EXPECT_TRUE(rep.allFinished);
+    EXPECT_EQ(rep.dispatched, 0u);
+    EXPECT_EQ(rep.maxServiceCycles, 0u);
+    EXPECT_DOUBLE_EQ(rep.jainIndex, 0.0);
+    EXPECT_DOUBLE_EQ(rep.weightedJainIndex, 0.0);
 }
 
 // ---------------------------------------------------------------------
 // Scheduler state-machine guards.
-
-// Truncation knobs are per-mode: crossing them is a config bug caught
-// fail-fast, not a silently ignored setting.
-TEST(ServiceDeath, TruncationKnobsAreModeChecked)
-{
-    ShardedEngine eng(engineConfig(2));
-
-    ServiceConfig contRounds;
-    contRounds.admission = AdmissionMode::Continuous;
-    contRounds.maxRounds = 5;
-    EXPECT_DEATH(ServiceScheduler(eng, contRounds).run(),
-                 "maxRounds is a bulk-synchronous knob");
-
-    ServiceConfig bulkCompletions;
-    bulkCompletions.maxCompletions = 5;
-    EXPECT_DEATH(ServiceScheduler(eng, bulkCompletions).run(),
-                 "maxCompletions is a continuous-mode knob");
-}
 
 TEST(ServiceDeath, RunIsSingleShotAndSessionsAreAddedFirst)
 {

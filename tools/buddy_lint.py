@@ -3,7 +3,7 @@
 
 Every subsystem in this repository rests on one contract: the ``sim/``
 totals are bit-identical across shard counts, window modes, codec
-timings, and admission modes.  That contract is enforced dynamically by
+timings, and QoS policies.  That contract is enforced dynamically by
 replay-equality tests, but a replay test only sees a nondeterminism
 hazard once it fires.  This pass rejects the *constructs* that break
 reproducibility at CI time, before any replay can diverge:
