@@ -31,6 +31,11 @@ const u8 kZeroEntry[kEntryBytes] = {};
 // multiplication below and alias a small VA instead of failing.
 constexpr u64 kMaxEntryIndex = u64{1} << 50;
 
+// The op table names an allocation by a 16-bit ordinal and an entry by
+// a 32-bit offset into it.
+constexpr u64 kMaxAllocations = u64{1} << 16;
+constexpr u64 kMaxAllocationBytes = (u64{1} << 32) * kEntryBytes;
+
 /** Bytes of @p v's LEB128 varint: one per 7 bits, at most 10. */
 std::size_t
 varintBytes(u64 v)
@@ -174,6 +179,20 @@ accumulate(TraceTotals &t, const BatchSummary &s)
     ++t.batches;
 }
 
+/** The range of @p ranges (sorted by firstIdx, equal starts in note
+ *  order) that starts last at or below entry @p idx, if it holds it. */
+template <typename Range>
+Range *
+rangeHolding(std::vector<Range> &ranges, u64 idx)
+{
+    const auto it = std::upper_bound(
+        ranges.begin(), ranges.end(), idx,
+        [](u64 v, const Range &x) { return v < x.firstIdx; });
+    if (it == ranges.begin() || idx - (it - 1)->firstIdx >= (it - 1)->entries)
+        return nullptr;
+    return &*(it - 1);
+}
+
 } // namespace
 
 // ------------------------------------------------------------- recorder --
@@ -189,8 +208,8 @@ TraceRecorderSink::noteAllocation(const std::string &name, Addr va,
     a.target = target;
     allocs_.push_back(std::move(a));
 
-    // Kept sorted by start for lastPayloadSlot()'s search; an equal
-    // start goes after, so a re-noted range finds its latest note.
+    // Kept sorted by start for rangeHolding(); an equal start goes
+    // after, so a re-noted range finds its latest note.
     const u64 first = va / kEntryBytes;
     const auto at = std::upper_bound(
         slots_.begin(), slots_.end(), first,
@@ -201,20 +220,12 @@ TraceRecorderSink::noteAllocation(const std::string &name, Addr va,
 u32 *
 TraceRecorderSink::lastPayloadSlot(u64 idx, bool create)
 {
-    const auto it = std::upper_bound(
-        slots_.begin(), slots_.end(), idx,
-        [](u64 v, const EntrySlots &x) { return v < x.firstIdx; });
-    if (it == slots_.begin())
+    EntrySlots *s = rangeHolding(slots_, idx);
+    if (s == nullptr || (s->lastPayload.empty() && !create))
         return nullptr;
-    EntrySlots &s = *(it - 1);
-    if (idx - s.firstIdx >= s.entries)
-        return nullptr;
-    if (s.lastPayload.empty()) {
-        if (!create)
-            return nullptr;
-        s.lastPayload.assign(s.entries, 0);
-    }
-    return &s.lastPayload[idx - s.firstIdx];
+    if (s->lastPayload.empty())
+        s->lastPayload.assign(s->entries, 0);
+    return &s->lastPayload[idx - s->firstIdx];
 }
 
 void
@@ -342,8 +353,8 @@ TraceReplayer::loadImage(std::vector<u8> image)
 {
     image_ = std::move(image);
     allocs_.clear();
-    batches_.clear();
-    ops_ = 0;
+    table_.clear();
+    batchStart_.assign(1, 0);
     recorded_ = TraceTotals{};
 
     Reader r{image_};
@@ -359,7 +370,11 @@ TraceReplayer::loadImage(std::vector<u8> image)
     // driving a multi-exabyte reserve() below.
     BUDDY_CHECK(alloc_count <= (image_.size() - r.pos) / 4,
                 "trace allocation count exceeds image size");
+    BUDDY_CHECK(alloc_count <= kMaxAllocations,
+                "trace allocation count exceeds the op table's ordinals");
     allocs_.reserve(alloc_count);
+    struct Span { u64 firstIdx, entries; u16 ordinal; };
+    std::vector<Span> spans;
     for (u64 i = 0; i < alloc_count; ++i) {
         TraceAllocation a;
         const u64 name_len = r.varint();
@@ -368,28 +383,46 @@ TraceReplayer::loadImage(std::vector<u8> image)
         a.va = r.entryIndex() * kEntryBytes;
         a.bytes = r.varint();
         a.target = static_cast<CompressionTarget>(r.byte());
+        BUDDY_CHECK(a.bytes <= kMaxAllocationBytes,
+                    "trace allocation exceeds the op table's entry offsets");
+        spans.push_back({a.va / kEntryBytes,
+                         (a.bytes + kEntryBytes - 1) / kEntryBytes,
+                         static_cast<u16>(i)});
         allocs_.push_back(std::move(a));
     }
+    // The recorder's order: by start, equal starts in note order.
+    std::stable_sort(spans.begin(), spans.end(),
+                     [](const Span &x, const Span &y) {
+                         return x.firstIdx < y.firstIdx;
+                     });
 
-    std::vector<Op> batch;
+    // Pass one checks the records and counts ops and payloads; pass two
+    // fills tables reserved at those sizes, which peaks lower than doubling.
+    const std::size_t records = r.pos;
     std::vector<const u8 *> payloads; // payload records, in stream order
-    for (;;) {
+    std::size_t ops = 0, payload_count = 0;
+    for (bool fill = false;;) {
         const u8 tag = r.byte();
         if (tag == kTagFooter) {
             recorded_ = readTotals(r);
             BUDDY_CHECK(r.atEnd(), "trailing bytes after trace footer");
-            BUDDY_CHECK(batch.empty(),
+            BUDDY_CHECK(ops == batchStart_.back(),
                         "trace ends inside an unterminated batch");
-            return;
+            if (fill)
+                return;
+            fill = true;
+            r.pos = records;
+            table_.reserve(ops);
+            payloads.reserve(payload_count);
+            batchStart_.resize(1);
+            ops = payload_count = 0;
+            continue;
         }
         if (tag == kTagBatch) {
             const u64 count = r.varint();
-            BUDDY_CHECK(count == batch.size(),
+            BUDDY_CHECK(count == ops - batchStart_.back(),
                         "trace batch-mark op count mismatch");
-            // Copied out at its exact size: the scratch batch keeps its
-            // capacity instead of regrowing from empty for every batch.
-            batches_.emplace_back(batch.begin(), batch.end());
-            batch.clear();
+            batchStart_.push_back(ops);
             continue;
         }
 
@@ -407,61 +440,34 @@ TraceReplayer::loadImage(std::vector<u8> image)
         BUDDY_CHECK(!repeat || write, "repeat flag on a non-write trace op");
         BUDDY_CHECK(!(zero && repeat), "repeat flag on a zero-write trace op");
         op.kind = static_cast<AccessKind>(kind);
-        op.va = r.entryIndex() * kEntryBytes;
+        const u64 idx = r.entryIndex();
+        const Span *span = rangeHolding(spans, idx);
+        BUDDY_CHECK(span != nullptr,
+                    "trace address outside every recorded allocation");
+        op.alloc = span->ordinal;
+        op.offset = static_cast<u32>(idx - span->firstIdx);
         if (zero) {
             op.payload = kZeroEntry;
         } else if (repeat) {
             const u64 back = r.varint();
             BUDDY_CHECK(back != 0, "trace repeat distance is zero");
-            BUDDY_CHECK(back <= payloads.size(),
+            BUDDY_CHECK(back <= payload_count,
                         "trace repeat reaches before the first payload");
-            op.payload = payloads[payloads.size() - back];
+            if (fill)
+                op.payload = payloads[payload_count - back];
         } else if (write) {
             op.payload = r.raw(kEntryBytes);
-            payloads.push_back(op.payload);
+            ++payload_count;
+            if (fill)
+                payloads.push_back(op.payload);
         }
-        batch.push_back(op);
-        ++ops_;
+        ++ops;
+        if (fill)
+            table_.push_back(op);
     }
 }
 
 // --------------------------------------------------------------- cursor --
-
-void
-TraceCursor::bind(std::vector<Range> ranges)
-{
-    std::sort(ranges.begin(), ranges.end(),
-              [](const Range &x, const Range &y) {
-                  return x.oldBase < y.oldBase;
-              });
-    const auto translate = [&ranges](Addr va) -> Addr {
-        const auto it = std::upper_bound(
-            ranges.begin(), ranges.end(), va,
-            [](Addr v, const Range &x) { return v < x.oldBase; });
-        BUDDY_CHECK(it != ranges.begin(),
-                    "trace address below every recorded allocation");
-        const Range &x = *(it - 1);
-        BUDDY_CHECK(va < x.oldBase + x.bytes,
-                    "trace address outside every recorded allocation");
-        return x.newBase + (va - x.oldBase);
-    };
-
-    // Translate every recorded VA exactly once: repeat passes re-execute
-    // the same batches, so per-pass translation would be pure overhead
-    // (and totals must scale exactly linearly with repeat —
-    // tests/test_trace_timing.cc pins both properties).
-    const std::vector<std::vector<TraceReplayer::Op>> &batches =
-        trace_->batches_;
-    translated_.resize(batches.size());
-    for (std::size_t b = 0; b < batches.size(); ++b) {
-        translated_[b].reserve(batches[b].size());
-        for (const TraceReplayer::Op &op : batches[b]) {
-            TraceReplayer::Op t = op;
-            t.va = translate(op.va);
-            translated_[b].push_back(t);
-        }
-    }
-}
 
 bool
 TraceCursor::next(AccessBatch &plan, std::vector<u8> &readBuf)
@@ -469,27 +475,28 @@ TraceCursor::next(AccessBatch &plan, std::vector<u8> &readBuf)
     plan.clear();
     if (done())
         return false;
-    const std::vector<TraceReplayer::Op> &ops =
-        translated_[built_ % translated_.size()];
-    ++built_;
+    const std::size_t b = built_++ % trace_->batchCount();
+    const TraceReplayer::Op *ops = trace_->table_.data();
+    const TraceReplayer::Op *first = ops + trace_->batchStart_[b];
+    const TraceReplayer::Op *last = ops + trace_->batchStart_[b + 1];
 
-    std::size_t reads = 0;
-    for (const TraceReplayer::Op &op : ops)
-        if (op.kind == AccessKind::Read)
-            ++reads;
+    const auto reads = std::count_if(first, last, [](const auto &op) {
+        return op.kind == AccessKind::Read;
+    });
     readBuf.resize(std::max<std::size_t>(1, reads * kEntryBytes));
 
     std::size_t next_read = 0;
-    for (const TraceReplayer::Op &op : ops) {
-        switch (op.kind) {
+    for (const TraceReplayer::Op *op = first; op != last; ++op) {
+        const Addr va = bases_[op->alloc] + Addr{op->offset} * kEntryBytes;
+        switch (op->kind) {
           case AccessKind::Read:
-            plan.read(op.va, readBuf.data() + next_read++ * kEntryBytes);
+            plan.read(va, readBuf.data() + next_read++ * kEntryBytes);
             break;
           case AccessKind::Write:
-            plan.write(op.va, op.payload);
+            plan.write(va, op->payload);
             break;
           case AccessKind::Probe:
-            plan.probe(op.va);
+            plan.probe(va);
             break;
         }
     }

@@ -12,13 +12,14 @@
  * TraceRecorderSink is the ShardedEngine's TrafficSink: the engine
  * hands it each finished batch, ops in submission order, so recorded
  * traces are deterministic byte-for-byte when batches are submitted
- * sequentially. TraceReplayer drives a fresh engine or controller from
- * the file: it re-creates the allocation table in recorded order,
- * translates recorded addresses into the new address space, and
- * re-executes the batches. Replaying onto an identically-configured
- * target reproduces the recorded totals exactly; traffic totals
- * (sectors, buddy accesses) are shard-count-independent, so a trace
- * captured anywhere can be replayed under any sharding.
+ * sequentially. TraceReplayer loads the file, resolving every recorded
+ * address to (allocation ordinal, entry offset) once; a TraceCursor
+ * re-creates the allocation table in recorded order on a fresh engine
+ * or controller and re-executes the batches at the new allocations'
+ * bases. Replaying onto an identically-configured target reproduces
+ * the recorded totals exactly; traffic totals (sectors, buddy
+ * accesses) are shard-count-independent, so a trace captured anywhere
+ * can be replayed under any sharding.
  *
  * Format (all multi-byte integers are LEB128 varints unless noted):
  *
@@ -147,9 +148,11 @@ class TraceRecorderSink : public api::TrafficSink
 /**
  * Replays a recorded trace against a fresh engine or controller.
  *
- * load() parses the file; replay() re-creates the allocations in
- * recorded order on the target, then re-executes every recorded batch
- * (@p repeat times), translating recorded VAs into the target's
+ * load() parses the file into one op table, resolving each op to the
+ * recorded allocation that holds it (an ordinal) and its entry offset
+ * there; an op outside every allocation fails the load. replay()
+ * re-creates the allocations in recorded order on the target, then
+ * re-executes every recorded batch (@p repeat times) at the target's
  * allocation bases. Reads land in an internal scratch buffer.
  */
 class TraceCursor;
@@ -172,8 +175,8 @@ class TraceReplayer
     /** Totals recorded in the trace footer. */
     const TraceTotals &recordedTotals() const { return recorded_; }
 
-    u64 batchCount() const { return batches_.size(); }
-    u64 opCount() const { return ops_; }
+    u64 batchCount() const { return batchStart_.size() - 1; }
+    u64 opCount() const { return table_.size(); }
 
     /**
      * Drive @p target from the trace.
@@ -186,21 +189,24 @@ class TraceReplayer
   private:
     friend class TraceCursor;
 
-    /** One parsed operation; payload points into image_ (or zeros). */
+    /** One parsed operation: entry @c offset of allocation @c alloc (an
+     *  ordinal into allocations()); payload points into image_ or zeros. */
     struct Op
     {
-        AccessKind kind = AccessKind::Probe;
-        Addr va = 0;
         const u8 *payload = nullptr; ///< writes only
+        u32 offset = 0;
+        u16 alloc = 0;
+        AccessKind kind = AccessKind::Probe;
     };
+    static_assert(sizeof(Op) == 16, "one op table entry is 16 bytes");
 
     template <typename Target>
     TraceTotals replayInto(Target &target, unsigned repeat) const;
 
     std::vector<u8> image_;
     std::vector<TraceAllocation> allocs_;
-    std::vector<std::vector<Op>> batches_;
-    u64 ops_ = 0;
+    std::vector<Op> table_;                  ///< every batch's ops, in order
+    std::vector<std::size_t> batchStart_{0}; ///< per batch, then the end
     TraceTotals recorded_;
 };
 
@@ -211,14 +217,14 @@ class TraceReplayer
  *
  * Construction re-creates the capture's allocation table on the target
  * — giving this cursor its own VA namespace, so many cursors over the
- * same capture coexist on one engine — and pre-translates every
- * recorded address once (repeat passes re-execute the same batches, so
- * per-pass translation would break the exact repeat linearity the
- * trace tests pin). next() then fills one recorded batch per call, in
- * stream order, wrapping @p repeat times. The TraceReplayer must
- * outlive the cursor (write payloads point into its loaded image); the
- * created allocations stay live on the target for the cursor's users
- * to access.
+ * same capture coexist on one engine — and keeps only each created
+ * allocation's base VA. next() then fills one recorded batch per call
+ * from the trace's shared op table, in stream order, wrapping
+ * @p repeat times; an op's address is its allocation's base plus its
+ * entry offset, the same on every pass. The TraceReplayer must outlive
+ * the cursor (it holds the op table, and write payloads point into its
+ * loaded image); the created allocations stay live on the target for
+ * the cursor's users to access.
  */
 class TraceCursor
 {
@@ -235,20 +241,16 @@ class TraceCursor
                 unsigned repeat = 1, const std::string &namePrefix = "")
         : trace_(&trace), repeat_(repeat)
     {
-        std::vector<Range> ranges;
-        ranges.reserve(trace.allocations().size());
         for (const TraceAllocation &a : trace.allocations()) {
             const auto id =
                 target.allocate(namePrefix + a.name, a.bytes, a.target);
             BUDDY_CHECK(id.has_value(), "trace cursor target out of memory");
-            ranges.push_back(
-                {a.va, a.bytes, target.allocations().at(*id).va});
+            bases_.push_back(target.allocations().at(*id).va);
         }
-        bind(std::move(ranges));
     }
 
     /** Batches the full stream yields (recorded batches x repeat). */
-    u64 totalBatches() const { return translated_.size() * repeat_; }
+    u64 totalBatches() const { return trace_->batchCount() * repeat_; }
 
     /** Batches handed out so far. */
     u64 builtBatches() const { return built_; }
@@ -258,27 +260,17 @@ class TraceCursor
 
     /**
      * Fill @p plan with the next recorded batch (cleared first; ops in
-     * recorded order, addresses translated). Read destinations point
-     * into @p readBuf, which is resized to the batch's needs and must
-     * stay alive and untouched until the plan has executed.
+     * recorded order, at this cursor's allocations). Read destinations
+     * point into @p readBuf, which is resized to the batch's needs and
+     * must stay alive and untouched until the plan has executed.
      * @return false — with @p plan left empty — once the stream is
      *         exhausted.
      */
     bool next(AccessBatch &plan, std::vector<u8> &readBuf);
 
   private:
-    struct Range
-    {
-        Addr oldBase;
-        u64 bytes;
-        Addr newBase;
-    };
-
-    /** Pre-translate every recorded batch through @p ranges. */
-    void bind(std::vector<Range> ranges);
-
     const TraceReplayer *trace_;
-    std::vector<std::vector<TraceReplayer::Op>> translated_;
+    std::vector<Addr> bases_; ///< target base VA, by allocation ordinal
     unsigned repeat_ = 1;
     u64 built_ = 0;
 };

@@ -1487,6 +1487,80 @@ TEST(Trace, UnchangedRewriteRecordsAReference)
     }
 }
 
+TEST(Trace, AllocationsNotedOutOfVaOrderReplay)
+{
+    // The recorder notes allocations in call order, which need not be
+    // VA order; the loader resolves each op to the noted allocation
+    // that holds it whatever the order. "b" is noted with 424 B, so its
+    // last entry is partial and still holds an op.
+    struct Spec
+    {
+        const char *name;
+        u64 bytes;
+    };
+    const Spec specs[] = {{"a", 4 * kEntryBytes},
+                          {"b", 3 * kEntryBytes + 40},
+                          {"c", 5 * kEntryBytes}};
+    const auto entries = mixedEntries(13, 43);
+
+    for (unsigned shards : {1u, 4u}) {
+        SCOPED_TRACE("shards " + std::to_string(shards));
+        ShardedEngine eng(engineConfig(shards));
+        TraceRecorderSink recorder;
+        eng.attachSink(&recorder);
+        std::vector<Addr> vas; // every entry, in VA order
+        std::vector<std::pair<Addr, const Spec *>> noted;
+        for (const Spec &spec : specs) {
+            const auto id =
+                eng.allocate(spec.name, spec.bytes, CompressionTarget::Ratio2);
+            ASSERT_TRUE(id.has_value());
+            const Addr base = eng.allocations().at(*id).va;
+            noted.emplace_back(base, &spec);
+            for (u64 off = 0; off < spec.bytes; off += kEntryBytes)
+                vas.push_back(base + off);
+        }
+        ASSERT_EQ(vas.size(), entries.size());
+        ASSERT_LT(noted[0].first, noted[1].first);
+        ASSERT_LT(noted[1].first, noted[2].first);
+        for (auto it = noted.rbegin(); it != noted.rend(); ++it)
+            recorder.noteAllocation(it->second->name, it->first,
+                                    it->second->bytes,
+                                    CompressionTarget::Ratio2);
+
+        AccessBatch writes;
+        for (std::size_t e = 0; e < vas.size(); ++e)
+            writes.write(vas[e], entries[e].data());
+        eng.execute(writes);
+        std::vector<u8> recorded_reads(vas.size() * kEntryBytes);
+        AccessBatch reads;
+        for (std::size_t e = 0; e < vas.size(); ++e)
+            reads.read(vas[e], recorded_reads.data() + e * kEntryBytes);
+        eng.execute(reads);
+        eng.detachSink(&recorder);
+        for (std::size_t e = 0; e < vas.size(); ++e)
+            ASSERT_EQ(0, std::memcmp(recorded_reads.data() + e * kEntryBytes,
+                                     entries[e].data(), kEntryBytes));
+
+        TraceReplayer replayer;
+        replayer.loadImage(recorder.serialize());
+        ShardedEngine fresh(engineConfig(shards));
+        TraceCursor cursor(replayer, fresh);
+        TraceTotals replayed;
+        AccessBatch plan;
+        std::vector<u8> read_buf, replayed_reads;
+        while (cursor.next(plan, read_buf)) {
+            replayed.summary.accumulate(fresh.execute(plan));
+            ++replayed.batches;
+            if (plan.ops()[0].kind == AccessKind::Read)
+                replayed_reads = read_buf;
+        }
+        EXPECT_TRUE(sameSummary(replayed.summary,
+                                replayer.recordedTotals().summary));
+        EXPECT_EQ(replayed.batches, replayer.recordedTotals().batches);
+        EXPECT_EQ(replayed_reads, recorded_reads);
+    }
+}
+
 TEST(Trace, SerializeCopiesTheStreamOnce)
 {
     // serialize() sizes the whole image before it copies the stream

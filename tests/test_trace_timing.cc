@@ -4,14 +4,16 @@
  * simulated cycle totals exactly (cycle charges are pure functions of
  * the traffic, so an identically-configured replay target reproduces
  * them bit-for-bit), repeat-mode replay must scale the totals exactly
- * linearly (the VA translation is hoisted out of the repeat loop), and
- * a fuzz loop with randomized batch shapes, link windows, and window
- * modes must round-trip traces through the replayer against timed
- * engines, logging the seed on any failure. The footer round-trips
- * every total, codec totals included, and a capture replays under
- * either window mode and any W. Malformed images, version bytes other
- * than the current one, and paths that are not regular files die with
- * a diagnostic.
+ * linearly (every pass re-executes the same ops at the same addresses:
+ * an op's address is a pure function of its allocation's base and its
+ * entry offset), and a fuzz loop with randomized batch shapes, link
+ * windows, and window modes must round-trip traces through the
+ * replayer against timed engines, logging the seed on any failure.
+ * The footer round-trips every total, codec totals included, and a
+ * capture replays under either window mode and any W. Malformed
+ * images, ops outside every recorded allocation, allocation tables too
+ * large for the op table, version bytes other than the current one,
+ * and paths that are not regular files die with a diagnostic.
  */
 
 #include <gtest/gtest.h>
@@ -529,18 +531,36 @@ TEST(TraceCorruption, HugeAllocCountDies)
                  "allocation count exceeds image size");
 }
 
+/**
+ * The header every hand-built op stream starts with: magic, version
+ * and one allocation (empty name, entry 0, 128 B) that holds entry 0,
+ * followed by @p tail. The loader resolves each op's entry against the
+ * allocation table, so an op at entry 0 parses completely and the
+ * corruption after it is what fails.
+ */
+std::vector<u8>
+oneAllocation(std::initializer_list<u8> tail)
+{
+    std::vector<u8> image = {'B', 'D', 'Y', 'T', 5,
+                             0x01,              // one allocation:
+                             0x00, 0x00,        // empty name, entry 0,
+                             0x80, 0x01, 0x00}; // 128 B, no target
+    image.insert(image.end(), tail);
+    return image;
+}
+
 TEST(TraceCorruption, UnknownOpTagDies)
 {
-    // Rebuild a minimal image: no allocations, one op with corrupt tag
-    // flag bits (0x20 is neither clear nor the zero-write flag).
-    std::vector<u8> image = {'B', 'D', 'Y', 'T', 5, 0x00};
+    // One op with corrupt tag flag bits (0x20 is neither clear nor the
+    // zero-write flag).
+    std::vector<u8> image = oneAllocation({});
     image.push_back(0x22); // kind=2 (probe) with junk flag bits
     EXPECT_DEATH(loadBytes(image), "unknown trace op flag bits");
 }
 
 TEST(TraceCorruption, ZeroWriteFlagOnNonWriteDies)
 {
-    std::vector<u8> image = {'B', 'D', 'Y', 'T', 5, 0x00};
+    std::vector<u8> image = oneAllocation({});
     image.push_back(0x10); // zero-write flag on a read op
     EXPECT_DEATH(loadBytes(image), "zero-write flag on a non-write");
 }
@@ -549,7 +569,7 @@ TEST(TraceCorruption, RepeatFlagOnNonWriteDies)
 {
     // The repeat flag (0x40) names a payload, which only a write has.
     for (u8 tag : {u8{0x40}, u8{0x42}}) { // read, probe
-        std::vector<u8> image = {'B', 'D', 'Y', 'T', 5, 0x00};
+        std::vector<u8> image = oneAllocation({});
         image.push_back(tag);
         image.push_back(0x00); // entry 0
         image.push_back(0x01); // k = 1
@@ -560,7 +580,7 @@ TEST(TraceCorruption, RepeatFlagOnNonWriteDies)
 
 TEST(TraceCorruption, RepeatFlagOnZeroWriteDies)
 {
-    std::vector<u8> image = {'B', 'D', 'Y', 'T', 5, 0x00};
+    std::vector<u8> image = oneAllocation({});
     image.push_back(0x51); // write | zero | repeat
     image.push_back(0x00);
     image.push_back(0x01);
@@ -572,7 +592,7 @@ TEST(TraceCorruption, RepeatFlagOnZeroWriteDies)
 std::vector<u8>
 afterOnePayload(std::initializer_list<u8> tail)
 {
-    std::vector<u8> image = {'B', 'D', 'Y', 'T', 5, 0x00};
+    std::vector<u8> image = oneAllocation({});
     image.push_back(0x01); // write of entry 0
     image.push_back(0x00);
     image.insert(image.end(), kEntryBytes, 0xA5);
@@ -593,7 +613,7 @@ TEST(TraceCorruption, RepeatBeforeFirstPayloadDies)
     EXPECT_DEATH(loadBytes(afterOnePayload({0x41, 0x00, 0x02})),
                  "trace repeat reaches before the first payload");
     // No payload precedes it at all.
-    EXPECT_DEATH(loadBytes({'B', 'D', 'Y', 'T', 5, 0x00, 0x41, 0x00, 0x01}),
+    EXPECT_DEATH(loadBytes(oneAllocation({0x41, 0x00, 0x01})),
                  "trace repeat reaches before the first payload");
 }
 
@@ -607,7 +627,7 @@ TEST(TraceCorruption, TruncatedRepeatDistanceDies)
 TEST(TraceCorruption, EntryIndexOutOfRangeDies)
 {
     // An op whose entry index would wrap u64 once scaled by 128.
-    std::vector<u8> image = {'B', 'D', 'Y', 'T', 5, 0x00};
+    std::vector<u8> image = oneAllocation({});
     image.push_back(0x02); // probe
     for (int i = 0; i < 8; ++i)
         image.push_back(0xFF); // index varint: 2^56-ish payload
@@ -617,7 +637,7 @@ TEST(TraceCorruption, EntryIndexOutOfRangeDies)
 
 TEST(TraceCorruption, BatchCountMismatchDies)
 {
-    std::vector<u8> image = {'B', 'D', 'Y', 'T', 5, 0x00};
+    std::vector<u8> image = oneAllocation({});
     image.push_back(0x02); // probe of entry 0
     image.push_back(0x00);
     image.push_back(0xFE); // batch mark claiming 2 ops, but only 1 ran
@@ -628,13 +648,91 @@ TEST(TraceCorruption, BatchCountMismatchDies)
 TEST(TraceCorruption, FooterInsideBatchDies)
 {
     // An op stream that hits the footer without a closing batch mark.
-    std::vector<u8> image = {'B', 'D', 'Y', 'T', 5, 0x00};
+    std::vector<u8> image = oneAllocation({});
     image.push_back(0x02); // probe of entry 0
     image.push_back(0x00);
     image.push_back(0xFF); // footer tag
     for (int i = 0; i < 16; ++i)
         image.push_back(0x00); // footer totals (all zero)
     EXPECT_DEATH(loadBytes(image), "unterminated batch");
+}
+
+/** An image of two allocations — "a": entries 4..5 (256 B); "b":
+ *  entries 10..11 (200 B, so its last entry is partial) — holding one
+ *  batch that probes entry @p idx. */
+std::vector<u8>
+probeOfTwoAllocations(u8 idx)
+{
+    std::vector<u8> image = {'B', 'D', 'Y', 'T', 5, 0x02,
+                             0x01, 'a', 0x04, 0x80, 0x02, 0x00,
+                             0x01, 'b', 0x0A, 0xC8, 0x01, 0x00};
+    image.insert(image.end(), {0x02, idx, 0xFE, 0x01, 0xFF});
+    image.insert(image.end(), 16, 0x00); // footer totals (all zero)
+    return image;
+}
+
+TEST(TraceCorruption, OpOutsideEveryAllocationDies)
+{
+    // The loader resolves each op to the allocation that holds it, so
+    // an address no allocation holds fails the load, not the replay.
+    for (u8 idx : {u8{4}, u8{5}, u8{10}, u8{11}}) {
+        TraceReplayer replayer;
+        replayer.loadImage(probeOfTwoAllocations(idx));
+        EXPECT_EQ(replayer.opCount(), 1u) << "entry " << unsigned{idx};
+    }
+    // Below the first allocation, in the gap between the two, and one
+    // entry past "b", whose 200 B end inside entry 11.
+    for (u8 idx : {u8{3}, u8{7}, u8{12}})
+        EXPECT_DEATH(loadBytes(probeOfTwoAllocations(idx)),
+                     "trace address outside every recorded allocation")
+            << "entry " << unsigned{idx};
+}
+
+void
+appendVarint(std::vector<u8> &out, u64 v)
+{
+    for (; v >= 0x80; v >>= 7)
+        out.push_back(static_cast<u8>(v) | 0x80);
+    out.push_back(static_cast<u8>(v));
+}
+
+/** An image of @p count unnamed allocations of @p bytes each, all at
+ *  entry 0, and no batches. */
+std::vector<u8>
+allocationsOnly(u64 count, u64 bytes)
+{
+    std::vector<u8> image = {'B', 'D', 'Y', 'T', 5};
+    appendVarint(image, count);
+    for (u64 i = 0; i < count; ++i) {
+        image.insert(image.end(), {0x00, 0x00}); // empty name, entry 0
+        appendVarint(image, bytes);
+        image.push_back(0x00);
+    }
+    image.push_back(0xFF);
+    image.insert(image.end(), 16, 0x00); // footer totals (all zero)
+    return image;
+}
+
+TEST(TraceCorruption, AllocationCountBeyondOrdinalsDies)
+{
+    // An op names its allocation by a 16-bit ordinal.
+    TraceReplayer replayer;
+    replayer.loadImage(allocationsOnly(u64{1} << 16, kEntryBytes));
+    EXPECT_EQ(replayer.allocations().size(), u64{1} << 16);
+    EXPECT_DEATH(loadBytes(allocationsOnly((u64{1} << 16) + 1, kEntryBytes)),
+                 "trace allocation count exceeds the op table's ordinals");
+}
+
+TEST(TraceCorruption, AllocationBeyondEntryOffsetsDies)
+{
+    // An op names its entry by a 32-bit offset into its allocation, so
+    // an allocation holds at most 2^32 entries (512 GiB).
+    const u64 max_bytes = (u64{1} << 32) * kEntryBytes;
+    TraceReplayer replayer;
+    replayer.loadImage(allocationsOnly(1, max_bytes));
+    EXPECT_EQ(replayer.allocations().at(0).bytes, max_bytes);
+    EXPECT_DEATH(loadBytes(allocationsOnly(1, max_bytes + 1)),
+                 "trace allocation exceeds the op table's entry offsets");
 }
 
 } // namespace

@@ -14,7 +14,9 @@ should fail rather than let the artifact rot.
              verbatim)
     check    re-run the smoke benches and compare every deterministic
              `sim/` metric of the committed snapshot against the fresh
-             reports; exit 1 on any divergence
+             reports, and each entry's shape: its table headers and the
+             key set of its values (not the values, which hold wall
+             times); exit 1 on any divergence
 
 Both modes run the same bench commands, so `check` failing is always
 fixable by `refresh` + commit.
@@ -85,6 +87,22 @@ def diff_subtrees(bench: str, committed: dict, fresh: dict) -> list:
     return problems
 
 
+def shape_problems(bench: str, committed: dict, fresh: dict) -> list:
+    """Divergences in table headers or in the set of value keys."""
+    problems = []
+    headers = [[t["headers"] for t in r.get("tables", [])]
+               for r in (committed, fresh)]
+    if headers[0] != headers[1]:
+        problems.append(f"{bench}: table headers committed {headers[0]!r} "
+                        f"!= fresh {headers[1]!r}")
+    keys = [set(r.get("values", {})) for r in (committed, fresh)]
+    for key in sorted(keys[0] - keys[1]):
+        problems.append(f"{bench}: value {key} committed but gone fresh")
+    for key in sorted(keys[1] - keys[0]):
+        problems.append(f"{bench}: value {key} fresh but not committed")
+    return problems
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("mode", choices=["refresh", "check"])
@@ -114,15 +132,17 @@ def main() -> int:
             continue
         problems += diff_subtrees(bench, sim_subtree(committed),
                                   sim_subtree(report))
+        problems += shape_problems(bench, committed, report)
     if problems:
         print("committed BENCH_buddy.json is stale — its deterministic "
-              "sim/ metrics diverge from a fresh run:")
+              "sim/ metrics or its table shapes diverge from a fresh "
+              "run:")
         for p in problems:
             print(f"  {p}")
         print("fix: python3 tools/bench_snapshot.py refresh "
               "--build-dir <build> and commit the result")
         return 1
-    print(f"snapshot sim/ subtrees match a fresh run "
+    print(f"snapshot sim/ subtrees and table shapes match a fresh run "
           f"({len(fresh)} benches checked)")
     return 0
 
