@@ -8,10 +8,10 @@
  * set through batched plans and reads it back, and reports wall-clock
  * entries/s plus the speedup over the 1-shard configuration.
  *
- * Correctness ride-along: the cross-shard traffic totals (reads,
- * writes, device and buddy sectors, buddy accesses, and the serial
- * link cycle charges, a pure function of that traffic) of every sharded
- * run are checked bit-identical to the 1-shard reference — the engine's
+ * Correctness ride-along: the plan-pure totals (isolationEqual without
+ * the window fields: traffic, serial link and codec cycle charges) and
+ * the overflow gauge of every sharded run are checked bit-identical to
+ * the 1-shard reference — the engine's
  * core invariant — so a scaling win can never come from doing different
  * work. The sim-Mcycles column reports that simulated time; the
  * psh-win-Mcycles column reports the per-shard-window (N-GPU) windowed
@@ -34,6 +34,7 @@
 #include "obs/chrome_trace.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
+#include "service/scheduler.h"
 #include "workloads/patterns.h"
 
 using namespace buddy;
@@ -134,20 +135,6 @@ histString(const WindowImbalanceStats &s)
     return out;
 }
 
-bool
-sameTraffic(const RunResult &ra, const RunResult &rb)
-{
-    const BatchSummary &a = ra.stats;
-    const BatchSummary &b = rb.stats;
-    return a.reads == b.reads && a.writes == b.writes &&
-           a.deviceSectors == b.deviceSectors &&
-           a.buddySectors == b.buddySectors &&
-           a.buddyAccesses == b.buddyAccesses &&
-           ra.overflowEntries == rb.overflowEntries &&
-           a.deviceCycles == b.deviceCycles &&
-           a.buddyCycles == b.buddyCycles;
-}
-
 } // namespace
 
 int
@@ -223,7 +210,8 @@ main(int argc, char **argv)
                     last && want_trace ? &trace : nullptr);
         if (shards == 1)
             ref = r;
-        else if (!sameTraffic(r, ref))
+        else if (!isolationEqual(r.stats, ref.stats, false) ||
+                 r.overflowEntries != ref.overflowEntries)
             totals_ok = false;
         runs.emplace_back(shards, r);
 

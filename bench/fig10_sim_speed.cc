@@ -60,42 +60,10 @@ using namespace buddy;
 
 namespace {
 
-/** Cycle totals of one timed write+read pass over the working set. */
-struct TimedRun
-{
-    u64 deviceCycles = 0;
-    u64 buddyCycles = 0;
-    u64 deviceWindowCycles = 0;
-    u64 buddyWindowCycles = 0;
-    u64 combinedWindowCycles = 0;
-    u64 codecCycles = 0;
-    u64 codecChargedWindowCycles = 0;
-    u64 buddySectors = 0;
-
-    u64 total() const { return deviceCycles + buddyCycles; }
-
-    u64 windowTotal() const
-    {
-        return deviceWindowCycles + buddyWindowCycles;
-    }
-
-    bool
-    operator==(const TimedRun &o) const
-    {
-        return deviceCycles == o.deviceCycles &&
-               buddyCycles == o.buddyCycles &&
-               deviceWindowCycles == o.deviceWindowCycles &&
-               buddyWindowCycles == o.buddyWindowCycles &&
-               combinedWindowCycles == o.combinedWindowCycles &&
-               codecCycles == o.codecCycles &&
-               codecChargedWindowCycles == o.codecChargedWindowCycles &&
-               buddySectors == o.buddySectors;
-    }
-};
-
-/** Write the set then read it back through @p target, summing cycles. */
+/** Write the set then read it back through @p target; the summed
+ *  summaries of the two passes. */
 template <typename Target>
-TimedRun
+BatchSummary
 runTimed(Target &target, std::size_t entries, const std::vector<u8> &data)
 {
     constexpr std::size_t kAllocs = 8;
@@ -118,32 +86,16 @@ runTimed(Target &target, std::size_t entries, const std::vector<u8> &data)
     }
 
     std::vector<u8> out(entries * kEntryBytes);
-    TimedRun r;
+    BatchSummary r;
     AccessBatch plan(entries);
     for (std::size_t i = 0; i < entries; ++i)
         plan.write(vas[i], data.data() + i * kEntryBytes);
-    target.execute(plan);
-    r.deviceCycles += plan.summary().deviceCycles;
-    r.buddyCycles += plan.summary().buddyCycles;
-    r.deviceWindowCycles += plan.summary().deviceWindowCycles;
-    r.buddyWindowCycles += plan.summary().buddyWindowCycles;
-    r.combinedWindowCycles += plan.summary().combinedWindowCycles;
-    r.codecCycles += plan.summary().codecCycles;
-    r.codecChargedWindowCycles += plan.summary().codecChargedWindowCycles;
-    r.buddySectors += plan.summary().buddySectors;
+    r.accumulate(target.execute(plan));
 
     plan.clear();
     for (std::size_t i = 0; i < entries; ++i)
         plan.read(vas[i], out.data() + i * kEntryBytes);
-    target.execute(plan);
-    r.deviceCycles += plan.summary().deviceCycles;
-    r.buddyCycles += plan.summary().buddyCycles;
-    r.deviceWindowCycles += plan.summary().deviceWindowCycles;
-    r.buddyWindowCycles += plan.summary().buddyWindowCycles;
-    r.combinedWindowCycles += plan.summary().combinedWindowCycles;
-    r.codecCycles += plan.summary().codecCycles;
-    r.codecChargedWindowCycles += plan.summary().codecChargedWindowCycles;
-    r.buddySectors += plan.summary().buddySectors;
+    r.accumulate(target.execute(plan));
     return r;
 }
 
@@ -172,29 +124,30 @@ timedBackendSection(std::size_t entries, const std::string &codec,
              "comb-total", "codec-charged", "vs dram/host-um"});
     double baseline = 0;
     bool windows_bounded = true;
-    const auto addRow = [&](const std::string &name, const TimedRun &r) {
+    const auto addRow = [&](const std::string &name, const BatchSummary &r) {
         if (baseline == 0)
-            baseline = static_cast<double>(r.total());
+            baseline = static_cast<double>(r.totalCycles());
         t.addRow({name, strfmt("%llu", (unsigned long long)r.deviceCycles),
                   strfmt("%llu", (unsigned long long)r.buddyCycles),
-                  strfmt("%llu", (unsigned long long)r.total()),
-                  strfmt("%llu", (unsigned long long)r.windowTotal()),
+                  strfmt("%llu", (unsigned long long)r.totalCycles()),
+                  strfmt("%llu", (unsigned long long)r.windowTotalCycles()),
                   strfmt("%llu",
                          (unsigned long long)r.combinedWindowCycles),
                   strfmt("%llu",
                          (unsigned long long)r.codecChargedWindowCycles),
                   strfmt("%.2fx",
-                         static_cast<double>(r.total()) / baseline)});
+                         static_cast<double>(r.totalCycles()) / baseline)});
         // The windowed makespan can never exceed the serial charge,
         // and the combined (cross-link) makespan is bracketed by the
         // per-link max and the per-link sum. The codec-charged makespan
         // stacks the inline (de)compression unit on top of the combined
         // one, so it can only grow from there and never by more than
         // the sum of the per-op serial codec charges.
-        windows_bounded = windows_bounded && r.windowTotal() <= r.total();
+        windows_bounded =
+            windows_bounded && r.windowTotalCycles() <= r.totalCycles();
         windows_bounded =
             windows_bounded &&
-            r.combinedWindowCycles <= r.windowTotal() &&
+            r.combinedWindowCycles <= r.windowTotalCycles() &&
             r.combinedWindowCycles >=
                 std::max(r.deviceWindowCycles, r.buddyWindowCycles);
         windows_bounded =
@@ -211,7 +164,7 @@ timedBackendSection(std::size_t entries, const std::string &codec,
         cfg.buddyBackend = buddy_kind;
         cfg.linkWindow = window;
         BuddyController gpu(cfg);
-        const TimedRun r = runTimed(gpu, entries, data);
+        const BatchSummary r = runTimed(gpu, entries, data);
         addRow(buddy_kind == std::string("host-um") ? "dram / host-um"
                                                     : "dram / remote",
                r);
@@ -232,10 +185,10 @@ timedBackendSection(std::size_t entries, const std::string &codec,
         ShardedEngine eng(cfg);
         return runTimed(eng, entries, data);
     };
-    const TimedRun peerA = peerRun(WindowMode::Merged);
-    const TimedRun peerB = peerRun(WindowMode::Merged);
-    const TimedRun pshA = peerRun(WindowMode::PerShard);
-    const TimedRun pshB = peerRun(WindowMode::PerShard);
+    const BatchSummary peerA = peerRun(WindowMode::Merged);
+    const BatchSummary peerB = peerRun(WindowMode::Merged);
+    const BatchSummary pshA = peerRun(WindowMode::PerShard);
+    const BatchSummary pshB = peerRun(WindowMode::PerShard);
     addRow("dram / peer (4-shard, merged W)", peerA);
     addRow("dram / peer (4-shard, per-GPU W)", pshA);
     t.print();
@@ -291,34 +244,34 @@ windowSweepSection(std::size_t entries, const std::string &codec)
         cfg.deviceBytes = entries * kEntryBytes + 8 * MiB;
         cfg.linkWindow = w;
         BuddyController gpu(cfg);
-        const TimedRun r = runTimed(gpu, entries, data);
+        const BatchSummary r = runTimed(gpu, entries, data);
         if (w == 1) {
-            serial_total = r.total();
+            serial_total = r.totalCycles();
             // The W=1 replay must equal the serial charge bit-for-bit.
-            ok = ok && r.windowTotal() == serial_total;
+            ok = ok && r.windowTotalCycles() == serial_total;
         } else {
-            ok = ok && r.windowTotal() <= prev &&
-                 r.windowTotal() <= serial_total;
+            ok = ok && r.windowTotalCycles() <= prev &&
+                 r.windowTotalCycles() <= serial_total;
             // The combined and codec-charged makespans shrink
             // monotonely with W too (wider windows only ever lower the
             // link frontiers the codec stage waits on).
             ok = ok && r.combinedWindowCycles <= prev_comb;
             ok = ok && r.codecChargedWindowCycles <= prev_charged;
         }
-        ok = ok && r.combinedWindowCycles <= r.windowTotal();
+        ok = ok && r.combinedWindowCycles <= r.windowTotalCycles();
         ok = ok && r.codecChargedWindowCycles >= r.combinedWindowCycles &&
              r.codecChargedWindowCycles <=
                  r.combinedWindowCycles + r.codecCycles;
-        prev = r.windowTotal();
+        prev = r.windowTotalCycles();
         prev_comb = r.combinedWindowCycles;
         prev_charged = r.codecChargedWindowCycles;
         t.addRow({strfmt("%llu", (unsigned long long)w),
-                  strfmt("%llu", (unsigned long long)r.windowTotal()),
+                  strfmt("%llu", (unsigned long long)r.windowTotalCycles()),
                   strfmt("%llu",
                          (unsigned long long)r.combinedWindowCycles),
                   strfmt("%llu",
                          (unsigned long long)r.codecChargedWindowCycles),
-                  strfmt("%.2fx", static_cast<double>(r.windowTotal()) /
+                  strfmt("%.2fx", static_cast<double>(r.windowTotalCycles()) /
                                       static_cast<double>(serial_total))});
     }
     t.print();

@@ -16,6 +16,7 @@
 
 #pragma once
 
+#include <iterator>
 #include <vector>
 
 #include "common/types.h"
@@ -164,30 +165,13 @@ struct BatchSummary
     u64 operations() const { return reads + writes + probes; }
 
     /**
-     * Fold another summary into this one (plain field sums; the shared
-     * accumulation the trace totals, the engine's per-tenant accounting,
-     * and the service scheduler all use). Note the window fields sum
-     * per-batch makespans — additive bookkeeping, not a joint makespan.
+     * Fold another summary into this one (plain field sums over
+     * kSummaryFields; the shared accumulation the trace totals, the
+     * engine's per-tenant accounting, and the service scheduler all
+     * use). Note the window fields sum per-batch makespans — additive
+     * bookkeeping, not a joint makespan.
      */
-    void
-    accumulate(const BatchSummary &o)
-    {
-        reads += o.reads;
-        writes += o.writes;
-        probes += o.probes;
-        deviceSectors += o.deviceSectors;
-        buddySectors += o.buddySectors;
-        metadataHits += o.metadataHits;
-        metadataMisses += o.metadataMisses;
-        buddyAccesses += o.buddyAccesses;
-        deviceCycles += o.deviceCycles;
-        buddyCycles += o.buddyCycles;
-        deviceWindowCycles += o.deviceWindowCycles;
-        buddyWindowCycles += o.buddyWindowCycles;
-        combinedWindowCycles += o.combinedWindowCycles;
-        codecCycles += o.codecCycles;
-        codecChargedWindowCycles += o.codecChargedWindowCycles;
-    }
+    void accumulate(const BatchSummary &o);
 
     /** Total link cycles the batch charged (occupancy, additive). */
     u64 totalCycles() const { return deviceCycles + buddyCycles; }
@@ -208,6 +192,70 @@ struct BatchSummary
                      : 0.0;
     }
 };
+
+/** What a BatchSummary field's value depends on: its determinism
+ *  contract under the sharded engine and the service scheduler. */
+enum class SummaryFieldKind : u8 {
+    Plan,   ///< a pure function of the plan: identical under any sharding
+    Cache,  ///< per-shard metadata-cache state: depends on the sharding
+    Window, ///< windowed makespan: plan-pure only under WindowMode::Merged
+};
+
+/** One BatchSummary field: its metric name, its member and its kind. */
+struct SummaryField
+{
+    const char *metric;
+    u64 BatchSummary::*member;
+    SummaryFieldKind kind;
+};
+
+/**
+ * Every BatchSummary field, in declaration order. The one list of the
+ * fields: accumulate(), operator==, the trace footer, the engine's
+ * metrics and service::isolationEqual() all loop over it.
+ */
+inline constexpr SummaryField kSummaryFields[] = {
+    {"reads", &BatchSummary::reads, SummaryFieldKind::Plan},
+    {"writes", &BatchSummary::writes, SummaryFieldKind::Plan},
+    {"probes", &BatchSummary::probes, SummaryFieldKind::Plan},
+    {"device_sectors", &BatchSummary::deviceSectors, SummaryFieldKind::Plan},
+    {"buddy_sectors", &BatchSummary::buddySectors, SummaryFieldKind::Plan},
+    {"metadata_hits", &BatchSummary::metadataHits, SummaryFieldKind::Cache},
+    {"metadata_misses", &BatchSummary::metadataMisses,
+     SummaryFieldKind::Cache},
+    {"buddy_accesses", &BatchSummary::buddyAccesses, SummaryFieldKind::Plan},
+    {"device_cycles", &BatchSummary::deviceCycles, SummaryFieldKind::Plan},
+    {"buddy_cycles", &BatchSummary::buddyCycles, SummaryFieldKind::Plan},
+    {"device_window_cycles", &BatchSummary::deviceWindowCycles,
+     SummaryFieldKind::Window},
+    {"buddy_window_cycles", &BatchSummary::buddyWindowCycles,
+     SummaryFieldKind::Window},
+    {"combined_window_cycles", &BatchSummary::combinedWindowCycles,
+     SummaryFieldKind::Window},
+    {"codec_cycles", &BatchSummary::codecCycles, SummaryFieldKind::Plan},
+    {"codec_charged_window_cycles", &BatchSummary::codecChargedWindowCycles,
+     SummaryFieldKind::Window},
+};
+
+static_assert(sizeof(BatchSummary) == sizeof(u64) * std::size(kSummaryFields),
+              "every BatchSummary field needs a kSummaryFields row");
+
+inline void
+BatchSummary::accumulate(const BatchSummary &o)
+{
+    for (const SummaryField &f : kSummaryFields)
+        this->*f.member += o.*f.member;
+}
+
+/** Every field equal. */
+inline bool
+operator==(const BatchSummary &a, const BatchSummary &b)
+{
+    for (const SummaryField &f : kSummaryFields)
+        if (a.*f.member != b.*f.member)
+            return false;
+    return true;
+}
 
 /**
  * An ordered plan of entry accesses plus, after execution, the per-op
@@ -327,5 +375,8 @@ using api::AccessInfo;
 using api::AccessKind;
 using api::AccessRequest;
 using api::BatchSummary;
+using api::kSummaryFields;
+using api::SummaryField;
+using api::SummaryFieldKind;
 
 } // namespace buddy

@@ -183,13 +183,6 @@ BuddyController::locate(Addr va)
 }
 
 void
-BuddyController::attachMetrics(obs::MetricRegistry &registry,
-                               const std::string &prefix)
-{
-    attachProbes(registry, prefix, true);
-}
-
-void
 BuddyController::attachProbes(obs::MetricRegistry &registry,
                               const std::string &prefix, bool timed)
 {

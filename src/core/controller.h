@@ -216,24 +216,6 @@ class BuddyController
      */
     const BatchSummary &run(AccessBatch &batch, bool timed);
 
-    /**
-     * Register this controller's metrics under @p prefix in @p registry
-     * and update them as batches execute: operation and metadata
-     * hit/miss counters (added once per batch, from its summary),
-     * codec-outcome counters (writes_zero / writes_compressed /
-     * writes_raw), and the batch-makespan, stored-bits,
-     * window-occupancy and window-stall histograms. Every value is
-     * simulated-time state, so with a "sim/"-rooted prefix the
-     * metrics join the determinism contract (a single controller's
-     * stream is pure; under the sharded engine, per-shard cache state
-     * belongs under "shard/" — the engine picks the prefixes).
-     *
-     * The registry must outlive the controller. Call with no batch in
-     * flight.
-     */
-    void attachMetrics(obs::MetricRegistry &registry,
-                       const std::string &prefix);
-
     /** The allocation covering @p va (panics if none). */
     const Allocation &allocationFor(Addr va) const;
 
@@ -315,9 +297,20 @@ class BuddyController
         u64 deviceSlotBytes; ///< device bytes reserved for this entry
     };
 
-    /** attachMetrics(), whose window histograms (batch_combined_makespan,
-     *  window_occupancy, window_stall) are registered only when
-     *  @p timed, for a controller that only runs untimed. */
+    /**
+     * Register this controller's metrics under @p prefix in @p registry
+     * and update them as batches execute: operation and metadata
+     * hit/miss counters (added once per batch, from its summary),
+     * codec-outcome counters (writes_zero / writes_compressed /
+     * writes_raw), the stored-bits histogram and, only when @p timed,
+     * the batch-makespan, window-occupancy and window-stall histograms.
+     * Every value is simulated-time state; the sharded engine, the only
+     * caller, registers each shard under "shard/s<k>/" (per-shard cache
+     * state).
+     *
+     * The registry must outlive the controller. Call with no batch in
+     * flight.
+     */
     void attachProbes(obs::MetricRegistry &registry,
                       const std::string &prefix, bool timed);
 
@@ -334,7 +327,7 @@ class BuddyController
     AccessInfo executeOp(const AccessRequest &op, BatchSummary &summary);
 
     /**
-     * Stable-address metric objects resolved once by attachMetrics(),
+     * Stable-address metric objects resolved once by attachProbes(),
      * so the hot path updates them without a name lookup. Inactive
      * (all-null) until attached.
      */

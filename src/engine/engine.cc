@@ -98,40 +98,23 @@ ShardedEngine::attachMetrics(obs::MetricRegistry &registry)
     const bool mergedMode = cfg_.shard.windowMode == WindowMode::Merged;
     probes_.active = true;
 
-    // Merged per-batch totals that are pure functions of the plans:
-    // identical under any sharding, so they live under sim/.
-    probes_.batches = &registry.counter("sim/engine/batches");
-    probes_.reads = &registry.counter("sim/engine/reads");
-    probes_.writes = &registry.counter("sim/engine/writes");
-    probes_.probes = &registry.counter("sim/engine/probes");
-    probes_.deviceSectors = &registry.counter("sim/engine/device_sectors");
-    probes_.buddySectors = &registry.counter("sim/engine/buddy_sectors");
-    probes_.buddyAccesses = &registry.counter("sim/engine/buddy_accesses");
-    probes_.deviceCycles = &registry.counter("sim/engine/device_cycles");
-    probes_.buddyCycles = &registry.counter("sim/engine/buddy_cycles");
-    // Unloaded codec latency is a pure per-op function like the serial
-    // cycles: sim/ under every mode.
-    probes_.codecCycles = &registry.counter("sim/engine/codec_cycles");
-    probes_.batchOps = &registry.histogram("sim/engine/batch_ops");
-
-    // Metadata hit/miss is per-shard cache state: reproducible
-    // run-to-run, different across shard counts by design.
-    probes_.metadataHits = &registry.counter("shard/engine/metadata_hits");
-    probes_.metadataMisses =
-        &registry.counter("shard/engine/metadata_misses");
-
-    // Window totals join sim/ only under Merged mode (the merged-stream
-    // replay); under PerShard they are the N-GPU barrier makespans,
-    // which depend on the sharding by design.
+    // Each summary field's subtree follows its SummaryFieldKind: plan-
+    // pure totals (the codec's unloaded latency included) under sim/,
+    // per-shard cache state under shard/. Window totals join sim/ only
+    // under Merged mode (the merged-stream replay); under PerShard they
+    // are the N-GPU barrier makespans, which depend on the sharding by
+    // design.
     const std::string wp = mergedMode ? "sim/engine/" : "shard/engine/";
-    probes_.deviceWindowCycles =
-        &registry.counter(wp + "device_window_cycles");
-    probes_.buddyWindowCycles =
-        &registry.counter(wp + "buddy_window_cycles");
-    probes_.combinedWindowCycles =
-        &registry.counter(wp + "combined_window_cycles");
-    probes_.codecChargedWindowCycles =
-        &registry.counter(wp + "codec_charged_window_cycles");
+    for (std::size_t i = 0; i < std::size(kSummaryFields); ++i) {
+        const SummaryField &f = kSummaryFields[i];
+        const std::string prefix =
+            f.kind == SummaryFieldKind::Window ? wp
+            : f.kind == SummaryFieldKind::Cache ? "shard/engine/"
+                                                 : "sim/engine/";
+        probes_.fields[i] = &registry.counter(prefix + f.metric);
+    }
+    probes_.batches = &registry.counter("sim/engine/batches");
+    probes_.batchOps = &registry.histogram("sim/engine/batch_ops");
     probes_.batchMakespan =
         &registry.histogram(wp + "batch_combined_makespan");
     if (mergedMode) {
@@ -280,28 +263,12 @@ ShardedEngine::execute(AccessBatch &batch)
     // submitting tenant's totals (untagged batches land under tenant
     // 0). A tenant's totals thus sum exactly its own batches — the
     // bookkeeping behind the service layer's isolation contract.
-    TenantTotals &t = tenantTotals_[batch.tenant()];
-    t.summary.accumulate(merged);
-    ++t.batches;
+    tenantTotals_[batch.tenant()].add(merged);
 
     if (probes_.active) {
         probes_.batches->add();
-        probes_.reads->add(merged.reads);
-        probes_.writes->add(merged.writes);
-        probes_.probes->add(merged.probes);
-        probes_.deviceSectors->add(merged.deviceSectors);
-        probes_.buddySectors->add(merged.buddySectors);
-        probes_.buddyAccesses->add(merged.buddyAccesses);
-        probes_.deviceCycles->add(merged.deviceCycles);
-        probes_.buddyCycles->add(merged.buddyCycles);
-        probes_.metadataHits->add(merged.metadataHits);
-        probes_.metadataMisses->add(merged.metadataMisses);
-        probes_.deviceWindowCycles->add(merged.deviceWindowCycles);
-        probes_.buddyWindowCycles->add(merged.buddyWindowCycles);
-        probes_.combinedWindowCycles->add(merged.combinedWindowCycles);
-        probes_.codecCycles->add(merged.codecCycles);
-        probes_.codecChargedWindowCycles->add(
-            merged.codecChargedWindowCycles);
+        for (std::size_t i = 0; i < std::size(kSummaryFields); ++i)
+            probes_.fields[i]->add(merged.*kSummaryFields[i].member);
         probes_.batchMakespan->add(merged.combinedWindowCycles);
         probes_.batchOps->add(n);
     }

@@ -112,11 +112,20 @@ struct EngineAllocation
     }
 };
 
-/** Per-tenant accumulated totals (see ShardedEngine::tenantTotals). */
-struct TenantTotals
+/** Accumulated totals of a batch stream: a trace recording or replay,
+ *  or one tenant's batches (ShardedEngine::tenantTotals). */
+struct TraceTotals
 {
-    BatchSummary summary; ///< field sums over the tenant's batches
-    u64 batches = 0;      ///< batches the tenant submitted
+    BatchSummary summary; ///< field sums over the batches
+    u64 batches = 0;
+
+    /** Fold one batch's summary in. */
+    void
+    add(const BatchSummary &s)
+    {
+        summary.accumulate(s);
+        ++batches;
+    }
 };
 
 /**
@@ -281,15 +290,16 @@ class ShardedEngine
      * every completed batch. Subtree discipline (obs/metrics.h):
      *
      *   sim/engine/    merged per-batch totals that are pure functions
-     *                  of the plans — bit-identical across shard counts
-     *                  (under WindowMode::Merged this includes the
-     *                  windowed makespans, occupancy and stall);
+     *                  of the plans — bit-identical across shard counts:
+     *                  the batch count and batch_ops, the
+     *                  SummaryFieldKind::Plan fields and, under
+     *                  WindowMode::Merged, the Window fields, the batch
+     *                  makespan, occupancy and stall;
      *   shard/...      reproducible run-to-run but sharding-dependent:
-     *                  each shard controller's own metrics under
-     *                  shard/s<k>/ (including metadata hit/miss — per-
-     *                  shard cache state) and, under PerShard mode,
-     *                  the shards' own window histograms and the
-     *                  engine's N-GPU window totals (under Merged the
+     *                  the Cache fields and, under PerShard mode, the
+     *                  engine's N-GPU Window fields and makespan under
+     *                  shard/engine/; each shard controller's own
+     *                  metrics under shard/s<k>/ (under Merged the
      *                  shards window nothing, so shard/s<k>/ has no
      *                  window metrics).
      *
@@ -367,7 +377,7 @@ class ShardedEngine
      * contract; metadata hit/miss totals are per-shard cache state and
      * are accounted here but excluded from that contract).
      */
-    const std::map<u32, TenantTotals> &tenantTotals() const
+    const std::map<u32, TraceTotals> &tenantTotals() const
     {
         return tenantTotals_;
     }
@@ -417,21 +427,8 @@ class ShardedEngine
     {
         bool active = false;
         obs::Counter *batches = nullptr;
-        obs::Counter *reads = nullptr;
-        obs::Counter *writes = nullptr;
-        obs::Counter *probes = nullptr;
-        obs::Counter *deviceSectors = nullptr;
-        obs::Counter *buddySectors = nullptr;
-        obs::Counter *buddyAccesses = nullptr;
-        obs::Counter *deviceCycles = nullptr;
-        obs::Counter *buddyCycles = nullptr;
-        obs::Counter *metadataHits = nullptr;   // shard/ subtree
-        obs::Counter *metadataMisses = nullptr; // shard/ subtree
-        obs::Counter *deviceWindowCycles = nullptr;
-        obs::Counter *buddyWindowCycles = nullptr;
-        obs::Counter *combinedWindowCycles = nullptr;
-        obs::Counter *codecCycles = nullptr; // sim/ subtree (serial sum)
-        obs::Counter *codecChargedWindowCycles = nullptr;
+        /** One counter per kSummaryFields row, in table order. */
+        obs::Counter *fields[std::size(kSummaryFields)] = {};
         obs::LatencyHistogram *batchMakespan = nullptr;
         obs::LatencyHistogram *batchOps = nullptr;
         obs::LatencyHistogram *windowOccupancy = nullptr; // Merged only
@@ -447,7 +444,7 @@ class ShardedEngine
     std::vector<SubPlan> subs_;    ///< one per shard, by shard index
     std::vector<unsigned> active_; ///< shards in use, first-seen order
 
-    std::map<u32, TenantTotals> tenantTotals_;
+    std::map<u32, TraceTotals> tenantTotals_;
     WindowImbalanceStats imbalance_;
     EngineProbes probes_;
     obs::BatchObserver *observer_ = nullptr;
@@ -474,7 +471,7 @@ class ShardedEngine
 using engine::EngineAllocation;
 using engine::EngineConfig;
 using engine::ShardedEngine;
-using engine::TenantTotals;
+using engine::TraceTotals;
 using engine::WindowImbalanceStats;
 
 } // namespace buddy

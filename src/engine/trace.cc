@@ -128,24 +128,15 @@ struct Reader
     }
 };
 
+// The v5 footer: these 15 fields in table order, then the batch count.
+static_assert(std::size(kSummaryFields) == 15,
+              "a new BatchSummary field is a new trace format version");
+
 void
 putTotals(std::vector<u8> &out, const TraceTotals &t)
 {
-    putVarint(out, t.summary.reads);
-    putVarint(out, t.summary.writes);
-    putVarint(out, t.summary.probes);
-    putVarint(out, t.summary.deviceSectors);
-    putVarint(out, t.summary.buddySectors);
-    putVarint(out, t.summary.metadataHits);
-    putVarint(out, t.summary.metadataMisses);
-    putVarint(out, t.summary.buddyAccesses);
-    putVarint(out, t.summary.deviceCycles);
-    putVarint(out, t.summary.buddyCycles);
-    putVarint(out, t.summary.deviceWindowCycles);
-    putVarint(out, t.summary.buddyWindowCycles);
-    putVarint(out, t.summary.combinedWindowCycles);
-    putVarint(out, t.summary.codecCycles);
-    putVarint(out, t.summary.codecChargedWindowCycles);
+    for (const SummaryField &f : kSummaryFields)
+        putVarint(out, t.summary.*f.member);
     putVarint(out, t.batches);
 }
 
@@ -153,30 +144,10 @@ TraceTotals
 readTotals(Reader &r)
 {
     TraceTotals t;
-    t.summary.reads = r.varint();
-    t.summary.writes = r.varint();
-    t.summary.probes = r.varint();
-    t.summary.deviceSectors = r.varint();
-    t.summary.buddySectors = r.varint();
-    t.summary.metadataHits = r.varint();
-    t.summary.metadataMisses = r.varint();
-    t.summary.buddyAccesses = r.varint();
-    t.summary.deviceCycles = r.varint();
-    t.summary.buddyCycles = r.varint();
-    t.summary.deviceWindowCycles = r.varint();
-    t.summary.buddyWindowCycles = r.varint();
-    t.summary.combinedWindowCycles = r.varint();
-    t.summary.codecCycles = r.varint();
-    t.summary.codecChargedWindowCycles = r.varint();
+    for (const SummaryField &f : kSummaryFields)
+        t.summary.*f.member = r.varint();
     t.batches = r.varint();
     return t;
-}
-
-void
-accumulate(TraceTotals &t, const BatchSummary &s)
-{
-    t.summary.accumulate(s);
-    ++t.batches;
 }
 
 /** The range of @p ranges (sorted by firstIdx, equal starts in note
@@ -280,7 +251,7 @@ TraceRecorderSink::onBatch(const AccessBatch &batch)
     ops_ += batch.size();
     stream_.push_back(kTagBatch);
     putVarint(stream_, batch.size());
-    accumulate(totals_, batch.summary());
+    totals_.add(batch.summary());
 }
 
 std::vector<u8>
@@ -513,7 +484,7 @@ TraceReplayer::replayInto(Target &target, unsigned repeat) const
     AccessBatch plan;
     std::vector<u8> read_buf;
     while (cursor.next(plan, read_buf))
-        accumulate(totals, target.execute(plan));
+        totals.add(target.execute(plan));
     return totals;
 }
 

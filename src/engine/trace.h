@@ -34,13 +34,9 @@
  *                 k >= 1 after entryIdx; every other non-zero write
  *                 appends 128 raw payload bytes (a payload record)
  *     0xFE        batch end: opCount (redundant, checked on load)
- *     0xFF        footer: the accumulated totals — eight traffic
- *                 counters, the deviceCycles/buddyCycles link charges,
- *                 the deviceWindowCycles/buddyWindowCycles windowed-
- *                 replay totals, the combinedWindowCycles cross-link
- *                 makespan total, the codecCycles /
- *                 codecChargedWindowCycles inline-unit totals, and the
- *                 batch count — then EOF
+ *     0xFF        footer: the accumulated totals — kSummaryFields
+ *                 in order, then the batch count; a new field is a
+ *                 new format version — then EOF
  *
  * Version 5 includes the repeat flag. A capture without repeats is
  * byte-identical to one written before the flag existed, and a reader
@@ -64,14 +60,10 @@
 #include "api/traffic_sink.h"
 #include "common/types.h"
 #include "compress/sector.h"
+#include "engine/engine.h"
 
 namespace buddy {
-
-class BuddyController;
-
 namespace engine {
-
-class ShardedEngine;
 
 /** One allocation-table entry of a trace. */
 struct TraceAllocation
@@ -80,13 +72,6 @@ struct TraceAllocation
     Addr va = 0; ///< base VA in the recording address space
     u64 bytes = 0;
     CompressionTarget target = CompressionTarget::None;
-};
-
-/** Accumulated traffic totals of a recording or a replay. */
-struct TraceTotals
-{
-    BatchSummary summary;
-    u64 batches = 0;
 };
 
 /**
@@ -280,6 +265,5 @@ class TraceCursor
 using engine::TraceCursor;
 using engine::TraceRecorderSink;
 using engine::TraceReplayer;
-using engine::TraceTotals;
 
 } // namespace buddy

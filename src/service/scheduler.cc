@@ -15,18 +15,10 @@ namespace service {
 struct ServiceScheduler::Tenant
 {
     std::unique_ptr<TenantSession> session;
-    u32 id = 0;
-    u64 weight = 1;
 
-    u64 dispatched = 0;
-    u64 batches = 0;
-    u64 maxInflight = 0;
-
-    /** Latency accounting (simulated cycles). */
-    obs::LatencyHistogram queueDelay;
-    obs::LatencyHistogram serviceLatency;
-
-    BatchSummary totals;
+    /** The tenant's slice of the report, kept up to date as batches
+     *  run; finalizeReport() fills in the rest. */
+    TenantReport report;
 
     /** Metric probes (null until ServiceScheduler::attachMetrics). */
     obs::LatencyHistogram *mServiceCycles = nullptr;
@@ -72,10 +64,10 @@ ServiceScheduler::addSession(std::unique_ptr<TenantSession> session,
     BUDDY_CHECK(weight >= 1, "tenant weight must be >= 1");
     auto t = std::make_unique<Tenant>();
     t->session = std::move(session);
-    t->id = static_cast<u32>(tenants_.size() + 1);
-    t->weight = weight;
+    t->report.tenant = static_cast<u32>(tenants_.size() + 1);
+    t->report.weight = weight;
     tenants_.push_back(std::move(t));
-    return tenants_.back()->id;
+    return tenants_.back()->report.tenant;
 }
 
 void
@@ -86,7 +78,7 @@ ServiceScheduler::attachMetrics(obs::MetricRegistry &registry)
     mDispatched_ = &registry.counter("sim/service/dispatched");
     mSimCycles_ = &registry.gauge("sim/service/sim_cycles");
     for (auto &t : tenants_) {
-        const std::string p = strfmt("sim/service/t%u/", t->id);
+        const std::string p = strfmt("sim/service/t%u/", t->report.tenant);
         t->mServiceCycles = &registry.histogram(p + "service_cycles");
         t->mQueueDelay = &registry.histogram(p + "queue_delay_cycles");
         t->mDispatched = &registry.counter(p + "dispatched");
@@ -103,7 +95,7 @@ ServiceScheduler::pickNext(const std::vector<unsigned> &inflight,
         const Tenant &t = *tenants_[i];
         return !t.session->done() &&
                inflight[i] < cfg_.maxInflightPerTenant &&
-               t.session->arrivalCycles(t.dispatched) <= now;
+               t.session->arrivalCycles(t.report.dispatched) <= now;
     };
 
     switch (cfg_.policy) {
@@ -137,7 +129,8 @@ ServiceScheduler::pickNext(const std::vector<unsigned> &inflight,
             }
             const Tenant &a = *tenants_[i];
             const Tenant &b = *tenants_[static_cast<std::size_t>(best)];
-            if (a.dispatched * b.weight < b.dispatched * a.weight)
+            if (a.report.dispatched * b.report.weight <
+                b.report.dispatched * a.report.weight)
                 best = static_cast<int>(i);
         }
         return best;
@@ -151,7 +144,7 @@ ServiceScheduler::executeNext(Tenant &t)
 {
     const bool ok = t.session->next(plan_, readBuf_);
     BUDDY_CHECK(ok, "eligible session yielded no batch");
-    plan_.setTenant(t.id);
+    plan_.setTenant(t.report.tenant);
     return engine_.execute(plan_);
 }
 
@@ -201,7 +194,7 @@ ServiceScheduler::run()
             Tenant &t = *tenants_[i];
             Dispatch d;
             d.tenant = i;
-            d.arrival = t.session->arrivalCycles(t.dispatched);
+            d.arrival = t.session->arrivalCycles(t.report.dispatched);
             d.admit = now;
             d.admitSeq = admitSeq++;
             d.summary = executeNext(t);
@@ -212,14 +205,15 @@ ServiceScheduler::run()
                 std::max<u64>(d.summary.combinedWindowCycles, 1);
             d.complete = d.admit + d.serviceCycles;
             ++inflight[i];
-            t.maxInflight = std::max<u64>(t.maxInflight, inflight[i]);
-            ++t.dispatched;
+            t.report.maxInflight =
+                std::max<u64>(t.report.maxInflight, inflight[i]);
+            ++t.report.dispatched;
             ++admitted;
 
             // Queueing delay is fixed at admission: eligibility to
             // admission on the simulated clock.
             const u64 delay = now - d.arrival;
-            t.queueDelay.add(delay);
+            t.report.queueDelay.add(delay);
             if (t.mDispatched != nullptr) {
                 t.mDispatched->add();
                 t.mQueueDelay->add(delay);
@@ -241,7 +235,8 @@ ServiceScheduler::run()
                 if (!t->session->done())
                     nextArrival =
                         std::min(nextArrival,
-                                 t->session->arrivalCycles(t->dispatched));
+                                 t->session->arrivalCycles(
+                                     t->report.dispatched));
             BUDDY_CHECK(nextArrival != ~0ull && nextArrival > now,
                         "idle fleet must have a future arrival");
             now = nextArrival;
@@ -266,9 +261,9 @@ ServiceScheduler::run()
         now = done.complete;
         Tenant &t = *tenants_[done.tenant];
         --inflight[done.tenant];
-        t.totals.accumulate(done.summary);
-        ++t.batches;
-        t.serviceLatency.add(done.serviceCycles);
+        t.report.totals.accumulate(done.summary);
+        ++t.report.batches;
+        t.report.serviceLatency.add(done.serviceCycles);
         if (t.mBatches != nullptr) {
             t.mBatches->add();
             t.mServiceCycles->add(done.serviceCycles);
@@ -301,18 +296,10 @@ ServiceScheduler::finalizeReport(ServiceReport &rep) const
     double sum = 0.0, sumSq = 0.0, wsum = 0.0, wsumSq = 0.0;
     rep.minServiceCycles = n ? ~0ull : 0;
     for (const auto &t : tenants_) {
-        TenantReport tr;
-        tr.tenant = t->id;
+        TenantReport tr = t->report;
         tr.name = t->session->name();
-        tr.weight = t->weight;
         tr.finished = t->session->done();
-        tr.batches = t->batches;
-        tr.dispatched = t->dispatched;
-        tr.maxInflight = t->maxInflight;
-        tr.serviceCycles = t->serviceLatency.sum();
-        tr.queueDelay = t->queueDelay;
-        tr.serviceLatency = t->serviceLatency;
-        tr.totals = t->totals;
+        tr.serviceCycles = tr.serviceLatency.sum();
 
         rep.minServiceCycles =
             std::min(rep.minServiceCycles, tr.serviceCycles);
@@ -320,7 +307,7 @@ ServiceScheduler::finalizeReport(ServiceReport &rep) const
             std::max(rep.maxServiceCycles, tr.serviceCycles);
         const double x = static_cast<double>(tr.serviceCycles);
         rep.tenants.push_back(std::move(tr));
-        const double wx = x / static_cast<double>(t->weight);
+        const double wx = x / static_cast<double>(t->report.weight);
         sum += x;
         sumSq += x * x;
         wsum += wx;

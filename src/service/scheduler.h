@@ -152,7 +152,7 @@ struct TenantReport
     obs::LatencyHistogram serviceLatency;
 
     /** Field sums over exactly this tenant's batches (the isolation-
-     *  contract totals; matches the engine's TenantTotals entry). */
+     *  contract totals; matches the engine's tenantTotals() entry). */
     BatchSummary totals;
 };
 
@@ -190,13 +190,11 @@ struct ServiceReport
 
 /**
  * Compare two accumulated summaries on the isolation-contract subset:
- * the functional totals (traffic counters, serial link cycles and
- * unloaded codec cycles) that are pure per-batch functions of the plan,
- * plus — when @p windowed — the windowed-replay totals, codec-charged
- * makespan included, which join the contract
- * only under WindowMode::Merged (pass false under PerShard, where the
- * sub-stream split depends on co-tenant placement). metadataHits and
- * metadataMisses are deliberately never compared: they are shared
+ * the SummaryFieldKind::Plan fields, pure per-batch functions of the
+ * plan, plus — when @p windowed — the Window fields, which join the
+ * contract only under WindowMode::Merged (pass false under PerShard,
+ * where the sub-stream split depends on co-tenant placement). The
+ * Cache fields are deliberately never compared: they are shared
  * per-shard cache state, the one observable form of cross-tenant
  * interference the service mode permits.
  */
@@ -204,19 +202,14 @@ inline bool
 isolationEqual(const BatchSummary &a, const BatchSummary &b,
                bool windowed = true)
 {
-    const bool functional =
-        a.reads == b.reads && a.writes == b.writes &&
-        a.probes == b.probes && a.deviceSectors == b.deviceSectors &&
-        a.buddySectors == b.buddySectors &&
-        a.buddyAccesses == b.buddyAccesses &&
-        a.deviceCycles == b.deviceCycles && a.buddyCycles == b.buddyCycles &&
-        a.codecCycles == b.codecCycles;
-    if (!functional || !windowed)
-        return functional;
-    return a.deviceWindowCycles == b.deviceWindowCycles &&
-           a.buddyWindowCycles == b.buddyWindowCycles &&
-           a.combinedWindowCycles == b.combinedWindowCycles &&
-           a.codecChargedWindowCycles == b.codecChargedWindowCycles;
+    for (const SummaryField &f : kSummaryFields) {
+        const bool compared =
+            f.kind == SummaryFieldKind::Plan ||
+            (windowed && f.kind == SummaryFieldKind::Window);
+        if (compared && a.*f.member != b.*f.member)
+            return false;
+    }
+    return true;
 }
 
 /**

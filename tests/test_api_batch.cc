@@ -61,24 +61,6 @@ sameInfo(const AccessInfo &a, const AccessInfo &b)
            a.codecCycles == b.codecCycles;
 }
 
-bool
-sameSummary(const BatchSummary &a, const BatchSummary &b)
-{
-    return a.reads == b.reads && a.writes == b.writes &&
-           a.probes == b.probes && a.deviceSectors == b.deviceSectors &&
-           a.buddySectors == b.buddySectors &&
-           a.metadataHits == b.metadataHits &&
-           a.metadataMisses == b.metadataMisses &&
-           a.buddyAccesses == b.buddyAccesses &&
-           a.deviceCycles == b.deviceCycles &&
-           a.buddyCycles == b.buddyCycles &&
-           a.deviceWindowCycles == b.deviceWindowCycles &&
-           a.buddyWindowCycles == b.buddyWindowCycles &&
-           a.combinedWindowCycles == b.combinedWindowCycles &&
-           a.codecCycles == b.codecCycles &&
-           a.codecChargedWindowCycles == b.codecChargedWindowCycles;
-}
-
 /** Two controllers' stats() traffic and serial cycles, and overflow
  *  gauges (windowed makespans depend on the batch split). */
 bool
@@ -275,7 +257,7 @@ TEST(TrafficSink, SinkSeesTheSameTrafficAsStats)
     EXPECT_EQ(sink.batches, 2u);
     EXPECT_EQ(sink.ops, 2 * entries.size());
     EXPECT_GT(sink.folded.combinedWindowCycles, 0u);
-    EXPECT_TRUE(sameSummary(sink.folded, eng.stats()));
+    EXPECT_TRUE(sink.folded == eng.stats());
 
     // Detached sinks see nothing further.
     eng.detachSink(&sink);
@@ -317,7 +299,7 @@ TEST(BatchSummary, StatsIsTheFoldOfTheBatchSummaries)
     EXPECT_GT(fold.reads, 0u);
     EXPECT_GT(fold.probes, 0u);
     EXPECT_GT(fold.combinedWindowCycles, 0u);
-    EXPECT_TRUE(sameSummary(gpu.stats(), fold));
+    EXPECT_TRUE(gpu.stats() == fold);
 }
 
 TEST(TrafficSink, ReattachingTheSameSinkIsANoOp)

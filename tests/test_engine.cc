@@ -93,24 +93,6 @@ sameInfo(const AccessInfo &a, const AccessInfo &b)
            a.codecCycles == b.codecCycles;
 }
 
-bool
-sameSummary(const BatchSummary &a, const BatchSummary &b)
-{
-    return a.reads == b.reads && a.writes == b.writes &&
-           a.probes == b.probes && a.deviceSectors == b.deviceSectors &&
-           a.buddySectors == b.buddySectors &&
-           a.metadataHits == b.metadataHits &&
-           a.metadataMisses == b.metadataMisses &&
-           a.buddyAccesses == b.buddyAccesses &&
-           a.deviceCycles == b.deviceCycles &&
-           a.buddyCycles == b.buddyCycles &&
-           a.deviceWindowCycles == b.deviceWindowCycles &&
-           a.buddyWindowCycles == b.buddyWindowCycles &&
-           a.combinedWindowCycles == b.combinedWindowCycles &&
-           a.codecCycles == b.codecCycles &&
-           a.codecChargedWindowCycles == b.codecChargedWindowCycles;
-}
-
 /** stats() of two engines/controllers and their overflow gauges, metadata
  *  hits/misses excepted: those are per-shard cache state. */
 template <typename A, typename B>
@@ -160,7 +142,7 @@ TEST(ShardedEngine, MergedResultsMatchSingleControllerBitForBit)
     ASSERT_EQ(we.results().size(), kN);
     for (std::size_t i = 0; i < kN; ++i)
         ASSERT_TRUE(sameInfo(we.result(i), ws.result(i))) << "write " << i;
-    EXPECT_TRUE(sameSummary(we.summary(), ws.summary()));
+    EXPECT_TRUE(we.summary() == ws.summary());
     EXPECT_TRUE(sameStats(eng, single));
 
     // Mixed reads and probes.
@@ -191,7 +173,7 @@ TEST(ShardedEngine, MergedResultsMatchSingleControllerBitForBit)
                 0);
         }
     }
-    EXPECT_TRUE(sameSummary(re.summary(), rs.summary()));
+    EXPECT_TRUE(re.summary() == rs.summary());
     EXPECT_TRUE(sameStats(eng, single));
 
     // Merged bookkeeping views agree with the single controller too.
@@ -332,7 +314,7 @@ TEST(ShardedEngine, EventStreamMatchesSingleController)
         }
         ASSERT_EQ(got.batches.size(), want.batches.size()) << shards;
         for (std::size_t b = 0; b < want.batches.size(); ++b)
-            EXPECT_TRUE(sameSummary(got.batches[b], want.batches[b]))
+            EXPECT_TRUE(got.batches[b] == want.batches[b])
                 << shards << " batch " << b;
     }
 }
@@ -426,7 +408,7 @@ TEST(ShardedEngine, EachBatchIsWindowedOnce)
         for (const auto &[tenant, t] : eng.tenantTotals())
             fold.accumulate(t.summary);
         EXPECT_EQ(eng.tenantTotals().size(), 2u);
-        EXPECT_TRUE(sameSummary(total, fold));
+        EXPECT_TRUE(total == fold);
         EXPECT_EQ(total.reads, shardSum.reads);
         EXPECT_EQ(total.writes, shardSum.writes);
         EXPECT_EQ(total.probes, shardSum.probes);
@@ -440,13 +422,47 @@ TEST(ShardedEngine, EachBatchIsWindowedOnce)
             for (std::size_t i = 0; i < kN; ++i)
                 ASSERT_TRUE(sameInfo(re.result(i), rs.result(i)))
                     << "op " << i;
-            EXPECT_TRUE(sameSummary(re.summary(), rs.summary()));
+            EXPECT_TRUE(re.summary() == rs.summary());
             EXPECT_TRUE(sameStats(eng, single));
             EXPECT_GT(eng.stats().combinedWindowCycles, 0u);
         } else {
             // The barrier makespan is at most the shards' summed ones.
             EXPECT_GT(eng.stats().combinedWindowCycles, 0u);
             EXPECT_LE(eng.stats().combinedWindowCycles, shardCombined);
+        }
+
+        // Each summary counter sits only in the subtree its determinism
+        // contract allows and holds the matching stats() field: window
+        // totals are plan-pure (sim/) only under Merged.
+        const obs::MetricSnapshot snap = registry.snapshot();
+        const std::string win = mode == WindowMode::Merged
+                                    ? "sim/engine/"
+                                    : "shard/engine/";
+        const std::pair<std::string, u64> counters[] = {
+            {"sim/engine/reads", total.reads},
+            {"sim/engine/writes", total.writes},
+            {"sim/engine/probes", total.probes},
+            {"sim/engine/device_sectors", total.deviceSectors},
+            {"sim/engine/buddy_sectors", total.buddySectors},
+            {"shard/engine/metadata_hits", total.metadataHits},
+            {"shard/engine/metadata_misses", total.metadataMisses},
+            {"sim/engine/buddy_accesses", total.buddyAccesses},
+            {"sim/engine/device_cycles", total.deviceCycles},
+            {"sim/engine/buddy_cycles", total.buddyCycles},
+            {win + "device_window_cycles", total.deviceWindowCycles},
+            {win + "buddy_window_cycles", total.buddyWindowCycles},
+            {win + "combined_window_cycles", total.combinedWindowCycles},
+            {"sim/engine/codec_cycles", total.codecCycles},
+            {win + "codec_charged_window_cycles",
+             total.codecChargedWindowCycles},
+        };
+        for (const auto &[name, value] : counters) {
+            const bool sim = name.rfind("sim/", 0) == 0;
+            const std::string other = sim ? "shard/" + name.substr(4)
+                                          : "sim/" + name.substr(6);
+            ASSERT_EQ(snap.counters.count(name), 1u) << name;
+            EXPECT_EQ(snap.counters.at(name), value) << name;
+            EXPECT_EQ(snap.counters.count(other), 0u) << other;
         }
     }
 }
@@ -502,8 +518,7 @@ TEST(ShardedEngine, EmptyBatchIsAccountedLikeAnyOther)
             for (u64 b = 0; b < 3; ++b)
                 EXPECT_EQ(observer.records[b].seq, b);
             EXPECT_TRUE(observer.records[1].shards.empty());
-            EXPECT_TRUE(sameSummary(observer.records[1].summary,
-                                    BatchSummary{}));
+            EXPECT_TRUE(observer.records[1].summary == BatchSummary{});
             EXPECT_EQ(sink.batches.size(), 3u);
             EXPECT_EQ(sink.events.size(), kN);
             EXPECT_EQ(eng.tenantTotals().at(0).batches, 3u);
@@ -597,7 +612,7 @@ TEST(ShardedEngine, ThreadsFieldIsInert)
                 << threads << " op " << i;
         ASSERT_EQ(run.sums.size(), ref.sums.size()) << threads;
         for (std::size_t b = 0; b < ref.sums.size(); ++b)
-            EXPECT_TRUE(sameSummary(run.sums[b], ref.sums[b]))
+            EXPECT_TRUE(run.sums[b] == ref.sums[b])
                 << threads << " batch " << b;
 
         ASSERT_EQ(run.events.events.size(), ref.events.events.size())
@@ -616,7 +631,7 @@ TEST(ShardedEngine, ThreadsFieldIsInert)
             << threads;
         for (std::size_t b = 0; b < ref.events.batches.size(); ++b)
             EXPECT_TRUE(
-                sameSummary(run.events.batches[b], ref.events.batches[b]))
+                run.events.batches[b] == ref.events.batches[b])
                 << threads << " batch " << b;
     }
 }
@@ -743,7 +758,7 @@ TEST(ShardedEngine, RecycledSubPlansMatchSingleControllerAcrossShardSets)
         ASSERT_TRUE(sameInfo(got[i], want[i])) << "op " << i;
     ASSERT_EQ(gotSums.size(), wantSums.size());
     for (std::size_t b = 0; b < wantSums.size(); ++b)
-        EXPECT_TRUE(sameSummary(gotSums[b], wantSums[b])) << "batch " << b;
+        EXPECT_TRUE(gotSums[b] == wantSums[b]) << "batch " << b;
     EXPECT_TRUE(sameStats(eng, single));
 }
 
@@ -866,15 +881,13 @@ TEST(Trace, ReplayReproducesRecordedTotals)
     EXPECT_EQ(replayer.opCount(), recorder.opCount());
     EXPECT_EQ(replayer.batchCount(), recorder.totals().batches);
     EXPECT_EQ(replayer.allocations().size(), kAllocs);
-    EXPECT_TRUE(sameSummary(replayer.recordedTotals().summary,
-                            recorder.totals().summary));
+    EXPECT_TRUE(replayer.recordedTotals().summary == recorder.totals().summary);
 
     // Identically-configured engine: every field reproduces, including
     // metadata hits (same per-shard access sequences).
     ShardedEngine same(engineConfig(4));
     const TraceTotals replayed = replayer.replay(same);
-    EXPECT_TRUE(sameSummary(replayed.summary,
-                            replayer.recordedTotals().summary));
+    EXPECT_TRUE(replayed.summary == replayer.recordedTotals().summary);
     EXPECT_EQ(replayed.batches, replayer.recordedTotals().batches);
 
     // Plain single controller: traffic totals are sharding-independent.
@@ -966,10 +979,10 @@ TEST(ShardedEngine, CycleTotalsDeterministicAcrossShardingAndRuns)
     // Per-shard and merged cycle totals reproduce run-to-run.
     ASSERT_EQ(shardsA.size(), shardsB.size());
     for (std::size_t s = 0; s < shardsA.size(); ++s)
-        EXPECT_TRUE(sameSummary(shardsA[s].first, shardsB[s].first) &&
+        EXPECT_TRUE(shardsA[s].first == shardsB[s].first &&
                     shardsA[s].second == shardsB[s].second)
             << "shard " << s;
-    EXPECT_TRUE(sameSummary(runA.summary, runB.summary));
+    EXPECT_TRUE(runA.summary == runB.summary);
 
     // Merged 4-shard cycle totals equal the 1-shard run of the trace.
     ShardedEngine one(remote1);
@@ -1054,10 +1067,10 @@ TEST(ShardedEngine, WindowedTotalsShardInvariantAndReproducible)
     const TraceTotals two = run(2);
     const TraceTotals one = run(1);
 
-    EXPECT_TRUE(sameSummary(four_a.summary, four_b.summary));
-    EXPECT_TRUE(sameSummary(four_a.summary, two.summary));
-    EXPECT_TRUE(sameSummary(four_a.summary, one.summary));
-    EXPECT_TRUE(sameSummary(four_a.summary, recorded));
+    EXPECT_TRUE(four_a.summary == four_b.summary);
+    EXPECT_TRUE(four_a.summary == two.summary);
+    EXPECT_TRUE(four_a.summary == one.summary);
+    EXPECT_TRUE(four_a.summary == recorded);
 }
 
 TEST(ShardedEngine, PerShardWindowModeAtOneShardMatchesMergedBitForBit)
@@ -1106,8 +1119,8 @@ TEST(ShardedEngine, PerShardWindowModeAtOneShardMatchesMergedBitForBit)
         ASSERT_TRUE(sameInfo(wm.result(i), wp.result(i))) << "write " << i;
         ASSERT_TRUE(sameInfo(rm.result(i), rp.result(i))) << "read " << i;
     }
-    EXPECT_TRUE(sameSummary(wm.summary(), wp.summary()));
-    EXPECT_TRUE(sameSummary(rm.summary(), rp.summary()));
+    EXPECT_TRUE(wm.summary() == wp.summary());
+    EXPECT_TRUE(rm.summary() == rp.summary());
     EXPECT_TRUE(sameStats(merged, pershard));
     EXPECT_GT(merged.stats().combinedWindowCycles, 0u);
 }
@@ -1156,9 +1169,9 @@ TEST(ShardedEngine, PerShardWindowModeBarrierAndReproducibility)
     const BatchSummary statsM = run(config(WindowMode::Merged), wM, rM).first;
 
     // Reproducible run-to-run.
-    EXPECT_TRUE(sameSummary(wA, wB));
-    EXPECT_TRUE(sameSummary(rA, rB));
-    EXPECT_TRUE(sameSummary(statsA, statsB));
+    EXPECT_TRUE(wA == wB);
+    EXPECT_TRUE(rA == rB);
+    EXPECT_TRUE(statsA == statsB);
     EXPECT_EQ(overflowA, overflowB);
 
     // Engine stats mirror the per-batch summary accumulation.
@@ -1480,8 +1493,7 @@ TEST(Trace, UnchangedRewriteRecordsAReference)
                 replayed_reads.insert(replayed_reads.end(), read_buf.begin(),
                                       read_buf.end());
         }
-        EXPECT_TRUE(sameSummary(replayed.summary,
-                                replayer.recordedTotals().summary));
+        EXPECT_TRUE(replayed.summary == replayer.recordedTotals().summary);
         EXPECT_EQ(replayed.batches, replayer.recordedTotals().batches);
         EXPECT_EQ(replayed_reads, recorded_reads);
     }
@@ -1554,8 +1566,7 @@ TEST(Trace, AllocationsNotedOutOfVaOrderReplay)
             if (plan.ops()[0].kind == AccessKind::Read)
                 replayed_reads = read_buf;
         }
-        EXPECT_TRUE(sameSummary(replayed.summary,
-                                replayer.recordedTotals().summary));
+        EXPECT_TRUE(replayed.summary == replayer.recordedTotals().summary);
         EXPECT_EQ(replayed.batches, replayer.recordedTotals().batches);
         EXPECT_EQ(replayed_reads, recorded_reads);
     }

@@ -51,15 +51,6 @@ tenantSeed(std::size_t i)
     return engine::splitmix64(0xabcdull + i);
 }
 
-/** Full equality (stricter than the isolation subset). */
-bool
-sameSummary(const BatchSummary &a, const BatchSummary &b)
-{
-    return isolationEqual(a, b, true) &&
-           a.metadataHits == b.metadataHits &&
-           a.metadataMisses == b.metadataMisses;
-}
-
 /** Two latency histograms agree on count, sum, range and percentiles. */
 void
 expectSameHistogram(const obs::LatencyHistogram &h,
@@ -150,7 +141,7 @@ TEST(Service, TenantTotalsMatchSoloReplayUnderContention)
             // scheduler's — two independent tallies of the same batches.
             const auto it = engineTotals.find(tr.tenant);
             ASSERT_NE(it, engineTotals.end());
-            EXPECT_TRUE(sameSummary(it->second.summary, tr.totals));
+            EXPECT_TRUE(it->second.summary == tr.totals);
             EXPECT_EQ(it->second.batches, tr.batches);
         }
     }
@@ -271,7 +262,7 @@ TEST(Service, TraceCursorMatchesWholeCaptureReplay)
         EXPECT_EQ(pulled, cursor.totalBatches());
         EXPECT_TRUE(cursor.done());
         EXPECT_FALSE(cursor.next(plan, readbuf)); // stays exhausted
-        EXPECT_TRUE(sameSummary(totals, wholeTotals.summary));
+        EXPECT_TRUE(totals == wholeTotals.summary);
         EXPECT_EQ(pulled, wholeTotals.batches);
     }
 }
@@ -422,7 +413,7 @@ TEST(Service, ContinuousIsolationHoldsUnderEveryPolicy)
                     << (arrivals ? ", poisson" : ", closed-loop");
                 const auto it = engineTotals.find(tr.tenant);
                 ASSERT_NE(it, engineTotals.end());
-                EXPECT_TRUE(sameSummary(it->second.summary, tr.totals));
+                EXPECT_TRUE(it->second.summary == tr.totals);
             }
         }
     }
@@ -470,7 +461,7 @@ TEST(Service, ContinuousFixedSeedReproducesBitForBit)
             EXPECT_EQ(x.queueDelay.count(), x.batches);
             EXPECT_EQ(x.serviceLatency.count(), x.batches);
             EXPECT_EQ(x.serviceLatency.sum(), x.serviceCycles);
-            EXPECT_TRUE(sameSummary(x.totals, y.totals));
+            EXPECT_TRUE(x.totals == y.totals);
         }
     }
 }

@@ -40,25 +40,6 @@ timedEngineConfig(unsigned shards, const std::string &buddy_backend)
     return cfg;
 }
 
-/** Field-wise summary equality. */
-bool
-sameSummary(const BatchSummary &a, const BatchSummary &b)
-{
-    return a.reads == b.reads && a.writes == b.writes &&
-           a.probes == b.probes && a.deviceSectors == b.deviceSectors &&
-           a.buddySectors == b.buddySectors &&
-           a.metadataHits == b.metadataHits &&
-           a.metadataMisses == b.metadataMisses &&
-           a.buddyAccesses == b.buddyAccesses &&
-           a.deviceCycles == b.deviceCycles &&
-           a.buddyCycles == b.buddyCycles &&
-           a.deviceWindowCycles == b.deviceWindowCycles &&
-           a.buddyWindowCycles == b.buddyWindowCycles &&
-           a.combinedWindowCycles == b.combinedWindowCycles &&
-           a.codecCycles == b.codecCycles &&
-           a.codecChargedWindowCycles == b.codecChargedWindowCycles;
-}
-
 /** Record a mixed write+read+probe workload; return the trace image. */
 std::vector<u8>
 recordWorkload(ShardedEngine &eng, std::size_t entries, u64 seed,
@@ -116,13 +97,12 @@ TEST(TraceTiming, ReplayPreservesCycleTotals)
 
     TraceReplayer replayer;
     replayer.loadImage(image);
-    EXPECT_TRUE(sameSummary(replayer.recordedTotals().summary,
-                            recorded.summary));
+    EXPECT_TRUE(replayer.recordedTotals().summary == recorded.summary);
 
     // Identically-configured 4-shard engine: everything reproduces.
     ShardedEngine same(timedEngineConfig(4, "remote"));
     const TraceTotals replayed = replayer.replay(same);
-    EXPECT_TRUE(sameSummary(replayed.summary, recorded.summary));
+    EXPECT_TRUE(replayed.summary == recorded.summary);
 
     // Cycle charges are pure functions of the traffic, so even a plain
     // single controller reproduces the cycle totals exactly.
@@ -199,8 +179,7 @@ TEST(TraceTiming, WindowedReplayRoundTripsAtSeveralWindows)
 
     TraceReplayer replayer;
     replayer.loadImage(image);
-    EXPECT_TRUE(sameSummary(replayer.recordedTotals().summary,
-                            recorded.summary));
+    EXPECT_TRUE(replayer.recordedTotals().summary == recorded.summary);
 
     const auto replayAt = [&](u64 window) {
         EngineConfig c = timedEngineConfig(2, "remote");
@@ -210,7 +189,7 @@ TEST(TraceTiming, WindowedReplayRoundTripsAtSeveralWindows)
     };
 
     // Same window: everything reproduces, including windowed totals.
-    EXPECT_TRUE(sameSummary(replayAt(4).summary, recorded.summary));
+    EXPECT_TRUE(replayAt(4).summary == recorded.summary);
 
     // W = 1: the windowed fields collapse onto the serial ones.
     const TraceTotals serial = replayAt(1);
@@ -244,14 +223,43 @@ TEST(TraceTiming, CodecTotalsRoundTripThroughV5Images)
 
     TraceReplayer replayer;
     replayer.loadImage(image);
-    EXPECT_TRUE(sameSummary(replayer.recordedTotals().summary,
-                            recorded.summary));
+    EXPECT_TRUE(replayer.recordedTotals().summary == recorded.summary);
 
     ShardedEngine fresh(cfg);
     const TraceTotals replayed = replayer.replay(fresh);
     EXPECT_EQ(replayed.summary.codecCycles, recorded.summary.codecCycles);
     EXPECT_EQ(replayed.summary.codecChargedWindowCycles,
               recorded.summary.codecChargedWindowCycles);
+}
+
+TEST(TraceTiming, V5FooterFieldOrderIsPinned)
+{
+    // The round trips above encode and decode through one field table,
+    // so they cannot see a reordered row. A hand-built v5 image (no
+    // allocations, no batches) whose footer varints count 1..16 pins
+    // each footer position to its field by name.
+    std::vector<u8> image = {'B', 'D', 'Y', 'T', 5, 0x00, 0xFF};
+    for (u8 v = 1; v <= 16; ++v)
+        image.push_back(v);
+    TraceReplayer replayer;
+    replayer.loadImage(std::move(image));
+    const BatchSummary &s = replayer.recordedTotals().summary;
+    EXPECT_EQ(s.reads, 1u);
+    EXPECT_EQ(s.writes, 2u);
+    EXPECT_EQ(s.probes, 3u);
+    EXPECT_EQ(s.deviceSectors, 4u);
+    EXPECT_EQ(s.buddySectors, 5u);
+    EXPECT_EQ(s.metadataHits, 6u);
+    EXPECT_EQ(s.metadataMisses, 7u);
+    EXPECT_EQ(s.buddyAccesses, 8u);
+    EXPECT_EQ(s.deviceCycles, 9u);
+    EXPECT_EQ(s.buddyCycles, 10u);
+    EXPECT_EQ(s.deviceWindowCycles, 11u);
+    EXPECT_EQ(s.buddyWindowCycles, 12u);
+    EXPECT_EQ(s.combinedWindowCycles, 13u);
+    EXPECT_EQ(s.codecCycles, 14u);
+    EXPECT_EQ(s.codecChargedWindowCycles, 15u);
+    EXPECT_EQ(replayer.recordedTotals().batches, 16u);
 }
 
 TEST(TraceTiming, ReplayUnderEitherWindowModeAndAnyWindow)
@@ -288,13 +296,13 @@ TEST(TraceTiming, ReplayUnderEitherWindowModeAndAnyWindow)
     };
 
     // Merged mode reproduces the recording exactly.
-    EXPECT_TRUE(sameSummary(replayWith(WindowMode::Merged, 4, 4).summary,
-                            recorded.summary));
+    EXPECT_TRUE(replayWith(WindowMode::Merged, 4, 4).summary ==
+                recorded.summary);
 
     // Per-shard mode: same traffic and serial cycles, N-GPU windows.
     const TraceTotals psA = replayWith(WindowMode::PerShard, 4, 4);
     const TraceTotals psB = replayWith(WindowMode::PerShard, 4, 4);
-    EXPECT_TRUE(sameSummary(psA.summary, psB.summary));
+    EXPECT_TRUE(psA.summary == psB.summary);
     EXPECT_EQ(psA.summary.deviceCycles, recorded.summary.deviceCycles);
     EXPECT_EQ(psA.summary.buddyCycles, recorded.summary.buddyCycles);
     EXPECT_LE(psA.summary.combinedWindowCycles,
@@ -407,7 +415,7 @@ TEST(TraceTiming, FuzzedBatchShapesRoundTrip)
         ShardedEngine fresh(cfg);
         const TraceTotals replayed = replayer.replay(fresh);
         EXPECT_TRUE(
-            sameSummary(replayed.summary, recorder.totals().summary));
+            replayed.summary == recorder.totals().summary);
         EXPECT_EQ(replayed.batches, recorder.totals().batches);
     }
 }

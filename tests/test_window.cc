@@ -818,25 +818,6 @@ sameTraffic(const AccessInfo &a, const AccessInfo &b)
            a.codecPass == b.codecPass && a.storedBits == b.storedBits;
 }
 
-/** Every field of two BatchSummaries is equal. */
-bool
-sameSummary(const BatchSummary &a, const BatchSummary &b)
-{
-    return a.reads == b.reads && a.writes == b.writes &&
-           a.probes == b.probes && a.deviceSectors == b.deviceSectors &&
-           a.buddySectors == b.buddySectors &&
-           a.metadataHits == b.metadataHits &&
-           a.metadataMisses == b.metadataMisses &&
-           a.buddyAccesses == b.buddyAccesses &&
-           a.deviceCycles == b.deviceCycles &&
-           a.buddyCycles == b.buddyCycles &&
-           a.deviceWindowCycles == b.deviceWindowCycles &&
-           a.buddyWindowCycles == b.buddyWindowCycles &&
-           a.combinedWindowCycles == b.combinedWindowCycles &&
-           a.codecCycles == b.codecCycles &&
-           a.codecChargedWindowCycles == b.codecChargedWindowCycles;
-}
-
 /** True if every cycle total of @p s is 0. */
 bool
 untimed(const BatchSummary &s)
@@ -927,7 +908,7 @@ TEST(WindowedController, RetimingOneUntimedPassMatchesExecuteAtEveryConfig)
                 std::vector<AccessInfo> infos = p.results();
                 BatchSummary sum = p.summary();
                 windowBatch(p.ops(), infos, windows, sum);
-                EXPECT_TRUE(sameSummary(sum, t.summary()))
+                EXPECT_TRUE(sum == t.summary())
                     << "W " << w << " batch " << b;
                 for (std::size_t i = 0; i < infos.size(); ++i) {
                     ASSERT_TRUE(sameTraffic(infos[i], p.result(i)));

@@ -3,20 +3,21 @@
 
 The repo commits a merged buddy-bench-v1 snapshot at the root so
 downstream tooling (and reviewers) can diff bench behaviour without
-building. Its `sim/` metric subtrees are simulated-time totals, which
-the determinism contract pins bit-for-bit run-to-run — so a divergence
-between the committed snapshot and a fresh run means the snapshot is
-stale (someone changed timing behaviour without refreshing it), and CI
-should fail rather than let the artifact rot.
+building. Its `sim/` and `shard/` metric subtrees are simulated-time
+totals, which the determinism contract pins bit-for-bit run-to-run
+(`shard/` ones at a fixed shard count, which every smoke bench fixes) —
+so a divergence between the committed snapshot and a fresh run means
+the snapshot is stale (someone changed timing behaviour without
+refreshing it), and CI should fail rather than let the artifact rot.
 
     refresh  re-run the smoke benches and fold their reports into
              BENCH_buddy.json in place (non-smoke entries are kept
              verbatim)
     check    re-run the smoke benches and compare every deterministic
-             `sim/` metric of the committed snapshot against the fresh
-             reports, and each entry's shape: its table headers and the
-             key set of its values (not the values, which hold wall
-             times); exit 1 on any divergence
+             `sim/` and `shard/` metric of the committed snapshot
+             against the fresh reports, and each entry's shape: its
+             table headers and the key set of its values (not the
+             values, which hold wall times); exit 1 on any divergence
 
 Both modes run the same bench commands, so `check` failing is always
 fixable by `refresh` + commit.
@@ -41,6 +42,10 @@ SMOKE_BENCHES = [
 
 METRIC_KINDS = ("counters", "gauges", "histograms")
 
+# Deterministic subtrees: `sim/` is sharding-invariant, `shard/` is
+# reproducible at a fixed shard count. `wall/` holds host timings.
+DETERMINISTIC_PREFIXES = ("sim/", "shard/")
+
 
 def run_smoke_benches(build_dir: Path, out_dir: Path) -> dict:
     """Run each smoke bench with --json; return {bench: report}."""
@@ -61,20 +66,20 @@ def run_smoke_benches(build_dir: Path, out_dir: Path) -> dict:
     return reports
 
 
-def sim_subtree(report: dict) -> dict:
-    """The deterministic sim/ metrics of one report, flattened."""
+def deterministic_subtrees(report: dict) -> dict:
+    """The sim/ and shard/ metrics of one report, flattened."""
     flat = {}
     for kind, metrics in report.get("metrics", {}).items():
         if kind not in METRIC_KINDS:
             continue
         for name, value in metrics.items():
-            if name.startswith("sim/"):
+            if name.startswith(DETERMINISTIC_PREFIXES):
                 flat[f"{kind}:{name}"] = value
     return flat
 
 
 def diff_subtrees(bench: str, committed: dict, fresh: dict) -> list:
-    """Human-readable divergences between two sim/ subtrees."""
+    """Human-readable divergences between two flattened subtrees."""
     problems = []
     for key in sorted(committed.keys() | fresh.keys()):
         if key not in fresh:
@@ -130,20 +135,20 @@ def main() -> int:
             problems.append(f"{bench}: missing from the committed "
                             "snapshot")
             continue
-        problems += diff_subtrees(bench, sim_subtree(committed),
-                                  sim_subtree(report))
+        problems += diff_subtrees(bench, deterministic_subtrees(committed),
+                                  deterministic_subtrees(report))
         problems += shape_problems(bench, committed, report)
     if problems:
         print("committed BENCH_buddy.json is stale — its deterministic "
-              "sim/ metrics or its table shapes diverge from a fresh "
-              "run:")
+              "sim/ or shard/ metrics or its table shapes diverge from a "
+              "fresh run:")
         for p in problems:
             print(f"  {p}")
         print("fix: python3 tools/bench_snapshot.py refresh "
               "--build-dir <build> and commit the result")
         return 1
-    print(f"snapshot sim/ subtrees and table shapes match a fresh run "
-          f"({len(fresh)} benches checked)")
+    print(f"snapshot sim/ and shard/ subtrees and table shapes match a "
+          f"fresh run ({len(fresh)} benches checked)")
     return 0
 
 
