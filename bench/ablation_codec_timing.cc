@@ -76,7 +76,7 @@ sweep(std::size_t entries, u64 window, const std::string &codec,
         std::fprintf(stderr, "ablation allocation failed\n");
         std::exit(1);
     }
-    const Addr va = gpu.allocations().at(*id).va;
+    const Addr va = *id;
 
     // Pattern-bucket payloads compress under every library codec, so
     // the write pass pays compression and the read pass decompression

@@ -88,7 +88,7 @@ runOnce(unsigned shards, const std::string &codec, std::size_t entries,
             std::fprintf(stderr, "engine allocation failed\n");
             std::exit(1);
         }
-        const Addr base = eng.allocations().at(*id).va;
+        const Addr base = *id;
         for (std::size_t i = 0; i < count; ++i, ++e)
             vas[e] = base + i * kEntryBytes;
     }

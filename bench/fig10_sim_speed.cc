@@ -80,7 +80,7 @@ runTimed(Target &target, std::size_t entries, const std::vector<u8> &data)
             std::fprintf(stderr, "timed-run allocation failed\n");
             std::exit(1);
         }
-        const Addr base = target.allocations().at(*id).va;
+        const Addr base = *id;
         for (std::size_t i = 0; i < count; ++i, ++e)
             vas.push_back(base + i * kEntryBytes);
     }
@@ -415,7 +415,7 @@ main(int argc, char **argv)
             std::fprintf(stderr, "functional span allocation failed\n");
             return 1;
         }
-        const Addr va = gpu.allocations().at(*id).va;
+        const Addr va = *id;
 
         Rng rng(11);
         std::vector<u8> data(n * kEntryBytes);

@@ -100,7 +100,7 @@ buildOversubSet(Target &target, std::size_t entries, double oversub)
             std::fprintf(stderr, "fig12 timed allocation failed\n");
             std::exit(1);
         }
-        const Addr base = target.allocations().at(*id).va;
+        const Addr base = *id;
         for (std::size_t i = 0; i < count; ++i)
             vas.push_back(base + i * kEntryBytes);
     };

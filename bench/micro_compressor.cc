@@ -165,7 +165,7 @@ BM_ControllerWritePerEntry(benchmark::State &state)
 {
     BuddyController gpu(benchConfig());
     const auto id = gpu.allocate("w", 4 * MiB, CompressionTarget::Ratio2);
-    const Addr va = gpu.allocations().at(*id).va;
+    const Addr va = *id;
     const auto entries = mixedEntries(1024);
     AccessBatch one(1);
     for (auto _ : state) {
@@ -184,7 +184,7 @@ BM_ControllerWriteBatch(benchmark::State &state)
 {
     BuddyController gpu(benchConfig());
     const auto id = gpu.allocate("w", 4 * MiB, CompressionTarget::Ratio2);
-    const Addr va = gpu.allocations().at(*id).va;
+    const Addr va = *id;
     const auto entries = mixedEntries(1024);
     AccessBatch batch(entries.size());
     for (auto _ : state) {

@@ -79,25 +79,6 @@ class Rng
     /** Bernoulli draw with probability @p p of true. */
     bool chance(double p) { return uniform() < p; }
 
-    /** Standard normal via Box-Muller (one value per call). */
-    double
-    gaussian()
-    {
-        double u1 = uniform();
-        if (u1 < 1e-300)
-            u1 = 1e-300;
-        const double u2 = uniform();
-        return std::sqrt(-2.0 * std::log(u1)) *
-               std::cos(2.0 * 3.14159265358979323846 * u2);
-    }
-
-    /** Normal with the given mean and standard deviation. */
-    double
-    gaussian(double mean, double stddev)
-    {
-        return mean + stddev * gaussian();
-    }
-
     /** Geometrically-distributed run length >= 1 with mean 1/p. */
     u64
     geometric(double p)

@@ -15,20 +15,18 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
+#include "common/check.h"
 #include "common/types.h"
 #include "compress/sector.h"
+#include "core/metadata.h"
 
 namespace buddy {
-
-/** Identifier of one compressed allocation. */
-using AllocId = u32;
 
 /** One annotated cudaMalloc region. */
 struct Allocation
 {
-    AllocId id = 0;
-
     /** Debug name ("weights", "activations", ...). */
     std::string name;
 
@@ -46,6 +44,10 @@ struct Allocation
 
     /** Byte offset of the allocation's buddy region within the carve-out. */
     Addr buddyOffset = 0;
+
+    /** One EntryRecord per entry, indexed by the entry's index in the
+     *  allocation (the paper's dense metadata region). */
+    std::vector<EntryRecord> records;
 
     u64 entryCount() const { return bytes / kEntryBytes; }
 
@@ -70,5 +72,20 @@ struct Allocation
         return addr >= va && addr < va + bytes;
     }
 };
+
+/**
+ * The allocation in @p allocs, a map keyed by base address, that holds
+ * @p va (panics if none).
+ */
+template <typename AllocMap>
+auto &
+allocationHolding(AllocMap &allocs, Addr va)
+{
+    auto it = allocs.upper_bound(va);
+    BUDDY_CHECK(it != allocs.begin(), "address below all allocations");
+    --it;
+    BUDDY_CHECK(it->second.contains(va), "address not inside any allocation");
+    return it->second;
+}
 
 } // namespace buddy

@@ -30,19 +30,6 @@ trafficFor(const EntryRecord &rec, u64 slot_bytes)
     return info;
 }
 
-/** The byVa_ entry of the allocation covering @p va (panics if none). */
-template <typename ByVa>
-auto &
-entriesFor(ByVa &by_va, Addr va)
-{
-    auto it = by_va.upper_bound(va);
-    BUDDY_CHECK(it != by_va.begin(), "address below all allocations");
-    --it;
-    BUDDY_CHECK(it->second.alloc->contains(va),
-                "address not inside any allocation");
-    return it->second;
-}
-
 /**
  * The controller's window group over @p device and @p buddy. The two
  * link timings are validated against @p window first, so a windowed-
@@ -89,7 +76,7 @@ BuddyController::BuddyController(const BuddyConfig &cfg,
 
 BuddyController::~BuddyController() = default;
 
-std::optional<AllocId>
+std::optional<Addr>
 BuddyController::allocate(const std::string &name, u64 bytes,
                           CompressionTarget target)
 {
@@ -115,35 +102,33 @@ BuddyController::allocate(const std::string &name, u64 bytes,
     device_->populate(*dev_off, dev_bytes);
     buddy_.populate(*bud_off, bud_bytes);
 
-    Allocation a;
-    a.id = nextId_++;
+    const Addr va = nextVa_;
+    nextVa_ += rounded;
+    Allocation &a = allocs_[va];
     a.name = name;
-    a.va = nextVa_;
+    a.va = va;
     a.bytes = rounded;
     a.target = target;
     a.deviceOffset = *dev_off;
     a.buddyOffset = *bud_off;
-    nextVa_ += rounded;
+    a.records.resize(entries);
 
     deviceUsed_ += dev_bytes;
     buddyUsed_ += bud_bytes;
     logicalUsed_ += rounded;
-    const Allocation &placed = allocs_[a.id] = a;
-    byVa_.emplace(a.va,
-                  AllocEntries{&placed, std::vector<EntryRecord>(entries)});
-    return a.id;
+    return va;
 }
 
 void
-BuddyController::free(AllocId id)
+BuddyController::free(Addr va)
 {
-    const auto it = allocs_.find(id);
+    const auto it = allocs_.find(va);
     BUDDY_CHECK(it != allocs_.end(), "free of unknown allocation");
     const Allocation &a = it->second;
 
     // The freed entries leave the overflow gauge with their records.
     const u64 slot = deviceBytesPerEntry(a.target);
-    for (const EntryRecord &rec : byVa_.at(a.va).records)
+    for (const EntryRecord &rec : a.records)
         if (rec.overflows(slot))
             --overflowEntries_;
 
@@ -153,14 +138,7 @@ BuddyController::free(AllocId id)
     buddyUsed_ -= a.buddyBytes();
     logicalUsed_ -= a.bytes;
     lastAlloc_ = nullptr;
-    byVa_.erase(a.va);
     allocs_.erase(it);
-}
-
-const Allocation &
-BuddyController::allocationFor(Addr va) const
-{
-    return *entriesFor(byVa_, va).alloc;
 }
 
 BuddyController::EntryLoc
@@ -168,13 +146,12 @@ BuddyController::locate(Addr va)
 {
     BUDDY_CHECK(va % kEntryBytes == 0, "entry address must be 128B aligned");
     // Runs of ops mostly stay inside one allocation.
-    if (lastAlloc_ == nullptr || !lastAlloc_->alloc->contains(va))
-        lastAlloc_ = &entriesFor(byVa_, va);
-    AllocEntries &ae = *lastAlloc_;
-    const Allocation &a = *ae.alloc;
+    if (lastAlloc_ == nullptr || !lastAlloc_->contains(va))
+        lastAlloc_ = &allocationHolding(allocs_, va);
+    Allocation &a = *lastAlloc_;
     const u64 idx = (va - a.va) / kEntryBytes;
     EntryLoc loc;
-    loc.rec = &ae.records[idx];
+    loc.rec = &a.records[idx];
     loc.deviceSlotBytes = deviceBytesPerEntry(a.target);
     loc.deviceAddr = a.deviceOffset + idx * loc.deviceSlotBytes;
     loc.buddyOffset =

@@ -179,19 +179,22 @@ class BuddyController
      * @param name   debug name.
      * @param bytes  logical size; rounded up to a whole number of pages.
      * @param target target compression ratio.
-     * @return the allocation id, or std::nullopt if device or buddy
-     *         memory is exhausted.
+     * @return the allocation's base address, which names it from then
+     *         on, or std::nullopt if device or buddy memory is
+     *         exhausted. Base addresses increase with every allocation
+     *         and are never reused.
      *
      * On success the allocation's device and buddy slots are faulted in
      * (BackingStore::populate()), so resident memory follows reserved
      * bytes and later accesses take no page fault; a failed allocation
      * touches neither store.
      */
-    std::optional<AllocId> allocate(const std::string &name, u64 bytes,
-                                    CompressionTarget target);
+    std::optional<Addr> allocate(const std::string &name, u64 bytes,
+                                 CompressionTarget target);
 
-    /** Release an allocation (the matching cudaFree). */
-    void free(AllocId id);
+    /** Release the allocation at base address @p va (the matching
+     *  cudaFree); panics unless @p va is a live allocation's base. */
+    void free(Addr va);
 
     /**
      * Execute a batched access plan (the access surface).
@@ -216,11 +219,9 @@ class BuddyController
      */
     const BatchSummary &run(AccessBatch &batch, bool timed);
 
-    /** The allocation covering @p va (panics if none). */
-    const Allocation &allocationFor(Addr va) const;
-
-    /** All live allocations. */
-    const std::map<AllocId, Allocation> &allocations() const
+    /** All live allocations, keyed by base address (so in allocation
+     *  order); allocationHolding() finds the one holding an address. */
+    const std::map<Addr, Allocation> &allocations() const
     {
         return allocs_;
     }
@@ -280,13 +281,6 @@ class BuddyController
     // Under WindowMode::Merged the engine runs its shards untimed and
     // windows the merged batch itself.
     friend class engine::ShardedEngine;
-
-    /** A live allocation and its entry records, one per entry. */
-    struct AllocEntries
-    {
-        const Allocation *alloc; ///< node of allocs_ (stable address)
-        std::vector<EntryRecord> records;
-    };
 
     /** Where one entry lives: its record and its two payload slots. */
     struct EntryLoc
@@ -359,9 +353,7 @@ class BuddyController
     RegionAllocator deviceAlloc_;
     RegionAllocator buddyAlloc_;
 
-    std::map<AllocId, Allocation> allocs_;
-    std::map<Addr, AllocEntries> byVa_; // allocation base VA -> entries
-    AllocId nextId_ = 1;
+    std::map<Addr, Allocation> allocs_;
     Addr nextVa_ = 0x10000000ull;
     u64 deviceUsed_ = 0;
     u64 buddyUsed_ = 0;
@@ -369,9 +361,9 @@ class BuddyController
     BatchSummary stats_;
     u64 overflowEntries_ = 0;
 
-    /** The allocation locate() found last (a node of byVa_, whose
+    /** The allocation locate() found last (a node of allocs_, whose
      *  inserts never move nodes); free() clears it. Null when none. */
-    AllocEntries *lastAlloc_ = nullptr;
+    Allocation *lastAlloc_ = nullptr;
 
     /**
      * The windowed-replay state: one RequestWindow per link, grouped so

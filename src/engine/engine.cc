@@ -34,7 +34,7 @@ ShardedEngine::shardSeed(unsigned s) const
     return splitmix64(cfg_.seed ^ (static_cast<u64>(s) + 1));
 }
 
-std::optional<AllocId>
+std::optional<Addr>
 ShardedEngine::allocate(const std::string &name, u64 bytes,
                         CompressionTarget target)
 {
@@ -47,49 +47,35 @@ ShardedEngine::allocate(const std::string &name, u64 bytes,
 
     for (unsigned probe = 0; probe < n; ++probe) {
         const unsigned s = (home + probe) % n;
-        const auto shardId = shards_[s]->allocate(name, bytes, target);
-        if (!shardId)
+        const auto shardVa = shards_[s]->allocate(name, bytes, target);
+        if (!shardVa)
             continue;
 
-        const Allocation &sa = shards_[s]->allocations().at(*shardId);
-        EngineAllocation a;
-        a.id = nextId_++;
+        const Addr va = nextVa_;
+        EngineAllocation &a = allocs_[va];
         a.shard = s;
-        a.shardId = *shardId;
         a.name = name;
-        a.bytes = sa.bytes; // page-rounded by the controller
+        // page-rounded by the controller
+        a.bytes = shards_[s]->allocations().at(*shardVa).bytes;
         a.target = target;
-        a.va = nextVa_;
-        a.shardVa = sa.va;
+        a.va = va;
+        a.shardVa = *shardVa;
         nextVa_ += a.bytes;
         logicalUsed_ += a.bytes;
-        const EngineAllocation &placed = allocs_[a.id] = a;
-        byVa_[a.va] = &placed;
-        return a.id;
+        return va;
     }
     return std::nullopt;
 }
 
 void
-ShardedEngine::free(AllocId id)
+ShardedEngine::free(Addr va)
 {
-    const auto it = allocs_.find(id);
+    const auto it = allocs_.find(va);
     BUDDY_CHECK(it != allocs_.end(), "free of unknown engine allocation");
     const EngineAllocation &a = it->second;
-    shards_[a.shard]->free(a.shardId);
+    shards_[a.shard]->free(a.shardVa);
     logicalUsed_ -= a.bytes;
-    byVa_.erase(a.va);
     allocs_.erase(it);
-}
-
-const EngineAllocation &
-ShardedEngine::allocationFor(Addr va) const
-{
-    auto it = byVa_.upper_bound(va);
-    BUDDY_CHECK(it != byVa_.begin(), "address below all engine allocations");
-    const EngineAllocation &a = *std::prev(it)->second;
-    BUDDY_CHECK(a.contains(va), "address not inside any engine allocation");
-    return a;
 }
 
 void
@@ -159,7 +145,7 @@ ShardedEngine::execute(AccessBatch &batch)
     for (std::size_t i = 0; i < n; ++i) {
         const AccessRequest &op = batch.ops_[i];
         if (a == nullptr || !a->contains(op.va))
-            a = &allocationFor(op.va);
+            a = &allocationHolding(allocs_, op.va);
         SubPlan &sp = subs_[a->shard];
         if (sp.origIdx.empty())
             active_.push_back(a->shard);

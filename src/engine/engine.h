@@ -96,14 +96,12 @@ struct EngineConfig
 /** One engine-level allocation and its placement. */
 struct EngineAllocation
 {
-    AllocId id = 0;       ///< engine-level allocation id
     unsigned shard = 0;   ///< owning shard
-    AllocId shardId = 0;  ///< id within the shard's controller
     std::string name;
     u64 bytes = 0;        ///< logical size, page-rounded
     CompressionTarget target = CompressionTarget::None;
     Addr va = 0;          ///< engine-global virtual base address
-    Addr shardVa = 0;     ///< base address within the shard controller
+    Addr shardVa = 0;     ///< base address (name) in the shard controller
 
     bool
     contains(Addr addr) const
@@ -223,14 +221,17 @@ class ShardedEngine
     /**
      * Create a compressed allocation on the shard selected by the fixed
      * ordinal hash (falling back to the next shard with capacity).
-     * @return the engine-level allocation id, or std::nullopt if every
-     *         shard is out of device or buddy memory.
+     * @return the allocation's engine-global base address, which names
+     *         it from then on, or std::nullopt if every shard is out of
+     *         device or buddy memory. Base addresses increase with
+     *         every allocation and are never reused.
      */
-    std::optional<AllocId> allocate(const std::string &name, u64 bytes,
-                                    CompressionTarget target);
+    std::optional<Addr> allocate(const std::string &name, u64 bytes,
+                                 CompressionTarget target);
 
-    /** Release an engine allocation. */
-    void free(AllocId id);
+    /** Release the allocation at base address @p va; panics unless
+     *  @p va is a live allocation's base. */
+    void free(Addr va);
 
     /**
      * Execute a batched access plan on the calling thread.
@@ -340,14 +341,13 @@ class ShardedEngine
      */
     u64 shardSeed(unsigned s) const;
 
-    /** All live engine allocations, keyed by engine-level id. */
-    const std::map<AllocId, EngineAllocation> &allocations() const
+    /** All live engine allocations, keyed by base address (so in
+     *  allocation order); allocationHolding() finds the one holding an
+     *  address. */
+    const std::map<Addr, EngineAllocation> &allocations() const
     {
         return allocs_;
     }
-
-    /** The allocation covering @p va (panics if none). */
-    const EngineAllocation &allocationFor(Addr va) const;
 
     /**
      * Running totals: the accumulate() fold of tenantTotals(), which
@@ -456,11 +456,7 @@ class ShardedEngine
     /** Submission sequence of the next batch (obs::BatchRecord::seq). */
     u64 nextSeq_ = 0;
 
-    std::map<AllocId, EngineAllocation> allocs_;
-    /** Engine base VA -> its allocation in allocs_ (a node map, so the
-     *  pointer stays valid until free()). */
-    std::map<Addr, const EngineAllocation *> byVa_;
-    AllocId nextId_ = 1;
+    std::map<Addr, EngineAllocation> allocs_;
     u64 nextOrdinal_ = 0; ///< shard-hash input, counts all allocates
     Addr nextVa_ = 0x10000000ull;
     u64 logicalUsed_ = 0;

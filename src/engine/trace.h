@@ -227,10 +227,10 @@ class TraceCursor
         : trace_(&trace), repeat_(repeat)
     {
         for (const TraceAllocation &a : trace.allocations()) {
-            const auto id =
+            const auto va =
                 target.allocate(namePrefix + a.name, a.bytes, a.target);
-            BUDDY_CHECK(id.has_value(), "trace cursor target out of memory");
-            bases_.push_back(target.allocations().at(*id).va);
+            BUDDY_CHECK(va.has_value(), "trace cursor target out of memory");
+            bases_.push_back(*va);
         }
     }
 

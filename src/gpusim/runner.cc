@@ -62,11 +62,9 @@ metadataHitRateFor(const BenchmarkSpec &spec, const RunnerConfig &cfg,
 
     SimConfig sc = cfg.sim;
     sc.mode = CompressionMode::Buddy;
+    // The Figure 5b sweep is expressed in total (unscaled) capacity;
+    // SimConfig::scaledMetadataCache() scales it like every other run.
     sc.metadataCache.totalBytes = metadata_cache_bytes;
-    // The Figure 5b sweep is expressed in *total* (unscaled) capacity;
-    // feed the scaled value through the normal path.
-    sc.metadataCache.totalBytes = static_cast<std::size_t>(
-        static_cast<double>(metadata_cache_bytes));
     const SimResult r = GpuSimulator(sc, model, targets).run();
     return r.metadataHitRate;
 }

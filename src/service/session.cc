@@ -23,13 +23,12 @@ TenantSession::TenantSession(std::string name,
     : name_(std::move(name)), batchCount_(batchCount)
 {
     BUDDY_CHECK(entries > 0, "synthetic session needs entries");
-    const auto id = engine.allocate(name_ + "/set", entries * kEntryBytes,
-                                    CompressionTarget::Ratio2);
-    BUDDY_CHECK(id.has_value(), "synthetic session out of engine memory");
-    const Addr base = engine.allocations().at(*id).va;
+    const auto base = engine.allocate(name_ + "/set", entries * kEntryBytes,
+                                      CompressionTarget::Ratio2);
+    BUDDY_CHECK(base.has_value(), "synthetic session out of engine memory");
     vas_.reserve(entries);
     for (std::size_t i = 0; i < entries; ++i)
-        vas_.push_back(base + i * kEntryBytes);
+        vas_.push_back(*base + i * kEntryBytes);
 
     data_.resize(entries * kEntryBytes);
     Rng rng(seed);

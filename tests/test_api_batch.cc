@@ -90,8 +90,8 @@ TEST(AccessBatch, BatchedWritesReadsProbesMatchOneOpBatches)
     const auto idS =
         single.allocate("a", 256 * KiB, CompressionTarget::Ratio2);
     ASSERT_TRUE(idB && idS);
-    const Addr vaB = batched.allocations().at(*idB).va;
-    const Addr vaS = single.allocations().at(*idS).va;
+    const Addr vaB = *idB;
+    const Addr vaS = *idS;
 
     const std::size_t n = 512;
     const auto entries = mixedEntries(n, 42);
@@ -151,7 +151,7 @@ TEST(AccessBatch, SummaryMatchesStatsDelta)
     BuddyController gpu(smallConfig());
     const auto id = gpu.allocate("a", 128 * KiB, CompressionTarget::Ratio2);
     ASSERT_TRUE(id);
-    const Addr va = gpu.allocations().at(*id).va;
+    const Addr va = *id;
 
     const auto entries = mixedEntries(200, 9);
     AccessBatch batch;
@@ -228,7 +228,7 @@ TEST(TrafficSink, SinkSeesTheSameTrafficAsStats)
 
     const auto id = eng.allocate("a", 128 * KiB, CompressionTarget::Ratio2);
     ASSERT_TRUE(id);
-    const Addr va = eng.allocations().at(*id).va;
+    const Addr va = *id;
 
     const auto entries = mixedEntries(128, 3);
     AccessBatch batch;
@@ -275,7 +275,7 @@ TEST(BatchSummary, StatsIsTheFoldOfTheBatchSummaries)
     BuddyController gpu(smallConfig());
     const auto id = gpu.allocate("a", 128 * KiB, CompressionTarget::Ratio2);
     ASSERT_TRUE(id);
-    const Addr va = gpu.allocations().at(*id).va;
+    const Addr va = *id;
 
     const auto entries = mixedEntries(96, 17);
     std::vector<u8> out(kEntryBytes);
@@ -312,7 +312,7 @@ TEST(TrafficSink, ReattachingTheSameSinkIsANoOp)
     eng.attachSink(&sink);
     const auto id = eng.allocate("a", 64 * KiB, CompressionTarget::Ratio2);
     ASSERT_TRUE(id);
-    const Addr va = eng.allocations().at(*id).va;
+    const Addr va = *id;
     u8 out[kEntryBytes];
     AccessBatch batch;
     batch.read(va, out);
@@ -451,7 +451,7 @@ TEST(BackingStore, ControllerHonoursConfiguredBackends)
     // into its buddy slot, on the write and on the read.
     const auto id = gpu.allocate("a", 64 * KiB, CompressionTarget::Ratio4);
     ASSERT_TRUE(id);
-    const Addr va = gpu.allocations().at(*id).va;
+    const Addr va = *id;
     u8 entry[kEntryBytes], out[kEntryBytes];
     Rng rng(2);
     for (std::size_t i = 0; i < kEntryBytes; ++i)

@@ -61,7 +61,7 @@ TEST(RemoteBackingStore, ControllerDrivenRoundTrip)
 
     const auto id = gpu.allocate("a", 128 * KiB, CompressionTarget::Ratio4);
     ASSERT_TRUE(id.has_value());
-    const Addr va = gpu.allocations().at(*id).va;
+    const Addr va = *id;
 
     // Random entries do not compress below 97 B, so under a 4x target
     // each one keeps its one device sector and spills three sectors
@@ -114,7 +114,7 @@ TEST(RemoteBackingStore, EngineDrivenRoundTripAcrossShards)
         const auto id = eng.allocate("a" + std::to_string(a), 64 * KiB,
                                      CompressionTarget::Ratio4);
         ASSERT_TRUE(id.has_value());
-        const Addr base = eng.allocations().at(*id).va;
+        const Addr base = *id;
         for (std::size_t i = 0; i < 64 * KiB / kEntryBytes; ++i)
             vas.push_back(base + i * kEntryBytes);
     }
@@ -183,7 +183,7 @@ TEST(BackingStore, ResidentMemoryFollowsReservedBytes)
     const auto none = gpu.allocate("none", 64 * KiB, CompressionTarget::None);
     ASSERT_TRUE(ratio2 && none);
 
-    const Addr va = gpu.allocations().at(*ratio2).va;
+    const Addr va = *ratio2;
     Rng rng(5);
     std::vector<u8> data(64 * KiB), out(64 * KiB);
     for (auto &b : data)

@@ -155,7 +155,7 @@ TEST(Controller, ZeroEntryRoundTripsWithNoDataTraffic)
     BuddyController c(smallConfig());
     const auto id = c.allocate("a", 64 * KiB, CompressionTarget::Ratio2);
     ASSERT_TRUE(id);
-    const Addr va = c.allocations().at(*id).va;
+    const Addr va = *id;
 
     u8 zeros[kEntryBytes] = {};
     const auto w = writeOne(c, va, zeros);
@@ -201,7 +201,7 @@ TEST(Controller, RewritesCycleThroughEveryEncoding)
     BuddyController c(smallConfig());
     const auto id = c.allocate("a", 64 * KiB, CompressionTarget::Ratio2);
     ASSERT_TRUE(id);
-    const Addr va = c.allocations().at(*id).va;
+    const Addr va = *id;
 
     Rng rng(8);
     u8 zero[kEntryBytes] = {};
@@ -275,7 +275,7 @@ checkRecordLifecycle(const char *codec)
         bool raw = false;
     };
     std::map<Addr, Model> model; // written entries of live allocations
-    std::vector<AllocId> live;
+    std::vector<Addr> live; // base addresses
 
     Rng rng(23);
     const auto allocateOne = [&](CompressionTarget t) {
@@ -291,7 +291,8 @@ checkRecordLifecycle(const char *codec)
         for (const auto &[va, m] : model)
             if (expectedSplit(m.bits,
                               deviceBytesPerEntry(
-                                  c.allocationFor(va).target))
+                                  allocationHolding(c.allocations(), va)
+                                      .target))
                     .second > 0)
                 ++n;
         return n;
@@ -374,7 +375,7 @@ TEST(Controller, CompressibleEntryStaysOnDevice)
     BuddyController c(smallConfig());
     const auto id = c.allocate("a", 64 * KiB, CompressionTarget::Ratio2);
     ASSERT_TRUE(id);
-    const Addr va = c.allocations().at(*id).va;
+    const Addr va = *id;
 
     Rng rng(1);
     u8 entry[kEntryBytes];
@@ -394,7 +395,7 @@ TEST(Controller, IncompressibleEntrySpillsToBuddy)
     BuddyController c(smallConfig());
     const auto id = c.allocate("a", 64 * KiB, CompressionTarget::Ratio2);
     ASSERT_TRUE(id);
-    const Addr va = c.allocations().at(*id).va;
+    const Addr va = *id;
 
     Rng rng(2);
     u8 entry[kEntryBytes];
@@ -418,7 +419,7 @@ TEST(Controller, OverflowGaugeFollowsRewritesAndFree)
     BuddyController c(smallConfig());
     const auto id = c.allocate("a", 64 * KiB, CompressionTarget::Ratio2);
     ASSERT_TRUE(id);
-    const Addr va = c.allocations().at(*id).va;
+    const Addr va = *id;
 
     Rng rng(4);
     u8 entry[kEntryBytes];
@@ -442,7 +443,7 @@ TEST(Controller, CompressibilityChangeMovesNoOtherData)
     BuddyController c(smallConfig());
     const auto id = c.allocate("a", 64 * KiB, CompressionTarget::Ratio2);
     ASSERT_TRUE(id);
-    const Addr base = c.allocations().at(*id).va;
+    const Addr base = *id;
 
     Rng rng(3);
     u8 neighbor[kEntryBytes];
@@ -481,7 +482,7 @@ TEST(Controller, RawFallbackRoundTripsThroughBothMemories)
     BuddyController c(smallConfig());
     const auto id = c.allocate("a", 64 * KiB, CompressionTarget::Ratio4);
     ASSERT_TRUE(id);
-    const Addr va = c.allocations().at(*id).va;
+    const Addr va = *id;
 
     Rng rng(4);
     u8 entry[kEntryBytes];
@@ -557,7 +558,7 @@ TEST(Controller, ProbeMatchesReadTraffic)
     BuddyController c(cfg);
     const auto id = c.allocate("a", 64 * KiB, CompressionTarget::Ratio2);
     ASSERT_TRUE(id);
-    const Addr va = c.allocations().at(*id).va;
+    const Addr va = *id;
 
     Rng rng(6);
     u8 entry[kEntryBytes];
@@ -591,7 +592,7 @@ TEST(Controller, StatsTrackBuddyAccessFraction)
     BuddyController c(smallConfig());
     const auto id = c.allocate("a", 64 * KiB, CompressionTarget::Ratio2);
     ASSERT_TRUE(id);
-    const Addr va = c.allocations().at(*id).va;
+    const Addr va = *id;
 
     Rng rng(7);
     u8 entry[kEntryBytes];
@@ -633,8 +634,8 @@ TEST(Controller, LocateAfterFreeOfLastTouchedAllocation)
         const auto b = c.allocate("b", bytes, CompressionTarget::Ratio2);
         const auto a = c.allocate("a", bytes, CompressionTarget::Ratio2);
         EXPECT_TRUE(a && b);
-        const Addr b_va = c.allocations().at(*b).va;
-        const Addr a_va = c.allocations().at(*a).va;
+        const Addr b_va = *b;
+        const Addr a_va = *a;
         if (touch_a) {
             AccessBatch touch;
             for (std::size_t e = 0; e < n; ++e) {
@@ -652,7 +653,7 @@ TEST(Controller, LocateAfterFreeOfLastTouchedAllocation)
 
         const auto cid = c.allocate("c", bytes, CompressionTarget::Ratio2);
         EXPECT_TRUE(cid.has_value());
-        const Addr c_va = c.allocations().at(*cid).va;
+        const Addr c_va = *cid;
         AccessBatch batch;
         for (std::size_t e = 0; e < n; ++e) {
             batch.write(c_va + e * kEntryBytes,
@@ -723,8 +724,7 @@ TEST(ControllerDeath, MisalignedAccessPanics)
     const auto id = c.allocate("a", 64 * KiB, CompressionTarget::Ratio2);
     ASSERT_TRUE(id);
     u8 out[kEntryBytes];
-    EXPECT_DEATH(readOne(c, c.allocations().at(*id).va + 1, out),
-                 "aligned");
+    EXPECT_DEATH(readOne(c, *id + 1, out), "aligned");
 }
 
 TEST(ControllerDeath, UnmappedAccessPanics)
@@ -732,6 +732,43 @@ TEST(ControllerDeath, UnmappedAccessPanics)
     BuddyController c(smallConfig());
     u8 out[kEntryBytes];
     EXPECT_DEATH(readOne(c, 0x10000000ull, out), "allocation");
+}
+
+TEST(ControllerDeath, FreeOfAnythingButALiveBasePanics)
+{
+    // free() takes an allocation's base address: an address inside an
+    // allocation, one in the gap a freed allocation left, and a base
+    // freed twice all die.
+    BuddyController c(smallConfig());
+    const auto a = c.allocate("a", 64 * KiB, CompressionTarget::Ratio2);
+    const auto b = c.allocate("b", 64 * KiB, CompressionTarget::Ratio2);
+    const auto d = c.allocate("d", 64 * KiB, CompressionTarget::Ratio2);
+    ASSERT_TRUE(a && b && d);
+    c.free(*b);
+    EXPECT_DEATH(c.free(*a + kEntryBytes), "free of unknown");
+    EXPECT_DEATH(c.free(*b + kEntryBytes), "free of unknown");
+    EXPECT_DEATH(c.free(*b), "free of unknown");
+}
+
+TEST(Controller, AllocationsIterateInAllocationOrder)
+{
+    // Base addresses are never reused: after a, b, c, free(b), d, the
+    // map walks a, c, d and d sits above c.
+    BuddyController c(smallConfig());
+    const auto a = c.allocate("a", 64 * KiB, CompressionTarget::Ratio2);
+    const auto b = c.allocate("b", 64 * KiB, CompressionTarget::Ratio4);
+    const auto cc = c.allocate("c", 64 * KiB, CompressionTarget::None);
+    ASSERT_TRUE(a && b && cc);
+    c.free(*b);
+    const auto d = c.allocate("d", 64 * KiB, CompressionTarget::Ratio2);
+    ASSERT_TRUE(d);
+    EXPECT_GT(*d, *cc);
+    std::vector<std::string> names;
+    for (const auto &[va, alloc] : c.allocations()) {
+        EXPECT_EQ(va, alloc.va);
+        names.push_back(alloc.name);
+    }
+    EXPECT_EQ(names, (std::vector<std::string>{"a", "c", "d"}));
 }
 
 } // namespace

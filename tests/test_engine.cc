@@ -76,7 +76,7 @@ allocateSet(Target &t)
                                    kEntriesPerAlloc * kEntryBytes,
                                    CompressionTarget::Ratio2);
         EXPECT_TRUE(id.has_value());
-        const Addr base = t.allocations().at(*id).va;
+        const Addr base = *id;
         for (std::size_t i = 0; i < kEntriesPerAlloc; ++i)
             vas.push_back(base + i * kEntryBytes);
     }
@@ -464,6 +464,28 @@ TEST(ShardedEngine, EachBatchIsWindowedOnce)
             EXPECT_EQ(snap.counters.at(name), value) << name;
             EXPECT_EQ(snap.counters.count(other), 0u) << other;
         }
+
+        // The shard controllers' own counters (written by hand outside
+        // the summary field table) sum over the shards to the engine's
+        // counter of the same name, and no shard ran more batches than
+        // the engine did.
+        const u64 batches = snap.counters.at("sim/engine/batches");
+        for (const std::string field : {"reads", "writes", "probes",
+                                        "metadata_hits", "metadata_misses",
+                                        "buddy_accesses"}) {
+            u64 sum = 0;
+            for (unsigned s = 0; s < eng.shardCount(); ++s) {
+                const std::string prefix = "shard/s" + std::to_string(s) + "/";
+                sum += snap.counters.at(prefix + field);
+                EXPECT_LE(snap.counters.at(prefix + "batches"), batches)
+                    << prefix;
+            }
+            const std::string sim = "sim/engine/" + field;
+            EXPECT_EQ(sum, snap.counters.count(sim)
+                               ? snap.counters.at(sim)
+                               : snap.counters.at("shard/engine/" + field))
+                << field;
+        }
     }
 }
 
@@ -576,7 +598,7 @@ TEST(ShardedEngine, ThreadsFieldIsInert)
                              b->results().end());
         }
         eng.detachSink(&run.events);
-        for (const auto &[id, a] : eng.allocations())
+        for (const auto &[base, a] : eng.allocations())
             run.placement.push_back(a.shard);
         for (unsigned s = 0; s < eng.shardCount(); ++s)
             run.seeds.push_back(eng.shardSeed(s));
@@ -687,15 +709,11 @@ shardSetSequence(Target &t, std::size_t other, std::size_t again,
     }
     run(two);
 
-    AllocId victim = 0;
-    for (const auto &[id, a] : t.allocations())
-        if (a.va == vas[entry(again, 0)])
-            victim = id;
-    t.free(victim);
+    t.free(vas[entry(again, 0)]);
     const auto id = t.allocate("again", kEntriesPerAlloc * kEntryBytes,
                                CompressionTarget::Ratio2);
     ASSERT_TRUE(id.has_value());
-    const Addr base = t.allocations().at(*id).va;
+    const Addr base = *id;
     for (std::size_t i = 0; i < kEntriesPerAlloc; ++i) {
         fresh.write(base + i * kEntryBytes, entries[entry(other, i)].data());
         const std::size_t e = entry(other, i);
@@ -724,7 +742,7 @@ TEST(ShardedEngine, RecycledSubPlansMatchSingleControllerAcrossShardSets)
     {
         ShardedEngine placement(engineConfig(4));
         allocateSet(placement);
-        for (const auto &[id, a] : placement.allocations())
+        for (const auto &[base, a] : placement.allocations())
             shardOf.push_back(a.shard);
     }
     ASSERT_EQ(std::set<unsigned>(shardOf.begin(), shardOf.end()).size(),
@@ -774,7 +792,7 @@ TEST(ShardedEngine, ShardSpansAscendAndNoneGoStale)
     eng.setBatchObserver(&log);
     const auto vas = allocateSet(eng);
     std::vector<unsigned> shardOf;
-    for (const auto &[id, a] : eng.allocations())
+    for (const auto &[base, a] : eng.allocations())
         shardOf.push_back(a.shard);
     ASSERT_EQ(shardOf.size(), kAllocs);
     std::vector<std::size_t> order(kAllocs);
@@ -831,6 +849,65 @@ TEST(ShardedEngine, FreeReleasesCapacityOnOwningShard)
     eng.free(*id);
     EXPECT_EQ(eng.deviceBytesReserved(), 0u);
     EXPECT_EQ(eng.allocations().size(), 0u);
+}
+
+TEST(ShardedEngine, AllocationsIterateInAllocationOrder)
+{
+    // Base addresses are never reused: after a, b, c, free(b), d, the
+    // map walks a, c, d and d sits above c, on whichever shards they
+    // landed.
+    ShardedEngine eng(engineConfig(4));
+    const auto a = eng.allocate("a", 64 * KiB, CompressionTarget::Ratio2);
+    const auto b = eng.allocate("b", 64 * KiB, CompressionTarget::Ratio4);
+    const auto c = eng.allocate("c", 64 * KiB, CompressionTarget::None);
+    ASSERT_TRUE(a && b && c);
+    eng.free(*b);
+    const auto d = eng.allocate("d", 64 * KiB, CompressionTarget::Ratio2);
+    ASSERT_TRUE(d);
+    EXPECT_GT(*d, *c);
+    std::vector<std::string> names;
+    for (const auto &[va, ea] : eng.allocations()) {
+        EXPECT_EQ(va, ea.va);
+        EXPECT_EQ(eng.shard(ea.shard).allocations().at(ea.shardVa).name,
+                  ea.name);
+        names.push_back(ea.name);
+    }
+    EXPECT_EQ(names, (std::vector<std::string>{"a", "c", "d"}));
+}
+
+TEST(ShardedEngineDeath, FreeOfAnythingButALiveBasePanics)
+{
+    // free() takes an allocation's base address: an address inside an
+    // allocation, one in the gap a freed allocation left, and a base
+    // freed twice all die.
+    ShardedEngine eng(engineConfig(4));
+    const auto a = eng.allocate("a", 64 * KiB, CompressionTarget::Ratio2);
+    const auto b = eng.allocate("b", 64 * KiB, CompressionTarget::Ratio2);
+    const auto c = eng.allocate("c", 64 * KiB, CompressionTarget::Ratio2);
+    ASSERT_TRUE(a && b && c);
+    eng.free(*b);
+    EXPECT_DEATH(eng.free(*a + kEntryBytes), "free of unknown");
+    EXPECT_DEATH(eng.free(*b + kEntryBytes), "free of unknown");
+    EXPECT_DEATH(eng.free(*b), "free of unknown");
+}
+
+TEST(ShardedEngineDeath, UnmappedAccessPanics)
+{
+    // An op in the gap a freed allocation left, or past the last
+    // allocation, names no allocation.
+    ShardedEngine eng(engineConfig(4));
+    const auto a = eng.allocate("a", 64 * KiB, CompressionTarget::Ratio2);
+    const auto b = eng.allocate("b", 64 * KiB, CompressionTarget::Ratio2);
+    const auto c = eng.allocate("c", 64 * KiB, CompressionTarget::Ratio2);
+    ASSERT_TRUE(a && b && c);
+    eng.free(*b);
+    u8 out[kEntryBytes];
+    AccessBatch gap;
+    gap.read(*b, out);
+    EXPECT_DEATH(eng.execute(gap), "not inside any allocation");
+    AccessBatch past;
+    past.read(*c + eng.allocations().at(*c).bytes, out);
+    EXPECT_DEATH(eng.execute(past), "not inside any allocation");
 }
 
 TEST(Trace, ReplayReproducesRecordedTotals)
@@ -1318,7 +1395,7 @@ TEST(Trace, ZeroWritesRecordNoPayload)
     eng.attachSink(&recorder);
     const auto id = eng.allocate("a", 64 * KiB, CompressionTarget::Ratio2);
     ASSERT_TRUE(id.has_value());
-    const Addr va = eng.allocations().at(*id).va;
+    const Addr va = *id;
 
     const u8 zeros[kEntryBytes] = {};
     AccessBatch batch;
@@ -1526,7 +1603,7 @@ TEST(Trace, AllocationsNotedOutOfVaOrderReplay)
             const auto id =
                 eng.allocate(spec.name, spec.bytes, CompressionTarget::Ratio2);
             ASSERT_TRUE(id.has_value());
-            const Addr base = eng.allocations().at(*id).va;
+            const Addr base = *id;
             noted.emplace_back(base, &spec);
             for (u64 off = 0; off < spec.bytes; off += kEntryBytes)
                 vas.push_back(base + off);
@@ -1605,7 +1682,7 @@ TEST(TraceDeath, NonZeroWriteEventWithoutPayloadDies)
             const auto id =
                 eng.allocate("a", 64 * KiB, CompressionTarget::Ratio2);
             AccessBatch batch;
-            batch.write(eng.allocations().at(*id).va, nullptr);
+            batch.write(*id, nullptr);
             eng.execute(batch);
         },
         "payload");

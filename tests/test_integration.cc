@@ -50,7 +50,7 @@ runPipeline(const std::string &bench, u64 model_bytes)
 
     // Allocate per the decision and write snapshot 5's data.
     const unsigned snapshot = 5;
-    std::vector<AllocId> ids;
+    std::vector<Addr> ids;
     for (std::size_t a = 0; a < model.allocations().size(); ++a) {
         const auto id =
             gpu.allocate(profiles[a].name(),

@@ -260,7 +260,7 @@ TEST(BackingStoreTiming, StoresChargeClosedFormCycles)
         const auto id = gpu.allocate("a", kOps * kEntryBytes,
                                      CompressionTarget::Ratio2);
         ASSERT_TRUE(id.has_value());
-        const Addr va = gpu.allocations().at(*id).va;
+        const Addr va = *id;
         Rng rng(5);
         std::vector<u8> data(kOps * kEntryBytes), out(data.size());
         for (std::size_t e = 0; e < kOps; ++e)
@@ -315,7 +315,7 @@ TEST(BackingStoreTiming, OddLengthsChargeWholeSectors)
     const auto id =
         gpu.allocate("a", 64 * kEntryBytes, CompressionTarget::None);
     ASSERT_TRUE(id.has_value());
-    const Addr va = gpu.allocations().at(*id).va;
+    const Addr va = *id;
 
     // Find an entry whose payload ends in the first three quarters of a
     // sector, where the two formulas differ.
@@ -409,7 +409,7 @@ TEST(BackingStoreTiming, ControllerChargesArePureFunctionOfTraffic)
 
     const auto id = gpu.allocate("a", 256 * KiB, CompressionTarget::Ratio2);
     ASSERT_TRUE(id.has_value());
-    const Addr va = gpu.allocations().at(*id).va;
+    const Addr va = *id;
 
     const std::size_t n = 512;
     Rng rng(17);
@@ -491,7 +491,7 @@ TEST(BackingStoreTiming, EngineWiresPeerRingAndChargesPeerLinks)
         const auto id = eng.allocate("a" + std::to_string(a), 32 * KiB,
                                      CompressionTarget::Ratio4);
         ASSERT_TRUE(id.has_value());
-        const Addr base = eng.allocations().at(*id).va;
+        const Addr base = *id;
         for (std::size_t i = 0; i < 32 * KiB / kEntryBytes; ++i)
             vas.push_back(base + i * kEntryBytes);
     }

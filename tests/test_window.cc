@@ -638,7 +638,7 @@ runMixedWorkload(BuddyController &gpu, std::size_t n)
     const auto id = gpu.allocate("a", n * kEntryBytes,
                                  CompressionTarget::Ratio2);
     EXPECT_TRUE(id.has_value());
-    const Addr va = gpu.allocations().at(*id).va;
+    const Addr va = *id;
 
     Rng rng(17);
     std::vector<u8> data(n * kEntryBytes);
@@ -698,7 +698,7 @@ TEST(WindowedController, OneOpBatchesReportCombinedAsLinkMax)
     const auto id =
         gpu.allocate("a", 64 * kEntryBytes, CompressionTarget::Ratio4);
     ASSERT_TRUE(id.has_value());
-    const Addr va = gpu.allocations().at(*id).va;
+    const Addr va = *id;
     AccessBatch one(1);
     const auto oneOp = [&]() {
         const BatchSummary s = gpu.execute(one);
@@ -753,7 +753,7 @@ TEST(WindowedController, WindowedTotalsFallBetweenBoundsAndShrink)
         const auto id = gpu.allocate("a", kN * kEntryBytes,
                                      CompressionTarget::Ratio2);
         ASSERT_TRUE(id.has_value());
-        const Addr va = gpu.allocations().at(*id).va;
+        const Addr va = *id;
 
         Rng rng(17);
         std::vector<u8> data(kN * kEntryBytes);
@@ -873,7 +873,7 @@ TEST(WindowedController, RetimingOneUntimedPassMatchesExecuteAtEveryConfig)
     const auto pa =
         plain.allocate("a", kN * kEntryBytes, CompressionTarget::Ratio2);
     ASSERT_TRUE(pa);
-    const Addr va = plain.allocations().at(*pa).va;
+    const Addr va = *pa;
     std::vector<u8> outP(data.size());
     std::vector<AccessBatch> untimedPlans = fillThenMix(va, kN, data, outP);
     for (AccessBatch &p : untimedPlans) {
@@ -892,7 +892,7 @@ TEST(WindowedController, RetimingOneUntimedPassMatchesExecuteAtEveryConfig)
             const auto ta = timed.allocate("a", kN * kEntryBytes,
                                            CompressionTarget::Ratio2);
             ASSERT_TRUE(ta);
-            ASSERT_EQ(timed.allocations().at(*ta).va, va);
+            ASSERT_EQ(*ta, va);
             std::vector<u8> outT(data.size());
             std::vector<AccessBatch> timedPlans =
                 fillThenMix(va, kN, data, outT);
