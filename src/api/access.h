@@ -27,6 +27,7 @@ class BuddyController;
 
 namespace engine {
 class ShardedEngine;
+class TraceCursor;
 }
 
 namespace api {
@@ -43,6 +44,15 @@ struct AccessRequest
 {
     AccessKind kind = AccessKind::Probe;
 
+    /**
+     * A write whose bytes the entry already holds: the controller keeps
+     * the stored encoding instead of compressing again. Only a
+     * TraceCursor sets it, from marks the trace loader derives (see
+     * engine/trace.h); every other write encodes. It sits in the
+     * padding after kind, so the struct stays 32 bytes.
+     */
+    bool unchanged = false;
+
     /** Entry-aligned virtual address. */
     Addr va = 0;
 
@@ -52,6 +62,7 @@ struct AccessRequest
     /** Read destination (kEntryBytes bytes); null for Write/Probe. */
     u8 *dst = nullptr;
 };
+static_assert(sizeof(AccessRequest) == 32, "an access plan op is 32 bytes");
 
 /** Traffic breakdown of a single entry access. */
 struct AccessInfo
@@ -355,9 +366,11 @@ class AccessBatch
     u64 submitSeq() const { return submitSeq_; }
 
   private:
-    // Fill results_ / summary_ / submitSeq_ after execution.
+    // Fill results_ / summary_ / submitSeq_ after execution; the
+    // cursor marks unchanged writes.
     friend class ::buddy::BuddyController;
     friend class ::buddy::engine::ShardedEngine;
+    friend class ::buddy::engine::TraceCursor;
 
     std::vector<AccessRequest> ops_;
     std::vector<AccessInfo> results_;

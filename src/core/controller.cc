@@ -204,13 +204,22 @@ BuddyController::executeOp(const AccessRequest &op, BatchSummary &summary)
         const u8 *data = op.src;
         const bool was_overflow = rec.overflows(loc.deviceSlotBytes);
 
-        // The stored payload: the codec's encoding, or the raw data
-        // when it does not fit an entry.
-        const u8 *payload = data;
-        if (entryIsZero(data)) {
+        if (op.unchanged) {
+            // The entry already holds these bytes' encoding: the unit
+            // runs in the model, but the record and slots stay as they
+            // are. Only a write outside the cursor's batches can have
+            // zeroed the entry since its last write.
+            BUDDY_CHECK(rec.meta != EntryMeta::Zero,
+                        "unchanged write to a zero entry (written "
+                        "outside its trace cursor's batches)");
+            codec_pass = true;
+        } else if (entryIsZero(data)) {
             rec = EntryRecord{};
         } else {
             codec_pass = true;
+            // The stored payload: the codec's encoding, or the raw data
+            // when it does not fit an entry.
+            const u8 *payload = data;
             const std::size_t comp_bits =
                 codec_->compressInto(data, scratch_.encode, scratch_);
             if (comp_bits > kEntryBytes * 8) {
@@ -220,17 +229,14 @@ BuddyController::executeOp(const AccessRequest &op, BatchSummary &summary)
                        static_cast<EntryMeta>(compressedSectors(comp_bits))};
                 payload = scratch_.encode;
             }
-        }
 
-        // Store the payload split across the device slot and the entry's
-        // fixed buddy slot.
-        if (rec.meta != EntryMeta::Zero) {
+            // Store the payload split across the device slot and the
+            // entry's fixed buddy slot.
             const u64 bytes = rec.storedBytes();
             const u64 on_dev = std::min<u64>(bytes, loc.deviceSlotBytes);
             device_->write(loc.deviceAddr, payload, on_dev);
             if (on_dev < bytes)
-                buddy_.write(loc.buddyOffset, payload + on_dev,
-                             bytes - on_dev);
+                buddy_.write(loc.buddyOffset, payload + on_dev, bytes - on_dev);
         }
 
         // Track the overflow population (overflowEntries()).

@@ -4,9 +4,11 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 
 #include "common/check.h"
 #include "common/log.h"
+#include "compress/compressor.h"
 #include "core/controller.h"
 #include "engine/engine.h"
 
@@ -149,6 +151,47 @@ readTotals(Reader &r)
     t.batches = r.varint();
     return t;
 }
+
+/**
+ * Which payload record each replayed entry holds, to mark unchanged
+ * writes: per allocation ordinal, one slot per entry with 1 + the
+ * ordinal of the payload record its last non-zero write named, or 0
+ * (none yet, a zero write since, an all-zero payload, or an ordinal
+ * past u32). Every slot starts at 0, so an entry's first write in the
+ * stream is never marked and every pass of a cursor replays exactly.
+ * Slots are made at an allocation's first non-zero write while their
+ * total stays within @c budget; an allocation past it has none, and
+ * its writes stay unmarked (they just encode).
+ */
+struct HeldPayloads
+{
+    std::vector<std::vector<u32>> slots; ///< by allocation; empty: none
+    u64 budget = 0;                      ///< slots still allowed
+
+    u32 *
+    slot(u16 alloc, u64 entries, u32 offset, bool create)
+    {
+        std::vector<u32> &held = slots[alloc];
+        if (held.empty()) {
+            if (!create || entries > budget)
+                return nullptr;
+            budget -= entries;
+            held.assign(entries, 0);
+        }
+        return &held[offset];
+    }
+
+    /** The slot value of an entry holding payload record @p ordinal,
+     *  whose bytes are at @p payload. */
+    static u32
+    holding(u64 ordinal, const u8 *payload)
+    {
+        return payload == kZeroEntry ||
+                       ordinal >= std::numeric_limits<u32>::max()
+                   ? 0
+                   : static_cast<u32>(ordinal + 1);
+    }
+};
 
 /** The range of @p ranges (sorted by firstIdx, equal starts in note
  *  order) that starts last at or below entry @p idx, if it holds it. */
@@ -367,11 +410,16 @@ TraceReplayer::loadImage(std::vector<u8> image)
                          return x.firstIdx < y.firstIdx;
                      });
 
-    // Pass one checks the records and counts ops and payloads; pass two
-    // fills tables reserved at those sizes, which peaks lower than doubling.
+    // Pass one checks the records and counts ops, payloads and repeats;
+    // pass two fills tables reserved at those sizes, which peaks lower
+    // than doubling, and marks unchanged writes: a repeat whose named
+    // payload record is the one its entry holds. A capture without
+    // repeats tracks nothing; otherwise the slots stay within one per
+    // image byte, however large an allocation the image declares.
     const std::size_t records = r.pos;
     std::vector<const u8 *> payloads; // payload records, in stream order
-    std::size_t ops = 0, payload_count = 0;
+    std::size_t ops = 0, payload_count = 0, repeats = 0;
+    HeldPayloads held;
     for (bool fill = false;;) {
         const u8 tag = r.byte();
         if (tag == kTagFooter) {
@@ -385,6 +433,10 @@ TraceReplayer::loadImage(std::vector<u8> image)
             r.pos = records;
             table_.reserve(ops);
             payloads.reserve(payload_count);
+            if (repeats != 0) {
+                held.slots.resize(allocs_.size());
+                held.budget = image_.size();
+            }
             batchStart_.resize(1);
             ops = payload_count = 0;
             continue;
@@ -417,20 +469,41 @@ TraceReplayer::loadImage(std::vector<u8> image)
                     "trace address outside every recorded allocation");
         op.alloc = span->ordinal;
         op.offset = static_cast<u32>(idx - span->firstIdx);
+        u32 *slot = fill && write && !held.slots.empty()
+                        ? held.slot(op.alloc, span->entries, op.offset, !zero)
+                        : nullptr;
         if (zero) {
             op.payload = kZeroEntry;
+            if (slot != nullptr)
+                *slot = 0;
         } else if (repeat) {
             const u64 back = r.varint();
             BUDDY_CHECK(back != 0, "trace repeat distance is zero");
             BUDDY_CHECK(back <= payload_count,
                         "trace repeat reaches before the first payload");
-            if (fill)
-                op.payload = payloads[payload_count - back];
+            ++repeats;
+            if (fill) {
+                const u64 named = payload_count - back;
+                op.payload = payloads[named];
+                if (slot != nullptr) {
+                    const u32 holds = HeldPayloads::holding(named, op.payload);
+                    op.unchanged = holds != 0 && *slot == holds;
+                    *slot = holds;
+                }
+            }
         } else if (write) {
             op.payload = r.raw(kEntryBytes);
-            ++payload_count;
-            if (fill)
+            if (fill) {
+                // The controller stores an all-zero payload as a zero
+                // write; naming it kZeroEntry keeps every repeat of it
+                // unmarked.
+                if (!held.slots.empty() && entryIsZero(op.payload))
+                    op.payload = kZeroEntry;
+                if (slot != nullptr)
+                    *slot = HeldPayloads::holding(payload_count, op.payload);
                 payloads.push_back(op.payload);
+            }
+            ++payload_count;
         }
         ++ops;
         if (fill)
@@ -465,6 +538,7 @@ TraceCursor::next(AccessBatch &plan, std::vector<u8> &readBuf)
             break;
           case AccessKind::Write:
             plan.write(va, op->payload);
+            plan.ops_.back().unchanged = op->unchanged;
             break;
           case AccessKind::Probe:
             plan.probe(va);

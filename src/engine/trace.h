@@ -42,6 +42,14 @@
  * byte-identical to one written before the flag existed, and a reader
  * that predates the flag rejects it as unknown flag bits.
  *
+ * Unchanged writes: the loader marks a write whose bytes its entry
+ * already holds, and the controller keeps the stored encoding for it
+ * instead of compressing again. A repeat record alone is not trusted:
+ * the loader derives each mark from the stream, by the recorder's rule
+ * (the repeat names the payload record of its entry's last non-zero
+ * write, with no zero write to the entry since). A repeat that names
+ * another entry's payload loads and replays, unmarked.
+ *
  * Windowed timing and traces: the op stream carries no timing, so
  * a capture recorded at any BuddyConfig::linkWindow and either
  * BuddyConfig::windowMode replays under any other window or mode — the
@@ -182,6 +190,7 @@ class TraceReplayer
         u32 offset = 0;
         u16 alloc = 0;
         AccessKind kind = AccessKind::Probe;
+        bool unchanged = false; ///< the entry holds payload's bytes already
     };
     static_assert(sizeof(Op) == 16, "one op table entry is 16 bytes");
 
@@ -208,8 +217,13 @@ class TraceReplayer
  * @p repeat times; an op's address is its allocation's base plus its
  * entry offset, the same on every pass. The TraceReplayer must outlive
  * the cursor (it holds the op table, and write payloads point into its
- * loaded image); the created allocations stay live on the target for
- * the cursor's users to access.
+ * loaded image); the created allocations stay live on the target.
+ *
+ * next() carries the loader's unchanged-write marks into the plan, and
+ * a marked write keeps the bytes its entry holds. Those marks hold
+ * only while the cursor's batches are the only writes to its
+ * allocations: users may read them, but a write outside the batches
+ * voids the marks (a marked write to an entry zeroed that way dies).
  */
 class TraceCursor
 {

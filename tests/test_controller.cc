@@ -14,6 +14,8 @@
 
 #include "common/rng.h"
 #include "core/controller.h"
+#include "engine/engine.h"
+#include "engine/trace.h"
 
 namespace buddy {
 namespace {
@@ -251,6 +253,87 @@ TEST(Controller, RewritesCycleThroughEveryEncoding)
     }
 }
 
+/** The reference model: each written entry's payload and the stored
+ *  size the codec's encoding implies, by address. */
+struct EntryModel
+{
+    std::vector<u8> data = std::vector<u8>(kEntryBytes, 0);
+    u32 bits = 0;
+    bool raw = false;
+};
+using ReferenceModel = std::map<Addr, EntryModel>;
+
+/** The overflow gauge @p model implies for @p c's allocations. */
+u64
+expectedOverflow(const BuddyController &c, const ReferenceModel &model)
+{
+    u64 n = 0;
+    for (const auto &[va, m] : model)
+        if (expectedSplit(m.bits,
+                          deviceBytesPerEntry(
+                              allocationHolding(c.allocations(), va).target))
+                .second > 0)
+            ++n;
+    return n;
+}
+
+/**
+ * Apply an op of @p kind at @p va, which @p c ran with result @p info,
+ * to @p model and check the result against it: a write's payload or a
+ * read's destination is @p bytes. The split, isZero, storedBits and
+ * codecPass follow from the model alone.
+ */
+void
+expectOpMatchesModel(const BuddyController &c, ReferenceModel &model,
+                     AccessKind kind, Addr va, const u8 *bytes,
+                     const AccessInfo &info, u64 op)
+{
+    if (kind == AccessKind::Write) {
+        EntryModel m;
+        m.data.assign(bytes, bytes + kEntryBytes);
+        m.bits = expectedStoredBits(c, bytes, &m.raw);
+        model[va] = m;
+    }
+    const auto it = model.find(va);
+    const EntryModel m = it == model.end() ? EntryModel{} : it->second;
+    if (kind == AccessKind::Read) {
+        EXPECT_EQ(std::memcmp(bytes, m.data.data(), kEntryBytes), 0)
+            << "op " << op;
+    }
+    // Writes of non-zero entries compress; reads and probes of
+    // compressed (not Raw) entries decompress.
+    EXPECT_EQ(info.codecPass,
+              m.bits != 0 && (kind == AccessKind::Write || !m.raw))
+        << "op " << op;
+    const u64 slot = deviceBytesPerEntry(
+        allocationHolding(c.allocations(), va).target);
+    const auto [device, buddy] = expectedSplit(m.bits, slot);
+    EXPECT_EQ(info.isZero, m.bits == 0) << "op " << op;
+    EXPECT_EQ(info.storedBits, m.bits) << "op " << op;
+    EXPECT_EQ(info.deviceSectors, device) << "op " << op;
+    EXPECT_EQ(info.buddySectors, buddy) << "op " << op;
+}
+
+const CompressionTarget kLifecycleTargets[] = {
+    CompressionTarget::MostlyZero, CompressionTarget::None,
+    CompressionTarget::Ratio2, CompressionTarget::Ratio4};
+
+/** Fill @p payload as a random write: zero, compressible, random, or
+ *  mostly zero (one small word). */
+void
+fillLifecyclePayload(Rng &rng, u8 *payload)
+{
+    std::memset(payload, 0, kEntryBytes);
+    switch (rng.below(4)) {
+      case 0: break; // zero
+      case 1: fillCompressible(rng, payload); break;
+      case 2: fillRandom(rng, payload); break;
+      default:
+        payload[rng.below(kEntryBytes)] = static_cast<u8>(1 + rng.below(255));
+        break;
+    }
+}
+
 /**
  * Random writes, rewrites, reads, probes, frees and re-allocations over
  * allocations of different targets, on a controller running @p codec.
@@ -264,17 +347,7 @@ checkRecordLifecycle(const char *codec)
     BuddyConfig cfg = smallConfig();
     cfg.codec = codec;
     BuddyController c(cfg);
-    const CompressionTarget targets[] = {CompressionTarget::MostlyZero,
-                                         CompressionTarget::None,
-                                         CompressionTarget::Ratio2,
-                                         CompressionTarget::Ratio4};
-    struct Model
-    {
-        std::vector<u8> data = std::vector<u8>(kEntryBytes, 0);
-        u32 bits = 0;
-        bool raw = false;
-    };
-    std::map<Addr, Model> model; // written entries of live allocations
+    ReferenceModel model;   // written entries of live allocations
     std::vector<Addr> live; // base addresses
 
     Rng rng(23);
@@ -284,23 +357,11 @@ checkRecordLifecycle(const char *codec)
         live.push_back(*id);
     };
     for (int i = 0; i < 3; ++i)
-        allocateOne(targets[i]);
-
-    const auto expectedOverflow = [&] {
-        u64 n = 0;
-        for (const auto &[va, m] : model)
-            if (expectedSplit(m.bits,
-                              deviceBytesPerEntry(
-                                  allocationHolding(c.allocations(), va)
-                                      .target))
-                    .second > 0)
-                ++n;
-        return n;
-    };
+        allocateOne(kLifecycleTargets[i]);
 
     u8 payload[kEntryBytes];
     u8 out[kEntryBytes];
-    for (int op = 0; op < 6000; ++op) {
+    for (u64 op = 0; op < 6000; ++op) {
         if (rng.below(500) == 0) {
             // Free one allocation and place a new one.
             const std::size_t k = rng.below(live.size());
@@ -309,55 +370,112 @@ checkRecordLifecycle(const char *codec)
                         model.lower_bound(a.va + a.bytes));
             c.free(live[k]);
             live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
-            allocateOne(targets[rng.below(4)]);
-            ASSERT_EQ(c.overflowEntries(), expectedOverflow()) << "op " << op;
+            allocateOne(kLifecycleTargets[rng.below(4)]);
+            ASSERT_EQ(c.overflowEntries(), expectedOverflow(c, model))
+                << "op " << op;
             continue;
         }
 
         const Allocation &a = c.allocations().at(live[rng.below(live.size())]);
         const Addr va = a.va + rng.below(a.entryCount()) * kEntryBytes;
-        const u64 slot = deviceBytesPerEntry(a.target);
         const u64 kind = rng.below(3);
-        AccessInfo info;
         if (kind == 0) {
-            std::memset(payload, 0, sizeof(payload));
-            switch (rng.below(4)) {
-              case 0: break; // zero
-              case 1: fillCompressible(rng, payload); break;
-              case 2: fillRandom(rng, payload); break;
-              default: // mostly zero: one small word
-                payload[rng.below(kEntryBytes)] =
-                    static_cast<u8>(1 + rng.below(255));
-                break;
-            }
-            Model m;
-            m.data.assign(payload, payload + kEntryBytes);
-            m.bits = expectedStoredBits(c, payload, &m.raw);
-            model[va] = m;
-            info = writeOne(c, va, payload);
+            fillLifecyclePayload(rng, payload);
+            expectOpMatchesModel(c, model, AccessKind::Write, va, payload,
+                                 writeOne(c, va, payload), op);
         } else if (kind == 1) {
-            info = readOne(c, va, out);
+            expectOpMatchesModel(c, model, AccessKind::Read, va, out,
+                                 readOne(c, va, out), op);
         } else {
-            info = probeOne(c, va);
+            expectOpMatchesModel(c, model, AccessKind::Probe, va, nullptr,
+                                 probeOne(c, va), op);
         }
-
-        const auto it = model.find(va);
-        const Model m = it == model.end() ? Model{} : it->second;
-        if (kind == 1) {
-            ASSERT_EQ(std::memcmp(out, m.data.data(), kEntryBytes), 0)
-                << "op " << op;
-        }
-        // Writes of non-zero entries compress; reads and probes of
-        // compressed (not Raw) entries decompress.
-        EXPECT_EQ(info.codecPass, m.bits != 0 && (kind == 0 || !m.raw))
+        ASSERT_EQ(c.overflowEntries(), expectedOverflow(c, model))
             << "op " << op;
-        const auto [device, buddy] = expectedSplit(m.bits, slot);
-        EXPECT_EQ(info.isZero, m.bits == 0) << "op " << op;
-        EXPECT_EQ(info.storedBits, m.bits) << "op " << op;
-        EXPECT_EQ(info.deviceSectors, device) << "op " << op;
-        EXPECT_EQ(info.buddySectors, buddy) << "op " << op;
-        ASSERT_EQ(c.overflowEntries(), expectedOverflow()) << "op " << op;
     }
+}
+
+/**
+ * The second write path: record random batches on an engine, most of
+ * whose rewrites repeat the entry's bytes, then replay the capture
+ * through a cursor on a controller running @p codec. The cursor marks
+ * those rewrites unchanged, and the controller keeps their stored
+ * encoding; every op's result and the overflow gauge after each batch
+ * must still match the reference model.
+ */
+void
+checkReplayedLifecycle(const char *codec)
+{
+    EngineConfig rcfg;
+    rcfg.shards = 2;
+    rcfg.shard = smallConfig();
+    ShardedEngine rec(rcfg);
+    TraceRecorderSink recorder;
+    rec.attachSink(&recorder);
+    std::vector<Addr> vas;
+    for (const CompressionTarget t : kLifecycleTargets) {
+        const auto id = rec.allocate("r", kPageBytes, t);
+        ASSERT_TRUE(id);
+        recorder.noteAllocation("r", *id, kPageBytes, t);
+        for (u64 e = 0; e < kPageBytes / kEntryBytes; ++e)
+            vas.push_back(*id + e * kEntryBytes);
+    }
+
+    Rng rng(29);
+    std::map<Addr, std::vector<u8>> held; // bytes each entry holds
+    std::vector<std::vector<u8>> payloads;
+    u8 out[kEntryBytes];
+    for (int b = 0; b < 100; ++b) {
+        AccessBatch batch;
+        payloads.clear();
+        payloads.reserve(64);
+        const u64 ops = 1 + rng.below(64);
+        for (u64 i = 0; i < ops; ++i) {
+            const Addr va = vas[rng.below(vas.size())];
+            const u64 kind = rng.below(3);
+            if (kind == 0) {
+                std::vector<u8> &bytes = held[va];
+                if (bytes.empty() || rng.below(3) == 0) {
+                    bytes.assign(kEntryBytes, 0);
+                    fillLifecyclePayload(rng, bytes.data());
+                }
+                payloads.push_back(bytes);
+                batch.write(va, payloads.back().data());
+            } else if (kind == 1) {
+                batch.read(va, out);
+            } else {
+                batch.probe(va);
+            }
+        }
+        rec.execute(batch);
+    }
+    rec.detachSink(&recorder);
+    TraceReplayer replayer;
+    replayer.loadImage(recorder.serialize());
+
+    BuddyConfig cfg = smallConfig();
+    cfg.codec = codec;
+    BuddyController c(cfg);
+    ReferenceModel model;
+    TraceCursor cursor(replayer, c);
+    AccessBatch plan;
+    std::vector<u8> read_buf;
+    u64 op = 0, marked = 0;
+    while (cursor.next(plan, read_buf)) {
+        c.execute(plan);
+        for (std::size_t i = 0; i < plan.size(); ++i, ++op) {
+            const AccessRequest &r = plan.ops()[i];
+            marked += r.unchanged;
+            expectOpMatchesModel(
+                c, model, r.kind, r.va,
+                r.kind == AccessKind::Write ? r.src : r.dst,
+                plan.result(i), op);
+        }
+        ASSERT_EQ(c.overflowEntries(), expectedOverflow(c, model))
+            << "op " << op;
+    }
+    EXPECT_EQ(op, replayer.opCount());
+    EXPECT_GT(marked, op / 10);
 }
 
 TEST(Controller, RecordLifecycleMatchesAReferenceModel)
@@ -365,6 +483,9 @@ TEST(Controller, RecordLifecycleMatchesAReferenceModel)
     for (const char *codec : {"bpc", "bdi", "fpc", "zero"}) {
         SCOPED_TRACE(codec);
         checkRecordLifecycle(codec);
+        if (HasFatalFailure())
+            return;
+        checkReplayedLifecycle(codec);
         if (HasFatalFailure())
             return;
     }

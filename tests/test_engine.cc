@@ -115,6 +115,88 @@ sameStats(const A &x, const B &y)
            a.codecChargedWindowCycles == b.codecChargedWindowCycles;
 }
 
+/** Writes of @p plan that carry the unchanged mark. */
+u64
+markedWrites(const AccessBatch &plan)
+{
+    return static_cast<u64>(std::count_if(
+        plan.ops().begin(), plan.ops().end(),
+        [](const AccessRequest &op) { return op.unchanged; }));
+}
+
+/** @p plan rebuilt op by op through the public builders, which leave
+ *  every unchanged mark clear. */
+AccessBatch
+withoutMarks(const AccessBatch &plan)
+{
+    AccessBatch out(plan.size());
+    for (const AccessRequest &op : plan.ops()) {
+        switch (op.kind) {
+          case AccessKind::Read:
+            out.read(op.va, op.dst);
+            break;
+          case AccessKind::Write:
+            out.write(op.va, op.src);
+            break;
+          case AccessKind::Probe:
+            out.probe(op.va);
+            break;
+        }
+    }
+    return out;
+}
+
+/**
+ * Replay @p replayer at 1 and 4 shards of @p cfg, once and twice over,
+ * each time on two fresh engines: one runs the cursor's plans, the
+ * other the same plans with every mark cleared. Every op's result,
+ * batch summary and read byte, and the overflow gauge, must match
+ * batch by batch; a second pass marks exactly what the first did.
+ * @return the marked writes of one pass.
+ */
+u64
+expectMarksChangeNothing(const TraceReplayer &replayer,
+                         EngineConfig cfg = engineConfig(1))
+{
+    u64 one_pass = 0;
+    for (unsigned shards : {1u, 4u}) {
+        for (unsigned repeat : {1u, 2u}) {
+            SCOPED_TRACE("shards " + std::to_string(shards) + " repeat " +
+                         std::to_string(repeat));
+            cfg.shards = shards;
+            ShardedEngine marked(cfg), cleared(cfg);
+            TraceCursor marked_cursor(replayer, marked, repeat);
+            TraceCursor cleared_cursor(replayer, cleared, repeat);
+            AccessBatch plan, copy;
+            std::vector<u8> marked_reads, cleared_reads;
+            u64 marks = 0, differing_ops = 0;
+            for (u64 b = 0; marked_cursor.next(plan, marked_reads); ++b) {
+                EXPECT_TRUE(cleared_cursor.next(copy, cleared_reads));
+                AccessBatch unmarked = withoutMarks(copy);
+                EXPECT_EQ(markedWrites(unmarked), 0u);
+                marks += markedWrites(plan);
+                const BatchSummary &m = marked.execute(plan);
+                const BatchSummary &c = cleared.execute(unmarked);
+                EXPECT_TRUE(m == c) << "batch " << b;
+                for (std::size_t i = 0; i < plan.size(); ++i)
+                    if (!sameInfo(plan.result(i), unmarked.result(i)))
+                        ++differing_ops;
+                EXPECT_EQ(marked_reads, cleared_reads) << "batch " << b;
+                EXPECT_EQ(marked.overflowEntries(),
+                          cleared.overflowEntries())
+                    << "batch " << b;
+            }
+            EXPECT_TRUE(cleared_cursor.done());
+            EXPECT_EQ(differing_ops, 0u);
+            EXPECT_TRUE(sameStats(marked, cleared));
+            if (shards == 1 && repeat == 1)
+                one_pass = marks;
+            EXPECT_EQ(marks, repeat * one_pass);
+        }
+    }
+    return one_pass;
+}
+
 TEST(ShardedEngine, MergedResultsMatchSingleControllerBitForBit)
 {
     // The engine and a plain controller execute the same plan; the
@@ -959,6 +1041,8 @@ TEST(Trace, ReplayReproducesRecordedTotals)
     EXPECT_EQ(replayer.batchCount(), recorder.totals().batches);
     EXPECT_EQ(replayer.allocations().size(), kAllocs);
     EXPECT_TRUE(replayer.recordedTotals().summary == recorder.totals().summary);
+    // Each entry is written once, so no write is marked unchanged.
+    EXPECT_EQ(expectMarksChangeNothing(replayer), 0u);
 
     // Identically-configured engine: every field reproduces, including
     // metadata hits (same per-shard access sequences).
@@ -1037,6 +1121,7 @@ TEST(ShardedEngine, CycleTotalsDeterministicAcrossShardingAndRuns)
 
     TraceReplayer replayer;
     replayer.loadImage(recorder.serialize());
+    EXPECT_EQ(expectMarksChangeNothing(replayer, remote1), 0u);
 
     // Two fresh 4-shard runs of the same trace.
     using ShardStats = std::pair<BatchSummary, u64>; // stats, overflow
@@ -1128,6 +1213,7 @@ TEST(ShardedEngine, WindowedTotalsShardInvariantAndReproducible)
 
     TraceReplayer replayer;
     replayer.loadImage(recorder.serialize());
+    EXPECT_EQ(expectMarksChangeNothing(replayer, windowed(1)), 0u);
 
     // 1-, 2-, and 4-shard replays (4-shard twice, for run-to-run).
     const auto run = [&](unsigned shards) {
@@ -1573,6 +1659,9 @@ TEST(Trace, UnchangedRewriteRecordsAReference)
         EXPECT_TRUE(replayed.summary == replayer.recordedTotals().summary);
         EXPECT_EQ(replayed.batches, replayer.recordedTotals().batches);
         EXPECT_EQ(replayed_reads, recorded_reads);
+        // Both of entry 1's repeats name its last payload, so both are
+        // marked; entry 0's write of entry 1's bytes is a payload.
+        EXPECT_EQ(expectMarksChangeNothing(replayer), 2u);
     }
 }
 
@@ -1646,7 +1735,264 @@ TEST(Trace, AllocationsNotedOutOfVaOrderReplay)
         EXPECT_TRUE(replayed.summary == replayer.recordedTotals().summary);
         EXPECT_EQ(replayed.batches, replayer.recordedTotals().batches);
         EXPECT_EQ(replayed_reads, recorded_reads);
+        EXPECT_EQ(expectMarksChangeNothing(replayer), 0u);
     }
+}
+
+TEST(Trace, MarkedReplayMatchesUnmarkedReplay)
+{
+    // The paper's DL snapshots: each snapshot writes every entry again,
+    // mostly with the bytes it already holds (temporal stability, fig8),
+    // sometimes with new bytes or zeros, with reads and probes between.
+    // Allocations of every kind of target give Raw and overflowing
+    // entries as well as compressed ones.
+    const CompressionTarget targets[] = {
+        CompressionTarget::Ratio2, CompressionTarget::None,
+        CompressionTarget::Ratio4, CompressionTarget::MostlyZero};
+    constexpr std::size_t kEntries = 128;
+    const auto pool = mixedEntries(64, 7);
+    const u8 zeros[kEntryBytes] = {};
+
+    ShardedEngine rec(engineConfig(4));
+    TraceRecorderSink recorder;
+    rec.attachSink(&recorder);
+    std::vector<Addr> vas;
+    for (const CompressionTarget t : targets) {
+        const auto id = rec.allocate("a", kEntries * kEntryBytes, t);
+        ASSERT_TRUE(id.has_value());
+        const EngineAllocation &ea = rec.allocations().at(*id);
+        recorder.noteAllocation(ea.name, ea.va, ea.bytes, ea.target);
+        for (std::size_t i = 0; i < kEntries; ++i)
+            vas.push_back(ea.va + i * kEntryBytes);
+    }
+
+    Rng rng(17);
+    std::vector<const u8 *> held(vas.size(), zeros);
+    u8 out[kEntryBytes];
+    AccessBatch batch;
+    for (unsigned snapshot = 0; snapshot < 6; ++snapshot) {
+        for (std::size_t e = 0; e < vas.size(); ++e) {
+            const u64 pick = rng.below(10);
+            if (snapshot == 0 || pick == 0)
+                held[e] = pool[rng.below(pool.size())].data();
+            else if (pick == 1)
+                held[e] = zeros;
+            batch.write(vas[e], held[e]);
+            if (rng.below(4) == 0)
+                batch.read(vas[rng.below(vas.size())], out);
+            if (rng.below(8) == 0)
+                batch.probe(vas[rng.below(vas.size())]);
+            if (batch.size() >= 97) {
+                rec.execute(batch);
+                batch.clear();
+            }
+        }
+        rec.execute(batch);
+        batch.clear();
+    }
+    rec.detachSink(&recorder);
+
+    TraceReplayer replayer;
+    replayer.loadImage(recorder.serialize());
+    // Most of the 5 x 512 rewrites repeat their entry's last payload.
+    EXPECT_GT(expectMarksChangeNothing(replayer), 2 * vas.size());
+}
+
+/**
+ * Load a hand-built image whose one batch holds @p records, over one
+ * page-sized Ratio2 allocation at entry 0, and replay it at 1 and 4
+ * shards. The cursor must mark exactly the ops @p marks names, and the
+ * reads must return @p reads in order. Marks must change nothing.
+ */
+void
+expectHandBuiltReplay(const std::vector<u8> &records,
+                      const std::vector<bool> &marks,
+                      const std::vector<const u8 *> &reads)
+{
+    std::vector<u8> image = {'B', 'D', 'Y', 'T', 5, 0x01, 0x00, 0x00};
+    const std::vector<u8> bytes = varint(kPageBytes);
+    image.insert(image.end(), bytes.begin(), bytes.end());
+    image.push_back(static_cast<u8>(CompressionTarget::Ratio2));
+    image.insert(image.end(), records.begin(), records.end());
+    const std::vector<u8> count = varint(marks.size());
+    image.push_back(0xFE);
+    image.insert(image.end(), count.begin(), count.end());
+    image.push_back(0xFF);
+    image.insert(image.end(), 16, 0x00); // footer totals (all zero)
+    TraceReplayer replayer;
+    replayer.loadImage(image);
+
+    for (unsigned shards : {1u, 4u}) {
+        SCOPED_TRACE("shards " + std::to_string(shards));
+        ShardedEngine eng(engineConfig(shards));
+        TraceCursor cursor(replayer, eng);
+        AccessBatch plan;
+        std::vector<u8> read_buf;
+        ASSERT_TRUE(cursor.next(plan, read_buf));
+        ASSERT_EQ(plan.size(), marks.size());
+        for (std::size_t i = 0; i < plan.size(); ++i)
+            EXPECT_EQ(plan.ops()[i].unchanged, marks[i]) << "op " << i;
+        // A wrong mark may abort the replay; report it instead.
+        if (::testing::Test::HasFailure())
+            return;
+        eng.execute(plan);
+        ASSERT_EQ(read_buf.size(), reads.size() * kEntryBytes);
+        for (std::size_t r = 0; r < reads.size(); ++r)
+            EXPECT_EQ(0, std::memcmp(read_buf.data() + r * kEntryBytes,
+                                     reads[r], kEntryBytes))
+                << "read " << r;
+    }
+    expectMarksChangeNothing(replayer);
+}
+
+/** Record builders for hand-built images: an op's tag and entry index,
+ *  then a payload record's 128 B or a repeat's distance @p k. */
+void
+putOp(std::vector<u8> &out, u8 tag, u64 entry)
+{
+    const std::vector<u8> idx = varint(entry);
+    out.push_back(tag);
+    out.insert(out.end(), idx.begin(), idx.end());
+}
+
+void
+putPayload(std::vector<u8> &out, u64 entry, const u8 *bytes)
+{
+    putOp(out, 0x01, entry);
+    out.insert(out.end(), bytes, bytes + kEntryBytes);
+}
+
+void
+putRepeat(std::vector<u8> &out, u64 entry, u64 k)
+{
+    const std::vector<u8> back = varint(k);
+    putOp(out, 0x41, entry);
+    out.insert(out.end(), back.begin(), back.end());
+}
+
+void
+putZeroWrite(std::vector<u8> &out, u64 entry)
+{
+    putOp(out, 0x11, entry);
+}
+
+void
+putRead(std::vector<u8> &out, u64 entry)
+{
+    putOp(out, 0x00, entry);
+}
+
+/** Two distinct non-zero entries for hand-built images. */
+struct TwoPayloads
+{
+    u8 a[kEntryBytes], b[kEntryBytes];
+
+    TwoPayloads()
+    {
+        for (std::size_t i = 0; i < kEntryBytes; ++i) {
+            a[i] = static_cast<u8>(i + 1);
+            b[i] = static_cast<u8>(3 * i + 7);
+        }
+    }
+};
+
+TEST(Trace, RepeatOfAnotherEntrysPayloadReplaysUnmarked)
+{
+    // The recorder never writes it, but a repeat may name any earlier
+    // payload record: entry 1 takes entry 0's bytes A by reference. It
+    // is not marked (entry 1 holds B), and it replays to A. Entry 1's
+    // next repeat of A, and entry 0's, are marked.
+    const TwoPayloads p;
+    std::vector<u8> records;
+    putPayload(records, 0, p.a); // payload record 0
+    putPayload(records, 1, p.b); // payload record 1
+    putRepeat(records, 1, 2);    // entry 1 <- A
+    putRepeat(records, 0, 2);    // entry 0 <- A again
+    putRepeat(records, 1, 2);    // entry 1 <- A again
+    putRead(records, 0);
+    putRead(records, 1);
+    expectHandBuiltReplay(records, {false, false, false, true, true, false,
+                                    false},
+                          {p.a, p.a});
+}
+
+TEST(Trace, RepeatAfterAZeroWriteReplaysUnmarked)
+{
+    // A zero write between a payload and its repeat leaves the entry
+    // zero, so the repeat must encode again; the one after it is marked.
+    const TwoPayloads p;
+    std::vector<u8> records;
+    putPayload(records, 0, p.a);
+    putZeroWrite(records, 0);
+    putRepeat(records, 0, 1);
+    putRead(records, 0);
+    putRepeat(records, 0, 1);
+    putRead(records, 0);
+    expectHandBuiltReplay(records, {false, false, false, false, true, false},
+                          {p.a, p.a});
+}
+
+TEST(Trace, RepeatOfAnAllZeroPayloadReplaysUnmarked)
+{
+    // The recorder writes an all-zero entry as a zero write, but an
+    // image may hold an all-zero payload record. The controller stores
+    // it as a zero entry, so no repeat of it is marked.
+    const u8 zeros[kEntryBytes] = {};
+    std::vector<u8> records;
+    putPayload(records, 0, zeros);
+    putRepeat(records, 0, 1);
+    putRepeat(records, 0, 1);
+    putRead(records, 0);
+    expectHandBuiltReplay(records, {false, false, false, false}, {zeros});
+}
+
+TEST(TraceDeath, MarkedWriteToAnEntryZeroedOutsideTheCursorDies)
+{
+    // A cursor's marks assume its batches are the only writes to its
+    // allocations. A zero write from outside voids them, and the next
+    // marked write to that entry fails fast instead of keeping a stale
+    // encoding.
+    std::vector<std::vector<u8>> entries(4, std::vector<u8>(kEntryBytes));
+    for (std::size_t e = 0; e < entries.size(); ++e)
+        for (std::size_t i = 0; i < kEntryBytes; ++i)
+            entries[e][i] = static_cast<u8>(e * 31 + i + 1);
+    ShardedEngine rec(engineConfig(1));
+    TraceRecorderSink recorder;
+    rec.attachSink(&recorder);
+    const auto id = rec.allocate("a", 4 * kEntryBytes,
+                                 CompressionTarget::Ratio2);
+    ASSERT_TRUE(id.has_value());
+    const EngineAllocation &ea = rec.allocations().at(*id);
+    recorder.noteAllocation(ea.name, ea.va, ea.bytes, ea.target);
+    AccessBatch w;
+    for (std::size_t e = 0; e < entries.size(); ++e)
+        w.write(*id + e * kEntryBytes, entries[e].data());
+    rec.execute(w);
+    rec.execute(w); // every write repeats its entry's bytes
+    rec.detachSink(&recorder);
+    TraceReplayer replayer;
+    replayer.loadImage(recorder.serialize());
+
+    const auto replay = [&](bool zero_outside) {
+        ShardedEngine eng(engineConfig(1));
+        TraceCursor cursor(replayer, eng);
+        AccessBatch plan;
+        std::vector<u8> read_buf;
+        ASSERT_TRUE(cursor.next(plan, read_buf));
+        eng.execute(plan);
+        if (zero_outside) {
+            const u8 zeros[kEntryBytes] = {};
+            AccessBatch outside;
+            outside.write(eng.allocations().begin()->first + kEntryBytes,
+                          zeros);
+            eng.execute(outside);
+        }
+        ASSERT_TRUE(cursor.next(plan, read_buf));
+        ASSERT_EQ(markedWrites(plan), entries.size());
+        eng.execute(plan);
+    };
+    replay(false);
+    EXPECT_DEATH(replay(true), "unchanged write to a zero entry");
 }
 
 TEST(Trace, SerializeCopiesTheStreamOnce)

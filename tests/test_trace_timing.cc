@@ -13,12 +13,14 @@
  * capture replays under either window mode and any W. Malformed
  * images, ops outside every recorded allocation, allocation tables too
  * large for the op table, version bytes other than the current one,
- * and paths that are not regular files die with a diagnostic.
+ * and paths that are not regular files die with a diagnostic; an
+ * allocation far larger than its image loads without marks.
  */
 
 #include <gtest/gtest.h>
 
 #include <initializer_list>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -741,6 +743,53 @@ TEST(TraceCorruption, AllocationBeyondEntryOffsetsDies)
     EXPECT_EQ(replayer.allocations().at(0).bytes, max_bytes);
     EXPECT_DEATH(loadBytes(allocationsOnly(1, max_bytes + 1)),
                  "trace allocation exceeds the op table's entry offsets");
+}
+
+/** A cursor target that hands out base addresses and backs none: a
+ *  cursor over it shows the plans, marks included, of any image. */
+struct AddressOnlyTarget
+{
+    Addr next = 0;
+
+    std::optional<Addr>
+    allocate(const std::string &, u64 bytes, CompressionTarget)
+    {
+        const Addr va = next;
+        next += (bytes + kEntryBytes - 1) / kEntryBytes * kEntryBytes;
+        return va;
+    }
+};
+
+TEST(TraceCorruption, HugeAllocationGetsNoMarkState)
+{
+    // Marking unchanged writes keeps a slot per entry of each written
+    // allocation, bounded by the image's size, not by the declared one.
+    // One allocation of 2^32 entries (the largest that loads) with a
+    // payload and a repeat of it gets no slots, so the repeat loads
+    // unmarked and would just encode; the same ops on a one-entry
+    // allocation mark it.
+    for (const u64 bytes : {(u64{1} << 32) * kEntryBytes, u64{kEntryBytes}}) {
+        SCOPED_TRACE("bytes " + std::to_string(bytes));
+        std::vector<u8> image = {'B', 'D', 'Y', 'T', 5, 0x01, 0x00, 0x00};
+        appendVarint(image, bytes);
+        image.push_back(static_cast<u8>(CompressionTarget::Ratio2));
+        image.insert(image.end(), {0x01, 0x00}); // write of entry 0
+        image.insert(image.end(), kEntryBytes, 0xA5);
+        image.insert(image.end(), {0x41, 0x00, 0x01}); // repeat of it
+        image.insert(image.end(), {0xFE, 0x02, 0xFF});
+        image.insert(image.end(), 16, 0x00); // footer totals (all zero)
+
+        TraceReplayer replayer;
+        replayer.loadImage(image);
+        AddressOnlyTarget target;
+        TraceCursor cursor(replayer, target);
+        AccessBatch plan;
+        std::vector<u8> read_buf;
+        ASSERT_TRUE(cursor.next(plan, read_buf));
+        ASSERT_EQ(plan.size(), 2u);
+        EXPECT_FALSE(plan.ops()[0].unchanged);
+        EXPECT_EQ(plan.ops()[1].unchanged, bytes == kEntryBytes);
+    }
 }
 
 } // namespace
