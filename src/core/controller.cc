@@ -321,41 +321,49 @@ BuddyController::execute(AccessBatch &batch)
     return run(batch, true);
 }
 
+AccessInfo
+BuddyController::runOp(const AccessRequest &op, BatchSummary &summary,
+                       bool timed)
+{
+    AccessInfo info = executeOp(op, summary);
+    if (timed)
+        windowOp(op.kind, info, windows_, summary, probes_.windowOccupancy,
+                 probes_.windowStall);
+    return info;
+}
+
+void
+BuddyController::closeBatch(const BatchSummary &summary)
+{
+    if (probes_.active) {
+        probes_.batches->add();
+        probes_.reads->add(summary.reads);
+        probes_.writes->add(summary.writes);
+        probes_.probes->add(summary.probes);
+        probes_.metadataHits->add(summary.metadataHits);
+        probes_.metadataMisses->add(summary.metadataMisses);
+        probes_.buddyAccesses->add(summary.buddyAccesses);
+        if (probes_.batchMakespan != nullptr)
+            probes_.batchMakespan->add(summary.combinedWindowCycles);
+    }
+    stats_.accumulate(summary);
+}
+
 const BatchSummary &
 BuddyController::run(AccessBatch &batch, bool timed)
 {
     batch.results_.clear();
     batch.results_.reserve(batch.ops_.size());
     batch.summary_ = BatchSummary{};
-    BatchSummary &sum = batch.summary_;
 
-    // The functional pass.
-    for (const AccessRequest &op : batch.ops_)
-        batch.results_.push_back(executeOp(op, sum));
-    if (probes_.active) {
-        probes_.batches->add();
-        probes_.reads->add(sum.reads);
-        probes_.writes->add(sum.writes);
-        probes_.probes->add(sum.probes);
-        probes_.metadataHits->add(sum.metadataHits);
-        probes_.metadataMisses->add(sum.metadataMisses);
-        probes_.buddyAccesses->add(sum.buddyAccesses);
-    }
-
-    if (timed) {
-        // The timing pass: the batch is the latency-overlap scope, so
-        // it starts from reset windows.
+    // The batch is the latency-overlap scope, so its timing starts from
+    // reset windows.
+    if (timed)
         windows_.reset();
-        const bool sample =
-            probes_.active && probes_.windowOccupancy != nullptr;
-        windowBatch(batch.ops_, batch.results_, windows_, sum,
-                    sample ? probes_.windowOccupancy : nullptr,
-                    sample ? probes_.windowStall : nullptr);
-        if (sample)
-            probes_.batchMakespan->add(sum.combinedWindowCycles);
-    }
-    stats_.accumulate(sum);
-    return sum;
+    for (const AccessRequest &op : batch.ops_)
+        batch.results_.push_back(runOp(op, batch.summary_, timed));
+    closeBatch(batch.summary_);
+    return batch.summary_;
 }
 
 } // namespace buddy

@@ -25,9 +25,9 @@
  *
  * The access surface is execute(AccessBatch&): submit a plan of
  * read/write/probe spans, get one AccessInfo per operation plus a
- * batch-level BatchSummary. execute() runs two passes: the functional
- * pass (codec, metadata, stores; it charges no time) and then one
- * timing pass over the batch (core/window_pass.h), which writes the
+ * batch-level BatchSummary. execute() runs each op's functional pass
+ * (codec, metadata, stores; it charges no time) and then times the op
+ * through the batch's windows (core/window_pass.h), adding to the
  * batch's cycle totals from the traffic the functional pass recorded
  * (an AccessInfo is a traffic record; time is batch-level). Every
  * batch reuses the controller's CompressionScratch, so the path
@@ -71,9 +71,9 @@ namespace buddy {
  *             order traffic once, through a single window pair — the
  *             single-GPU equivalent of the plan. The default.
  *   PerShard  N GPUs: each shard owns its own MSHR pool over its own
- *             links (each shard's execute() windows its sub-plan),
- *             with a cross-shard barrier at batch completion — the
- *             batch's windowed totals are the max over the
+ *             links (each op is windowed through its own shard's
+ *             group), with a cross-shard barrier at batch completion —
+ *             the batch's windowed totals are the max over the
  *             participating shards' makespans.
  *
  * At one shard the two modes are bit-identical (tests pin this); both
@@ -201,8 +201,8 @@ class BuddyController
      *
      * Fills batch.results() with one AccessInfo per planned operation
      * (in plan order) and batch.summary() with the batch-level traffic
-     * totals: the functional pass over every op, then one timing pass
-     * over the batch. The hot path performs no per-entry heap
+     * totals: each op's functional pass, then its timing through the
+     * batch's windows. The hot path performs no per-entry heap
      * allocations.
      *
      * @return the batch summary (also retained in the batch).
@@ -278,8 +278,8 @@ class BuddyController
     /** The constructor, given the configured codec's table row. */
     BuddyController(const BuddyConfig &cfg, const api::CodecInfo &codec);
 
-    // Under WindowMode::Merged the engine runs its shards untimed and
-    // windows the merged batch itself.
+    // The engine runs ops on its shards through runOp()/closeBatch();
+    // under WindowMode::Merged it windows them through shard 0's group.
     friend class engine::ShardedEngine;
 
     /** Where one entry lives: its record and its two payload slots. */
@@ -315,10 +315,18 @@ class BuddyController
     /**
      * Execute one planned operation's functional pass: codec, metadata
      * and stores. Updates @p summary (cycle fields excepted) and
-     * returns the op's result, codecPass included; timing and
-     * emission are run()'s.
+     * returns the op's result, codecPass included.
      */
     AccessInfo executeOp(const AccessRequest &op, BatchSummary &summary);
+
+    /** One op of run(): executeOp(), then, when @p timed, windowOp()
+     *  through windows_ (reset per batch) and the window probes. */
+    AccessInfo runOp(const AccessRequest &op, BatchSummary &summary,
+                     bool timed);
+
+    /** End a batch run through runOp(): fold @p summary into the
+     *  probes and stats_. */
+    void closeBatch(const BatchSummary &summary);
 
     /**
      * Stable-address metric objects resolved once by attachProbes(),

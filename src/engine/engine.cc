@@ -11,7 +11,7 @@ namespace buddy {
 namespace engine {
 
 ShardedEngine::ShardedEngine(const EngineConfig &cfg)
-    : cfg_(cfg), subs_(cfg.shards)
+    : cfg_(cfg), sums_(cfg.shards)
 {
     BUDDY_CHECK(cfg.shards > 0, "engine needs at least one shard");
     shards_.reserve(cfg.shards);
@@ -128,72 +128,57 @@ ShardedEngine::execute(AccessBatch &batch)
 {
     batch.submitSeq_ = nextSeq_++;
     const std::size_t n = batch.ops_.size();
-    batch.results_.assign(n, AccessInfo{});
-    batch.summary_ = BatchSummary{};
-
-    // Split the plan: one sub-plan per participating shard, ops kept in
-    // submission order with shard-local addresses. Runs of ops mostly
-    // stay inside one allocation, so the last lookup is reused while it
-    // covers the address. The previous batch's sub-plans are cleared,
-    // not freed, so they keep their capacity.
-    for (const unsigned s : active_) {
-        subs_[s].plan.clear();
-        subs_[s].origIdx.clear();
-    }
+    batch.results_.clear();
+    batch.results_.reserve(n);
+    for (const unsigned s : active_)
+        sums_[s] = BatchSummary{};
     active_.clear();
+
+    // Run each op in place on its shard, in submission order: each
+    // entry's buddy slot is fixed (paper Section 3.3), so no shard's
+    // state depends on another's. Runs of ops mostly stay inside one
+    // allocation, so the last lookup is reused while it covers the
+    // address. Under PerShard each op is windowed through its shard's
+    // group, reset at the shard's first op of the batch. Under Merged
+    // the shards run untimed and the batch is windowed once, after the
+    // loop, through shard 0's group, reset per batch: the single-GPU
+    // equivalent of the batch, so the charges do not depend on the
+    // sharding.
+    const bool perShard = cfg_.shard.windowMode == WindowMode::PerShard;
+    timing::WindowGroup &group = shards_[0]->windows_;
+    BatchSummary merged;
     const EngineAllocation *a = nullptr;
-    for (std::size_t i = 0; i < n; ++i) {
-        const AccessRequest &op = batch.ops_[i];
+    for (const AccessRequest &op : batch.ops_) {
         if (a == nullptr || !a->contains(op.va))
             a = &allocationHolding(allocs_, op.va);
-        SubPlan &sp = subs_[a->shard];
-        if (sp.origIdx.empty())
+        BuddyController &shard = *shards_[a->shard];
+        BatchSummary &sum = sums_[a->shard];
+        if (sum.operations() == 0) {
             active_.push_back(a->shard);
+            if (perShard)
+                shard.windows_.reset();
+        }
         AccessRequest local = op;
         local.va = a->shardVa + (op.va - a->va);
-        sp.plan.ops_.push_back(local);
-        sp.origIdx.push_back(static_cast<u32>(i));
+        batch.results_.push_back(shard.runOp(local, sum, perShard));
     }
-
-    // Run each sub-plan on its shard, then scatter per-op results back
-    // into submission order and fold the per-shard summaries (u64
-    // sums, so the merge is order-independent and bit-identical to a
-    // single-controller run of the same plan). Under Merged the shards
-    // run only the functional pass; the batch is windowed once, below.
-    const bool perShard = cfg_.shard.windowMode == WindowMode::PerShard;
-    BatchSummary merged;
-    for (const unsigned s : active_) {
-        SubPlan &sp = subs_[s];
-        shards_[s]->run(sp.plan, perShard);
-        merged.accumulate(sp.plan.summary_);
-        for (std::size_t j = 0; j < sp.origIdx.size(); ++j)
-            batch.results_[sp.origIdx[j]] = sp.plan.results_[j];
-    }
-
-    // Observability feeds of the merged timing pass: occupancy/stall
-    // samples go to the registry's histograms, and the windows' peak
-    // concurrency goes to the BatchRecord.
-    u64 maxDevOut = 0;
-    u64 maxBudOut = 0;
-
     if (!perShard) {
-        // The shards ran only the functional pass (cycle totals 0), so
-        // this is the batch's one timing pass: the submission-order
-        // traffic through one window group — the single-GPU equivalent
-        // of the batch. Per-op traffic is a pure function of the plan,
-        // so the charges are identical under any sharding and bit-
-        // identical to a single controller executing the same plan
-        // (every shard runs the same timing config). Shard 0 ran
-        // untimed, so its window group is free to reset and reuse.
-        timing::WindowGroup &group = shards_[0]->windows_;
         group.reset();
         windowBatch(batch.ops_, batch.results_, group, merged,
                     probes_.windowOccupancy, probes_.windowStall);
-        maxDevOut = group.device().maxOutstanding();
-        maxBudOut = group.buddy().maxOutstanding();
-    } else if (!active_.empty()) {
-        // Per-shard window mode: each shard windowed its own sub-plan
-        // over its own links (one MSHR pool per GPU), and the serial
+    }
+
+    // Close each shard's batch and fold the shard summaries into the
+    // merged one (u64 sums, so the fold is order-independent and
+    // bit-identical to a single-controller run of the same plan).
+    for (const unsigned s : active_) {
+        shards_[s]->closeBatch(sums_[s]);
+        merged.accumulate(sums_[s]);
+    }
+
+    if (perShard && !active_.empty()) {
+        // Per-shard window mode: each shard windowed its own ops over
+        // its own links (one MSHR pool per GPU), and the serial
         // and codec totals folded above stand. The batch completes at a
         // cross-shard barrier, so its windowed totals are the max over
         // the participating shards' makespans, not the sum folded
@@ -210,7 +195,7 @@ ShardedEngine::execute(AccessBatch &batch)
         merged.combinedWindowCycles = 0;
         merged.codecChargedWindowCycles = 0;
         for (const unsigned shard : active_) {
-            const BatchSummary &s = subs_[shard].plan.summary_;
+            const BatchSummary &s = sums_[shard];
             merged.deviceWindowCycles =
                 std::max(merged.deviceWindowCycles, s.deviceWindowCycles);
             merged.buddyWindowCycles =
@@ -265,21 +250,23 @@ ShardedEngine::execute(AccessBatch &batch)
         rec.seq = batch.submitSeq_;
         rec.tenant = batch.tenant();
         rec.summary = merged;
-        rec.maxDeviceOutstanding = maxDevOut;
-        rec.maxBuddyOutstanding = maxBudOut;
+        // The merged windows' peak concurrency (none under PerShard).
+        rec.maxDeviceOutstanding =
+            perShard ? 0 : group.device().maxOutstanding();
+        rec.maxBuddyOutstanding =
+            perShard ? 0 : group.buddy().maxOutstanding();
         rec.shards.clear();
         for (unsigned s = 0; s < shardCount(); ++s) {
-            const SubPlan &sp = subs_[s];
-            if (sp.origIdx.empty())
+            const BatchSummary &sum = sums_[s];
+            if (sum.operations() == 0)
                 continue;
             obs::BatchRecord::ShardSpan span;
             span.shard = s;
-            span.ops = sp.plan.ops_.size();
+            span.ops = sum.operations();
             // Under Merged every span carries the batch's one (merged)
             // makespan.
-            span.combinedCycles = perShard
-                                      ? sp.plan.summary_.combinedWindowCycles
-                                      : merged.combinedWindowCycles;
+            span.combinedCycles = perShard ? sum.combinedWindowCycles
+                                           : merged.combinedWindowCycles;
             rec.shards.push_back(span);
         }
         observer_->onBatchComplete(rec);

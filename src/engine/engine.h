@@ -12,20 +12,19 @@
  * (WindowMode::PerShard gives the N-GPU makespan, the peer ring models
  * NVLink peers), and every batch runs on the calling thread.
  *
- * Execution: execute(AccessBatch&) splits the plan by shard into one
- * sub-plan per participating shard, runs each sub-plan on its shard,
- * merges the per-op AccessInfo back into submission order and folds
- * the per-shard summaries into one BatchSummary. Under
- * WindowMode::Merged it then runs the batch's one windowed timing
- * pass. Last it publishes the finished batch: the per-tenant and
- * metric accounting, the BatchRecord, and the batch itself, handed to
- * the attached sink (api/traffic_sink.h). Each sub-plan
- * touches only its own shard, and the merge does not depend on the
- * order the sub-plans run in.
+ * Execution: execute(AccessBatch&) runs each op of the plan in place
+ * on its shard, in submission order, translating its address to the
+ * shard's, and writes the op's AccessInfo straight into the batch.
+ * Under WindowMode::PerShard each op is windowed through its own
+ * shard's group as it runs; under Merged the batch is windowed once,
+ * through one group. The per-shard summaries fold into one
+ * BatchSummary. Last it publishes the finished
+ * batch: the per-tenant and metric accounting, the BatchRecord, and the
+ * batch itself, handed to the attached sink (api/traffic_sink.h).
  *
- * Determinism: each shard sees its sub-plan's operations in submission
- * order. Shard assignment hashes the allocation ordinal with a fixed
- * salt (EngineConfig::shardSalt) and per-shard RNG seeds derive from
+ * Determinism: each shard sees its operations in submission order.
+ * Shard assignment hashes the allocation ordinal with a fixed salt
+ * (EngineConfig::shardSalt) and per-shard RNG seeds derive from
  * EngineConfig::seed, so runs are reproducible run-to-run. Cross-shard
  * traffic totals — including the serial link and codec cycle charges,
  * which are pure per-operation functions of the traffic — are
@@ -208,7 +207,7 @@ splitmix64(u64 x)
  *
  * Owns `shards` BuddyControllers. Addresses handed to execute() are
  * engine-global virtual addresses returned by allocate(); the engine
- * translates them to shard-local addresses when splitting a plan.
+ * translates each to its shard's address as the op runs.
  */
 class ShardedEngine
 {
@@ -236,7 +235,7 @@ class ShardedEngine
     /**
      * Execute a batched access plan on the calling thread.
      *
-     * The plan is split by shard and each shard runs its sub-plan. On
+     * Each op runs in place on its shard, in submission order. On
      * return, batch.results() holds one AccessInfo per operation in
      * submission order and batch.summary() the merged cross-shard
      * totals (also the return value). The engine keeps no reference to
@@ -244,17 +243,18 @@ class ShardedEngine
      *
      * Windowed timing (BuddyConfig::windowMode) runs once per batch.
      * Under the default Merged mode the shards run only the functional
-     * pass; after the merge the engine windows the merged submission-
-     * order traffic (BuddyConfig::linkWindow) through one WindowGroup,
-     * shard 0's, reset per batch — the single-GPU equivalent of the
-     * plan — so the per-op and summary *WindowCycles fields do not
-     * depend on the shard count, exactly like the serial cycle totals
-     * (tests/test_engine.cc pins this). Under PerShard mode each shard
-     * windows its own sub-plan (N GPUs, one MSHR pool each), those
-     * per-op charges stand, and the summary window fields carry the max
-     * over the participating shards — the N-GPU makespan behind a
-     * cross-shard barrier; still reproducible run-to-run, and
-     * bit-identical to Merged at one shard.
+     * pass and the engine then windows the batch's traffic
+     * (BuddyConfig::linkWindow), in submission order, through one
+     * WindowGroup, shard 0's, reset per batch — the
+     * single-GPU equivalent of the plan — so the per-op and summary
+     * *WindowCycles fields do not depend on the shard count, exactly
+     * like the serial cycle totals (tests/test_engine.cc pins this).
+     * Under PerShard mode each op is windowed through its own shard's
+     * group as it runs (N GPUs, one MSHR pool each), those charges stand,
+     * and the summary window fields carry the max over the
+     * participating shards — the N-GPU makespan behind a cross-shard
+     * barrier; still reproducible run-to-run, and bit-identical to
+     * Merged at one shard.
      */
     const BatchSummary &execute(AccessBatch &batch);
 
@@ -354,8 +354,8 @@ class ShardedEngine
      * is the fold of every finished batch's summary. Traffic fields
      * equal the shard sums; the seven cycle fields are the engine's
      * per-batch ones. Under WindowMode::Merged they come from the
-     * merged submission-order stream's one timing pass (the shards'
-     * own cycle totals stay 0); under WindowMode::PerShard the serial
+     * batch's one submission-order timing pass (the shards' own cycle
+     * totals stay 0); under WindowMode::PerShard the serial
      * fields are the shard sums and the *WindowCycles fields the
      * max-over-shards (N-GPU) makespans. Metadata hits/misses are
      * per-shard cache state, so they depend on the shard count.
@@ -410,13 +410,6 @@ class ShardedEngine
     const EngineConfig &config() const { return cfg_; }
 
   private:
-    /** One shard's slice of the batch being executed. */
-    struct SubPlan
-    {
-        AccessBatch plan;           ///< shard-local (translated) ops
-        std::vector<u32> origIdx;   ///< submission index of each op
-    };
-
     /**
      * Stable-address metric objects resolved once by attachMetrics();
      * folded into at the end of every execute(). Window
@@ -439,10 +432,10 @@ class ShardedEngine
     std::vector<std::unique_ptr<BuddyController>> shards_;
     TrafficSink *sink_ = nullptr;
 
-    /** Split storage, reused by every execute(): cleared sub-plans
-     *  keep their capacity between batches. */
-    std::vector<SubPlan> subs_;    ///< one per shard, by shard index
-    std::vector<unsigned> active_; ///< shards in use, first-seen order
+    /** Per-shard state of the batch being executed, reused by every
+     *  execute(). */
+    std::vector<BatchSummary> sums_; ///< one per shard, by shard index
+    std::vector<unsigned> active_;   ///< shards in use, first-seen order
 
     std::map<u32, TraceTotals> tenantTotals_;
     WindowImbalanceStats imbalance_;

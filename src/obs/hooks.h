@@ -48,7 +48,7 @@ struct BatchRecord
 
         /**
          * Under WindowMode::PerShard: the shard's own combined windowed
-         * makespan for its sub-plan; the batch barrier waits for the
+         * makespan for its ops of the batch; the barrier waits for the
          * max of these. Under Merged the shards window nothing, and
          * every span carries the batch's merged makespan.
          */

@@ -176,17 +176,11 @@ jsonEscape(const std::string &s)
 
 namespace {
 
-/** True when @p name passes the options' subtree filters. */
+/** True when @p name passes the options' subtree filter. */
 bool
 exported(const std::string &name, const JsonExportOptions &opts)
 {
-    if (!opts.includeWall &&
-        name.compare(0, 5, kWallPrefix) == 0)
-        return false;
-    if (!opts.prefix.empty() &&
-        name.compare(0, opts.prefix.size(), opts.prefix) != 0)
-        return false;
-    return true;
+    return opts.includeWall || name.compare(0, 5, kWallPrefix) != 0;
 }
 
 } // namespace

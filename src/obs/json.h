@@ -92,9 +92,6 @@ struct JsonExportOptions
      * ones allowed to differ run-to-run.
      */
     bool includeWall = false;
-
-    /** When nonempty, export only names with this prefix. */
-    std::string prefix;
 };
 
 /**

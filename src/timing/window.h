@@ -40,12 +40,12 @@
  * are themselves a pure function of the scheduled request stream, and
  * reset() returns a window to its freshly constructed state, so a
  * window reset per batch yields the same totals as a new one. One
- * scheduler feeds the windows: windowBatch() (core/window_pass.h),
- * which issues a batch's submission-order stream once per GPU boundary
- * — called by BuddyController::execute and, under WindowMode::Merged,
- * by ShardedEngine over the merged batch — and writes the batch's
- * cycle totals, so they are independent of sharding and thread
- * scheduling.
+ * scheduler feeds the windows: windowOp() (core/window_pass.h),
+ * which issues a batch's submission-order stream op by op, once per
+ * GPU boundary — called by BuddyController::execute and by
+ * ShardedEngine, through windowBatch() under WindowMode::Merged — and
+ * writes the batch's cycle totals, so they are independent of sharding
+ * and thread scheduling.
  *
  * WindowGroup (below) schedules one access stream over a *pair* of
  * windows — the device link and the buddy link run in parallel — and

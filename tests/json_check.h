@@ -1,14 +1,19 @@
 /**
  * @file
- * jsonValid(): a strict syntax check of a complete JSON document, for
- * tests of the JSON the library emits (objects, arrays, strings with
- * escapes, numbers, literals; no trailing garbage).
+ * Helpers for tests of the JSON the library emits: jsonValid(), a
+ * strict syntax check of a complete JSON document (objects, arrays,
+ * strings with escapes, numbers, literals; no trailing garbage), and
+ * withPrefix(), which narrows a metric snapshot to one subtree before
+ * it is exported.
  */
 
 #pragma once
 
 #include <cctype>
+#include <iterator>
 #include <string>
+
+#include "obs/metrics.h"
 
 namespace buddy {
 namespace testutil {
@@ -205,6 +210,22 @@ jsonValid(const std::string &text)
         return false;
     parser.skipWs();
     return parser.p == parser.end;
+}
+
+/** @p snap with only the names that start with @p prefix. */
+inline obs::MetricSnapshot
+withPrefix(obs::MetricSnapshot snap, const std::string &prefix)
+{
+    const auto narrow = [&](auto &byName) {
+        for (auto it = byName.begin(); it != byName.end();)
+            it = it->first.compare(0, prefix.size(), prefix) == 0
+                     ? std::next(it)
+                     : byName.erase(it);
+    };
+    narrow(snap.counters);
+    narrow(snap.gauges);
+    narrow(snap.histograms);
+    return snap;
 }
 
 } // namespace testutil

@@ -16,6 +16,7 @@
 #include "core/controller.h"
 #include "engine/engine.h"
 #include "engine/trace.h"
+#include "obs/hooks.h"
 
 namespace buddy {
 namespace {
@@ -80,14 +81,13 @@ probeOne(BuddyController &c, Addr va)
  *  entry, the codec's encoded size, or a raw entry's when it does not
  *  fit. */
 u32
-expectedStoredBits(const BuddyController &c, const u8 *data, bool *raw)
+expectedStoredBits(const Compressor &codec, const u8 *data, bool *raw)
 {
     *raw = false;
     if (entryIsZero(data))
         return 0;
     CompressionScratch scratch;
-    const std::size_t bits =
-        c.codec().compressInto(data, scratch.encode, scratch);
+    const std::size_t bits = codec.compressInto(data, scratch.encode, scratch);
     *raw = bits > kEntryBytes * 8;
     return *raw ? kEntryBytes * 8 : static_cast<u32>(bits);
 }
@@ -221,12 +221,12 @@ TEST(Controller, RewritesCycleThroughEveryEncoding)
         u64 overflow;
     };
     bool raw = false;
-    const u32 smooth_bits = expectedStoredBits(c, smooth, &raw);
+    const u32 smooth_bits = expectedStoredBits(c.codec(), smooth, &raw);
     ASSERT_FALSE(raw);
     ASSERT_GT(smooth_bits, 0u);
     ASSERT_LE(smooth_bits, 64u * 8); // fits the 2x device slot
     const unsigned smooth_sectors = expectedSplit(smooth_bits, 64).first;
-    expectedStoredBits(c, noise, &raw);
+    expectedStoredBits(c.codec(), noise, &raw);
     ASSERT_TRUE(raw);
 
     const Step steps[] = {
@@ -263,9 +263,23 @@ struct EntryModel
 };
 using ReferenceModel = std::map<Addr, EntryModel>;
 
+/** The codec a controller or an engine's shards compress with. */
+const Compressor &
+codecOf(const BuddyController &c)
+{
+    return c.codec();
+}
+
+const Compressor &
+codecOf(const ShardedEngine &eng)
+{
+    return eng.shard(0).codec();
+}
+
 /** The overflow gauge @p model implies for @p c's allocations. */
+template <typename Target>
 u64
-expectedOverflow(const BuddyController &c, const ReferenceModel &model)
+expectedOverflow(const Target &c, const ReferenceModel &model)
 {
     u64 n = 0;
     for (const auto &[va, m] : model)
@@ -278,20 +292,22 @@ expectedOverflow(const BuddyController &c, const ReferenceModel &model)
 }
 
 /**
- * Apply an op of @p kind at @p va, which @p c ran with result @p info,
- * to @p model and check the result against it: a write's payload or a
- * read's destination is @p bytes. The split, isZero, storedBits and
- * codecPass follow from the model alone.
+ * Apply an op of @p kind at @p va, which @p c (a controller or an
+ * engine) ran with result @p info, to @p model and check the result
+ * against it: a write's payload or a read's destination is @p bytes.
+ * The split, isZero, storedBits and codecPass follow from the model
+ * alone.
  */
+template <typename Target>
 void
-expectOpMatchesModel(const BuddyController &c, ReferenceModel &model,
+expectOpMatchesModel(const Target &c, ReferenceModel &model,
                      AccessKind kind, Addr va, const u8 *bytes,
                      const AccessInfo &info, u64 op)
 {
     if (kind == AccessKind::Write) {
         EntryModel m;
         m.data.assign(bytes, bytes + kEntryBytes);
-        m.bits = expectedStoredBits(c, bytes, &m.raw);
+        m.bits = expectedStoredBits(codecOf(c), bytes, &m.raw);
         model[va] = m;
     }
     const auto it = model.find(va);
@@ -336,63 +352,91 @@ fillLifecyclePayload(Rng &rng, u8 *payload)
 
 /**
  * Random writes, rewrites, reads, probes, frees and re-allocations over
- * allocations of different targets, on a controller running @p codec.
- * Every op's result and the overflow gauge must match a reference model
- * that keeps each entry's payload and derives the Figure 4 split from
- * the codec's encoded size.
+ * allocations of different targets, run on @p t (a controller or an
+ * engine) in batches of 1 to @p maxBatchOps ops; a free ends the batch
+ * before it. The op stream does not depend on the batching. Every op's
+ * result and, after each batch and each free, the overflow gauge must
+ * match a reference model that keeps each entry's payload and derives
+ * the Figure 4 split from the codec's encoded size.
  */
+template <typename Target>
 void
-checkRecordLifecycle(const char *codec)
+checkRecordLifecycle(Target &t, u64 maxBatchOps)
 {
-    BuddyConfig cfg = smallConfig();
-    cfg.codec = codec;
-    BuddyController c(cfg);
     ReferenceModel model;   // written entries of live allocations
     std::vector<Addr> live; // base addresses
 
     Rng rng(23);
-    const auto allocateOne = [&](CompressionTarget t) {
-        const auto id = c.allocate("r", 2 * kPageBytes, t);
+    Rng sizes(31); // batch sizes, apart from the op stream
+    const auto allocateOne = [&](CompressionTarget target) {
+        const auto id = t.allocate("r", 2 * kPageBytes, target);
         ASSERT_TRUE(id);
         live.push_back(*id);
     };
     for (int i = 0; i < 3; ++i)
         allocateOne(kLifecycleTargets[i]);
 
-    u8 payload[kEntryBytes];
-    u8 out[kEntryBytes];
-    for (u64 op = 0; op < 6000; ++op) {
+    // Each op of a batch writes from, or reads into, its own slot.
+    std::vector<u8> slots(maxBatchOps * kEntryBytes);
+    AccessBatch batch;
+    u64 batchOps = 0;
+    u64 op = 0;
+    const auto runBatch = [&] {
+        if (batch.size() == 0)
+            return;
+        t.execute(batch);
+        const u64 first = op - batch.size();
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+            const AccessRequest &r = batch.ops()[i];
+            expectOpMatchesModel(
+                t, model, r.kind, r.va,
+                r.kind == AccessKind::Write ? r.src : r.dst,
+                batch.result(i), first + i);
+        }
+        ASSERT_EQ(t.overflowEntries(), expectedOverflow(t, model))
+            << "op " << op;
+        batch.clear();
+    };
+
+    while (op < 6000) {
         if (rng.below(500) == 0) {
             // Free one allocation and place a new one.
+            runBatch();
             const std::size_t k = rng.below(live.size());
-            const Allocation &a = c.allocations().at(live[k]);
+            const auto &a = t.allocations().at(live[k]);
             model.erase(model.lower_bound(a.va),
                         model.lower_bound(a.va + a.bytes));
-            c.free(live[k]);
+            t.free(live[k]);
             live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
             allocateOne(kLifecycleTargets[rng.below(4)]);
-            ASSERT_EQ(c.overflowEntries(), expectedOverflow(c, model))
+            ASSERT_EQ(t.overflowEntries(), expectedOverflow(t, model))
                 << "op " << op;
+            ++op;
             continue;
         }
 
-        const Allocation &a = c.allocations().at(live[rng.below(live.size())]);
-        const Addr va = a.va + rng.below(a.entryCount()) * kEntryBytes;
+        if (batch.size() == 0)
+            batchOps = 1 + sizes.below(maxBatchOps);
+        const auto &a = t.allocations().at(live[rng.below(live.size())]);
+        const Addr va =
+            a.va + rng.below(a.bytes / kEntryBytes) * kEntryBytes;
+        u8 *slot = &slots[batch.size() * kEntryBytes];
         const u64 kind = rng.below(3);
         if (kind == 0) {
-            fillLifecyclePayload(rng, payload);
-            expectOpMatchesModel(c, model, AccessKind::Write, va, payload,
-                                 writeOne(c, va, payload), op);
+            fillLifecyclePayload(rng, slot);
+            batch.write(va, slot);
         } else if (kind == 1) {
-            expectOpMatchesModel(c, model, AccessKind::Read, va, out,
-                                 readOne(c, va, out), op);
+            batch.read(va, slot);
         } else {
-            expectOpMatchesModel(c, model, AccessKind::Probe, va, nullptr,
-                                 probeOne(c, va), op);
+            batch.probe(va);
         }
-        ASSERT_EQ(c.overflowEntries(), expectedOverflow(c, model))
-            << "op " << op;
+        ++op;
+        if (batch.size() == batchOps)
+            runBatch();
+        if (::testing::Test::HasFatalFailure())
+            return;
     }
+    runBatch();
 }
 
 /**
@@ -482,13 +526,57 @@ TEST(Controller, RecordLifecycleMatchesAReferenceModel)
 {
     for (const char *codec : {"bpc", "bdi", "fpc", "zero"}) {
         SCOPED_TRACE(codec);
-        checkRecordLifecycle(codec);
+        BuddyConfig cfg = smallConfig();
+        cfg.codec = codec;
+        BuddyController c(cfg);
+        checkRecordLifecycle(c, 1);
         if (HasFatalFailure())
             return;
         checkReplayedLifecycle(codec);
         if (HasFatalFailure())
             return;
     }
+}
+
+TEST(ShardedEngine, RecordLifecycleMatchesAReferenceModel)
+{
+    // The controller leg's op stream, in batches of 1 to 64 ops, through
+    // an engine that runs each op in place on its shard: a mistranslated
+    // address or a result written to the wrong slot of the batch breaks
+    // the model, which shares only the codec's encoded size with src/.
+    struct MultiShardBatches : obs::BatchObserver
+    {
+        u64 count = 0;
+        void
+        onBatchComplete(const obs::BatchRecord &r) override
+        {
+            count += r.shards.size() > 1;
+        }
+    };
+    for (const char *codec : {"bpc", "bdi", "fpc", "zero"})
+        for (const unsigned shards : {1u, 4u})
+            for (const WindowMode mode :
+                 {WindowMode::Merged, WindowMode::PerShard}) {
+                SCOPED_TRACE(::testing::Message()
+                             << codec << " " << shards << " shards "
+                             << (mode == WindowMode::Merged ? "Merged"
+                                                            : "PerShard"));
+                EngineConfig cfg;
+                cfg.shards = shards;
+                cfg.shard = smallConfig();
+                cfg.shard.codec = codec;
+                cfg.shard.windowMode = mode;
+                ShardedEngine eng(cfg);
+                MultiShardBatches multi;
+                eng.setBatchObserver(&multi);
+                checkRecordLifecycle(eng, 64);
+                if (HasFatalFailure())
+                    return;
+                // The batches span allocations on different shards.
+                if (shards > 1) {
+                    EXPECT_GT(multi.count, 0u);
+                }
+            }
 }
 
 TEST(Controller, CompressibleEntryStaysOnDevice)

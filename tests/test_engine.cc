@@ -404,10 +404,9 @@ TEST(ShardedEngine, EventStreamMatchesSingleController)
 TEST(ShardedEngine, EachBatchIsWindowedOnce)
 {
     // Under Merged the shards run only the functional pass and the
-    // engine windows the merged batch once: no shard holds window
-    // totals or window metrics, and the results still equal a
-    // standalone controller's. Under PerShard each shard windows its
-    // own sub-plan.
+    // engine windows the batch once: no shard holds window totals or
+    // window metrics, and the results still equal a standalone
+    // controller's. Under PerShard each shard windows its own ops.
     const auto entries = mixedEntries(kN, 77);
     const auto configure = [](BuddyConfig &cfg, WindowMode mode) {
         cfg.buddyBackend = "remote";
@@ -813,13 +812,15 @@ shardSetSequence(Target &t, std::size_t other, std::size_t again,
             << "entry " << i;
 }
 
-TEST(ShardedEngine, RecycledSubPlansMatchSingleControllerAcrossShardSets)
+TEST(ShardedEngine, ShardSetChangesMatchSingleControllerInBothWindowModes)
 {
-    // The engine's sub-plans are reused across batches. A sub-plan
-    // left over from an earlier batch, or a stale address lookup after
-    // free(), would show up as a result that differs from a single
-    // controller running the same plans, or as a shard span with no
-    // ops of this batch.
+    // The engine's per-shard batch state (summaries, the shards in use,
+    // the window groups) is reused across batches. State left over
+    // from an earlier batch, or a stale address lookup after free(),
+    // would show up as a result that differs from a single controller
+    // running the same plans, or as a shard span with no ops of this
+    // batch. Under PerShard the window totals are per-shard makespans,
+    // so there each batch's Plan rows must match.
     std::vector<unsigned> shardOf;
     {
         ShardedEngine placement(engineConfig(4));
@@ -839,27 +840,46 @@ TEST(ShardedEngine, RecycledSubPlansMatchSingleControllerAcrossShardSets)
     BuddyController single(singleConfig());
     shardSetSequence(single, other, again, want, wantSums);
 
-    ShardedEngine eng(engineConfig(4));
-    BatchLog log;
-    eng.setBatchObserver(&log);
-    std::vector<AccessInfo> got;
-    std::vector<BatchSummary> gotSums;
-    shardSetSequence(eng, other, again, got, gotSums);
-    for (const obs::BatchRecord &rec : log.records) {
-        u64 ops = 0;
-        for (const obs::BatchRecord::ShardSpan &span : rec.shards) {
-            EXPECT_GT(span.ops, 0u) << "batch " << rec.seq;
-            ops += span.ops;
+    for (const WindowMode mode : {WindowMode::Merged, WindowMode::PerShard}) {
+        const bool merged = mode == WindowMode::Merged;
+        SCOPED_TRACE(merged ? "Merged" : "PerShard");
+        EngineConfig cfg = engineConfig(4);
+        cfg.shard.windowMode = mode;
+        ShardedEngine eng(cfg);
+        BatchLog log;
+        eng.setBatchObserver(&log);
+        std::vector<AccessInfo> got;
+        std::vector<BatchSummary> gotSums;
+        shardSetSequence(eng, other, again, got, gotSums);
+        for (const obs::BatchRecord &rec : log.records) {
+            u64 ops = 0;
+            for (const obs::BatchRecord::ShardSpan &span : rec.shards) {
+                EXPECT_GT(span.ops, 0u) << "batch " << rec.seq;
+                ops += span.ops;
+            }
+            EXPECT_EQ(ops, rec.summary.operations()) << "batch " << rec.seq;
         }
-        EXPECT_EQ(ops, rec.summary.operations()) << "batch " << rec.seq;
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i)
+            ASSERT_TRUE(sameInfo(got[i], want[i])) << "op " << i;
+        ASSERT_EQ(gotSums.size(), wantSums.size());
+        for (std::size_t b = 0; b < wantSums.size(); ++b) {
+            if (merged) {
+                EXPECT_TRUE(gotSums[b] == wantSums[b]) << "batch " << b;
+                continue;
+            }
+            for (const SummaryField &f : kSummaryFields) {
+                if (f.kind == SummaryFieldKind::Plan) {
+                    EXPECT_EQ(gotSums[b].*f.member, wantSums[b].*f.member)
+                        << "batch " << b << " " << f.metric;
+                }
+            }
+        }
+        if (merged) {
+            EXPECT_TRUE(sameStats(eng, single));
+        }
+        EXPECT_EQ(eng.overflowEntries(), single.overflowEntries());
     }
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < want.size(); ++i)
-        ASSERT_TRUE(sameInfo(got[i], want[i])) << "op " << i;
-    ASSERT_EQ(gotSums.size(), wantSums.size());
-    for (std::size_t b = 0; b < wantSums.size(); ++b)
-        EXPECT_TRUE(gotSums[b] == wantSums[b]) << "batch " << b;
-    EXPECT_TRUE(sameStats(eng, single));
 }
 
 TEST(ShardedEngine, ShardSpansAscendAndNoneGoStale)

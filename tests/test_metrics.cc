@@ -4,7 +4,7 @@
  * export (obs/json.h): log2-bucket boundaries, deterministic percentile
  * estimates, exact histogram merges, snapshots, registry
  * get-or-create semantics, and byte-stable exportJson output (including
- * the wall-subtree and prefix filters).
+ * the wall-subtree filter and the export of a narrowed snapshot).
  */
 
 #include <gtest/gtest.h>
@@ -175,12 +175,12 @@ TEST(ExportJson, ByteStableAndValid)
     EXPECT_TRUE(jsonValid(jw));
     EXPECT_NE(jw.find("wall/engine/queue_depth"), std::string::npos);
 
-    // The prefix filter narrows the export.
-    JsonExportOptions onlySim;
-    onlySim.prefix = "sim/engine/";
-    const std::string js = exportJson(a, onlySim);
+    // A snapshot narrowed to one subtree exports only that subtree.
+    const std::string js =
+        exportJson(testutil::withPrefix(a.snapshot(), "sim/engine/"));
     EXPECT_TRUE(jsonValid(js));
     EXPECT_NE(js.find("sim/engine/batches"), std::string::npos);
+    EXPECT_EQ(js.find("wall/"), std::string::npos);
 }
 
 TEST(JsonWriter, EscapesAndValidates)

@@ -81,11 +81,11 @@ recordWorkload()
     return recorder.serialize();
 }
 
-/** Replay the trace on a @p cfg engine with metrics; export @p opts. */
+/** Replay the trace on a @p cfg engine with metrics; export the
+ *  deterministic names under @p prefix (all of them when empty). */
 std::string
 replayExport(const engine::TraceReplayer &trace, const EngineConfig &cfg,
-             const obs::JsonExportOptions &opts,
-             std::string *chromeJson = nullptr)
+             const std::string &prefix, std::string *chromeJson = nullptr)
 {
     ShardedEngine eng(cfg);
     obs::MetricRegistry registry;
@@ -96,7 +96,8 @@ replayExport(const engine::TraceReplayer &trace, const EngineConfig &cfg,
     trace.replay(eng);
     if (chromeJson != nullptr)
         *chromeJson = sink.toJson();
-    return obs::exportJson(registry, opts);
+    return obs::exportJson(
+        testutil::withPrefix(registry.snapshot(), prefix));
 }
 
 TEST(ObsDeterminism, SimSubtreeIsByteIdenticalAcrossShardCounts)
@@ -104,8 +105,7 @@ TEST(ObsDeterminism, SimSubtreeIsByteIdenticalAcrossShardCounts)
     engine::TraceReplayer trace;
     trace.loadImage(recordWorkload());
 
-    obs::JsonExportOptions simOnly;
-    simOnly.prefix = obs::kSimPrefix;
+    const std::string simOnly = obs::kSimPrefix;
 
     const std::string at1 = replayExport(trace, engineConfig(1), simOnly);
     const std::string at2 = replayExport(trace, engineConfig(2), simOnly);
@@ -127,8 +127,7 @@ TEST(ObsDeterminism, SimSubtreeShardInvariantUnderExplicitCodecTiming)
     engine::TraceReplayer trace;
     trace.loadImage(recordWorkload());
 
-    obs::JsonExportOptions simOnly;
-    simOnly.prefix = obs::kSimPrefix;
+    const std::string simOnly = obs::kSimPrefix;
 
     // A deliberately slow unit (well past the registry defaults), so
     // the codec-charged makespan visibly diverges from the combined
@@ -182,9 +181,8 @@ TEST(ObsDeterminism, FullDeterministicExportReproducesRunToRun)
 
     // Everything except wall/ — including the shard/ subtree, which is
     // sharding-*dependent* but still deterministic run-to-run.
-    const obs::JsonExportOptions all;
-    const std::string runA = replayExport(trace, engineConfig(4), all);
-    const std::string runB = replayExport(trace, engineConfig(4), all);
+    const std::string runA = replayExport(trace, engineConfig(4), "");
+    const std::string runB = replayExport(trace, engineConfig(4), "");
     EXPECT_EQ(runA, runB);
     EXPECT_NE(runA.find("shard/s0/"), std::string::npos);
     // Nothing under wall/ reaches the deterministic export (the engine
@@ -197,8 +195,7 @@ TEST(ObsDeterminism, ChromeTraceIsValidAndByteStable)
     engine::TraceReplayer trace;
     trace.loadImage(recordWorkload());
 
-    obs::JsonExportOptions simOnly;
-    simOnly.prefix = obs::kSimPrefix;
+    const std::string simOnly = obs::kSimPrefix;
     std::string traceA, traceB;
     replayExport(trace, engineConfig(4), simOnly, &traceA);
     replayExport(trace, engineConfig(4), simOnly, &traceB);
