@@ -218,34 +218,40 @@ struct SummaryField
     const char *metric;
     u64 BatchSummary::*member;
     SummaryFieldKind kind;
+    bool timed; ///< written by the timing pass: 0 after an untimed run
 };
 
 /**
  * Every BatchSummary field, in declaration order. The one list of the
- * fields: accumulate(), operator==, the trace footer, the engine's
- * metrics and service::isolationEqual() all loop over it.
+ * fields: accumulate(), operator==, the trace footer, the engine's and
+ * its shards' metrics and service::isolationEqual() all loop over it.
  */
 inline constexpr SummaryField kSummaryFields[] = {
-    {"reads", &BatchSummary::reads, SummaryFieldKind::Plan},
-    {"writes", &BatchSummary::writes, SummaryFieldKind::Plan},
-    {"probes", &BatchSummary::probes, SummaryFieldKind::Plan},
-    {"device_sectors", &BatchSummary::deviceSectors, SummaryFieldKind::Plan},
-    {"buddy_sectors", &BatchSummary::buddySectors, SummaryFieldKind::Plan},
-    {"metadata_hits", &BatchSummary::metadataHits, SummaryFieldKind::Cache},
+    {"reads", &BatchSummary::reads, SummaryFieldKind::Plan, false},
+    {"writes", &BatchSummary::writes, SummaryFieldKind::Plan, false},
+    {"probes", &BatchSummary::probes, SummaryFieldKind::Plan, false},
+    {"device_sectors", &BatchSummary::deviceSectors,
+     SummaryFieldKind::Plan, false},
+    {"buddy_sectors", &BatchSummary::buddySectors,
+     SummaryFieldKind::Plan, false},
+    {"metadata_hits", &BatchSummary::metadataHits,
+     SummaryFieldKind::Cache, false},
     {"metadata_misses", &BatchSummary::metadataMisses,
-     SummaryFieldKind::Cache},
-    {"buddy_accesses", &BatchSummary::buddyAccesses, SummaryFieldKind::Plan},
-    {"device_cycles", &BatchSummary::deviceCycles, SummaryFieldKind::Plan},
-    {"buddy_cycles", &BatchSummary::buddyCycles, SummaryFieldKind::Plan},
+     SummaryFieldKind::Cache, false},
+    {"buddy_accesses", &BatchSummary::buddyAccesses,
+     SummaryFieldKind::Plan, false},
+    {"device_cycles", &BatchSummary::deviceCycles,
+     SummaryFieldKind::Plan, true},
+    {"buddy_cycles", &BatchSummary::buddyCycles, SummaryFieldKind::Plan, true},
     {"device_window_cycles", &BatchSummary::deviceWindowCycles,
-     SummaryFieldKind::Window},
+     SummaryFieldKind::Window, true},
     {"buddy_window_cycles", &BatchSummary::buddyWindowCycles,
-     SummaryFieldKind::Window},
+     SummaryFieldKind::Window, true},
     {"combined_window_cycles", &BatchSummary::combinedWindowCycles,
-     SummaryFieldKind::Window},
-    {"codec_cycles", &BatchSummary::codecCycles, SummaryFieldKind::Plan},
+     SummaryFieldKind::Window, true},
+    {"codec_cycles", &BatchSummary::codecCycles, SummaryFieldKind::Plan, true},
     {"codec_charged_window_cycles", &BatchSummary::codecChargedWindowCycles,
-     SummaryFieldKind::Window},
+     SummaryFieldKind::Window, true},
 };
 
 static_assert(sizeof(BatchSummary) == sizeof(u64) * std::size(kSummaryFields),

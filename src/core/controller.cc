@@ -164,22 +164,13 @@ BuddyController::attachProbes(obs::MetricRegistry &registry,
                               const std::string &prefix, bool timed)
 {
     probes_.active = true;
-    probes_.batches = &registry.counter(prefix + "batches");
-    probes_.reads = &registry.counter(prefix + "reads");
-    probes_.writes = &registry.counter(prefix + "writes");
-    probes_.probes = &registry.counter(prefix + "probes");
     probes_.writesZero = &registry.counter(prefix + "writes_zero");
     probes_.writesCompressed =
         &registry.counter(prefix + "writes_compressed");
     probes_.writesRaw = &registry.counter(prefix + "writes_raw");
-    probes_.metadataHits = &registry.counter(prefix + "metadata_hits");
-    probes_.metadataMisses = &registry.counter(prefix + "metadata_misses");
-    probes_.buddyAccesses = &registry.counter(prefix + "buddy_accesses");
     probes_.storedBits = &registry.histogram(prefix + "stored_bits");
     if (!timed)
         return;
-    probes_.batchMakespan =
-        &registry.histogram(prefix + "batch_combined_makespan");
     probes_.windowOccupancy =
         &registry.histogram(prefix + "window_occupancy");
     probes_.windowStall = &registry.histogram(prefix + "window_stall");
@@ -332,23 +323,6 @@ BuddyController::runOp(const AccessRequest &op, BatchSummary &summary,
     return info;
 }
 
-void
-BuddyController::closeBatch(const BatchSummary &summary)
-{
-    if (probes_.active) {
-        probes_.batches->add();
-        probes_.reads->add(summary.reads);
-        probes_.writes->add(summary.writes);
-        probes_.probes->add(summary.probes);
-        probes_.metadataHits->add(summary.metadataHits);
-        probes_.metadataMisses->add(summary.metadataMisses);
-        probes_.buddyAccesses->add(summary.buddyAccesses);
-        if (probes_.batchMakespan != nullptr)
-            probes_.batchMakespan->add(summary.combinedWindowCycles);
-    }
-    stats_.accumulate(summary);
-}
-
 const BatchSummary &
 BuddyController::run(AccessBatch &batch, bool timed)
 {
@@ -362,7 +336,7 @@ BuddyController::run(AccessBatch &batch, bool timed)
         windows_.reset();
     for (const AccessRequest &op : batch.ops_)
         batch.results_.push_back(runOp(op, batch.summary_, timed));
-    closeBatch(batch.summary_);
+    stats_.accumulate(batch.summary_);
     return batch.summary_;
 }
 

@@ -278,8 +278,8 @@ class BuddyController
     /** The constructor, given the configured codec's table row. */
     BuddyController(const BuddyConfig &cfg, const api::CodecInfo &codec);
 
-    // The engine runs ops on its shards through runOp()/closeBatch();
-    // under WindowMode::Merged it windows them through shard 0's group.
+    // The engine runs its shards' ops through runOp(), folds their
+    // summaries into stats_ and, under Merged, windows shard 0's group.
     friend class engine::ShardedEngine;
 
     /** Where one entry lives: its record and its two payload slots. */
@@ -292,15 +292,14 @@ class BuddyController
     };
 
     /**
-     * Register this controller's metrics under @p prefix in @p registry
-     * and update them as batches execute: operation and metadata
-     * hit/miss counters (added once per batch, from its summary),
-     * codec-outcome counters (writes_zero / writes_compressed /
-     * writes_raw), the stored-bits histogram and, only when @p timed,
-     * the batch-makespan, window-occupancy and window-stall histograms.
-     * Every value is simulated-time state; the sharded engine, the only
-     * caller, registers each shard under "shard/s<k>/" (per-shard cache
-     * state).
+     * Register this controller's metrics that its batch summary does
+     * not carry under @p prefix in @p registry and update them as ops
+     * execute: the codec-outcome counters (writes_zero /
+     * writes_compressed / writes_raw), the stored-bits histogram and,
+     * only when @p timed, the window-occupancy and window-stall
+     * histograms. The sharded engine, the only caller, registers each
+     * shard under "shard/s<k>/", next to that shard's summary counters,
+     * which it folds itself.
      *
      * The registry must outlive the controller. Call with no batch in
      * flight.
@@ -324,29 +323,17 @@ class BuddyController
     AccessInfo runOp(const AccessRequest &op, BatchSummary &summary,
                      bool timed);
 
-    /** End a batch run through runOp(): fold @p summary into the
-     *  probes and stats_. */
-    void closeBatch(const BatchSummary &summary);
-
     /**
      * Stable-address metric objects resolved once by attachProbes(),
-     * so the hot path updates them without a name lookup. Inactive
+     * for the per-op values no BatchSummary field carries. Inactive
      * (all-null) until attached.
      */
     struct MetricProbes
     {
         bool active = false;
-        obs::Counter *batches = nullptr;
-        obs::Counter *reads = nullptr;
-        obs::Counter *writes = nullptr;
-        obs::Counter *probes = nullptr;
         obs::Counter *writesZero = nullptr;
         obs::Counter *writesCompressed = nullptr;
         obs::Counter *writesRaw = nullptr;
-        obs::Counter *metadataHits = nullptr;
-        obs::Counter *metadataMisses = nullptr;
-        obs::Counter *buddyAccesses = nullptr;
-        obs::LatencyHistogram *batchMakespan = nullptr;
         obs::LatencyHistogram *storedBits = nullptr;
         obs::LatencyHistogram *windowOccupancy = nullptr;
         obs::LatencyHistogram *windowStall = nullptr;

@@ -79,6 +79,36 @@ ShardedEngine::free(Addr va)
 }
 
 void
+ShardedEngine::SummaryProbes::attach(obs::MetricRegistry &registry,
+                                     const std::string (&prefix)[3],
+                                     bool timed)
+{
+    const auto under = [&](SummaryFieldKind kind) {
+        return prefix[static_cast<u8>(kind)];
+    };
+    batches = &registry.counter(under(SummaryFieldKind::Plan) + "batches");
+    for (std::size_t i = 0; i < std::size(kSummaryFields); ++i) {
+        const SummaryField &f = kSummaryFields[i];
+        if (timed || !f.timed)
+            fields[i] = &registry.counter(under(f.kind) + f.metric);
+    }
+    if (timed)
+        makespan = &registry.histogram(under(SummaryFieldKind::Window) +
+                                       "batch_combined_makespan");
+}
+
+void
+ShardedEngine::SummaryProbes::fold(const BatchSummary &s) const
+{
+    batches->add();
+    for (std::size_t i = 0; i < std::size(kSummaryFields); ++i)
+        if (fields[i] != nullptr)
+            fields[i]->add(s.*kSummaryFields[i].member);
+    if (makespan != nullptr)
+        makespan->add(s.combinedWindowCycles);
+}
+
+void
 ShardedEngine::attachMetrics(obs::MetricRegistry &registry)
 {
     const bool mergedMode = cfg_.shard.windowMode == WindowMode::Merged;
@@ -91,36 +121,26 @@ ShardedEngine::attachMetrics(obs::MetricRegistry &registry)
     // are the N-GPU barrier makespans, which depend on the sharding by
     // design.
     const std::string wp = mergedMode ? "sim/engine/" : "shard/engine/";
-    for (std::size_t i = 0; i < std::size(kSummaryFields); ++i) {
-        const SummaryField &f = kSummaryFields[i];
-        const std::string prefix =
-            f.kind == SummaryFieldKind::Window ? wp
-            : f.kind == SummaryFieldKind::Cache ? "shard/engine/"
-                                                 : "sim/engine/";
-        probes_.fields[i] = &registry.counter(prefix + f.metric);
-    }
-    probes_.batches = &registry.counter("sim/engine/batches");
+    probes_.merged.attach(registry, {"sim/engine/", "shard/engine/", wp},
+                          true);
     probes_.batchOps = &registry.histogram("sim/engine/batch_ops");
-    probes_.batchMakespan =
-        &registry.histogram(wp + "batch_combined_makespan");
     if (mergedMode) {
         probes_.windowOccupancy =
             &registry.histogram("sim/engine/window_occupancy");
         probes_.windowStall =
             &registry.histogram("sim/engine/window_stall");
-    } else {
-        // The shards' own controller metrics carry occupancy/stall in
-        // per-shard mode (each shard is its own MSHR pool).
-        probes_.windowOccupancy = nullptr;
-        probes_.windowStall = nullptr;
     }
 
-    // Each shard controller's own view (codec outcomes, its cache's
-    // hits and, under PerShard, its own windows): reproducible,
-    // sharding-dependent. Under Merged the shards window nothing.
-    for (unsigned s = 0; s < shardCount(); ++s)
-        shards_[s]->attachProbes(registry, strfmt("shard/s%u/", s),
+    // Each shard's own view under shard/s<k>/, sharding-dependent: the
+    // summary rows its runs write (no timed row under Merged, where the
+    // shards run untimed) and its controller's own metrics.
+    probes_.shards.assign(shardCount(), SummaryProbes{});
+    for (unsigned s = 0; s < shardCount(); ++s) {
+        const std::string prefix = strfmt("shard/s%u/", s);
+        probes_.shards[s].attach(registry, {prefix, prefix, prefix},
                                  !mergedMode);
+        shards_[s]->attachProbes(registry, prefix, !mergedMode);
+    }
 }
 
 const BatchSummary &
@@ -168,11 +188,13 @@ ShardedEngine::execute(AccessBatch &batch)
                     probes_.windowOccupancy, probes_.windowStall);
     }
 
-    // Close each shard's batch and fold the shard summaries into the
-    // merged one (u64 sums, so the fold is order-independent and
+    // Fold each shard's summary into its totals, its probes and the
+    // merged summary (u64 sums, so the fold is order-independent and
     // bit-identical to a single-controller run of the same plan).
     for (const unsigned s : active_) {
-        shards_[s]->closeBatch(sums_[s]);
+        shards_[s]->stats_.accumulate(sums_[s]);
+        if (probes_.active)
+            probes_.shards[s].fold(sums_[s]);
         merged.accumulate(sums_[s]);
     }
 
@@ -190,23 +212,17 @@ ShardedEngine::execute(AccessBatch &batch)
         // Imbalance inputs: Σ and min of the shards' makespans.
         const u64 sum_makespan = merged.combinedWindowCycles;
         u64 min_makespan = ~0ull;
-        merged.deviceWindowCycles = 0;
-        merged.buddyWindowCycles = 0;
-        merged.combinedWindowCycles = 0;
-        merged.codecChargedWindowCycles = 0;
-        for (const unsigned shard : active_) {
-            const BatchSummary &s = sums_[shard];
-            merged.deviceWindowCycles =
-                std::max(merged.deviceWindowCycles, s.deviceWindowCycles);
-            merged.buddyWindowCycles =
-                std::max(merged.buddyWindowCycles, s.buddyWindowCycles);
-            merged.combinedWindowCycles = std::max(
-                merged.combinedWindowCycles, s.combinedWindowCycles);
-            merged.codecChargedWindowCycles =
-                std::max(merged.codecChargedWindowCycles,
-                         s.codecChargedWindowCycles);
-            min_makespan = std::min(min_makespan, s.combinedWindowCycles);
+        for (const SummaryField &f : kSummaryFields) {
+            if (f.kind != SummaryFieldKind::Window)
+                continue;
+            merged.*f.member = 0;
+            for (const unsigned shard : active_)
+                merged.*f.member =
+                    std::max(merged.*f.member, sums_[shard].*f.member);
         }
+        for (const unsigned shard : active_)
+            min_makespan =
+                std::min(min_makespan, sums_[shard].combinedWindowCycles);
 
         // The spread between the shards' makespans is the per-batch GPU
         // load-imbalance signal (the barrier waits for the max).
@@ -237,10 +253,7 @@ ShardedEngine::execute(AccessBatch &batch)
     tenantTotals_[batch.tenant()].add(merged);
 
     if (probes_.active) {
-        probes_.batches->add();
-        for (std::size_t i = 0; i < std::size(kSummaryFields); ++i)
-            probes_.fields[i]->add(merged.*kSummaryFields[i].member);
-        probes_.batchMakespan->add(merged.combinedWindowCycles);
+        probes_.merged.fold(merged);
         probes_.batchOps->add(n);
     }
 

@@ -299,10 +299,15 @@ class ShardedEngine
      *   shard/...      reproducible run-to-run but sharding-dependent:
      *                  the Cache fields and, under PerShard mode, the
      *                  engine's N-GPU Window fields and makespan under
-     *                  shard/engine/; each shard controller's own
-     *                  metrics under shard/s<k>/ (under Merged the
-     *                  shards window nothing, so shard/s<k>/ has no
-     *                  window metrics).
+     *                  shard/engine/; under shard/s<k>/ each shard's
+     *                  batch count and summary counters, folded by the
+     *                  same code as the engine's, next to its
+     *                  controller's codec outcomes and stored bits.
+     *                  A shard registers only the rows its runs write:
+     *                  under PerShard every row plus its makespan and
+     *                  window histograms; under Merged the shards run
+     *                  untimed, so no timed row (SummaryField::timed)
+     *                  and no window metric.
      *
      * The registry must outlive the engine.
      */
@@ -410,19 +415,32 @@ class ShardedEngine
     const EngineConfig &config() const { return cfg_; }
 
   private:
-    /**
-     * Stable-address metric objects resolved once by attachMetrics();
-     * folded into at the end of every execute(). Window
-     * histogram pointers stay null under WindowMode::PerShard (the
-     * shards' own controller metrics carry those there).
-     */
+    /** The counters a batch's BatchSummary folds into: the engine's
+     *  merged one or one shard's. fields[i] counts kSummaryFields[i]
+     *  and is null when that row is not registered; makespan is null
+     *  when the summary is untimed. */
+    struct SummaryProbes
+    {
+        obs::Counter *batches = nullptr;
+        obs::Counter *fields[std::size(kSummaryFields)] = {};
+        obs::LatencyHistogram *makespan = nullptr;
+
+        /** Register the batch count and each row under the prefix of
+         *  its SummaryFieldKind, @p prefix[kind]; the timed rows and
+         *  the makespan only when @p timed. */
+        void attach(obs::MetricRegistry &registry,
+                    const std::string (&prefix)[3], bool timed);
+        void fold(const BatchSummary &s) const; ///< count one batch
+    };
+
+    /** Stable-address metric objects resolved once by attachMetrics()
+     *  and updated by every execute(). Under PerShard the window
+     *  histograms stay null: the shards' controllers carry them. */
     struct EngineProbes
     {
         bool active = false;
-        obs::Counter *batches = nullptr;
-        /** One counter per kSummaryFields row, in table order. */
-        obs::Counter *fields[std::size(kSummaryFields)] = {};
-        obs::LatencyHistogram *batchMakespan = nullptr;
+        SummaryProbes merged;
+        std::vector<SummaryProbes> shards; ///< by shard index
         obs::LatencyHistogram *batchOps = nullptr;
         obs::LatencyHistogram *windowOccupancy = nullptr; // Merged only
         obs::LatencyHistogram *windowStall = nullptr;     // Merged only

@@ -470,10 +470,12 @@ TEST(ShardedEngine, EachBatchIsWindowedOnce)
                     std::string::npos;
             EXPECT_GT(st.writes, 0u) << "shard " << s;
             if (mode == WindowMode::Merged) {
-                EXPECT_EQ(st.deviceWindowCycles, 0u) << "shard " << s;
-                EXPECT_EQ(st.buddyWindowCycles, 0u) << "shard " << s;
-                EXPECT_EQ(st.combinedWindowCycles, 0u) << "shard " << s;
-                EXPECT_EQ(st.codecChargedWindowCycles, 0u) << "shard " << s;
+                for (const SummaryField &f : kSummaryFields) {
+                    if (f.timed) {
+                        EXPECT_EQ(st.*f.member, 0u)
+                            << "shard " << s << " " << f.metric;
+                    }
+                }
                 EXPECT_FALSE(windowKeys) << "shard " << s;
             } else {
                 EXPECT_GT(st.combinedWindowCycles, 0u) << "shard " << s;
@@ -546,26 +548,44 @@ TEST(ShardedEngine, EachBatchIsWindowedOnce)
             EXPECT_EQ(snap.counters.count(other), 0u) << other;
         }
 
-        // The shard controllers' own counters (written by hand outside
-        // the summary field table) sum over the shards to the engine's
-        // counter of the same name, and no shard ran more batches than
-        // the engine did.
+        // Each shard registers the rows its runs write: every row under
+        // PerShard, and no timed row under Merged, where the shards run
+        // untimed. Summed over the shards, each Plan and Cache row
+        // equals the engine's counter of that name; a Window row's
+        // engine value, the barrier makespan, is at most that sum. No
+        // shard ran more batches than the engine did.
         const u64 batches = snap.counters.at("sim/engine/batches");
-        for (const std::string field : {"reads", "writes", "probes",
-                                        "metadata_hits", "metadata_misses",
-                                        "buddy_accesses"}) {
+        for (unsigned s = 0; s < eng.shardCount(); ++s)
+            EXPECT_LE(snap.counters.at("shard/s" + std::to_string(s) +
+                                       "/batches"),
+                      batches)
+                << "shard " << s;
+        for (const SummaryField &f : kSummaryFields) {
+            SCOPED_TRACE(f.metric);
+            const std::string sim = std::string("sim/engine/") + f.metric;
+            const u64 engine = snap.counters.count(sim)
+                                   ? snap.counters.at(sim)
+                                   : snap.counters.at(
+                                         std::string("shard/engine/") +
+                                         f.metric);
             u64 sum = 0;
             for (unsigned s = 0; s < eng.shardCount(); ++s) {
-                const std::string prefix = "shard/s" + std::to_string(s) + "/";
-                sum += snap.counters.at(prefix + field);
-                EXPECT_LE(snap.counters.at(prefix + "batches"), batches)
-                    << prefix;
+                const std::string name =
+                    "shard/s" + std::to_string(s) + "/" + f.metric;
+                const bool registered = snap.counters.count(name) != 0;
+                EXPECT_EQ(registered,
+                          mode == WindowMode::PerShard || !f.timed)
+                    << name;
+                if (registered)
+                    sum += snap.counters.at(name);
             }
-            const std::string sim = "sim/engine/" + field;
-            EXPECT_EQ(sum, snap.counters.count(sim)
-                               ? snap.counters.at(sim)
-                               : snap.counters.at("shard/engine/" + field))
-                << field;
+            if (mode == WindowMode::Merged && f.timed)
+                continue;
+            if (f.kind == SummaryFieldKind::Window) {
+                EXPECT_LE(engine, sum);
+            } else {
+                EXPECT_EQ(engine, sum);
+            }
         }
     }
 }

@@ -818,14 +818,14 @@ sameTraffic(const AccessInfo &a, const AccessInfo &b)
            a.codecPass == b.codecPass && a.storedBits == b.storedBits;
 }
 
-/** True if every cycle total of @p s is 0. */
+/** True if every field the timing pass writes is 0 in @p s. */
 bool
 untimed(const BatchSummary &s)
 {
-    return s.deviceCycles == 0 && s.buddyCycles == 0 &&
-           s.deviceWindowCycles == 0 && s.buddyWindowCycles == 0 &&
-           s.combinedWindowCycles == 0 && s.codecCycles == 0 &&
-           s.codecChargedWindowCycles == 0;
+    for (const SummaryField &f : kSummaryFields)
+        if (f.timed && s.*f.member != 0)
+            return false;
+    return true;
 }
 
 /**

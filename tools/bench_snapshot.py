@@ -12,7 +12,8 @@ refreshing it), and CI should fail rather than let the artifact rot.
 
     refresh  re-run the smoke benches and fold their reports into
              BENCH_buddy.json in place (non-smoke entries are kept
-             verbatim)
+             verbatim); print each deterministic `sim/` or `shard/`
+             metric the refresh adds, removes or changes
     check    re-run the smoke benches and compare every deterministic
              `sim/` and `shard/` metric of the committed snapshot
              against the fresh reports, and each entry's shape: its
@@ -121,6 +122,12 @@ def main() -> int:
         fresh = run_smoke_benches(args.build_dir, Path(tmp))
 
     if args.mode == "refresh":
+        for bench, report in fresh.items():
+            committed = snapshot["benches"].get(bench, {})
+            for change in diff_subtrees(
+                    bench, deterministic_subtrees(committed),
+                    deterministic_subtrees(report)):
+                print(f"  {change}")
         snapshot["benches"].update(fresh)
         snapshot["benches"] = dict(sorted(snapshot["benches"].items()))
         args.snapshot.write_text(

@@ -42,6 +42,13 @@ reproducibility at CI time, before any replay can diverge:
   header-hygiene    every header carries ``#pragma once``; no
                     ``using namespace`` at header scope.
 
+  summary-name      no string literal equal to a ``kSummaryFields``
+                    metric name outside src/api/access.h, whose table
+                    the names are read from.  Every BatchSummary
+                    counter is registered by looping over that table;
+                    a literal name is a second, hand-written list that
+                    a new field would not reach.
+
   bad-allow         an allow annotation that is malformed: missing
                     justification, unknown rule name, or an unmatched
                     allow-begin.
@@ -68,6 +75,7 @@ Exit status: 0 clean, 1 violations found, 2 self-test/setup failure.
 """
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -82,6 +90,7 @@ RULES = (
     "hash-order-iter",
     "float-cycle",
     "header-hygiene",
+    "summary-name",
 )
 
 # bad-allow is reported by the annotation parser, not a scoped rule.
@@ -127,12 +136,18 @@ def in_header_scope(rel):
     return rel.endswith((".h", ".hh", ".hpp"))
 
 
+def in_summary_name_scope(rel):
+    """Everywhere but the summary field table's home."""
+    return rel != "api/access.h"
+
+
 SCOPES = {
     "wall-clock": in_wall_scope,
     "rng": in_rng_scope,
     "hash-order-iter": in_hash_iter_scope,
     "float-cycle": in_float_cycle_scope,
     "header-hygiene": in_header_scope,
+    "summary-name": in_summary_name_scope,
 }
 
 
@@ -337,6 +352,18 @@ FLOAT_RE = re.compile(r"\b(?:float|double|long\s+double)\b")
 
 USING_NAMESPACE_RE = re.compile(r"^\s*using\s+namespace\b")
 
+SUMMARY_TABLE = os.path.join(REPO_ROOT, "src", "api", "access.h")
+SUMMARY_ROW_RE = re.compile(r'\{\s*"(\w+)"\s*,\s*&BatchSummary::')
+# A literal as strip_code leaves it: its quotes, its body blanked.
+STRIPPED_LITERAL_RE = re.compile(r'"( *)"')
+
+
+@functools.lru_cache(maxsize=None)
+def summary_names():
+    """The metric names of the kSummaryFields table."""
+    with open(SUMMARY_TABLE, encoding="utf-8") as f:
+        return set(SUMMARY_ROW_RE.findall(f.read()))
+
 
 def check_patterns(lines, patterns, rule, message):
     hits = []
@@ -348,7 +375,7 @@ def check_patterns(lines, patterns, rule, message):
     return hits
 
 
-def check_wall_clock(rel, lines):
+def check_wall_clock(rel, lines, raw):
     msg = ("wall-clock source; simulated time must come from the timing "
            "layer (annotate wall/-instrumentation explicitly)")
     hits = check_patterns(lines, WALL_PATTERNS, "wall-clock", msg)
@@ -360,14 +387,14 @@ def check_wall_clock(rel, lines):
     return hits
 
 
-def check_rng(rel, lines):
+def check_rng(rel, lines, raw):
     return check_patterns(
         lines, RNG_PATTERNS, "rng",
         "nondeterministic or unseeded randomness; use the seeded "
         "generator in common/rng.h")
 
 
-def check_hash_iter(rel, lines):
+def check_hash_iter(rel, lines, raw):
     hits = []
     # Pass 1: names declared (member or local) as unordered containers.
     names = set()
@@ -401,14 +428,14 @@ def check_hash_iter(rel, lines):
     return hits
 
 
-def check_float_cycle(rel, lines):
+def check_float_cycle(rel, lines, raw):
     return check_patterns(
         lines, [FLOAT_RE], "float-cycle",
         "float arithmetic in simulated-cycle accounting code; cycle "
         "totals must stay integer so cross-shard merges are exact")
 
 
-def check_header_hygiene(rel, lines):
+def check_header_hygiene(rel, lines, raw):
     hits = []
     if not any(re.search(r"^\s*#\s*pragma\s+once\b", l) for l in lines):
         hits.append((1, "header-hygiene", "header is missing #pragma once"))
@@ -420,12 +447,30 @@ def check_header_hygiene(rel, lines):
     return hits
 
 
+def check_summary_name(rel, lines, raw):
+    names = summary_names()
+    hits = []
+    for lineno, (line, raw_line) in enumerate(zip(lines, raw), 1):
+        # strip_code keeps columns, so the raw line holds each literal's
+        # body at the blanked one's position.
+        for m in STRIPPED_LITERAL_RE.finditer(line):
+            if raw_line[m.start(1):m.end(1)] in names:
+                hits.append((lineno, "summary-name",
+                             "BatchSummary metric name spelled out; loop "
+                             "over kSummaryFields (api/access.h) instead"))
+                break
+    return hits
+
+
+# Each checker takes the scope-relative path, the stripped lines and the
+# raw lines (only summary-name reads literals, so only it needs them).
 CHECKERS = {
     "wall-clock": check_wall_clock,
     "rng": check_rng,
     "hash-order-iter": check_hash_iter,
     "float-cycle": check_float_cycle,
     "header-hygiene": check_header_hygiene,
+    "summary-name": check_summary_name,
 }
 
 
@@ -459,7 +504,7 @@ def lint_file(path, rel):
     for rule in RULES:
         if not SCOPES[rule](rel):
             continue
-        for lineno, rname, msg in CHECKERS[rule](rel, stripped):
+        for lineno, rname, msg in CHECKERS[rule](rel, stripped, raw_lines):
             if allowances.allows(rname, lineno):
                 continue
             violations.append(Violation(path, lineno, rname, msg))
