@@ -49,7 +49,8 @@ emitZeroPlanes(FixedBitWriter &bw, unsigned run)
 }
 
 /**
- * Base-word code:
+ * Format tag and base-word code, written as one field. Bit 0 is the
+ * format tag (0 = BPC, 1 = raw fallback); a BPC stream follows it with
  *   "00"            zero base                         (2 bits)
  *   "01" + 4 bits   4-bit sign-extended base          (6 bits)
  *   "10" + 16 bits  16-bit sign-extended base        (18 bits)
@@ -60,31 +61,41 @@ encodeBase(FixedBitWriter &bw, u32 base)
 {
     const i32 sbase = static_cast<i32>(base);
     if (base == 0)
-        bw.put(0b00, 2);
+        bw.put(0b00 << 1, 3);
     else if (sbase >= -8 && sbase < 8)
-        bw.put(0b10 | (base & 0xF) << 2, 6);
+        bw.put((0b10 | (base & 0xF) << 2) << 1, 7);
     else if (sbase >= -32768 && sbase < 32768)
-        bw.put(0b01 | (base & 0xFFFF) << 2, 18);
+        bw.put((0b01 | (base & 0xFFFF) << 2) << 1, 19);
     else
-        bw.put(0b11 | static_cast<u64>(base) << 2, 34);
+        bw.put((0b11 | static_cast<u64>(base) << 2) << 1, 35);
 }
 
-u32
-decodeBase(BitReader &br)
+/** The low 16 bits of @p x, sign-extended to 32. */
+inline u32
+signExtend16(u32 x)
 {
-    switch (br.get(2)) {
+    return static_cast<u32>(static_cast<i32>(x << 16) >> 16);
+}
+
+/** Decode the base word of a BPC stream whose first bits are @p head. */
+u32
+decodeBase(BitReader &br, u64 head)
+{
+    switch (head >> 1 & 3) {
       case 0b00:
+        br.skip(3);
         return 0;
       case 0b10: { // "01": 4-bit sign-extended
-        const u32 v = static_cast<u32>(br.get(4));
+        br.skip(7);
+        const u32 v = static_cast<u32>(head >> 3 & 0xF);
         return static_cast<u32>(static_cast<i32>(v << 28) >> 28);
       }
-      case 0b01: { // "10": 16-bit sign-extended
-        const u32 v = static_cast<u32>(br.get(16));
-        return static_cast<u32>(static_cast<i32>(v << 16) >> 16);
-      }
+      case 0b01: // "10": 16-bit sign-extended
+        br.skip(19);
+        return signExtend16(static_cast<u32>(head >> 3));
       default:
-        return static_cast<u32>(br.get(32));
+        br.skip(35);
+        return static_cast<u32>(head >> 3);
     }
 }
 
@@ -124,26 +135,36 @@ swapInWords(u64 *pair, std::index_sequence<M...>)
 }
 
 /**
- * In-place transpose of a 32x32 bit matrix, LSB-first: bit j of row i
- * trades places with bit i of row j. Rows are paired into 64-bit words
- * (row 2m in the low half of word m, row 2m+1 in the high half), so
- * the 16-, 8-, 4- and 2-row masked block swaps move two rows per
- * operation and the last 1-row swap happens inside each word. The code
- * is straight-line: each stage's row distance J, mask and word indices
- * are compile-time constants, expanded by a fold over the stage's words.
+ * In-place bit-matrix swap over W rows of 32 bits, LSB-first. Rows are
+ * paired into W/2 64-bit words (row 2m in the low half of word m, row
+ * 2m+1 in the high half), so the 16-, 8-, 4- and 2-row masked block
+ * swaps move two rows per operation and the last 1-row swap happens
+ * inside each word. A stage with row distance J trades bit log2(J) of
+ * the row index with the same bit of the column index; the stages
+ * commute and each one undoes itself.
+ *
+ *   W = 32: every index bit is traded, so the matrix is transposed:
+ *           bit j of row i trades places with bit i of row j.
+ *   W = 16: bits 0..3 are traded and column bit 4 stays, so the two
+ *           16x16 blocks (columns 0..15 and 16..31) are each
+ *           transposed in place; applying it twice restores the rows.
+ *
+ * The code is straight-line: each stage's row distance, mask and word
+ * indices are compile-time constants, expanded by a fold over the
+ * stage's words.
  */
+template <unsigned W>
 void
-transpose32(u32 *rows)
+swapRows(u64 *pair)
 {
-    u64 pair[16];
-    std::memcpy(pair, rows, sizeof(pair));
-    constexpr auto kHalf = std::make_index_sequence<8>{};
-    swapStage<16, 0x0000FFFF0000FFFFull>(pair, kHalf);
+    static_assert(W == 16 || W == 32, "swapRows pairs 16 or 32 rows");
+    constexpr auto kHalf = std::make_index_sequence<W / 4>{};
+    if constexpr (W == 32)
+        swapStage<16, 0x0000FFFF0000FFFFull>(pair, kHalf);
     swapStage<8, 0x00FF00FF00FF00FFull>(pair, kHalf);
     swapStage<4, 0x0F0F0F0F0F0F0F0Full>(pair, kHalf);
     swapStage<2, 0x3333333333333333ull>(pair, kHalf);
-    swapInWords(pair, std::make_index_sequence<16>{});
-    std::memcpy(rows, pair, sizeof(pair));
+    swapInWords(pair, std::make_index_sequence<W / 2>{});
 }
 
 } // namespace
@@ -158,11 +179,11 @@ BpcCompressor::compressInto(const u8 *data, u8 *out,
     // Delta transform. xd[i] holds the adjacent-plane XOR (DBX) bits
     // contributed by delta i — bit b of xd[i] is d[b] ^ d[b+1] (and
     // d[32] for the top plane) — so DBX plane b is the bit-b column
-    // across xd. One 32x32 bit-matrix transpose of the low 32 bits of
-    // xd[0..30] turns the columns into planes 0..31 at once; the top
-    // plane is gathered as the deltas are formed. The OR-reductions
-    // give a constant-time DBP-zero test per plane (or_d) and skip the
-    // transpose when planes 0..31 are all zero (or_x).
+    // across xd. A bit-matrix transpose of the low 32 bits of
+    // xd[0..30] turns the columns into planes 0..31; the top plane is
+    // gathered as the deltas are formed. The OR-reductions give a
+    // constant-time DBP-zero test per plane (or_d) and bound which
+    // planes the transpose must produce (or_x).
     u32 planes[kPlanes];
     u32 top = 0;
     u64 or_d = 0, or_x = 0;
@@ -177,12 +198,33 @@ BpcCompressor::compressInto(const u8 *data, u8 *out,
         top |= static_cast<u32>(xd >> 32) << i;
     }
     planes[kPlaneBits] = 0;
-    if (static_cast<u32>(or_x) != 0)
-        transpose32(planes);
+    const u32 low_x = static_cast<u32>(or_x);
+    if (low_x >> 16 == 0) {
+        // Planes 16..31 are zero, and planes 0..31 too when low_x is.
+        // Otherwise only columns 0..15 carry bits: pack row i with row
+        // i + 16, so that transposing each 16x16 block turns row b into
+        // plane b, whole.
+        if (low_x != 0) {
+            u64 pair[8];
+            for (unsigned m = 0; m < 8; ++m) {
+                const u32 lo = planes[2 * m] | planes[2 * m + 16] << 16;
+                const u32 hi =
+                    planes[2 * m + 1] | planes[2 * m + 17] << 16;
+                pair[m] = lo | static_cast<u64>(hi) << 32;
+            }
+            swapRows<16>(pair);
+            std::memcpy(planes, pair, sizeof(pair));
+            std::memset(planes + 16, 0, 16 * sizeof(planes[0]));
+        }
+    } else {
+        u64 pair[16];
+        std::memcpy(pair, planes, sizeof(pair));
+        swapRows<32>(pair);
+        std::memcpy(planes, pair, sizeof(pair));
+    }
     planes[kPlanes - 1] = top;
 
     FixedBitWriter bw(out, kMaxEncodedBytes);
-    bw.putBit(0); // format tag: 0 = BPC, 1 = raw fallback
     encodeBase(bw, words[0]);
 
     // Emit planes MSB-first so that the sign-extension planes of smooth
@@ -236,7 +278,9 @@ BpcCompressor::decompressFrom(const u8 *payload, std::size_t size_bits,
 {
     BitReader br(payload, size_bits);
 
-    if (br.getBit()) { // raw fallback
+    const u64 head = br.peek();
+    if (head & 1) { // raw fallback
+        br.skip(1);
         for (std::size_t i = 0; i < kEntryBytes; i += sizeof(u32)) {
             const u32 word = static_cast<u32>(br.get(32));
             std::memcpy(out + i, &word, sizeof(word));
@@ -244,7 +288,7 @@ BpcCompressor::decompressFrom(const u8 *payload, std::size_t size_bits,
         return;
     }
 
-    const u32 base = decodeBase(br);
+    const u32 base = decodeBase(br, head);
 
     // Decode the DBX symbols MSB-first, as the encoder emitted them, and
     // undo the XOR transform on the fly: DBP[b] = DBX[b] ^ DBP[b+1],
@@ -301,12 +345,38 @@ BpcCompressor::decompressFrom(const u8 *payload, std::size_t size_bits,
     // Invert the bit-plane transform: the transpose turns planes 0..31
     // into the low 32 bits of each delta. Words wrap modulo 2^32, so
     // the delta's bit 32 (the top plane) never reaches the output, and
-    // the delta transform inverts as a running 32-bit sum.
-    transpose32(planes);
+    // the delta transform inverts as a running 32-bit sum. When planes
+    // 16..31 repeat plane 15, every delta is a sign-extended 16-bit
+    // value: transposing the two 16x16 blocks of planes 0..15 leaves
+    // delta i's low half in row i, or in the high half of row i - 16.
+    // When those planes are zero too, every word is the base.
     u32 words[kWordsPerEntry];
     words[0] = base;
-    for (unsigned i = 0; i < kPlaneBits; ++i)
-        words[i + 1] = words[i] + planes[i];
+    u32 high = 0, low = 0;
+    for (unsigned b = 0; b < 16; ++b) {
+        high |= planes[b + 16] ^ planes[15];
+        low |= planes[b];
+    }
+    if (high != 0) {
+        u64 pair[16];
+        std::memcpy(pair, planes, sizeof(pair));
+        swapRows<32>(pair);
+        std::memcpy(planes, pair, sizeof(pair));
+        for (unsigned i = 0; i < kPlaneBits; ++i)
+            words[i + 1] = words[i] + planes[i];
+    } else if (low != 0) {
+        u64 pair[8];
+        std::memcpy(pair, planes, sizeof(pair));
+        swapRows<16>(pair);
+        std::memcpy(planes, pair, sizeof(pair));
+        for (unsigned i = 0; i < 16; ++i)
+            words[i + 1] = words[i] + signExtend16(planes[i]);
+        for (unsigned i = 16; i < kPlaneBits; ++i)
+            words[i + 1] = words[i] + signExtend16(planes[i - 16] >> 16);
+    } else {
+        for (unsigned i = 0; i < kPlaneBits; ++i)
+            words[i + 1] = base;
+    }
     storeWords(words, out);
 }
 

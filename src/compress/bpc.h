@@ -19,10 +19,21 @@
  *      (zero runs, all-ones, single/double ones, raw fallback), and the
  *      base word with a small sign-extension code.
  *
- * The encoder falls back to a tagged raw copy whenever the transformed
- * encoding would exceed the original 1024 bits, so the compressed size is
- * bounded by 1025 bits. Encode/decode is bit-exact and covered by
- * property tests.
+ * Step 2 is a 32x32 bit-matrix transpose of the deltas' low 32 bits
+ * (the top plane is gathered separately), and both directions do only
+ * the part the data needs. The encoder needs only DBX planes 0..15
+ * when every delta's bits 16..32 are equal; the decoder needs only DBP
+ * planes 0..15 when planes 16..31 repeat plane 15, i.e. every delta is
+ * a sign-extended 16-bit value. Either then packs its rows into two
+ * 16x16 blocks and transposes each block in place: four of the five
+ * swap stages, over half the words. When every word equals the base,
+ * every plane is zero and nothing is transposed.
+ *
+ * A stream opens with a 1-bit format tag (0 = BPC, 1 = raw), written
+ * and read as one field with the base code. The encoder falls back to
+ * a tagged raw copy whenever the transformed encoding would exceed the
+ * original 1024 bits, so the compressed size is bounded by 1025 bits.
+ * Encode/decode is bit-exact and covered by property tests.
  */
 
 #pragma once

@@ -11,9 +11,11 @@ the snapshot is stale (someone changed timing behaviour without
 refreshing it), and CI should fail rather than let the artifact rot.
 
     refresh  re-run the smoke benches and fold their reports into
-             BENCH_buddy.json in place (non-smoke entries are kept
-             verbatim); print each deterministic `sim/` or `shard/`
-             metric the refresh adds, removes or changes
+             BENCH_buddy.json in place; an entry whose deterministic
+             metrics and shape match the fresh report is kept verbatim
+             (as are non-smoke entries), so its wall times do not churn;
+             print each entry replaced, with each deterministic `sim/`
+             or `shard/` metric and each shape difference that made it
     check    re-run the smoke benches and compare every deterministic
              `sim/` and `shard/` metric of the committed snapshot
              against the fresh reports, and each entry's shape: its
@@ -122,17 +124,24 @@ def main() -> int:
         fresh = run_smoke_benches(args.build_dir, Path(tmp))
 
     if args.mode == "refresh":
+        replaced = 0
         for bench, report in fresh.items():
             committed = snapshot["benches"].get(bench, {})
-            for change in diff_subtrees(
-                    bench, deterministic_subtrees(committed),
-                    deterministic_subtrees(report)):
+            changes = diff_subtrees(bench, deterministic_subtrees(committed),
+                                    deterministic_subtrees(report))
+            changes += shape_problems(bench, committed, report)
+            if bench in snapshot["benches"] and not changes:
+                continue
+            print(f"{'replaced' if committed else 'added'} {bench}")
+            for change in changes:
                 print(f"  {change}")
-        snapshot["benches"].update(fresh)
+            snapshot["benches"][bench] = report
+            replaced += 1
         snapshot["benches"] = dict(sorted(snapshot["benches"].items()))
         args.snapshot.write_text(
             json.dumps(snapshot, indent=1, sort_keys=False) + "\n")
-        print(f"refreshed {len(fresh)} bench entries in {args.snapshot}")
+        print(f"replaced {replaced} of {len(fresh)} smoke bench entries in "
+              f"{args.snapshot}; kept the others verbatim")
         return 0
 
     problems = []
