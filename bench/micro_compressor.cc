@@ -197,15 +197,18 @@ BM_ControllerWriteBatch(benchmark::State &state)
         static_cast<i64>(state.iterations() * entries.size()));
 }
 
+/** Metadata lookups walking the entries by a random step of 1 to
+ *  @p max_step: at 1, a stride-1 sweep, whose lookups all but once per
+ *  64-entry line repeat the last access's line. */
 void
-BM_MetadataCache(benchmark::State &state)
+BM_MetadataCache(benchmark::State &state, u64 max_step)
 {
     MetadataCache cache(MetadataCacheConfig{});
     Rng rng(5);
     u64 e = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(cache.access(e));
-        e += 1 + rng.below(4);
+        e += 1 + rng.below(max_step);
     }
 }
 
@@ -451,7 +454,8 @@ BENCHMARK_CAPTURE(BM_RoundTrip, bdi, "bdi");
 BENCHMARK_CAPTURE(BM_RoundTrip, fpc, "fpc");
 BENCHMARK(BM_ControllerWritePerEntry);
 BENCHMARK(BM_ControllerWriteBatch);
-BENCHMARK(BM_MetadataCache);
+BENCHMARK_CAPTURE(BM_MetadataCache, random_step, 4);
+BENCHMARK_CAPTURE(BM_MetadataCache, sweep, 1);
 
 int
 main(int argc, char **argv)

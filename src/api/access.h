@@ -277,7 +277,10 @@ operator==(const BatchSummary &a, const BatchSummary &b)
 /**
  * An ordered plan of entry accesses plus, after execution, the per-op
  * results and the batch summary. Reusable: clear() keeps the capacity so
- * steady-state batch submission allocates nothing.
+ * steady-state batch submission allocates nothing. The builders and
+ * execute() construct each op and result in place in its vector: one
+ * built on the stack and copied in is reloaded by wide loads from
+ * narrow stores, which the CPU cannot forward.
  */
 class AccessBatch
 {
@@ -309,32 +312,27 @@ class AccessBatch
     void
     read(Addr va, u8 *out)
     {
-        AccessRequest r;
+        AccessRequest &r = ops_.emplace_back();
         r.kind = AccessKind::Read;
         r.va = va;
         r.dst = out;
-        ops_.push_back(r);
     }
 
     /** Plan a write of @p data (kEntryBytes) to the entry at @p va. */
     void
     write(Addr va, const u8 *data)
     {
-        AccessRequest r;
+        AccessRequest &r = ops_.emplace_back();
         r.kind = AccessKind::Write;
         r.va = va;
         r.src = data;
-        ops_.push_back(r);
     }
 
     /** Plan a traffic probe of the entry at @p va (no data movement). */
     void
     probe(Addr va)
     {
-        AccessRequest r;
-        r.kind = AccessKind::Probe;
-        r.va = va;
-        ops_.push_back(r);
+        ops_.emplace_back().va = va; // an AccessRequest is a Probe by default
     }
 
     std::size_t size() const { return ops_.size(); }

@@ -16,20 +16,6 @@ sectorsFor(u64 bytes)
     return static_cast<unsigned>((bytes + kSectorBytes - 1) / kSectorBytes);
 }
 
-/** Traffic implied by reading the entry @p rec describes: its payload
- *  split between a @p slot_bytes device slot and the buddy slot (a Zero
- *  entry is fully described by metadata and moves no sector). */
-AccessInfo
-trafficFor(const EntryRecord &rec, u64 slot_bytes)
-{
-    AccessInfo info;
-    const u64 stored = rec.storedBytes();
-    const u64 on_device = std::min<u64>(stored, slot_bytes);
-    info.deviceSectors = sectorsFor(on_device);
-    info.buddySectors = sectorsFor(stored - on_device);
-    return info;
-}
-
 /**
  * The controller's window group over @p device and @p buddy. The two
  * link timings are validated against @p window first, so a windowed-
@@ -176,8 +162,9 @@ BuddyController::attachProbes(obs::MetricRegistry &registry,
     probes_.windowStall = &registry.histogram(prefix + "window_stall");
 }
 
-AccessInfo
-BuddyController::executeOp(const AccessRequest &op, BatchSummary &summary)
+void
+BuddyController::executeOp(const AccessRequest &op, BatchSummary &summary,
+                           AccessInfo &info)
 {
     const EntryLoc loc = locate(op.va);
     EntryRecord &rec = *loc.rec;
@@ -289,7 +276,13 @@ BuddyController::executeOp(const AccessRequest &op, BatchSummary &summary)
         break;
     }
 
-    AccessInfo info = trafficFor(rec, loc.deviceSlotBytes);
+    // The traffic a read of the entry implies: its payload split
+    // between the device slot and the buddy slot (a Zero entry is fully
+    // described by metadata and moves no sector).
+    const u64 stored = rec.storedBytes();
+    const u64 on_device = std::min<u64>(stored, loc.deviceSlotBytes);
+    info.deviceSectors = sectorsFor(on_device);
+    info.buddySectors = sectorsFor(stored - on_device);
     info.metadataHit = meta_hit;
     info.isZero = rec.meta == EntryMeta::Zero;
     info.codecPass = codec_pass;
@@ -303,7 +296,6 @@ BuddyController::executeOp(const AccessRequest &op, BatchSummary &summary)
         ++summary.metadataMisses;
     if (info.usedBuddy())
         ++summary.buddyAccesses;
-    return info;
 }
 
 const BatchSummary &
@@ -312,15 +304,14 @@ BuddyController::execute(AccessBatch &batch)
     return run(batch, true);
 }
 
-AccessInfo
+void
 BuddyController::runOp(const AccessRequest &op, BatchSummary &summary,
-                       bool timed)
+                       bool timed, AccessInfo &info)
 {
-    AccessInfo info = executeOp(op, summary);
+    executeOp(op, summary, info);
     if (timed)
         windowOp(op.kind, info, windows_, summary, probes_.windowOccupancy,
                  probes_.windowStall);
-    return info;
 }
 
 const BatchSummary &
@@ -335,7 +326,7 @@ BuddyController::run(AccessBatch &batch, bool timed)
     if (timed)
         windows_.reset();
     for (const AccessRequest &op : batch.ops_)
-        batch.results_.push_back(runOp(op, batch.summary_, timed));
+        runOp(op, batch.summary_, timed, batch.results_.emplace_back());
     stats_.accumulate(batch.summary_);
     return batch.summary_;
 }

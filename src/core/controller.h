@@ -313,15 +313,17 @@ class BuddyController
 
     /**
      * Execute one planned operation's functional pass: codec, metadata
-     * and stores. Updates @p summary (cycle fields excepted) and
-     * returns the op's result, codecPass included.
+     * and stores. Updates @p summary (cycle fields excepted) and fills
+     * @p info, the op's value-initialised result in its batch, with
+     * every field but codecCycles.
      */
-    AccessInfo executeOp(const AccessRequest &op, BatchSummary &summary);
+    void executeOp(const AccessRequest &op, BatchSummary &summary,
+                   AccessInfo &info);
 
     /** One op of run(): executeOp(), then, when @p timed, windowOp()
      *  through windows_ (reset per batch) and the window probes. */
-    AccessInfo runOp(const AccessRequest &op, BatchSummary &summary,
-                     bool timed);
+    void runOp(const AccessRequest &op, BatchSummary &summary, bool timed,
+               AccessInfo &info);
 
     /**
      * Stable-address metric objects resolved once by attachProbes(),

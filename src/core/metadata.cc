@@ -30,6 +30,13 @@ MetadataCache::access(std::size_t entry_idx)
     ++accesses_;
     ++tick_;
 
+    // A repeat of the last access's line: still resident (see the
+    // class comment), so a hit without the divide, hash and set scan.
+    if (entry_idx - lastFirst_ < entriesPerLine() && lastWay_ != kNoWay) {
+        lines_[lastWay_].lru = tick_;
+        return true;
+    }
+
     const u64 line_idx = entry_idx / entriesPerLine();
     // Lines interleave across slices with the same *hashed* scheme real
     // memory systems use for channel interleaving (Section 3.2): plain
@@ -50,9 +57,11 @@ MetadataCache::access(std::size_t entry_idx)
     const u64 tag = line_idx;
 
     Line *s = set(slice, set_idx);
+    lastFirst_ = line_idx * entriesPerLine();
     for (unsigned w = 0; w < cfg_.ways; ++w) {
         if (s[w].valid && s[w].tag == tag) {
             s[w].lru = tick_;
+            lastWay_ = static_cast<std::size_t>(&s[w] - lines_.data());
             return true;
         }
     }
@@ -67,6 +76,7 @@ MetadataCache::access(std::size_t entry_idx)
     victim->valid = true;
     victim->tag = tag;
     victim->lru = tick_;
+    lastWay_ = static_cast<std::size_t>(victim - lines_.data());
     return false;
 }
 
@@ -75,6 +85,7 @@ MetadataCache::flush()
 {
     for (auto &l : lines_)
         l.valid = false;
+    lastWay_ = kNoWay;
 }
 
 } // namespace buddy

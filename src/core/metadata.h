@@ -98,6 +98,11 @@ struct MetadataCacheConfig
  * access (the metadata line fill). Writes to metadata are write-back:
  * they allocate like reads and dirty the line (the writeback traffic is
  * folded into the same line-sized transfer accounting).
+ *
+ * Runs of accesses mostly stay inside one line, so access() answers a
+ * repeat of the last access's line before placing it. That is exact:
+ * every access leaves the line it touched resident as its set's most
+ * recently used way, so only flush() can drop it before the next one.
  */
 class MetadataCache
 {
@@ -110,7 +115,7 @@ class MetadataCache
      */
     bool access(std::size_t entry_idx);
 
-    /** Invalidate all lines and reset no statistics. */
+    /** Invalidate all lines (and the repeat memo); reset no statistics. */
     void flush();
 
     /** Hit-rate statistics since construction. */
@@ -150,6 +155,13 @@ class MetadataCache
     u64 tick_ = 0;
     u64 accesses_ = 0;
     u64 misses_ = 0;
+
+    /** The way the last access touched, as an index into lines_ (a
+     *  copy of the cache must not point into the original), and the
+     *  first entry its line covers; kNoWay when none or after flush(). */
+    static constexpr std::size_t kNoWay = ~std::size_t{0};
+    std::size_t lastWay_ = kNoWay;
+    u64 lastFirst_ = 0;
 
     Line *set(unsigned slice, unsigned set_idx);
 };

@@ -180,7 +180,7 @@ ShardedEngine::execute(AccessBatch &batch)
         }
         AccessRequest local = op;
         local.va = a->shardVa + (op.va - a->va);
-        batch.results_.push_back(shard.runOp(local, sum, perShard));
+        shard.runOp(local, sum, perShard, batch.results_.emplace_back());
     }
     if (!perShard) {
         group.reset();

@@ -15,6 +15,7 @@
 #include "api/codec_registry.h"
 #include "core/controller.h"
 #include "engine/engine.h"
+#include "engine/trace.h"
 #include "workloads/patterns.h"
 
 namespace buddy {
@@ -144,6 +145,68 @@ TEST(AccessBatch, BatchedWritesReadsProbesMatchOneOpBatches)
         }
     }
     EXPECT_TRUE(sameStats(batched, single));
+}
+
+TEST(AccessBatch, RefilledOpsKeepNothingOfTheClearedOnes)
+{
+    // A plan whose ops set src, dst and the unchanged mark (a trace
+    // cursor marks a write that repeats its entry's bytes) is cleared
+    // and refilled through the builders, each kind over a slot another
+    // kind held. Each builder value-initialises its op in place, so no
+    // pointer or mark of the slot's earlier op survives.
+    EngineConfig cfg;
+    cfg.shard = smallConfig();
+    ShardedEngine eng(cfg);
+    TraceRecorderSink recorder;
+    eng.attachSink(&recorder);
+    const auto va = eng.allocate("a", kPageBytes, CompressionTarget::Ratio2);
+    ASSERT_TRUE(va);
+    recorder.noteAllocation("a", *va, kPageBytes, CompressionTarget::Ratio2);
+    u8 data[kEntryBytes];
+    std::memset(data, 0x5a, kEntryBytes);
+    u8 out[kEntryBytes];
+    AccessBatch recorded;
+    recorded.write(*va, data);
+    recorded.write(*va, data); // a repeat: loaded as an unchanged write
+    recorded.read(*va, out);
+    recorded.read(*va, out);
+    eng.execute(recorded);
+    eng.detachSink(&recorder);
+
+    TraceReplayer replayer;
+    replayer.loadImage(recorder.serialize());
+    ShardedEngine target(cfg);
+    TraceCursor cursor(replayer, target);
+    AccessBatch plan;
+    std::vector<u8> readBuf;
+    ASSERT_TRUE(cursor.next(plan, readBuf));
+    ASSERT_EQ(plan.size(), 4u);
+    ASSERT_NE(plan.ops()[0].src, nullptr);
+    ASSERT_TRUE(plan.ops()[1].unchanged);
+    ASSERT_NE(plan.ops()[2].dst, nullptr);
+    ASSERT_NE(plan.ops()[3].dst, nullptr);
+
+    plan.clear();
+    plan.read(*va, out);    // over a write
+    plan.write(*va, data);  // over the marked write
+    plan.write(*va, data);  // over a read
+    plan.probe(*va);        // over a read
+    const std::vector<AccessRequest> &ops = plan.ops();
+    ASSERT_EQ(ops.size(), 4u);
+    EXPECT_EQ(ops[0].kind, AccessKind::Read);
+    EXPECT_EQ(ops[0].src, nullptr);
+    EXPECT_EQ(ops[0].dst, out);
+    for (const std::size_t i : {1u, 2u}) {
+        EXPECT_EQ(ops[i].kind, AccessKind::Write) << "op " << i;
+        EXPECT_EQ(ops[i].src, data) << "op " << i;
+        EXPECT_EQ(ops[i].dst, nullptr) << "op " << i;
+        EXPECT_FALSE(ops[i].unchanged) << "op " << i;
+    }
+    EXPECT_EQ(ops[3].kind, AccessKind::Probe);
+    EXPECT_EQ(ops[3].src, nullptr);
+    EXPECT_EQ(ops[3].dst, nullptr);
+    for (const AccessRequest &op : ops)
+        EXPECT_EQ(op.va, *va);
 }
 
 TEST(AccessBatch, SummaryMatchesStatsDelta)

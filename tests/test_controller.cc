@@ -10,14 +10,15 @@
 
 #include <algorithm>
 #include <cstring>
-#include <list>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/controller.h"
 #include "engine/engine.h"
 #include "engine/trace.h"
+#include "metadata_reference.h"
 #include "obs/hooks.h"
 
 namespace buddy {
@@ -353,55 +354,33 @@ fillLifecyclePayload(Rng &rng, u8 *payload)
 }
 
 /**
- * A one-set LRU cache of metadata lines, most recent first: a line is
- * 32 B of 4-bit entries, so it covers 64 entries of 128 B.
- */
-struct OneSetLru
-{
-    std::size_t ways;
-    std::list<u64> lines;
-
-    /** Whether the line covering @p va is resident; then it is the
-     *  most recent line, evicting the least recent one on a miss. */
-    bool
-    lookup(Addr va)
-    {
-        const u64 line = va / 128 / 64;
-        const auto it = std::find(lines.begin(), lines.end(), line);
-        const bool hit = it != lines.end();
-        if (hit)
-            lines.erase(it);
-        else if (lines.size() == ways)
-            lines.pop_back();
-        lines.push_front(line);
-        return hit;
-    }
-};
-
-/**
  * Random writes, rewrites, reads, probes, frees and re-allocations over
- * allocations of different targets, run on @p t (a controller or an
- * engine) in batches of 1 to @p maxBatchOps ops; a free ends the batch
- * before it. The op stream does not depend on the batching. Every op's
- * result and, after each batch and each free, the overflow gauge must
- * match a reference model that keeps each entry's payload and derives
- * the Figure 4 split from the codec's encoded size. With @p metadataWays
- * set, @p t's metadata cache is one set of that many ways, and every
- * op's metadataHit must also match a OneSetLru of them.
+ * allocations of @p allocBytes and different targets, run on @p t (a
+ * controller or an engine) in batches of 1 to @p maxBatchOps ops; a free
+ * ends the batch before it. The op stream does not depend on the
+ * batching. Every op's result and, after each batch and each free, the
+ * overflow gauge must match a reference model that keeps each entry's payload and derives
+ * the Figure 4 split from the codec's encoded size. Given @p metadata,
+ * @p t's metadata-cache geometry, every op's metadataHit must also
+ * match a ReferenceMetadataCache of it, indexed by va / 128.
  */
 template <typename Target>
 void
-checkRecordLifecycle(Target &t, u64 maxBatchOps, std::size_t metadataWays = 0)
+checkRecordLifecycle(Target &t, u64 maxBatchOps,
+                     const MetadataCacheConfig *metadata = nullptr,
+                     u64 allocBytes = 2 * kPageBytes)
 {
     ReferenceModel model;   // written entries of live allocations
     std::vector<Addr> live; // base addresses
-    OneSetLru metadata{metadataWays, {}};
+    std::optional<testutil::ReferenceMetadataCache> metadataRef;
+    if (metadata != nullptr)
+        metadataRef.emplace(*metadata);
     u64 metadataHits = 0;
 
     Rng rng(23);
     Rng sizes(31); // batch sizes, apart from the op stream
     const auto allocateOne = [&](CompressionTarget target) {
-        const auto id = t.allocate("r", 2 * kPageBytes, target);
+        const auto id = t.allocate("r", allocBytes, target);
         ASSERT_TRUE(id);
         live.push_back(*id);
     };
@@ -424,8 +403,8 @@ checkRecordLifecycle(Target &t, u64 maxBatchOps, std::size_t metadataWays = 0)
                 t, model, r.kind, r.va,
                 r.kind == AccessKind::Write ? r.src : r.dst,
                 batch.result(i), first + i);
-            if (metadataWays != 0) {
-                const bool hit = metadata.lookup(r.va);
+            if (metadataRef) {
+                const bool hit = metadataRef->access(r.va / kEntryBytes);
                 metadataHits += hit;
                 EXPECT_EQ(batch.result(i).metadataHit, hit)
                     << "op " << first + i;
@@ -475,8 +454,8 @@ checkRecordLifecycle(Target &t, u64 maxBatchOps, std::size_t metadataWays = 0)
             return;
     }
     runBatch();
-    // Both outcomes occur, so the LRU check is not vacuous.
-    if (metadataWays != 0) {
+    // Both outcomes occur, so the metadata check is not vacuous.
+    if (metadataRef) {
         EXPECT_GT(metadataHits, 0u);
         EXPECT_LT(metadataHits, op);
     }
@@ -579,13 +558,21 @@ TEST(Controller, RecordLifecycleMatchesAReferenceModel)
         if (HasFatalFailure())
             return;
 
+        // The default sliced, hashed metadata cache, over allocations of
+        // 256 lines each so that its sets fill and evict: each op's
+        // metadataHit follows the reference's placement and LRU.
+        BuddyController hashed(cfg);
+        checkRecordLifecycle(hashed, 1, &cfg.metadataCache, 2 * MiB);
+        if (HasFatalFailure())
+            return;
+
         // A one-set metadata cache: no hash places a line, so each op's
         // metadataHit follows a plain LRU of the set's ways.
         MetadataCacheConfig &meta = cfg.metadataCache;
         meta.slices = 1;
         meta.totalBytes = meta.lineBytes * meta.ways;
         BuddyController oneSet(cfg);
-        checkRecordLifecycle(oneSet, 1, meta.ways);
+        checkRecordLifecycle(oneSet, 1, &meta);
         if (HasFatalFailure())
             return;
     }

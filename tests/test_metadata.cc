@@ -6,14 +6,16 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
-#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/metadata.h"
+#include "metadata_reference.h"
 
 namespace buddy {
 namespace {
+
+using testutil::ReferenceMetadataCache;
 
 TEST(MetadataOverhead, IsPointFourPercent)
 {
@@ -133,81 +135,37 @@ TEST(MetadataCache, HashedPlacementDefeatsStrideConflicts)
         << "stride-conflicting streams must not thrash";
 }
 
-/**
- * A reference of the cache's placement and replacement, kept apart from
- * its implementation: a line's slice is hash(line) mod slices, its set
- * within the slice is (hash(line) / slices) mod setsPerSlice, and each
- * set holds up to `ways` lines, evicting the least recently used.
- */
-class ReferenceMetadataCache
+/** The geometries the reference checks run at: the default, slice and
+ *  set counts that are not powers of two, and a single set. */
+struct Geometry
 {
-  public:
-    explicit ReferenceMetadataCache(const MetadataCacheConfig &cfg)
-        : cfg_(cfg),
-          setsPerSlice_(cfg.totalBytes / cfg.slices /
-                        (cfg.lineBytes * cfg.ways))
-    {}
-
-    bool
-    access(std::size_t entry_idx)
-    {
-        ++tick_;
-        const u64 line = entry_idx / (cfg_.lineBytes * 8 /
-                                      kMetadataBitsPerEntry);
-        u64 h = line;
-        h ^= h >> 30;
-        h *= 0xbf58476d1ce4e5b9ull;
-        h ^= h >> 27;
-        h *= 0x94d049bb133111ebull;
-        h ^= h >> 31;
-        const u64 slice = h % cfg_.slices;
-        const u64 set = (h / cfg_.slices) % setsPerSlice_;
-        std::map<u64, u64> &lines = sets_[{slice, set}]; // tag -> last use
-        const auto it = lines.find(line);
-        if (it != lines.end()) {
-            it->second = tick_;
-            return true;
-        }
-        if (lines.size() == cfg_.ways) {
-            auto lru = lines.begin();
-            for (auto l = lines.begin(); l != lines.end(); ++l)
-                if (l->second < lru->second)
-                    lru = l;
-            lines.erase(lru);
-        }
-        lines[line] = tick_;
-        return false;
-    }
-
-  private:
-    MetadataCacheConfig cfg_;
-    u64 setsPerSlice_;
-    std::map<std::pair<u64, u64>, std::map<u64, u64>> sets_;
-    u64 tick_ = 0;
+    unsigned slices, ways;
+    std::size_t totalBytes;
 };
+const Geometry kGeometries[] = {
+    {8, 4, 64 * KiB},       // the default: 8 slices x 64 sets x 4 ways
+    {3, 2, 3 * 5 * 2 * 32}, // 3 slices x 5 sets x 2 ways
+    {7, 1, 7 * 6 * 32},     // 7 slices x 6 sets, direct mapped
+    {1, 4, 4 * 32},         // 1 slice, 1 set
+};
+
+MetadataCacheConfig
+configFor(const Geometry &g)
+{
+    MetadataCacheConfig cfg;
+    cfg.slices = g.slices;
+    cfg.ways = g.ways;
+    cfg.lineBytes = 32;
+    cfg.totalBytes = g.totalBytes;
+    return cfg;
+}
 
 TEST(MetadataCache, PlacementMatchesTheSliceThenSetReference)
 {
-    // Hit for hit against the reference, at the default geometry and at
-    // slice and set counts that are not powers of two, over a working
-    // set a few times the cache's capacity (so sets conflict and evict).
-    struct Geometry
-    {
-        unsigned slices, ways;
-        std::size_t totalBytes;
-    };
-    const Geometry geometries[] = {
-        {8, 4, 64 * KiB},      // the default: 8 slices x 64 sets x 4 ways
-        {3, 2, 3 * 5 * 2 * 32}, // 3 slices x 5 sets x 2 ways
-        {7, 1, 7 * 6 * 32},    // 7 slices x 6 sets, direct mapped
-        {1, 4, 4 * 32},        // 1 slice, 1 set
-    };
-    for (const Geometry &g : geometries) {
-        MetadataCacheConfig cfg;
-        cfg.slices = g.slices;
-        cfg.ways = g.ways;
-        cfg.lineBytes = 32;
-        cfg.totalBytes = g.totalBytes;
+    // Hit for hit against the reference, over a working set a few times
+    // the cache's capacity (so sets conflict and evict).
+    for (const Geometry &g : kGeometries) {
+        const MetadataCacheConfig cfg = configFor(g);
         MetadataCache cache(cfg);
         ReferenceMetadataCache ref(cfg);
         const std::size_t lines = 3 * cfg.totalBytes / cfg.lineBytes + 4;
@@ -224,6 +182,88 @@ TEST(MetadataCache, PlacementMatchesTheSliceThenSetReference)
         }
         EXPECT_GT(cache.misses(), 0u);
         EXPECT_LT(cache.misses(), cache.accesses());
+    }
+}
+
+TEST(MetadataCache, RepeatedLineRunsMatchTheReference)
+{
+    // access() answers a repeat of the last access's line before placing
+    // it. Runs of 1-200 accesses inside one line (half of them one or
+    // two long), mostly on lines that share one set, so that lines evict
+    // each other between runs; across a flush(); and in a copy taken
+    // mid-stream that then runs interleaved with the original: every
+    // answer must be the reference's.
+    for (const Geometry &g : kGeometries) {
+        SCOPED_TRACE(::testing::Message()
+                     << g.slices << " slices, " << g.ways << " ways");
+        const MetadataCacheConfig cfg = configFor(g);
+        MetadataCache cache(cfg);
+        ReferenceMetadataCache ref(cfg);
+        const u64 perLine = ref.entriesPerLine();
+
+        // ways + 2 lines placed in line 0's set.
+        std::vector<u64> conflicting{0};
+        for (u64 line = 1; conflicting.size() < g.ways + 2; ++line)
+            if (ref.placement(line) == ref.placement(0))
+                conflicting.push_back(line);
+
+        // One run's line: the next conflicting line in turn (cycling
+        // ways + 2 lines through one set misses on each), any
+        // conflicting line, the line after the last run's (its first
+        // entry borders that line), the line before it, or any line.
+        u64 line = 0;
+        u64 prev = 0;
+        u64 turn = 0;
+        u64 run = 0;
+        const auto oneRun = [&](MetadataCache &c, ReferenceMetadataCache &r,
+                                Rng &rng) {
+            const u64 last = line;
+            switch (rng.below(8)) {
+              case 0:
+              case 1:
+              case 2: line = conflicting[turn++ % conflicting.size()]; break;
+              case 3:
+              case 4:
+                line = conflicting[rng.below(conflicting.size())];
+                break;
+              case 5: line = last + 1; break;
+              case 6: line = prev; break;
+              default: line = rng.below(u64{1} << 30); break;
+            }
+            prev = last;
+            const u64 len = 1 + rng.below(rng.below(2) == 0 ? 2 : 200);
+            for (u64 i = 0; i < len; ++i) {
+                const u64 e = line * perLine +
+                              (i == 0 ? 0 : rng.below(perLine));
+                ASSERT_EQ(c.access(e), r.access(e))
+                    << "run " << run << ", access " << i;
+            }
+            ++run;
+        };
+
+        Rng rng(g.slices * 10 + g.ways);
+        for (int i = 0; i < 300 && !HasFatalFailure(); ++i)
+            oneRun(cache, ref, rng);
+        cache.flush();
+        ref.flush();
+        // The flush dropped the line the last access touched.
+        ASSERT_FALSE(cache.access(line * perLine));
+        ref.access(line * perLine);
+        for (int i = 0; i < 300 && !HasFatalFailure(); ++i)
+            oneRun(cache, ref, rng);
+
+        MetadataCache copy = cache;
+        ReferenceMetadataCache refCopy = ref;
+        Rng copyRng(g.slices * 10 + g.ways + 1);
+        for (int i = 0; i < 300 && !HasFatalFailure(); ++i) {
+            oneRun(cache, ref, rng);
+            oneRun(copy, refCopy, copyRng);
+        }
+        ASSERT_FALSE(HasFatalFailure());
+        EXPECT_GT(cache.misses(), 0u);
+        EXPECT_GT(copy.misses(), 0u);
+        // Most accesses repeat the last access's line.
+        EXPECT_GT(cache.accesses(), 20 * cache.misses());
     }
 }
 

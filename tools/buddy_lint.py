@@ -49,6 +49,14 @@ reproducibility at CI time, before any replay can diverge:
                     a literal name is a second, hand-written list that
                     a new field would not reach.
 
+  construct-in-place
+                    no ``ops_.push_back(`` / ``results_.push_back(``
+                    in src/.  An access-plan op or result built on the
+                    stack and copied into its vector is reloaded by
+                    wide loads from the narrow stores that built it,
+                    which the CPU cannot forward; construct it in place
+                    with ``emplace_back()`` and store its fields.
+
   bad-allow         an allow annotation that is malformed: missing
                     justification, unknown rule name, or an unmatched
                     allow-begin.
@@ -91,6 +99,7 @@ RULES = (
     "float-cycle",
     "header-hygiene",
     "summary-name",
+    "construct-in-place",
 )
 
 # bad-allow is reported by the annotation parser, not a scoped rule.
@@ -108,8 +117,9 @@ def _parts(rel):
     return rel.split("/")
 
 
-def in_wall_scope(rel):
-    """wall-clock applies everywhere under the scanned root."""
+def everywhere(rel):
+    """wall-clock and construct-in-place apply everywhere under the
+    scanned root."""
     return True
 
 
@@ -142,12 +152,13 @@ def in_summary_name_scope(rel):
 
 
 SCOPES = {
-    "wall-clock": in_wall_scope,
+    "wall-clock": everywhere,
     "rng": in_rng_scope,
     "hash-order-iter": in_hash_iter_scope,
     "float-cycle": in_float_cycle_scope,
     "header-hygiene": in_header_scope,
     "summary-name": in_summary_name_scope,
+    "construct-in-place": everywhere,
 }
 
 
@@ -357,6 +368,8 @@ SUMMARY_ROW_RE = re.compile(r'\{\s*"(\w+)"\s*,\s*&BatchSummary::')
 # A literal as strip_code leaves it: its quotes, its body blanked.
 STRIPPED_LITERAL_RE = re.compile(r'"( *)"')
 
+PUSH_BACK_RE = re.compile(r"\b(?:ops_|results_)\s*\.\s*push_back\s*\(")
+
 
 @functools.lru_cache(maxsize=None)
 def summary_names():
@@ -462,6 +475,13 @@ def check_summary_name(rel, lines, raw):
     return hits
 
 
+def check_construct_in_place(rel, lines, raw):
+    return check_patterns(
+        lines, [PUSH_BACK_RE], "construct-in-place",
+        "op or result copied into its batch; construct it in place "
+        "(emplace_back(), then store its fields)")
+
+
 # Each checker takes the scope-relative path, the stripped lines and the
 # raw lines (only summary-name reads literals, so only it needs them).
 CHECKERS = {
@@ -471,6 +491,7 @@ CHECKERS = {
     "float-cycle": check_float_cycle,
     "header-hygiene": check_header_hygiene,
     "summary-name": check_summary_name,
+    "construct-in-place": check_construct_in_place,
 }
 
 
